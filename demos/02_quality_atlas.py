@@ -21,12 +21,13 @@ out_dir = Path("demo_output")
 out_dir.mkdir(exist_ok=True)
 
 params = reference_params()
-rows = sweep_grid(params, (0.0, 1.0, 101), (0.0, 1.0, 101))
+grid = sweep_grid(params, (0.0, 1.0, 101), (0.0, 1.0, 101))  # columns; iterates as rows
 
 with open(out_dir / "quality_atlas.csv", "w", newline="") as fh:
-    write_atlas_csv(rows, fh)
-print(f"wrote {len(rows)} grid rows to {out_dir / 'quality_atlas.csv'}")
+    write_atlas_csv(grid, fh)
+print(f"wrote {len(grid)} grid rows to {out_dir / 'quality_atlas.csv'}")
 
+rows = list(grid)
 regimes = Counter(r.regime.value for r in rows)
 quality = Counter(r.quality_label.value for r in rows)
 compliance = Counter(r.compliance_label.value for r in rows)

@@ -4,8 +4,8 @@ Quality is institutional utility evaluated at the worker's privately
 optimal action. The boundaries psi0 (manual vs verified delegation),
 psi1 (pure vs verified delegation), psi (quality improvement), and
 psi_tau (qualification) are found by bisection in alpha, relying on the
-monotonicity of the underlying quantities. Grid sweeps assemble the whole
-map into rows suitable for CSV emission.
+monotonicity of the underlying quantities. Grid sweeps solve the whole
+map in one array pass and hold it as columns for CSV emission.
 """
 
 from __future__ import annotations
@@ -13,22 +13,23 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import (
-    Ability, Action, ModelParams, coefficients, delegation_gain,
-    institutional_utility, verification_surplus,
+    Ability, Action, ModelParams, coefficients, cost_at, delegation_gain,
+    institution_value, institutional_utility, phi_coefficients, success_at,
+    verification_surplus, worker_increment,
 )
 from .solver import (
-    OptimalAction, Regime, manual_delegation_threshold, optimal_action,
-    optimal_verification, qualification_threshold,
+    REGIMES, OptimalAction, Regime, choose_regime, manual_delegation_threshold,
+    maximize_surplus_array, optimal_action, optimal_verification,
 )
 
 UNCHANGED_RTOL = 1e-9
 _BRACKET_DOUBLINGS = 10
+_CSV_BLOCK_ROWS = 4096
 
 
 class QualityLabel(str, enum.Enum):
@@ -77,6 +78,39 @@ class AtlasRow:
     compliance_label: ComplianceLabel
 
 
+QUALITY_LABELS = tuple(QualityLabel)
+COMPLIANCE_LABELS = tuple(ComplianceLabel)
+
+
+@dataclass(frozen=True, eq=False)
+class AtlasGrid:
+    """The quality map as beta-major columns, one entry per AtlasRow field.
+
+    regime, quality_label and compliance_label hold indices into REGIMES,
+    QUALITY_LABELS and COMPLIANCE_LABELS. Iterating yields AtlasRow values.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    d_star: np.ndarray
+    s_star: np.ndarray
+    regime: np.ndarray
+    q: np.ndarray
+    q0: np.ndarray
+    gap: np.ndarray
+    quality_label: np.ndarray
+    compliance_label: np.ndarray
+
+    def __len__(self):
+        return len(self.alpha)
+
+    def __iter__(self):
+        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        for alpha, beta, d, s, r, q, q0, gap, ql, cl in zip(*columns):
+            yield AtlasRow(alpha, beta, d, s, REGIMES[r], q, q0, gap,
+                           QUALITY_LABELS[ql], COMPLIANCE_LABELS[cl])
+
+
 def _labels(q, q0, tau):
     tol = UNCHANGED_RTOL * (1.0 + abs(q0))
     gap = q - q0
@@ -95,13 +129,27 @@ def _labels(q, q0, tau):
     return gap, quality, compliance
 
 
+def _label_indices(q, q0, tau):
+    """_labels at every element, with labels as indices into the label tuples."""
+    tol = UNCHANGED_RTOL * (1.0 + np.abs(q0))
+    gap = q - q0
+    quality = np.where(gap > tol, QUALITY_LABELS.index(QualityLabel.IMPROVED),
+                       np.where(gap < -tol, QUALITY_LABELS.index(QualityLabel.DEGRADED),
+                                QUALITY_LABELS.index(QualityLabel.UNCHANGED)))
+    compliance = np.where((q >= tau) & (q0 < tau), COMPLIANCE_LABELS.index(ComplianceLabel.GAIN),
+                          np.where((q < tau) & (q0 >= tau), COMPLIANCE_LABELS.index(ComplianceLabel.LOSS),
+                                   COMPLIANCE_LABELS.index(ComplianceLabel.NEITHER)))
+    return gap, quality, compliance
+
+
 def evaluate_point(params: ModelParams, ability: Ability,
                    tau: float | None = None) -> tuple[OptimalAction, QualityReport]:
     """Solve the worker problem once and report quality at the optimum."""
     if tau is None:
         tau = params.tau
     act = optimal_action(params, ability)
-    q0 = coefficients(params, ability, 0.0).g_i
+    # the baseline g_i; optimal_action has checked beta
+    q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
     q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
     gap, quality_label, compliance_label = _labels(q, q0, tau)
     return act, QualityReport(q=q, q0=q0, gap=gap,
@@ -249,18 +297,6 @@ def separatrix_intersection(params: ModelParams, beta_hi: float | None = None,
     return psi0(params, beta_star).value, beta_star
 
 
-def _row(params, alpha, beta, tau):
-    act, rep = evaluate_point(params, Ability(alpha, beta), tau)
-    return AtlasRow(alpha=alpha, beta=beta, d_star=act.d_star, s_star=act.s_star,
-                    regime=act.regime, q=rep.q, q0=rep.q0, gap=rep.gap,
-                    quality_label=rep.quality_label, compliance_label=rep.compliance_label)
-
-
-def _sweep_one_beta(args):
-    params, alphas, beta, tau = args
-    return [_row(params, alpha, beta, tau) for alpha in alphas]
-
-
 def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     start, stop, count = bounds
     if count < 1:
@@ -268,25 +304,49 @@ def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(start, stop, int(count))
 
 
-def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
-               beta_range: tuple[float, float, int], tau: float | None = None,
-               jobs: int = 1) -> list[AtlasRow]:
-    """Evaluate the quality map on a grid, beta-major, in deterministic order.
+def _check_grid(params: ModelParams, alphas: np.ndarray, betas: np.ndarray) -> None:
+    """Raise what evaluate_point raises at the first invalid point in row order."""
+    bad_alpha = alphas < 0.0
+    bad_beta = ~params.execution_cost.in_domain(betas)
+    if not (bad_alpha.any() or bad_beta.any()):
+        return
+    j = 0 if bad_alpha.any() else int(np.argmax(bad_beta))
+    i = 0 if bad_beta[j] else int(np.argmax(bad_alpha))
+    beta = float(betas[j])
+    Ability(float(alphas[i]), beta)
+    params.execution_cost.cost(beta)
 
-    Rows are ordered by beta first, alpha second, regardless of how many
-    workers computed them.
+
+def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
+               beta_range: tuple[float, float, int], tau: float | None = None) -> AtlasGrid:
+    """Evaluate the quality map on a grid, beta-major, in one array pass.
+
+    Row k sits at beta index k // n_alpha and alpha index k % n_alpha. The
+    columns run the model's formulas and the solver's array branch points,
+    so every entry equals evaluate_point at that point bitwise.
     """
     if tau is None:
         tau = params.tau
-    alphas = [float(a) for a in linspace_range(alpha_range)]
-    betas = [float(b) for b in linspace_range(beta_range)]
-    tasks = [(params, alphas, beta, tau) for beta in betas]
-    if jobs > 1 and len(betas) >= 4:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_sweep_one_beta, tasks, chunksize=max(1, len(betas) // (4 * jobs))))
-    else:
-        chunks = [_sweep_one_beta(task) for task in tasks]
-    return [row for chunk in chunks for row in chunk]
+    alphas = linspace_range(alpha_range)
+    betas = linspace_range(beta_range)
+    _check_grid(params, alphas, betas)
+    alpha = np.tile(alphas, len(betas))
+    beta = np.repeat(betas, len(alphas))
+    det, vcost = params.detection, params.verification_cost
+    c_w = params.execution_cost.unchecked_cost(beta)
+    k_w = phi_coefficients(params, c_w)[0]
+    s_dag = maximize_surplus_array(det, alpha, vcost, k_w)
+    f_w = worker_increment(params, k_w, det.prob(alpha, s_dag), c_w, vcost.cost(s_dag))
+    d_star, s_star, regime = choose_regime(f_w, s_dag)
+    d = d_star.astype(float)
+    phi = det.prob(alpha, s_star)
+    q = institution_value(params, success_at(params, phi, d),
+                          cost_at(params, phi, c_w, vcost.cost(s_star), d))
+    q0 = institution_value(params, params.p_w, c_w)
+    gap, quality_label, compliance_label = _label_indices(q, q0, tau)
+    return AtlasGrid(alpha=alpha, beta=beta, d_star=d_star, s_star=s_star, regime=regime,
+                     q=q, q0=q0, gap=gap, quality_label=quality_label,
+                     compliance_label=compliance_label)
 
 
 def boundary_curve(params: ModelParams, which: str, betas,
@@ -322,13 +382,26 @@ ATLAS_HEADER = ["alpha", "beta", "d_star", "s_star", "regime",
                 "q", "q0", "gap", "quality", "compliance"]
 
 
-def write_atlas_csv(rows, fileobj):
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(ATLAS_HEADER)
-    for r in rows:
-        writer.writerow([fmt(r.alpha), fmt(r.beta), str(r.d_star), fmt(r.s_star),
-                         r.regime.value, fmt(r.q), fmt(r.q0), fmt(r.gap),
-                         r.quality_label.value, r.compliance_label.value])
+# one atlas row, floats written as fmt writes them
+_ATLAS_ROW = "{:.9g},{:.9g},{},{:.9g},{},{:.9g},{:.9g},{:.9g},{},{}\n"
+# CSV strings of the label columns, looked up by the grid's indices
+_LABEL_VALUES = {name: np.array([m.value for m in members], dtype=object)
+                 for name, members in (("regime", REGIMES), ("quality_label", QUALITY_LABELS),
+                                       ("compliance_label", COMPLIANCE_LABELS))}
+
+
+def write_atlas_csv(grid: AtlasGrid, fileobj):
+    """Write the grid as CSV, formatting a bounded block of rows at a time."""
+    fileobj.write(",".join(ATLAS_HEADER) + "\n")
+    for start in range(0, len(grid), _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        columns = []
+        for f in fields(grid):
+            column = getattr(grid, f.name)[block]
+            if f.name in _LABEL_VALUES:
+                column = _LABEL_VALUES[f.name][column]
+            columns.append(column.tolist())
+        fileobj.write("".join(_ATLAS_ROW.format(*row) for row in zip(*columns)))
 
 
 def write_boundary_csv(points, fileobj):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -95,11 +94,10 @@ def cmd_quality(args):
 
 def cmd_atlas(args):
     params = load_params(args.config)
-    rows = sweep_grid(params, parse_range(args.alpha), parse_range(args.beta),
-                      tau=args.tau, jobs=args.jobs)
+    grid = sweep_grid(params, parse_range(args.alpha), parse_range(args.beta), tau=args.tau)
     with open(args.out, "w", newline="") as fh:
-        write_atlas_csv(rows, fh)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        write_atlas_csv(grid, fh)
+    print(f"wrote {len(grid)} rows to {args.out}")
     return 0
 
 
@@ -365,8 +363,6 @@ def build_parser():
     p.add_argument("--beta", required=True, help="range start:end:count")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers for the sweep (default: all cores)")
     p.set_defaults(func=cmd_atlas)
 
     p = sub.add_parser("boundary", help="one separatrix as (beta, alpha) CSV")

@@ -7,6 +7,7 @@ silently falling back to defaults.
 from __future__ import annotations
 
 import json
+import math
 
 from .model import (
     EXPONENTIAL, INVERSE_EFFICIENCY, INVERSE_LINEAR, LINEAR,
@@ -115,7 +116,7 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def parse_range(text: str) -> tuple[float, float, int]:
-    """Parse 'start:end:count' with inclusive endpoints and count >= 1."""
+    """Parse 'start:end:count' with finite, inclusive endpoints and count >= 1."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must look like start:end:count, got {text!r}")
@@ -123,6 +124,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
         start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigError(f"range endpoints must be finite, got {text!r}")
     if count < 1:
         raise ConfigError("range count must be >= 1")
     return start, end, count

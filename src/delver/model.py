@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -111,15 +111,20 @@ class ExecutionCost:
             return 0.0, 1.0
         return 0.0, math.inf  # open at 0
 
-    def check_beta(self, beta):
+    def in_domain(self, beta):
+        """Whether beta lies in the efficiency domain; accepts floats or arrays."""
         if self.kind == LINEAR_IN_EFFICIENCY:
-            if not 0.0 <= beta <= 1.0:
-                raise ValueError(f"beta={beta} outside [0, 1] for {self.kind}")
-        elif not beta > 0.0:
-            raise ValueError(f"beta={beta} outside (0, inf) for {self.kind}")
+            return (0.0 <= beta) & (beta <= 1.0)
+        return beta > 0.0
 
     def cost(self, beta):
-        self.check_beta(beta)
+        if not self.in_domain(beta):
+            span = "[0, 1]" if self.kind == LINEAR_IN_EFFICIENCY else "(0, inf)"
+            raise ValueError(f"beta={beta} outside {span} for {self.kind}")
+        return self.unchecked_cost(beta)
+
+    def unchecked_cost(self, beta):
+        """C_w(beta) without the domain check; accepts floats or arrays."""
         if self.kind == LINEAR_IN_EFFICIENCY:
             return self.scale * (1.0 - beta)
         return self.scale / beta
@@ -208,13 +213,14 @@ class ModelParams:
         return replace(self, b_w=self.b_w + d_b, b_i=self.b_i - d_b)
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(NamedTuple):
     """Affine decomposition U = f(s) * d + g for both objectives.
 
     f_w / f_i are evaluated at a particular s; g_w / g_i are the no-AI
     baselines (g_i equals the pre-AI quality Q0). k_w / k_i are the
-    coefficients multiplying phi(s) inside f_w / f_i.
+    coefficients multiplying phi(s) inside f_w / f_i. A named tuple, not a
+    frozen dataclass, because the scalar solvers build one per call and a
+    frozen dataclass costs about twice as much to construct.
     """
 
     f_w: float
@@ -249,30 +255,62 @@ def detection_probability(detection: Detection, alpha: float, s: float):
     return float(detection.prob(alpha, s))
 
 
+def success_at(params: ModelParams, phi, d):
+    """Success probability at detection probability phi and delegation level d.
+
+    This and the other *_at / *_value helpers take floats or arrays and
+    check nothing: the scalar functions below validate their inputs first,
+    and grid sweeps validate the whole grid once.
+    """
+    return (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
+
+
+def cost_at(params: ModelParams, phi, c_w, c_v, d):
+    """Expected cost at detection probability phi, costs C_w and C_v, and level d."""
+    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * c_w)
+
+
+def worker_value(params: ModelParams, p, cost):
+    return params.b_w * p - params.l_w * (1.0 - p) - cost
+
+
+def institution_value(params: ModelParams, p, cost):
+    return params.b_i * p - params.l_i * (1.0 - p) - params.xi * cost
+
+
+def phi_coefficients(params: ModelParams, c_w):
+    """(k_w, k_i): the coefficients on phi(s) in f_w and f_i, given C_w."""
+    one_minus_pa = 1.0 - params.p_a
+    return (one_minus_pa * (params.worker_stakes * params.p_w - c_w),
+            one_minus_pa * (params.institution_stakes * params.p_w - params.xi * c_w))
+
+
+def worker_increment(params: ModelParams, k_w, phi, c_w, c_v):
+    """f_w, the worker's utility gain from delegating, given k_w, phi(s), C_w and C_v(s)."""
+    return k_w * phi - c_v - params.worker_stakes * (params.p_w - params.p_a) + c_w - params.c_a
+
+
 def task_success(params: ModelParams, ability: Ability, action: Action) -> float:
     """Success probability from direct work, direct AI, and corrected AI errors."""
     phi = detection_probability(params.detection, ability.alpha, action.s)
-    d = action.d
-    return (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
+    return success_at(params, phi, action.d)
 
 
 def total_cost(params: ModelParams, ability: Ability, action: Action) -> float:
     """Expected cost: manual execution, AI run, verification, and redo after detection."""
     phi = detection_probability(params.detection, ability.alpha, action.s)
     c_w = params.execution_cost.cost(ability.beta)
-    c_v = params.verification_cost.cost(action.s)
-    d = action.d
-    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * c_w)
+    return cost_at(params, phi, c_w, params.verification_cost.cost(action.s), action.d)
 
 
 def worker_utility(params: ModelParams, ability: Ability, action: Action) -> float:
-    p = task_success(params, ability, action)
-    return params.b_w * p - params.l_w * (1.0 - p) - total_cost(params, ability, action)
+    return worker_value(params, task_success(params, ability, action),
+                        total_cost(params, ability, action))
 
 
 def institutional_utility(params: ModelParams, ability: Ability, action: Action) -> float:
-    p = task_success(params, ability, action)
-    return params.b_i * p - params.l_i * (1.0 - p) - params.xi * total_cost(params, ability, action)
+    return institution_value(params, task_success(params, ability, action),
+                             total_cost(params, ability, action))
 
 
 def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficients:
@@ -280,23 +318,20 @@ def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficient
     phi = detection_probability(params.detection, ability.alpha, s)
     c_w = params.execution_cost.cost(ability.beta)
     c_v = params.verification_cost.cost(s)
-    sw = params.worker_stakes
-    si = params.institution_stakes
-    k_w = (1.0 - params.p_a) * (sw * params.p_w - c_w)
-    k_i = (1.0 - params.p_a) * (si * params.p_w - params.xi * c_w)
-    f_w = k_w * phi - c_v - sw * (params.p_w - params.p_a) + c_w - params.c_a
-    f_i = k_i * phi - params.xi * c_v - si * (params.p_w - params.p_a) + params.xi * (c_w - params.c_a)
-    # baselines written exactly as the utility evaluators compute them at
-    # (0, 0), so the identity g = U(0, 0) holds bitwise, not just to rounding
-    g_w = params.b_w * params.p_w - params.l_w * (1.0 - params.p_w) - c_w
-    g_i = params.b_i * params.p_w - params.l_i * (1.0 - params.p_w) - params.xi * c_w
-    return Coefficients(f_w=f_w, g_w=g_w, f_i=f_i, g_i=g_i, k_w=k_w, k_i=k_i)
+    k_w, k_i = phi_coefficients(params, c_w)
+    f_i = (k_i * phi - params.xi * c_v - params.institution_stakes * (params.p_w - params.p_a)
+           + params.xi * (c_w - params.c_a))
+    # the baselines are the utilities at (d, s) = (0, 0), where success is
+    # p_w and cost is C_w exactly, so the identity g = U(0, 0) holds bitwise
+    return Coefficients(f_w=worker_increment(params, k_w, phi, c_w, c_v),
+                        g_w=worker_value(params, params.p_w, c_w),
+                        f_i=f_i, g_i=institution_value(params, params.p_w, c_w),
+                        k_w=k_w, k_i=k_i)
 
 
 def worker_phi_coefficient(params: ModelParams, ability: Ability) -> float:
     """Coefficient on phi(s) in the worker's delegation increment."""
-    c_w = params.execution_cost.cost(ability.beta)
-    return (1.0 - params.p_a) * (params.worker_stakes * params.p_w - c_w)
+    return phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
 
 
 def verification_surplus(params: ModelParams, ability: Ability, s: float) -> float:

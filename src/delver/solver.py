@@ -4,6 +4,11 @@ The worker utility is affine in d, so the optimum is a corner in d and a
 one-dimensional concave maximization in s. Closed forms cover the linear
 verification cost; golden-section search covers the rest. A brute-force
 grid maximizer is kept as an independent oracle.
+
+The branch points (the closed form for s_dagger and its clamp, the
+golden-section search, and the regime call) also come in array forms for
+grid sweeps. They follow the scalar branches element by element, so each
+element of their result equals the scalar result bitwise.
 """
 
 from __future__ import annotations
@@ -17,16 +22,22 @@ import numpy as np
 from .model import (
     EXPONENTIAL, INVERSE_LINEAR, LINEAR,
     Ability, Action, Detection, ModelParams, VerificationCost,
-    coefficients, delegation_gain, worker_phi_coefficient, worker_utility,
+    coefficients, delegation_gain, detection_probability, phi_coefficients,
+    worker_increment, worker_phi_coefficient,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-9
+_GOLDEN_MAX_ITER = 200
 
 
 class Regime(str, enum.Enum):
     MANUAL = "manual"
     PURE_DELEGATION = "pure_delegation"
     VERIFIED_DELEGATION = "verified_delegation"
+
+
+REGIMES = tuple(Regime)  # manual, pure, verified: the regime indices of choose_regime
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,8 @@ class ThresholdResult:
     note: str = ""
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-9, max_iter: int = 200) -> float:
+def golden_section_max(fn, lo: float, hi: float, tol: float = _GOLDEN_TOL,
+                       max_iter: int = _GOLDEN_MAX_ITER) -> float:
     """Argmax of a unimodal function on [lo, hi] to argument tolerance tol."""
     a, b = lo, hi
     h = b - a
@@ -77,6 +89,41 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = 1e-9, max_iter: in
             d = a + _INV_PHI * h
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+def golden_section_max_array(fn, n: int) -> np.ndarray:
+    """golden_section_max on [0, 1], with its default tolerance, for n functions at once.
+
+    fn maps an array of n arguments to the n function values. Each element
+    keeps its own bracket and stopping test, so it takes exactly the
+    iterates the scalar search would.
+    """
+    a, b = np.zeros(n), np.ones(n)
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = fn(c), fn(d)
+    for _ in range(_GOLDEN_MAX_ITER):
+        active = h > _GOLDEN_TOL
+        if not active.any():
+            break
+        # a stopped element keeps a and b, the only state its result reads
+        left = fc >= fd
+        b = np.where(active & left, d, b)
+        a = np.where(active & ~left, c, a)
+        h = b - a
+        probe = np.where(left, b - _INV_PHI * h, a + _INV_PHI * h)
+        fp = fn(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    return 0.5 * (a + b)
+
+
+def _surplus_fn(detection: Detection, alpha, vcost: VerificationCost, phi_coefficient):
+    def surplus(s):
+        return phi_coefficient * detection.prob(alpha, s) - vcost.cost(s)
+
+    return surplus
 
 
 def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost,
@@ -102,13 +149,44 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
             s0 = math.log(arg) / a if arg > 1.0 else 0.0
         return min(1.0, max(0.0, s0))
 
-    def surplus(s):
-        return phi_coefficient * detection.prob(alpha, s) - vcost.cost(s)
-
+    surplus = _surplus_fn(detection, alpha, vcost, phi_coefficient)
     s0 = golden_section_max(surplus, 0.0, 1.0)
     # the bracket endpoints beat an interior argmax found within tolerance noise
     best = max((surplus(s), s) for s in (0.0, s0, 1.0))
     return best[1]
+
+
+def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: VerificationCost,
+                           phi_coefficient: np.ndarray) -> np.ndarray:
+    """maximize_surplus at every element of the alpha and phi_coefficient arrays."""
+    s_dagger = np.zeros(np.shape(alpha))
+    live = ~((phi_coefficient <= 0.0) | (alpha <= 0.0))
+    alpha, k = alpha[live], phi_coefficient[live]
+    if vcost.kind == LINEAR:
+        a = detection.scale * alpha
+        arg = a * k / vcost.k
+        s0 = np.zeros(len(a))
+        if detection.kind == INVERSE_LINEAR:
+            pos = arg > 0
+            s0[pos] = (np.sqrt(arg[pos]) - 1.0) / a[pos]
+        else:
+            # math.log as in the scalar branch: np.log can differ from it by an ulp
+            big = arg > 1.0
+            s0[big] = np.array([math.log(x) for x in arg[big].tolist()]) / a[big]
+        s_dagger[live] = np.minimum(1.0, np.maximum(0.0, s0))
+        return s_dagger
+
+    surplus = _surplus_fn(detection, alpha, vcost, k)
+    s0 = golden_section_max_array(surplus, len(alpha))
+    # the scalar max over (surplus, s) tuples: the larger surplus wins, a tie goes to the larger s
+    best_s = np.zeros(len(alpha))
+    best_f = surplus(best_s)
+    for s in (s0, np.ones(len(alpha))):
+        f = surplus(s)
+        take = (f > best_f) | ((f == best_f) & (s > best_s))
+        best_f, best_s = np.where(take, f, best_f), np.where(take, s, best_s)
+    s_dagger[live] = best_s
+    return s_dagger
 
 
 def optimal_verification(params: ModelParams, ability: Ability) -> float:
@@ -125,13 +203,27 @@ def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
     delegation). Delegation with zero verification effort is pure
     delegation; with positive effort, verified delegation.
     """
-    s_dag = optimal_verification(params, ability)
-    f_w = coefficients(params, ability, s_dag).f_w
+    c_w = params.execution_cost.cost(ability.beta)
+    k_w = phi_coefficients(params, c_w)[0]
+    s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
+    phi = detection_probability(params.detection, ability.alpha, s_dag)
+    f_w = worker_increment(params, k_w, phi, c_w, params.verification_cost.cost(s_dag))
     if f_w < 0.0:
         return OptimalAction(0, 0.0, Regime.MANUAL, s_dag, f_w)
     if s_dag == 0.0:
         return OptimalAction(1, 0.0, Regime.PURE_DELEGATION, s_dag, f_w)
     return OptimalAction(1, s_dag, Regime.VERIFIED_DELEGATION, s_dag, f_w)
+
+
+def choose_regime(f_w: np.ndarray, s_dagger: np.ndarray):
+    """optimal_action's regime call at every element: (d_star, s_star, regime).
+
+    regime holds indices into REGIMES.
+    """
+    delegate = ~(f_w < 0.0)
+    verified = delegate & (s_dagger != 0.0)
+    d_star = delegate.astype(np.int64)
+    return d_star, np.where(verified, s_dagger, 0.0), d_star + verified
 
 
 def _bisect_increasing(fn, lo: float, hi: float, tol: float) -> float:

@@ -3,16 +3,18 @@
 import io
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import delver as dv
 from delver.atlas import (
-    ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
+    AtlasRow, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
     psi_tau, quality, separatrix_intersection, sweep_grid, write_atlas_csv,
 )
-from delver.model import Ability, coefficients
+from delver.model import INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY, Ability, coefficients
+from delver.sampling import beta_span, sample_params
 from delver.solver import Regime, manual_delegation_threshold
 
 
@@ -94,6 +96,20 @@ class TestSeparatrices:
         assert beta == pytest.approx(0.82, abs=0.01)
 
 
+def _family_configs():
+    """One sample_params draw per detection x verification x execution family triple."""
+    configs = {}
+    seed = 0
+    while len(configs) < 8:
+        rng = np.random.default_rng(seed)
+        for kind in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
+            params = sample_params(rng, kind)
+            triple = (params.detection.kind, params.verification_cost.kind, kind)
+            configs.setdefault(triple, params)
+        seed += 1
+    return configs
+
+
 class TestSweep:
     def test_degenerate_range_gives_identical_rows(self, reference):
         rows = sweep_grid(reference, (0.4, 0.4, 2), (0.6, 0.6, 2))
@@ -111,10 +127,31 @@ class TestSweep:
         coords = [(r.beta, r.alpha) for r in rows]
         assert coords == sorted(coords)
 
-    def test_parallel_sweep_matches_serial(self, reference):
-        serial = sweep_grid(reference, (0, 1, 9), (0, 1, 8))
-        parallel = sweep_grid(reference, (0, 1, 9), (0, 1, 8), jobs=2)
-        assert serial == parallel
+    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
+                                        for triple, params in sorted(_family_configs().items())])
+    @pytest.mark.parametrize("tau", [None, 0.0])
+    def test_array_sweep_equals_scalar_evaluate_point(self, params, tau):
+        alpha_range = (0.0, 3.0, 31)
+        beta_range = (*beta_span(params), 23)
+        grid = sweep_grid(params, alpha_range, beta_range, tau=tau)
+        expected = []
+        for beta in np.linspace(*beta_range):
+            for alpha in np.linspace(*alpha_range):
+                act, rep = dv.evaluate_point(params, Ability(float(alpha), float(beta)), tau)
+                expected.append(AtlasRow(
+                    alpha=float(alpha), beta=float(beta), d_star=act.d_star, s_star=act.s_star,
+                    regime=act.regime, q=rep.q, q0=rep.q0, gap=rep.gap,
+                    quality_label=rep.quality_label, compliance_label=rep.compliance_label))
+        assert len(grid) == len(expected)
+        rows = list(grid)
+        for f in fields(AtlasRow):
+            got = [getattr(r, f.name) for r in rows]
+            want = [getattr(r, f.name) for r in expected]
+            if isinstance(want[0], float):
+                # bit patterns, so that even 0.0 against -0.0 counts as a difference
+                assert np.array(got).tobytes() == np.array(want).tobytes(), f.name
+            else:
+                assert got == want, f.name
 
     def test_regime_fractions_stable_under_refinement(self, reference):
         def fractions(n):

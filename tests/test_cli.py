@@ -1,8 +1,10 @@
 """Command-line surface: dispatch, determinism, exit codes, file formats."""
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import delver as dv
@@ -12,6 +14,9 @@ from delver.config import load_params, params_from_dict, parse_range
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = str(REPO / "configs" / "reference.json")
+# SHA-256 of the README's atlas (reference config, 0:1:101 x 0:1:101) as the
+# per-point scalar sweep wrote it; the array sweep must reproduce it byte for byte
+README_ATLAS_SHA256 = "ffb612b29e7b025b8f872286b49ca361f687ab3b50044879bb4163023f9b8877"
 
 
 def run(capsys, *argv):
@@ -52,6 +57,9 @@ class TestConfig:
             parse_range("0:1")
         with pytest.raises(dv.ConfigError):
             parse_range("0:1:0")
+        for text in ("nan:1:3", "0:inf:3", "-inf:0:3"):
+            with pytest.raises(dv.ConfigError, match="finite"):
+                parse_range(text)
 
 
 class TestExitCodes:
@@ -124,6 +132,67 @@ class TestGridCommands:
         run(capsys, "atlas", "--config", REFERENCE_CONFIG,
             "--alpha", "0:1:5", "--beta", "0:1:4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_readme_atlas_is_byte_identical(self, capsys, tmp_path):
+        out_path = tmp_path / "atlas.csv"
+        code, out, _ = run(capsys, "atlas", "--config", REFERENCE_CONFIG,
+                           "--alpha", "0:1:101", "--beta", "0:1:101", "--out", str(out_path))
+        assert code == 0
+        assert out == f"wrote 10201 rows to {out_path}\n"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == README_ATLAS_SHA256
+
+    def test_jobs_flag_is_a_usage_error(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "atlas", "--config", REFERENCE_CONFIG, "--alpha", "0:1:3",
+                         "--beta", "0:1:3", "--out", str(tmp_path / "a.csv"), "--jobs", "2")
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "--alpha", "nan:1:3", "--beta", "0:1:3", "--out", "grid.csv"],
+        ["atlas", "--alpha", "0:inf:3", "--beta", "0:1:3", "--out", "grid.csv"],
+        ["boundary", "--which", "psi", "--beta-range", "0:nan:3", "--out", "grid.csv"],
+        ["extend", "rework", "--kappa", "0.8", "--alpha-range", "0:1:3",
+         "--beta-range=-inf:1:3", "--out", "grid.csv"],
+    ], ids=["atlas-nan", "atlas-inf", "boundary", "extend"])
+    def test_non_finite_range_is_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--config", REFERENCE_CONFIG)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("family, alpha, beta", [
+        ("linear_in_efficiency", "-0.5:1:4", "0:1:3"),
+        ("linear_in_efficiency", "0:1:3", "0:1.5:4"),
+        ("linear_in_efficiency", "1:-1:3", "-0.5:1:4"),
+        ("linear_in_efficiency", "1:-1:3", "0:1.5:4"),
+        ("inverse_efficiency", "0:1:3", "2:-1:4"),
+        ("inverse_efficiency", "-1:1:3", "0:2:3"),
+        ("inverse_efficiency", "1:-1:3", "1:2:3"),
+    ])
+    def test_invalid_atlas_point_fails_as_the_scalar_path(self, capsys, tmp_path,
+                                                          family, alpha, beta):
+        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+        doc["functions"]["execution_cost"]["family"] = family
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        params = params_from_dict(doc)
+        expected = None
+        for b in np.linspace(*parse_range(beta)):
+            for a in np.linspace(*parse_range(alpha)):
+                try:
+                    dv.evaluate_point(params, dv.Ability(float(a), float(b)))
+                except ValueError as exc:
+                    expected = str(exc)
+                    break
+            if expected is not None:
+                break
+        assert expected is not None
+        code, out, err = run(capsys, "atlas", "--config", str(config), f"--alpha={alpha}",
+                             f"--beta={beta}", "--out", str(tmp_path / "atlas.csv"))
+        assert code == 1
+        assert err == f"error: {expected}\n"
 
     def test_boundary_stdout(self, capsys):
         code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG,

@@ -1,6 +1,7 @@
 """Optimal actions, thresholds, and agreement with the brute-force oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import delver as dv
 from delver.model import Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
-    Regime, brute_force_action, golden_section_max, manual_delegation_threshold,
-    optimal_action, optimal_verification, oracle_regime, qualification_threshold,
+    REGIMES, Regime, brute_force_action, choose_regime, golden_section_max,
+    golden_section_max_array, manual_delegation_threshold, maximize_surplus,
+    maximize_surplus_array, optimal_action, optimal_verification, oracle_regime,
+    qualification_threshold,
 )
 
 
@@ -70,6 +73,59 @@ class TestOptimalVerification:
                      - dv.verification_surplus(params, ability, s_dag - h)) / (2 * h)
             assert abs(deriv) <= 1e-6 * (1.0 + abs(dv.coefficients(params, ability, 0.0).k_w))
             checked += 1
+
+
+class TestArrayBranchPoints:
+    """The array forms must reproduce the scalar branches bit for bit."""
+
+    @pytest.mark.parametrize("det_kind", ["exponential", "inverse_linear"])
+    @pytest.mark.parametrize("vcost", [VerificationCost("linear", 0.7), VerificationCost("linear_quadratic")])
+    def test_maximize_surplus_array_equals_scalar(self, det_kind, vcost):
+        rng = np.random.default_rng(11)
+        detection = Detection(det_kind, 1.7)
+        # zero and negative coefficients, zero reliability, and magnitudes that
+        # put the closed form below 0, inside (0, 1) and above 1; the last block
+        # puts the exponential closed form's log argument in (1, 1.1), where
+        # np.log differs from the scalar path's math.log in about 1.6% of cases
+        alpha = np.concatenate([[0.0, 0.0, 1.0, 1e-9, 50.0], rng.uniform(0.0, 3.0, 300),
+                                np.ones(400)])
+        k = np.concatenate([[1.0, -1.0, 0.0, 1.0, 1e-9], rng.uniform(-0.5, 30.0, 300),
+                            rng.uniform(1.0, 1.1, 400) * 0.7 / 1.7])
+        got = maximize_surplus_array(detection, alpha, vcost, k)
+        want = [maximize_surplus(detection, a, vcost, kk) for a, kk in zip(alpha.tolist(), k.tolist())]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert {0.0, 1.0} <= set(want) and any(0.0 < w < 1.0 for w in want)
+
+    def test_surplus_ties_go_to_the_larger_effort(self):
+        # a flat surplus makes 0, the search result and 1 tie; the scalar
+        # max over (surplus, s) pairs then picks s = 1
+        flat_detection = SimpleNamespace(kind="exponential", prob=lambda alpha, s: 0.0 * s)
+        free_cost = SimpleNamespace(kind="free", cost=lambda s: 0.0 * s)
+        alpha, k = np.array([0.5, 1.0]), np.array([1.0, 2.0])
+        assert maximize_surplus(flat_detection, 0.5, free_cost, 1.0) == 1.0
+        assert maximize_surplus_array(flat_detection, alpha, free_cost, k).tolist() == [1.0, 1.0]
+
+    def test_golden_section_array_follows_scalar_iterates(self):
+        centers = np.array([0.0, 0.3, 0.5, 0.999, 1.0, 2.0])
+        flat = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])  # 1: constant function, every comparison ties
+
+        def fn(s):
+            return -(1.0 - flat) * (s - centers) ** 2
+
+        got = golden_section_max_array(fn, len(centers))
+        want = [golden_section_max(lambda s, c=c, f=f: -(1.0 - f) * (s - c) ** 2, 0.0, 1.0)
+                for c, f in zip(centers.tolist(), flat.tolist())]
+        assert got.tolist() == want
+
+    def test_choose_regime_matches_optimal_action(self):
+        f_w = np.array([-1.0, -0.0, 0.0, 2.0, 2.0, -3.0])
+        s_dag = np.array([0.5, 0.0, 0.0, 0.0, 0.25, 0.0])
+        d_star, s_star, regime = choose_regime(f_w, s_dag)
+        assert d_star.tolist() == [0, 1, 1, 1, 1, 0]
+        assert s_star.tolist() == [0.0, 0.0, 0.0, 0.0, 0.25, 0.0]
+        assert [REGIMES[r] for r in regime] == [
+            Regime.MANUAL, Regime.PURE_DELEGATION, Regime.PURE_DELEGATION,
+            Regime.PURE_DELEGATION, Regime.VERIFIED_DELEGATION, Regime.MANUAL]
 
 
 class TestOptimalAction:
