@@ -18,12 +18,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import (
-    Ability, Action, ModelParams, coefficients, cost_at, delegation_gain,
-    institution_value, institutional_utility, phi_coefficients, success_at,
-    verification_surplus, worker_increment,
+    Ability, ModelParams, coefficients, cost_at, delegation_gain, detection_probability,
+    institution_value, phi_coefficients, success_at, verification_surplus, worker_increment,
 )
 from .solver import (
-    REGIMES, OptimalAction, Regime, choose_regime, manual_delegation_threshold,
+    REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
     maximize_surplus_array, optimal_action, optimal_verification,
 )
 
@@ -53,6 +52,25 @@ class QualityReport:
     gap: float
     quality_label: QualityLabel
     compliance_label: ComplianceLabel
+
+    @classmethod
+    def from_values(cls, q: float, q0: float, tau: float) -> QualityReport:
+        """The report comparing quality q with the baseline q0, and both with tau."""
+        tol = UNCHANGED_RTOL * (1.0 + abs(q0))
+        gap = q - q0
+        if gap > tol:
+            quality = QualityLabel.IMPROVED
+        elif gap < -tol:
+            quality = QualityLabel.DEGRADED
+        else:
+            quality = QualityLabel.UNCHANGED
+        if q >= tau and q0 < tau:
+            compliance = ComplianceLabel.GAIN
+        elif q < tau and q0 >= tau:
+            compliance = ComplianceLabel.LOSS
+        else:
+            compliance = ComplianceLabel.NEITHER
+        return cls(q=q, q0=q0, gap=gap, quality_label=quality, compliance_label=compliance)
 
 
 @dataclass(frozen=True)
@@ -111,26 +129,11 @@ class AtlasGrid:
                            QUALITY_LABELS[ql], COMPLIANCE_LABELS[cl])
 
 
-def _labels(q, q0, tau):
-    tol = UNCHANGED_RTOL * (1.0 + abs(q0))
-    gap = q - q0
-    if gap > tol:
-        quality = QualityLabel.IMPROVED
-    elif gap < -tol:
-        quality = QualityLabel.DEGRADED
-    else:
-        quality = QualityLabel.UNCHANGED
-    if q >= tau and q0 < tau:
-        compliance = ComplianceLabel.GAIN
-    elif q < tau and q0 >= tau:
-        compliance = ComplianceLabel.LOSS
-    else:
-        compliance = ComplianceLabel.NEITHER
-    return gap, quality, compliance
-
-
 def _label_indices(q, q0, tau):
-    """_labels at every element, with labels as indices into the label tuples."""
+    """QualityReport.from_values at every element: (gap, quality, compliance) columns.
+
+    The labels are indices into QUALITY_LABELS and COMPLIANCE_LABELS.
+    """
     tol = UNCHANGED_RTOL * (1.0 + np.abs(q0))
     gap = q - q0
     quality = np.where(gap > tol, QUALITY_LABELS.index(QualityLabel.IMPROVED),
@@ -142,18 +145,25 @@ def _label_indices(q, q0, tau):
     return gap, quality, compliance
 
 
-def evaluate_point(params: ModelParams, ability: Ability,
-                   tau: float | None = None) -> tuple[OptimalAction, QualityReport]:
-    """Solve the worker problem once and report quality at the optimum."""
+def evaluate_point(params: ModelParams, ability: Ability, tau: float | None = None,
+                   kappa: float = 1.0) -> tuple[OptimalAction, QualityReport]:
+    """Solve the worker problem once and report quality at the optimum.
+
+    kappa scales the cost of redoing the task after a detected AI error,
+    for the worker and the institution alike; the no-AI baseline has no
+    redo and does not depend on it.
+    """
     if tau is None:
         tau = params.tau
-    act = optimal_action(params, ability)
-    # the baseline g_i; optimal_action has checked beta
-    q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
-    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
-    gap, quality_label, compliance_label = _labels(q, q0, tau)
-    return act, QualityReport(q=q, q0=q0, gap=gap,
-                              quality_label=quality_label, compliance_label=compliance_label)
+    act = optimal_action(params, ability, kappa)
+    # optimal_action has checked beta
+    c_w = params.execution_cost.unchecked_cost(ability.beta)
+    d = float(act.d_star)
+    phi = detection_probability(params.detection, ability.alpha, act.s_star)
+    q = institution_value(params, success_at(params, phi, d),
+                          cost_at(params, phi, c_w, params.verification_cost.cost(act.s_star),
+                                  d, kappa))
+    return act, QualityReport.from_values(q, institution_value(params, params.p_w, c_w), tau)
 
 
 def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> QualityReport:
@@ -172,12 +182,7 @@ def _bisect_boundary(fn, alpha_max: float, tol: float) -> RootResult:
             return RootResult(hi, False, "high")
         hi *= 2.0
         doublings += 1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect(lambda alpha: fn(alpha) > 0.0, lo, hi, tol)
     return RootResult(0.5 * (lo + hi), True)
 
 
@@ -287,12 +292,7 @@ def separatrix_intersection(params: ModelParams, beta_hi: float | None = None,
     lo, hi = t + 1e-6, beta_hi
     if diff(lo) <= 0.0 or diff(hi) >= 0.0:
         raise ValueError("boundaries do not cross in the searched beta interval")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if diff(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda beta: not diff(beta) > 0.0, lo, hi, tol)
     beta_star = 0.5 * (lo + hi)
     return psi0(params, beta_star).value, beta_star
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .atlas import QualityReport, quality
+from .atlas import QualityReport, evaluate_point
 from .interventions import LeverTarget, minimal_lever
 from .model import (
     EXPONENTIAL, LINEAR, LINEAR_IN_EFFICIENCY,
     Ability, Detection, ExecutionCost, ModelParams, VerificationCost, coefficients,
 )
-from .solver import OptimalAction, optimal_action
+from .solver import OptimalAction
 
 CASE_COLUMNS = ["case_id", "worker_correct", "ai_correct", "assisted_correct",
                 "worker_time", "assisted_time", "output_unchanged"]
@@ -324,21 +324,13 @@ def classify_calibrated(worker: CalibratedWorker, institution: InstitutionSpec,
         warnings.append(f"pre-AI worker utility is negative at this split: g_w={coef.g_w:.6g}")
     obs = worker.observables
     min_share = 1.0 - obs.p_w + obs.c_w / worker.stakes
-    action = optimal_action(params, ability)
-    report = quality(params, ability, institution.tau)
+    action, report = evaluate_point(params, ability, institution.tau)
     targets = {lever: minimal_lever(params, ability, lever, institution.tau)
                for lever in levers}
-    worker = replace_worker(worker, params=params, report=report)
+    worker = replace(worker, params=params, report=report)
     return ClassificationResult(worker=worker, action=action, report=report,
                                 lever_targets=targets, warnings=warnings,
                                 min_viable_benefit_share=min_share)
-
-
-def replace_worker(worker: CalibratedWorker, **changes) -> CalibratedWorker:
-    out = CalibratedWorker(**{**worker.__dict__})
-    for key, value in changes.items():
-        setattr(out, key, value)
-    return out
 
 
 def calibrate_file(path, t_v_max: float, t_w_max: float,

@@ -8,22 +8,23 @@ identical inputs; floats are printed at 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import calibration as cal
 from .atlas import (
-    boundary_curve, evaluate_point, fmt, psi, psi0, psi1, psi_tau,
-    separatrix_intersection, sweep_grid, write_atlas_csv, write_boundary_csv,
+    boundary_curve, evaluate_point, fmt, sweep_grid, write_atlas_csv, write_boundary_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
 from .extensions import Belief, DifficultyProfile, Rework, believed_action_quality, expected_quality, rework_quality
 from .interventions import CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain, minimal_lever, worker_upskill
 from .model import Ability, check_assumptions, worker_utility, Action
-from .sampling import sample_ability, sample_params
-from .solver import brute_force_action, manual_delegation_threshold, optimal_action, qualification_threshold
+from .sampling import sample_ability
+from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
 
 
 def _jsonable(value):
@@ -163,22 +164,12 @@ def cmd_intervene_institution(args):
             return ai_upgrade_gain(params, ability, args.delta)
         return incentive_transfer_gain(params, ability, args.delta)
 
+    def gain_fields(ability):
+        res = gain_at(ability)
+        return [res.lever, fmt(res.delta), fmt(res.gain), fmt(res.new_q)]
+
     if args.alpha_range and args.beta_range:
-        alphas = np.linspace(*parse_range(args.alpha_range))
-        betas = np.linspace(*parse_range(args.beta_range))
-        out = sys.stdout if not args.out else open(args.out, "w", newline="")
-        try:
-            out.write("alpha,beta,lever,delta,gain,new_q\n")
-            for beta in betas:
-                for alpha in alphas:
-                    res = gain_at(Ability(float(alpha), float(beta)))
-                    out.write(",".join([fmt(float(alpha)), fmt(float(beta)), res.lever,
-                                        fmt(res.delta), fmt(res.gain), fmt(res.new_q)]) + "\n")
-        finally:
-            if args.out:
-                out.close()
-                print(f"wrote {len(alphas) * len(betas)} rows to {args.out}")
-        return 0
+        return _write_grid(args, ["lever", "delta", "gain", "new_q"], gain_fields)
     if args.alpha is None or args.beta is None:
         raise ConfigError("need --alpha and --beta, or --alpha-range and --beta-range")
     res = gain_at(_ability(args))
@@ -195,65 +186,58 @@ def cmd_intervene_minimal(args):
     return 0
 
 
-def _extension_grid(args, evaluate, header, extra):
+def _write_grid(args, header, evaluate):
+    """CSV of evaluate(ability) on the --alpha-range x --beta-range grid, beta-major.
+
+    Each row is alpha, beta and the fields evaluate returns; header names
+    those fields.
+    """
     alphas = np.linspace(*parse_range(args.alpha_range))
     betas = np.linspace(*parse_range(args.beta_range))
-    out = sys.stdout if not args.out else open(args.out, "w", newline="")
-    try:
-        out.write(",".join(header) + "\n")
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        out.write(",".join(["alpha", "beta"] + header) + "\n")
         for beta in betas:
             for alpha in alphas:
                 fields = evaluate(Ability(float(alpha), float(beta)))
-                out.write(",".join([fmt(float(alpha)), fmt(float(beta))] + extra + fields) + "\n")
-    finally:
-        if args.out:
-            out.close()
-            print(f"wrote {len(alphas) * len(betas)} rows to {args.out}")
+                out.write(",".join([fmt(float(alpha)), fmt(float(beta))] + fields) + "\n")
+    if args.out:
+        print(f"wrote {len(alphas) * len(betas)} rows to {args.out}")
     return 0
+
+
+_REPORT_HEADER = ["q", "q0", "gap", "quality", "compliance"]
+_ACTION_HEADER = ["d_star", "s_star", "regime"] + _REPORT_HEADER
+
+
+def _report_fields(rep):
+    return [fmt(rep.q), fmt(rep.q0), fmt(rep.gap),
+            rep.quality_label.value, rep.compliance_label.value]
+
+
+def _action_fields(act, rep):
+    return [str(act.d_star), fmt(act.s_star), act.regime.value] + _report_fields(rep)
 
 
 def cmd_extend(args):
     params = load_params(args.config)
     if args.kind == "difficulty":
         profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
-
-        def evaluate(ability):
-            rep = expected_quality(params, ability, profile)
-            return [fmt(rep.q), fmt(rep.q0), fmt(rep.gap),
-                    rep.quality_label.value, rep.compliance_label.value]
-
-        header = ["alpha", "beta", "difficulty", "nodes", "q", "q0", "gap", "quality", "compliance"]
         extra = ["" if args.hhat is None else fmt(args.hhat), str(args.nodes)]
-        return _extension_grid(args, evaluate, header, extra)
+        return _write_grid(args, ["difficulty", "nodes"] + _REPORT_HEADER, lambda ability:
+                           extra + _report_fields(expected_quality(params, ability, profile)))
 
     if args.kind == "belief":
         if args.p_hat is None:
             raise ConfigError("extend belief needs --p-hat")
         belief = Belief(args.p_hat)
-
-        def evaluate(ability):
-            act, rep = believed_action_quality(params, ability, belief)
-            return [str(act.d_star), fmt(act.s_star), act.regime.value,
-                    fmt(rep.q), fmt(rep.q0), fmt(rep.gap),
-                    rep.quality_label.value, rep.compliance_label.value]
-
-        header = ["alpha", "beta", "p_hat", "d_star", "s_star", "regime",
-                  "q", "q0", "gap", "quality", "compliance"]
-        return _extension_grid(args, evaluate, header, [fmt(args.p_hat)])
+        return _write_grid(args, ["p_hat"] + _ACTION_HEADER, lambda ability: [fmt(args.p_hat)]
+                           + _action_fields(*believed_action_quality(params, ability, belief)))
 
     if args.kappa is None:
         raise ConfigError("extend rework needs --kappa")
     rework = Rework(args.kappa)
-
-    def evaluate(ability):
-        act, rep = rework_quality(params, ability, rework)
-        return [str(act.d_star), fmt(act.s_star), act.regime.value,
-                fmt(rep.q), fmt(rep.q0), fmt(rep.gap),
-                rep.quality_label.value, rep.compliance_label.value]
-
-    header = ["alpha", "beta", "kappa", "d_star", "s_star", "regime",
-              "q", "q0", "gap", "quality", "compliance"]
-    return _extension_grid(args, evaluate, header, [fmt(args.kappa)])
+    return _write_grid(args, ["kappa"] + _ACTION_HEADER, lambda ability: [fmt(args.kappa)]
+                       + _action_fields(*rework_quality(params, ability, rework)))
 
 
 def cmd_calibrate(args):
@@ -450,8 +434,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except (ConfigError, cal.CalibrationError, ValueError, OSError) as exc:
+    except (ConfigError, cal.CalibrationError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

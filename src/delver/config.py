@@ -39,7 +39,10 @@ def _number(section: dict, key: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+    number = float(value)  # an integer too large for a float raises OverflowError
+    if not math.isfinite(number):  # a literal such as 1e999 parses to inf
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    return number
 
 
 def params_from_dict(doc: dict) -> ModelParams:
@@ -89,9 +92,14 @@ def params_from_dict(doc: dict) -> ModelParams:
 
 
 def load_params(path) -> ModelParams:
+    """Read a parameter file; the NaN and Infinity tokens that json accepts are rejected."""
+
+    def reject(token):
+        raise ConfigError(f"non-finite number {token} in {path}")
+
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_dict(doc)

@@ -10,16 +10,16 @@ AI error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atlas import QualityReport, _labels, evaluate_point
+from .atlas import QualityReport, evaluate_point
 from .model import (
-    LINEAR, Ability, Action, ModelParams, VerificationCost,
-    coefficients, delegation_gain, institutional_utility,
+    LINEAR, Ability, Action, ModelParams, VerificationCost, coefficients, institutional_utility,
 )
-from .solver import OptimalAction, Regime, maximize_surplus, optimal_action
+from .solver import OptimalAction, bisect, optimal_action
 
 
 def _affine(pair, h):
@@ -91,8 +91,8 @@ class Rework:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
 
 def unit_quadrature(nodes: int):
@@ -121,14 +121,8 @@ def _smooth_breakpoints(params, ability, profile, probe=257):
     for i in range(probe - 1):
         if states[i] == states[i + 1]:
             continue
-        lo, hi = float(hs[i]), float(hs[i + 1])
-        state_lo = states[i]
-        for _ in range(45):
-            mid = 0.5 * (lo + hi)
-            if _solution_state(params, ability, profile, mid) == state_lo:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect(lambda h: _solution_state(params, ability, profile, h) != states[i],
+                        float(hs[i]), float(hs[i + 1]), 0.0, steps=45)
         cuts.append(0.5 * (lo + hi))
     cuts.append(1.0)
     return cuts
@@ -159,9 +153,7 @@ def expected_quality(params: ModelParams, ability: Ability,
             _, rep = evaluate_point(profile.params_at(params, h), ability, params.tau)
             q += width * w * rep.q
             q0 += width * w * rep.q0
-    gap, quality_label, compliance_label = _labels(q, q0, params.tau)
-    return QualityReport(q=q, q0=q0, gap=gap,
-                         quality_label=quality_label, compliance_label=compliance_label)
+    return QualityReport.from_values(q, q0, params.tau)
 
 
 def believed_action_quality(params: ModelParams, ability: Ability,
@@ -170,41 +162,15 @@ def believed_action_quality(params: ModelParams, ability: Ability,
     act = optimal_action(params.with_ai_success(belief.ai_success), ability)
     q0 = coefficients(params, ability, 0.0).g_i
     q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
-    gap, quality_label, compliance_label = _labels(q, q0, params.tau)
-    return act, QualityReport(q=q, q0=q0, gap=gap,
-                              quality_label=quality_label, compliance_label=compliance_label)
+    return act, QualityReport.from_values(q, q0, params.tau)
 
 
 def rework_quality(params: ModelParams, ability: Ability,
                    rework: Rework) -> tuple[OptimalAction, QualityReport]:
     """Optimal action and quality when detected errors cost kappa * C_w to fix.
 
-    The discount enters the phi coefficients on both sides: the worker's
-    surplus from detection and the institution's discounted correction
-    cost. Everything else, including the no-AI baseline, is unchanged.
+    This is the base model with the redo cost scaled by kappa, on both
+    sides: the worker's surplus from detection and the institution's
+    discounted correction cost. The no-AI baseline is unchanged.
     """
-    c_w = params.execution_cost.cost(ability.beta)
-    one_minus_pa = 1.0 - params.p_a
-    k_w = one_minus_pa * (params.worker_stakes * params.p_w - rework.kappa * c_w)
-    k_i = one_minus_pa * (params.institution_stakes * params.p_w - params.xi * rework.kappa * c_w)
-    s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
-    phi = float(params.detection.prob(ability.alpha, s_dag))
-    c_v = params.verification_cost.cost(s_dag)
-    f_w = k_w * phi - c_v + delegation_gain(params, ability)
-    if f_w < 0.0:
-        act = OptimalAction(0, 0.0, Regime.MANUAL, s_dag, f_w)
-    elif s_dag == 0.0:
-        act = OptimalAction(1, 0.0, Regime.PURE_DELEGATION, s_dag, f_w)
-    else:
-        act = OptimalAction(1, s_dag, Regime.VERIFIED_DELEGATION, s_dag, f_w)
-
-    base = coefficients(params, ability, act.s_star)
-    phi_star = float(params.detection.prob(ability.alpha, act.s_star))
-    f_i = (k_i * phi_star - params.xi * params.verification_cost.cost(act.s_star)
-           - params.institution_stakes * (params.p_w - params.p_a)
-           + params.xi * (c_w - params.c_a))
-    q0 = base.g_i
-    q = q0 + act.d_star * f_i
-    gap, quality_label, compliance_label = _labels(q, q0, params.tau)
-    return act, QualityReport(q=q, q0=q0, gap=gap,
-                              quality_label=quality_label, compliance_label=compliance_label)
+    return evaluate_point(params, ability, kappa=rework.kappa)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .atlas import quality
 from .model import Ability, ModelParams
+from .solver import bisect
 
 DEFAULT_ALPHA_CAP = 10.0
 DEFAULT_BETA_CAP = 10.0  # for unbounded efficiency domains
@@ -99,14 +100,7 @@ def _first_feasible_radius(predicate, r_max: float, scan_points: int, tol: float
         lo = r
     if found is None:
         return None
-    hi = found
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect(predicate, lo, found, tol)[1]
 
 
 def _beta_cap(params: ModelParams) -> float:

@@ -42,8 +42,8 @@ class Detection:
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, INVERSE_LINEAR):
             raise ValueError(f"unknown detection family: {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("detection scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("detection scale must be finite and positive")
 
     def prob(self, alpha, s):
         x = self.scale * alpha * s
@@ -73,8 +73,8 @@ class VerificationCost:
     def __post_init__(self):
         if self.kind not in (LINEAR, LINEAR_QUADRATIC):
             raise ValueError(f"unknown verification cost family: {self.kind!r}")
-        if self.kind == LINEAR and not self.k > 0:
-            raise ValueError("linear verification cost needs k > 0")
+        if self.kind == LINEAR and not 0.0 < self.k < math.inf:
+            raise ValueError("linear verification cost needs a finite k > 0")
 
     def cost(self, s):
         if self.kind == LINEAR:
@@ -103,8 +103,8 @@ class ExecutionCost:
     def __post_init__(self):
         if self.kind not in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
             raise ValueError(f"unknown execution cost family: {self.kind!r}")
-        if not self.scale > 0:
-            raise ValueError("execution cost scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("execution cost scale must be finite and positive")
 
     def beta_domain(self):
         if self.kind == LINEAR_IN_EFFICIENCY:
@@ -138,10 +138,10 @@ class Ability:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,9 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("b_w", "l_w", "b_i", "l_i", "xi", "tau", "c_a"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("p_a", "p_w"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -265,9 +266,13 @@ def success_at(params: ModelParams, phi, d):
     return (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
 
 
-def cost_at(params: ModelParams, phi, c_w, c_v, d):
-    """Expected cost at detection probability phi, costs C_w and C_v, and level d."""
-    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * c_w)
+def cost_at(params: ModelParams, phi, c_w, c_v, d, kappa=1.0):
+    """Expected cost at detection probability phi, costs C_w and C_v, and level d.
+
+    kappa scales C_w in the redo term only: fixing a detected AI error
+    costs kappa * C_w. kappa = 1 is the base model, bitwise.
+    """
+    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (kappa * c_w))
 
 
 def worker_value(params: ModelParams, p, cost):
@@ -278,11 +283,15 @@ def institution_value(params: ModelParams, p, cost):
     return params.b_i * p - params.l_i * (1.0 - p) - params.xi * cost
 
 
-def phi_coefficients(params: ModelParams, c_w):
-    """(k_w, k_i): the coefficients on phi(s) in f_w and f_i, given C_w."""
+def phi_coefficients(params: ModelParams, c_w, kappa=1.0):
+    """(k_w, k_i): the coefficients on phi(s) in f_w and f_i, given C_w.
+
+    The C_w in them is the redo cost after a detected error, scaled by
+    kappa as in cost_at.
+    """
     one_minus_pa = 1.0 - params.p_a
-    return (one_minus_pa * (params.worker_stakes * params.p_w - c_w),
-            one_minus_pa * (params.institution_stakes * params.p_w - params.xi * c_w))
+    return (one_minus_pa * (params.worker_stakes * params.p_w - kappa * c_w),
+            one_minus_pa * (params.institution_stakes * params.p_w - params.xi * kappa * c_w))
 
 
 def worker_increment(params: ModelParams, k_w, phi, c_w, c_v):
@@ -329,15 +338,10 @@ def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficient
                         k_w=k_w, k_i=k_i)
 
 
-def worker_phi_coefficient(params: ModelParams, ability: Ability) -> float:
-    """Coefficient on phi(s) in the worker's delegation increment."""
-    return phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
-
-
 def verification_surplus(params: ModelParams, ability: Ability, s: float) -> float:
     """Benefit of catching AI errors at effort s, net of verification cost."""
     phi = detection_probability(params.detection, ability.alpha, s)
-    k_w = worker_phi_coefficient(params, ability)
+    k_w = phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
     return k_w * phi - params.verification_cost.cost(s)
 
 

@@ -14,16 +14,15 @@ element of their result equals the scalar result bitwise.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    EXPONENTIAL, INVERSE_LINEAR, LINEAR,
-    Ability, Action, Detection, ModelParams, VerificationCost,
-    coefficients, delegation_gain, detection_probability, phi_coefficients,
-    worker_increment, worker_phi_coefficient,
+    INVERSE_LINEAR, LINEAR, Ability, Action, Detection, ModelParams, VerificationCost,
+    coefficients, delegation_gain, detection_probability, phi_coefficients, worker_increment,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -191,20 +190,21 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
 
 def optimal_verification(params: ModelParams, ability: Ability) -> float:
     """Optimal verification effort s_dagger, conditional on delegating."""
-    return maximize_surplus(params.detection, ability.alpha, params.verification_cost,
-                            worker_phi_coefficient(params, ability))
+    k_w = phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
+    return maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
 
 
-def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
+def optimal_action(params: ModelParams, ability: Ability, kappa: float = 1.0) -> OptimalAction:
     """Worker-optimal (d, s) and its regime.
 
     The worker delegates exactly when the delegation increment at the best
     verification effort is non-negative (indifference resolves to
     delegation). Delegation with zero verification effort is pure
-    delegation; with positive effort, verified delegation.
+    delegation; with positive effort, verified delegation. kappa scales
+    the cost of redoing the task after a detected AI error.
     """
     c_w = params.execution_cost.cost(ability.beta)
-    k_w = phi_coefficients(params, c_w)[0]
+    k_w = phi_coefficients(params, c_w, kappa)[0]
     s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
     phi = detection_probability(params.detection, ability.alpha, s_dag)
     f_w = worker_increment(params, k_w, phi, c_w, params.verification_cost.cost(s_dag))
@@ -226,25 +226,27 @@ def choose_regime(f_w: np.ndarray, s_dagger: np.ndarray):
     return d_star, np.where(verified, s_dagger, 0.0), d_star + verified
 
 
-def _bisect_increasing(fn, lo: float, hi: float, tol: float) -> float:
-    """Root of a non-decreasing fn, as the infimum of {x : fn(x) > 0}."""
-    while hi - lo > tol:
+def bisect(pred, lo: float, hi: float, tol: float, steps: int | None = None):
+    """Narrow [lo, hi] around the point where pred switches on; returns (lo, hi).
+
+    Each step moves hi to the midpoint where pred holds there, and lo
+    otherwise. It stops once the width is at most tol, after steps steps
+    when given, or when the end it would move already equals the midpoint:
+    no float lies between lo and hi, and more steps would change nothing.
+    """
+    for _ in itertools.count() if steps is None else range(steps):
+        if not hi - lo > tol:
+            break
         mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
+        if pred(mid):
+            if mid == hi:
+                break
             hi = mid
+        elif mid == lo:
+            break
         else:
             lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_decreasing(fn, lo: float, hi: float, tol: float) -> float:
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def _beta_search_interval(params: ModelParams):
@@ -274,7 +276,8 @@ def manual_delegation_threshold(params: ModelParams, tol: float = 1e-12) -> Thre
         return ThresholdResult(hi, False, "delegation beats manual work at every efficiency")
     if gain(lo) < 0.0:
         return ThresholdResult(lo, False, "always manual-or-verified: delegation gain negative everywhere")
-    return ThresholdResult(_bisect_decreasing(gain, lo, hi, tol), True)
+    lo, hi = bisect(lambda beta: not gain(beta) > 0.0, lo, hi, tol)
+    return ThresholdResult(0.5 * (lo + hi), True)
 
 
 def qualification_threshold(params: ModelParams, tau: float | None = None,
@@ -295,7 +298,8 @@ def qualification_threshold(params: ModelParams, tau: float | None = None,
         return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency")
     if excess(hi) < 0.0:
         return ThresholdResult(hi, False, "baseline below tau at every efficiency")
-    return ThresholdResult(_bisect_increasing(excess, lo, hi, tol), True)
+    lo, hi = bisect(lambda beta: excess(beta) > 0.0, lo, hi, tol)
+    return ThresholdResult(0.5 * (lo + hi), True)
 
 
 def brute_force_action(params: ModelParams, ability: Ability,

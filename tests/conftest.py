@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,3 +42,15 @@ def ability_grid(params, n=7):
         betas = np.linspace(0.25, 2.5, n)
     alphas = np.linspace(0.0, 2.0, n)
     return [dv.Ability(float(a), float(b)) for a in alphas for b in betas]
+
+
+def run_isolated(code: str, timeout: float = 60.0) -> str:
+    """stdout of code run in a fresh interpreter, failing (not hanging) past timeout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=timeout, env=env, check=True)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {timeout} s")
+    return proc.stdout

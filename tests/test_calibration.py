@@ -153,8 +153,8 @@ class TestInversion:
 
     def test_stakes_homogeneity(self, clinician_worker):
         w = clinician_worker
-        doubled = cal.replace_worker(w, t_v_max=2 * w.t_v_max,
-                                     observables=replace(w.observables, c_w=2 * w.observables.c_w))
+        doubled = replace(w, t_v_max=2 * w.t_v_max,
+                          observables=replace(w.observables, c_w=2 * w.observables.c_w))
         assert cal.infer_stakes(doubled) == pytest.approx(2.0 * w.stakes, rel=1e-12)
 
     def test_round_trip_recovery(self):

@@ -12,11 +12,29 @@ import delver.calibration as cal
 from delver.cli import main
 from delver.config import load_params, params_from_dict, parse_range
 
+from conftest import run_isolated
+
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = str(REPO / "configs" / "reference.json")
-# SHA-256 of the README's atlas (reference config, 0:1:101 x 0:1:101) as the
-# per-point scalar sweep wrote it; the array sweep must reproduce it byte for byte
-README_ATLAS_SHA256 = "ffb612b29e7b025b8f872286b49ca361f687ab3b50044879bb4163023f9b8877"
+# The README's CLI examples on the reference config: argv, the file written
+# (None for stdout), and the SHA-256 of that output, which must not change by
+# a byte. The atlas digest is what the per-point scalar sweep wrote; the
+# others were taken at commit 81c268f, before the bisection loops, the quality
+# report and the rework extension were folded into shared code.
+README_GOLDEN = {
+    "atlas": (["atlas", "--alpha", "0:1:101", "--beta", "0:1:101", "--out", "atlas.csv"],
+              "atlas.csv", "ffb612b29e7b025b8f872286b49ca361f687ab3b50044879bb4163023f9b8877"),
+    "boundary": (["boundary", "--which", "psi_tau", "--beta-range", "0:1:101"],
+                 None, "2b3b1d419b342ff4c7afa057616b3907f4c794decb7b2602e68b2e4751176158"),
+    "institution": (["intervene", "institution", "--lever", "p_a", "--delta", "0.05",
+                     "--alpha-range", "0:1:51", "--beta-range", "0:1:51", "--out", "gains.csv"],
+                    "gains.csv", "a9bd4f068764e4f6c9160bcdb8fcb6bf9c44483e1542eb8ba6f70175baa0dae7"),
+    "rework": (["extend", "rework", "--kappa", "0.8", "--alpha-range", "0:1:21",
+                "--beta-range", "0:1:21", "--out", "rework.csv"],
+               "rework.csv", "b9f9e7de63157d4d834f6b2ac2dcfef149451b17ef853f519636a68af5825111"),
+    "difficulty": (["extend", "difficulty", "--alpha-range", "0.2:1:3", "--beta-range", "0.2:0.9:3"],
+                   None, "f01dad3d052a4832f160640dba240381df0a11fa52630df54b3009f8fbe91758"),
+}
 
 
 def run(capsys, *argv):
@@ -84,6 +102,38 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--alpha", "nan", "--beta", "0.5"],
+        ["quality", "--alpha", "inf", "--beta", "0.5"],
+        ["quality", "--alpha", "0.5", "--beta", "0.5", "--tau", "nan"],
+        ["extend", "rework", "--kappa", "nan", "--alpha-range", "0:1:3",
+         "--beta-range", "0:1:3", "--out", "grid.csv"],
+    ], ids=["solve-alpha", "quality-alpha", "quality-tau", "rework-kappa"])
+    def test_non_finite_option_is_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--config", REFERENCE_CONFIG)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("token, message", [
+        ("NaN", "non-finite number NaN"), ("Infinity", "non-finite number Infinity"),
+        ("-Infinity", "non-finite number -Infinity"), ("1e999", "'tau' must be finite"),
+    ])
+    def test_non_finite_config_number_is_rejected(self, capsys, tmp_path, token, message):
+        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+        doc["task_profile"]["tau"] = "TAU"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc).replace('"TAU"', token))
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSolve:
     def test_verified_delegation_point(self, capsys):
@@ -133,13 +183,18 @@ class TestGridCommands:
             "--alpha", "0:1:5", "--beta", "0:1:4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_readme_atlas_is_byte_identical(self, capsys, tmp_path):
-        out_path = tmp_path / "atlas.csv"
-        code, out, _ = run(capsys, "atlas", "--config", REFERENCE_CONFIG,
-                           "--alpha", "0:1:101", "--beta", "0:1:101", "--out", str(out_path))
-        assert code == 0
-        assert out == f"wrote 10201 rows to {out_path}\n"
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == README_ATLAS_SHA256
+    @pytest.mark.parametrize("name", README_GOLDEN)
+    def test_readme_command_is_byte_identical(self, capsys, tmp_path, monkeypatch, name):
+        argv, written, digest = README_GOLDEN[name]
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--config", REFERENCE_CONFIG)
+        assert (code, err) == (0, "")
+        if written is None:
+            data = out.encode()
+        else:
+            assert out.startswith("wrote ") and out.endswith(f" rows to {written}\n")
+            data = (tmp_path / written).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_jobs_flag_is_a_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "atlas", "--config", REFERENCE_CONFIG, "--alpha", "0:1:3",
@@ -161,6 +216,14 @@ class TestGridCommands:
         assert err.startswith("error:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "grid.csv").exists()
+
+    def test_invalid_grid_point_writes_nothing_to_stdout(self, capsys, tmp_path):
+        code, out, err = run(capsys, "extend", "rework", "--config", REFERENCE_CONFIG,
+                             "--kappa", "0.8", "--alpha-range=-1:1:3", "--beta-range", "0:1:3",
+                             "--out", str(tmp_path / "grid.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: alpha")
 
     @pytest.mark.parametrize("family, alpha, beta", [
         ("linear_in_efficiency", "-0.5:1:4", "0:1:3"),
@@ -288,3 +351,14 @@ class TestSelfcheck:
         assert float(lines["t"]) == pytest.approx(0.72, abs=1e-9)
         assert float(lines["t_tau"]) == pytest.approx(4.0 / 15.0, abs=1e-9)
         assert lines["oracle_failures"] == "0"
+
+    def test_threshold_above_8192_finishes(self, tmp_path):
+        # p_a close to p_w puts the manual-delegation threshold near 1.19e4,
+        # where one ulp of beta is wider than the bisection tolerance
+        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+        doc["functions"]["execution_cost"] = {"family": "inverse_efficiency", "scale": 5}
+        doc["ai"]["p_a"] = 0.74997
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = run_isolated(f"from delver.cli import main; main(['selfcheck', '--config', {str(config)!r}])")
+        assert out.splitlines()[0] == "t 11904.7619"

@@ -101,14 +101,12 @@ class TestBelief:
 
 class TestRework:
     def test_full_redo_cost_recovers_base_model(self, reference):
+        # kappa = 1 is the base model path itself, so the results are equal exactly
         rng = np.random.default_rng(43)
-        for _ in range(40):
-            ability = Ability(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-            act, rep = rework_quality(reference, ability, Rework(1.0))
-            base_act, base_rep = dv.evaluate_point(reference, ability)
-            assert (act.d_star, act.s_star) == (base_act.d_star, base_act.s_star)
-            assert rep.q == pytest.approx(base_rep.q, rel=1e-9, abs=1e-9)
-            assert rep.q0 == base_rep.q0
+        for params in [reference] + [sample_params(rng) for _ in range(5)]:
+            for _ in range(40):
+                ability = sample_ability(rng, params)
+                assert rework_quality(params, ability, Rework(1.0)) == dv.evaluate_point(params, ability)
 
     def test_free_correction_raises_verification_effort(self, reference):
         for alpha in (0.5, 0.8, 1.2):
@@ -126,5 +124,6 @@ class TestRework:
         assert same / len(grid) >= 0.95
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Rework(-0.1)
+        for kappa in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Rework(kappa)

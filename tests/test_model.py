@@ -254,6 +254,21 @@ class TestParamsValidation:
                         verification_cost=VerificationCost("linear", 1.0),
                         execution_cost=ExecutionCost("linear_in_efficiency", 5.0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, reference, value):
+        with pytest.raises(ValueError, match="finite"):
+            Ability(value, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            Ability(0.5, value)
+        for name in ("b_w", "tau", "c_a"):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(**{**reference.__dict__, name: value})
+        for build in (lambda: Detection("inverse_linear", value),
+                      lambda: VerificationCost("linear", value),
+                      lambda: ExecutionCost("linear_in_efficiency", value)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
     def test_action_bounds(self):
         with pytest.raises(ValueError):
             Action(1.1, 0.0)

@@ -10,11 +10,13 @@ import delver as dv
 from delver.model import Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
-    REGIMES, Regime, brute_force_action, choose_regime, golden_section_max,
+    REGIMES, Regime, bisect, brute_force_action, choose_regime, golden_section_max,
     golden_section_max_array, manual_delegation_threshold, maximize_surplus,
     maximize_surplus_array, optimal_action, optimal_verification, oracle_regime,
     qualification_threshold,
 )
+
+from conftest import run_isolated
 
 
 def exponential_params(**overrides):
@@ -195,6 +197,66 @@ class TestThresholds:
         # delegation gain 2 / beta - 1.4 crosses zero at beta = 10 / 7
         assert res.bracketed
         assert res.value == pytest.approx(2.0 / 1.4, abs=1e-8)
+
+
+# inverse-efficiency execution cost 5 / beta on the reference profile: the
+# roots below lie above 8192, where one ulp of beta exceeds the 1e-12 tolerance
+LARGE_ROOT_PARAMS = """
+from dataclasses import replace
+import delver as dv
+params = replace(dv.reference_params(), execution_cost=dv.ExecutionCost("inverse_efficiency", 5.0))
+"""
+
+
+class TestLargeRoots:
+    @pytest.mark.parametrize("p_a", [0.7499, 0.74997])
+    def test_manual_delegation_threshold_terminates(self, p_a):
+        out = run_isolated(LARGE_ROOT_PARAMS + f"""
+res = dv.manual_delegation_threshold(replace(params, p_a={p_a!r}))
+print(repr(res.value), res.bracketed)
+""")
+        value, bracketed = out.split()
+        # delegation gain 5 / beta - (b_w + l_w) (p_w - p_a) crosses zero here
+        assert float(value) == pytest.approx(5.0 / (14.0 * (0.75 - p_a)), rel=1e-9)
+        assert bracketed == "True"
+
+    def test_qualification_threshold_terminates(self):
+        out = run_isolated(LARGE_ROOT_PARAMS + """
+res = dv.qualification_threshold(params, tau=7.499875)
+print(repr(res.value), res.bracketed)
+""")
+        value, bracketed = out.split()
+        # baseline 7.5 - 1.5 / beta reaches tau at beta = 12000
+        assert float(value) == pytest.approx(12000.0, rel=1e-8)
+        assert bracketed == "True"
+
+
+class TestBisect:
+    def test_narrows_to_the_switch_within_tolerance(self):
+        lo, hi = bisect(lambda x: x > 0.3, 0.0, 1.0, 1e-9)
+        assert lo <= 0.3 < hi
+        assert hi - lo <= 1e-9
+
+    def test_fixed_step_count(self):
+        calls = []
+        lo, hi = bisect(lambda x: calls.append(x) or x > 0.3, 0.0, 1.0, 0.0, steps=5)
+        assert len(calls) == 5
+        assert hi - lo == 1.0 / 32
+
+    @pytest.mark.parametrize("answer, lo", [(False, 8192.0),
+                                            (True, math.nextafter(8192.0, math.inf))])
+    def test_stops_when_no_float_lies_between(self, answer, lo):
+        # hi is lo's neighbour and the midpoint rounds to the end pred would move
+        hi = math.nextafter(lo, math.inf)
+        calls = []
+        assert bisect(lambda x: calls.append(x) or answer, lo, hi, 1e-12) == (lo, hi)
+        assert len(calls) == 1
+
+    def test_matches_the_plain_loop_when_the_midpoint_lands_on_lo(self):
+        # hi - lo is one ulp and the midpoint rounds to lo: moving hi there
+        # closes the interval, as the loop without the no-progress stop did
+        lo, hi = 1.0, math.nextafter(1.0, math.inf)
+        assert bisect(lambda x: True, lo, hi, 1e-20) == (lo, lo)
 
 
 class TestOracle:
