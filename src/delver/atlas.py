@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import (
-    Ability, ModelParams, coefficients, cost_at, delegation_gain, detection_probability,
-    institution_value, phi_coefficients, success_at, verification_surplus, worker_increment,
+    Ability, Action, ModelParams, coefficients, cost_at, delegation_gain, institution_value,
+    institutional_utility, phi_coefficients, success_at, verification_surplus, worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -156,14 +156,10 @@ def evaluate_point(params: ModelParams, ability: Ability, tau: float | None = No
     if tau is None:
         tau = params.tau
     act = optimal_action(params, ability, kappa)
+    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star), kappa)
     # optimal_action has checked beta
-    c_w = params.execution_cost.unchecked_cost(ability.beta)
-    d = float(act.d_star)
-    phi = detection_probability(params.detection, ability.alpha, act.s_star)
-    q = institution_value(params, success_at(params, phi, d),
-                          cost_at(params, phi, c_w, params.verification_cost.cost(act.s_star),
-                                  d, kappa))
-    return act, QualityReport.from_values(q, institution_value(params, params.p_w, c_w), tau)
+    q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
+    return act, QualityReport.from_values(q, q0, tau)
 
 
 def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> QualityReport:

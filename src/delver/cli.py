@@ -438,7 +438,7 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except (ConfigError, cal.CalibrationError, ValueError, OverflowError, OSError) as exc:
+    except (ConfigError, cal.CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

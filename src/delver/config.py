@@ -39,7 +39,10 @@ def _number(section: dict, key: str) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
-    number = float(value)  # an integer too large for a float raises OverflowError
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{key!r} must be finite, got an integer too large for a float") from None
     if not math.isfinite(number):  # a literal such as 1e999 parses to inf
         raise ConfigError(f"{key!r} must be finite, got {value!r}")
     return number

@@ -317,9 +317,13 @@ def worker_utility(params: ModelParams, ability: Ability, action: Action) -> flo
                         total_cost(params, ability, action))
 
 
-def institutional_utility(params: ModelParams, ability: Ability, action: Action) -> float:
-    return institution_value(params, task_success(params, ability, action),
-                             total_cost(params, ability, action))
+def institutional_utility(params: ModelParams, ability: Ability, action: Action,
+                          kappa=1.0) -> float:
+    phi = detection_probability(params.detection, ability.alpha, action.s)
+    c_w = params.execution_cost.cost(ability.beta)
+    return institution_value(params, success_at(params, phi, action.d),
+                             cost_at(params, phi, c_w, params.verification_cost.cost(action.s),
+                                     action.d, kappa))
 
 
 def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficients:

@@ -21,17 +21,21 @@ REFERENCE_CONFIG = str(REPO / "configs" / "reference.json")
 # a byte. The atlas digest is what the per-point scalar sweep wrote; the
 # others were taken at commit 81c268f, before the bisection loops, the quality
 # report and the rework extension were folded into shared code.
+# name: (argv, (file written, rows) or None for stdout, SHA-256 of the file or of stdout)
 README_GOLDEN = {
     "atlas": (["atlas", "--alpha", "0:1:101", "--beta", "0:1:101", "--out", "atlas.csv"],
-              "atlas.csv", "ffb612b29e7b025b8f872286b49ca361f687ab3b50044879bb4163023f9b8877"),
+              ("atlas.csv", 10201),
+              "ffb612b29e7b025b8f872286b49ca361f687ab3b50044879bb4163023f9b8877"),
     "boundary": (["boundary", "--which", "psi_tau", "--beta-range", "0:1:101"],
                  None, "2b3b1d419b342ff4c7afa057616b3907f4c794decb7b2602e68b2e4751176158"),
     "institution": (["intervene", "institution", "--lever", "p_a", "--delta", "0.05",
                      "--alpha-range", "0:1:51", "--beta-range", "0:1:51", "--out", "gains.csv"],
-                    "gains.csv", "a9bd4f068764e4f6c9160bcdb8fcb6bf9c44483e1542eb8ba6f70175baa0dae7"),
+                    ("gains.csv", 2601),
+                    "a9bd4f068764e4f6c9160bcdb8fcb6bf9c44483e1542eb8ba6f70175baa0dae7"),
     "rework": (["extend", "rework", "--kappa", "0.8", "--alpha-range", "0:1:21",
                 "--beta-range", "0:1:21", "--out", "rework.csv"],
-               "rework.csv", "b9f9e7de63157d4d834f6b2ac2dcfef149451b17ef853f519636a68af5825111"),
+               ("rework.csv", 441),
+               "b9f9e7de63157d4d834f6b2ac2dcfef149451b17ef853f519636a68af5825111"),
     "difficulty": (["extend", "difficulty", "--alpha-range", "0.2:1:3", "--beta-range", "0.2:0.9:3"],
                    None, "f01dad3d052a4832f160640dba240381df0a11fa52630df54b3009f8fbe91758"),
 }
@@ -121,7 +125,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("token, message", [
         ("NaN", "non-finite number NaN"), ("Infinity", "non-finite number Infinity"),
         ("-Infinity", "non-finite number -Infinity"), ("1e999", "'tau' must be finite"),
-    ])
+        ("1" + "0" * 400, "'tau' must be finite"),
+    ], ids=["nan", "inf", "-inf", "1e999", "big-int"])
     def test_non_finite_config_number_is_rejected(self, capsys, tmp_path, token, message):
         doc = json.loads(Path(REFERENCE_CONFIG).read_text())
         doc["task_profile"]["tau"] = "TAU"
@@ -192,8 +197,9 @@ class TestGridCommands:
         if written is None:
             data = out.encode()
         else:
-            assert out.startswith("wrote ") and out.endswith(f" rows to {written}\n")
-            data = (tmp_path / written).read_bytes()
+            path, rows = written
+            assert out == f"wrote {rows} rows to {path}\n"
+            data = (tmp_path / path).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_jobs_flag_is_a_usage_error(self, capsys, tmp_path):
