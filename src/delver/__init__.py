@@ -10,7 +10,7 @@ from per-case observational logs.
 from .atlas import (
     AtlasGrid, AtlasRow, ComplianceLabel, QualityLabel, QualityReport, RootResult,
     boundary_curve, evaluate_point, psi, psi0, psi1, psi_prime, psi_tau, quality,
-    separatrix_intersection, sweep_grid, write_atlas_csv,
+    separatrix_intersection, solve_points, sweep_grid, write_atlas_csv,
 )
 from .calibration import (
     CalibratedWorker, CalibrationError, CaseRecord, ClassificationResult,

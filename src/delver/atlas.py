@@ -300,34 +300,31 @@ def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(start, stop, int(count))
 
 
-def _check_grid(params: ModelParams, alphas: np.ndarray, betas: np.ndarray) -> None:
-    """Raise what evaluate_point raises at the first invalid point in row order."""
-    bad_alpha = alphas < 0.0
-    bad_beta = ~params.execution_cost.in_domain(betas)
-    if not (bad_alpha.any() or bad_beta.any()):
-        return
-    j = 0 if bad_alpha.any() else int(np.argmax(bad_beta))
-    i = 0 if bad_beta[j] else int(np.argmax(bad_alpha))
-    beta = float(betas[j])
-    Ability(float(alphas[i]), beta)
-    params.execution_cost.cost(beta)
+def _check_points(params: ModelParams, alpha: np.ndarray, beta: np.ndarray) -> None:
+    """Raise what evaluate_point raises at the first invalid point in order."""
+    bad = ~((alpha >= 0.0) & (alpha < math.inf) & (beta < math.inf)
+            & params.execution_cost.in_domain(beta))
+    if bad.any():
+        k = int(np.argmax(bad))
+        Ability(float(alpha[k]), float(beta[k]))
+        params.execution_cost.cost(float(beta[k]))
 
 
-def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
-               beta_range: tuple[float, float, int], tau: float | None = None) -> AtlasGrid:
-    """Evaluate the quality map on a grid, beta-major, in one array pass.
+def solve_points(params: ModelParams, alpha, beta, tau: float | None = None) -> AtlasGrid:
+    """evaluate_point at every (alpha[k], beta[k]), in one array pass.
 
-    Row k sits at beta index k // n_alpha and alpha index k % n_alpha. The
-    columns run the model's formulas and the solver's array branch points,
-    so every entry equals evaluate_point at that point bitwise.
+    alpha and beta are matching 1-d arrays; every point is checked before
+    any work. The columns run the model's formulas and the solver's array
+    branch points, so every entry equals evaluate_point at that point
+    bitwise.
     """
     if tau is None:
         tau = params.tau
-    alphas = linspace_range(alpha_range)
-    betas = linspace_range(beta_range)
-    _check_grid(params, alphas, betas)
-    alpha = np.tile(alphas, len(betas))
-    beta = np.repeat(betas, len(alphas))
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if alpha.ndim != 1 or alpha.shape != beta.shape:
+        raise ValueError("alpha and beta must be 1-d arrays of one length")
+    _check_points(params, alpha, beta)
     det, vcost = params.detection, params.verification_cost
     c_w = params.execution_cost.unchecked_cost(beta)
     k_w = phi_coefficients(params, c_w)[0]
@@ -343,6 +340,18 @@ def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
     return AtlasGrid(alpha=alpha, beta=beta, d_star=d_star, s_star=s_star, regime=regime,
                      q=q, q0=q0, gap=gap, quality_label=quality_label,
                      compliance_label=compliance_label)
+
+
+def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
+               beta_range: tuple[float, float, int], tau: float | None = None) -> AtlasGrid:
+    """Evaluate the quality map on a grid, beta-major, in one array pass.
+
+    Row k sits at beta index k // n_alpha and alpha index k % n_alpha; an
+    invalid grid fails at its first invalid row.
+    """
+    alphas = linspace_range(alpha_range)
+    betas = linspace_range(beta_range)
+    return solve_points(params, np.tile(alphas, len(betas)), np.repeat(betas, len(alphas)), tau)
 
 
 def boundary_curve(params: ModelParams, which: str, betas,

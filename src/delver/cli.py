@@ -8,7 +8,6 @@ identical inputs; floats are printed at 9 significant digits.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -194,14 +193,19 @@ def _write_grid(args, header, evaluate):
     """
     alphas = np.linspace(*parse_range(args.alpha_range))
     betas = np.linspace(*parse_range(args.beta_range))
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        out.write(",".join(["alpha", "beta"] + header) + "\n")
-        for beta in betas:
-            for alpha in alphas:
-                fields = evaluate(Ability(float(alpha), float(beta)))
-                out.write(",".join([fmt(float(alpha)), fmt(float(beta))] + fields) + "\n")
+    # every row is computed before --out is opened, so a failing point leaves no file
+    lines = [",".join(["alpha", "beta"] + header)]
+    for beta in betas:
+        for alpha in alphas:
+            fields = evaluate(Ability(float(alpha), float(beta)))
+            lines.append(",".join([fmt(float(alpha)), fmt(float(beta))] + fields))
+    text = "\n".join(lines) + "\n"
     if args.out:
-        print(f"wrote {len(alphas) * len(betas)} rows to {args.out}")
+        with open(args.out, "w", newline="") as out:
+            out.write(text)
+        print(f"wrote {len(lines) - 1} rows to {args.out}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 

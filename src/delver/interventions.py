@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atlas import quality
+import numpy as np
+
+from .atlas import quality, solve_points
 from .model import Ability, ModelParams
-from .solver import bisect
+from .solver import bisect, bisect_array
 
 DEFAULT_ALPHA_CAP = 10.0
 DEFAULT_BETA_CAP = 10.0  # for unbounded efficiency domains
@@ -32,8 +34,10 @@ class CostTerm:
     def __post_init__(self):
         if self.kind not in ("linear", "power"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if self.coefficient < 0:
-            raise ValueError("cost coefficient must be >= 0")
+        if not 0.0 <= self.coefficient < math.inf:
+            raise ValueError(f"cost coefficient must be finite and >= 0, got {self.coefficient}")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"cost exponent must be finite, got {self.exponent}")
         if self.kind == "power" and not self.exponent > 1.0:
             raise ValueError("power cost needs exponent > 1")
 
@@ -118,7 +122,17 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     fan_degrees from the alpha axis to the beta axis, axes included), finds
     the minimal feasible radius per direction, and keeps the cost-minimal
     candidate. Directions whose cost term is disabled are skipped.
+
+    All directions are searched together on the array path. The scan
+    radii r_max * i / scan_points of the directions not yet found are
+    solved in blocks of 1, 2, 4, ... scan points, and the found directions
+    are bisected together; each direction takes the radii, and so gives the
+    result, of a scan and bisection of its own.
     """
+    if fan_degrees < 1:
+        raise ValueError(f"fan_degrees must be >= 1, got {fan_degrees}")
+    if scan_points < 1:
+        raise ValueError(f"scan_points must be >= 1, got {scan_points}")
     if tau is None:
         tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
@@ -138,8 +152,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
         angles = list(range(0, 91, fan_degrees))
         if angles[-1] != 90:
             angles.append(90)
-
-    best = None
+    rays = []  # (ua, ub, r_max) of the directions with room to move, in angle order
     for angle in angles:
         theta = math.radians(angle)
         ua, ub = math.cos(theta), math.sin(theta)
@@ -153,19 +166,38 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
         if ub > 0:
             limits.append((beta_cap - ability.beta) / ub)
         r_max = min(limits)
-        if r_max <= 0:
-            continue
+        if r_max > 0:
+            rays.append((ua, ub, r_max))
+    ua, ub, r_max = np.array(rays, dtype=float).reshape(-1, 3).T
 
-        def feasible(r, ua=ua, ub=ub):
-            # min() guards a few ulps of overshoot when r reaches the cap
-            trial = Ability(min(alpha_cap, ability.alpha + r * ua),
-                            min(beta_cap, ability.beta + r * ub))
-            return _q_at(params, trial, tau) >= tau - qtol
+    def feasible(ray, r):
+        # np.minimum guards a few ulps of overshoot when r reaches the cap
+        trial = solve_points(params, np.minimum(alpha_cap, ability.alpha + r * ua[ray]),
+                             np.minimum(beta_cap, ability.beta + r * ub[ray]), tau)
+        return trial.q >= tau - qtol
 
-        r = _first_feasible_radius(feasible, r_max, scan_points, tol)
-        if r is None:
-            continue
-        d_alpha, d_beta = r * ua, r * ub
+    # first feasible scan index per ray (0 while none is found), by doubling blocks
+    first = np.zeros(len(r_max), dtype=np.int64)
+    unfound = np.arange(len(r_max))
+    start, width = 1, 1
+    while len(unfound) and start <= scan_points:
+        i = np.arange(start, min(start + width, scan_points + 1))
+        ok = feasible(np.repeat(unfound, len(i)),
+                      (r_max[unfound, None] * i / scan_points).reshape(-1))
+        ok = ok.reshape(len(unfound), len(i))
+        hit = ok.any(axis=1)
+        first[unfound[hit]] = i[np.argmax(ok[hit], axis=1)]
+        unfound = unfound[~hit]
+        start, width = start + len(i), 2 * width
+
+    found = np.flatnonzero(first)
+    lo = r_max[found] * (first[found] - 1) / scan_points
+    hi = r_max[found] * first[found] / scan_points
+    radii = bisect_array(lambda k, mid: feasible(found[k], mid), lo, hi, tol)[1]
+
+    best = None
+    for ray, r in zip(found.tolist(), radii.tolist()):
+        d_alpha, d_beta = r * float(ua[ray]), r * float(ub[ray])
         cost = 0.0
         if cost_model.h_alpha is not None:
             cost += cost_model.h_alpha(d_alpha)

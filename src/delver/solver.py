@@ -6,9 +6,10 @@ verification cost; golden-section search covers the rest. A brute-force
 grid maximizer is kept as an independent oracle.
 
 The branch points (the closed form for s_dagger and its clamp, the
-golden-section search, and the regime call) also come in array forms for
-grid sweeps. They follow the scalar branches element by element, so each
-element of their result equals the scalar result bitwise.
+golden-section search, and the regime call) and the bisection also come
+in array forms for grid sweeps and fan searches. They follow the scalar
+branches element by element, so each element of their result equals the
+scalar result bitwise.
 """
 
 from __future__ import annotations
@@ -246,6 +247,28 @@ def bisect(pred, lo: float, hi: float, tol: float, steps: int | None = None):
             break
         else:
             lo = mid
+    return lo, hi
+
+
+def bisect_array(pred, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """bisect on many intervals at once; returns new (lo, hi) arrays.
+
+    pred(i, mid) gives, for each k, whether the predicate of interval i[k]
+    holds at mid[k]; it is asked only about intervals still narrowing. Each
+    interval stops by bisect's rules, so it takes exactly the iterates
+    bisect would.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live = np.flatnonzero(hi - lo > tol)
+    while len(live):
+        mid = 0.5 * (lo[live] + hi[live])
+        on = pred(live, mid)
+        # an interval stops when the end it would move already equals the midpoint
+        moves = np.where(on, mid != hi[live], mid != lo[live])
+        live, mid, on = live[moves], mid[moves], on[moves]
+        hi[live[on]] = mid[on]
+        lo[live[~on]] = mid[~on]
+        live = live[hi[live] - lo[live] > tol]
     return lo, hi
 
 

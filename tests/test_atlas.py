@@ -11,7 +11,7 @@ import pytest
 import delver as dv
 from delver.atlas import (
     AtlasRow, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
-    psi_tau, quality, separatrix_intersection, sweep_grid, write_atlas_csv,
+    psi_tau, quality, separatrix_intersection, solve_points, sweep_grid, write_atlas_csv,
 )
 from delver.model import INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY, Ability, coefficients
 from delver.sampling import beta_span, sample_params
@@ -110,6 +110,27 @@ def _family_configs():
     return configs
 
 
+def _assert_rows_are_evaluate_point(grid, params, points, tau):
+    """Every column of grid equals evaluate_point at points, bit for bit."""
+    expected = []
+    for alpha, beta in points:
+        act, rep = dv.evaluate_point(params, Ability(float(alpha), float(beta)), tau)
+        expected.append(AtlasRow(
+            alpha=float(alpha), beta=float(beta), d_star=act.d_star, s_star=act.s_star,
+            regime=act.regime, q=rep.q, q0=rep.q0, gap=rep.gap,
+            quality_label=rep.quality_label, compliance_label=rep.compliance_label))
+    assert len(grid) == len(expected)
+    rows = list(grid)
+    for f in fields(AtlasRow):
+        got = [getattr(r, f.name) for r in rows]
+        want = [getattr(r, f.name) for r in expected]
+        if isinstance(want[0], float):
+            # bit patterns, so that even 0.0 against -0.0 counts as a difference
+            assert np.array(got).tobytes() == np.array(want).tobytes(), f.name
+        else:
+            assert got == want, f.name
+
+
 class TestSweep:
     def test_degenerate_range_gives_identical_rows(self, reference):
         rows = sweep_grid(reference, (0.4, 0.4, 2), (0.6, 0.6, 2))
@@ -134,24 +155,27 @@ class TestSweep:
         alpha_range = (0.0, 3.0, 31)
         beta_range = (*beta_span(params), 23)
         grid = sweep_grid(params, alpha_range, beta_range, tau=tau)
-        expected = []
-        for beta in np.linspace(*beta_range):
-            for alpha in np.linspace(*alpha_range):
-                act, rep = dv.evaluate_point(params, Ability(float(alpha), float(beta)), tau)
-                expected.append(AtlasRow(
-                    alpha=float(alpha), beta=float(beta), d_star=act.d_star, s_star=act.s_star,
-                    regime=act.regime, q=rep.q, q0=rep.q0, gap=rep.gap,
-                    quality_label=rep.quality_label, compliance_label=rep.compliance_label))
-        assert len(grid) == len(expected)
-        rows = list(grid)
-        for f in fields(AtlasRow):
-            got = [getattr(r, f.name) for r in rows]
-            want = [getattr(r, f.name) for r in expected]
-            if isinstance(want[0], float):
-                # bit patterns, so that even 0.0 against -0.0 counts as a difference
-                assert np.array(got).tobytes() == np.array(want).tobytes(), f.name
-            else:
-                assert got == want, f.name
+        points = [(alpha, beta) for beta in np.linspace(*beta_range)
+                  for alpha in np.linspace(*alpha_range)]
+        _assert_rows_are_evaluate_point(grid, params, points, tau)
+
+    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
+                                        for triple, params in sorted(_family_configs().items())])
+    def test_solve_points_equals_scalar_evaluate_point_off_the_grid(self, params):
+        rng = np.random.default_rng(17)
+        lo, hi = beta_span(params)
+        alpha = np.concatenate([rng.uniform(0.0, 3.0, 150), [0.0, 0.0, 3.0, 1e-12]])
+        beta = np.concatenate([rng.uniform(lo, hi, 150), [lo, hi, lo, hi]])
+        _assert_rows_are_evaluate_point(solve_points(params, alpha, beta), params,
+                                        list(zip(alpha, beta)), None)
+
+    def test_solve_points_fails_at_the_first_invalid_point(self, reference):
+        with pytest.raises(ValueError, match="beta=1.5 outside"):
+            solve_points(reference, [0.2, 0.3, -1.0], [0.5, 1.5, 0.5])
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0, got inf"):
+            solve_points(reference, [0.2, math.inf], [0.5, 0.5])
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            solve_points(reference, [0.2, 0.3], [0.5])
 
     def test_regime_fractions_stable_under_refinement(self, reference):
         def fractions(n):

@@ -38,6 +38,11 @@ README_GOLDEN = {
                "b9f9e7de63157d4d834f6b2ac2dcfef149451b17ef853f519636a68af5825111"),
     "difficulty": (["extend", "difficulty", "--alpha-range", "0.2:1:3", "--beta-range", "0.2:0.9:3"],
                    None, "f01dad3d052a4832f160640dba240381df0a11fa52630df54b3009f8fbe91758"),
+    "worker": (["intervene", "worker", "--alpha", "0.05", "--beta", "0.1",
+                "--h1", "linear:1", "--h2", "linear:1"],
+               None, "9076c63e43f6aa92cb0c2515d75af2da77fc35e9b4894418811b27fd8b4347b1"),
+    "minimal": (["intervene", "minimal", "--alpha", "0.05", "--beta", "0.5", "--lever", "alpha"],
+                None, "4f639be88664456e7f20ce676a5a62a1bf4a4c66e2327f5ea81b6e87edc64f0a"),
 }
 
 
@@ -230,6 +235,19 @@ class TestGridCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("error: alpha")
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_out_of_range_delta_writes_no_file_and_no_rows(self, capsys, tmp_path, to_file):
+        out_args = ["--out", str(tmp_path / "grid.csv")] if to_file else []
+        code, out, err = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
+                             "--lever", "p_a", "--delta", "0.5", "--alpha-range", "0:1:3",
+                             "--beta-range", "0:1:3", *out_args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: d_p must lie in")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "grid.csv").exists()
 
     @pytest.mark.parametrize("family, alpha, beta", [
         ("linear_in_efficiency", "-0.5:1:4", "0:1:3"),
@@ -297,6 +315,17 @@ class TestGridCommands:
 
 
 class TestInterveneAndOracle:
+    @pytest.mark.parametrize("costs", [
+        ["--h1", "linear:nan"], ["--h1", "power:1:inf"], ["--h2", "linear:inf", "--json"],
+    ], ids=["linear-nan", "power-inf-exponent", "linear-inf-json"])
+    def test_non_finite_cost_term_is_rejected(self, capsys, costs):
+        code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
+                             "--alpha", "0.05", "--beta", "0.1", *costs)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cost ") and "must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_worker_upskill_command(self, capsys):
         code, out, _ = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
                            "--alpha", "0.05", "--beta", "0.1",

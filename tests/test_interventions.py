@@ -1,5 +1,6 @@
 """Upskilling plans and institutional levers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,36 @@ from delver.interventions import (
     CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain,
     minimal_lever, worker_upskill,
 )
+from delver.atlas import quality
 from delver.model import Ability
+from delver.sampling import sample_ability, sample_params
+
+# SHA-256 of the reprs of upskill_plans(), joined by newlines, as the
+# per-direction scalar search (before the fan moved to the array path) gave them
+UPSKILL_PLANS_DIGEST = "c732f55a628a47ad3e225e4a9b4cdb84aac98d17dd65e6ff2905a1d9f0ef54dd"
+COST_MODELS = [CostModel(), CostModel(CostTerm("power", 2.0, 2.0), CostTerm("linear", 0.5)),
+               CostModel(None, CostTerm("power", 1.0, 1.5)), CostModel(CostTerm("linear", 3.0), None)]
+
+
+def upskill_plans():
+    """80 plans: 20 sampled workers, each at its config's tau, a tau just above
+    its quality, the quality 60% of the way to both caps, and an unreachable
+    tau, rotating cost models, fan widths and scan counts."""
+    plans = []
+    for seed in range(20):
+        rng = np.random.default_rng(500 + seed)
+        params = sample_params(rng)
+        ability = sample_ability(rng, params)
+        q_now = quality(params, ability).q
+        span = 1.0 + abs(q_now)
+        beta_cap = min(params.execution_cost.beta_domain()[1], 10.0)
+        q_far = quality(params, Ability(ability.alpha + 0.6 * (10.0 - ability.alpha),
+                                        ability.beta + 0.6 * (beta_cap - ability.beta))).q
+        for k, tau in enumerate([params.tau, q_now + 0.002 * span, q_far, q_now + 100.0 * span]):
+            plans.append(worker_upskill(params, ability, COST_MODELS[(seed + k) % 4], tau=tau,
+                                        fan_degrees=(1, 3, 7, 45, 100)[(seed + k) % 5],
+                                        scan_points=(200, 64, 17, 1)[(seed // 4 + k) % 4]))
+    return plans
 
 
 class TestLeversAreIdentitiesAtZero:
@@ -146,6 +176,28 @@ class TestUpskill:
         with pytest.raises(ValueError):
             CostTerm("exp", 1.0)
         assert CostTerm("power", 2.0, 2.0)(3.0) == 18.0
+
+    @pytest.mark.parametrize("kind, coefficient, exponent, word", [
+        ("linear", math.nan, 1.0, "coefficient"), ("linear", math.inf, 1.0, "coefficient"),
+        ("power", math.nan, 2.0, "coefficient"), ("power", 1.0, math.inf, "exponent"),
+        ("power", 1.0, math.nan, "exponent"), ("linear", 1.0, math.nan, "exponent"),
+    ])
+    def test_cost_term_rejects_non_finite_input(self, kind, coefficient, exponent, word):
+        with pytest.raises(ValueError, match=f"cost {word} must be finite"):
+            CostTerm(kind, coefficient, exponent)
+
+    @pytest.mark.parametrize("name", ["fan_degrees", "scan_points"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_fan_and_scan_counts_must_be_positive(self, reference, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            worker_upskill(reference, Ability(0.05, 0.1), CostModel(), tau=6.4, **{name: value})
+
+    def test_plans_equal_the_per_direction_search(self):
+        plans = upskill_plans()
+        assert {p.feasible for p in plans} == {True, False}
+        assert any(p.feasible and p.cost > 0.0 for p in plans)
+        text = "\n".join(map(repr, plans))
+        assert hashlib.sha256(text.encode()).hexdigest() == UPSKILL_PLANS_DIGEST
 
 
 class TestCalibratedClinicianLevers:

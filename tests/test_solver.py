@@ -10,7 +10,7 @@ import delver as dv
 from delver.model import Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
-    REGIMES, Regime, bisect, brute_force_action, choose_regime, golden_section_max,
+    REGIMES, Regime, bisect, bisect_array, brute_force_action, choose_regime, golden_section_max,
     golden_section_max_array, manual_delegation_threshold, maximize_surplus,
     maximize_surplus_array, optimal_action, optimal_verification, oracle_regime,
     qualification_threshold,
@@ -257,6 +257,60 @@ class TestBisect:
         # closes the interval, as the loop without the no-progress stop did
         lo, hi = 1.0, math.nextafter(1.0, math.inf)
         assert bisect(lambda x: True, lo, hi, 1e-20) == (lo, lo)
+
+
+_UP_8192 = math.nextafter(8192.0, math.inf)
+
+
+class TestBisectArray:
+    # (lo, hi, switch, tol): pred(x) is x >= switch
+    CASES = [
+        (0.0, 1.0, 0.3, 1e-9),                   # width stop
+        (0.0, 1.0, 0.3, 0.0),                    # runs until no float lies between
+        (-5.0, 7.0, 2.5, 1e-6),
+        (0.1, 0.7, 0.3, 1e-9),                   # midpoints that lo + (hi - lo) / 2 rounds apart
+        (-0.3, 1.7, 0.2, 0.0),
+        (0.0, 1.0, -1.0, 1e-9),                  # pred holds everywhere
+        (0.0, 1.0, 2.0, 1e-9),                   # pred holds nowhere
+        (8192.0, _UP_8192, 0.0, 1e-12),          # no float between, hi would move
+        (8192.0, _UP_8192, 1e9, 1e-12),          # no float between, lo would move
+        (1.0, math.nextafter(1.0, math.inf), 0.0, 1e-20),  # the midpoint lands on lo
+        (0.5, 0.5, 0.2, 0.0),                    # zero width
+        (0.5, 0.5, 0.7, 1e-9),
+        (0.0, 5e-324, 0.0, 0.0),                 # subnormal
+        (0.0, 10.0, 10.0, 1e-3),
+    ]
+
+    def test_equals_bisect_element_by_element(self):
+        lo, hi, switch, tol = (np.array(column) for column in zip(*self.CASES))
+        expected, calls = [], []
+        for a, b, x0, t in self.CASES:
+            scalar_calls = []
+            expected.append(bisect(lambda x: scalar_calls.append(x) or x >= x0, a, b, t))
+            calls.append(scalar_calls)
+        for t in set(tol.tolist()):
+            # bisect_array takes one tol; run it on the cases sharing each tol
+            rows = np.flatnonzero(tol == t)
+            asked = {int(r): [] for r in rows}
+
+            def pred(i, mid):
+                for k, m in zip(i.tolist(), mid.tolist()):
+                    asked[int(rows[k])].append(m)
+                    # fail instead of hanging if an interval never stops
+                    assert len(asked[int(rows[k])]) <= 2000
+                return mid >= switch[rows][i]
+
+            got_lo, got_hi = bisect_array(pred, lo[rows], hi[rows], t)
+            want = np.array([expected[r] for r in rows])
+            assert got_lo.tobytes() == want[:, 0].tobytes()
+            assert got_hi.tobytes() == want[:, 1].tobytes()
+            for r in rows.tolist():
+                assert asked[r] == calls[r]
+
+    def test_inputs_are_not_modified(self):
+        lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
+        bisect_array(lambda i, mid: mid > 0.5, lo, hi, 1e-3)
+        assert lo.tolist() == [0.0, 1.0] and hi.tolist() == [1.0, 3.0]
 
 
 class TestOracle:
