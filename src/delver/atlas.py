@@ -14,12 +14,14 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
-    Ability, Action, ModelParams, coefficients, cost_at, delegation_gain, institution_value,
-    institutional_utility, phi_coefficients, success_at, verification_surplus, worker_increment,
+    Ability, Action, ModelParams, check_overflow, coefficients, cost_at, delegation_gain,
+    institution_value, institutional_utility, phi_coefficients, point_params, success_at,
+    verification_surplus, worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -129,6 +131,23 @@ class AtlasGrid:
                            QUALITY_LABELS[ql], COMPLIANCE_LABELS[cl])
 
 
+class ActionColumns(NamedTuple):
+    """optimal_action at many points, as columns; regime holds indices into REGIMES."""
+
+    d_star: np.ndarray
+    s_star: np.ndarray
+    regime: np.ndarray
+    s_dagger: np.ndarray
+
+
+_IMPROVED = QUALITY_LABELS.index(QualityLabel.IMPROVED)
+_UNCHANGED = QUALITY_LABELS.index(QualityLabel.UNCHANGED)
+_DEGRADED = QUALITY_LABELS.index(QualityLabel.DEGRADED)
+_GAIN = COMPLIANCE_LABELS.index(ComplianceLabel.GAIN)
+_LOSS = COMPLIANCE_LABELS.index(ComplianceLabel.LOSS)
+_NEITHER = COMPLIANCE_LABELS.index(ComplianceLabel.NEITHER)
+
+
 def _label_indices(q, q0, tau):
     """QualityReport.from_values at every element: (gap, quality, compliance) columns.
 
@@ -136,12 +155,9 @@ def _label_indices(q, q0, tau):
     """
     tol = UNCHANGED_RTOL * (1.0 + np.abs(q0))
     gap = q - q0
-    quality = np.where(gap > tol, QUALITY_LABELS.index(QualityLabel.IMPROVED),
-                       np.where(gap < -tol, QUALITY_LABELS.index(QualityLabel.DEGRADED),
-                                QUALITY_LABELS.index(QualityLabel.UNCHANGED)))
-    compliance = np.where((q >= tau) & (q0 < tau), COMPLIANCE_LABELS.index(ComplianceLabel.GAIN),
-                          np.where((q < tau) & (q0 >= tau), COMPLIANCE_LABELS.index(ComplianceLabel.LOSS),
-                                   COMPLIANCE_LABELS.index(ComplianceLabel.NEITHER)))
+    quality = np.where(gap > tol, _IMPROVED, np.where(gap < -tol, _DEGRADED, _UNCHANGED))
+    compliance = np.where((q >= tau) & (q0 < tau), _GAIN,
+                          np.where((q < tau) & (q0 >= tau), _LOSS, _NEITHER))
     return gap, quality, compliance
 
 
@@ -300,37 +316,80 @@ def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(start, stop, int(count))
 
 
-def _check_points(params: ModelParams, alpha: np.ndarray, beta: np.ndarray) -> None:
-    """Raise what evaluate_point raises at the first invalid point in order."""
-    bad = ~((alpha >= 0.0) & (alpha < math.inf) & (beta < math.inf)
-            & params.execution_cost.in_domain(beta))
-    if bad.any():
-        k = int(np.argmax(bad))
-        Ability(float(alpha[k]), float(beta[k]))
-        params.execution_cost.cost(float(beta[k]))
+def _in_unit_interval(x):
+    return (0.0 <= x) & (x <= 1.0)
 
 
-def solve_points(params: ModelParams, alpha, beta, tau: float | None = None) -> AtlasGrid:
-    """evaluate_point at every (alpha[k], beta[k]), in one array pass.
+def _finite_positive(x):
+    return (0.0 < x) & (x < math.inf)
 
-    alpha and beta are matching 1-d arrays; every point is checked before
-    any work. The columns run the model's formulas and the solver's array
-    branch points, so every entry equals evaluate_point at that point
-    bitwise.
+
+# the values point_params' validating constructors accept, per column
+_COLUMN_OK = {"p_w": _in_unit_interval, "p_a": _in_unit_interval,
+              "execution_scale": _finite_positive, "verification_rate": _finite_positive}
+
+
+def _checked_points(params: ModelParams, alpha, beta, columns: dict):
+    """(params, alpha, beta, C_w) ready for the array path, the columns folded into params.
+
+    Every point is checked first, and the first invalid one raises what the
+    scalar path raises there: it builds the Ability, then point_params from
+    the columns' values, then computes C_w and checks for overflow as
+    optimal_action does.
     """
-    if tau is None:
-        tau = params.tau
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if alpha.ndim != 1 or alpha.shape != beta.shape:
-        raise ValueError("alpha and beta must be 1-d arrays of one length")
-    _check_points(params, alpha, beta)
+    columns = {name: np.asarray(column, dtype=float) for name, column in columns.items()}
+    if alpha.ndim != 1 or any(c.shape != alpha.shape for c in (beta, *columns.values())):
+        raise ValueError("alpha, beta and the parameter columns must be 1-d arrays of one length")
+    point = point_params(params, check=False, **columns) if columns else params
+    # the products may overflow here; those points fail the check
+    with np.errstate(over="ignore", divide="ignore"):
+        c_w = point.execution_cost.unchecked_cost(beta)
+        bad = ~((alpha >= 0.0) & (params.detection.scale * alpha < math.inf) & (beta < math.inf)
+                & params.execution_cost.in_domain(beta) & (c_w < math.inf))
+    for name, column in columns.items():
+        bad |= ~_COLUMN_OK[name](column)
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = float(alpha[k]), float(beta[k])
+        Ability(a, b)
+        scalar = point_params(params, **{name: float(c[k]) for name, c in columns.items()})
+        check_overflow(scalar.detection, a, scalar.execution_cost.cost(b))
+    return point, alpha, beta, c_w
+
+
+def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray) -> ActionColumns:
+    """optimal_action's branches as array steps, at checked points with manual cost c_w."""
     det, vcost = params.detection, params.verification_cost
-    c_w = params.execution_cost.unchecked_cost(beta)
     k_w = phi_coefficients(params, c_w)[0]
     s_dag = maximize_surplus_array(det, alpha, vcost, k_w)
     f_w = worker_increment(params, k_w, det.prob(alpha, s_dag), c_w, vcost.cost(s_dag))
-    d_star, s_star, regime = choose_regime(f_w, s_dag)
+    return ActionColumns(*choose_regime(f_w, s_dag), s_dag)
+
+
+def solve_actions(params: ModelParams, alpha, beta, **columns) -> ActionColumns:
+    """optimal_action at every point, in one array pass; the arguments are solve_points'."""
+    params, alpha, _, c_w = _checked_points(params, alpha, beta, columns)
+    return _solve(params, alpha, c_w)
+
+
+def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
+                 **columns) -> AtlasGrid:
+    """evaluate_point at every (alpha[k], beta[k]), in one array pass.
+
+    alpha and beta are matching 1-d arrays. Keyword columns p_w, p_a,
+    execution_scale and verification_rate, matching arrays too, solve
+    point k under point_params(params, ...) with their k-th values. Every
+    point and column entry is checked before any work. The columns run the
+    model's formulas and the solver's array branch points, so every entry
+    equals evaluate_point at that point bitwise.
+    """
+    if tau is None:
+        tau = params.tau
+    params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
+    d_star, s_star, regime, _ = _solve(params, alpha, c_w)
+    det, vcost = params.detection, params.verification_cost
     d = d_star.astype(float)
     phi = det.prob(alpha, s_star)
     q = institution_value(params, success_at(params, phi, d),
@@ -354,9 +413,13 @@ def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
     return solve_points(params, np.tile(alphas, len(betas)), np.repeat(betas, len(alphas)), tau)
 
 
-def boundary_curve(params: ModelParams, which: str, betas,
-                   tau: float | None = None, alpha_max: float = 10.0) -> list[tuple[float, float]]:
-    """(beta, alpha) samples of one separatrix, restricted to its beta domain."""
+def boundary_curve(params: ModelParams, which: str, betas, tau: float | None = None,
+                   alpha_max: float = 10.0) -> list[tuple[float, float, bool]]:
+    """(beta, alpha, bracketed) samples of one separatrix, restricted to its beta domain.
+
+    bracketed is RootResult.bracketed: False when alpha is a search bound
+    (0 or the doubled cap), not a root.
+    """
     t = manual_delegation_threshold(params).value
     out = []
     for beta in betas:
@@ -375,7 +438,7 @@ def boundary_curve(params: ModelParams, which: str, betas,
             res = psi_tau(params, beta, tau, alpha_max)
         else:
             raise ValueError(f"unknown boundary {which!r}")
-        out.append((beta, res.value))
+        out.append((beta, res.value, res.bracketed))
     return out
 
 
@@ -410,7 +473,8 @@ def write_atlas_csv(grid: AtlasGrid, fileobj):
 
 
 def write_boundary_csv(points, fileobj):
+    """Write boundary_curve's samples as beta,alpha,bracketed rows, the flag as 1 or 0."""
     writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["beta", "alpha"])
-    for beta, alpha in points:
-        writer.writerow([fmt(beta), fmt(alpha)])
+    writer.writerow(["beta", "alpha", "bracketed"])
+    for beta, alpha, bracketed in points:
+        writer.writerow([fmt(beta), fmt(alpha), int(bracketed)])

@@ -10,16 +10,17 @@ AI error.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import QualityReport, evaluate_point
+from .atlas import QualityReport, evaluate_point, solve_actions, solve_points
 from .model import (
-    LINEAR, Ability, Action, ModelParams, VerificationCost, coefficients, institutional_utility,
+    Ability, Action, ModelParams, coefficients, institutional_utility, point_params,
 )
-from .solver import OptimalAction, bisect, optimal_action
+from .solver import OptimalAction, bisect_array, optimal_action
 
 
 def _affine(pair, h):
@@ -60,14 +61,14 @@ class DifficultyProfile:
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
 
+    def values_at(self, h) -> dict:
+        """point_params' values at difficulty h, a float or an array of levels."""
+        return {"p_w": _affine(self.worker_success, h), "p_a": _affine(self.ai_success, h),
+                "execution_scale": _affine(self.execution_scale, h),
+                "verification_rate": _affine(self.verification_rate, h)}
+
     def params_at(self, base: ModelParams, h: float) -> ModelParams:
-        return replace(
-            base,
-            p_w=_affine(self.worker_success, h),
-            p_a=_affine(self.ai_success, h),
-            execution_cost=replace(base.execution_cost, scale=_affine(self.execution_scale, h)),
-            verification_cost=VerificationCost(LINEAR, _affine(self.verification_rate, h)),
-        )
+        return point_params(base, **self.values_at(h))
 
 
 @dataclass(frozen=True)
@@ -95,37 +96,43 @@ class Rework:
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
 
+@functools.lru_cache(maxsize=32)
 def unit_quadrature(nodes: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], cached per node count and read-only."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
+    h, w = 0.5 * (x + 1.0), 0.5 * w
+    h.flags.writeable = w.flags.writeable = False
+    return h, w
 
 
-def _solution_state(params, ability, profile, h):
-    act = evaluate_point(profile.params_at(params, h), ability)[0]
-    clamp = 0 if act.s_dagger <= 0.0 else (2 if act.s_dagger >= 1.0 else 1)
-    return act.regime, clamp
+def _at_levels(solve, params: ModelParams, ability: Ability, profile: DifficultyProfile, h):
+    """solve (solve_actions or solve_points) for the worker at each difficulty level in h."""
+    n = len(h)
+    return solve(params, np.full(n, ability.alpha), np.full(n, ability.beta),
+                 **profile.values_at(h))
+
+
+def _branch(params, ability, profile, h) -> np.ndarray:
+    """The optimal action's branch at each level in h: regime, and s_dagger at 0, inside or at 1."""
+    act = _at_levels(solve_actions, params, ability, profile, h)
+    return 3 * act.regime + np.where(act.s_dagger <= 0.0, 0, np.where(act.s_dagger >= 1.0, 2, 1))
 
 
 def _smooth_breakpoints(params, ability, profile, probe=257):
-    """Difficulty levels where the optimal action changes branch.
+    """Difficulty levels where the optimal action changes branch, with 0 and 1.
 
     Quality is smooth in h only between regime switches and effort-clamp
     transitions; integrating across those kinks would wreck the quadrature
     order, so they become segment boundaries. Probing happens at cell
     midpoints because the cost maps may only be valid on the open interval.
+    Each kink is placed by 45 bisection steps at tol 0, all kinks at once.
     """
     hs = (np.arange(probe) + 0.5) / probe
-    states = [_solution_state(params, ability, profile, float(h)) for h in hs]
-    cuts = [0.0]
-    for i in range(probe - 1):
-        if states[i] == states[i + 1]:
-            continue
-        lo, hi = bisect(lambda h: _solution_state(params, ability, profile, h) != states[i],
-                        float(hs[i]), float(hs[i + 1]), 0.0, steps=45)
-        cuts.append(0.5 * (lo + hi))
-    cuts.append(1.0)
-    return cuts
+    branch = _branch(params, ability, profile, hs)
+    kinks = np.flatnonzero(branch[:-1] != branch[1:])
+    lo, hi = bisect_array(lambda k, h: _branch(params, ability, profile, h) != branch[kinks[k]],
+                          hs[kinks], hs[kinks + 1], 0.0, steps=45)
+    return np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
 
 
 def expected_quality(params: ModelParams, ability: Ability,
@@ -135,24 +142,23 @@ def expected_quality(params: ModelParams, ability: Ability,
     The worker re-solves the optimal action at every difficulty level.
     Integration is Gauss-Legendre with profile.nodes nodes on each smooth
     segment between detected action-branch switches; labels are assigned
-    to the integrated values.
+    to the integrated values. All nodes of all segments are solved in one
+    solve_points call, and the weighted values are summed node by node in
+    segment order, as a running sum.
     """
     if profile.difficulty is not None:
-        _, rep = evaluate_point(profile.params_at(params, profile.difficulty), ability, params.tau)
-        return rep
+        grid = _at_levels(solve_points, params, ability, profile, np.array([profile.difficulty]))
+        return QualityReport.from_values(float(grid.q[0]), float(grid.q0[0]), params.tau)
     base_h, base_w = unit_quadrature(profile.nodes)
-    q = 0.0
-    q0 = 0.0
     cuts = _smooth_breakpoints(params, ability, profile)
-    for lo, hi in zip(cuts, cuts[1:]):
-        width = hi - lo
-        if width <= 0.0:
-            continue
-        for x, w in zip(base_h, base_w):
-            h = lo + width * float(x)
-            _, rep = evaluate_point(profile.params_at(params, h), ability, params.tau)
-            q += width * w * rep.q
-            q0 += width * w * rep.q0
+    lo, width = cuts[:-1], np.diff(cuts)
+    lo, width = lo[width > 0.0, None], width[width > 0.0, None]
+    grid = _at_levels(solve_points, params, ability, profile, (lo + width * base_h).ravel())
+    weight = (width * base_w).ravel()
+    # np.cumsum adds left to right, as the running sum does; numpy's sum
+    # adds pairwise and would change the last bits
+    q = np.cumsum(np.concatenate(([0.0], weight * grid.q)))[-1]
+    q0 = np.cumsum(np.concatenate(([0.0], weight * grid.q0)))[-1]
     return QualityReport.from_values(q, q0, params.tau)
 
 

@@ -237,6 +237,8 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str,
                   tau: float | None = None, cap: float | None = None,
                   scan_points: int = 400, tol: float = 1e-9) -> LeverTarget:
     """Smallest value of one lever (alpha, beta, or p_a) with quality >= tau."""
+    if scan_points < 1:
+        raise ValueError(f"scan_points must be >= 1, got {scan_points}")
     if tau is None:
         tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))

@@ -121,7 +121,10 @@ class ExecutionCost:
         if not self.in_domain(beta):
             span = "[0, 1]" if self.kind == LINEAR_IN_EFFICIENCY else "(0, inf)"
             raise ValueError(f"beta={beta} outside {span} for {self.kind}")
-        return self.unchecked_cost(beta)
+        c_w = self.unchecked_cost(beta)
+        if not c_w < math.inf:
+            raise ValueError(f"beta={beta} is too small: the {self.kind} cost must be finite")
+        return c_w
 
     def unchecked_cost(self, beta):
         """C_w(beta) without the domain check; accepts floats or arrays."""
@@ -245,6 +248,49 @@ def reference_params() -> ModelParams:
         verification_cost=VerificationCost(LINEAR, 1.0),
         execution_cost=ExecutionCost(LINEAR_IN_EFFICIENCY, 5.0),
     )
+
+
+def _replace_unchecked(obj, **changes):
+    """A copy of a frozen dataclass with fields changed, skipping its validation."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(vars(obj), **changes)
+    return new
+
+
+def point_params(params: ModelParams, p_w=None, p_a=None, execution_scale=None,
+                 verification_rate=None, check: bool = True) -> ModelParams:
+    """params with new values for the fields that can vary from point to point.
+
+    These are p_w, p_a, the execution-cost scale and a verification rate,
+    which makes the verification cost linear at that rate; None keeps the
+    field. With check, the values are floats and pass through the
+    validating constructors, so a bad one raises what they raise, checked
+    in the order execution scale, verification rate, p_a, p_w. Without
+    check they may be arrays with one entry per point, which the caller has
+    checked; the *_at and *_value helpers and the cost families then read
+    them element by element.
+    """
+    build = replace if check else _replace_unchecked
+    changes = {name: value for name, value in (("p_w", p_w), ("p_a", p_a)) if value is not None}
+    if execution_scale is not None:
+        changes["execution_cost"] = build(params.execution_cost, scale=execution_scale)
+    if verification_rate is not None:
+        changes["verification_cost"] = build(VerificationCost(LINEAR), k=verification_rate)
+    return build(params, **changes)
+
+
+def check_overflow(detection: Detection, alpha: float, c_w: float, kappa: float = 1.0) -> None:
+    """Reject an alpha or a kappa so large that a product the formulas read overflows.
+
+    Every formula reads alpha through detection.scale * alpha, and the redo
+    cost as kappa * C_w. An infinite product turns phi, s_dagger or the
+    cost of a corrected error into NaN (0 * inf), so the entry points check
+    both once, after C_w.
+    """
+    if not detection.scale * alpha < math.inf:
+        raise ValueError(f"alpha={alpha} is too large: detection scale * alpha must be finite")
+    if not kappa * c_w < math.inf:
+        raise ValueError(f"kappa={kappa} is too large: kappa * C_w must be finite")
 
 
 def detection_probability(detection: Detection, alpha: float, s: float):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .model import (
     INVERSE_LINEAR, LINEAR, Ability, Action, Detection, ModelParams, VerificationCost,
-    coefficients, delegation_gain, detection_probability, phi_coefficients, worker_increment,
+    check_overflow, coefficients, delegation_gain, detection_probability, phi_coefficients,
+    worker_increment,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -158,21 +159,26 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
 
 def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: VerificationCost,
                            phi_coefficient: np.ndarray) -> np.ndarray:
-    """maximize_surplus at every element of the alpha and phi_coefficient arrays."""
+    """maximize_surplus at every element of the alpha and phi_coefficient arrays.
+
+    A linear vcost may hold an array of rates, one per element.
+    """
     s_dagger = np.zeros(np.shape(alpha))
     live = ~((phi_coefficient <= 0.0) | (alpha <= 0.0))
     alpha, k = alpha[live], phi_coefficient[live]
     if vcost.kind == LINEAR:
         a = detection.scale * alpha
-        arg = a * k / vcost.k
+        arg = a * k / (vcost.k[live] if isinstance(vcost.k, np.ndarray) else vcost.k)
         s0 = np.zeros(len(a))
-        if detection.kind == INVERSE_LINEAR:
-            pos = arg > 0
-            s0[pos] = (np.sqrt(arg[pos]) - 1.0) / a[pos]
-        else:
-            # math.log as in the scalar branch: np.log can differ from it by an ulp
-            big = arg > 1.0
-            s0[big] = np.array([math.log(x) for x in arg[big].tolist()]) / a[big]
+        # a subnormal a sends s0 to +-inf before the clamp, silently as floats do
+        with np.errstate(over="ignore"):
+            if detection.kind == INVERSE_LINEAR:
+                pos = arg > 0
+                s0[pos] = (np.sqrt(arg[pos]) - 1.0) / a[pos]
+            else:
+                # math.log as in the scalar branch: np.log can differ from it by an ulp
+                big = arg > 1.0
+                s0[big] = np.array([math.log(x) for x in arg[big].tolist()]) / a[big]
         s_dagger[live] = np.minimum(1.0, np.maximum(0.0, s0))
         return s_dagger
 
@@ -205,6 +211,7 @@ def optimal_action(params: ModelParams, ability: Ability, kappa: float = 1.0) ->
     the cost of redoing the task after a detected AI error.
     """
     c_w = params.execution_cost.cost(ability.beta)
+    check_overflow(params.detection, ability.alpha, c_w, kappa)
     k_w = phi_coefficients(params, c_w, kappa)[0]
     s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
     phi = detection_probability(params.detection, ability.alpha, s_dag)
@@ -250,17 +257,19 @@ def bisect(pred, lo: float, hi: float, tol: float, steps: int | None = None):
     return lo, hi
 
 
-def bisect_array(pred, lo: np.ndarray, hi: np.ndarray, tol: float):
+def bisect_array(pred, lo: np.ndarray, hi: np.ndarray, tol: float, steps: int | None = None):
     """bisect on many intervals at once; returns new (lo, hi) arrays.
 
     pred(i, mid) gives, for each k, whether the predicate of interval i[k]
     holds at mid[k]; it is asked only about intervals still narrowing. Each
-    interval stops by bisect's rules, so it takes exactly the iterates
-    bisect would.
+    interval stops by bisect's rules, steps included, so it takes exactly
+    the iterates bisect would.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     live = np.flatnonzero(hi - lo > tol)
-    while len(live):
+    for _ in itertools.count() if steps is None else range(steps):
+        if not len(live):
+            break
         mid = 0.5 * (lo[live] + hi[live])
         on = pred(live, mid)
         # an interval stops when the end it would move already equals the midpoint
@@ -337,8 +346,9 @@ def brute_force_action(params: ModelParams, ability: Ability,
         raise ValueError("grid needs at least 2 steps per axis")
     d = np.linspace(0.0, 1.0, d_steps)[:, None]
     s = np.linspace(0.0, 1.0, s_steps)[None, :]
-    phi = params.detection.prob(ability.alpha, s)
     c_w = params.execution_cost.cost(ability.beta)
+    check_overflow(params.detection, ability.alpha, c_w)
+    phi = params.detection.prob(ability.alpha, s)
     c_v = params.verification_cost.cost(s)
     p = (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
     cost = (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * c_w)

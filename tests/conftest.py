@@ -8,6 +8,8 @@ import pytest
 
 import delver as dv
 import delver.calibration as cal
+from delver.model import INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY
+from delver.sampling import sample_params
 
 CLINICIAN_INSTITUTION = cal.InstitutionSpec(b_i=2787.6, l_i=1858.4, xi=0.5, tau=150.0)
 
@@ -33,6 +35,20 @@ def clinician_worker(clinician_records):
 @pytest.fixture(scope="session")
 def clinician_classified(clinician_worker):
     return cal.classify_calibrated(clinician_worker, CLINICIAN_INSTITUTION)
+
+
+def family_configs():
+    """One sample_params draw per detection x verification x execution family triple."""
+    configs = {}
+    seed = 0
+    while len(configs) < 8:
+        rng = np.random.default_rng(seed)
+        for kind in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
+            params = sample_params(rng, kind)
+            triple = (params.detection.kind, params.verification_cost.kind, kind)
+            configs.setdefault(triple, params)
+        seed += 1
+    return configs
 
 
 def ability_grid(params, n=7):

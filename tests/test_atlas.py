@@ -3,7 +3,7 @@
 import io
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,14 @@ import pytest
 import delver as dv
 from delver.atlas import (
     AtlasRow, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
-    psi_tau, quality, separatrix_intersection, solve_points, sweep_grid, write_atlas_csv,
+    psi_tau, quality, separatrix_intersection, solve_actions, solve_points, sweep_grid,
+    write_atlas_csv,
 )
-from delver.model import INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY, Ability, coefficients
-from delver.sampling import beta_span, sample_params
-from delver.solver import Regime, manual_delegation_threshold
+from delver.model import INVERSE_EFFICIENCY, Ability, ExecutionCost, coefficients, point_params
+from delver.sampling import beta_span
+from delver.solver import REGIMES, Regime, manual_delegation_threshold
+
+from conftest import family_configs
 
 
 def psi0_closed(beta):
@@ -96,25 +99,15 @@ class TestSeparatrices:
         assert beta == pytest.approx(0.82, abs=0.01)
 
 
-def _family_configs():
-    """One sample_params draw per detection x verification x execution family triple."""
-    configs = {}
-    seed = 0
-    while len(configs) < 8:
-        rng = np.random.default_rng(seed)
-        for kind in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
-            params = sample_params(rng, kind)
-            triple = (params.detection.kind, params.verification_cost.kind, kind)
-            configs.setdefault(triple, params)
-        seed += 1
-    return configs
-
-
 def _assert_rows_are_evaluate_point(grid, params, points, tau):
-    """Every column of grid equals evaluate_point at points, bit for bit."""
+    """Every column of grid equals evaluate_point at points, bit for bit.
+
+    params is one ModelParams for every point, or a list with one per point.
+    """
     expected = []
-    for alpha, beta in points:
-        act, rep = dv.evaluate_point(params, Ability(float(alpha), float(beta)), tau)
+    per_point = params if isinstance(params, list) else [params] * len(points)
+    for point, (alpha, beta) in zip(per_point, points):
+        act, rep = dv.evaluate_point(point, Ability(float(alpha), float(beta)), tau)
         expected.append(AtlasRow(
             alpha=float(alpha), beta=float(beta), d_star=act.d_star, s_star=act.s_star,
             regime=act.regime, q=rep.q, q0=rep.q0, gap=rep.gap,
@@ -149,7 +142,7 @@ class TestSweep:
         assert coords == sorted(coords)
 
     @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
-                                        for triple, params in sorted(_family_configs().items())])
+                                        for triple, params in sorted(family_configs().items())])
     @pytest.mark.parametrize("tau", [None, 0.0])
     def test_array_sweep_equals_scalar_evaluate_point(self, params, tau):
         alpha_range = (0.0, 3.0, 31)
@@ -160,7 +153,7 @@ class TestSweep:
         _assert_rows_are_evaluate_point(grid, params, points, tau)
 
     @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
-                                        for triple, params in sorted(_family_configs().items())])
+                                        for triple, params in sorted(family_configs().items())])
     def test_solve_points_equals_scalar_evaluate_point_off_the_grid(self, params):
         rng = np.random.default_rng(17)
         lo, hi = beta_span(params)
@@ -168,6 +161,78 @@ class TestSweep:
         beta = np.concatenate([rng.uniform(lo, hi, 150), [lo, hi, lo, hi]])
         _assert_rows_are_evaluate_point(solve_points(params, alpha, beta), params,
                                         list(zip(alpha, beta)), None)
+
+    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
+                                        for triple, params in sorted(family_configs().items())])
+    @pytest.mark.parametrize("names", [("p_w",), ("p_a", "verification_rate"), ("execution_scale",),
+                                       ("p_w", "p_a", "execution_scale", "verification_rate")])
+    def test_parameter_columns_equal_the_scalar_path_under_point_params(self, params, names):
+        rng = np.random.default_rng(31)
+        lo, hi = beta_span(params)
+        n = 60
+        alpha = np.concatenate([rng.uniform(0.0, 3.0, n), [0.0, 3.0]])
+        beta = np.concatenate([rng.uniform(lo, hi, n), [lo, hi]])
+        draws = {"p_w": (0.3, 1.0), "p_a": (0.0, 1.0), "execution_scale": (0.2, 8.0),
+                 "verification_rate": (0.1, 3.0)}
+        columns = {name: rng.uniform(*draws[name], n + 2) for name in names}
+        per_point = [point_params(params, **{name: float(c[k]) for name, c in columns.items()})
+                     for k in range(n + 2)]
+        _assert_rows_are_evaluate_point(solve_points(params, alpha, beta, **columns), per_point,
+                                        list(zip(alpha, beta)), None)
+        act = solve_actions(params, alpha, beta, **columns)
+        for k, point in enumerate(per_point):
+            want = dv.optimal_action(point, Ability(float(alpha[k]), float(beta[k])))
+            got = (int(act.d_star[k]), float(act.s_star[k]), REGIMES[act.regime[k]],
+                   float(act.s_dagger[k]))
+            assert repr(got) == repr((want.d_star, want.s_star, want.regime, want.s_dagger))
+
+    @pytest.mark.parametrize("alpha, beta, columns", [
+        ([0.2, 0.3, 0.4], [0.5, 0.5, 0.5], {"p_w": [0.5, 1.5, 0.5]}),
+        ([0.2, 0.3, 0.4], [0.5, 0.5, 0.5], {"p_a": [0.5, 0.5, 1.2]}),
+        ([0.2, 0.3], [0.5, 0.5], {"execution_scale": [1.0, 0.0]}),
+        ([0.2, 0.3], [0.5, 0.5], {"verification_rate": [1.0, math.inf]}),
+        ([0.2, 0.3], [0.5, 0.5], {"p_w": [math.nan, 0.5], "p_a": [-0.1, 0.5]}),
+        ([0.2, 0.3, 0.4], [0.5, 0.5, 0.5],
+         {"execution_scale": [1.0, 1.0, 0.0], "verification_rate": [1.0, 1.0, -1.0]}),
+        ([0.2, 0.3], [0.5, 0.5], {"verification_rate": [1.0, math.inf], "p_a": [0.5, 2.0]}),
+        ([0.2, 0.3], [1.5, 0.5], {"p_w": [0.5, 1.5]}),
+        ([0.2, 0.3], [1.5, 0.5], {"execution_scale": [-2.0, 1.0]}),
+        ([0.2, -1.0], [0.5, 0.5], {"p_a": [0.5, 7.0]}),
+        ([0.2, 1e308], [0.5, 0.5], {"p_w": [0.5, 0.5]}),
+    ], ids=["p_w", "p_a", "scale", "rate", "p_a-before-p_w", "scale-before-rate", "rate-before-p_a",
+            "beta-first", "column-before-beta", "ability-before-column", "alpha-overflow"])
+    def test_column_check_raises_the_scalar_path_error(self, reference, alpha, beta, columns):
+        expected = None
+        for k in range(len(alpha)):
+            try:
+                ability = Ability(alpha[k], beta[k])
+                point = point_params(reference, **{name: c[k] for name, c in columns.items()})
+                dv.evaluate_point(point, ability)
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        for solve in (solve_points, solve_actions):
+            with pytest.raises(ValueError) as info:
+                solve(reference, alpha, beta, **columns)
+            assert str(info.value) == expected
+
+    def test_infinite_manual_cost_is_rejected_as_the_scalar_path(self, reference):
+        params = replace(reference, execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 5.0))
+        # scale / beta overflows at a subnormal beta, or under a huge scale column
+        for beta, columns in (([0.5, 1e-310], {}), ([0.5, 1e-9], {"execution_scale": [1.0, 1e300]})):
+            point = point_params(params, **{name: c[1] for name, c in columns.items()})
+            with pytest.raises(ValueError, match="cost must be finite") as scalar:
+                dv.evaluate_point(point, Ability(0.5, beta[1]))
+            with pytest.raises(ValueError) as info:
+                solve_points(params, [0.5, 0.5], beta, **columns)
+            assert str(info.value) == str(scalar.value)
+
+    def test_unknown_or_mismatched_columns_are_rejected(self, reference):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'p_x'"):
+            solve_points(reference, [0.5], [0.5], p_x=[0.5])
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            solve_points(reference, [0.5, 0.6], [0.5, 0.6], p_w=[0.5])
 
     def test_solve_points_fails_at_the_first_invalid_point(self, reference):
         with pytest.raises(ValueError, match="beta=1.5 outside"):
@@ -198,11 +263,18 @@ class TestSweep:
     def test_boundary_curve_restricts_domains(self, reference):
         betas = np.linspace(0.0, 1.0, 21)
         p0 = boundary_curve(reference, "psi0", betas)
-        assert all(b >= 0.72 - 1e-9 for b, _ in p0)
+        assert all(b >= 0.72 - 1e-9 for b, _, _ in p0)
         p1 = boundary_curve(reference, "psi1", betas)
-        assert all(b <= 0.72 + 1e-9 for b, _ in p1)
+        assert all(b <= 0.72 + 1e-9 for b, _, _ in p1)
         full = boundary_curve(reference, "psi", betas)
         assert len(full) == 21
+        assert all(bracketed for _, _, bracketed in full)
+
+    def test_boundary_curve_keeps_the_bracketed_flag(self, reference):
+        betas = [0.3, 0.9]
+        for beta, alpha, bracketed in boundary_curve(reference, "psi_tau", betas, tau=1000.0):
+            res = psi_tau(reference, beta, 1000.0)
+            assert (alpha, bracketed) == (res.value, res.bracketed) == (10240.0, False)
         with pytest.raises(ValueError):
             boundary_curve(reference, "psi9", betas)
 

@@ -1,11 +1,17 @@
 """Command-line surface: dispatch, determinism, exit codes, file formats."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import delver as dv
 import delver.calibration as cal
@@ -20,14 +26,16 @@ REFERENCE_CONFIG = str(REPO / "configs" / "reference.json")
 # (None for stdout), and the SHA-256 of that output, which must not change by
 # a byte. The atlas digest is what the per-point scalar sweep wrote; the
 # others were taken at commit 81c268f, before the bisection loops, the quality
-# report and the rework extension were folded into shared code.
+# report and the rework extension were folded into shared code. The boundary
+# digest is of the beta,alpha,bracketed schema; its beta,alpha columns are the
+# bytes that 81c268f wrote.
 # name: (argv, (file written, rows) or None for stdout, SHA-256 of the file or of stdout)
 README_GOLDEN = {
     "atlas": (["atlas", "--alpha", "0:1:101", "--beta", "0:1:101", "--out", "atlas.csv"],
               ("atlas.csv", 10201),
               "ffb612b29e7b025b8f872286b49ca361f687ab3b50044879bb4163023f9b8877"),
     "boundary": (["boundary", "--which", "psi_tau", "--beta-range", "0:1:101"],
-                 None, "2b3b1d419b342ff4c7afa057616b3907f4c794decb7b2602e68b2e4751176158"),
+                 None, "6f1ee49858e59bf3cee40dda8e2809fa436465cb44b8c1feb4465f6c2ed1bc97"),
     "institution": (["intervene", "institution", "--lever", "p_a", "--delta", "0.05",
                      "--alpha-range", "0:1:51", "--beta-range", "0:1:51", "--out", "gains.csv"],
                     ("gains.csv", 2601),
@@ -50,6 +58,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def inverse_efficiency_config(directory):
+    """The reference config with execution cost 5 / beta, written to directory."""
+    doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+    doc["functions"]["detection"]["family"] = "exponential"
+    doc["functions"]["execution_cost"]["family"] = "inverse_efficiency"
+    path = Path(directory) / "inverse.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestConfig:
@@ -124,6 +142,33 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--alpha", "1e308", "--beta", "0.5"], "alpha=1e+308 is too large"),
+        (["quality", "--alpha", "1e308", "--beta", "0.5"], "alpha=1e+308 is too large"),
+        (["oracle", "--alpha", "1e308", "--beta", "0.5"], "alpha=1e+308 is too large"),
+        (["extend", "difficulty", "--alpha-range", "1e308:1e308:1", "--beta-range", "0.5:0.5:1",
+          "--out", "grid.csv"], "alpha=1e+308 is too large"),
+        (["atlas", "--alpha", "1e308:1e308:1", "--beta", "0.5:0.5:1", "--out", "grid.csv"],
+         "alpha=1e+308 is too large"),
+        (["extend", "rework", "--kappa", "1e308", "--alpha-range", "0.5:0.5:1",
+          "--beta-range", "0.1:0.1:1", "--out", "grid.csv"], "kappa=1e+308 is too large"),
+        (["solve", "--alpha", "0.5", "--beta", "1e-310", "INVERSE"], "beta=1e-310 is too small"),
+        (["boundary", "--which", "psi_tau", "--beta-range", "1e-310:1e-310:1", "INVERSE"],
+         "beta=1e-310 is too small"),
+    ], ids=["solve", "quality", "oracle", "difficulty", "atlas", "rework-kappa",
+            "solve-tiny-beta", "boundary-tiny-beta"])
+    def test_overflowing_input_is_rejected(self, capsys, tmp_path, monkeypatch, argv, message):
+        # each of these used to exit 0 with nan (or, for boundary, a fake root)
+        monkeypatch.chdir(tmp_path)
+        config = REFERENCE_CONFIG
+        if argv[-1] == "INVERSE":
+            argv, config = argv[:-1], inverse_efficiency_config(tmp_path)
+        code, out, err = run(capsys, *argv, "--config", config)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "grid.csv").exists()
 
@@ -286,8 +331,15 @@ class TestGridCommands:
                            "--which", "psi1", "--beta-range", "0:0.7:8")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "beta,alpha"
+        assert lines[0] == "beta,alpha,bracketed"
         assert len(lines) == 9
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"0", "1"}
+
+    def test_bracket_cap_is_flagged_not_a_root(self, capsys):
+        code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", "psi_tau",
+                           "--tau", "1000", "--beta-range", "0:1:3")
+        assert code == 0
+        assert out == "beta,alpha,bracketed\n0,10240,0\n0.5,10240,0\n1,10240,0\n"
 
     def test_extend_rework_grid(self, capsys, tmp_path):
         out_path = tmp_path / "rework.csv"
@@ -397,3 +449,80 @@ class TestSelfcheck:
         config.write_text(json.dumps(doc))
         out = run_isolated(f"from delver.cli import main; main(['selfcheck', '--config', {str(config)!r}])")
         assert out.splitlines()[0] == "t 11904.7619"
+
+
+# finite floats of every size, including the huge, tiny and subnormal
+# values that sample_ability never draws
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5,
+                     1e300, 1e307, 1e308, 1.7976931348623157e308]))
+
+
+def _extreme_argv(command, alpha, beta, tau):
+    def point(x):
+        return f"{x!r}:{x!r}:1"
+
+    return {
+        "solve": ["solve", f"--alpha={alpha!r}", f"--beta={beta!r}"],
+        "quality": ["quality", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--tau={tau!r}"],
+        "atlas": ["atlas", f"--alpha={point(alpha)}", f"--beta={point(beta)}", f"--tau={tau!r}",
+                  "--out", "atlas.csv"],
+        "boundary": ["boundary", "--which", "psi_tau", f"--beta-range={point(beta)}",
+                     f"--tau={tau!r}"],
+        "difficulty": ["extend", "difficulty", f"--alpha-range={point(alpha)}",
+                       f"--beta-range={point(beta)}"],
+        # rework has no tau; the third draw is its kappa
+        "rework": ["extend", "rework", f"--kappa={tau!r}", f"--alpha-range={point(alpha)}",
+                   f"--beta-range={point(beta)}"],
+    }[command]
+
+
+def _non_finite_numbers(text):
+    numbers = []
+    for token in re.split(r"[\s,]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return [x for x in numbers if not math.isfinite(x)]
+
+
+@pytest.fixture(scope="module")
+def extreme_setup(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("extreme")
+    return directory, [REFERENCE_CONFIG, inverse_efficiency_config(directory)]
+
+
+class TestExtremeInput:
+    @pytest.mark.parametrize("command", ["solve", "quality", "atlas", "boundary",
+                                         "difficulty", "rework"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(alpha=EXTREME_FLOATS, beta=EXTREME_FLOATS, tau=EXTREME_FLOATS,
+           config=st.sampled_from([0, 1]))
+    @example(alpha=1e308, beta=0.5, tau=0.5, config=0)
+    @example(alpha=1.0, beta=5e-324, tau=1e308, config=1)
+    @example(alpha=5e-324, beta=5e-324, tau=5e-324, config=0)
+    def test_finite_output_or_one_error_line(self, extreme_setup, command, alpha, beta, tau,
+                                             config):
+        directory, configs = extreme_setup
+        argv = _extreme_argv(command, alpha, beta, tau)
+        if command == "atlas":
+            argv[-1] = str(directory / "atlas.csv")
+            Path(argv[-1]).unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv + ["--config", configs[config]])
+        # a warning would reach the terminal as more lines on stderr
+        lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+        if code == 0:
+            text = out.getvalue()
+            if command == "atlas":
+                text += Path(argv[-1]).read_text()
+            assert lines == []
+            assert _non_finite_numbers(text) == []
+        else:
+            assert code == 1
+            assert len(lines) == 1 and lines[0].startswith("error: ")

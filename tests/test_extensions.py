@@ -1,6 +1,6 @@
 """Difficulty, belief, and rework extensions: reductions and directional effects."""
 
-from dataclasses import replace
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +12,32 @@ from delver.extensions import (
 )
 from delver.model import Ability, Action
 from delver.sampling import sample_ability, sample_params
+
+from conftest import family_configs
+
+# SHA-256 of the reprs of difficulty_reports(), taken from the scalar
+# integration that solved every difficulty level with its own evaluate_point
+DIFFICULTY_REPORTS_DIGEST = "adb381479498a55d43d357b774565634f9a5f1439782d32ef40551bd681c3b8b"
+DIFFICULTY_PROFILES = [
+    DifficultyProfile(), DifficultyProfile(nodes=1), DifficultyProfile(nodes=8),
+    DifficultyProfile(worker_success=(0.9, -0.4), ai_success=(0.95, -0.8),
+                      execution_scale=(0.5, 4.0), verification_rate=(0.2, 2.5), nodes=16),
+    DifficultyProfile(difficulty=0.3),
+]
+
+
+def difficulty_reports():
+    """120 reports: 3 sampled workers per family triple under each profile.
+
+    Between them the integrated profiles place 0 to 5 kinks per worker.
+    """
+    reports = []
+    for i, (_, params) in enumerate(sorted(family_configs().items())):
+        rng = np.random.default_rng(700 + i)
+        abilities = [sample_ability(rng, params) for _ in range(3)]
+        for profile in DIFFICULTY_PROFILES:
+            reports.extend(expected_quality(params, ability, profile) for ability in abilities)
+    return reports
 
 
 class TestDifficultyProfile:
@@ -31,6 +57,30 @@ class TestDifficultyProfile:
         hs, ws = unit_quadrature(8)
         assert float(np.sum(ws)) == pytest.approx(1.0, rel=1e-14)
         assert float(np.sum(ws * hs ** 5)) == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+    def test_cached_quadrature_is_read_only(self):
+        hs, ws = unit_quadrature(8)
+        assert unit_quadrature(8)[0] is hs
+        for array in (hs, ws):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    def test_reports_equal_the_per_level_integration(self):
+        text = "\n".join(map(repr, difficulty_reports()))
+        assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
+
+    @pytest.mark.parametrize("profile, h", [
+        (DifficultyProfile(execution_scale=(0.0, 0.0)), 0.5 / 257),
+        (DifficultyProfile(difficulty=0.0), 0.0),
+        (DifficultyProfile(verification_rate=(0.0, 1.0), difficulty=0.0), 0.0),
+    ], ids=["zero-scale", "pinned-at-zero-scale", "pinned-at-zero-rate"])
+    def test_invalid_level_raises_the_scalar_path_error(self, reference, profile, h):
+        with pytest.raises(ValueError) as scalar:
+            profile.params_at(reference, h)
+        with pytest.raises(ValueError) as info:
+            expected_quality(reference, Ability(0.5, 0.5), profile)
+        assert str(info.value) == str(scalar.value)
 
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):
         profile = DifficultyProfile(difficulty=0.5)

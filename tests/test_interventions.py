@@ -123,6 +123,15 @@ class TestMinimalLever:
         with pytest.raises(ValueError):
             minimal_lever(reference, Ability(0.1, 0.5), "gamma", tau=6.4)
 
+    @pytest.mark.parametrize("tau", [6.4, 0.0], ids=["reachable", "already-qualified"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_scan_points_must_be_positive(self, reference, tau, value):
+        # an empty scan used to report the reachable target as infeasible at the cap
+        with pytest.raises(ValueError, match="scan_points must be >= 1"):
+            minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=tau, scan_points=value)
+        assert minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=tau,
+                             scan_points=1).feasible
+
 
 class TestUpskill:
     def test_axis_searches_match_single_levers(self, reference):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import delver as dv
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
-    check_assumptions, coefficients, delegation_gain, detection_probability,
-    institutional_utility, task_success, total_cost, verification_surplus,
+    check_assumptions, check_overflow, coefficients, delegation_gain, detection_probability,
+    institutional_utility, point_params, task_success, total_cost, verification_surplus,
     worker_utility,
 )
 from delver.sampling import sample_ability, sample_params
@@ -268,6 +268,38 @@ class TestParamsValidation:
                       lambda: ExecutionCost("linear_in_efficiency", value)):
             with pytest.raises(ValueError, match="finite"):
                 build()
+
+    def test_infinite_manual_cost_rejected(self):
+        cost = ExecutionCost("inverse_efficiency", 5.0)
+        assert math.isfinite(cost.cost(1e-300))
+        with pytest.raises(ValueError, match="beta=1e-310 is too small"):
+            cost.cost(1e-310)
+
+    def test_overflowing_products_rejected(self, reference):
+        check_overflow(reference.detection, 1e307, 5.0, 1e307)
+        with pytest.raises(ValueError, match="alpha=1e\\+308 is too large"):
+            check_overflow(reference.detection, 1e308, 5.0)
+        with pytest.raises(ValueError, match="kappa=1e\\+308 is too large"):
+            check_overflow(reference.detection, 0.5, 5.0, 1e308)
+        for alpha, kappa in ((1e308, 1.0), (0.5, 1e308)):
+            with pytest.raises(ValueError, match="too large"):
+                dv.optimal_action(reference, Ability(alpha, 0.5), kappa)
+
+    def test_point_params_validates_in_constructor_order(self, reference):
+        point = point_params(reference, p_w=0.5, p_a=0.4, execution_scale=2.0,
+                             verification_rate=0.7)
+        assert (point.p_w, point.p_a) == (0.5, 0.4)
+        assert point.execution_cost == ExecutionCost("linear_in_efficiency", 2.0)
+        assert point.verification_cost == VerificationCost("linear", 0.7)
+        assert point_params(reference) == reference
+        bad = dict(p_w=2.0, p_a=2.0, execution_scale=0.0, verification_rate=0.0)
+        for message, fixed in (("execution cost scale", "execution_scale"),
+                               ("verification cost", "verification_rate"), ("p_a", "p_a"),
+                               ("p_w", None)):
+            with pytest.raises(ValueError, match=message):
+                point_params(reference, **bad)
+            if fixed:
+                bad[fixed] = 0.5
 
     def test_action_bounds(self):
         with pytest.raises(ValueError):

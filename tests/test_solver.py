@@ -307,6 +307,24 @@ class TestBisectArray:
             for r in rows.tolist():
                 assert asked[r] == calls[r]
 
+    @pytest.mark.parametrize("steps", [0, 1, 7, 45])
+    def test_steps_cap_equals_bisect(self, steps):
+        # at tol 0 only the cap and the no-float-between stop end a search
+        lo, hi, switch = (np.array(column) for column in zip(*[c[:3] for c in self.CASES]))
+        asked = [[] for _ in self.CASES]
+
+        def pred(i, mid):
+            for k, m in zip(i.tolist(), mid.tolist()):
+                asked[k].append(m)
+            return mid >= switch[i]
+
+        got_lo, got_hi = bisect_array(pred, lo, hi, 0.0, steps=steps)
+        for k, (a, b, x0, _) in enumerate(self.CASES):
+            calls = []
+            want = bisect(lambda x: calls.append(x) or x >= x0, a, b, 0.0, steps=steps)
+            assert np.array(want).tobytes() == np.array([got_lo[k], got_hi[k]]).tobytes()
+            assert asked[k] == calls
+
     def test_inputs_are_not_modified(self):
         lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])
         bisect_array(lambda i, mid: mid > 0.5, lo, hi, 1e-3)
