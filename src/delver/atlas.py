@@ -10,7 +10,6 @@ map in one array pass and hold it as columns for CSV emission.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, fields
@@ -474,7 +473,6 @@ def write_atlas_csv(grid: AtlasGrid, fileobj):
 
 def write_boundary_csv(points, fileobj):
     """Write boundary_curve's samples as beta,alpha,bracketed rows, the flag as 1 or 0."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["beta", "alpha", "bracketed"])
+    fileobj.write("beta,alpha,bracketed\n")
     for beta, alpha, bracketed in points:
-        writer.writerow([fmt(beta), fmt(alpha), int(bracketed)])
+        fileobj.write(f"{fmt(beta)},{fmt(alpha)},{int(bracketed)}\n")

@@ -8,6 +8,7 @@ identical inputs; floats are printed at 9 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,13 +33,39 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, default=_jsonable))
+def _text(value):
+    if isinstance(value, bool):
+        return str(int(value))
+    return fmt(value) if isinstance(value, float) else str(value)
 
 
-def _emit_lines(pairs):
-    for key, value in pairs:
-        print(f"{key} {value}")
+def _emit(args, payload, json_only=()):
+    """Print payload as one sorted JSON line under --json, else as `key value` lines.
+
+    Floats are rounded to 9 significant digits either way; keys in json_only
+    are left out of the text form.
+    """
+    if getattr(args, "json", False):
+        print(json.dumps({key: _jsonable(value) for key, value in payload.items()}, sort_keys=True))
+        return
+    for key, value in payload.items():
+        if key not in json_only:
+            print(key, _text(value))
+
+
+def _pick(obj, names):
+    return {name: _jsonable(getattr(obj, name)) for name in names}
+
+
+def _write_out(out, rows, write):
+    """write(fileobj) to the file out, reporting the row count, or to stdout if out is None."""
+    if out is None:
+        write(sys.stdout)
+        return 0
+    with open(out, "w", newline="") as fh:
+        write(fh)
+    print(f"wrote {rows} rows to {out}")
+    return 0
 
 
 def _ability(args):
@@ -55,74 +82,43 @@ def cmd_solve(args):
     params = load_params(args.config)
     ability = _ability(args)
     act, rep, u_w = _solve_payload(params, ability)
-    rows = [("regime", act.regime.value), ("d_star", act.d_star),
-            ("s_star", fmt(act.s_star)), ("s_dagger", fmt(act.s_dagger)),
-            ("f_w_at_s_dagger", fmt(act.f_w_at_s_dagger)), ("u_w", fmt(u_w))]
-    payload = {"regime": act.regime.value, "d_star": act.d_star,
-               "s_star": _jsonable(act.s_star), "s_dagger": _jsonable(act.s_dagger),
-               "f_w_at_s_dagger": _jsonable(act.f_w_at_s_dagger), "u_w": _jsonable(u_w),
-               "config": params_to_dict(params),
-               "alpha": _jsonable(ability.alpha), "beta": _jsonable(ability.beta)}
+    payload = {"regime": act.regime.value, "d_star": act.d_star, "s_star": act.s_star,
+               "s_dagger": act.s_dagger, "f_w_at_s_dagger": act.f_w_at_s_dagger, "u_w": u_w,
+               "config": params_to_dict(params), "alpha": ability.alpha, "beta": ability.beta}
     if args.verify:
         oracle_action, oracle_u = brute_force_action(params, ability)
-        rows += [("oracle_d", fmt(oracle_action.d)), ("oracle_s", fmt(oracle_action.s)),
-                 ("oracle_u", fmt(oracle_u)), ("analytic_minus_oracle", fmt(u_w - oracle_u))]
-        payload.update({"oracle_d": _jsonable(oracle_action.d), "oracle_s": _jsonable(oracle_action.s),
-                        "oracle_u": _jsonable(oracle_u),
-                        "analytic_minus_oracle": _jsonable(u_w - oracle_u)})
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_lines(rows)
+        payload.update(oracle_d=oracle_action.d, oracle_s=oracle_action.s, oracle_u=oracle_u,
+                       analytic_minus_oracle=u_w - oracle_u)
+    _emit(args, payload, json_only=("config", "alpha", "beta"))
     return 0
 
 
 def cmd_quality(args):
     params = load_params(args.config)
-    ability = _ability(args)
     tau = args.tau if args.tau is not None else params.tau
-    act, rep = evaluate_point(params, ability, tau)
-    payload = {"q": _jsonable(rep.q), "q0": _jsonable(rep.q0), "gap": _jsonable(rep.gap),
-               "quality": rep.quality_label.value, "compliance": rep.compliance_label.value,
-               "regime": act.regime.value, "tau": _jsonable(tau)}
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_lines([(k, v if isinstance(v, str) else fmt(float(v))) for k, v in payload.items()])
+    act, rep = evaluate_point(params, _ability(args), tau)
+    _emit(args, {"q": rep.q, "q0": rep.q0, "gap": rep.gap, "quality": rep.quality_label.value,
+                 "compliance": rep.compliance_label.value, "regime": act.regime.value, "tau": tau})
     return 0
 
 
 def cmd_atlas(args):
     params = load_params(args.config)
     grid = sweep_grid(params, parse_range(args.alpha), parse_range(args.beta), tau=args.tau)
-    with open(args.out, "w", newline="") as fh:
-        write_atlas_csv(grid, fh)
-    print(f"wrote {len(grid)} rows to {args.out}")
-    return 0
+    return _write_out(args.out, len(grid), lambda fh: write_atlas_csv(grid, fh))
 
 
 def cmd_boundary(args):
     params = load_params(args.config)
     betas = np.linspace(*parse_range(args.beta_range))
     points = boundary_curve(params, args.which, betas, tau=args.tau)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_boundary_csv(points, fh)
-        print(f"wrote {len(points)} rows to {args.out}")
-    else:
-        write_boundary_csv(points, sys.stdout)
-    return 0
+    return _write_out(args.out, len(points), lambda fh: write_boundary_csv(points, fh))
 
 
 def cmd_oracle(args):
     params = load_params(args.config)
-    ability = _ability(args)
-    action, u = brute_force_action(params, ability, args.d_steps, args.s_steps)
-    payload = {"d": _jsonable(action.d), "s": _jsonable(action.s), "u_w": _jsonable(u)}
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_lines([("d", fmt(action.d)), ("s", fmt(action.s)), ("u_w", fmt(u))])
+    action, u = brute_force_action(params, _ability(args), args.d_steps, args.s_steps)
+    _emit(args, {"d": action.d, "s": action.s, "u_w": u})
     return 0
 
 
@@ -140,48 +136,35 @@ def _parse_cost_term(text):
 
 def cmd_intervene_worker(args):
     params = load_params(args.config)
-    ability = _ability(args)
     model = CostModel(h_alpha=_parse_cost_term(args.h1), h_beta=_parse_cost_term(args.h2))
-    plan = worker_upskill(params, ability, model, tau=args.tau)
-    payload = {"d_alpha": _jsonable(plan.d_alpha), "d_beta": _jsonable(plan.d_beta),
-               "cost": _jsonable(plan.cost), "achieved_q": _jsonable(plan.achieved_q),
-               "feasible": plan.feasible}
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit_lines([("d_alpha", fmt(plan.d_alpha)), ("d_beta", fmt(plan.d_beta)),
-                     ("cost", fmt(plan.cost)), ("achieved_q", fmt(plan.achieved_q)),
-                     ("feasible", int(plan.feasible))])
+    plan = worker_upskill(params, _ability(args), model, tau=args.tau)
+    _emit(args, _pick(plan, ("d_alpha", "d_beta", "cost", "achieved_q", "feasible")))
     return 0
 
 
 def cmd_intervene_institution(args):
     params = load_params(args.config)
+    lever = ai_upgrade_gain if args.lever == "p_a" else incentive_transfer_gain
+    fields = ["lever", "delta", "gain", "new_q"]
 
     def gain_at(ability):
-        if args.lever == "p_a":
-            return ai_upgrade_gain(params, ability, args.delta)
-        return incentive_transfer_gain(params, ability, args.delta)
+        res = lever(params, ability, args.delta)
+        return {name: getattr(res, name) for name in fields}
 
-    def gain_fields(ability):
-        res = gain_at(ability)
-        return [res.lever, fmt(res.delta), fmt(res.gain), fmt(res.new_q)]
-
-    if args.alpha_range and args.beta_range:
-        return _write_grid(args, ["lever", "delta", "gain", "new_q"], gain_fields)
-    if args.alpha is None or args.beta is None:
-        raise ConfigError("need --alpha and --beta, or --alpha-range and --beta-range")
-    res = gain_at(_ability(args))
-    _emit_lines([("lever", res.lever), ("delta", fmt(res.delta)),
-                 ("gain", fmt(res.gain)), ("new_q", fmt(res.new_q))])
+    given = [x is not None for x in (args.alpha, args.beta, args.alpha_range, args.beta_range)]
+    if given == [False, False, True, True]:
+        return _write_grid(args, fields, lambda ability: [*map(_text, gain_at(ability).values())])
+    if given != [True, True, False, False]:
+        raise ConfigError("need --alpha and --beta, or --alpha-range and --beta-range"
+                          + (", not both" if any(given[:2]) and any(given[2:]) else ""))
+    _emit(args, gain_at(_ability(args)))
     return 0
 
 
 def cmd_intervene_minimal(args):
     params = load_params(args.config)
     target = minimal_lever(params, _ability(args), args.lever, tau=args.tau)
-    _emit_lines([("lever", target.lever), ("value", fmt(target.value)),
-                 ("feasible", int(target.feasible))])
+    _emit(args, _pick(target, ("lever", "value", "feasible")))
     return 0
 
 
@@ -200,13 +183,7 @@ def _write_grid(args, header, evaluate):
             fields = evaluate(Ability(float(alpha), float(beta)))
             lines.append(",".join([fmt(float(alpha)), fmt(float(beta))] + fields))
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as out:
-            out.write(text)
-        print(f"wrote {len(lines) - 1} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_out(args.out, len(lines) - 1, lambda fh: fh.write(text))
 
 
 _REPORT_HEADER = ["q", "q0", "gap", "quality", "compliance"]
@@ -249,22 +226,13 @@ def cmd_calibrate(args):
     obs = cal.estimate_observables(records)
     worker = cal.infer_ability(obs, args.tvmax, args.twmax)
     payload = {
-        "cleaning": {"n_input": cleaning.n_input, "n_time_dropped": cleaning.n_time_dropped,
-                     "n_override_dropped": cleaning.n_override_dropped,
-                     "n_retained": cleaning.n_retained,
-                     "override_fraction": _jsonable(cleaning.override_fraction)},
-        "observables": {"n": obs.n, "p_w": _jsonable(obs.p_w), "p_a": _jsonable(obs.p_a),
-                        "p_assisted": _jsonable(obs.p_assisted), "c_w": _jsonable(obs.c_w),
-                        "c_wa": _jsonable(obs.c_wa), "pr_unchanged": _jsonable(obs.pr_unchanged),
-                        "cost_assisted": _jsonable(obs.cost_assisted)},
-        "worker": {"phi_at_s_dagger": _jsonable(worker.phi_at_s_dagger),
-                   "c_v_at_s_dagger": _jsonable(worker.c_v_at_s_dagger),
-                   "t_v_max": _jsonable(worker.t_v_max), "t_w_max": _jsonable(worker.t_w_max),
-                   "detection_scale": _jsonable(worker.detection_scale),
-                   "s_dagger": _jsonable(worker.s_dagger),
-                   "alpha": _jsonable(worker.alpha), "beta": _jsonable(worker.beta),
-                   "stakes": None if worker.stakes is None else _jsonable(worker.stakes),
-                   "boundary": worker.boundary},
+        "cleaning": _pick(cleaning, ("n_input", "n_time_dropped", "n_override_dropped",
+                                     "n_retained", "override_fraction")),
+        "observables": _pick(obs, ("n", "p_w", "p_a", "p_assisted", "c_w", "c_wa",
+                                   "pr_unchanged", "cost_assisted")),
+        "worker": _pick(worker, ("phi_at_s_dagger", "c_v_at_s_dagger", "t_v_max", "t_w_max",
+                                 "detection_scale", "s_dagger", "alpha", "beta", "stakes",
+                                 "boundary")),
     }
     if worker.stakes is not None:
         b_i = args.b_i if args.b_i is not None else 0.6 * worker.stakes
@@ -274,34 +242,28 @@ def cmd_calibrate(args):
         payload["classification"] = {
             "params": params_to_dict(result.worker.params),
             "regime": result.action.regime.value,
-            "d_star": result.action.d_star,
-            "s_star": _jsonable(result.action.s_star),
-            "f_w_at_s_dagger": _jsonable(result.action.f_w_at_s_dagger),
-            "q": _jsonable(result.report.q), "q0": _jsonable(result.report.q0),
             "quality": result.report.quality_label.value,
             "compliance": result.report.compliance_label.value,
-            "lever_targets": {name: {"value": _jsonable(t.value), "feasible": t.feasible}
+            "lever_targets": {name: _pick(t, ("value", "feasible"))
                               for name, t in sorted(result.lever_targets.items())},
-            "warnings": result.warnings,
-            "min_viable_benefit_share": _jsonable(result.min_viable_benefit_share),
+            **_pick(result.action, ("d_star", "s_star", "f_w_at_s_dagger")),
+            **_pick(result.report, ("q", "q0")),
+            **_pick(result, ("warnings", "min_viable_benefit_share")),
         }
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable))
+    print(json.dumps(payload, sort_keys=True, indent=None if args.json else 2))
     return 0
 
 
 def cmd_selfcheck(args):
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     params = load_params(args.config)
     t = manual_delegation_threshold(params)
     t_tau = qualification_threshold(params)
-    _emit_lines([("t", fmt(t.value) + ("" if t.bracketed else " (boundary)")),
-                 ("t_tau", fmt(t_tau.value) + ("" if t_tau.bracketed else " (boundary)")),
-                 ("dominance", int(params.dominance_holds()))])
-    grid = [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)]
-    report = check_assumptions(params, grid)
-    _emit_lines([("assumptions_ok", int(report.all_ok))])
+    report = check_assumptions(params, [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)])
+    _emit(args, {"t": fmt(t.value) + ("" if t.bracketed else " (boundary)"),
+                 "t_tau": fmt(t_tau.value) + ("" if t_tau.bracketed else " (boundary)"),
+                 "dominance": params.dominance_holds(), "assumptions_ok": report.all_ok})
     for issue in report.violations:
         print(f"violation {issue}")
     rng = np.random.default_rng(args.seed)
@@ -315,55 +277,52 @@ def cmd_selfcheck(args):
         worst = max(worst, gap)
         if gap > 1e-6 * (1.0 + abs(u_w)):
             failures += 1
-    _emit_lines([("oracle_spot_checks", args.samples),
-                 ("oracle_max_shortfall", fmt(worst)),
-                 ("oracle_failures", failures)])
+    _emit(args, {"oracle_spot_checks": args.samples, "oracle_max_shortfall": worst,
+                 "oracle_failures": failures})
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; options shared by commands come from parents."""
     parser = argparse.ArgumentParser(
         prog="delver",
         description="Delegation and verification decisions for AI-assisted work.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_point(p):
-        p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--beta", type=float, required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    point = argparse.ArgumentParser(add_help=False, parents=[config])
+    point.add_argument("--alpha", type=float, required=True)
+    point.add_argument("--beta", type=float, required=True)
+    tau = argparse.ArgumentParser(add_help=False)
+    tau.add_argument("--tau", type=float, default=None)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("solve", help="optimal action for one worker")
-    p.add_argument("--config", required=True)
-    add_point(p)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("solve", parents=[point, as_json], help="optimal action for one worker")
     p.add_argument("--verify", action="store_true", help="compare against the grid oracle")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("quality", help="quality report for one worker")
-    p.add_argument("--config", required=True)
-    add_point(p)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("quality", parents=[point, tau, as_json],
+                       help="quality report for one worker")
     p.set_defaults(func=cmd_quality)
 
-    p = sub.add_parser("atlas", help="quality map on an ability grid, as CSV")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("atlas", parents=[config], help="quality map on an ability grid, as CSV")
     p.add_argument("--alpha", required=True, help="range start:end:count")
     p.add_argument("--beta", required=True, help="range start:end:count")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_atlas)
 
-    p = sub.add_parser("boundary", help="one separatrix as (beta, alpha) CSV")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("boundary", parents=[config], help="one separatrix as (beta, alpha) CSV")
     p.add_argument("--which", required=True, choices=["psi0", "psi1", "psi", "psi_tau"])
     p.add_argument("--beta-range", required=True)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_boundary)
 
-    p = sub.add_parser("oracle", help="brute-force grid maximizer")
-    p.add_argument("--config", required=True)
-    add_point(p)
+    p = sub.add_parser("oracle", parents=[point], help="brute-force grid maximizer")
     p.add_argument("--d-steps", type=int, default=11)
     p.add_argument("--s-steps", type=int, default=4001)
     p.add_argument("--json", action="store_true")
@@ -372,32 +331,26 @@ def build_parser():
     p = sub.add_parser("intervene", help="worker upskilling and institutional levers")
     isub = p.add_subparsers(dest="mode", required=True)
 
-    pw = isub.add_parser("worker", help="minimum-cost upskilling to reach tau")
-    pw.add_argument("--config", required=True)
-    add_point(pw)
-    pw.add_argument("--tau", type=float, default=None)
-    pw.add_argument("--h1", default="linear:1", help="alpha cost: linear:C, power:C:RHO, off")
-    pw.add_argument("--h2", default="linear:1", help="beta cost: linear:C, power:C:RHO, off")
-    pw.add_argument("--json", action="store_true")
-    pw.set_defaults(func=cmd_intervene_worker)
+    p = isub.add_parser("worker", parents=[point, tau], help="minimum-cost upskilling to reach tau")
+    p.add_argument("--h1", default="linear:1", help="alpha cost: linear:C, power:C:RHO, off")
+    p.add_argument("--h2", default="linear:1", help="beta cost: linear:C, power:C:RHO, off")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_intervene_worker)
 
-    pi = isub.add_parser("institution", help="AI upgrade or benefit transfer")
-    pi.add_argument("--config", required=True)
-    pi.add_argument("--lever", required=True, choices=["p_a", "b_transfer"])
-    pi.add_argument("--delta", type=float, required=True)
-    pi.add_argument("--alpha", type=float, default=None)
-    pi.add_argument("--beta", type=float, default=None)
-    pi.add_argument("--alpha-range", default=None)
-    pi.add_argument("--beta-range", default=None)
-    pi.add_argument("--out", default=None)
-    pi.set_defaults(func=cmd_intervene_institution)
+    p = isub.add_parser("institution", parents=[config], help="AI upgrade or benefit transfer")
+    p.add_argument("--lever", required=True, choices=["p_a", "b_transfer"])
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--alpha-range", default=None)
+    p.add_argument("--beta-range", default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_intervene_institution)
 
-    pm = isub.add_parser("minimal", help="smallest single lever reaching tau")
-    pm.add_argument("--config", required=True)
-    add_point(pm)
-    pm.add_argument("--lever", required=True, choices=["alpha", "beta", "p_a"])
-    pm.add_argument("--tau", type=float, default=None)
-    pm.set_defaults(func=cmd_intervene_minimal)
+    p = isub.add_parser("minimal", parents=[point], help="smallest single lever reaching tau")
+    p.add_argument("--lever", required=True, choices=["alpha", "beta", "p_a"])
+    p.add_argument("--tau", type=float, default=None)
+    p.set_defaults(func=cmd_intervene_minimal)
 
     p = sub.add_parser("extend", help="difficulty, belief, and rework extensions")
     p.add_argument("kind", choices=["difficulty", "belief", "rework"])
@@ -422,8 +375,7 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("selfcheck", help="thresholds, assumptions, oracle spot checks")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("selfcheck", parents=[config], help="thresholds, assumptions, oracle spot checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=20)
     p.set_defaults(func=cmd_selfcheck)

@@ -194,6 +194,10 @@ class ModelParams:
         for name in ("p_a", "p_w"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        # each field is finite and >= 0, so a sum can only overflow to +inf
+        for name, stakes in (("b_w + l_w", self.worker_stakes), ("b_i + l_i", self.institution_stakes)):
+            if stakes == math.inf:
+                raise ValueError(f"{name} must be finite, got {stakes}")
 
     @property
     def worker_stakes(self):

@@ -54,6 +54,52 @@ README_GOLDEN = {
 }
 
 
+FIXTURE_CASES = ["--cases", str(cal.fixture_path()), "--tvmax", "118.1", "--twmax", "262.3"]
+# Every single-result command in text and --json form: argv and the SHA-256 of
+# stdout, taken at commit 4ccb96f, before the commands shared one emitter.
+# All but calibrate run on the reference config. The text form of
+# `intervene worker` is README_GOLDEN's.
+SINGLE_RESULT_GOLDEN = {
+    "solve": (["solve", "--alpha", "0.9", "--beta", "0.9"],
+              "1a301d5c1d33873578aac9002c938014d9346acf688834bfd3ac25106ba5f22d"),
+    "solve-json": (["solve", "--alpha", "0.9", "--beta", "0.9", "--json"],
+                   "259d88e9f889752972d3f064da8f36696ad4b7678ad654e959ce860f9ea3fc77"),
+    "solve-verify": (["solve", "--alpha", "0.37", "--beta", "0.61", "--verify"],
+                     "b5e70b0d62001e622b34b34038caef58e70b8068a8507eb56fd2f4ecf3d03f0a"),
+    "solve-verify-json": (["solve", "--alpha", "0.37", "--beta", "0.61", "--verify", "--json"],
+                          "4fd02f6c17e0d6b0ef3cc084c0802aed12295bc4b51f77669b6c933f5b1323b8"),
+    "quality": (["quality", "--alpha", "0.6", "--beta", "0.5"],
+                "3dfb4f61787cc25491bee0d3ea053fe2467444eb6045e805c987542b242ba6b5"),
+    "quality-json": (["quality", "--alpha", "0.6", "--beta", "0.5", "--json"],
+                     "c688adbf9a95137a43f698c41727de2c6bb3674eec3daae864e1025ef3eb6d24"),
+    "oracle": (["oracle", "--alpha", "0.7", "--beta", "0.6", "--d-steps", "5", "--s-steps", "101"],
+               "ba2ad613e37b7c48df105b6e50ac0720fc1c20531874096c617b2c238f177e1a"),
+    "oracle-json": (["oracle", "--alpha", "0.7", "--beta", "0.6", "--d-steps", "5",
+                     "--s-steps", "101", "--json"],
+                    "61ee8e65f37f0ab9ac7d5eddab53d6e6c0c81eaa32dbfa3c81df9a23003a3fe6"),
+    "worker-json": (["intervene", "worker", "--alpha", "0.05", "--beta", "0.1", "--json"],
+                    "251dcc091424ab94aac40157e6f101d0e70df36e1a1969518a239163b023085f"),
+    # no plan reaches tau = 100: cost inf, feasible 0
+    "worker-infeasible": (["intervene", "worker", "--alpha", "0.05", "--beta", "0.1",
+                           "--tau", "100"],
+                          "227cb5e9d97caa58440211a139ba799fb5636a73226eb6e08a6b17275e0ea417"),
+    "worker-infeasible-json": (["intervene", "worker", "--alpha", "0.05", "--beta", "0.1",
+                                "--tau", "100", "--json"],
+                               "2bc34d22f17cf1d9ae1fa61c4f6ae5276bf7257d4d19efa5d27e723d6ec680a9"),
+    "institution": (["intervene", "institution", "--lever", "b_transfer", "--delta", "0.1",
+                     "--alpha", "0.5", "--beta", "0.5"],
+                    "86788145c9e18ce2aabf2fcc6838d7aadbe43a2c0890c46abdfa2449e4824805"),
+    "minimal": (["intervene", "minimal", "--alpha", "0.05", "--beta", "0.5", "--lever", "p_a"],
+                "297dec17fc928b675e1dcbe4997af2d7e161264119582b12e739ebcd08eed629"),
+    "calibrate": (["calibrate", *FIXTURE_CASES, "--tau", "150", "--b-i", "2787.6",
+                   "--l-i", "1858.4", "--xi", "0.5"],
+                  "ae0dcdc62a5bb4f288a5997c0fb69554c5bad789cd26adb34a1e319f3b96880e"),
+    "calibrate-json": (["calibrate", *FIXTURE_CASES, "--json"],
+                       "562b9bb45c36093ba47e59b2f9a3e2ba2af16941b437f1fdd1ed731db8e9a29b"),
+    "selfcheck": (["selfcheck"], "540e06d627770652bd7a7506c6255af7d7bfa8f51d96ad4a5ca554fa63760f91"),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -190,6 +236,24 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("keys, argv, message", [
+        (("b_w", "l_w"), ["solve", "--alpha", "0.5", "--beta", "0.5"], "b_w + l_w must be finite"),
+        (("b_i", "l_i"), ["boundary", "--which", "psi", "--beta-range", "0.5:0.9:3"],
+         "b_i + l_i must be finite"),
+    ], ids=["worker-solve", "institution-boundary"])
+    def test_overflowing_stakes_are_rejected(self, capsys, tmp_path, keys, argv, message):
+        # solve printed f_w_at_s_dagger nan as verified_delegation; boundary printed
+        # alpha 10 flagged as a bracketed root on every row
+        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+        doc["task_profile"].update(dict.fromkeys(keys, 1e308))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestSolve:
     def test_verified_delegation_point(self, capsys):
         code, out, _ = run(capsys, "solve", "--config", REFERENCE_CONFIG,
@@ -218,6 +282,23 @@ class TestSolve:
         _, second, _ = run(capsys, "solve", "--config", REFERENCE_CONFIG,
                            "--alpha", "0.37", "--beta", "0.61", "--json")
         assert first == second
+
+
+class TestSingleResultOutput:
+    @pytest.mark.parametrize("name", SINGLE_RESULT_GOLDEN)
+    def test_command_is_byte_identical(self, capsys, name):
+        argv, digest = SINGLE_RESULT_GOLDEN[name]
+        config = [] if argv[0] == "calibrate" else ["--config", REFERENCE_CONFIG]
+        code, out, err = run(capsys, *argv, *config)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_does_not_stick_to_the_next_call(self, capsys):
+        argv = ["quality", "--config", REFERENCE_CONFIG, "--alpha", "0.6", "--beta", "0.5"]
+        _, as_json, _ = run(capsys, *argv, "--json")
+        _, as_text, _ = run(capsys, *argv)
+        assert json.loads(as_json)["quality"] == "improved"
+        assert as_text.splitlines()[:2] == ["q 7.67410517", "q0 6.75"]
 
 
 class TestGridCommands:
@@ -393,6 +474,22 @@ class TestInterveneAndOracle:
         gain = float([l for l in out.splitlines() if l.startswith("gain")][0].split()[1])
         assert gain == pytest.approx(-0.925, abs=1e-6)
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--alpha-range", "0:1:3", "--alpha", "0.1", "--beta", "0.1"], ", not both\n"),
+        (["--alpha-range", "0:1:3", "--beta-range", "0:1:3", "--alpha", "0.1", "--beta", "0.1"],
+         ", not both\n"),
+        (["--beta-range", "0:1:3"], "--alpha-range and --beta-range\n"),
+        (["--alpha", "0.1"], "--alpha-range and --beta-range\n"),
+    ], ids=["lone-range-and-point", "grid-and-point", "lone-range", "lone-point"])
+    def test_institution_needs_a_point_or_a_grid(self, capsys, extra, message):
+        # a lone range with a point used to print the point's result, and a grid
+        # with a point the grid's
+        code, out, err = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
+                             "--lever", "p_a", "--delta", "0.05", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: need --alpha and --beta") and err.endswith(message)
+        assert len(err.strip().splitlines()) == 1
+
     def test_minimal_lever_command(self, capsys):
         code, out, _ = run(capsys, "intervene", "minimal", "--config", REFERENCE_CONFIG,
                            "--alpha", "0.05", "--beta", "0.5", "--lever", "alpha")
@@ -438,6 +535,10 @@ class TestSelfcheck:
         assert float(lines["t"]) == pytest.approx(0.72, abs=1e-9)
         assert float(lines["t_tau"]) == pytest.approx(4.0 / 15.0, abs=1e-9)
         assert lines["oracle_failures"] == "0"
+
+    def test_negative_samples_is_rejected(self, capsys):
+        code, out, err = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG, "--samples", "-3")
+        assert (code, out, err) == (1, "", "error: --samples must be >= 0, got -3\n")
 
     def test_threshold_above_8192_finishes(self, tmp_path):
         # p_a close to p_w puts the manual-delegation threshold near 1.19e4,

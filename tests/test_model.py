@@ -269,6 +269,12 @@ class TestParamsValidation:
             with pytest.raises(ValueError, match="finite"):
                 build()
 
+    def test_overflowing_stakes_rejected(self, reference):
+        ModelParams(**{**reference.__dict__, "b_w": 1e308, "b_i": 1e308})
+        for pair in (("b_w", "l_w"), ("b_i", "l_i")):
+            with pytest.raises(ValueError, match=f"{pair[0]} \\+ {pair[1]} must be finite"):
+                ModelParams(**{**reference.__dict__, **dict.fromkeys(pair, 1e308)})
+
     def test_infinite_manual_cost_rejected(self):
         cost = ExecutionCost("inverse_efficiency", 5.0)
         assert math.isfinite(cost.cost(1e-300))
