@@ -18,18 +18,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Ability, Action, ModelParams, check_overflow, coefficients, cost_at, delegation_gain,
+    Ability, Action, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
     institution_value, institutional_utility, phi_coefficients, point_params, success_at,
-    verification_surplus, worker_increment,
+    worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
-    maximize_surplus_array, optimal_action, optimal_verification,
+    maximize_surplus, maximize_surplus_array, optimal_action,
 )
 
 UNCHANGED_RTOL = 1e-9
+_ALPHA_MAX = 10.0  # a boundary search's first upper bound, doubled up to 10 times
 _BRACKET_DOUBLINGS = 10
+_ALPHA_TOL = 1e-9
+_BETA_TOL = 1e-6
 _CSV_BLOCK_ROWS = 4096
+BOUNDARIES = ("psi0", "psi1", "psi", "psi_tau")  # the separatrices boundary_curve samples
 
 
 class QualityLabel(str, enum.Enum):
@@ -181,131 +185,128 @@ def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> 
     return evaluate_point(params, ability, tau)[1]
 
 
-def _bisect_boundary(fn, alpha_max: float, tol: float) -> RootResult:
+def _bisect_boundary(fn) -> RootResult:
     """Infimum of {alpha : fn(alpha) > 0} for non-decreasing fn, with flags."""
     lo = 0.0
     if fn(lo) > 0.0:
         return RootResult(lo, False, "low")
-    hi = alpha_max
+    hi = _ALPHA_MAX
     doublings = 0
     while fn(hi) <= 0.0:
         if doublings >= _BRACKET_DOUBLINGS:
             return RootResult(hi, False, "high")
         hi *= 2.0
         doublings += 1
-    lo, hi = bisect(lambda alpha: fn(alpha) > 0.0, lo, hi, tol)
+    lo, hi = bisect(lambda alpha: fn(alpha) > 0.0, lo, hi, _ALPHA_TOL)
     return RootResult(0.5 * (lo + hi), True)
 
 
-def psi0(params: ModelParams, beta: float, alpha_max: float = 10.0,
-         tol: float = 1e-9) -> RootResult:
+def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
+              tau: float | None) -> RootResult | None:
+    """One separatrix at efficiency beta, or None outside its beta domain.
+
+    t is read by psi0, psi1 and psi, tau by psi_tau; psi0 exists for beta >= t
+    and psi1 for beta <= t, each up to 1e-9. The sign function evaluates the
+    model's formulas in the model's order from what depends on beta alone.
+    """
+    if which == "psi":
+        base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t, tau)
+        other = _boundary(params, "psi_prime", beta, t, tau)
+        return other if other.value >= base.value else base
+    if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
+        return None
+    ability = Ability(0.0, beta)  # beta is checked before C_w, as at every entry point
+    det, vcost = params.detection, params.verification_cost
+    c_w = params.execution_cost.cost(beta)
+    k_w, k_i = phi_coefficients(params, c_w)
+    c_v0 = float(vcost.slope(0.0))
+    g_i = institution_value(params, params.p_w, c_w)
+    tau = params.tau if tau is None else tau
+    # -gain clamped at zero, as psi0's domain guarantees up to rounding, keeps psi0(t) = psi1(t)
+    rhs = max(0.0, -delegation_gain(params, ability)) if which == "psi0" else 0.0
+
+    def sign(alpha):
+        if which == "psi1":  # the marginal verification surplus at zero effort
+            return k_w * float(det.slope(alpha, 0.0)) - c_v0
+        s = maximize_surplus(det, alpha, vcost, k_w)
+        phi = float(det.prob(alpha, s))
+        c_v = vcost.cost(s)
+        if which == "psi0":
+            return k_w * phi - c_v - rhs
+        f_i = institution_increment(params, k_i, phi, c_w, c_v)
+        return f_i if which == "psi_prime" else g_i + f_i - tau
+
+    return _bisect_boundary(sign)
+
+
+def _domain_boundary(params: ModelParams, which: str, beta: float, side: str) -> RootResult:
+    t = manual_delegation_threshold(params).value
+    res = _boundary(params, which, beta, t, None)
+    if res is None:
+        raise ValueError(f"{which} needs beta {side} t={t:.6g}, got {beta}")
+    return res
+
+
+def psi0(params: ModelParams, beta: float) -> RootResult:
     """Boundary between manual work and verified delegation at efficiency beta.
 
     Defined for beta at or above the manual-delegation threshold, where the
     delegation increment at the optimal verification effort crosses zero.
-    The condition is evaluated as surplus-at-optimum > -gain with the
-    right side clamped at zero, which the domain guarantees up to rounding;
-    this keeps the junction with psi1 exact when the gain is a few ulps
-    from zero.
     """
-    t = manual_delegation_threshold(params).value
-    if beta < t - 1e-9:
-        raise ValueError(f"psi0 needs beta >= t={t:.6g}, got {beta}")
-    rhs = max(0.0, -delegation_gain(params, Ability(0.0, beta)))
-
-    def f(alpha):
-        ability = Ability(alpha, beta)
-        s_dag = optimal_verification(params, ability)
-        return verification_surplus(params, ability, s_dag) - rhs
-
-    return _bisect_boundary(f, alpha_max, tol)
+    return _domain_boundary(params, "psi0", beta, ">=")
 
 
-def psi1(params: ModelParams, beta: float, alpha_max: float = 10.0,
-         tol: float = 1e-9) -> RootResult:
+def psi1(params: ModelParams, beta: float) -> RootResult:
     """Boundary between pure and verified delegation at efficiency beta.
 
     Defined for beta at or below the manual-delegation threshold, where the
     marginal verification surplus at zero effort crosses zero.
     """
-    t = manual_delegation_threshold(params).value
-    if beta > t + 1e-9:
-        raise ValueError(f"psi1 needs beta <= t={t:.6g}, got {beta}")
-    c_v0 = float(params.verification_cost.slope(0.0))
-
-    def f(alpha):
-        k_w = coefficients(params, Ability(alpha, beta), 0.0).k_w
-        return k_w * float(params.detection.slope(alpha, 0.0)) - c_v0
-
-    return _bisect_boundary(f, alpha_max, tol)
+    return _domain_boundary(params, "psi1", beta, "<=")
 
 
-def psi_prime(params: ModelParams, beta: float, alpha_max: float = 10.0,
-              tol: float = 1e-9) -> RootResult:
+def psi_prime(params: ModelParams, beta: float) -> RootResult:
     """Reliability at which delegation stops hurting the institution."""
-
-    def f(alpha):
-        ability = Ability(alpha, beta)
-        s_dag = optimal_verification(params, ability)
-        return coefficients(params, ability, s_dag).f_i
-
-    return _bisect_boundary(f, alpha_max, tol)
+    return _boundary(params, "psi_prime", beta, None, None)
 
 
-def psi(params: ModelParams, beta: float, alpha_max: float = 10.0,
-        tol: float = 1e-9) -> RootResult:
+def psi(params: ModelParams, beta: float) -> RootResult:
     """Quality-improvement boundary: above it, AI access raises quality.
 
     The manual-work boundary is extended by zero below the delegation
     threshold before taking the pointwise maximum with the institutional
     break-even boundary.
     """
-    t = manual_delegation_threshold(params).value
-    if beta < t:
-        base = RootResult(0.0, True)
-    else:
-        base = psi0(params, beta, alpha_max, tol)
-    other = psi_prime(params, beta, alpha_max, tol)
-    return other if other.value >= base.value else base
+    return _boundary(params, "psi", beta, manual_delegation_threshold(params).value, None)
 
 
-def psi_tau(params: ModelParams, beta: float, tau: float | None = None,
-            alpha_max: float = 10.0, tol: float = 1e-9) -> RootResult:
+def psi_tau(params: ModelParams, beta: float, tau: float | None = None) -> RootResult:
     """Reliability at which quality under delegation reaches tau."""
-    if tau is None:
-        tau = params.tau
-
-    def f(alpha):
-        ability = Ability(alpha, beta)
-        s_dag = optimal_verification(params, ability)
-        coef = coefficients(params, ability, s_dag)
-        return coef.g_i + coef.f_i - tau
-
-    return _bisect_boundary(f, alpha_max, tol)
+    return _boundary(params, "psi_tau", beta, None, tau)
 
 
-def separatrix_intersection(params: ModelParams, beta_hi: float | None = None,
-                            tol: float = 1e-6) -> tuple[float, float]:
+def separatrix_intersection(params: ModelParams) -> tuple[float, float]:
     """(alpha, beta) where the quality boundary meets the manual-work boundary.
 
-    Searches beta above the manual-delegation threshold for the crossing of
-    the institutional break-even boundary with psi0.
+    Searches beta above the manual-delegation threshold, up to the top of
+    the efficiency domain (or max(1, 2t) when it is unbounded), for the
+    crossing of the institutional break-even boundary with psi0.
     """
     t = manual_delegation_threshold(params).value
-    if beta_hi is None:
-        beta_hi = params.execution_cost.beta_domain()[1]
-        if math.isinf(beta_hi):
-            beta_hi = max(1.0, 2.0 * t)
+    beta_hi = params.execution_cost.beta_domain()[1]
+    if math.isinf(beta_hi):
+        beta_hi = max(1.0, 2.0 * t)
 
     def diff(beta):
-        return psi_prime(params, beta).value - psi0(params, beta).value
+        return (_boundary(params, "psi_prime", beta, t, None).value
+                - _boundary(params, "psi0", beta, t, None).value)
 
-    lo, hi = t + 1e-6, beta_hi
-    if diff(lo) <= 0.0 or diff(hi) >= 0.0:
+    lo = t + 1e-6  # past beta_hi when t is at the top of the domain
+    if not lo < beta_hi or diff(lo) <= 0.0 or diff(beta_hi) >= 0.0:
         raise ValueError("boundaries do not cross in the searched beta interval")
-    lo, hi = bisect(lambda beta: not diff(beta) > 0.0, lo, hi, tol)
+    lo, hi = bisect(lambda beta: not diff(beta) > 0.0, lo, beta_hi, _BETA_TOL)
     beta_star = 0.5 * (lo + hi)
-    return psi0(params, beta_star).value, beta_star
+    return _boundary(params, "psi0", beta_star, t, None).value, beta_star
 
 
 def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
@@ -412,32 +413,22 @@ def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
     return solve_points(params, np.tile(alphas, len(betas)), np.repeat(betas, len(alphas)), tau)
 
 
-def boundary_curve(params: ModelParams, which: str, betas, tau: float | None = None,
-                   alpha_max: float = 10.0) -> list[tuple[float, float, bool]]:
+def boundary_curve(params: ModelParams, which: str, betas,
+                   tau: float | None = None) -> list[tuple[float, float, bool]]:
     """(beta, alpha, bracketed) samples of one separatrix, restricted to its beta domain.
 
-    bracketed is RootResult.bracketed: False when alpha is a search bound
-    (0 or the doubled cap), not a root.
+    which is psi0, psi1, psi or psi_tau. bracketed is RootResult.bracketed:
+    False when alpha is a search bound (0 or the doubled cap), not a root.
     """
+    if which not in BOUNDARIES:
+        raise ValueError(f"unknown boundary {which!r}")
     t = manual_delegation_threshold(params).value
     out = []
     for beta in betas:
         beta = float(beta)
-        if which == "psi0":
-            if beta < t - 1e-9:
-                continue
-            res = psi0(params, beta, alpha_max)
-        elif which == "psi1":
-            if beta > t + 1e-9:
-                continue
-            res = psi1(params, beta, alpha_max)
-        elif which == "psi":
-            res = psi(params, beta, alpha_max)
-        elif which == "psi_tau":
-            res = psi_tau(params, beta, tau, alpha_max)
-        else:
-            raise ValueError(f"unknown boundary {which!r}")
-        out.append((beta, res.value, res.bracketed))
+        res = _boundary(params, which, beta, t, tau)
+        if res is not None:
+            out.append((beta, res.value, res.bracketed))
     return out
 
 

@@ -155,21 +155,22 @@ def read_cases(path) -> list[CaseRecord]:
     with open(path, newline="") as fh:
         lines = [line for line in fh if not line.startswith("#")]
     reader = csv.DictReader(lines)
-    if reader.fieldnames is None or set(reader.fieldnames) != set(CASE_COLUMNS):
-        raise CalibrationError(
-            f"expected columns {CASE_COLUMNS}, got {reader.fieldnames}")
+    names = reader.fieldnames
+    if names is None or set(names) != set(CASE_COLUMNS):
+        raise CalibrationError(f"expected columns {CASE_COLUMNS}, got {names}")
+    for name in names:
+        if names.count(name) > 1:
+            raise CalibrationError(f"column {name!r} appears more than once in the header")
     problems: list[str] = []
     records = []
     for row_num, row in enumerate(reader, start=2):
-        records.append(CaseRecord(
-            case_id=row["case_id"],
-            worker_correct=_parse_indicator(row["worker_correct"], row_num, "worker_correct", problems),
-            ai_correct=_parse_indicator(row["ai_correct"], row_num, "ai_correct", problems),
-            assisted_correct=_parse_indicator(row["assisted_correct"], row_num, "assisted_correct", problems),
-            worker_time=_parse_time(row["worker_time"], row_num, "worker_time", problems),
-            assisted_time=_parse_time(row["assisted_time"], row_num, "assisted_time", problems),
-            output_unchanged=_parse_indicator(row["output_unchanged"], row_num, "output_unchanged", problems),
-        ))
+        if None in row or None in row.values():  # DictReader's marks of extra and missing fields
+            problems.append(f"row {row_num}: expected {len(names)} fields")
+            continue
+        # the columns in CaseRecord's order, so that problems are listed in it
+        records.append(CaseRecord(row["case_id"], *[
+            (_parse_time if col.endswith("_time") else _parse_indicator)(row[col], row_num, col, problems)
+            for col in CASE_COLUMNS[1:]]))
     if problems:
         raise CalibrationError("malformed rows: " + "; ".join(problems))
     return records

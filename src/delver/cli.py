@@ -17,7 +17,7 @@ import numpy as np
 
 from . import calibration as cal
 from .atlas import (
-    boundary_curve, evaluate_point, fmt, sweep_grid, write_atlas_csv, write_boundary_csv,
+    BOUNDARIES, boundary_curve, evaluate_point, fmt, sweep_grid, write_atlas_csv, write_boundary_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
 from .extensions import Belief, DifficultyProfile, Rework, believed_action_quality, expected_quality, rework_quality
@@ -316,7 +316,7 @@ def build_parser():
     p.set_defaults(func=cmd_atlas)
 
     p = sub.add_parser("boundary", parents=[config], help="one separatrix as (beta, alpha) CSV")
-    p.add_argument("--which", required=True, choices=["psi0", "psi1", "psi", "psi_tau"])
+    p.add_argument("--which", required=True, choices=BOUNDARIES)
     p.add_argument("--beta-range", required=True)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", default=None)

@@ -349,6 +349,12 @@ def worker_increment(params: ModelParams, k_w, phi, c_w, c_v):
     return k_w * phi - c_v - params.worker_stakes * (params.p_w - params.p_a) + c_w - params.c_a
 
 
+def institution_increment(params: ModelParams, k_i, phi, c_w, c_v):
+    """f_i, the institution's utility gain from delegation, given k_i, phi(s), C_w and C_v(s)."""
+    return (k_i * phi - params.xi * c_v - params.institution_stakes * (params.p_w - params.p_a)
+            + params.xi * (c_w - params.c_a))
+
+
 def task_success(params: ModelParams, ability: Ability, action: Action) -> float:
     """Success probability from direct work, direct AI, and corrected AI errors."""
     phi = detection_probability(params.detection, ability.alpha, action.s)
@@ -382,14 +388,12 @@ def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficient
     c_w = params.execution_cost.cost(ability.beta)
     c_v = params.verification_cost.cost(s)
     k_w, k_i = phi_coefficients(params, c_w)
-    f_i = (k_i * phi - params.xi * c_v - params.institution_stakes * (params.p_w - params.p_a)
-           + params.xi * (c_w - params.c_a))
     # the baselines are the utilities at (d, s) = (0, 0), where success is
     # p_w and cost is C_w exactly, so the identity g = U(0, 0) holds bitwise
     return Coefficients(f_w=worker_increment(params, k_w, phi, c_w, c_v),
                         g_w=worker_value(params, params.p_w, c_w),
-                        f_i=f_i, g_i=institution_value(params, params.p_w, c_w),
-                        k_w=k_w, k_i=k_i)
+                        f_i=institution_increment(params, k_i, phi, c_w, c_v),
+                        g_i=institution_value(params, params.p_w, c_w), k_w=k_w, k_i=k_i)
 
 
 def verification_surplus(params: ModelParams, ability: Ability, s: float) -> float:

@@ -30,6 +30,7 @@ from .model import (
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-9
 _GOLDEN_MAX_ITER = 200
+_THRESHOLD_TOL = 1e-12
 
 
 class Regime(str, enum.Enum):
@@ -292,7 +293,7 @@ def _beta_search_interval(params: ModelParams):
     return lo, hi
 
 
-def manual_delegation_threshold(params: ModelParams, tol: float = 1e-12) -> ThresholdResult:
+def manual_delegation_threshold(params: ModelParams) -> ThresholdResult:
     """Efficiency level at which pure delegation and manual work break even.
 
     The delegation gain is strictly decreasing in beta, so a sign change is
@@ -308,12 +309,11 @@ def manual_delegation_threshold(params: ModelParams, tol: float = 1e-12) -> Thre
         return ThresholdResult(hi, False, "delegation beats manual work at every efficiency")
     if gain(lo) < 0.0:
         return ThresholdResult(lo, False, "always manual-or-verified: delegation gain negative everywhere")
-    lo, hi = bisect(lambda beta: not gain(beta) > 0.0, lo, hi, tol)
+    lo, hi = bisect(lambda beta: not gain(beta) > 0.0, lo, hi, _THRESHOLD_TOL)
     return ThresholdResult(0.5 * (lo + hi), True)
 
 
-def qualification_threshold(params: ModelParams, tau: float | None = None,
-                            tol: float = 1e-12) -> ThresholdResult:
+def qualification_threshold(params: ModelParams, tau: float | None = None) -> ThresholdResult:
     """Efficiency at which the no-AI baseline quality reaches tau.
 
     The baseline g_i is strictly increasing in beta. A tau outside its
@@ -330,7 +330,7 @@ def qualification_threshold(params: ModelParams, tau: float | None = None,
         return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency")
     if excess(hi) < 0.0:
         return ThresholdResult(hi, False, "baseline below tau at every efficiency")
-    lo, hi = bisect(lambda beta: excess(beta) > 0.0, lo, hi, tol)
+    lo, hi = bisect(lambda beta: excess(beta) > 0.0, lo, hi, _THRESHOLD_TOL)
     return ThresholdResult(0.5 * (lo + hi), True)
 
 

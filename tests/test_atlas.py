@@ -1,5 +1,6 @@
 """Separatrices, quality labels, and grid sweeps against the closed forms."""
 
+import hashlib
 import io
 import math
 from collections import Counter
@@ -16,9 +17,53 @@ from delver.atlas import (
 )
 from delver.model import INVERSE_EFFICIENCY, Ability, ExecutionCost, coefficients, point_params
 from delver.sampling import beta_span
-from delver.solver import REGIMES, Regime, manual_delegation_threshold
+from delver.solver import REGIMES, Regime, manual_delegation_threshold, qualification_threshold
 
 from conftest import family_configs
+
+
+# SHA-256 of _boundary_family_text(), frozen before the separatrices shared one search
+BOUNDARY_DIGEST = "cb87957ba7ed157ab2538cb77efb412aa054a4e00913c778b0929fdb69163a9d"
+
+
+def _boundary_family_text():
+    """The reprs of every boundary result and error over family_configs(), one per line.
+
+    Per configuration: both thresholds, the separatrix intersection where t
+    is a root, each boundary at betas across the span and on both sides of
+    t, psi_tau at taus that flag it low and high, boundary_curve, and the
+    errors at a negative, a NaN and an out-of-domain beta (a subnormal one
+    under inverse_efficiency).
+    """
+    lines = []
+
+    def record(name, fn, *args):
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+        lines.append(f"{name} {args[1:]!r} {result!r}")
+
+    for triple, params in sorted(family_configs().items()):
+        t = manual_delegation_threshold(params)
+        lines.append(f"{triple} {t!r} {qualification_threshold(params)!r}")
+        if t.bracketed:
+            record("separatrix_intersection", separatrix_intersection, params)
+        lo, hi = beta_span(params)
+        betas = np.concatenate([np.linspace(lo, hi, 5), np.linspace(lo, t.value, 3)[1:],
+                                np.linspace(t.value, hi, 3)[:-1]])
+        invalid = [-1.0, math.nan, 1.5 if hi == 1.0 else 1e-310]
+        for beta in [*betas.tolist(), *invalid]:
+            for name, fn in (("psi0", psi0), ("psi1", psi1), ("psi", psi), ("psi_prime", psi_prime),
+                             ("psi_tau", psi_tau)):
+                record(name, fn, params, beta)
+            for tau in (-1e6, 1e6):
+                record("psi_tau", psi_tau, params, beta, tau)
+        for which in ("psi0", "psi1", "psi", "psi_tau"):
+            record("boundary_curve", boundary_curve, params, which, betas)
+            for beta in invalid:
+                record("boundary_curve", boundary_curve, params, which, [beta])
+    return "\n".join(lines) + "\n"
 
 
 def psi0_closed(beta):
@@ -97,6 +142,39 @@ class TestSeparatrices:
         alpha, beta = separatrix_intersection(reference)
         assert alpha == pytest.approx(0.39, abs=0.01)
         assert beta == pytest.approx(0.82, abs=0.01)
+
+    def test_intersection_with_t_at_the_top_of_the_domain_finds_no_crossing(self, reference):
+        params = reference.with_ai_success(0.9)
+        t = manual_delegation_threshold(params)
+        assert (t.value, t.bracketed) == (1.0, False)
+        with pytest.raises(ValueError) as info:
+            separatrix_intersection(params)
+        assert str(info.value) == "boundaries do not cross in the searched beta interval"
+
+    def test_boundary_family_is_bitwise_frozen(self):
+        text = _boundary_family_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == BOUNDARY_DIGEST
+
+    @pytest.mark.parametrize("fn", [psi1, psi, psi_prime, psi_tau])
+    def test_negative_beta_fails_the_ability_check_first(self, reference, fn):
+        with pytest.raises(ValueError) as info:
+            fn(reference, -1.0)
+        assert str(info.value) == "beta must be finite and >= 0, got -1.0"
+
+    def test_the_threshold_is_computed_once_per_call(self, reference, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return manual_delegation_threshold(params)
+
+        monkeypatch.setattr(dv.atlas, "manual_delegation_threshold", counted)
+        betas = np.linspace(0.0, 1.0, 11)
+        for which in ("psi0", "psi1", "psi", "psi_tau"):
+            boundary_curve(reference, which, betas)
+        psi(reference, 0.9)
+        separatrix_intersection(reference)
+        assert len(calls) == 6
 
 
 def _assert_rows_are_evaluate_point(grid, params, points, tau):

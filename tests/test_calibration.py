@@ -66,6 +66,21 @@ class TestCleaning:
         with pytest.raises(cal.CalibrationError):
             cal.read_cases(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(cal.CASE_COLUMNS + ["ai_correct"]) + "\na,1,0,0,100.0,120.0,0,1\n")
+        with pytest.raises(cal.CalibrationError, match="column 'ai_correct' appears more than once"):
+            cal.read_cases(path)
+
+    @pytest.mark.parametrize("row", ["b,1,0,0,100.0,120.0,0,999", "b,1,0,0,100.0"],
+                             ids=["extra", "missing"])
+    def test_row_with_the_wrong_field_count_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(cal.CASE_COLUMNS) + "\na,1,0,0,100.0,120.0,0\n" + row + "\n")
+        with pytest.raises(cal.CalibrationError) as err:
+            cal.read_cases(path)
+        assert str(err.value) == "malformed rows: row 3: expected 7 fields"
+
 
 class TestObservables:
     def test_fixture_rates_and_times(self, clinician_records):

@@ -526,6 +526,16 @@ class TestCalibrateCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_extra_field_in_the_bundled_log_fails_cleanly(self, capsys, tmp_path):
+        lines = cal.fixture_path().read_text().splitlines()
+        first = next(k for k, line in enumerate(lines) if line.startswith("case_id")) + 1
+        lines[first] += ",999"
+        bad = tmp_path / "cases.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "calibrate", "--cases", str(bad),
+                             "--tvmax", "118.1", "--twmax", "262.3")
+        assert (code, out, err) == (1, "", "error: malformed rows: row 2: expected 7 fields\n")
+
 
 class TestSelfcheck:
     def test_reports_thresholds_and_passes(self, capsys):
