@@ -27,6 +27,9 @@ from .solver import OptimalAction
 
 CASE_COLUMNS = ["case_id", "worker_correct", "ai_correct", "assisted_correct",
                 "worker_time", "assisted_time", "output_unchanged"]
+_TIME_WINDOW = (0.5, 2.0)  # worker times kept, as multiples of the mean
+_DETECTION_SCALE = 1.0
+_LEVERS = ("alpha", "beta", "p_a")  # the lever targets of a classification
 
 
 class CalibrationError(ValueError):
@@ -46,13 +49,12 @@ class CaseRecord:
 
 @dataclass(frozen=True)
 class CleaningRules:
-    """Retention window on worker time (multiples of the mean) and override handling.
+    """Override handling; cleaning always keeps worker times in 0.5-2x the mean.
 
     Cases where the AI was right but the worker alone was wrong do not fit
     the error-detection story and are dropped as overrides when enabled.
     """
 
-    time_window: tuple[float, float] = (0.5, 2.0)
     drop_overrides: bool = True
 
 
@@ -151,11 +153,11 @@ def _parse_time(raw, row_num, col, problems):
 
 
 def read_cases(path) -> list[CaseRecord]:
-    """Parse a case CSV; leading '#' lines are comments. Malformed rows raise."""
+    """Parse a case CSV; '#' lines are comments. Malformed rows raise, by file line."""
     with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    names = reader.fieldnames
+        numbered = [(num, line) for num, line in enumerate(fh, start=1) if not line.startswith("#")]
+    reader = csv.reader(line for _, line in numbered)
+    names = next(reader, None)
     if names is None or set(names) != set(CASE_COLUMNS):
         raise CalibrationError(f"expected columns {CASE_COLUMNS}, got {names}")
     for name in names:
@@ -163,10 +165,15 @@ def read_cases(path) -> list[CaseRecord]:
             raise CalibrationError(f"column {name!r} appears more than once in the header")
     problems: list[str] = []
     records = []
-    for row_num, row in enumerate(reader, start=2):
-        if None in row or None in row.values():  # DictReader's marks of extra and missing fields
+    start = reader.line_num  # lines read before the next row, which starts on the line after
+    for fields in reader:
+        row_num, start = numbered[start][0], reader.line_num
+        if not fields:  # a blank line
+            continue
+        if len(fields) != len(names):
             problems.append(f"row {row_num}: expected {len(names)} fields")
             continue
+        row = dict(zip(names, fields))
         # the columns in CaseRecord's order, so that problems are listed in it
         records.append(CaseRecord(row["case_id"], *[
             (_parse_time if col.endswith("_time") else _parse_indicator)(row[col], row_num, col, problems)
@@ -178,12 +185,12 @@ def read_cases(path) -> list[CaseRecord]:
 
 def clean_cases(records: list[CaseRecord],
                 rules: CleaningRules = CleaningRules()) -> tuple[list[CaseRecord], CleaningReport]:
-    """Apply the time window (around the raw mean) and the override exclusion."""
+    """Keep worker times in 0.5-2x the raw mean, then apply the override exclusion."""
     n_input = len(records)
     if n_input == 0:
         return [], CleaningReport(0, 0, 0, 0)
     mean_time = sum(r.worker_time for r in records) / n_input
-    lo, hi = rules.time_window[0] * mean_time, rules.time_window[1] * mean_time
+    lo, hi = _TIME_WINDOW[0] * mean_time, _TIME_WINDOW[1] * mean_time
     in_window = [r for r in records if lo <= r.worker_time <= hi]
     n_time_dropped = n_input - len(in_window)
     if rules.drop_overrides:
@@ -194,8 +201,8 @@ def clean_cases(records: list[CaseRecord],
     return kept, CleaningReport(n_input, n_time_dropped, n_override_dropped, len(kept))
 
 
-def ingest_and_clean(path, rules: CleaningRules = CleaningRules()):
-    return clean_cases(read_cases(path), rules)
+def ingest_and_clean(path):
+    return clean_cases(read_cases(path))
 
 
 def estimate_observables(records: list[CaseRecord]) -> Observables:
@@ -221,11 +228,10 @@ def estimate_observables(records: list[CaseRecord]) -> Observables:
                        decomposition_ok=cost_assisted >= 0.0)
 
 
-def infer_ability(obs: Observables, t_v_max: float, t_w_max: float,
-                  detection_scale: float = 1.0) -> CalibratedWorker:
+def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> CalibratedWorker:
     """Invert the observables into detection probability, effort, and abilities.
 
-    Uses exponential detection and linear time-denominated costs
+    Uses exponential detection at scale 1 and linear time-denominated costs
     C_v(s) = t_v_max * s and C_w(beta) = t_w_max * (1 - beta), so that
     effort and efficiency land in [0, 1]. A detection probability of one
     (assisted success at its theoretical maximum) is flagged as a boundary
@@ -256,10 +262,10 @@ def infer_ability(obs: Observables, t_v_max: float, t_w_max: float,
     elif phi == 0.0 or s_dagger == 0.0:
         alpha = 0.0
     else:
-        alpha = -math.log(1.0 - phi) / (detection_scale * s_dagger)
+        alpha = -math.log(1.0 - phi) / (_DETECTION_SCALE * s_dagger)
     worker = CalibratedWorker(
         phi_at_s_dagger=phi, c_v_at_s_dagger=c_v, t_v_max=t_v_max, t_w_max=t_w_max,
-        s_dagger=s_dagger, alpha=alpha, beta=beta, detection_scale=detection_scale,
+        s_dagger=s_dagger, alpha=alpha, beta=beta, detection_scale=_DETECTION_SCALE,
         observables=obs, boundary=boundary)
     if not boundary and alpha > 0.0 and 0.0 < s_dagger < 1.0:
         worker.stakes = infer_stakes(worker)
@@ -307,8 +313,7 @@ def assemble_params(worker: CalibratedWorker, institution: InstitutionSpec,
 
 
 def classify_calibrated(worker: CalibratedWorker, institution: InstitutionSpec,
-                        benefit_share: float = 0.6,
-                        levers: tuple[str, ...] = ("alpha", "beta", "p_a")) -> ClassificationResult:
+                        benefit_share: float = 0.6) -> ClassificationResult:
     """Regime and quality of a calibrated worker, plus minimal lever targets.
 
     Warnings record violated regularity conditions instead of aborting.
@@ -327,7 +332,7 @@ def classify_calibrated(worker: CalibratedWorker, institution: InstitutionSpec,
     min_share = 1.0 - obs.p_w + obs.c_w / worker.stakes
     action, report = evaluate_point(params, ability, institution.tau)
     targets = {lever: minimal_lever(params, ability, lever, institution.tau)
-               for lever in levers}
+               for lever in _LEVERS}
     worker = replace(worker, params=params, report=report)
     return ClassificationResult(worker=worker, action=action, report=report,
                                 lever_targets=targets, warnings=warnings,
@@ -335,19 +340,18 @@ def classify_calibrated(worker: CalibratedWorker, institution: InstitutionSpec,
 
 
 def calibrate_file(path, t_v_max: float, t_w_max: float,
-                   institution: InstitutionSpec | None = None,
-                   rules: CleaningRules = CleaningRules(),
-                   detection_scale: float = 1.0, benefit_share: float = 0.6):
+                   institution: InstitutionSpec | None = None):
     """Full chain from a case CSV to a classified worker.
 
     Returns (worker, cleaning_report, classification), with classification
-    None when no institution is given.
+    None when no institution is given. The stakes are split 0.6 to the
+    success benefit.
     """
-    records, report = ingest_and_clean(path, rules)
+    records, report = ingest_and_clean(path)
     obs = estimate_observables(records)
-    worker = infer_ability(obs, t_v_max, t_w_max, detection_scale)
+    worker = infer_ability(obs, t_v_max, t_w_max)
     classification = None
     if institution is not None:
-        classification = classify_calibrated(worker, institution, benefit_share)
+        classification = classify_calibrated(worker, institution)
         worker = classification.worker
     return worker, report, classification

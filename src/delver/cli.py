@@ -222,14 +222,12 @@ def cmd_extend(args):
 
 
 def cmd_calibrate(args):
-    records, cleaning = cal.ingest_and_clean(args.cases)
-    obs = cal.estimate_observables(records)
-    worker = cal.infer_ability(obs, args.tvmax, args.twmax)
+    worker, cleaning, _ = cal.calibrate_file(args.cases, args.tvmax, args.twmax)
     payload = {
         "cleaning": _pick(cleaning, ("n_input", "n_time_dropped", "n_override_dropped",
                                      "n_retained", "override_fraction")),
-        "observables": _pick(obs, ("n", "p_w", "p_a", "p_assisted", "c_w", "c_wa",
-                                   "pr_unchanged", "cost_assisted")),
+        "observables": _pick(worker.observables, ("n", "p_w", "p_a", "p_assisted", "c_w",
+                                                  "c_wa", "pr_unchanged", "cost_assisted")),
         "worker": _pick(worker, ("phi_at_s_dagger", "c_v_at_s_dagger", "t_v_max", "t_w_max",
                                  "detection_scale", "s_dagger", "alpha", "beta", "stakes",
                                  "boundary")),

@@ -22,6 +22,8 @@ from .model import (
 )
 from .solver import OptimalAction, bisect_array, optimal_action
 
+_PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
+
 
 def _affine(pair, h):
     return pair[0] + pair[1] * h
@@ -118,7 +120,7 @@ def _branch(params, ability, profile, h) -> np.ndarray:
     return 3 * act.regime + np.where(act.s_dagger <= 0.0, 0, np.where(act.s_dagger >= 1.0, 2, 1))
 
 
-def _smooth_breakpoints(params, ability, profile, probe=257):
+def _smooth_breakpoints(params, ability, profile):
     """Difficulty levels where the optimal action changes branch, with 0 and 1.
 
     Quality is smooth in h only between regime switches and effort-clamp
@@ -127,7 +129,7 @@ def _smooth_breakpoints(params, ability, profile, probe=257):
     midpoints because the cost maps may only be valid on the open interval.
     Each kink is placed by 45 bisection steps at tol 0, all kinks at once.
     """
-    hs = (np.arange(probe) + 0.5) / probe
+    hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
     branch = _branch(params, ability, profile, hs)
     kinks = np.flatnonzero(branch[:-1] != branch[1:])
     lo, hi = bisect_array(lambda k, h: _branch(params, ability, profile, h) != branch[kinks[k]],

@@ -19,8 +19,10 @@ from .atlas import quality, solve_points
 from .model import Ability, ModelParams
 from .solver import bisect, bisect_array
 
-DEFAULT_ALPHA_CAP = 10.0
-DEFAULT_BETA_CAP = 10.0  # for unbounded efficiency domains
+_ALPHA_CAP = 10.0
+_BETA_CAP = 10.0  # for unbounded efficiency domains
+_UPSKILL_TOL = 1e-6  # radius tolerance of worker_upskill's bisections
+_LEVER_TOL = 1e-9  # lever tolerance of minimal_lever's bisection
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,6 @@ class LeverTarget:
     feasible: bool
 
 
-def _q_at(params: ModelParams, ability: Ability, tau: float) -> float:
-    return quality(params, ability, tau).q
-
-
 def _first_feasible_radius(predicate, r_max: float, scan_points: int, tol: float):
     """Smallest r in (0, r_max] with predicate(r), scanning then bisecting.
 
@@ -95,33 +93,30 @@ def _first_feasible_radius(predicate, r_max: float, scan_points: int, tol: float
     it switches on.
     """
     lo = 0.0
-    found = None
     for i in range(1, scan_points + 1):
         r = r_max * i / scan_points
         if predicate(r):
-            found = r
-            break
+            return bisect(predicate, lo, r, tol)[1]
         lo = r
-    if found is None:
-        return None
-    return bisect(predicate, lo, found, tol)[1]
+    return None
 
 
 def _beta_cap(params: ModelParams) -> float:
     hi = params.execution_cost.beta_domain()[1]
-    return DEFAULT_BETA_CAP if math.isinf(hi) else hi
+    return _BETA_CAP if math.isinf(hi) else hi
 
 
 def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
-                   tau: float | None = None, alpha_cap: float = DEFAULT_ALPHA_CAP,
-                   beta_cap: float | None = None, fan_degrees: int = 1,
-                   scan_points: int = 200, tol: float = 1e-6) -> UpskillPlan:
+                   tau: float | None = None, fan_degrees: int = 1,
+                   scan_points: int = 200) -> UpskillPlan:
     """Cheapest ability increment (d_alpha, d_beta) that lifts quality to tau.
 
     Scans the constraint frontier along a fan of directions (every
     fan_degrees from the alpha axis to the beta axis, axes included), finds
     the minimal feasible radius per direction, and keeps the cost-minimal
-    candidate. Directions whose cost term is disabled are skipped.
+    candidate. Directions whose cost term is disabled are skipped. Alpha
+    is capped at 10, and beta at the top of its domain, or 10 if that is
+    unbounded; radii are found to 1e-6.
 
     All directions are searched together on the array path. The scan
     radii r_max * i / scan_points of the directions not yet found are
@@ -136,9 +131,8 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     if tau is None:
         tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
-    if beta_cap is None:
-        beta_cap = _beta_cap(params)
-    q_now = _q_at(params, ability, tau)
+    beta_cap = _beta_cap(params)
+    q_now = quality(params, ability, tau).q
     if q_now >= tau - qtol:
         return UpskillPlan(0.0, 0.0, 0.0, q_now, True)
 
@@ -156,13 +150,11 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     for angle in angles:
         theta = math.radians(angle)
         ua, ub = math.cos(theta), math.sin(theta)
-        if angle == 0:
-            ua, ub = 1.0, 0.0
-        if angle == 90:
+        if angle == 90:  # cos(pi / 2) is 6e-17, not 0
             ua, ub = 0.0, 1.0
         limits = []
         if ua > 0:
-            limits.append((alpha_cap - ability.alpha) / ua)
+            limits.append((_ALPHA_CAP - ability.alpha) / ua)
         if ub > 0:
             limits.append((beta_cap - ability.beta) / ub)
         r_max = min(limits)
@@ -172,7 +164,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
 
     def feasible(ray, r):
         # np.minimum guards a few ulps of overshoot when r reaches the cap
-        trial = solve_points(params, np.minimum(alpha_cap, ability.alpha + r * ua[ray]),
+        trial = solve_points(params, np.minimum(_ALPHA_CAP, ability.alpha + r * ua[ray]),
                              np.minimum(beta_cap, ability.beta + r * ub[ray]), tau)
         return trial.q >= tau - qtol
 
@@ -191,11 +183,13 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
         start, width = start + len(i), 2 * width
 
     found = np.flatnonzero(first)
+    if not len(found):
+        return UpskillPlan(0.0, 0.0, math.inf, q_now, False)
     lo = r_max[found] * (first[found] - 1) / scan_points
     hi = r_max[found] * first[found] / scan_points
-    radii = bisect_array(lambda k, mid: feasible(found[k], mid), lo, hi, tol)[1]
+    radii = bisect_array(lambda k, mid: feasible(found[k], mid), lo, hi, _UPSKILL_TOL)[1]
 
-    best = None
+    steps = []  # (cost, d_alpha, d_beta) per found direction, in angle order
     for ray, r in zip(found.tolist(), radii.tolist()):
         d_alpha, d_beta = r * float(ua[ray]), r * float(ub[ray])
         cost = 0.0
@@ -203,23 +197,25 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
             cost += cost_model.h_alpha(d_alpha)
         if cost_model.h_beta is not None:
             cost += cost_model.h_beta(d_beta)
-        if best is None or cost < best[0]:
-            best = (cost, d_alpha, d_beta)
-
-    if best is None:
-        return UpskillPlan(0.0, 0.0, math.inf, q_now, False)
-    cost, d_alpha, d_beta = best
-    achieved = _q_at(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta), tau)
+        steps.append((cost, d_alpha, d_beta))
+    cost, d_alpha, d_beta = min(steps, key=lambda step: step[0])  # the first of equal costs
+    achieved = quality(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta), tau).q
     return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
+
+
+def _lever_gain(params: ModelParams, ability: Ability, lever: str, delta: float, move):
+    """Quality change when the parameters become move(delta); base quality comes first."""
+    base = quality(params, ability).q
+    new_q = quality(move(delta), ability).q
+    return LeverResult(lever, delta, new_q - base, new_q)
 
 
 def ai_upgrade_gain(params: ModelParams, ability: Ability, d_p: float) -> LeverResult:
     """Quality change from raising AI success probability by d_p."""
     if not 0.0 <= d_p <= 1.0 - params.p_a:
         raise ValueError("d_p must lie in [0, 1 - p_a]")
-    base = quality(params, ability).q
-    new_q = quality(params.with_ai_success(params.p_a + d_p), ability).q
-    return LeverResult("ai_capability", d_p, new_q - base, new_q)
+    return _lever_gain(params, ability, "ai_capability", d_p,
+                       lambda d: params.with_ai_success(params.p_a + d))
 
 
 def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -> LeverResult:
@@ -228,46 +224,41 @@ def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -
     The worker re-solves with b_w + d_b while the institution is evaluated
     with b_i - d_b.
     """
-    base = quality(params, ability).q
-    new_q = quality(params.with_benefit_transfer(d_b), ability).q
-    return LeverResult("incentive_transfer", d_b, new_q - base, new_q)
+    return _lever_gain(params, ability, "incentive_transfer", d_b, params.with_benefit_transfer)
 
 
 def minimal_lever(params: ModelParams, ability: Ability, lever: str,
-                  tau: float | None = None, cap: float | None = None,
-                  scan_points: int = 400, tol: float = 1e-9) -> LeverTarget:
-    """Smallest value of one lever (alpha, beta, or p_a) with quality >= tau."""
+                  tau: float | None = None, scan_points: int = 400) -> LeverTarget:
+    """Smallest value of one lever (alpha, beta, or p_a) with quality >= tau.
+
+    The search stops at the lever's cap: 10 for alpha, the top of the
+    efficiency domain (or 10 if unbounded) for beta, and 1 for p_a. The
+    value is found to 1e-9.
+    """
     if scan_points < 1:
         raise ValueError(f"scan_points must be >= 1, got {scan_points}")
     if tau is None:
         tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
-    if lever == "alpha":
-        current, hi = ability.alpha, cap if cap is not None else DEFAULT_ALPHA_CAP
-
-        def q_at(x):
-            return _q_at(params, Ability(x, ability.beta), tau)
-    elif lever == "beta":
-        current = ability.beta
-        hi = cap if cap is not None else _beta_cap(params)
-
-        def q_at(x):
-            return _q_at(params, Ability(ability.alpha, x), tau)
-    elif lever == "p_a":
-        current, hi = params.p_a, cap if cap is not None else 1.0
-
-        def q_at(x):
-            return _q_at(params.with_ai_success(x), ability, tau)
-    else:
+    levers = {"alpha": (ability.alpha, _ALPHA_CAP), "beta": (ability.beta, _beta_cap(params)),
+              "p_a": (params.p_a, 1.0)}  # lever: (current value, cap)
+    if lever not in levers:
         raise ValueError(f"unknown lever {lever!r}; expected alpha, beta, or p_a")
+    current, hi = levers[lever]
 
-    if q_at(current) >= tau - qtol:
+    def reaches(x):
+        if lever == "p_a":
+            return quality(params.with_ai_success(x), ability, tau).q >= tau - qtol
+        moved = Ability(x, ability.beta) if lever == "alpha" else Ability(ability.alpha, x)
+        return quality(params, moved, tau).q >= tau - qtol
+
+    if reaches(current):
         return LeverTarget(lever, current, True)
     span = hi - current
     if span <= 0:
         return LeverTarget(lever, current, False)
-    r = _first_feasible_radius(lambda r: q_at(min(hi, current + r)) >= tau - qtol,
-                               span, scan_points, tol)
+    r = _first_feasible_radius(lambda r: reaches(min(hi, current + r)), span, scan_points,
+                               _LEVER_TOL)
     if r is None:
         return LeverTarget(lever, hi, False)
     return LeverTarget(lever, min(hi, current + r), True)

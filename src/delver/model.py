@@ -23,6 +23,8 @@ LINEAR = "linear"
 LINEAR_QUADRATIC = "linear_quadratic"
 LINEAR_IN_EFFICIENCY = "linear_in_efficiency"
 INVERSE_EFFICIENCY = "inverse_efficiency"
+_FD_STEP = 1e-5  # alpha step of check_assumptions' central differences
+_MONOTONE_TOL = 1e-9  # the most negative d phi / d alpha that check_assumptions allows
 
 
 @dataclass(frozen=True)
@@ -426,13 +428,13 @@ class AssumptionReport:
         return self.dominance_ok and self.viability_ok and self.detection_monotone_ok
 
 
-def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability],
-                      fd_step: float = 1e-5, tol: float = 1e-9) -> AssumptionReport:
+def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability]) -> AssumptionReport:
     """Check institutional dominance, worker viability, and detection monotonicity.
 
-    Detection monotonicity is checked by central differences in alpha of
-    phi(s_dagger(alpha, beta)) at each grid ability, with s_dagger re-solved
-    at the shifted alphas. Violations are listed, never raised.
+    Detection monotonicity is checked by central differences in alpha (step
+    1e-5) of phi(s_dagger(alpha, beta)) at each grid ability, with s_dagger
+    re-solved at the shifted alphas; a slope below -1e-9 is a violation.
+    Violations are listed, never raised.
     """
     from .solver import optimal_verification
 
@@ -454,15 +456,15 @@ def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability],
             viability_ok = False
             violations.append(f"negative phi coefficient at {ability}: k_w={coef.k_w:.6g}")
         a = ability.alpha
-        lo = max(a - fd_step, 0.0)
-        hi = a + fd_step
+        lo = max(a - _FD_STEP, 0.0)
+        hi = a + _FD_STEP
         phis = []
         for a_shift in (lo, hi):
             shifted = Ability(a_shift, ability.beta)
             s_dag = optimal_verification(params, shifted)
             phis.append(detection_probability(params.detection, a_shift, s_dag))
         deriv = (phis[1] - phis[0]) / (hi - lo)
-        if deriv < -tol:
+        if deriv < -_MONOTONE_TOL:
             detection_ok = False
             violations.append(f"detection not monotone at {ability}: d phi/d alpha={deriv:.3g}")
 

@@ -67,8 +67,7 @@ class ThresholdResult:
     note: str = ""
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = _GOLDEN_TOL,
-                       max_iter: int = _GOLDEN_MAX_ITER) -> float:
+def golden_section_max(fn, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
     """Argmax of a unimodal function on [lo, hi] to argument tolerance tol."""
     a, b = lo, hi
     h = b - a
@@ -77,7 +76,7 @@ def golden_section_max(fn, lo: float, hi: float, tol: float = _GOLDEN_TOL,
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if h <= tol:
             break
         if fc >= fd:

@@ -81,6 +81,19 @@ class TestCleaning:
             cal.read_cases(path)
         assert str(err.value) == "malformed rows: row 3: expected 7 fields"
 
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# a comment\n" + ",".join(cal.CASE_COLUMNS) + "\na,1,0,0,100.0,120.0,0\n"
+                        "# another comment\n\nb,1,0,0,100.0\nc,1,0,0,100.0,x,0\n")
+        with pytest.raises(cal.CalibrationError) as err:
+            cal.read_cases(path)
+        assert str(err.value) == ("malformed rows: row 6: expected 7 fields; "
+                                  "row 7: assisted_time is not a number: 'x'")
+
+    def test_empty_log_cleans_to_an_all_zero_report(self):
+        assert cal.clean_cases([]) == ([], cal.CleaningReport(0, 0, 0, 0))
+        assert cal.CleaningReport(0, 0, 0, 0).override_fraction == 0.0
+
 
 class TestObservables:
     def test_fixture_rates_and_times(self, clinician_records):
@@ -162,6 +175,22 @@ class TestInversion:
         with pytest.raises(cal.CalibrationError):
             cal.infer_ability(replace_obs(p_assisted=0.2), 118.1, 262.3)
 
+    @pytest.mark.parametrize("changes, t_v_max, message", [
+        ({"p_a": 1.0, "p_assisted": 1.0}, 118.1, "undefined for p_a=1 or p_w=0"),
+        ({"p_w": 0.0}, 118.1, "undefined for p_a=1 or p_w=0"),
+        ({"p_assisted": 0.9}, 118.1, "implied detection probability 1.881 exceeds 1"),
+        ({"cost_assisted": 1.0}, 118.1, "implied verification cost is negative: -9.147"),
+        ({}, 100.0, "t_v_max must be at least the implied verification cost"),
+    ], ids=["p_a-one", "p_w-zero", "phi-above-one", "negative-c_v", "t_v_max-below-c_v"])
+    def test_uninvertible_observables_raise(self, changes, t_v_max, message):
+        with pytest.raises(cal.CalibrationError, match=message):
+            cal.infer_ability(replace_obs(**changes), t_v_max, 262.3)
+
+    @pytest.mark.parametrize("s_dagger", [0.0, 1.0])
+    def test_stakes_need_an_interior_effort(self, clinician_worker, s_dagger):
+        with pytest.raises(cal.CalibrationError, match="observed effort is interior"):
+            cal.infer_stakes(replace(clinician_worker, s_dagger=s_dagger))
+
     def test_time_normalizers_must_cover_observations(self):
         with pytest.raises(cal.CalibrationError):
             cal.infer_ability(replace_obs(), 118.1, 100.0)
@@ -236,6 +265,21 @@ class TestClassification:
     def test_below_viable_share_warns(self, clinician_worker):
         res = cal.classify_calibrated(clinician_worker, CLINICIAN_INSTITUTION, benefit_share=0.5)
         assert any("pre-AI" in w for w in res.warnings)
+
+    def test_assembly_needs_stakes(self, clinician_worker):
+        with pytest.raises(cal.CalibrationError, match="stakes not identified"):
+            cal.assemble_params(replace(clinician_worker, stakes=None), CLINICIAN_INSTITUTION)
+
+    @pytest.mark.parametrize("share", [0.0, 1.0, -0.5, 1.5])
+    def test_benefit_share_must_lie_inside_the_unit_interval(self, clinician_worker, share):
+        with pytest.raises(cal.CalibrationError, match=r"benefit_share must lie in \(0, 1\)"):
+            cal.assemble_params(clinician_worker, CLINICIAN_INSTITUTION, share)
+
+    def test_failed_dominance_is_a_warning(self, clinician_worker):
+        weak = replace(CLINICIAN_INSTITUTION, b_i=100.0, l_i=100.0)
+        res = cal.classify_calibrated(clinician_worker, weak)
+        assert not res.worker.params.dominance_holds()
+        assert res.warnings[0] == "institutional dominance violated for this parameterization"
 
     def test_calibrate_file_runs_the_whole_chain(self):
         worker, cleaning, result = cal.calibrate_file(

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import delver as dv
 import delver.calibration as cal
+from delver.atlas import fmt
 from delver.cli import main
 from delver.config import load_params, params_from_dict, parse_range
 
@@ -53,6 +54,10 @@ README_GOLDEN = {
                 None, "4f639be88664456e7f20ce676a5a62a1bf4a4c66e2327f5ea81b6e87edc64f0a"),
 }
 
+
+# SHA-256 of the stdout of `extend belief --p-hat 0.8 --alpha-range 0:1:5
+# --beta-range 0:1:5` on the reference config, taken at commit bb4a676
+BELIEF_GRID_DIGEST = "f11aacabdd66deade61a05484bac0ab4b6f89948708bee0446cc2f6a788c9086"
 
 FIXTURE_CASES = ["--cases", str(cal.fixture_path()), "--tvmax", "118.1", "--twmax", "262.3"]
 # Every single-result command in text and --json form: argv and the SHA-256 of
@@ -438,6 +443,28 @@ class TestGridCommands:
         assert code == 1
         assert "p-hat" in err
 
+    def test_extend_rework_requires_kappa(self, capsys):
+        code, out, err = run(capsys, "extend", "rework", "--config", REFERENCE_CONFIG,
+                             "--alpha-range", "0:1:3", "--beta-range", "0:1:3")
+        assert (code, out, err) == (1, "", "error: extend rework needs --kappa\n")
+
+    def test_extend_belief_grid(self, capsys, reference):
+        code, out, err = run(capsys, "extend", "belief", "--config", REFERENCE_CONFIG,
+                             "--p-hat", "0.8", "--alpha-range", "0:1:5", "--beta-range", "0:1:5")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == BELIEF_GRID_DIGEST
+        lines = out.splitlines()
+        assert lines[0] == "alpha,beta,p_hat,d_star,s_star,regime,q,q0,gap,quality,compliance"
+        assert len(lines) == 26
+        for line in lines[1:]:
+            alpha, beta, p_hat, *fields = line.split(",")
+            act, rep = dv.believed_action_quality(reference, dv.Ability(float(alpha), float(beta)),
+                                                  dv.Belief(0.8))
+            assert p_hat == "0.8"
+            assert fields == [str(act.d_star), fmt(act.s_star), act.regime.value, fmt(rep.q),
+                              fmt(rep.q0), fmt(rep.gap), rep.quality_label.value,
+                              rep.compliance_label.value]
+
     def test_extend_difficulty_pinned(self, capsys, tmp_path):
         out_path = tmp_path / "difficulty.csv"
         code, _, _ = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
@@ -465,6 +492,27 @@ class TestInterveneAndOracle:
                            "--h1", "linear:1", "--h2", "linear:1")
         assert code == 0
         assert "feasible 1" in out
+
+    def test_alpha_cost_off_gives_the_beta_only_plan(self, capsys, reference):
+        code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
+                             "--alpha", "0.05", "--beta", "0.1", "--h1", "off", "--json")
+        assert (code, err) == (0, "")
+        plan = dv.worker_upskill(reference, dv.Ability(0.05, 0.1), dv.CostModel(h_alpha=None))
+        expected = {name: float(f"{getattr(plan, name):.9g}")
+                    for name in ("d_alpha", "d_beta", "cost", "achieved_q")}
+        assert json.loads(out) == {**expected, "feasible": True}
+        code, out, _ = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
+                           "--alpha", "0.05", "--beta", "0.1", "--h1", "off")
+        assert "d_beta 0.620000244\n" in out
+
+    @pytest.mark.parametrize("costs, message", [
+        (["--h1", "off", "--h2", "off"], "at least one cost term must be enabled"),
+        (["--h1", "quad:1"], "cost term must be linear:C, power:C:RHO, or off; got 'quad:1'"),
+    ], ids=["both-off", "unknown-kind"])
+    def test_bad_cost_model_is_one_error_line(self, capsys, costs, message):
+        code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
+                             "--alpha", "0.05", "--beta", "0.1", *costs)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_institution_point_lever(self, capsys):
         code, out, _ = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
@@ -534,7 +582,9 @@ class TestCalibrateCommand:
         bad.write_text("\n".join(lines) + "\n")
         code, out, err = run(capsys, "calibrate", "--cases", str(bad),
                              "--tvmax", "118.1", "--twmax", "262.3")
-        assert (code, out, err) == (1, "", "error: malformed rows: row 2: expected 7 fields\n")
+        # the row is on line 6 of the file, after 4 comment lines and the header
+        assert first == 5
+        assert (code, out, err) == (1, "", "error: malformed rows: row 6: expected 7 fields\n")
 
 
 class TestSelfcheck:

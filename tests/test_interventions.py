@@ -15,9 +15,14 @@ from delver.atlas import quality
 from delver.model import Ability
 from delver.sampling import sample_ability, sample_params
 
+from conftest import family_configs
+
 # SHA-256 of the reprs of upskill_plans(), joined by newlines, as the
 # per-direction scalar search (before the fan moved to the array path) gave them
 UPSKILL_PLANS_DIGEST = "c732f55a628a47ad3e225e4a9b4cdb84aac98d17dd65e6ff2905a1d9f0ef54dd"
+# SHA-256 of _interventions_family_text(), frozen before the lever searches
+# shared one lever table and the institution levers one helper
+INTERVENTIONS_DIGEST = "edbd8a2c715e9cb6364611b5d0e6c1402bf323e1823d9d3da90a24a5e7005ccf"
 COST_MODELS = [CostModel(), CostModel(CostTerm("power", 2.0, 2.0), CostTerm("linear", 0.5)),
                CostModel(None, CostTerm("power", 1.0, 1.5)), CostModel(CostTerm("linear", 3.0), None)]
 
@@ -41,6 +46,54 @@ def upskill_plans():
                                         fan_degrees=(1, 3, 7, 45, 100)[(seed + k) % 5],
                                         scan_points=(200, 64, 17, 1)[(seed // 4 + k) % 4]))
     return plans
+
+
+def _interventions_family_text():
+    """The reprs of every intervention result and error over family_configs(), one per line.
+
+    Per configuration: two sampled workers and one at the alpha cap, each at
+    the config's tau, an already-met, a reachable and an unreachable tau.
+    At each, worker_upskill under both linear costs, alpha only, beta only
+    and a power term, with rotating fan widths and scan counts, and
+    minimal_lever for every lever and an unknown one; then both
+    institution levers at zero, inside and outside their ranges.
+    """
+    lines = []
+
+    def record(name, fn, *args, **kwargs):
+        try:
+            result = fn(*args, **kwargs)
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+        lines.append(f"{name} {args[1:]!r} {kwargs!r} {result!r}")
+
+    models = [CostModel(), CostModel(h_beta=None), CostModel(h_alpha=None),
+              CostModel(CostTerm("power", 2.0, 2.0), CostTerm("linear", 0.5))]
+    for k, (triple, params) in enumerate(sorted(family_configs().items())):
+        lines.append(repr(triple))
+        rng = np.random.default_rng(900 + k)
+        abilities = [sample_ability(rng, params), sample_ability(rng, params)]
+        abilities.append(Ability(10.0, abilities[0].beta))
+        beta_cap = min(params.execution_cost.beta_domain()[1], 10.0)
+        for j, ability in enumerate(abilities):
+            q_now = quality(params, ability).q
+            span = 1.0 + abs(q_now)
+            q_far = quality(params, Ability(max(10.0, ability.alpha),
+                                            ability.beta + 0.5 * (beta_cap - ability.beta))).q
+            for i, tau in enumerate([params.tau, q_now - span, q_far, q_now + 100.0 * span]):
+                for m, model in enumerate(models):
+                    n = k + j + i + m
+                    record("worker_upskill", worker_upskill, params, ability, model, tau=tau,
+                           fan_degrees=(1, 7, 45, 90)[n % 4], scan_points=(200, 17, 1)[n % 3])
+                for lever in ("alpha", "beta", "p_a", "gamma"):
+                    record("minimal_lever", minimal_lever, params, ability, lever, tau=tau,
+                           scan_points=(400, 33)[(i + j) % 2])
+            p_room, b_room = 1.0 - params.p_a, params.b_i
+            for d_p in (0.0, 0.5 * p_room, p_room, p_room + 0.01, -0.01):
+                record("ai_upgrade_gain", ai_upgrade_gain, params, ability, d_p)
+            for d_b in (0.0, 0.3 * b_room, b_room, b_room + 0.01, -0.01):
+                record("incentive_transfer_gain", incentive_transfer_gain, params, ability, d_b)
+    return "\n".join(lines) + "\n"
 
 
 class TestLeversAreIdentitiesAtZero:
@@ -96,6 +149,13 @@ class TestBenefitTransferLever:
         gp_pos = sum(ai_upgrade_gain(reference, ab, 0.05).gain > 1e-9 for ab in points)
         gb_pos = sum(incentive_transfer_gain(reference, ab, 1.0).gain > 1e-9 for ab in points)
         assert gb_pos < gp_pos
+
+
+class TestInterventionFamily:
+    def test_interventions_are_bitwise_frozen(self):
+        text = _interventions_family_text()
+        assert "ValueError: unknown lever" in text and "feasible=False" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == INTERVENTIONS_DIGEST
 
 
 class TestMinimalLever:
