@@ -45,6 +45,6 @@ for name, target in sorted(result.lever_targets.items()):
     print(f"  {name:5s} {current:.3f} -> {target.value:.3f}")
 
 # the assembled parameters reproduce the observed effort as the worker's optimum
-recovered = optimal_verification(result.worker.params, Ability(worker.alpha, worker.beta))
+recovered = optimal_verification(result.params, Ability(worker.alpha, worker.beta))
 print(f"\nconsistency: solver recovers the observed effort "
       f"{recovered:.4f} vs {worker.s_dagger:.4f}")

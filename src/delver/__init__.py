@@ -14,7 +14,7 @@ from .atlas import (
 )
 from .calibration import (
     CalibratedWorker, CalibrationError, CaseRecord, ClassificationResult,
-    CleaningReport, CleaningRules, InstitutionSpec, Observables,
+    CleaningReport, InstitutionSpec, Observables,
     calibrate_file, classify_calibrated, clean_cases, estimate_observables,
     fixture_path, infer_ability, infer_stakes, ingest_and_clean, read_cases,
 )

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 from .atlas import QualityReport, evaluate_point
 from .interventions import LeverTarget, minimal_lever
@@ -48,17 +49,6 @@ class CaseRecord:
 
 
 @dataclass(frozen=True)
-class CleaningRules:
-    """Override handling; cleaning always keeps worker times in 0.5-2x the mean.
-
-    Cases where the AI was right but the worker alone was wrong do not fit
-    the error-detection story and are dropped as overrides when enabled.
-    """
-
-    drop_overrides: bool = True
-
-
-@dataclass(frozen=True)
 class CleaningReport:
     n_input: int
     n_time_dropped: int
@@ -79,22 +69,22 @@ class Observables:
     p_a: float
     p_assisted: float
     c_w: float
-    c_a: float
     c_wa: float
     pr_unchanged: float
     cost_assisted: float
     decomposition_ok: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibratedWorker:
-    """Inverted model quantities for one worker, filled in stages.
+    """Inverted model quantities for one worker.
 
-    stakes is available once the first-order condition applies (interior
-    effort, positive reliability); params and report are attached by
-    classification.
+    stakes is identified only where the first-order condition applies
+    (interior effort, positive reliability), and is None elsewhere.
+    Detection is exponential at the fixed detection_scale.
     """
 
+    detection_scale: ClassVar[float] = _DETECTION_SCALE
     phi_at_s_dagger: float
     c_v_at_s_dagger: float
     t_v_max: float
@@ -102,12 +92,9 @@ class CalibratedWorker:
     s_dagger: float
     alpha: float
     beta: float
-    detection_scale: float
     observables: Observables
     boundary: bool = False
     stakes: float | None = None
-    params: ModelParams | None = None
-    report: QualityReport | None = None
 
 
 @dataclass(frozen=True)
@@ -121,6 +108,7 @@ class InstitutionSpec:
 @dataclass(frozen=True)
 class ClassificationResult:
     worker: CalibratedWorker
+    params: ModelParams
     action: OptimalAction
     report: QualityReport
     lever_targets: dict[str, LeverTarget]
@@ -184,8 +172,8 @@ def read_cases(path) -> list[CaseRecord]:
 
 
 def clean_cases(records: list[CaseRecord],
-                rules: CleaningRules = CleaningRules()) -> tuple[list[CaseRecord], CleaningReport]:
-    """Keep worker times in 0.5-2x the raw mean, then apply the override exclusion."""
+                drop_overrides: bool = True) -> tuple[list[CaseRecord], CleaningReport]:
+    """Keep worker times in 0.5-2x the raw mean, then drop overrides: AI right, worker wrong."""
     n_input = len(records)
     if n_input == 0:
         return [], CleaningReport(0, 0, 0, 0)
@@ -193,7 +181,7 @@ def clean_cases(records: list[CaseRecord],
     lo, hi = _TIME_WINDOW[0] * mean_time, _TIME_WINDOW[1] * mean_time
     in_window = [r for r in records if lo <= r.worker_time <= hi]
     n_time_dropped = n_input - len(in_window)
-    if rules.drop_overrides:
+    if drop_overrides:
         kept = [r for r in in_window if not (r.ai_correct == 1 and r.worker_correct == 0)]
     else:
         kept = in_window
@@ -223,7 +211,7 @@ def estimate_observables(records: list[CaseRecord]) -> Observables:
     pr_unchanged = sum(r.output_unchanged for r in records) / n
     cost_assisted = c_wa - pr_unchanged * c_w
     return Observables(n=n, p_w=p_w, p_a=p_a, p_assisted=p_assisted,
-                       c_w=c_w, c_a=0.0, c_wa=c_wa, pr_unchanged=pr_unchanged,
+                       c_w=c_w, c_wa=c_wa, pr_unchanged=pr_unchanged,
                        cost_assisted=cost_assisted,
                        decomposition_ok=cost_assisted >= 0.0)
 
@@ -265,10 +253,9 @@ def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> Calibrate
         alpha = -math.log(1.0 - phi) / (_DETECTION_SCALE * s_dagger)
     worker = CalibratedWorker(
         phi_at_s_dagger=phi, c_v_at_s_dagger=c_v, t_v_max=t_v_max, t_w_max=t_w_max,
-        s_dagger=s_dagger, alpha=alpha, beta=beta, detection_scale=_DETECTION_SCALE,
-        observables=obs, boundary=boundary)
+        s_dagger=s_dagger, alpha=alpha, beta=beta, observables=obs, boundary=boundary)
     if not boundary and alpha > 0.0 and 0.0 < s_dagger < 1.0:
-        worker.stakes = infer_stakes(worker)
+        worker = replace(worker, stakes=infer_stakes(worker))
     return worker
 
 
@@ -283,7 +270,7 @@ def infer_stakes(worker: CalibratedWorker) -> float:
     if not 0.0 < worker.s_dagger < 1.0:
         raise CalibrationError("stakes undefined unless the observed effort is interior")
     obs = worker.observables
-    a = worker.detection_scale
+    a = _DETECTION_SCALE
     marginal = (1.0 - obs.p_a) * a * worker.alpha * math.exp(-a * worker.alpha * worker.s_dagger)
     return (worker.t_v_max + marginal * obs.c_w) / (marginal * obs.p_w)
 
@@ -305,8 +292,8 @@ def assemble_params(worker: CalibratedWorker, institution: InstitutionSpec,
     return ModelParams(
         b_w=benefit_share * worker.stakes, l_w=(1.0 - benefit_share) * worker.stakes,
         b_i=institution.b_i, l_i=institution.l_i, xi=institution.xi, tau=institution.tau,
-        p_a=obs.p_a, c_a=obs.c_a, p_w=obs.p_w,
-        detection=Detection(EXPONENTIAL, worker.detection_scale),
+        p_a=obs.p_a, c_a=0.0, p_w=obs.p_w,
+        detection=Detection(EXPONENTIAL, _DETECTION_SCALE),
         verification_cost=VerificationCost(LINEAR, worker.t_v_max),
         execution_cost=ExecutionCost(LINEAR_IN_EFFICIENCY, worker.t_w_max),
     )
@@ -333,8 +320,7 @@ def classify_calibrated(worker: CalibratedWorker, institution: InstitutionSpec,
     action, report = evaluate_point(params, ability, institution.tau)
     targets = {lever: minimal_lever(params, ability, lever, institution.tau)
                for lever in _LEVERS}
-    worker = replace(worker, params=params, report=report)
-    return ClassificationResult(worker=worker, action=action, report=report,
+    return ClassificationResult(worker=worker, params=params, action=action, report=report,
                                 lever_targets=targets, warnings=warnings,
                                 min_viable_benefit_share=min_share)
 
@@ -353,5 +339,4 @@ def calibrate_file(path, t_v_max: float, t_w_max: float,
     classification = None
     if institution is not None:
         classification = classify_calibrated(worker, institution)
-        worker = classification.worker
     return worker, report, classification

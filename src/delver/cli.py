@@ -238,7 +238,7 @@ def cmd_calibrate(args):
         institution = cal.InstitutionSpec(b_i=b_i, l_i=l_i, xi=args.xi, tau=args.tau)
         result = cal.classify_calibrated(worker, institution)
         payload["classification"] = {
-            "params": params_to_dict(result.worker.params),
+            "params": params_to_dict(result.params),
             "regime": result.action.regime.value,
             "quality": result.report.quality_label.value,
             "compliance": result.report.compliance_label.value,

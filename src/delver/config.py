@@ -20,6 +20,17 @@ class ConfigError(ValueError):
     pass
 
 
+# Each section of a config file and the ModelParams fields it holds, in
+# constructor order. Each field under "functions" is an object with a family.
+_SCHEMA = {
+    "task_profile": ("b_w", "l_w", "b_i", "l_i", "xi", "tau"),
+    "ai": ("p_a", "c_a"),
+    "worker": ("p_w",),
+    "functions": ("detection", "verification_cost", "execution_cost"),
+}
+*_NUMBERS, _FUNCTIONS = _SCHEMA  # the sections of numbers, and of functions
+
+
 def _section(doc: dict, name: str, keys: set[str]) -> dict:
     if name not in doc:
         raise ConfigError(f"missing section {name!r}")
@@ -48,28 +59,34 @@ def _number(section: dict, key: str) -> float:
     return number
 
 
+def _build(cls, *args):
+    """cls(*args), with the ValueError of the constructor's checks raised as a ConfigError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def params_from_dict(doc: dict) -> ModelParams:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(doc) - {"task_profile", "ai", "worker", "functions"}
+    unknown = set(doc) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    task = _section(doc, "task_profile", {"b_w", "l_w", "b_i", "l_i", "xi", "tau"})
-    ai = _section(doc, "ai", {"p_a", "c_a"})
-    worker = _section(doc, "worker", {"p_w"})
-    functions = _section(doc, "functions", {"detection", "verification_cost", "execution_cost"})
+    sections = {name: _section(doc, name, set(keys)) for name, keys in _SCHEMA.items()}
+    functions = sections[_FUNCTIONS]
 
     det = _section(functions, "detection", {"family", "scale"})
     if det["family"] not in (EXPONENTIAL, INVERSE_LINEAR):
         raise ConfigError(f"unknown detection family {det['family']!r}")
-    detection = Detection(det["family"], _number(det, "scale"))
+    detection = _build(Detection, det["family"], _number(det, "scale"))
 
     vc = functions["verification_cost"]
     if not isinstance(vc, dict) or "family" not in vc:
         raise ConfigError("verification_cost must be an object with a family")
     if vc["family"] == LINEAR:
         vc = _section(functions, "verification_cost", {"family", "k"})
-        verification = VerificationCost(LINEAR, _number(vc, "k"))
+        verification = _build(VerificationCost, LINEAR, _number(vc, "k"))
     elif vc["family"] == LINEAR_QUADRATIC:
         vc = _section(functions, "verification_cost", {"family"})
         verification = VerificationCost(LINEAR_QUADRATIC)
@@ -79,19 +96,10 @@ def params_from_dict(doc: dict) -> ModelParams:
     ec = _section(functions, "execution_cost", {"family", "scale"})
     if ec["family"] not in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
         raise ConfigError(f"unknown execution cost family {ec['family']!r}")
-    execution = ExecutionCost(ec["family"], _number(ec, "scale"))
+    execution = _build(ExecutionCost, ec["family"], _number(ec, "scale"))
 
-    try:
-        return ModelParams(
-            b_w=_number(task, "b_w"), l_w=_number(task, "l_w"),
-            b_i=_number(task, "b_i"), l_i=_number(task, "l_i"),
-            xi=_number(task, "xi"), tau=_number(task, "tau"),
-            p_a=_number(ai, "p_a"), c_a=_number(ai, "c_a"),
-            p_w=_number(worker, "p_w"),
-            detection=detection, verification_cost=verification, execution_cost=execution,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    numbers = [_number(sections[name], key) for name in _NUMBERS for key in _SCHEMA[name]]
+    return _build(ModelParams, *numbers, detection, verification, execution)
 
 
 def load_params(path) -> ModelParams:
@@ -108,22 +116,16 @@ def load_params(path) -> ModelParams:
     return params_from_dict(doc)
 
 
+def _function_dict(fn) -> dict:
+    if isinstance(fn, VerificationCost):  # linear_quadratic has no parameter
+        return {"family": fn.kind, "k": fn.k} if fn.kind == LINEAR else {"family": fn.kind}
+    return {"family": fn.kind, "scale": fn.scale}
+
+
 def params_to_dict(params: ModelParams) -> dict:
-    vc: dict = {"family": params.verification_cost.kind}
-    if params.verification_cost.kind == LINEAR:
-        vc["k"] = params.verification_cost.k
-    return {
-        "task_profile": {"b_w": params.b_w, "l_w": params.l_w, "b_i": params.b_i,
-                         "l_i": params.l_i, "xi": params.xi, "tau": params.tau},
-        "ai": {"p_a": params.p_a, "c_a": params.c_a},
-        "worker": {"p_w": params.p_w},
-        "functions": {
-            "detection": {"family": params.detection.kind, "scale": params.detection.scale},
-            "verification_cost": vc,
-            "execution_cost": {"family": params.execution_cost.kind,
-                               "scale": params.execution_cost.scale},
-        },
-    }
+    doc = {name: {key: getattr(params, key) for key in keys} for name, keys in _SCHEMA.items()}
+    doc[_FUNCTIONS] = {name: _function_dict(fn) for name, fn in doc[_FUNCTIONS].items()}
+    return doc
 
 
 def parse_range(text: str) -> tuple[float, float, int]:

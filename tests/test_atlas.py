@@ -207,6 +207,8 @@ class TestSweep:
         rows = sweep_grid(reference, (0.4, 0.4, 2), (0.6, 0.6, 2))
         assert len(rows) == 4
         assert len({(r.q, r.q0, r.regime, r.s_star) for r in rows}) == 1
+        with pytest.raises(ValueError, match="range count must be >= 1"):
+            sweep_grid(reference, (0, 1, 0), (0, 1, 3))
 
     def test_manual_rows_have_zero_gap(self, reference):
         rows = sweep_grid(reference, (0, 1, 41), (0, 1, 41))

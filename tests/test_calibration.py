@@ -1,7 +1,7 @@
 """Case-log ingestion, cleaning, and the inversion chain into model parameters."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -44,7 +44,7 @@ class TestCleaning:
 
     def test_override_rule_can_be_disabled(self):
         records = [make_record(0), make_record(1, worker=0, ai=1)]
-        kept, report = cal.clean_cases(records, cal.CleaningRules(drop_overrides=False))
+        kept, report = cal.clean_cases(records, drop_overrides=False)
         assert len(kept) == 2
         assert report.n_override_dropped == 0
 
@@ -109,7 +109,6 @@ class TestObservables:
         assert obs.c_w == pytest.approx(172.5, abs=1e-9)
         assert obs.cost_assisted == pytest.approx(116.8, abs=1e-9)
         assert obs.pr_unchanged == 0.5
-        assert obs.c_a == 0.0
         assert obs.decomposition_ok
 
     def test_single_record(self):
@@ -142,7 +141,7 @@ class TestInversion:
     def test_chain_consistency(self, clinician_worker, clinician_classified):
         # the assembled model must reproduce the observables at (1, s_dagger)
         w = clinician_worker
-        params = clinician_classified.worker.params
+        params = clinician_classified.params
         ability = Ability(w.alpha, w.beta)
         action = Action(1.0, w.s_dagger)
         assert dv.task_success(params, ability, action) == pytest.approx(
@@ -151,9 +150,16 @@ class TestInversion:
             w.observables.cost_assisted, abs=1e-9)
 
     def test_solver_recovers_observed_effort(self, clinician_classified):
-        w = clinician_classified.worker
-        assert optimal_verification(w.params, Ability(w.alpha, w.beta)) == pytest.approx(
+        w, params = clinician_classified.worker, clinician_classified.params
+        assert optimal_verification(params, Ability(w.alpha, w.beta)) == pytest.approx(
             w.s_dagger, abs=1e-9)
+
+    def test_worker_is_frozen_with_a_fixed_detection_scale(self, clinician_worker):
+        with pytest.raises(FrozenInstanceError):
+            clinician_worker.stakes = 1.0
+        assert clinician_worker.detection_scale == 1.0
+        assert {"detection_scale", "params", "report"}.isdisjoint(
+            f.name for f in fields(cal.CalibratedWorker))
 
     def test_no_detectable_verification(self):
         obs = replace_obs(p_assisted=14 / 38)
@@ -220,7 +226,7 @@ class TestInversion:
         pr_unchanged = 0.37
         obs = cal.Observables(
             n=200, p_w=params.p_w, p_a=params.p_a, p_assisted=p_assisted,
-            c_w=params.execution_cost.cost(ability.beta), c_a=0.0,
+            c_w=params.execution_cost.cost(ability.beta),
             c_wa=cost_assisted + pr_unchanged * params.execution_cost.cost(ability.beta),
             pr_unchanged=pr_unchanged, cost_assisted=cost_assisted, decomposition_ok=True)
         recovered = cal.infer_ability(obs, t_v_max, t_w_max)
@@ -278,7 +284,7 @@ class TestClassification:
     def test_failed_dominance_is_a_warning(self, clinician_worker):
         weak = replace(CLINICIAN_INSTITUTION, b_i=100.0, l_i=100.0)
         res = cal.classify_calibrated(clinician_worker, weak)
-        assert not res.worker.params.dominance_holds()
+        assert not res.params.dominance_holds()
         assert res.warnings[0] == "institutional dominance violated for this parameterization"
 
     def test_calibrate_file_runs_the_whole_chain(self):
@@ -286,13 +292,13 @@ class TestClassification:
             cal.fixture_path(), t_v_max=118.1, t_w_max=262.3,
             institution=CLINICIAN_INSTITUTION)
         assert cleaning.n_retained == 38
-        assert worker.params is not None
+        assert result.params == cal.assemble_params(worker, CLINICIAN_INSTITUTION)
         assert result.action.regime == dv.Regime.MANUAL
 
 
 def replace_obs(**changes):
     base = dict(n=38, p_w=17 / 38, p_a=14 / 38, p_assisted=15 / 38,
-                c_w=172.5, c_a=0.0, c_wa=203.05, pr_unchanged=0.5,
+                c_w=172.5, c_wa=203.05, pr_unchanged=0.5,
                 cost_assisted=116.8, decomposition_ok=True)
     base.update(changes)
     return cal.Observables(**base)

@@ -6,7 +6,9 @@ import io
 import json
 import math
 import re
+import runpy
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import delver as dv
 import delver.calibration as cal
 from delver.atlas import fmt
+from delver import cli
 from delver.cli import main
 from delver.config import load_params, params_from_dict, parse_range
 
@@ -121,31 +124,138 @@ def inverse_efficiency_config(directory):
     return str(path)
 
 
+DROP = object()  # remove the key instead of setting it
+
+# A malformed config, as changes to the reference config (key path -> new value;
+# the empty path replaces the root), and the message it fails with. The messages
+# are those of commit bfc6fef. A config with two faults reports the one checked
+# first: top-level keys, then each section's keys, then the detection, verification
+# cost and execution cost functions in turn (keys before family, but verification
+# cost's family before its keys), then the numbers in ModelParams order.
+CONFIG_REJECTIONS = {
+    "root-array": ({(): []}, "config root must be an object"),
+    "extra-section": ({("extra",): 1}, "unknown top-level keys: ['extra']"),
+    "missing-section": ({("ai",): DROP}, "missing section 'ai'"),
+    "missing-functions": ({("functions",): DROP}, "missing section 'functions'"),
+    "section-not-object": ({("worker",): 0.75}, "section 'worker' must be an object"),
+    "unknown-key": ({("task_profile", "typo"): 2}, "unknown keys in 'task_profile': ['typo']"),
+    "missing-key": ({("worker", "p_w"): DROP}, "missing keys in 'worker': ['p_w']"),
+    "string-number": ({("task_profile", "tau"): "6.4"}, "'tau' must be a number, got '6.4'"),
+    "bool-number": ({("worker", "p_w"): True}, "'p_w' must be a number, got True"),
+    "null-number": ({("ai", "c_a"): None}, "'c_a' must be a number, got None"),
+    "huge-int": ({("ai", "c_a"): 10**400},
+                 "'c_a' must be finite, got an integer too large for a float"),
+    "functions-not-object": ({("functions",): []}, "section 'functions' must be an object"),
+    "unknown-detection": ({("functions", "detection", "family"): "logistic"},
+                          "unknown detection family 'logistic'"),
+    "detection-missing-scale": ({("functions", "detection", "scale"): DROP},
+                                "missing keys in 'detection': ['scale']"),
+    "detection-not-object": ({("functions", "detection"): "exponential"},
+                             "section 'detection' must be an object"),
+    "unknown-verification": ({("functions", "verification_cost", "family"): "cubic"},
+                             "unknown verification cost family 'cubic'"),
+    "verification-without-family": ({("functions", "verification_cost"): {"k": 1}},
+                                    "verification_cost must be an object with a family"),
+    "verification-not-object": ({("functions", "verification_cost"): "linear"},
+                                "verification_cost must be an object with a family"),
+    "linear-without-k": ({("functions", "verification_cost"): {"family": "linear"}},
+                         "missing keys in 'verification_cost': ['k']"),
+    "quadratic-with-k": ({("functions", "verification_cost"): {"family": "linear_quadratic", "k": 2}},
+                         "unknown keys in 'verification_cost': ['k']"),
+    "unknown-execution": ({("functions", "execution_cost", "family"): "quadratic"},
+                          "unknown execution cost family 'quadratic'"),
+    "execution-extra-key": ({("functions", "execution_cost", "rho"): 2},
+                            "unknown keys in 'execution_cost': ['rho']"),
+    # the three that the function constructors reject
+    "detection-scale-zero": ({("functions", "detection", "scale"): 0},
+                             "detection scale must be finite and positive"),
+    "verification-k-zero": ({("functions", "verification_cost", "k"): 0},
+                            "linear verification cost needs a finite k > 0"),
+    "execution-scale-negative": ({("functions", "execution_cost", "scale"): -2},
+                                 "execution cost scale must be finite and positive"),
+    "p_a-above-one": ({("ai", "p_a"): 1.5}, "p_a must lie in [0, 1]"),
+    "xi-negative": ({("task_profile", "xi"): -1}, "xi must be finite and >= 0, got -1.0"),
+    "stakes-overflow": ({("task_profile", "b_w"): 1e308, ("task_profile", "l_w"): 1e308},
+                        "b_w + l_w must be finite, got inf"),
+    "top-level-before-section": ({("extra",): 1, ("ai",): DROP},
+                                 "unknown top-level keys: ['extra']"),
+    "family-before-number": ({("task_profile", "tau"): "x",
+                              ("functions", "detection", "family"): "logistic"},
+                             "unknown detection family 'logistic'"),
+    "scale-before-b_w": ({("task_profile", "b_w"): "x", ("functions", "detection", "scale"): "y"},
+                         "'scale' must be a number, got 'y'"),
+    "detection-before-verification": ({("functions", "detection", "scale"): 0,
+                                       ("functions", "verification_cost", "family"): "cubic"},
+                                      "detection scale must be finite and positive"),
+    "execution-before-p_a": ({("functions", "execution_cost", "scale"): -2, ("ai", "p_a"): 2},
+                             "execution cost scale must be finite and positive"),
+    "keys-before-family": ({("functions", "execution_cost", "family"): "quadratic",
+                            ("functions", "execution_cost", "rho"): 2},
+                           "unknown keys in 'execution_cost': ['rho']"),
+    "family-before-keys": ({("functions", "verification_cost"): {"family": "cubic", "rho": 2}},
+                           "unknown verification cost family 'cubic'"),
+}
+
+
+def edited_config(changes):
+    """The reference config document with changes applied in order."""
+    doc = json.loads(Path(REFERENCE_CONFIG).read_text())
+    for path, value in changes.items():
+        if not path:
+            return value
+        *parents, key = path
+        target = doc
+        for name in parents:
+            target = target[name]
+        if value is DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return doc
+
+
 class TestConfig:
     def test_reference_file_loads(self, reference):
         assert load_params(REFERENCE_CONFIG) == reference
 
-    def test_unknown_keys_rejected(self):
-        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
-        doc["extra"] = 1
-        with pytest.raises(dv.ConfigError):
-            params_from_dict(doc)
-        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
-        doc["task_profile"]["typo"] = 2
-        with pytest.raises(dv.ConfigError):
-            params_from_dict(doc)
+    @pytest.mark.parametrize("changes, message", CONFIG_REJECTIONS.values(), ids=CONFIG_REJECTIONS)
+    def test_malformed_config_is_one_error_line(self, capsys, tmp_path, changes, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited_config(changes)))
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_missing_keys_rejected(self):
-        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
-        del doc["worker"]["p_w"]
-        with pytest.raises(dv.ConfigError):
-            params_from_dict(doc)
+    @pytest.mark.parametrize("changes, message", CONFIG_REJECTIONS.values(), ids=CONFIG_REJECTIONS)
+    def test_malformed_config_raises_config_error(self, changes, message):
+        with pytest.raises(dv.ConfigError) as err:
+            params_from_dict(edited_config(changes))
+        assert str(err.value) == message
 
-    def test_quadratic_cost_forbids_k(self):
-        doc = json.loads(Path(REFERENCE_CONFIG).read_text())
-        doc["functions"]["verification_cost"] = {"family": "linear_quadratic", "k": 2}
-        with pytest.raises(dv.ConfigError):
-            params_from_dict(doc)
+    def test_invalid_json_is_one_error_line(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{")
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid JSON in {config}: Expecting property name enclosed in "
+                       "double quotes: line 1 column 2 (char 1)\n")
+
+    def test_non_numeric_range_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", "psi_tau",
+                             "--beta-range", "0:1:x")
+        assert (code, out) == (1, "")
+        assert err == "error: bad range '0:1:x': invalid literal for int() with base 10: 'x'\n"
+
+    def test_linear_quadratic_config_solves(self, capsys, tmp_path, reference):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited_config(
+            {("functions", "verification_cost"): {"family": "linear_quadratic"}})))
+        assert load_params(config) == replace(
+            reference, verification_cost=dv.VerificationCost("linear_quadratic"))
+        code, out, err = run(capsys, "solve", "--config", str(config), "--alpha", "0.9", "--beta", "0.9")
+        assert (code, err) == (0, "")
+        assert "regime " in out
 
     def test_range_parsing(self):
         assert parse_range("0:1:11") == (0.0, 1.0, 11)
@@ -587,6 +697,17 @@ class TestCalibrateCommand:
         assert (code, out, err) == (1, "", "error: malformed rows: row 6: expected 7 fields\n")
 
 
+class TestBenchmarkSeams:
+    def test_traced_names_are_cli_attributes(self):
+        # the benchmark's traced pass swaps these delver.cli names for timed wrappers;
+        # run_path executes bench/tracing.py from source and writes nothing under bench/
+        layers = runpy.run_path(str(REPO / "bench" / "tracing.py"))["CLI_LAYERS"]
+        assert layers
+        for name in layers:
+            assert callable(getattr(cli, name)), name
+        assert cli.cal is cal
+
+
 class TestSelfcheck:
     def test_reports_thresholds_and_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG)
@@ -595,6 +716,30 @@ class TestSelfcheck:
         assert float(lines["t"]) == pytest.approx(0.72, abs=1e-9)
         assert float(lines["t_tau"]) == pytest.approx(4.0 / 15.0, abs=1e-9)
         assert lines["oracle_failures"] == "0"
+
+    def test_violations_are_listed_and_do_not_fail(self, capsys, tmp_path):
+        # b_i = l_i = 1 breaks institutional dominance; the output is that of commit bfc6fef
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited_config({("task_profile", "b_i"): 1,
+                                                    ("task_profile", "l_i"): 1})))
+        code, out, err = run(capsys, "selfcheck", "--config", str(config))
+        assert (code, err) == (0, "")
+        assert out == ("t 0.72\nt_tau 1 (boundary)\ndominance 0\nassumptions_ok 0\n"
+                       "violation dominance violated: b_i+l_i=2.0 <= xi*(b_w+l_w)=4.2\n"
+                       "oracle_spot_checks 20\noracle_max_shortfall 0\noracle_failures 0\n")
+
+    def test_oracle_above_the_analytic_optimum_fails(self, capsys, monkeypatch):
+        oracle = cli.brute_force_action
+
+        def optimistic(*args, **kwargs):
+            action, utility = oracle(*args, **kwargs)
+            return action, utility + 1.0
+
+        monkeypatch.setattr(cli, "brute_force_action", optimistic)
+        code, out, _ = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG)
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert code == 1
+        assert lines["oracle_failures"] == "20"
 
     def test_negative_samples_is_rejected(self, capsys):
         code, out, err = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG, "--samples", "-3")

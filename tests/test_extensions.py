@@ -48,6 +48,8 @@ class TestDifficultyProfile:
             DifficultyProfile(worker_success=(0.4, -0.5))      # leaves [0, 1]
         with pytest.raises(ValueError):
             DifficultyProfile(execution_scale=(1.0, -0.5))     # decreasing cost
+        with pytest.raises(ValueError, match="cost scales must be non-negative"):
+            DifficultyProfile(execution_scale=(-1.0, 2.0))
         with pytest.raises(ValueError):
             DifficultyProfile(difficulty=1.5)
         with pytest.raises(ValueError):

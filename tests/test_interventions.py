@@ -274,7 +274,7 @@ class TestCalibratedClinicianLevers:
 
     def test_upskill_axis_plans_match_lever_targets(self, clinician_classified):
         res = clinician_classified
-        params = res.worker.params
+        params = res.params
         ability = Ability(res.worker.alpha, res.worker.beta)
         alpha_plan = worker_upskill(params, ability, CostModel(h_beta=None), tau=150.0)
         assert alpha_plan.d_alpha == pytest.approx(
@@ -285,7 +285,7 @@ class TestCalibratedClinicianLevers:
 
     def test_beta_lever_solves_baseline_equation(self, clinician_classified):
         res = clinician_classified
-        params = res.worker.params
+        params = res.params
         target = res.lever_targets["beta"]
         # the worker stays manual as beta rises, so the target solves
         # q0(beta') = tau:  beta' = beta + (tau - q0) / (xi * t_w_max)
@@ -295,7 +295,7 @@ class TestCalibratedClinicianLevers:
 
     def test_alpha_lever_is_minimal_and_feasible(self, clinician_classified):
         res = clinician_classified
-        params = res.worker.params
+        params = res.params
         target = res.lever_targets["alpha"]
         beta = res.worker.beta
         q_at = lambda a: dv.quality(params, Ability(a, beta), 150.0).q
@@ -305,7 +305,7 @@ class TestCalibratedClinicianLevers:
 
     def test_p_a_lever_solves_pure_delegation_equation(self, clinician_classified):
         res = clinician_classified
-        params = res.worker.params
+        params = res.params
         target = res.lever_targets["p_a"]
         # at the target the worker purely delegates: q0 - (b_i + l_i)(p_w - p') + xi c_w = tau
         obs = res.worker.observables

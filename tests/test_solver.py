@@ -119,6 +119,11 @@ class TestArrayBranchPoints:
                 for c, f in zip(centers.tolist(), flat.tolist())]
         assert got.tolist() == want
 
+    def test_golden_section_on_an_interval_inside_the_tolerance_returns_its_midpoint(self):
+        calls = []
+        assert golden_section_max(calls.append, 0.25, 0.25 + 5e-10) == 0.25000000025
+        assert calls == []
+
     def test_choose_regime_matches_optimal_action(self):
         f_w = np.array([-1.0, -0.0, 0.0, 2.0, 2.0, -3.0])
         s_dag = np.array([0.5, 0.0, 0.0, 0.0, 0.25, 0.0])
