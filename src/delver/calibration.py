@@ -171,8 +171,7 @@ def read_cases(path) -> list[CaseRecord]:
     return records
 
 
-def clean_cases(records: list[CaseRecord],
-                drop_overrides: bool = True) -> tuple[list[CaseRecord], CleaningReport]:
+def clean_cases(records: list[CaseRecord]) -> tuple[list[CaseRecord], CleaningReport]:
     """Keep worker times in 0.5-2x the raw mean, then drop overrides: AI right, worker wrong."""
     n_input = len(records)
     if n_input == 0:
@@ -181,10 +180,7 @@ def clean_cases(records: list[CaseRecord],
     lo, hi = _TIME_WINDOW[0] * mean_time, _TIME_WINDOW[1] * mean_time
     in_window = [r for r in records if lo <= r.worker_time <= hi]
     n_time_dropped = n_input - len(in_window)
-    if drop_overrides:
-        kept = [r for r in in_window if not (r.ai_correct == 1 and r.worker_correct == 0)]
-    else:
-        kept = in_window
+    kept = [r for r in in_window if not (r.ai_correct == 1 and r.worker_correct == 0)]
     n_override_dropped = len(in_window) - len(kept)
     return kept, CleaningReport(n_input, n_time_dropped, n_override_dropped, len(kept))
 

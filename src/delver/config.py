@@ -20,15 +20,12 @@ class ConfigError(ValueError):
     pass
 
 
-# Each section of a config file and the ModelParams fields it holds, in
-# constructor order. Each field under "functions" is an object with a family.
-_SCHEMA = {
+# Each section of numbers in a config file and its ModelParams fields; "functions" is apart.
+_NUMBERS = {
     "task_profile": ("b_w", "l_w", "b_i", "l_i", "xi", "tau"),
     "ai": ("p_a", "c_a"),
     "worker": ("p_w",),
-    "functions": ("detection", "verification_cost", "execution_cost"),
 }
-*_NUMBERS, _FUNCTIONS = _SCHEMA  # the sections of numbers, and of functions
 
 
 def _section(doc: dict, name: str, keys: set[str]) -> dict:
@@ -59,10 +56,10 @@ def _number(section: dict, key: str) -> float:
     return number
 
 
-def _build(cls, *args):
-    """cls(*args), with the ValueError of the constructor's checks raised as a ConfigError."""
+def _build(cls, *args, **kwargs):
+    """cls(...), with the ValueError of the constructor's checks raised as a ConfigError."""
     try:
-        return cls(*args)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -70,11 +67,11 @@ def _build(cls, *args):
 def params_from_dict(doc: dict) -> ModelParams:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(doc) - set(_SCHEMA)
+    unknown = set(doc) - {*_NUMBERS, "functions"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    sections = {name: _section(doc, name, set(keys)) for name, keys in _SCHEMA.items()}
-    functions = sections[_FUNCTIONS]
+    sections = {name: _section(doc, name, set(keys)) for name, keys in _NUMBERS.items()}
+    functions = _section(doc, "functions", {"detection", "verification_cost", "execution_cost"})
 
     det = _section(functions, "detection", {"family", "scale"})
     if det["family"] not in (EXPONENTIAL, INVERSE_LINEAR):
@@ -98,8 +95,9 @@ def params_from_dict(doc: dict) -> ModelParams:
         raise ConfigError(f"unknown execution cost family {ec['family']!r}")
     execution = _build(ExecutionCost, ec["family"], _number(ec, "scale"))
 
-    numbers = [_number(sections[name], key) for name in _NUMBERS for key in _SCHEMA[name]]
-    return _build(ModelParams, *numbers, detection, verification, execution)
+    numbers = {key: _number(sections[name], key) for name, keys in _NUMBERS.items() for key in keys}
+    return _build(ModelParams, **numbers, detection=detection, verification_cost=verification,
+                  execution_cost=execution)
 
 
 def load_params(path) -> ModelParams:
@@ -116,15 +114,14 @@ def load_params(path) -> ModelParams:
     return params_from_dict(doc)
 
 
-def _function_dict(fn) -> dict:
-    if isinstance(fn, VerificationCost):  # linear_quadratic has no parameter
-        return {"family": fn.kind, "k": fn.k} if fn.kind == LINEAR else {"family": fn.kind}
-    return {"family": fn.kind, "scale": fn.scale}
-
-
 def params_to_dict(params: ModelParams) -> dict:
-    doc = {name: {key: getattr(params, key) for key in keys} for name, keys in _SCHEMA.items()}
-    doc[_FUNCTIONS] = {name: _function_dict(fn) for name, fn in doc[_FUNCTIONS].items()}
+    det, vc, ec = params.detection, params.verification_cost, params.execution_cost
+    doc = {name: {key: getattr(params, key) for key in keys} for name, keys in _NUMBERS.items()}
+    doc["functions"] = {"detection": {"family": det.kind, "scale": det.scale},
+                        "verification_cost": {"family": vc.kind},
+                        "execution_cost": {"family": ec.kind, "scale": ec.scale}}
+    if vc.kind == LINEAR:  # linear_quadratic has no parameter
+        doc["functions"]["verification_cost"]["k"] = vc.k
     return doc
 
 

@@ -42,11 +42,11 @@ class TestCleaning:
         assert again_records == records
         assert again_report == report
 
-    def test_override_rule_can_be_disabled(self):
+    def test_override_is_dropped(self):
         records = [make_record(0), make_record(1, worker=0, ai=1)]
-        kept, report = cal.clean_cases(records, drop_overrides=False)
-        assert len(kept) == 2
-        assert report.n_override_dropped == 0
+        kept, report = cal.clean_cases(records)
+        assert kept == records[:1]
+        assert report.n_override_dropped == 1
 
     def test_malformed_rows_are_listed(self, tmp_path):
         path = tmp_path / "bad.csv"
