@@ -277,7 +277,7 @@ def cmd_selfcheck(args):
             failures += 1
     _emit(args, {"oracle_spot_checks": args.samples, "oracle_max_shortfall": worst,
                  "oracle_failures": failures})
-    return 1 if failures else 0
+    return 1 if failures or not report.all_ok else 0
 
 
 @functools.cache

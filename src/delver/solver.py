@@ -1,15 +1,17 @@
 """Worker-optimal actions: verification effort, regime, thresholds, grid oracle.
 
 The worker utility is affine in d, so the optimum is a corner in d and a
-one-dimensional concave maximization in s. Closed forms cover the linear
-verification cost; golden-section search covers the rest. A brute-force
-grid maximizer is kept as an independent oracle.
+one-dimensional concave maximization in s. The verification effort
+s_dagger comes from one of three places: a closed form under linear
+verification cost, a clamp at 0 or 1 read from the sign of the surplus
+slope at the ends, or a safeguarded Newton search on that slope under
+linear_quadratic cost. A brute-force grid maximizer is kept as an
+independent oracle.
 
-The branch points (the closed form for s_dagger and its clamp, the
-golden-section search, and the regime call) and the bisection also come
-in array forms for grid sweeps and fan searches. They follow the scalar
-branches element by element, so each element of their result equals the
-scalar result bitwise.
+The branch points (the closed form and its clamp, the Newton search, and
+the regime call) and the bisection also come in array forms for grid
+sweeps and fan searches. They follow the scalar branches element by
+element, so each element of their result equals the scalar result bitwise.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .model import (
     worker_increment,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-9
-_GOLDEN_MAX_ITER = 200
+_NEWTON_TOL = 2.0 ** -49  # 8 eps, the rounding allowance of the Newton stopping tests
+_NEWTON_MAX_ITER = 100
 _THRESHOLD_TOL = 1e-12
 
 
@@ -67,64 +68,27 @@ class ThresholdResult:
     note: str = ""
 
 
-def golden_section_max(fn, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
-    """Argmax of a unimodal function on [lo, hi] to argument tolerance tol."""
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_MAX_ITER):
-        if h <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = fn(d)
-    return 0.5 * (a + b)
+def _surplus_slopes(kind: str, a, k, s, exp):
+    """(h', h'', done) of the linear_quadratic surplus h(s) = k phi(s) - s - s^2 / 2.
 
-
-def golden_section_max_array(fn, n: int) -> np.ndarray:
-    """golden_section_max on [0, 1], with its default tolerance, for n functions at once.
-
-    fn maps an array of n arguments to the n function values. Each element
-    keeps its own bracket and stopping test, so it takes exactly the
-    iterates the scalar search would.
+    a is scale * alpha. done: |h'| is within rounding of its terms, 8 eps (k phi' + 1 + s);
+    the test subtracts, so an overflowed slope (inf - inf is NaN) never passes it. Only
+    +, -, *, / and np.exp are used, so a float and an array element get the same bits.
     """
-    a, b = np.zeros(n), np.ones(n)
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_MAX_ITER):
-        active = h > _GOLDEN_TOL
-        if not active.any():
-            break
-        # a stopped element keeps a and b, the only state its result reads
-        left = fc >= fd
-        b = np.where(active & left, d, b)
-        a = np.where(active & ~left, c, a)
-        h = b - a
-        probe = np.where(left, b - _INV_PHI * h, a + _INV_PHI * h)
-        fp = fn(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return 0.5 * (a + b)
+    if kind == INVERSE_LINEAR:
+        u = 1.0 + a * s
+        slope = a / (u * u)
+        curve = -2.0 * slope * a / u
+    else:
+        slope = a * exp(-a * s)
+        curve = -a * slope
+    k_slope = k * slope
+    g = k_slope - 1.0 - s
+    return g, k * curve - 1.0, abs(g) - _NEWTON_TOL * (k_slope + 1.0 + s) <= 0.0
 
 
-def _surplus_fn(detection: Detection, alpha, vcost: VerificationCost, phi_coefficient):
-    def surplus(s):
-        return phi_coefficient * detection.prob(alpha, s) - vcost.cost(s)
-
-    return surplus
+def _float_exp(x):
+    return float(np.exp(x))  # np.exp, not math.exp: the array form's bits
 
 
 def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost,
@@ -132,15 +96,19 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     """Argmax over [0, 1] of phi_coefficient * phi(s; alpha) - C_v(s).
 
     Non-positive phi coefficient or zero reliability makes the surplus
-    non-increasing, so the argmax is 0. Linear verification cost admits a
-    closed-form first-order condition for both detection families; other
-    combinations fall back to golden-section search on the strictly
-    concave surplus.
+    non-increasing, so the argmax is 0. A linear verification cost admits a
+    closed-form first-order condition for both detection families, clamped
+    to [0, 1]. Under linear_quadratic cost the surplus is strictly concave:
+    its derivative h'(s) = k phi'(s) - 1 - s gives 0 when h'(0) <= 0 and 1
+    when h'(1) >= 0, and otherwise a safeguarded Newton search finds its
+    root. The search starts at 0.5, keeps the bracket from the sign of h',
+    and takes the bracket midpoint whenever a Newton step leaves it. It
+    stops when h' is zero to rounding or the step is at most 8 eps * s.
     """
     if phi_coefficient <= 0.0 or alpha <= 0.0:
         return 0.0
+    a = detection.scale * alpha
     if vcost.kind == LINEAR:
-        a = detection.scale * alpha
         if detection.kind == INVERSE_LINEAR:
             # k_w * a / (1 + a s)^2 = k  =>  s0 = (sqrt(a k_w / k) - 1) / a
             arg = a * phi_coefficient / vcost.k
@@ -150,11 +118,28 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
             s0 = math.log(arg) / a if arg > 1.0 else 0.0
         return min(1.0, max(0.0, s0))
 
-    surplus = _surplus_fn(detection, alpha, vcost, phi_coefficient)
-    s0 = golden_section_max(surplus, 0.0, 1.0)
-    # the bracket endpoints beat an interior argmax found within tolerance noise
-    best = max((surplus(s), s) for s in (0.0, s0, 1.0))
-    return best[1]
+    kind, k = detection.kind, phi_coefficient
+    if _surplus_slopes(kind, a, k, 0.0, _float_exp)[0] <= 0.0:
+        return 0.0
+    if _surplus_slopes(kind, a, k, 1.0, _float_exp)[0] >= 0.0:
+        return 1.0
+    lo, hi, s = 0.0, 1.0, 0.5
+    for _ in range(_NEWTON_MAX_ITER):
+        g, dg, done = _surplus_slopes(kind, a, k, s, _float_exp)
+        if done:
+            break
+        if g > 0.0:
+            lo = s
+        else:
+            hi = s
+        new = s - g / dg
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - s) <= _NEWTON_TOL * s
+        s = new
+        if done:
+            break
+    return s
 
 
 def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: VerificationCost,
@@ -165,13 +150,13 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
     """
     s_dagger = np.zeros(np.shape(alpha))
     live = ~((phi_coefficient <= 0.0) | (alpha <= 0.0))
-    alpha, k = alpha[live], phi_coefficient[live]
+    a, k = detection.scale * alpha[live], phi_coefficient[live]
     if vcost.kind == LINEAR:
-        a = detection.scale * alpha
-        arg = a * k / (vcost.k[live] if isinstance(vcost.k, np.ndarray) else vcost.k)
         s0 = np.zeros(len(a))
-        # a subnormal a sends s0 to +-inf before the clamp, silently as floats do
+        # a * k can overflow to inf, and a subnormal a sends s0 to +-inf before
+        # the clamp, silently as floats do
         with np.errstate(over="ignore"):
+            arg = a * k / (vcost.k[live] if isinstance(vcost.k, np.ndarray) else vcost.k)
             if detection.kind == INVERSE_LINEAR:
                 pos = arg > 0
                 s0[pos] = (np.sqrt(arg[pos]) - 1.0) / a[pos]
@@ -182,16 +167,28 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
         s_dagger[live] = np.minimum(1.0, np.maximum(0.0, s0))
         return s_dagger
 
-    surplus = _surplus_fn(detection, alpha, vcost, k)
-    s0 = golden_section_max_array(surplus, len(alpha))
-    # the scalar max over (surplus, s) tuples: the larger surplus wins, a tie goes to the larger s
-    best_s = np.zeros(len(alpha))
-    best_f = surplus(best_s)
-    for s in (s0, np.ones(len(alpha))):
-        f = surplus(s)
-        take = (f > best_f) | ((f == best_f) & (s > best_s))
-        best_f, best_s = np.where(take, f, best_f), np.where(take, s, best_s)
-    s_dagger[live] = best_s
+    kind = detection.kind
+    # overflow and inf - inf stay silent, as in the scalar form's floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = ~(_surplus_slopes(kind, a, k, 0.0, np.exp)[0] <= 0.0)
+        top = up & (_surplus_slopes(kind, a, k, 1.0, np.exp)[0] >= 0.0)
+        s = np.where(top, 1.0, np.where(up, 0.5, 0.0))
+        lo, hi = np.zeros(len(a)), np.ones(len(a))
+        rest = np.flatnonzero(up & ~top)
+        for _ in range(_NEWTON_MAX_ITER):
+            if not len(rest):
+                break
+            g, dg, done = _surplus_slopes(kind, a[rest], k[rest], s[rest], np.exp)
+            rest, g, dg = rest[~done], g[~done], dg[~done]
+            now = s[rest]
+            right = g > 0.0
+            lo[rest[right]] = now[right]
+            hi[rest[~right]] = now[~right]
+            new = now - g / dg
+            new = np.where((lo[rest] < new) & (new < hi[rest]), new, 0.5 * (lo[rest] + hi[rest]))
+            s[rest] = new
+            rest = rest[~(np.abs(new - now) <= _NEWTON_TOL * now)]
+    s_dagger[live] = s
     return s_dagger
 
 

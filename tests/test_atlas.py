@@ -22,8 +22,10 @@ from delver.solver import REGIMES, Regime, manual_delegation_threshold, qualific
 from conftest import family_configs
 
 
-# SHA-256 of _boundary_family_text(), frozen before the separatrices shared one search
-BOUNDARY_DIGEST = "cb87957ba7ed157ab2538cb77efb412aa054a4e00913c778b0929fdb69163a9d"
+# SHA-256 of _boundary_family_text(), frozen before the separatrices shared one search and
+# re-pinned when s_dagger under linear_quadratic cost moved from golden-section search
+# to Newton's method (roots moved by at most 7.1e-8 relative; see CHANGES.md)
+BOUNDARY_DIGEST = "797017993e2cf63ed7de15f19d6aaace5b33448035aea69f907ad2e22729dabb"
 
 
 def _boundary_family_text():

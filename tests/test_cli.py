@@ -717,13 +717,13 @@ class TestSelfcheck:
         assert float(lines["t_tau"]) == pytest.approx(4.0 / 15.0, abs=1e-9)
         assert lines["oracle_failures"] == "0"
 
-    def test_violations_are_listed_and_do_not_fail(self, capsys, tmp_path):
+    def test_violations_are_listed_and_fail(self, capsys, tmp_path):
         # b_i = l_i = 1 breaks institutional dominance; the output is that of commit bfc6fef
         config = tmp_path / "config.json"
         config.write_text(json.dumps(edited_config({("task_profile", "b_i"): 1,
                                                     ("task_profile", "l_i"): 1})))
         code, out, err = run(capsys, "selfcheck", "--config", str(config))
-        assert (code, err) == (0, "")
+        assert (code, err) == (1, "")
         assert out == ("t 0.72\nt_tau 1 (boundary)\ndominance 0\nassumptions_ok 0\n"
                        "violation dominance violated: b_i+l_i=2.0 <= xi*(b_w+l_w)=4.2\n"
                        "oracle_spot_checks 20\noracle_max_shortfall 0\noracle_failures 0\n")

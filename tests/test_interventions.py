@@ -19,10 +19,13 @@ from conftest import family_configs
 
 # SHA-256 of the reprs of upskill_plans(), joined by newlines, as the
 # per-direction scalar search (before the fan moved to the array path) gave them
-UPSKILL_PLANS_DIGEST = "c732f55a628a47ad3e225e4a9b4cdb84aac98d17dd65e6ff2905a1d9f0ef54dd"
+UPSKILL_PLANS_DIGEST = "ce8a88fc19c6faa783e78873080577b4ac2a1612fe42016c13c2c01269e773f3"
 # SHA-256 of _interventions_family_text(), frozen before the lever searches
 # shared one lever table and the institution levers one helper
-INTERVENTIONS_DIGEST = "edbd8a2c715e9cb6364611b5d0e6c1402bf323e1823d9d3da90a24a5e7005ccf"
+INTERVENTIONS_DIGEST = "2ad2db5f24203ae82e46140413364d540158251737a7e6246003e2f5b56b04d2"
+# Both re-pinned when s_dagger under linear_quadratic cost moved from golden-section
+# search to Newton's method: numbers moved by at most 1.5e-7 relative, no feasibility
+# flag, d_star or regime changed (see CHANGES.md)
 COST_MODELS = [CostModel(), CostModel(CostTerm("power", 2.0, 2.0), CostTerm("linear", 0.5)),
                CostModel(None, CostTerm("power", 1.0, 1.5)), CostModel(CostTerm("linear", 3.0), None)]
 

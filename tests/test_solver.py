@@ -1,22 +1,27 @@
 """Optimal actions, thresholds, and agreement with the brute-force oracle."""
 
 import math
-from types import SimpleNamespace
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import delver as dv
-from delver.model import Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost
+import delver.solver as solver
+from delver.model import (
+    INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY, Ability, Action, Detection, ExecutionCost,
+    ModelParams, VerificationCost, phi_coefficients,
+)
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
-    REGIMES, Regime, bisect, bisect_array, brute_force_action, choose_regime, golden_section_max,
-    golden_section_max_array, manual_delegation_threshold, maximize_surplus,
-    maximize_surplus_array, optimal_action, optimal_verification, oracle_regime,
-    qualification_threshold,
+    REGIMES, Regime, bisect, bisect_array, brute_force_action, choose_regime,
+    manual_delegation_threshold, maximize_surplus, maximize_surplus_array, optimal_action,
+    optimal_verification, oracle_regime, qualification_threshold,
 )
 
 from conftest import run_isolated
+
+EPS = np.finfo(float).eps
 
 
 def exponential_params(**overrides):
@@ -43,23 +48,28 @@ class TestOptimalVerification:
         got = optimal_verification(reference, Ability(0.5, 0.5))
         assert got == pytest.approx(math.sqrt(2.8) - 1.0, abs=1e-9)
 
-    def test_closed_forms_match_golden_section(self):
+    @pytest.mark.parametrize("vkind", ["linear", "linear_quadratic"])
+    def test_s_dagger_beats_a_dense_grid(self, vkind):
+        # an independent reference: the argmax of the surplus over 20,001
+        # efforts, evaluated as brute_force_action does, with no search
         rng = np.random.default_rng(5)
-        for _ in range(60):
+        grid = np.linspace(0.0, 1.0, 20001)
+        checked = 0
+        while checked < 60:
             params = sample_params(rng)
-            if params.verification_cost.kind != "linear":
+            if params.verification_cost.kind != vkind:
                 continue
             ability = sample_ability(rng, params)
+            s_dag = optimal_verification(params, ability)
             k_w = dv.coefficients(params, ability, 0.0).k_w
-            closed = optimal_verification(params, ability)
-
-            def surplus(s):
-                return dv.verification_surplus(params, ability, s)
-
-            searched = golden_section_max(surplus, 0.0, 1.0, tol=1e-10)
-            if surplus(0.0) >= surplus(searched):
-                searched = 0.0
-            assert closed == pytest.approx(searched, abs=1e-6)
+            surplus = (k_w * params.detection.prob(ability.alpha, grid)
+                       - params.verification_cost.cost(grid))
+            best = int(np.argmax(surplus))
+            assert abs(s_dag - grid[best]) <= grid[1]
+            # 1 - exp(-x) carries an absolute error of about eps, scaled by k_w
+            assert dv.verification_surplus(params, ability, s_dag) >= (
+                surplus[best] - 4 * EPS * (abs(k_w) + 2.0))
+            checked += 1
 
     def test_interior_optimum_has_vanishing_derivative(self):
         rng = np.random.default_rng(17)
@@ -88,41 +98,89 @@ class TestArrayBranchPoints:
         # zero and negative coefficients, zero reliability, and magnitudes that
         # put the closed form below 0, inside (0, 1) and above 1; the last block
         # puts the exponential closed form's log argument in (1, 1.1), where
-        # np.log differs from the scalar path's math.log in about 1.6% of cases
-        alpha = np.concatenate([[0.0, 0.0, 1.0, 1e-9, 50.0], rng.uniform(0.0, 3.0, 300),
-                                np.ones(400)])
-        k = np.concatenate([[1.0, -1.0, 0.0, 1.0, 1e-9], rng.uniform(-0.5, 30.0, 300),
-                            rng.uniform(1.0, 1.1, 400) * 0.7 / 1.7])
+        # np.log differs from the scalar path's math.log in about 1.6% of cases;
+        # the huge values overflow a * k and the slopes, which must stay silent
+        alpha = np.concatenate([[0.0, 0.0, 1.0, 1e-9, 50.0, 1e300, 1e200, 1e15, 1.0],
+                                rng.uniform(0.0, 3.0, 300), np.ones(400)])
+        k = np.concatenate([[1.0, -1.0, 0.0, 1.0, 1e-9, 1.0, 1e200, 1.0, 1e300],
+                            rng.uniform(-0.5, 30.0, 300), rng.uniform(1.0, 1.1, 400) * 0.7 / 1.7])
         got = maximize_surplus_array(detection, alpha, vcost, k)
         want = [maximize_surplus(detection, a, vcost, kk) for a, kk in zip(alpha.tolist(), k.tolist())]
         assert got.tobytes() == np.array(want).tobytes()
         assert {0.0, 1.0} <= set(want) and any(0.0 < w < 1.0 for w in want)
 
-    def test_surplus_ties_go_to_the_larger_effort(self):
-        # a flat surplus makes 0, the search result and 1 tie; the scalar
-        # max over (surplus, s) pairs then picks s = 1
-        flat_detection = SimpleNamespace(kind="exponential", prob=lambda alpha, s: 0.0 * s)
-        free_cost = SimpleNamespace(kind="free", cost=lambda s: 0.0 * s)
-        alpha, k = np.array([0.5, 1.0]), np.array([1.0, 2.0])
-        assert maximize_surplus(flat_detection, 0.5, free_cost, 1.0) == 1.0
-        assert maximize_surplus_array(flat_detection, alpha, free_cost, k).tolist() == [1.0, 1.0]
+    @pytest.mark.parametrize("execution_kind", [LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY])
+    def test_maximize_surplus_array_equals_scalar_on_sampled_configs(self, execution_kind):
+        rng = np.random.default_rng(29)
+        seen = {}
+        while len(seen) < 4 or min(seen.values()) < 6:
+            params = sample_params(rng, execution_kind)
+            det, vcost = params.detection, params.verification_cost
+            seen[det.kind, vcost.kind] = seen.get((det.kind, vcost.kind), 0) + 1
+            abilities = [sample_ability(rng, params) for _ in range(200)]
+            alpha = np.array([ab.alpha for ab in abilities])
+            k = np.array([phi_coefficients(params, params.execution_cost.cost(ab.beta))[0]
+                          for ab in abilities])
+            got = maximize_surplus_array(det, alpha, vcost, k)
+            want = [maximize_surplus(det, a, vcost, kk) for a, kk in zip(alpha.tolist(), k.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
 
-    def test_golden_section_array_follows_scalar_iterates(self):
-        centers = np.array([0.0, 0.3, 0.5, 0.999, 1.0, 2.0])
-        flat = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])  # 1: constant function, every comparison ties
-
-        def fn(s):
-            return -(1.0 - flat) * (s - centers) ** 2
-
-        got = golden_section_max_array(fn, len(centers))
-        want = [golden_section_max(lambda s, c=c, f=f: -(1.0 - f) * (s - c) ** 2, 0.0, 1.0)
-                for c, f in zip(centers.tolist(), flat.tolist())]
-        assert got.tolist() == want
-
-    def test_golden_section_on_an_interval_inside_the_tolerance_returns_its_midpoint(self):
+    def test_newton_search_ends_at_a_root_before_its_cap(self, monkeypatch):
+        # every slope evaluation is counted: two for the endpoints, one per Newton step
         calls = []
-        assert golden_section_max(calls.append, 0.25, 0.25 + 5e-10) == 0.25000000025
-        assert calls == []
+
+        def counted(*args):
+            calls.append(None)
+            return slopes(*args)
+
+        slopes = solver._surplus_slopes
+        monkeypatch.setattr(solver, "_surplus_slopes", counted)
+        rng = np.random.default_rng(31)
+        interior = Counter()
+        while min(interior.get(kind, 0) for kind in ("exponential", "inverse_linear")) < 500:
+            params = sample_params(rng)
+            det, vcost = params.detection, params.verification_cost
+            if vcost.kind != "linear_quadratic":
+                continue
+            abilities = [sample_ability(rng, params) for _ in range(50)]
+            alpha = np.array([ab.alpha for ab in abilities])
+            k = phi_coefficients(params, np.array([params.execution_cost.cost(ab.beta)
+                                                   for ab in abilities]))[0]
+            for a, kk in zip(alpha.tolist(), k.tolist()):
+                calls.clear()
+                s = maximize_surplus(det, a, vcost, kk)
+                assert len(calls) < solver._NEWTON_MAX_ITER + 2
+                if 0.0 < s < 1.0:
+                    interior[det.kind] += 1
+                    slope = kk * float(det.slope(a, s))
+                    assert abs(slope - 1.0 - s) <= 16 * EPS * (slope + 1.0 + s)
+            calls.clear()
+            maximize_surplus_array(det, alpha, vcost, k)
+            assert len(calls) < solver._NEWTON_MAX_ITER + 2
+
+    @pytest.mark.parametrize("det_kind,k,want", [
+        # a = scale * alpha = 1, so h'(0) = k - 1: a non-positive slope at 0 gives 0
+        ("exponential", 0.5, 0.0), ("inverse_linear", 0.5, 0.0),
+        ("exponential", 1.0, 0.0), ("inverse_linear", 1.0, 0.0),
+        # h'(1) = k / 4 - 2 under inverse_linear (exactly 0 at k = 8), k / e - 2 under exponential
+        ("inverse_linear", 8.0, 1.0), ("inverse_linear", 100.0, 1.0),
+        ("exponential", 2.0 * math.e * (1.0 + 1e-12), 1.0), ("exponential", 100.0, 1.0),
+    ])
+    def test_endpoint_rule_reads_the_slope_at_zero_and_one(self, det_kind, k, want):
+        detection, vcost = Detection(det_kind, 2.0), VerificationCost("linear_quadratic")
+        assert maximize_surplus(detection, 0.5, vcost, k) == want
+        assert maximize_surplus_array(detection, np.array([0.5]), vcost, np.array([k])).tolist() == [want]
+
+    @pytest.mark.parametrize("det_kind,k,near", [
+        ("exponential", np.nextafter(1.0, 2.0), 0.0), ("inverse_linear", np.nextafter(1.0, 2.0), 0.0),
+        ("inverse_linear", np.nextafter(8.0, 0.0), 1.0),
+        ("exponential", 2.0 * math.e * (1.0 - 1e-12), 1.0),
+    ])
+    def test_a_slope_just_inside_the_endpoints_gives_an_interior_effort(self, det_kind, k, near):
+        detection, vcost = Detection(det_kind, 2.0), VerificationCost("linear_quadratic")
+        s = maximize_surplus(detection, 0.5, vcost, k)
+        assert 0.0 < s < 1.0 and abs(s - near) < 1e-9
+        assert maximize_surplus_array(detection, np.array([0.5]), vcost, np.array([k])).tolist() == [s]
 
     def test_choose_regime_matches_optimal_action(self):
         f_w = np.array([-1.0, -0.0, 0.0, 2.0, 2.0, -3.0])
