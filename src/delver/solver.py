@@ -127,7 +127,7 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     for _ in range(_NEWTON_MAX_ITER):
         g, dg, done = _surplus_slopes(kind, a, k, s, _float_exp)
         if done:
-            break
+            return s
         if g > 0.0:
             lo = s
         else:
@@ -135,10 +135,9 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         new = s - g / dg
         if not lo < new < hi:
             new = 0.5 * (lo + hi)
-        done = abs(new - s) <= _NEWTON_TOL * s
+        if abs(new - s) <= _NEWTON_TOL * s:
+            return new
         s = new
-        if done:
-            break
     return s
 
 
