@@ -18,9 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Ability, Action, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
-    institution_value, institutional_utility, phi_coefficients, point_params, success_at,
-    worker_increment,
+    Ability, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
+    institution_value, phi_coefficients, point_params, success_at, worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -175,10 +174,22 @@ def evaluate_point(params: ModelParams, ability: Ability, tau: float | None = No
     if tau is None:
         tau = params.tau
     act = optimal_action(params, ability, kappa)
-    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star), kappa)
-    # optimal_action has checked beta
-    q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
-    return act, QualityReport.from_values(q, q0, tau)
+    return act, _report(params, ability, act, tau, kappa)
+
+
+def _report(params: ModelParams, ability: Ability, act: OptimalAction, tau: float,
+            kappa: float = 1.0) -> QualityReport:
+    """The report on quality at the solved action act, as institutional_utility gives it.
+
+    The solve has checked ability and kappa. phi is a float, as detection_probability returns it.
+    """
+    c_w = params.execution_cost.unchecked_cost(ability.beta)
+    phi = float(params.detection.prob(ability.alpha, act.s_star))
+    d, c_v = float(act.d_star), params.verification_cost.cost(act.s_star)
+    q = institution_value(params, success_at(params, phi, d),
+                          cost_at(params, phi, c_w, c_v, d, kappa))
+    q0 = institution_value(params, params.p_w, c_w)
+    return QualityReport.from_values(q, q0, tau)
 
 
 def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> QualityReport:

@@ -30,6 +30,7 @@ CASE_COLUMNS = ["case_id", "worker_correct", "ai_correct", "assisted_correct",
                 "worker_time", "assisted_time", "output_unchanged"]
 _TIME_WINDOW = (0.5, 2.0)  # worker times kept, as multiples of the mean
 _DETECTION_SCALE = 1.0
+_BENEFIT_SHARE = 0.6  # share of the identified stakes put on the success benefit
 _LEVERS = ("alpha", "beta", "p_a")  # the lever targets of a classification
 
 
@@ -271,22 +272,19 @@ def infer_stakes(worker: CalibratedWorker) -> float:
     return (worker.t_v_max + marginal * obs.c_w) / (marginal * obs.p_w)
 
 
-def assemble_params(worker: CalibratedWorker, institution: InstitutionSpec,
-                    benefit_share: float = 0.6) -> ModelParams:
+def assemble_params(worker: CalibratedWorker, institution: InstitutionSpec) -> ModelParams:
     """Model parameters for a calibrated worker under a given institution.
 
-    Only the stakes total is identified; it is split benefit_share to the
-    success benefit and the rest to the failure loss. The optimal action
-    depends on the total alone, so the split only moves the worker's
-    baseline utility level.
+    Only the stakes total is identified; it is split 0.6 to the success
+    benefit and the rest to the failure loss. The optimal action depends on
+    the total alone, so the split only moves the worker's baseline utility
+    level.
     """
     if worker.stakes is None:
         raise CalibrationError("stakes not identified; cannot assemble parameters")
-    if not 0.0 < benefit_share < 1.0:
-        raise CalibrationError("benefit_share must lie in (0, 1)")
     obs = worker.observables
     return ModelParams(
-        b_w=benefit_share * worker.stakes, l_w=(1.0 - benefit_share) * worker.stakes,
+        b_w=_BENEFIT_SHARE * worker.stakes, l_w=(1.0 - _BENEFIT_SHARE) * worker.stakes,
         b_i=institution.b_i, l_i=institution.l_i, xi=institution.xi, tau=institution.tau,
         p_a=obs.p_a, c_a=0.0, p_w=obs.p_w,
         detection=Detection(EXPONENTIAL, _DETECTION_SCALE),
@@ -295,15 +293,15 @@ def assemble_params(worker: CalibratedWorker, institution: InstitutionSpec,
     )
 
 
-def classify_calibrated(worker: CalibratedWorker, institution: InstitutionSpec,
-                        benefit_share: float = 0.6) -> ClassificationResult:
+def classify_calibrated(worker: CalibratedWorker,
+                        institution: InstitutionSpec) -> ClassificationResult:
     """Regime and quality of a calibrated worker, plus minimal lever targets.
 
     Warnings record violated regularity conditions instead of aborting.
     The viable-share bound reports how much of the stakes must sit on the
     benefit side for the pre-AI worker utility to stay non-negative.
     """
-    params = assemble_params(worker, institution, benefit_share)
+    params = assemble_params(worker, institution)
     ability = Ability(worker.alpha, worker.beta)
     warnings = []
     if not params.dominance_holds():

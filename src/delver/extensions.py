@@ -11,53 +11,35 @@ AI error.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import QualityReport, evaluate_point, solve_actions, solve_points
-from .model import (
-    Ability, Action, ModelParams, coefficients, institutional_utility, point_params,
-)
+from .atlas import QualityReport, _report, evaluate_point, solve_actions, solve_points
+from .model import Ability, ModelParams, check_kappa, point_params
 from .solver import OptimalAction, bisect_array, optimal_action
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
-
-
-def _affine(pair, h):
-    return pair[0] + pair[1] * h
+# point_params' values at hardness h, as (intercept, slope) in h
+_PROFILE = {"p_w": (1.0, -0.5), "p_a": (1.0, -0.7), "execution_scale": (0.0, 10.0),
+            "verification_rate": (0.5, 1.0)}
 
 
 @dataclass(frozen=True)
 class DifficultyProfile:
     """Difficulty-dependent success probabilities and cost scales on h in [0, 1].
 
-    Success probabilities are affine and non-increasing in h; the execution
-    cost scale and the linear verification rate are affine and
-    non-decreasing. difficulty pins a single hardness level; None draws h
-    uniformly on [0, 1], integrated with Gauss-Legendre quadrature.
+    At hardness h the worker succeeds with p_w = 1 - 0.5 h and the AI with
+    p_a = 1 - 0.7 h; the execution cost scale is 10 h and the linear
+    verification rate 0.5 + h. difficulty pins a single hardness level;
+    None draws h uniformly on [0, 1], integrated with Gauss-Legendre
+    quadrature on nodes nodes per smooth segment.
     """
 
-    worker_success: tuple[float, float] = (1.0, -0.5)
-    ai_success: tuple[float, float] = (1.0, -0.7)
-    execution_scale: tuple[float, float] = (0.0, 10.0)
-    verification_rate: tuple[float, float] = (0.5, 1.0)
     difficulty: float | None = None
     nodes: int = 64
 
     def __post_init__(self):
-        for pair in (self.worker_success, self.ai_success):
-            if pair[1] > 0:
-                raise ValueError("success probabilities must not increase with difficulty")
-            for h in (0.0, 1.0):
-                if not 0.0 <= _affine(pair, h) <= 1.0:
-                    raise ValueError("success probability leaves [0, 1] on [0, 1]")
-        for pair in (self.execution_scale, self.verification_rate):
-            if pair[1] < 0:
-                raise ValueError("cost scales must not decrease with difficulty")
-            if _affine(pair, 0.0) < 0:
-                raise ValueError("cost scales must be non-negative")
         if self.difficulty is not None and not 0.0 <= self.difficulty <= 1.0:
             raise ValueError("difficulty must lie in [0, 1]")
         if self.nodes < 1:
@@ -65,9 +47,7 @@ class DifficultyProfile:
 
     def values_at(self, h) -> dict:
         """point_params' values at difficulty h, a float or an array of levels."""
-        return {"p_w": _affine(self.worker_success, h), "p_a": _affine(self.ai_success, h),
-                "execution_scale": _affine(self.execution_scale, h),
-                "verification_rate": _affine(self.verification_rate, h)}
+        return {name: intercept + slope * h for name, (intercept, slope) in _PROFILE.items()}
 
     def params_at(self, base: ModelParams, h: float) -> ModelParams:
         return point_params(base, **self.values_at(h))
@@ -94,8 +74,7 @@ class Rework:
     kappa: float
 
     def __post_init__(self):
-        if not 0.0 <= self.kappa < math.inf:
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        check_kappa(self.kappa)
 
 
 @functools.lru_cache(maxsize=32)
@@ -168,9 +147,7 @@ def believed_action_quality(params: ModelParams, ability: Ability,
                             belief: Belief) -> tuple[OptimalAction, QualityReport]:
     """Action optimized under the believed AI ability, scored under the true one."""
     act = optimal_action(params.with_ai_success(belief.ai_success), ability)
-    q0 = coefficients(params, ability, 0.0).g_i
-    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
-    return act, QualityReport.from_values(q, q0, params.tau)
+    return act, _report(params, ability, act, params.tau)
 
 
 def rework_quality(params: ModelParams, ability: Ability,

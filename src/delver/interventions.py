@@ -23,6 +23,8 @@ _ALPHA_CAP = 10.0
 _BETA_CAP = 10.0  # for unbounded efficiency domains
 _UPSKILL_TOL = 1e-6  # radius tolerance of worker_upskill's bisections
 _LEVER_TOL = 1e-9  # lever tolerance of minimal_lever's bisection
+_UPSKILL_SCAN = 200  # scan radii per direction of worker_upskill's fan
+_LEVER_SCAN = 400  # scan points of minimal_lever
 
 
 @dataclass(frozen=True)
@@ -85,18 +87,18 @@ class LeverTarget:
     feasible: bool
 
 
-def _first_feasible_radius(predicate, r_max: float, scan_points: int, tol: float):
-    """Smallest r in (0, r_max] with predicate(r), scanning then bisecting.
+def _first_feasible_radius(predicate, r_max: float):
+    """Smallest r in (0, r_max] with predicate(r), scanning then bisecting to 1e-9.
 
     The scan tolerates quality that is flat or dips along the ray (regime
     flips); bisection runs on the predicate inside the first bracket where
     it switches on.
     """
     lo = 0.0
-    for i in range(1, scan_points + 1):
-        r = r_max * i / scan_points
+    for i in range(1, _LEVER_SCAN + 1):
+        r = r_max * i / _LEVER_SCAN
         if predicate(r):
-            return bisect(predicate, lo, r, tol)[1]
+            return bisect(predicate, lo, r, _LEVER_TOL)[1]
         lo = r
     return None
 
@@ -107,27 +109,22 @@ def _beta_cap(params: ModelParams) -> float:
 
 
 def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
-                   tau: float | None = None, fan_degrees: int = 1,
-                   scan_points: int = 200) -> UpskillPlan:
+                   tau: float | None = None) -> UpskillPlan:
     """Cheapest ability increment (d_alpha, d_beta) that lifts quality to tau.
 
-    Scans the constraint frontier along a fan of directions (every
-    fan_degrees from the alpha axis to the beta axis, axes included), finds
-    the minimal feasible radius per direction, and keeps the cost-minimal
+    Scans the constraint frontier along a fan of directions (every whole
+    degree from the alpha axis to the beta axis, axes included), finds the
+    minimal feasible radius per direction, and keeps the cost-minimal
     candidate. Directions whose cost term is disabled are skipped. Alpha
     is capped at 10, and beta at the top of its domain, or 10 if that is
     unbounded; radii are found to 1e-6.
 
-    All directions are searched together on the array path. The scan
-    radii r_max * i / scan_points of the directions not yet found are
-    solved in blocks of 1, 2, 4, ... scan points, and the found directions
-    are bisected together; each direction takes the radii, and so gives the
+    All directions are searched together on the array path. The 200 scan
+    radii r_max * i / 200 of the directions not yet found are solved in
+    blocks of 1, 2, 4, ... scan points, and the found directions are
+    bisected together; each direction takes the radii, and so gives the
     result, of a scan and bisection of its own.
     """
-    if fan_degrees < 1:
-        raise ValueError(f"fan_degrees must be >= 1, got {fan_degrees}")
-    if scan_points < 1:
-        raise ValueError(f"scan_points must be >= 1, got {scan_points}")
     if tau is None:
         tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
@@ -143,9 +140,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     elif cost_model.h_beta is None:
         angles = [0]
     else:
-        angles = list(range(0, 91, fan_degrees))
-        if angles[-1] != 90:
-            angles.append(90)
+        angles = range(91)
     rays = []  # (ua, ub, r_max) of the directions with room to move, in angle order
     for angle in angles:
         theta = math.radians(angle)
@@ -172,10 +167,10 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     first = np.zeros(len(r_max), dtype=np.int64)
     unfound = np.arange(len(r_max))
     start, width = 1, 1
-    while len(unfound) and start <= scan_points:
-        i = np.arange(start, min(start + width, scan_points + 1))
+    while len(unfound) and start <= _UPSKILL_SCAN:
+        i = np.arange(start, min(start + width, _UPSKILL_SCAN + 1))
         ok = feasible(np.repeat(unfound, len(i)),
-                      (r_max[unfound, None] * i / scan_points).reshape(-1))
+                      (r_max[unfound, None] * i / _UPSKILL_SCAN).reshape(-1))
         ok = ok.reshape(len(unfound), len(i))
         hit = ok.any(axis=1)
         first[unfound[hit]] = i[np.argmax(ok[hit], axis=1)]
@@ -185,8 +180,8 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     found = np.flatnonzero(first)
     if not len(found):
         return UpskillPlan(0.0, 0.0, math.inf, q_now, False)
-    lo = r_max[found] * (first[found] - 1) / scan_points
-    hi = r_max[found] * first[found] / scan_points
+    lo = r_max[found] * (first[found] - 1) / _UPSKILL_SCAN
+    hi = r_max[found] * first[found] / _UPSKILL_SCAN
     radii = bisect_array(lambda k, mid: feasible(found[k], mid), lo, hi, _UPSKILL_TOL)[1]
 
     steps = []  # (cost, d_alpha, d_beta) per found direction, in angle order
@@ -228,15 +223,13 @@ def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -
 
 
 def minimal_lever(params: ModelParams, ability: Ability, lever: str,
-                  tau: float | None = None, scan_points: int = 400) -> LeverTarget:
+                  tau: float | None = None) -> LeverTarget:
     """Smallest value of one lever (alpha, beta, or p_a) with quality >= tau.
 
-    The search stops at the lever's cap: 10 for alpha, the top of the
-    efficiency domain (or 10 if unbounded) for beta, and 1 for p_a. The
-    value is found to 1e-9.
+    The search scans 400 points up to the lever's cap: 10 for alpha, the
+    top of the efficiency domain (or 10 if unbounded) for beta, and 1 for
+    p_a. The value is found to 1e-9.
     """
-    if scan_points < 1:
-        raise ValueError(f"scan_points must be >= 1, got {scan_points}")
     if tau is None:
         tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
@@ -257,8 +250,7 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str,
     span = hi - current
     if span <= 0:
         return LeverTarget(lever, current, False)
-    r = _first_feasible_radius(lambda r: reaches(min(hi, current + r)), span, scan_points,
-                               _LEVER_TOL)
+    r = _first_feasible_radius(lambda r: reaches(min(hi, current + r)), span)
     if r is None:
         return LeverTarget(lever, hi, False)
     return LeverTarget(lever, min(hi, current + r), True)

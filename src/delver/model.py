@@ -285,16 +285,23 @@ def point_params(params: ModelParams, p_w=None, p_a=None, execution_scale=None,
     return build(params, **changes)
 
 
+def check_kappa(kappa: float) -> None:
+    """Reject a redo-cost discount outside [0, inf): a negative kappa pays for a redo."""
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+
+
 def check_overflow(detection: Detection, alpha: float, c_w: float, kappa: float = 1.0) -> None:
     """Reject an alpha or a kappa so large that a product the formulas read overflows.
 
     Every formula reads alpha through detection.scale * alpha, and the redo
     cost as kappa * C_w. An infinite product turns phi, s_dagger or the
     cost of a corrected error into NaN (0 * inf), so the entry points check
-    both once, after C_w.
+    both once, after C_w, and kappa's own domain before its product.
     """
     if not detection.scale * alpha < math.inf:
         raise ValueError(f"alpha={alpha} is too large: detection scale * alpha must be finite")
+    check_kappa(kappa)
     if not kappa * c_w < math.inf:
         raise ValueError(f"kappa={kappa} is too large: kappa * C_w must be finite")
 
@@ -379,6 +386,7 @@ def institutional_utility(params: ModelParams, ability: Ability, action: Action,
                           kappa=1.0) -> float:
     phi = detection_probability(params.detection, ability.alpha, action.s)
     c_w = params.execution_cost.cost(ability.beta)
+    check_overflow(params.detection, ability.alpha, c_w, kappa)
     return institution_value(params, success_at(params, phi, action.d),
                              cost_at(params, phi, c_w, params.verification_cost.cost(action.s),
                                      action.d, kappa))

@@ -15,15 +15,17 @@ from delver.sampling import sample_ability, sample_params
 
 from conftest import family_configs
 
-# SHA-256 of the reprs of difficulty_reports(), taken from the scalar
-# integration that solved every difficulty level with its own evaluate_point
-DIFFICULTY_REPORTS_DIGEST = "adb381479498a55d43d357b774565634f9a5f1439782d32ef40551bd681c3b8b"
+# SHA-256 of the reprs of difficulty_reports(), taken at commit 6039a25 with
+# these profiles; the fourth had custom (intercept, slope) pairs until the
+# profile shape became fixed
+DIFFICULTY_REPORTS_DIGEST = "5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc"
 DIFFICULTY_PROFILES = [
     DifficultyProfile(), DifficultyProfile(nodes=1), DifficultyProfile(nodes=8),
-    DifficultyProfile(worker_success=(0.9, -0.4), ai_success=(0.95, -0.8),
-                      execution_scale=(0.5, 4.0), verification_rate=(0.2, 2.5), nodes=16),
-    DifficultyProfile(difficulty=0.3),
+    DifficultyProfile(nodes=16), DifficultyProfile(difficulty=0.3),
 ]
+# SHA-256 of scalar_reports(), taken at commit 6039a25, where belief was scored
+# through coefficients and institutional_utility
+SCALAR_REPORTS_DIGEST = "154c86ef63f3b23f744f12a620c397eb4b2ac350c7b12594778b515acac36d81"
 
 
 def difficulty_reports():
@@ -40,16 +42,27 @@ def difficulty_reports():
     return reports
 
 
+def scalar_reports():
+    """144 results: 3 sampled workers per family triple, each from evaluate_point
+    at kappa 1, 0.5 and 0 and from believed_action_quality at p_hat 0, 0.5 and 1."""
+    results = []
+    for i, (_, params) in enumerate(sorted(family_configs().items())):
+        rng = np.random.default_rng(1100 + i)
+        for ability in [sample_ability(rng, params) for _ in range(3)]:
+            results.extend(dv.evaluate_point(params, ability, kappa=kappa)
+                           for kappa in (1.0, 0.5, 0.0))
+            results.extend(believed_action_quality(params, ability, Belief(p_hat))
+                           for p_hat in (0.0, 0.5, 1.0))
+    return results
+
+
+def test_scalar_reports_are_unchanged():
+    text = "\n".join(map(repr, scalar_reports()))
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_REPORTS_DIGEST
+
+
 class TestDifficultyProfile:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DifficultyProfile(worker_success=(1.0, 0.5))       # increasing
-        with pytest.raises(ValueError):
-            DifficultyProfile(worker_success=(0.4, -0.5))      # leaves [0, 1]
-        with pytest.raises(ValueError):
-            DifficultyProfile(execution_scale=(1.0, -0.5))     # decreasing cost
-        with pytest.raises(ValueError, match="cost scales must be non-negative"):
-            DifficultyProfile(execution_scale=(-1.0, 2.0))
         with pytest.raises(ValueError):
             DifficultyProfile(difficulty=1.5)
         with pytest.raises(ValueError):
@@ -72,14 +85,11 @@ class TestDifficultyProfile:
         text = "\n".join(map(repr, difficulty_reports()))
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
 
-    @pytest.mark.parametrize("profile, h", [
-        (DifficultyProfile(execution_scale=(0.0, 0.0)), 0.5 / 257),
-        (DifficultyProfile(difficulty=0.0), 0.0),
-        (DifficultyProfile(verification_rate=(0.0, 1.0), difficulty=0.0), 0.0),
-    ], ids=["zero-scale", "pinned-at-zero-scale", "pinned-at-zero-rate"])
-    def test_invalid_level_raises_the_scalar_path_error(self, reference, profile, h):
+    def test_invalid_level_raises_the_scalar_path_error(self, reference):
+        # the execution cost scale 10 h is zero at h = 0
+        profile = DifficultyProfile(difficulty=0.0)
         with pytest.raises(ValueError) as scalar:
-            profile.params_at(reference, h)
+            profile.params_at(reference, 0.0)
         with pytest.raises(ValueError) as info:
             expected_quality(reference, Ability(0.5, 0.5), profile)
         assert str(info.value) == str(scalar.value)
@@ -175,7 +185,15 @@ class TestRework:
                    == dv.optimal_action(reference, ab).regime for ab in grid)
         assert same / len(grid) >= 0.95
 
-    def test_validation(self):
-        for kappa in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                Rework(kappa)
+    @pytest.mark.parametrize("kappa", [-0.1, -3.0, float("nan"), float("inf")])
+    def test_validation(self, reference, kappa):
+        # evaluate_point once scored kappa = -3 as q = 8.40625, improved, and
+        # called nan too large
+        ability = Ability(0.5, 0.5)
+        checks = [lambda: Rework(kappa),
+                  lambda: dv.evaluate_point(reference, ability, kappa=kappa),
+                  lambda: dv.institutional_utility(reference, ability, Action(1.0, 0.5), kappa)]
+        for check in checks:
+            with pytest.raises(ValueError) as info:
+                check()
+            assert str(info.value) == f"kappa must be finite and >= 0, got {kappa}"

@@ -17,15 +17,11 @@ from delver.sampling import sample_ability, sample_params
 
 from conftest import family_configs
 
-# SHA-256 of the reprs of upskill_plans(), joined by newlines, as the
-# per-direction scalar search (before the fan moved to the array path) gave them
-UPSKILL_PLANS_DIGEST = "ce8a88fc19c6faa783e78873080577b4ac2a1612fe42016c13c2c01269e773f3"
-# SHA-256 of _interventions_family_text(), frozen before the lever searches
-# shared one lever table and the institution levers one helper
-INTERVENTIONS_DIGEST = "2ad2db5f24203ae82e46140413364d540158251737a7e6246003e2f5b56b04d2"
-# Both re-pinned when s_dagger under linear_quadratic cost moved from golden-section
-# search to Newton's method: numbers moved by at most 1.5e-7 relative, no feasibility
-# flag, d_star or regime changed (see CHANGES.md)
+# SHA-256 of the reprs of upskill_plans(), joined by newlines, and of
+# _interventions_family_text(). Both were taken at commit 6039a25, with these
+# generators: the fan width and scan counts, fixed since, at their constant values
+UPSKILL_PLANS_DIGEST = "7264b827c6861d1df4f4276ed3877a902327d9b02b365705784b54c967e825db"
+INTERVENTIONS_DIGEST = "e5aef24471fe9d2085ff84d2ebff4d2ce30865a2a5cf9c37d5ae263ccd43d718"
 COST_MODELS = [CostModel(), CostModel(CostTerm("power", 2.0, 2.0), CostTerm("linear", 0.5)),
                CostModel(None, CostTerm("power", 1.0, 1.5)), CostModel(CostTerm("linear", 3.0), None)]
 
@@ -33,7 +29,7 @@ COST_MODELS = [CostModel(), CostModel(CostTerm("power", 2.0, 2.0), CostTerm("lin
 def upskill_plans():
     """80 plans: 20 sampled workers, each at its config's tau, a tau just above
     its quality, the quality 60% of the way to both caps, and an unreachable
-    tau, rotating cost models, fan widths and scan counts."""
+    tau, rotating cost models."""
     plans = []
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
@@ -45,9 +41,7 @@ def upskill_plans():
         q_far = quality(params, Ability(ability.alpha + 0.6 * (10.0 - ability.alpha),
                                         ability.beta + 0.6 * (beta_cap - ability.beta))).q
         for k, tau in enumerate([params.tau, q_now + 0.002 * span, q_far, q_now + 100.0 * span]):
-            plans.append(worker_upskill(params, ability, COST_MODELS[(seed + k) % 4], tau=tau,
-                                        fan_degrees=(1, 3, 7, 45, 100)[(seed + k) % 5],
-                                        scan_points=(200, 64, 17, 1)[(seed // 4 + k) % 4]))
+            plans.append(worker_upskill(params, ability, COST_MODELS[(seed + k) % 4], tau=tau))
     return plans
 
 
@@ -57,9 +51,8 @@ def _interventions_family_text():
     Per configuration: two sampled workers and one at the alpha cap, each at
     the config's tau, an already-met, a reachable and an unreachable tau.
     At each, worker_upskill under both linear costs, alpha only, beta only
-    and a power term, with rotating fan widths and scan counts, and
-    minimal_lever for every lever and an unknown one; then both
-    institution levers at zero, inside and outside their ranges.
+    and a power term, and minimal_lever for every lever and an unknown one;
+    then both institution levers at zero, inside and outside their ranges.
     """
     lines = []
 
@@ -78,19 +71,16 @@ def _interventions_family_text():
         abilities = [sample_ability(rng, params), sample_ability(rng, params)]
         abilities.append(Ability(10.0, abilities[0].beta))
         beta_cap = min(params.execution_cost.beta_domain()[1], 10.0)
-        for j, ability in enumerate(abilities):
+        for ability in abilities:
             q_now = quality(params, ability).q
             span = 1.0 + abs(q_now)
             q_far = quality(params, Ability(max(10.0, ability.alpha),
                                             ability.beta + 0.5 * (beta_cap - ability.beta))).q
-            for i, tau in enumerate([params.tau, q_now - span, q_far, q_now + 100.0 * span]):
-                for m, model in enumerate(models):
-                    n = k + j + i + m
-                    record("worker_upskill", worker_upskill, params, ability, model, tau=tau,
-                           fan_degrees=(1, 7, 45, 90)[n % 4], scan_points=(200, 17, 1)[n % 3])
+            for tau in [params.tau, q_now - span, q_far, q_now + 100.0 * span]:
+                for model in models:
+                    record("worker_upskill", worker_upskill, params, ability, model, tau=tau)
                 for lever in ("alpha", "beta", "p_a", "gamma"):
-                    record("minimal_lever", minimal_lever, params, ability, lever, tau=tau,
-                           scan_points=(400, 33)[(i + j) % 2])
+                    record("minimal_lever", minimal_lever, params, ability, lever, tau=tau)
             p_room, b_room = 1.0 - params.p_a, params.b_i
             for d_p in (0.0, 0.5 * p_room, p_room, p_room + 0.01, -0.01):
                 record("ai_upgrade_gain", ai_upgrade_gain, params, ability, d_p)
@@ -186,15 +176,6 @@ class TestMinimalLever:
         with pytest.raises(ValueError):
             minimal_lever(reference, Ability(0.1, 0.5), "gamma", tau=6.4)
 
-    @pytest.mark.parametrize("tau", [6.4, 0.0], ids=["reachable", "already-qualified"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_scan_points_must_be_positive(self, reference, tau, value):
-        # an empty scan used to report the reachable target as infeasible at the cap
-        with pytest.raises(ValueError, match="scan_points must be >= 1"):
-            minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=tau, scan_points=value)
-        assert minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=tau,
-                             scan_points=1).feasible
-
 
 class TestUpskill:
     def test_axis_searches_match_single_levers(self, reference):
@@ -257,12 +238,6 @@ class TestUpskill:
     def test_cost_term_rejects_non_finite_input(self, kind, coefficient, exponent, word):
         with pytest.raises(ValueError, match=f"cost {word} must be finite"):
             CostTerm(kind, coefficient, exponent)
-
-    @pytest.mark.parametrize("name", ["fan_degrees", "scan_points"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_fan_and_scan_counts_must_be_positive(self, reference, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            worker_upskill(reference, Ability(0.05, 0.1), CostModel(), tau=6.4, **{name: value})
 
     def test_plans_equal_the_per_direction_search(self):
         plans = upskill_plans()

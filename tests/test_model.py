@@ -290,6 +290,9 @@ class TestParamsValidation:
         for alpha, kappa in ((1e308, 1.0), (0.5, 1e308)):
             with pytest.raises(ValueError, match="too large"):
                 dv.optimal_action(reference, Ability(alpha, 0.5), kappa)
+            # institutional_utility used to return nan here
+            with pytest.raises(ValueError, match="too large"):
+                institutional_utility(reference, Ability(alpha, 0.5), Action(1.0, 0.0), kappa)
 
     def test_point_params_validates_in_constructor_order(self, reference):
         point = point_params(reference, p_w=0.5, p_a=0.4, execution_scale=2.0,
