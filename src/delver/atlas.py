@@ -179,9 +179,10 @@ def evaluate_point(params: ModelParams, ability: Ability, tau: float | None = No
 
 def _report(params: ModelParams, ability: Ability, act: OptimalAction, tau: float,
             kappa: float = 1.0) -> QualityReport:
-    """The report on quality at the solved action act, as institutional_utility gives it.
+    """The QualityReport of the solved action act against the no-AI baseline q0 from C_w.
 
-    The solve has checked ability and kappa. phi is a float, as detection_probability returns it.
+    q is institutional_utility at act, bitwise: phi is a float, as
+    detection_probability returns it. The solve has checked ability and kappa.
     """
     c_w = params.execution_cost.unchecked_cost(ability.beta)
     phi = float(params.detection.prob(ability.alpha, act.s_star))
