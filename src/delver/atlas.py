@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Ability, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
-    institution_value, phi_coefficients, point_params, success_at, worker_increment,
+    Ability, Action, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
+    institution_value, institutional_utility, phi_coefficients, point_params, success_at,
+    worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -174,22 +175,15 @@ def evaluate_point(params: ModelParams, ability: Ability, tau: float | None = No
     if tau is None:
         tau = params.tau
     act = optimal_action(params, ability, kappa)
-    return act, _report(params, ability, act, tau, kappa)
+    return act, score_action(params, ability, act, tau, kappa)
 
 
-def _report(params: ModelParams, ability: Ability, act: OptimalAction, tau: float,
-            kappa: float = 1.0) -> QualityReport:
-    """The QualityReport of the solved action act against the no-AI baseline q0 from C_w.
-
-    q is institutional_utility at act, bitwise: phi is a float, as
-    detection_probability returns it. The solve has checked ability and kappa.
-    """
-    c_w = params.execution_cost.unchecked_cost(ability.beta)
-    phi = float(params.detection.prob(ability.alpha, act.s_star))
-    d, c_v = float(act.d_star), params.verification_cost.cost(act.s_star)
-    q = institution_value(params, success_at(params, phi, d),
-                          cost_at(params, phi, c_w, c_v, d, kappa))
-    q0 = institution_value(params, params.p_w, c_w)
+def score_action(params: ModelParams, ability: Ability, act: OptimalAction, tau: float,
+                 kappa: float = 1.0) -> QualityReport:
+    """The QualityReport of the solved action act against the no-AI baseline q0."""
+    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star), kappa)
+    # institutional_utility has checked beta
+    q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
     return QualityReport.from_values(q, q0, tau)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import QualityReport, _report, evaluate_point, solve_actions, solve_points
+from .atlas import QualityReport, evaluate_point, score_action, solve_actions, solve_points
 from .model import Ability, ModelParams, check_kappa, point_params
 from .solver import OptimalAction, bisect_array, optimal_action
 
@@ -147,7 +147,7 @@ def believed_action_quality(params: ModelParams, ability: Ability,
                             belief: Belief) -> tuple[OptimalAction, QualityReport]:
     """Action optimized under the believed AI ability, scored under the true one."""
     act = optimal_action(params.with_ai_success(belief.ai_success), ability)
-    return act, _report(params, ability, act, params.tau)
+    return act, score_action(params, ability, act, params.tau)
 
 
 def rework_quality(params: ModelParams, ability: Ability,
