@@ -20,9 +20,10 @@ import delver.calibration as cal
 from delver.atlas import fmt
 from delver import cli
 from delver.cli import main
-from delver.config import load_params, params_from_dict, parse_range
+from delver.config import load_params, params_from_dict, params_to_dict, parse_range
+from delver.sampling import beta_span
 
-from conftest import run_isolated
+from conftest import family_configs, run_isolated
 
 REPO = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = str(REPO / "configs" / "reference.json")
@@ -61,6 +62,11 @@ README_GOLDEN = {
 # SHA-256 of the stdout of `extend belief --p-hat 0.8 --alpha-range 0:1:5
 # --beta-range 0:1:5` on the reference config, taken at commit bb4a676
 BELIEF_GRID_DIGEST = "f11aacabdd66deade61a05484bac0ab4b6f89948708bee0446cc2f6a788c9086"
+
+# SHA-256 of the file that `intervene institution --lever b_transfer --delta 1
+# --alpha-range 0:1:21 --beta-range 0:1:21` writes on the reference config, taken
+# at commit e2968f8, while the grid was solved one point at a time
+TRANSFER_GRID_DIGEST = "930d7225c61dd0471ad4bd227bec40f5370e5545e5f4b7de74e481ac944aa7d0"
 
 FIXTURE_CASES = ["--cases", str(cal.fixture_path()), "--tvmax", "118.1", "--twmax", "262.3"]
 # Every single-result command in text and --json form: argv and the SHA-256 of
@@ -521,6 +527,84 @@ class TestGridCommands:
                              f"--beta={beta}", "--out", str(tmp_path / "atlas.csv"))
         assert code == 1
         assert err == f"error: {expected}\n"
+
+    def test_transfer_grid_is_byte_identical(self, capsys, tmp_path):
+        path = tmp_path / "transfer.csv"
+        code, out, err = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
+                             "--lever", "b_transfer", "--delta", "1", "--alpha-range", "0:1:21",
+                             "--beta-range", "0:1:21", "--out", str(path))
+        assert (code, out, err) == (0, f"wrote 441 rows to {path}\n", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSFER_GRID_DIGEST
+
+    @pytest.mark.parametrize("triple", sorted(family_configs()), ids="+".join)
+    def test_lever_grid_rows_are_the_scalar_levers(self, capsys, tmp_path, triple):
+        params = family_configs()[triple]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(params_to_dict(params)))
+        alpha, beta = "0:3:7", ":".join(map(repr, beta_span(params))) + ":5"
+        for lever, delta, scalar in (("p_a", 0.5 * (1.0 - params.p_a), dv.ai_upgrade_gain),
+                                     ("b_transfer", 0.3 * params.b_i, dv.incentive_transfer_gain)):
+            code, out, err = run(capsys, "intervene", "institution", "--config", str(config),
+                                 "--lever", lever, "--delta", repr(delta),
+                                 "--alpha-range", alpha, "--beta-range", beta)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[0] == "alpha,beta,lever,delta,gain,new_q"
+            rows = [(a, b) for b in np.linspace(*parse_range(beta))
+                    for a in np.linspace(*parse_range(alpha))]
+            assert len(lines) == len(rows) + 1
+            for line, (a, b) in zip(lines[1:], rows):
+                res = scalar(params, dv.Ability(float(a), float(b)), delta)
+                assert line == ",".join([fmt(float(a)), fmt(float(b)), res.lever, fmt(delta),
+                                         fmt(res.gain), fmt(res.new_q)])
+
+    @pytest.mark.parametrize("lever, value, alpha, beta", [
+        # an invalid delta and an invalid first point: the point fails first
+        ("p_a", "0.5", "-1:1:3", "0:1:3"),
+        ("b_transfer", "20", "0:1:3", "1.5:0:4"),
+        # an invalid transfer and an invalid later point: the transfer fails first
+        ("b_transfer", "20", "0:1:3", "0:1.5:4"),
+        # an invalid later point alone
+        ("p_a", "0.05", "0:1:3", "0:1.5:4"),
+        ("b_transfer", "1", "0:1e308:3", "0:1:3"),
+        ("p_hat", "0.8", "0:1:3", "0:1.5:4"),
+        # an invalid belief and an invalid first point: the belief fails first
+        ("p_hat", "1.5", "-1:1:3", "0:1:3"),
+    ], ids=["delta-and-first-point", "transfer-and-first-point", "transfer-and-later-point",
+            "later-point", "later-overflow", "belief-later-point", "p-hat-and-first-point"])
+    def test_invalid_lever_or_belief_grid_fails_as_the_per_point_path(self, capsys, tmp_path,
+                                                                     lever, value, alpha, beta):
+        reference = load_params(REFERENCE_CONFIG)
+
+        def per_point_error():
+            """The error of the per-point path: the belief, then each row in order."""
+            try:
+                if lever == "p_hat":
+                    belief = dv.Belief(float(value))
+                for b in np.linspace(*parse_range(beta)):
+                    for a in np.linspace(*parse_range(alpha)):
+                        ability = dv.Ability(float(a), float(b))
+                        if lever == "p_hat":
+                            dv.believed_action_quality(reference, ability, belief)
+                        elif lever == "p_a":
+                            dv.ai_upgrade_gain(reference, ability, float(value))
+                        else:
+                            dv.incentive_transfer_gain(reference, ability, float(value))
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        if lever == "p_hat":
+            argv = ["extend", "belief", "--p-hat", value]
+        else:
+            argv = ["intervene", "institution", "--lever", lever, "--delta", value]
+        expected = per_point_error()
+        assert expected is not None
+        path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, *argv, f"--alpha-range={alpha}", f"--beta-range={beta}",
+                             "--config", REFERENCE_CONFIG, "--out", str(path))
+        assert (code, out, err) == (1, "", f"error: {expected}\n")
+        assert not path.exists()
 
     def test_boundary_stdout(self, capsys):
         code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG,

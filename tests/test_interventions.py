@@ -11,9 +11,9 @@ from delver.interventions import (
     CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain,
     minimal_lever, worker_upskill,
 )
-from delver.atlas import quality
+from delver.atlas import quality, sweep_grid
 from delver.model import Ability
-from delver.sampling import sample_ability, sample_params
+from delver.sampling import beta_span, sample_ability, sample_params
 
 from conftest import family_configs
 
@@ -142,6 +142,30 @@ class TestBenefitTransferLever:
         gp_pos = sum(ai_upgrade_gain(reference, ab, 0.05).gain > 1e-9 for ab in points)
         gb_pos = sum(incentive_transfer_gain(reference, ab, 1.0).gain > 1e-9 for ab in points)
         assert gb_pos < gp_pos
+
+
+class TestLeverGrid:
+    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
+                                        for triple, params in sorted(family_configs().items())])
+    @pytest.mark.parametrize("lever", ["p_a", "b_transfer"])
+    def test_two_sweeps_equal_the_scalar_levers_bitwise(self, params, lever):
+        # the CLI's lever grid: gain is new_q - q, from one sweep under params and
+        # one under the moved params
+        alpha_range, beta_range = (0.0, 3.0, 13), (*beta_span(params), 11)
+        if lever == "p_a":
+            delta = 0.5 * (1.0 - params.p_a)
+            scalar, moved = ai_upgrade_gain, params.with_ai_success(params.p_a + delta)
+        else:
+            delta = 0.3 * params.b_i
+            scalar, moved = incentive_transfer_gain, params.with_benefit_transfer(delta)
+        base = sweep_grid(params, alpha_range, beta_range)
+        new = sweep_grid(moved, alpha_range, beta_range)
+        gain = new.q - base.q
+        for k, (alpha, beta) in enumerate(zip(base.alpha.tolist(), base.beta.tolist())):
+            res = scalar(params, Ability(alpha, beta), delta)
+            # hex compares the bits, the sign of a zero gain included
+            assert ((gain[k].item().hex(), new.q[k].item().hex())
+                    == (res.gain.hex(), res.new_q.hex())), (alpha, beta)
 
 
 class TestInterventionFamily:
