@@ -364,16 +364,26 @@ def institution_increment(params: ModelParams, k_i, phi, c_w, c_v):
             + params.xi * (c_w - params.c_a))
 
 
+def _checked_phi(params: ModelParams, ability: Ability, s: float, kappa=1.0):
+    """(phi(s), C_w) at ability, checked as every scalar entry point checks them.
+
+    s is checked first, then beta through C_w, then the products that could
+    overflow (check_overflow).
+    """
+    phi = detection_probability(params.detection, ability.alpha, s)
+    c_w = params.execution_cost.cost(ability.beta)
+    check_overflow(params.detection, ability.alpha, c_w, kappa)
+    return phi, c_w
+
+
 def task_success(params: ModelParams, ability: Ability, action: Action) -> float:
     """Success probability from direct work, direct AI, and corrected AI errors."""
-    phi = detection_probability(params.detection, ability.alpha, action.s)
-    return success_at(params, phi, action.d)
+    return success_at(params, _checked_phi(params, ability, action.s)[0], action.d)
 
 
 def total_cost(params: ModelParams, ability: Ability, action: Action) -> float:
     """Expected cost: manual execution, AI run, verification, and redo after detection."""
-    phi = detection_probability(params.detection, ability.alpha, action.s)
-    c_w = params.execution_cost.cost(ability.beta)
+    phi, c_w = _checked_phi(params, ability, action.s)
     return cost_at(params, phi, c_w, params.verification_cost.cost(action.s), action.d)
 
 
@@ -384,9 +394,7 @@ def worker_utility(params: ModelParams, ability: Ability, action: Action) -> flo
 
 def institutional_utility(params: ModelParams, ability: Ability, action: Action,
                           kappa=1.0) -> float:
-    phi = detection_probability(params.detection, ability.alpha, action.s)
-    c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params.detection, ability.alpha, c_w, kappa)
+    phi, c_w = _checked_phi(params, ability, action.s, kappa)
     return institution_value(params, success_at(params, phi, action.d),
                              cost_at(params, phi, c_w, params.verification_cost.cost(action.s),
                                      action.d, kappa))
@@ -394,8 +402,7 @@ def institutional_utility(params: ModelParams, ability: Ability, action: Action,
 
 def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficients:
     """Affine coefficients of both utilities in the delegation level."""
-    phi = detection_probability(params.detection, ability.alpha, s)
-    c_w = params.execution_cost.cost(ability.beta)
+    phi, c_w = _checked_phi(params, ability, s)
     c_v = params.verification_cost.cost(s)
     k_w, k_i = phi_coefficients(params, c_w)
     # the baselines are the utilities at (d, s) = (0, 0), where success is
@@ -408,9 +415,8 @@ def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficient
 
 def verification_surplus(params: ModelParams, ability: Ability, s: float) -> float:
     """Benefit of catching AI errors at effort s, net of verification cost."""
-    phi = detection_probability(params.detection, ability.alpha, s)
-    k_w = phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
-    return k_w * phi - params.verification_cost.cost(s)
+    phi, c_w = _checked_phi(params, ability, s)
+    return phi_coefficients(params, c_w)[0] * phi - params.verification_cost.cost(s)
 
 
 def delegation_gain(params: ModelParams, ability: Ability) -> float:

@@ -294,6 +294,20 @@ class TestParamsValidation:
             with pytest.raises(ValueError, match="too large"):
                 institutional_utility(reference, Ability(alpha, 0.5), Action(1.0, 0.0), kappa)
 
+    @pytest.mark.parametrize("call", [
+        lambda params, ability: task_success(params, ability, Action(1.0, 0.0)),
+        lambda params, ability: total_cost(params, ability, Action(1.0, 0.0)),
+        lambda params, ability: worker_utility(params, ability, Action(1.0, 0.0)),
+        lambda params, ability: coefficients(params, ability, 0.0),
+        lambda params, ability: verification_surplus(params, ability, 0.0),
+    ], ids=["task_success", "total_cost", "worker_utility", "coefficients",
+            "verification_surplus"])
+    def test_overflowing_alpha_rejected_by_every_utility(self, reference, call):
+        # each returned nan here: detection scale * alpha is inf, and inf * 0 is nan
+        with pytest.raises(ValueError, match="^alpha=1e\\+308 is too large: detection scale "
+                                             "\\* alpha must be finite$"):
+            call(reference, Ability(1e308, 0.5))
+
     def test_point_params_validates_in_constructor_order(self, reference):
         point = point_params(reference, p_w=0.5, p_a=0.4, execution_scale=2.0,
                              verification_rate=0.7)
