@@ -31,6 +31,9 @@ from .model import (
 
 _NEWTON_TOL = 2.0 ** -49  # 8 eps, the rounding allowance of the Newton stopping tests
 _NEWTON_MAX_ITER = 100
+# a Newton search bracket wider than this in a * s is far from the root's
+# scale: a Newton step from its low end moves a * s by about 1
+_FAR = 8.0
 _THRESHOLD_TOL = 1e-12
 
 
@@ -91,6 +94,29 @@ def _float_exp(x):
     return float(np.exp(x))  # np.exp, not math.exp: the array form's bits
 
 
+def _split(a: float, lo: float, hi: float) -> float:
+    """The Newton search's next point in (lo, hi) when it refuses a Newton step.
+
+    The midpoint, unless the bracket is far from the root's scale: wider
+    than _FAR in a * s, with hi > 4 lo. Then the geometric mean, or hi**2
+    while lo is 0 (hi is at most 0.5 then), so that a root many decades
+    below 1 is bracketed in a few steps. The array form is _split_array.
+    """
+    if a * (hi - lo) > _FAR:
+        if lo == 0.0:
+            return hi * hi
+        if hi > 4.0 * lo:
+            return math.sqrt(lo) * math.sqrt(hi)
+    return 0.5 * (lo + hi)
+
+
+def _split_array(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """_split at every element."""
+    far = a * (hi - lo) > _FAR
+    return np.where(far & (lo == 0.0), hi * hi,
+                    np.where(far & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)))
+
+
 def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost,
                      phi_coefficient: float) -> float:
     """Argmax over [0, 1] of phi_coefficient * phi(s; alpha) - C_v(s).
@@ -101,8 +127,11 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     to [0, 1]. Under linear_quadratic cost the surplus is strictly concave:
     its derivative h'(s) = k phi'(s) - 1 - s gives 0 when h'(0) <= 0 and 1
     when h'(1) >= 0, and otherwise a safeguarded Newton search finds its
-    root. The search starts at 0.5, keeps the bracket from the sign of h',
-    and takes the bracket midpoint whenever a Newton step leaves it. It
+    root. The search starts at 0.5 and keeps the bracket from the sign of
+    h'. It takes the midpoint of the bracket instead of a Newton step that
+    leaves it. While the bracket is wider than 8 in a * s, far from the
+    root's scale, it also refuses a Newton step longer than half the step
+    before last, and splits the bracket geometrically instead (_split). It
     stops when h' is zero to rounding or the step is at most 8 eps * s.
     """
     if phi_coefficient <= 0.0 or alpha <= 0.0:
@@ -124,6 +153,7 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     if _surplus_slopes(kind, a, k, 1.0, _float_exp)[0] >= 0.0:
         return 1.0
     lo, hi, s = 0.0, 1.0, 0.5
+    step = before = 1.0  # the last two step lengths
     for _ in range(_NEWTON_MAX_ITER):
         g, dg, done = _surplus_slopes(kind, a, k, s, _float_exp)
         if done:
@@ -133,9 +163,11 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         else:
             hi = s
         new = s - g / dg
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if abs(new - s) <= _NEWTON_TOL * s:
+        slow = 2.0 * abs(new - s) > before and a * (hi - lo) > _FAR
+        if not lo < new < hi or slow:
+            new = _split(a, lo, hi)
+        before, step = step, abs(new - s)
+        if step <= _NEWTON_TOL * s:
             return new
         s = new
     return s
@@ -173,6 +205,7 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
         top = up & (_surplus_slopes(kind, a, k, 1.0, np.exp)[0] >= 0.0)
         s = np.where(top, 1.0, np.where(up, 0.5, 0.0))
         lo, hi = np.zeros(len(a)), np.ones(len(a))
+        step, before = np.ones(len(a)), np.ones(len(a))
         rest = np.flatnonzero(up & ~top)
         for _ in range(_NEWTON_MAX_ITER):
             if not len(rest):
@@ -184,9 +217,14 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
             lo[rest[right]] = now[right]
             hi[rest[~right]] = now[~right]
             new = now - g / dg
-            new = np.where((lo[rest] < new) & (new < hi[rest]), new, 0.5 * (lo[rest] + hi[rest]))
+            ar, low, high = a[rest], lo[rest], hi[rest]
+            slow = (2.0 * np.abs(new - now) > before[rest]) & (ar * (high - low) > _FAR)
+            inside = (low < new) & (new < high)
+            new = np.where(inside & ~slow, new, _split_array(ar, low, high))
+            before[rest] = step[rest]
+            step[rest] = np.abs(new - now)
             s[rest] = new
-            rest = rest[~(np.abs(new - now) <= _NEWTON_TOL * now)]
+            rest = rest[~(step[rest] <= _NEWTON_TOL * now)]
     s_dagger[live] = s
     return s_dagger
 

@@ -158,6 +158,39 @@ class TestArrayBranchPoints:
             maximize_surplus_array(det, alpha, vcost, k)
             assert len(calls) < solver._NEWTON_MAX_ITER + 2
 
+    @pytest.mark.parametrize("det_kind", ["exponential", "inverse_linear"])
+    def test_newton_search_reaches_the_root_at_huge_alpha(self, monkeypatch, det_kind):
+        # the root sits near ln(k a) / a (exponential) or sqrt(k / a) (inverse_linear),
+        # many decades below 1; plain midpoints took the whole cap to get there and
+        # stopped short of it (5.75e-29 against 6.91e-29 at alpha = 1e30)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return slopes(*args)
+
+        slopes = solver._surplus_slopes
+        monkeypatch.setattr(solver, "_surplus_slopes", counted)
+        detection = Detection(det_kind, 1.3)
+        alphas = [10.0 ** e * m for e in range(20, 301, 5) for m in (1.0, 3.1)]
+        for kk in (1e-3, 0.7, 40.0):
+            got = maximize_surplus_array(detection, np.array(alphas), VerificationCost(
+                "linear_quadratic"), np.full(len(alphas), kk))
+            for alpha, s_array in zip(alphas, got.tolist()):
+                calls.clear()
+                s = maximize_surplus(detection, alpha, VerificationCost("linear_quadratic"), kk)
+                assert len(calls) < solver._NEWTON_MAX_ITER + 2, (alpha, kk)
+                assert s.hex() == s_array.hex(), (alpha, kk)
+                a = 1.3 * alpha
+                assert 0.0 < s < 1e-8
+                # h' to rounding: its terms, and the argument a s rounded in exp or 1 + a s
+                slope = kk * float(detection.slope(alpha, s))
+                assert abs(slope - 1.0 - s) <= 16 * EPS * (1.0 + a * s) * (slope + 1.0 + s), (
+                    alpha, kk)
+        s = maximize_surplus(Detection("exponential", 1.0), 1e30,
+                             VerificationCost("linear_quadratic"), 1.0)
+        assert s == pytest.approx(math.log(1e30) / 1e30, rel=1e-12)
+
     @pytest.mark.parametrize("det_kind,k,want", [
         # a = scale * alpha = 1, so h'(0) = k - 1: a non-positive slope at 0 gives 0
         ("exponential", 0.5, 0.0), ("inverse_linear", 0.5, 0.0),
