@@ -21,7 +21,7 @@ from .calibration import (
 from .config import ConfigError, load_params, params_from_dict, params_to_dict
 from .extensions import (
     Belief, DifficultyProfile, Rework,
-    believed_action_quality, expected_quality, rework_quality,
+    believed_action_quality, believed_points, expected_quality, rework_quality,
 )
 from .interventions import (
     CostModel, CostTerm, LeverResult, LeverTarget, UpskillPlan,

@@ -394,10 +394,23 @@ def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
     if tau is None:
         tau = params.tau
     params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
-    d_star, s_star, regime, _ = _solve(params, alpha, c_w)
-    det, vcost = params.detection, params.verification_cost
+    return score_actions(params, alpha, beta, _solve(params, alpha, c_w), tau)
+
+
+def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
+                  tau: float) -> AtlasGrid:
+    """score_action at every point: the solved actions' AtlasGrid under params.
+
+    The points must have passed solve_actions' checks; the actions may have
+    been solved under other parameters with the same cost functions, as a
+    miscalibrated belief does.
+    """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    c_w = params.execution_cost.unchecked_cost(beta)
+    d_star, s_star, regime, _ = actions
+    vcost = params.verification_cost
     d = d_star.astype(float)
-    phi = det.prob(alpha, s_star)
+    phi = params.detection.prob(alpha, s_star)
     q = institution_value(params, success_at(params, phi, d),
                           cost_at(params, phi, c_w, vcost.cost(s_star), d))
     q0 = institution_value(params, params.p_w, c_w)
@@ -407,16 +420,24 @@ def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
                      compliance_label=compliance_label)
 
 
-def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
-               beta_range: tuple[float, float, int], tau: float | None = None) -> AtlasGrid:
-    """Evaluate the quality map on a grid, beta-major, in one array pass.
+def grid_columns(alpha_range: tuple[float, float, int],
+                 beta_range: tuple[float, float, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha and beta columns of a grid, beta-major.
 
-    Row k sits at beta index k // n_alpha and alpha index k % n_alpha; an
-    invalid grid fails at its first invalid row.
+    Row k sits at beta index k // n_alpha and alpha index k % n_alpha.
     """
     alphas = linspace_range(alpha_range)
     betas = linspace_range(beta_range)
-    return solve_points(params, np.tile(alphas, len(betas)), np.repeat(betas, len(alphas)), tau)
+    return np.tile(alphas, len(betas)), np.repeat(betas, len(alphas))
+
+
+def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
+               beta_range: tuple[float, float, int], tau: float | None = None) -> AtlasGrid:
+    """Evaluate the quality map on the grid_columns grid, in one array pass.
+
+    An invalid grid fails at its first invalid row.
+    """
+    return solve_points(params, *grid_columns(alpha_range, beta_range), tau)
 
 
 def boundary_curve(params: ModelParams, which: str, betas,
@@ -444,28 +465,41 @@ def fmt(x: float) -> str:
 
 ATLAS_HEADER = ["alpha", "beta", "d_star", "s_star", "regime",
                 "q", "q0", "gap", "quality", "compliance"]
-
-
-# one atlas row, floats written as fmt writes them
-_ATLAS_ROW = "{:.9g},{:.9g},{},{:.9g},{},{:.9g},{:.9g},{:.9g},{},{}\n"
+# the format spec of each atlas column: floats as fmt writes them
+_ATLAS_SPECS = [".9g", ".9g", "", ".9g", "", ".9g", ".9g", ".9g", "", ""]
 # CSV strings of the label columns, looked up by the grid's indices
 _LABEL_VALUES = {name: np.array([m.value for m in members], dtype=object)
                  for name, members in (("regime", REGIMES), ("quality_label", QUALITY_LABELS),
                                        ("compliance_label", COMPLIANCE_LABELS))}
 
 
+def write_csv(fileobj, columns):
+    """Write columns, a list of (name, format spec, 1-d array) of one length, as CSV.
+
+    Each row is formatted by one format string, a bounded block of rows at a time.
+    """
+    fileobj.write(",".join(name for name, _, _ in columns) + "\n")
+    row = ",".join("{:" + spec + "}" for _, spec, _ in columns) + "\n"
+    arrays = [column for _, _, column in columns]
+    for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
+        block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in arrays]
+        fileobj.write("".join(row.format(*values) for values in zip(*block)))
+
+
+def atlas_columns(grid: AtlasGrid) -> list:
+    """The grid as write_csv columns under ATLAS_HEADER, labels as their CSV strings."""
+    columns = []
+    for name, spec, f in zip(ATLAS_HEADER, _ATLAS_SPECS, fields(grid)):
+        column = getattr(grid, f.name)
+        if f.name in _LABEL_VALUES:
+            column = _LABEL_VALUES[f.name][column]
+        columns.append((name, spec, column))
+    return columns
+
+
 def write_atlas_csv(grid: AtlasGrid, fileobj):
     """Write the grid as CSV, formatting a bounded block of rows at a time."""
-    fileobj.write(",".join(ATLAS_HEADER) + "\n")
-    for start in range(0, len(grid), _CSV_BLOCK_ROWS):
-        block = slice(start, start + _CSV_BLOCK_ROWS)
-        columns = []
-        for f in fields(grid):
-            column = getattr(grid, f.name)[block]
-            if f.name in _LABEL_VALUES:
-                column = _LABEL_VALUES[f.name][column]
-            columns.append(column.tolist())
-        fileobj.write("".join(_ATLAS_ROW.format(*row) for row in zip(*columns)))
+    write_csv(fileobj, atlas_columns(grid))
 
 
 def write_boundary_csv(points, fileobj):

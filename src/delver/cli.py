@@ -17,11 +17,15 @@ import numpy as np
 
 from . import calibration as cal
 from .atlas import (
-    BOUNDARIES, boundary_curve, evaluate_point, fmt, sweep_grid, write_atlas_csv, write_boundary_csv,
+    BOUNDARIES, atlas_columns, boundary_curve, evaluate_point, fmt, grid_columns, linspace_range,
+    sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
-from .extensions import Belief, DifficultyProfile, Rework, believed_action_quality, expected_quality, rework_quality
-from .interventions import CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain, minimal_lever, worker_upskill
+from .extensions import Belief, DifficultyProfile, Rework, believed_points, expected_quality, rework_quality
+from .interventions import (
+    LEVER_MOVES, CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain, minimal_lever,
+    worker_upskill,
+)
 from .model import Ability, check_assumptions, worker_utility, Action
 from .sampling import sample_ability
 from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
@@ -145,20 +149,40 @@ def cmd_intervene_worker(args):
 def cmd_intervene_institution(args):
     params = load_params(args.config)
     lever = ai_upgrade_gain if args.lever == "p_a" else incentive_transfer_gain
-    fields = ["lever", "delta", "gain", "new_q"]
-
-    def gain_at(ability):
-        res = lever(params, ability, args.delta)
-        return {name: getattr(res, name) for name in fields}
-
     given = [x is not None for x in (args.alpha, args.beta, args.alpha_range, args.beta_range)]
     if given == [False, False, True, True]:
-        return _write_grid(args, fields, lambda ability: [*map(_text, gain_at(ability).values())])
+        return _lever_grid(args, params, lever)
     if given != [True, True, False, False]:
         raise ConfigError("need --alpha and --beta, or --alpha-range and --beta-range"
                           + (", not both" if any(given[:2]) and any(given[2:]) else ""))
-    _emit(args, gain_at(_ability(args)))
+    res = lever(params, _ability(args), args.delta)
+    _emit(args, {name: getattr(res, name) for name in ("lever", "delta", "gain", "new_q")})
     return 0
+
+
+def _lever_grid(args, params, lever):
+    """The lever's gain on the --alpha-range x --beta-range grid: two sweeps, gain = new_q - q.
+
+    The scalar lever at the first row raises what the per-point path raised
+    first: that point's error, then the delta's or the moved parameters'.
+    The sweeps check the same points under both parameter sets, so they can
+    fail only at a later row, with the scalar message.
+    """
+    alpha_range, beta_range = parse_range(args.alpha_range), parse_range(args.beta_range)
+    first = Ability(float(linspace_range(alpha_range)[0]), float(linspace_range(beta_range)[0]))
+    res = lever(params, first, args.delta)
+    base = sweep_grid(params, alpha_range, beta_range)
+    new = sweep_grid(LEVER_MOVES[res.lever](params, args.delta), alpha_range, beta_range)
+    n = len(base)
+    return _write_columns(args.out, [
+        ("alpha", ".9g", base.alpha), ("beta", ".9g", base.beta),
+        ("lever", "", np.full(n, res.lever, dtype=object)), ("delta", ".9g", np.full(n, res.delta)),
+        ("gain", ".9g", new.q - base.q), ("new_q", ".9g", new.q)])
+
+
+def _write_columns(out, columns):
+    """write_csv's columns to the file out, or to stdout if out is None."""
+    return _write_out(out, len(columns[0][2]), lambda fh: write_csv(fh, columns))
 
 
 def cmd_intervene_minimal(args):
@@ -211,8 +235,11 @@ def cmd_extend(args):
         if args.p_hat is None:
             raise ConfigError("extend belief needs --p-hat")
         belief = Belief(args.p_hat)
-        return _write_grid(args, ["p_hat"] + _ACTION_HEADER, lambda ability: [fmt(args.p_hat)]
-                           + _action_fields(*believed_action_quality(params, ability, belief)))
+        grid = believed_points(params, *grid_columns(parse_range(args.alpha_range),
+                                                     parse_range(args.beta_range)), belief)
+        columns = atlas_columns(grid)
+        columns.insert(2, ("p_hat", ".9g", np.full(len(grid), args.p_hat)))
+        return _write_columns(args.out, columns)
 
     if args.kappa is None:
         raise ConfigError("extend rework needs --kappa")

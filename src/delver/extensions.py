@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import QualityReport, evaluate_point, score_action, solve_actions, solve_points
+from .atlas import (
+    AtlasGrid, QualityReport, evaluate_point, score_action, score_actions, solve_actions,
+    solve_points,
+)
 from .model import Ability, ModelParams, check_kappa, point_params
 from .solver import OptimalAction, bisect_array, optimal_action
 
@@ -31,17 +34,18 @@ class DifficultyProfile:
 
     At hardness h the worker succeeds with p_w = 1 - 0.5 h and the AI with
     p_a = 1 - 0.7 h; the execution cost scale is 10 h and the linear
-    verification rate 0.5 + h. difficulty pins a single hardness level;
-    None draws h uniformly on [0, 1], integrated with Gauss-Legendre
-    quadrature on nodes nodes per smooth segment.
+    verification rate 0.5 + h. difficulty pins a single hardness level in
+    (0, 1], since at h = 0 there is no execution cost scale; None draws h
+    uniformly on [0, 1], integrated with Gauss-Legendre quadrature on nodes
+    nodes per smooth segment, which never evaluates h = 0.
     """
 
     difficulty: float | None = None
     nodes: int = 64
 
     def __post_init__(self):
-        if self.difficulty is not None and not 0.0 <= self.difficulty <= 1.0:
-            raise ValueError("difficulty must lie in [0, 1]")
+        if self.difficulty is not None and not 0.0 < self.difficulty <= 1.0:
+            raise ValueError(f"difficulty must lie in (0, 1], got {self.difficulty}")
         if self.nodes < 1:
             raise ValueError("nodes must be >= 1")
 
@@ -148,6 +152,17 @@ def believed_action_quality(params: ModelParams, ability: Ability,
     """Action optimized under the believed AI ability, scored under the true one."""
     act = optimal_action(params.with_ai_success(belief.ai_success), ability)
     return act, score_action(params, ability, act, params.tau)
+
+
+def believed_points(params: ModelParams, alpha, beta, belief: Belief) -> AtlasGrid:
+    """believed_action_quality at every (alpha[k], beta[k]), in one array pass.
+
+    The actions are solve_actions' under the believed AI success probability,
+    scored by score_actions under params; every entry equals the scalar
+    result bitwise, and an invalid point fails as solve_actions does.
+    """
+    act = solve_actions(params.with_ai_success(belief.ai_success), alpha, beta)
+    return score_actions(params, alpha, beta, act, params.tau)
 
 
 def rework_quality(params: ModelParams, ability: Ability,

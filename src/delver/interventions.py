@@ -198,10 +198,15 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
 
 
-def _lever_gain(params: ModelParams, ability: Ability, lever: str, delta: float, move):
-    """Quality change when the parameters become move(delta); base quality comes first."""
+# LeverResult.lever -> the parameters after that lever moves by delta
+LEVER_MOVES = {"ai_capability": lambda params, delta: params.with_ai_success(params.p_a + delta),
+               "incentive_transfer": lambda params, delta: params.with_benefit_transfer(delta)}
+
+
+def _lever_gain(params: ModelParams, ability: Ability, lever: str, delta: float):
+    """Quality change when the lever moves by delta; base quality comes first."""
     base = quality(params, ability).q
-    new_q = quality(move(delta), ability).q
+    new_q = quality(LEVER_MOVES[lever](params, delta), ability).q
     return LeverResult(lever, delta, new_q - base, new_q)
 
 
@@ -209,8 +214,7 @@ def ai_upgrade_gain(params: ModelParams, ability: Ability, d_p: float) -> LeverR
     """Quality change from raising AI success probability by d_p."""
     if not 0.0 <= d_p <= 1.0 - params.p_a:
         raise ValueError("d_p must lie in [0, 1 - p_a]")
-    return _lever_gain(params, ability, "ai_capability", d_p,
-                       lambda d: params.with_ai_success(params.p_a + d))
+    return _lever_gain(params, ability, "ai_capability", d_p)
 
 
 def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -> LeverResult:
@@ -219,7 +223,7 @@ def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -
     The worker re-solves with b_w + d_b while the institution is evaluated
     with b_i - d_b.
     """
-    return _lever_gain(params, ability, "incentive_transfer", d_b, params.with_benefit_transfer)
+    return _lever_gain(params, ability, "incentive_transfer", d_b)
 
 
 def minimal_lever(params: ModelParams, ability: Ability, lever: str,

@@ -659,6 +659,15 @@ class TestGridCommands:
                               fmt(rep.q0), fmt(rep.gap), rep.quality_label.value,
                               rep.compliance_label.value]
 
+    def test_extend_difficulty_at_zero_names_the_range(self, capsys, tmp_path):
+        # this used to fail with "execution cost scale must be finite and positive"
+        path = tmp_path / "difficulty.csv"
+        code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                             "--hhat", "0", "--alpha-range", "0.5:0.5:1",
+                             "--beta-range", "0.5:0.5:1", "--out", str(path))
+        assert (code, out, err) == (1, "", "error: difficulty must lie in (0, 1], got 0.0\n")
+        assert not path.exists()
+
     def test_extend_difficulty_pinned(self, capsys, tmp_path):
         out_path = tmp_path / "difficulty.csv"
         code, _, _ = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,

@@ -8,10 +8,10 @@ import pytest
 import delver as dv
 from delver.extensions import (
     Belief, DifficultyProfile, Rework,
-    believed_action_quality, expected_quality, rework_quality, unit_quadrature,
+    believed_action_quality, believed_points, expected_quality, rework_quality, unit_quadrature,
 )
 from delver.model import Ability, Action
-from delver.sampling import sample_ability, sample_params
+from delver.sampling import beta_span, sample_ability, sample_params
 
 from conftest import family_configs
 
@@ -85,14 +85,14 @@ class TestDifficultyProfile:
         text = "\n".join(map(repr, difficulty_reports()))
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
 
-    def test_invalid_level_raises_the_scalar_path_error(self, reference):
-        # the execution cost scale 10 h is zero at h = 0
-        profile = DifficultyProfile(difficulty=0.0)
-        with pytest.raises(ValueError) as scalar:
-            profile.params_at(reference, 0.0)
-        with pytest.raises(ValueError) as info:
-            expected_quality(reference, Ability(0.5, 0.5), profile)
-        assert str(info.value) == str(scalar.value)
+    @pytest.mark.parametrize("level", [0.0, -0.1, 1.1, float("nan")])
+    def test_levels_outside_the_half_open_interval_are_rejected(self, reference, level):
+        # the execution cost scale 10 h is zero at h = 0, which no cost family accepts
+        with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
+            DifficultyProfile().params_at(reference, 0.0)
+        with pytest.raises(ValueError, match=r"^difficulty must lie in \(0, 1\], got "):
+            DifficultyProfile(difficulty=level)
+        assert DifficultyProfile(difficulty=1.0).difficulty == 1.0
 
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):
         profile = DifficultyProfile(difficulty=0.5)
@@ -159,6 +159,24 @@ class TestBelief:
     def test_validation(self):
         with pytest.raises(ValueError):
             Belief(1.2)
+
+    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
+                                        for triple, params in sorted(family_configs().items())])
+    @pytest.mark.parametrize("p_hat", [0.0, 0.5, 1.0])
+    def test_array_pass_equals_the_scalar_belief_bitwise(self, params, p_hat):
+        rng = np.random.default_rng(47)
+        lo, hi = beta_span(params)
+        alpha = np.concatenate([rng.uniform(0.0, 3.0, 60), [0.0, 3.0]])
+        beta = np.concatenate([rng.uniform(lo, hi, 60), [lo, hi]])
+        grid = believed_points(params, alpha, beta, Belief(p_hat))
+        for k, row in enumerate(grid):
+            act, rep = believed_action_quality(params, Ability(alpha[k].item(), beta[k].item()),
+                                               Belief(p_hat))
+            # hex compares the bits of the floats, the sign of a zero included
+            assert ([row.d_star, row.s_star.hex(), row.regime, row.q.hex(), row.q0.hex(),
+                     row.gap.hex(), row.quality_label, row.compliance_label]
+                    == [act.d_star, act.s_star.hex(), act.regime, rep.q.hex(), rep.q0.hex(),
+                        rep.gap.hex(), rep.quality_label, rep.compliance_label]), k
 
 
 class TestRework:
