@@ -110,9 +110,8 @@ def _split(a: float, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _split_array(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_split at every element."""
-    far = a * (hi - lo) > _FAR
+def _split_array(far: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """_split at every element, given where a * (hi - lo) > _FAR."""
     return np.where(far & (lo == 0.0), hi * hi,
                     np.where(far & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)))
 
@@ -206,6 +205,7 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
         s = np.where(top, 1.0, np.where(up, 0.5, 0.0))
         lo, hi = np.zeros(len(a)), np.ones(len(a))
         step, before = np.ones(len(a)), np.ones(len(a))
+        far_phase = True
         rest = np.flatnonzero(up & ~top)
         for _ in range(_NEWTON_MAX_ITER):
             if not len(rest):
@@ -217,14 +217,22 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
             lo[rest[right]] = now[right]
             hi[rest[~right]] = now[~right]
             new = now - g / dg
-            ar, low, high = a[rest], lo[rest], hi[rest]
-            slow = (2.0 * np.abs(new - now) > before[rest]) & (ar * (high - low) > _FAR)
+            low, high = lo[rest], hi[rest]
             inside = (low < new) & (new < high)
-            new = np.where(inside & ~slow, new, _split_array(ar, low, high))
-            before[rest] = step[rest]
-            step[rest] = np.abs(new - now)
+            if far_phase:
+                far = a[rest] * (high - low) > _FAR
+                # brackets only shrink, so once no point is far none is again,
+                # and the step lengths that the far test reads are not needed
+                far_phase = bool(far.any())
+            if far_phase:
+                slow = far & (2.0 * np.abs(new - now) > before[rest])
+                new = np.where(inside & ~slow, new, _split_array(far, low, high))
+                before[rest] = step[rest]
+                step[rest] = np.abs(new - now)
+            else:
+                new = np.where(inside, new, 0.5 * (low + high))
             s[rest] = new
-            rest = rest[~(step[rest] <= _NEWTON_TOL * now)]
+            rest = rest[~(np.abs(new - now) <= _NEWTON_TOL * now)]
     s_dagger[live] = s
     return s_dagger
 
