@@ -465,8 +465,6 @@ def fmt(x: float) -> str:
 
 ATLAS_HEADER = ["alpha", "beta", "d_star", "s_star", "regime",
                 "q", "q0", "gap", "quality", "compliance"]
-# the format spec of each atlas column: floats as fmt writes them
-_ATLAS_SPECS = [".9g", ".9g", "", ".9g", "", ".9g", ".9g", ".9g", "", ""]
 # CSV strings of the label columns, looked up by the grid's indices
 _LABEL_VALUES = {name: np.array([m.value for m in members], dtype=object)
                  for name, members in (("regime", REGIMES), ("quality_label", QUALITY_LABELS),
@@ -474,26 +472,24 @@ _LABEL_VALUES = {name: np.array([m.value for m in members], dtype=object)
 
 
 def write_csv(fileobj, columns):
-    """Write columns, a list of (name, format spec, 1-d array) of one length, as CSV.
+    """Write columns, a list of (name, 1-d array) of one length, as CSV.
 
-    Each row is formatted by one format string, a bounded block of rows at a time.
+    Float columns are written as fmt writes them, others with str. Each row
+    is formatted by one format string, a bounded block of rows at a time.
     """
-    fileobj.write(",".join(name for name, _, _ in columns) + "\n")
-    row = ",".join("{:" + spec + "}" for _, spec, _ in columns) + "\n"
-    arrays = [column for _, _, column in columns]
-    for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
-        block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for column in arrays]
+    fileobj.write(",".join(name for name, _ in columns) + "\n")
+    row = ",".join("{:.9g}" if column.dtype.kind == "f" else "{}" for _, column in columns) + "\n"
+    for start in range(0, len(columns[0][1]), _CSV_BLOCK_ROWS):
+        block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for _, column in columns]
         fileobj.write("".join(row.format(*values) for values in zip(*block)))
 
 
 def atlas_columns(grid: AtlasGrid) -> list:
     """The grid as write_csv columns under ATLAS_HEADER, labels as their CSV strings."""
     columns = []
-    for name, spec, f in zip(ATLAS_HEADER, _ATLAS_SPECS, fields(grid)):
+    for name, f in zip(ATLAS_HEADER, fields(grid)):
         column = getattr(grid, f.name)
-        if f.name in _LABEL_VALUES:
-            column = _LABEL_VALUES[f.name][column]
-        columns.append((name, spec, column))
+        columns.append((name, _LABEL_VALUES[f.name][column] if f.name in _LABEL_VALUES else column))
     return columns
 
 

@@ -175,14 +175,13 @@ def _lever_grid(args, params, lever):
     new = sweep_grid(LEVER_MOVES[res.lever](params, args.delta), alpha_range, beta_range)
     n = len(base)
     return _write_columns(args.out, [
-        ("alpha", ".9g", base.alpha), ("beta", ".9g", base.beta),
-        ("lever", "", np.full(n, res.lever, dtype=object)), ("delta", ".9g", np.full(n, res.delta)),
-        ("gain", ".9g", new.q - base.q), ("new_q", ".9g", new.q)])
+        ("alpha", base.alpha), ("beta", base.beta), ("lever", np.full(n, res.lever, dtype=object)),
+        ("delta", np.full(n, res.delta)), ("gain", new.q - base.q), ("new_q", new.q)])
 
 
 def _write_columns(out, columns):
     """write_csv's columns to the file out, or to stdout if out is None."""
-    return _write_out(out, len(columns[0][2]), lambda fh: write_csv(fh, columns))
+    return _write_out(out, len(columns[0][1]), lambda fh: write_csv(fh, columns))
 
 
 def cmd_intervene_minimal(args):
@@ -238,7 +237,7 @@ def cmd_extend(args):
         grid = believed_points(params, *grid_columns(parse_range(args.alpha_range),
                                                      parse_range(args.beta_range)), belief)
         columns = atlas_columns(grid)
-        columns.insert(2, ("p_hat", ".9g", np.full(len(grid), args.p_hat)))
+        columns.insert(2, ("p_hat", np.full(len(grid), args.p_hat)))
         return _write_columns(args.out, columns)
 
     if args.kappa is None:
