@@ -31,8 +31,10 @@ from .model import (
 
 _NEWTON_TOL = 2.0 ** -49  # 8 eps, the rounding allowance of the Newton stopping tests
 _NEWTON_MAX_ITER = 100
-# a Newton search bracket wider than this in a * s is far from the root's
-# scale: a Newton step from its low end moves a * s by about 1
+# Above _HUGE_A = scale * alpha, the root of the surplus slope can lie many
+# decades below 1, and a Newton search bracket wider than _FAR in a * s is
+# far from it: a Newton step from its low end moves a * s by about 1
+_HUGE_A = 2.0 ** 20
 _FAR = 8.0
 _THRESHOLD_TOL = 1e-12
 
@@ -94,15 +96,15 @@ def _float_exp(x):
     return float(np.exp(x))  # np.exp, not math.exp: the array form's bits
 
 
-def _split(a: float, lo: float, hi: float) -> float:
+def _split(far: bool, lo: float, hi: float) -> float:
     """The Newton search's next point in (lo, hi) when it refuses a Newton step.
 
-    The midpoint, unless the bracket is far from the root's scale: wider
-    than _FAR in a * s, with hi > 4 lo. Then the geometric mean, or hi**2
-    while lo is 0 (hi is at most 0.5 then), so that a root many decades
-    below 1 is bracketed in a few steps. The array form is _split_array.
+    The midpoint, unless the bracket is far from the root (far) and hi >
+    4 lo: then the geometric mean, or hi**2 while lo is 0 (hi is at most 0.5
+    then), so that a root many decades below 1 is bracketed in a few steps.
+    The array form is _split_array.
     """
-    if a * (hi - lo) > _FAR:
+    if far:
         if lo == 0.0:
             return hi * hi
         if hi > 4.0 * lo:
@@ -111,7 +113,7 @@ def _split(a: float, lo: float, hi: float) -> float:
 
 
 def _split_array(far: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_split at every element, given where a * (hi - lo) > _FAR."""
+    """_split at every element."""
     return np.where(far & (lo == 0.0), hi * hi,
                     np.where(far & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)))
 
@@ -128,10 +130,11 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     when h'(1) >= 0, and otherwise a safeguarded Newton search finds its
     root. The search starts at 0.5 and keeps the bracket from the sign of
     h'. It takes the midpoint of the bracket instead of a Newton step that
-    leaves it. While the bracket is wider than 8 in a * s, far from the
-    root's scale, it also refuses a Newton step longer than half the step
-    before last, and splits the bracket geometrically instead (_split). It
-    stops when h' is zero to rounding or the step is at most 8 eps * s.
+    leaves it. When a = scale * alpha is above 2**20 and the bracket is
+    wider than 8 in a * s, far from the root's scale, it also refuses a
+    Newton step longer than half the step before last, and splits the
+    bracket geometrically instead (_split). It stops when h' is zero to
+    rounding or the step is at most 8 eps * s.
     """
     if phi_coefficient <= 0.0 or alpha <= 0.0:
         return 0.0
@@ -162,9 +165,9 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         else:
             hi = s
         new = s - g / dg
-        slow = 2.0 * abs(new - s) > before and a * (hi - lo) > _FAR
-        if not lo < new < hi or slow:
-            new = _split(a, lo, hi)
+        far = a > _HUGE_A and a * (hi - lo) > _FAR
+        if not lo < new < hi or far and 2.0 * abs(new - s) > before:
+            new = _split(far, lo, hi)
         before, step = step, abs(new - s)
         if step <= _NEWTON_TOL * s:
             return new
@@ -205,7 +208,7 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
         s = np.where(top, 1.0, np.where(up, 0.5, 0.0))
         lo, hi = np.zeros(len(a)), np.ones(len(a))
         step, before = np.ones(len(a)), np.ones(len(a))
-        far_phase = True
+        far_phase = bool((a > _HUGE_A).any())
         rest = np.flatnonzero(up & ~top)
         for _ in range(_NEWTON_MAX_ITER):
             if not len(rest):
@@ -220,7 +223,8 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
             low, high = lo[rest], hi[rest]
             inside = (low < new) & (new < high)
             if far_phase:
-                far = a[rest] * (high - low) > _FAR
+                ar = a[rest]
+                far = (ar > _HUGE_A) & (ar * (high - low) > _FAR)
                 # brackets only shrink, so once no point is far none is again,
                 # and the step lengths that the far test reads are not needed
                 far_phase = bool(far.any())

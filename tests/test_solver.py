@@ -172,7 +172,7 @@ class TestArrayBranchPoints:
         slopes = solver._surplus_slopes
         monkeypatch.setattr(solver, "_surplus_slopes", counted)
         detection = Detection(det_kind, 1.3)
-        alphas = [10.0 ** e * m for e in range(20, 301, 5) for m in (1.0, 3.1)]
+        alphas = [10.0 ** e * m for e in range(5, 301, 5) for m in (1.0, 3.1)]
         for kk in (1e-3, 0.7, 40.0):
             got = maximize_surplus_array(detection, np.array(alphas), VerificationCost(
                 "linear_quadratic"), np.full(len(alphas), kk))
@@ -182,7 +182,7 @@ class TestArrayBranchPoints:
                 assert len(calls) < solver._NEWTON_MAX_ITER + 2, (alpha, kk)
                 assert s.hex() == s_array.hex(), (alpha, kk)
                 a = 1.3 * alpha
-                assert 0.0 < s < 1e-8
+                assert 0.0 < s < 0.1
                 # h' to rounding: its terms, and the argument a s rounded in exp or 1 + a s
                 slope = kk * float(detection.slope(alpha, s))
                 assert abs(slope - 1.0 - s) <= 16 * EPS * (1.0 + a * s) * (slope + 1.0 + s), (
