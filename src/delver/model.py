@@ -388,8 +388,9 @@ def total_cost(params: ModelParams, ability: Ability, action: Action) -> float:
 
 
 def worker_utility(params: ModelParams, ability: Ability, action: Action) -> float:
-    return worker_value(params, task_success(params, ability, action),
-                        total_cost(params, ability, action))
+    phi, c_w = _checked_phi(params, ability, action.s)
+    return worker_value(params, success_at(params, phi, action.d),
+                        cost_at(params, phi, c_w, params.verification_cost.cost(action.s), action.d))
 
 
 def institutional_utility(params: ModelParams, ability: Ability, action: Action,

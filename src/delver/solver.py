@@ -155,7 +155,8 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     if _surplus_slopes(kind, a, k, 1.0, _float_exp)[0] >= 0.0:
         return 1.0
     lo, hi, s = 0.0, 1.0, 0.5
-    step = before = 1.0  # the last two step lengths
+    huge = a > _HUGE_A
+    step = before = 1.0  # the last two step lengths, kept while huge
     for _ in range(_NEWTON_MAX_ITER):
         g, dg, done = _surplus_slopes(kind, a, k, s, _float_exp)
         if done:
@@ -165,11 +166,14 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         else:
             hi = s
         new = s - g / dg
-        far = a > _HUGE_A and a * (hi - lo) > _FAR
-        if not lo < new < hi or far and 2.0 * abs(new - s) > before:
-            new = _split(far, lo, hi)
-        before, step = step, abs(new - s)
-        if step <= _NEWTON_TOL * s:
+        if huge:
+            far = a * (hi - lo) > _FAR
+            if not lo < new < hi or far and 2.0 * abs(new - s) > before:
+                new = _split(far, lo, hi)
+            before, step = step, abs(new - s)
+        elif not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - s) <= _NEWTON_TOL * s:
             return new
         s = new
     return s
