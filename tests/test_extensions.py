@@ -86,12 +86,14 @@ class TestDifficultyProfile:
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
 
     @pytest.mark.parametrize("level", [0.0, -0.1, 1.1, float("nan")])
-    def test_levels_outside_the_half_open_interval_are_rejected(self, reference, level):
-        # the execution cost scale 10 h is zero at h = 0, which no cost family accepts
-        with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
-            DifficultyProfile().params_at(reference, 0.0)
+    def test_levels_outside_the_half_open_interval_are_rejected(self, level):
         with pytest.raises(ValueError, match=r"^difficulty must lie in \(0, 1\], got "):
             DifficultyProfile(difficulty=level)
+
+    def test_zero_difficulty_has_no_execution_scale(self, reference):
+        # why h = 0 is rejected: the execution cost scale 10 h is zero there
+        with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
+            DifficultyProfile().params_at(reference, 0.0)
         assert DifficultyProfile(difficulty=1.0).difficulty == 1.0
 
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):
