@@ -17,8 +17,8 @@ import numpy as np
 
 from . import calibration as cal
 from .atlas import (
-    BOUNDARIES, atlas_columns, boundary_curve, evaluate_point, fmt, grid_columns, linspace_range,
-    sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
+    BOUNDARIES, atlas_columns, boundary_curve, evaluate_point, fmt, grid_columns,
+    solve_points, sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
 from .extensions import Belief, DifficultyProfile, Rework, believed_points, expected_quality, rework_quality
@@ -168,11 +168,10 @@ def _lever_grid(args, params, lever):
     The sweeps check the same points under both parameter sets, so they can
     fail only at a later row, with the scalar message.
     """
-    alpha_range, beta_range = parse_range(args.alpha_range), parse_range(args.beta_range)
-    first = Ability(float(linspace_range(alpha_range)[0]), float(linspace_range(beta_range)[0]))
-    res = lever(params, first, args.delta)
-    base = sweep_grid(params, alpha_range, beta_range)
-    new = sweep_grid(LEVER_MOVES[res.lever](params, args.delta), alpha_range, beta_range)
+    alpha, beta = grid_columns(parse_range(args.alpha_range), parse_range(args.beta_range))
+    res = lever(params, Ability(alpha[0].item(), beta[0].item()), args.delta)
+    base = solve_points(params, alpha, beta)
+    new = solve_points(LEVER_MOVES[res.lever](params, args.delta), alpha, beta)
     n = len(base)
     return _write_columns(args.out, [
         ("alpha", base.alpha), ("beta", base.beta), ("lever", np.full(n, res.lever, dtype=object)),

@@ -229,10 +229,6 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
             if far_phase:
                 ar = a[rest]
                 far = (ar > _HUGE_A) & (ar * (high - low) > _FAR)
-                # brackets only shrink, so once no point is far none is again,
-                # and the step lengths that the far test reads are not needed
-                far_phase = bool(far.any())
-            if far_phase:
                 slow = far & (2.0 * np.abs(new - now) > before[rest])
                 new = np.where(inside & ~slow, new, _split_array(far, low, high))
                 before[rest] = step[rest]
