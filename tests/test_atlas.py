@@ -12,8 +12,8 @@ import pytest
 import delver as dv
 from delver.atlas import (
     AtlasRow, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
-    psi_tau, quality, separatrix_intersection, solve_actions, solve_points, sweep_grid,
-    write_atlas_csv,
+    fmt, psi_tau, quality, separatrix_intersection, solve_actions, solve_points, sweep_grid,
+    write_atlas_csv, write_csv,
 )
 from delver.model import INVERSE_EFFICIENCY, Ability, ExecutionCost, coefficients, point_params
 from delver.sampling import beta_span
@@ -341,6 +341,18 @@ class TestSweep:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "alpha,beta,d_star,s_star,regime,q,q0,gap,quality,compliance"
         assert len(lines) == 10
+
+    def test_write_csv_formats_floats_as_fmt_and_the_rest_as_str(self):
+        floats = np.array([-0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 0.1, 123456789.5])
+        ints = np.array([0, 1, -7, 2**62, 3, 4, 5, 6])
+        labels = np.array(["improved", "loss", "", "a b", "x", "y", "z", "w"], dtype=object)
+        buf = io.StringIO()
+        write_csv(buf, [("f", floats), ("i", ints), ("label", labels)])
+        assert buf.getvalue().splitlines() == ["f,i,label"] + [
+            f"{fmt(f)},{i},{label}" for f, i, label in zip(floats.tolist(), ints.tolist(), labels)]
+        assert buf.getvalue().splitlines()[1:7] == [
+            "-0,0,improved", "nan,1,loss", "inf,-7,", f"-inf,{2**62},a b", "1e-300,3,x",
+            "4.94065646e-324,4,y"]
 
     def test_boundary_curve_restricts_domains(self, reference):
         betas = np.linspace(0.0, 1.0, 21)

@@ -606,6 +606,39 @@ class TestGridCommands:
         assert (code, out, err) == (1, "", f"error: {expected}\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("kappa, alpha, beta", [
+        # an invalid later point alone
+        ("0.8", "1:-1:3", "0:1:3"),
+        ("0.8", "0:1:3", "0:1.5:4"),
+        # kappa * C_w overflows at a later point (C_w = 2.5) but not at the first (C_w = 0)
+        ("1e308", "0:1:3", "1:0:3"),
+        # an invalid kappa and an invalid first point: the kappa fails first
+        ("-1", "-1:1:3", "0:1:3"),
+    ], ids=["later-alpha", "later-beta", "later-overflow", "kappa-and-first-point"])
+    def test_invalid_rework_grid_fails_as_the_per_point_path(self, capsys, tmp_path,
+                                                            kappa, alpha, beta):
+        reference = load_params(REFERENCE_CONFIG)
+
+        def per_point_error():
+            """The error of the per-point path: the kappa, then each row in order."""
+            try:
+                rework = dv.Rework(float(kappa))
+                for b in np.linspace(*parse_range(beta)):
+                    for a in np.linspace(*parse_range(alpha)):
+                        dv.rework_quality(reference, dv.Ability(float(a), float(b)), rework)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        expected = per_point_error()
+        assert expected is not None
+        path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "extend", "rework", f"--kappa={kappa}",
+                             f"--alpha-range={alpha}", f"--beta-range={beta}",
+                             "--config", REFERENCE_CONFIG, "--out", str(path))
+        assert (code, out, err) == (1, "", f"error: {expected}\n")
+        assert not path.exists()
+
     def test_boundary_stdout(self, capsys):
         code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG,
                            "--which", "psi1", "--beta-range", "0:0.7:8")
@@ -668,13 +701,32 @@ class TestGridCommands:
         assert (code, out, err) == (1, "", "error: difficulty must lie in (0, 1], got 0.0\n")
         assert not path.exists()
 
-    def test_extend_difficulty_pinned(self, capsys, tmp_path):
+    def test_extend_difficulty_pinned(self, capsys, tmp_path, reference):
         out_path = tmp_path / "difficulty.csv"
         code, _, _ = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
                          "--hhat", "0.5", "--alpha-range", "0:1:3",
                          "--beta-range", "0:1:3", "--out", str(out_path))
         assert code == 0
-        assert len(out_path.read_text().splitlines()) == 10
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "alpha,beta,difficulty,nodes,q,q0,gap,quality,compliance"
+        assert len(lines) == 10
+        profile = dv.DifficultyProfile(difficulty=0.5)
+        rows = [(a, b) for b in np.linspace(0, 1, 3) for a in np.linspace(0, 1, 3)]
+        for line, (a, b) in zip(lines[1:], rows):
+            rep = dv.expected_quality(reference, dv.Ability(float(a), float(b)), profile)
+            assert line == ",".join([fmt(float(a)), fmt(float(b)), "0.5", "64", fmt(rep.q),
+                                     fmt(rep.q0), fmt(rep.gap), rep.quality_label.value,
+                                     rep.compliance_label.value])
+
+    def test_invalid_difficulty_point_leaves_no_file(self, capsys, tmp_path, reference):
+        path = tmp_path / "difficulty.csv"
+        with pytest.raises(ValueError) as info:
+            dv.expected_quality(reference, dv.Ability(0.5, 1.5), dv.DifficultyProfile(0.5))
+        code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                             "--hhat", "0.5", "--alpha-range", "0:1:3",
+                             "--beta-range", "0:1.5:4", "--out", str(path))
+        assert (code, out, err) == (1, "", f"error: {info.value}\n")
+        assert not path.exists()
 
 
 class TestInterveneAndOracle:
