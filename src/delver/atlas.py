@@ -335,13 +335,13 @@ _COLUMN_OK = {"p_w": _in_unit_interval, "p_a": _in_unit_interval,
               "execution_scale": _finite_positive, "verification_rate": _finite_positive}
 
 
-def _checked_points(params: ModelParams, alpha, beta, columns: dict):
+def _checked_points(params: ModelParams, alpha, beta, columns: dict, kappa: float = 1.0):
     """(params, alpha, beta, C_w) ready for the array path, the columns folded into params.
 
     Every point is checked first, and the first invalid one raises what the
     scalar path raises there: it builds the Ability, then point_params from
-    the columns' values, then computes C_w and checks for overflow as
-    optimal_action does.
+    the columns' values, then computes C_w and checks alpha, kappa and
+    kappa * C_w as optimal_action does.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -353,7 +353,8 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict):
     with np.errstate(over="ignore", divide="ignore"):
         c_w = point.execution_cost.unchecked_cost(beta)
         bad = ~((alpha >= 0.0) & (params.detection.scale * alpha < math.inf) & (beta < math.inf)
-                & params.execution_cost.in_domain(beta) & (c_w < math.inf))
+                & params.execution_cost.in_domain(beta) & (c_w < math.inf)
+                & (kappa >= 0.0) & (kappa * c_w < math.inf))
     for name, column in columns.items():
         bad |= ~_COLUMN_OK[name](column)
     if bad.any():
@@ -361,14 +362,15 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict):
         a, b = float(alpha[k]), float(beta[k])
         Ability(a, b)
         scalar = point_params(params, **{name: float(c[k]) for name, c in columns.items()})
-        check_overflow(scalar.detection, a, scalar.execution_cost.cost(b))
+        check_overflow(scalar.detection, a, scalar.execution_cost.cost(b), kappa)
     return point, alpha, beta, c_w
 
 
-def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray) -> ActionColumns:
+def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray,
+           kappa: float = 1.0) -> ActionColumns:
     """optimal_action's branches as array steps, at checked points with manual cost c_w."""
     det, vcost = params.detection, params.verification_cost
-    k_w = phi_coefficients(params, c_w)[0]
+    k_w = phi_coefficients(params, c_w, kappa)[0]
     s_dag = maximize_surplus_array(det, alpha, vcost, k_w)
     f_w = worker_increment(params, k_w, det.prob(alpha, s_dag), c_w, vcost.cost(s_dag))
     return ActionColumns(*choose_regime(f_w, s_dag), s_dag)
@@ -381,24 +383,25 @@ def solve_actions(params: ModelParams, alpha, beta, **columns) -> ActionColumns:
 
 
 def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
-                 **columns) -> AtlasGrid:
+                 kappa: float = 1.0, **columns) -> AtlasGrid:
     """evaluate_point at every (alpha[k], beta[k]), in one array pass.
 
     alpha and beta are matching 1-d arrays. Keyword columns p_w, p_a,
     execution_scale and verification_rate, matching arrays too, solve
-    point k under point_params(params, ...) with their k-th values. Every
-    point and column entry is checked before any work. The columns run the
-    model's formulas and the solver's array branch points, so every entry
-    equals evaluate_point at that point bitwise.
+    point k under point_params(params, ...) with their k-th values; kappa
+    is evaluate_point's, one value for every point. Every point and column
+    entry is checked before any work. The columns run the model's formulas
+    and the solver's array branch points, so every entry equals
+    evaluate_point at that point bitwise.
     """
     if tau is None:
         tau = params.tau
-    params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
-    return score_actions(params, alpha, beta, _solve(params, alpha, c_w), tau)
+    params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns, kappa)
+    return score_actions(params, alpha, beta, _solve(params, alpha, c_w, kappa), tau, kappa)
 
 
 def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
-                  tau: float) -> AtlasGrid:
+                  tau: float, kappa: float = 1.0) -> AtlasGrid:
     """score_action at every point: the solved actions' AtlasGrid under params.
 
     The points must have passed solve_actions' checks; the actions may have
@@ -412,7 +415,7 @@ def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
     d = d_star.astype(float)
     phi = params.detection.prob(alpha, s_star)
     q = institution_value(params, success_at(params, phi, d),
-                          cost_at(params, phi, c_w, vcost.cost(s_star), d))
+                          cost_at(params, phi, c_w, vcost.cost(s_star), d, kappa))
     q0 = institution_value(params, params.p_w, c_w)
     gap, quality_label, compliance_label = _label_indices(q, q0, tau)
     return AtlasGrid(alpha=alpha, beta=beta, d_star=d_star, s_star=s_star, regime=regime,
@@ -478,10 +481,10 @@ def write_csv(fileobj, columns):
     is formatted by one format string, a bounded block of rows at a time.
     """
     fileobj.write(",".join(name for name, _ in columns) + "\n")
-    row = ",".join("{:.9g}" if column.dtype.kind == "f" else "{}" for _, column in columns) + "\n"
+    row = ",".join("%.9g" if column.dtype.kind == "f" else "%s" for _, column in columns) + "\n"
     for start in range(0, len(columns[0][1]), _CSV_BLOCK_ROWS):
         block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for _, column in columns]
-        fileobj.write("".join(row.format(*values) for values in zip(*block)))
+        fileobj.write("".join(map(row.__mod__, zip(*block))))
 
 
 def atlas_columns(grid: AtlasGrid) -> list:
@@ -500,6 +503,6 @@ def write_atlas_csv(grid: AtlasGrid, fileobj):
 
 def write_boundary_csv(points, fileobj):
     """Write boundary_curve's samples as beta,alpha,bracketed rows, the flag as 1 or 0."""
-    fileobj.write("beta,alpha,bracketed\n")
-    for beta, alpha, bracketed in points:
-        fileobj.write(f"{fmt(beta)},{fmt(alpha)},{int(bracketed)}\n")
+    table = np.array(points, dtype=float).reshape(-1, 3)
+    write_csv(fileobj, [("beta", table[:, 0]), ("alpha", table[:, 1]),
+                        ("bracketed", table[:, 2].astype(np.int64))])

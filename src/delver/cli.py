@@ -76,6 +76,11 @@ def _ability(args):
     return Ability(args.alpha, args.beta)
 
 
+def _grid(args):
+    """The --alpha-range x --beta-range grid as grid_columns' alpha and beta columns."""
+    return grid_columns(parse_range(args.alpha_range), parse_range(args.beta_range))
+
+
 def _solve_payload(params, ability):
     act, rep = evaluate_point(params, ability)
     u_w = worker_utility(params, ability, Action(float(act.d_star), act.s_star))
@@ -168,7 +173,7 @@ def _lever_grid(args, params, lever):
     The sweeps check the same points under both parameter sets, so they can
     fail only at a later row, with the scalar message.
     """
-    alpha, beta = grid_columns(parse_range(args.alpha_range), parse_range(args.beta_range))
+    alpha, beta = _grid(args)
     res = lever(params, Ability(alpha[0].item(), beta[0].item()), args.delta)
     base = solve_points(params, alpha, beta)
     new = solve_points(LEVER_MOVES[res.lever](params, args.delta), alpha, beta)
@@ -190,60 +195,42 @@ def cmd_intervene_minimal(args):
     return 0
 
 
-def _write_grid(args, header, evaluate):
-    """CSV of evaluate(ability) on the --alpha-range x --beta-range grid, beta-major.
-
-    Each row is alpha, beta and the fields evaluate returns; header names
-    those fields.
-    """
-    alphas = np.linspace(*parse_range(args.alpha_range))
-    betas = np.linspace(*parse_range(args.beta_range))
-    # every row is computed before --out is opened, so a failing point leaves no file
-    lines = [",".join(["alpha", "beta"] + header)]
-    for beta in betas:
-        for alpha in alphas:
-            fields = evaluate(Ability(float(alpha), float(beta)))
-            lines.append(",".join([fmt(float(alpha)), fmt(float(beta))] + fields))
-    text = "\n".join(lines) + "\n"
-    return _write_out(args.out, len(lines) - 1, lambda fh: fh.write(text))
-
-
-_REPORT_HEADER = ["q", "q0", "gap", "quality", "compliance"]
-_ACTION_HEADER = ["d_star", "s_star", "regime"] + _REPORT_HEADER
-
-
-def _report_fields(rep):
-    return [fmt(rep.q), fmt(rep.q0), fmt(rep.gap),
-            rep.quality_label.value, rep.compliance_label.value]
-
-
-def _action_fields(act, rep):
-    return [str(act.d_star), fmt(act.s_star), act.regime.value] + _report_fields(rep)
-
-
 def cmd_extend(args):
+    """The extension's grid as CSV; every row is computed before --out is opened."""
     params = load_params(args.config)
     if args.kind == "difficulty":
         profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
-        extra = ["" if args.hhat is None else fmt(args.hhat), str(args.nodes)]
-        return _write_grid(args, ["difficulty", "nodes"] + _REPORT_HEADER, lambda ability:
-                           extra + _report_fields(expected_quality(params, ability, profile)))
+        alpha, beta = _grid(args)
+        reports = [expected_quality(params, Ability(a, b), profile)
+                   for a, b in zip(alpha.tolist(), beta.tolist())]
+        values = zip(*((r.q, r.q0, r.gap, r.quality_label.value, r.compliance_label.value)
+                       for r in reports))
+        n = len(reports)
+        return _write_columns(args.out, [
+            ("alpha", alpha), ("beta", beta),
+            ("difficulty", np.full(n, "" if args.hhat is None else args.hhat)),
+            ("nodes", np.full(n, args.nodes)),
+            *zip(("q", "q0", "gap", "quality", "compliance"), map(np.array, values))])
 
     if args.kind == "belief":
         if args.p_hat is None:
             raise ConfigError("extend belief needs --p-hat")
         belief = Belief(args.p_hat)
-        grid = believed_points(params, *grid_columns(parse_range(args.alpha_range),
-                                                     parse_range(args.beta_range)), belief)
-        columns = atlas_columns(grid)
-        columns.insert(2, ("p_hat", np.full(len(grid), args.p_hat)))
-        return _write_columns(args.out, columns)
-
-    if args.kappa is None:
-        raise ConfigError("extend rework needs --kappa")
-    rework = Rework(args.kappa)
-    return _write_grid(args, ["kappa"] + _ACTION_HEADER, lambda ability: [fmt(args.kappa)]
-                       + _action_fields(*rework_quality(params, ability, rework)))
+        grid = believed_points(params, *_grid(args), belief)
+        name, value = "p_hat", args.p_hat
+    else:
+        if args.kappa is None:
+            raise ConfigError("extend rework needs --kappa")
+        rework = Rework(args.kappa)
+        alpha, beta = _grid(args)
+        # the scalar call raises the per-point path's error at the first row;
+        # solve_points raises a later row's with the scalar message
+        rework_quality(params, Ability(alpha[0].item(), beta[0].item()), rework)
+        grid = solve_points(params, alpha, beta, kappa=rework.kappa)
+        name, value = "kappa", rework.kappa
+    columns = atlas_columns(grid)
+    columns.insert(2, (name, np.full(len(grid), value)))
+    return _write_columns(args.out, columns)
 
 
 def cmd_calibrate(args):

@@ -126,7 +126,7 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def parse_range(text: str) -> tuple[float, float, int]:
-    """Parse 'start:end:count' with finite, inclusive endpoints and count >= 1."""
+    """Parse 'start:end:count' with finite, inclusive endpoints, a finite width and count >= 1."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"range must look like start:end:count, got {text!r}")
@@ -136,6 +136,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"bad range {text!r}: {exc}") from exc
     if not (math.isfinite(start) and math.isfinite(end)):
         raise ConfigError(f"range endpoints must be finite, got {text!r}")
+    if not math.isfinite(end - start):  # linspace's step would overflow
+        raise ConfigError(f"range {text!r} is too wide: end - start must be finite")
     if count < 1:
         raise ConfigError("range count must be >= 1")
     return start, end, count

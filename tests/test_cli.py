@@ -465,7 +465,9 @@ class TestGridCommands:
         ["boundary", "--which", "psi", "--beta-range", "0:nan:3", "--out", "grid.csv"],
         ["extend", "rework", "--kappa", "0.8", "--alpha-range", "0:1:3",
          "--beta-range=-inf:1:3", "--out", "grid.csv"],
-    ], ids=["atlas-nan", "atlas-inf", "boundary", "extend"])
+        # finite endpoints, but end - start overflows: linspace's step was nan
+        ["atlas", "--alpha=-1e308:1e308:3", "--beta", "0:1:2", "--out", "grid.csv"],
+    ], ids=["atlas-nan", "atlas-inf", "boundary", "extend", "atlas-too-wide"])
     def test_non_finite_range_is_rejected(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv, "--config", REFERENCE_CONFIG)
@@ -638,6 +640,16 @@ class TestGridCommands:
                              "--config", REFERENCE_CONFIG, "--out", str(path))
         assert (code, out, err) == (1, "", f"error: {expected}\n")
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["belief", "--p-hat", "1.5"], "believed success probability must lie in [0, 1]"),
+        (["rework", "--kappa=-1"], "kappa must be finite and >= 0, got -1.0"),
+        (["difficulty", "--hhat", "0"], "difficulty must lie in (0, 1], got 0.0"),
+    ], ids=["belief", "rework", "difficulty"])
+    def test_extension_option_fails_before_the_ranges(self, capsys, argv, message):
+        code, out, err = run(capsys, "extend", *argv, "--config", REFERENCE_CONFIG,
+                             "--alpha-range", "x", "--beta-range", "0:1:2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_boundary_stdout(self, capsys):
         code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG,

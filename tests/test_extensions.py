@@ -205,6 +205,24 @@ class TestRework:
                    == dv.optimal_action(reference, ab).regime for ab in grid)
         assert same / len(grid) >= 0.95
 
+    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
+                                        for triple, params in sorted(family_configs().items())])
+    @pytest.mark.parametrize("kappa", [0.0, 0.37, 1.0, 2.5])
+    def test_array_pass_equals_the_scalar_rework_bitwise(self, params, kappa):
+        rng = np.random.default_rng(53)
+        lo, hi = beta_span(params)
+        alpha = np.concatenate([rng.uniform(0.0, 3.0, 60), [0.0, 3.0]])
+        beta = np.concatenate([rng.uniform(lo, hi, 60), [lo, hi]])
+        grid = dv.solve_points(params, alpha, beta, kappa=kappa)
+        for k, row in enumerate(grid):
+            act, rep = rework_quality(params, Ability(alpha[k].item(), beta[k].item()),
+                                      Rework(kappa))
+            # hex compares the bits of the floats, the sign of a zero included
+            assert ([row.d_star, row.s_star.hex(), row.regime, row.q.hex(), row.q0.hex(),
+                     row.gap.hex(), row.quality_label, row.compliance_label]
+                    == [act.d_star, act.s_star.hex(), act.regime, rep.q.hex(), rep.q0.hex(),
+                        rep.gap.hex(), rep.quality_label, rep.compliance_label]), k
+
     @pytest.mark.parametrize("kappa", [-0.1, -3.0, float("nan"), float("inf")])
     def test_validation(self, reference, kappa):
         # evaluate_point once scored kappa = -3 as q = 8.40625, improved, and
@@ -212,6 +230,7 @@ class TestRework:
         ability = Ability(0.5, 0.5)
         checks = [lambda: Rework(kappa),
                   lambda: dv.evaluate_point(reference, ability, kappa=kappa),
+                  lambda: dv.solve_points(reference, [0.2, 0.5], [0.5, 0.5], kappa=kappa),
                   lambda: dv.institutional_utility(reference, ability, Action(1.0, 0.5), kappa)]
         for check in checks:
             with pytest.raises(ValueError) as info:
