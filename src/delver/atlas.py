@@ -349,8 +349,8 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict, kappa: floa
     if alpha.ndim != 1 or any(c.shape != alpha.shape for c in (beta, *columns.values())):
         raise ValueError("alpha, beta and the parameter columns must be 1-d arrays of one length")
     point = point_params(params, check=False, **columns) if columns else params
-    # the products may overflow here; those points fail the check
-    with np.errstate(over="ignore", divide="ignore"):
+    # the products may overflow, or be inf * 0, here; those points fail the check
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c_w = point.execution_cost.unchecked_cost(beta)
         bad = ~((alpha >= 0.0) & (params.detection.scale * alpha < math.inf) & (beta < math.inf)
                 & params.execution_cost.in_domain(beta) & (c_w < math.inf)
@@ -402,7 +402,7 @@ def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
 
 def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
                   tau: float, kappa: float = 1.0) -> AtlasGrid:
-    """score_action at every point: the solved actions' AtlasGrid under params.
+    """score_action at every point: the solved actions' AtlasGrid under params and kappa.
 
     The points must have passed solve_actions' checks; the actions may have
     been solved under other parameters with the same cost functions, as a

@@ -230,7 +230,8 @@ class TestRework:
         ability = Ability(0.5, 0.5)
         checks = [lambda: Rework(kappa),
                   lambda: dv.evaluate_point(reference, ability, kappa=kappa),
-                  lambda: dv.solve_points(reference, [0.2, 0.5], [0.5, 0.5], kappa=kappa),
+                  # C_w = 0 at beta = 1, where an infinite kappa * C_w is nan
+                  lambda: dv.solve_points(reference, [0.2, 0.5], [1.0, 0.5], kappa=kappa),
                   lambda: dv.institutional_utility(reference, ability, Action(1.0, 0.5), kappa)]
         for check in checks:
             with pytest.raises(ValueError) as info:
