@@ -352,9 +352,11 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict, kappa: floa
     # the products may overflow, or be inf * 0, here; those points fail the check
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c_w = point.execution_cost.unchecked_cost(beta)
+        # kappa * C_w < inf also tests C_w < inf, at kappa = 0 too (0 * inf is nan)
         bad = ~((alpha >= 0.0) & (params.detection.scale * alpha < math.inf) & (beta < math.inf)
-                & params.execution_cost.in_domain(beta) & (c_w < math.inf)
-                & (kappa >= 0.0) & (kappa * c_w < math.inf))
+                & params.execution_cost.in_domain(beta) & (kappa * c_w < math.inf))
+    if not kappa >= 0.0:  # the scalar path fails at the first point: its error or kappa's
+        bad[:] = True
     for name, column in columns.items():
         bad |= ~_COLUMN_OK[name](column)
     if bad.any():
