@@ -1,5 +1,6 @@
 """Optimal actions, thresholds, and agreement with the brute-force oracle."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -22,6 +23,34 @@ from delver.solver import (
 from conftest import run_isolated
 
 EPS = np.finfo(float).eps
+
+# SHA-256 of _surplus_sample_text(), taken while the Newton search still had a far
+# phase above scale * alpha = 2**20; the sample stays at or below 2**20, where the
+# search has not changed since
+SURPLUS_SAMPLE_DIGEST = "243ca7eca79b69a91a183401f14162c78ea219b90362924b64a179e733d6c072"
+
+
+def _surplus_sample_text():
+    """float.hex of maximize_surplus and maximize_surplus_array, one line per point.
+
+    linear_quadratic cost, both detection kinds, three power-of-two scales (so
+    scale * alpha is exact), scale * alpha log-uniform on [1e-6, 2**20] plus
+    2**20 itself, and k log-uniform on [1e-4, 1e8].
+    """
+    rng = np.random.default_rng(43)
+    vcost = VerificationCost("linear_quadratic")
+    lines = []
+    for kind in ("exponential", "inverse_linear"):
+        for scale in (0.5, 1.0, 4.0):
+            detection = Detection(kind, scale)
+            a = np.append(10.0 ** rng.uniform(-6.0, math.log10(2.0 ** 20), 1500), 2.0 ** 20)
+            alpha = np.minimum(a, 2.0 ** 20) / scale
+            k = 10.0 ** rng.uniform(-4.0, 8.0, len(alpha))
+            got = maximize_surplus_array(detection, alpha, vcost, k)
+            for al, kk, s_array in zip(alpha.tolist(), k.tolist(), got.tolist()):
+                s = maximize_surplus(detection, al, vcost, kk)
+                lines.append(f"{kind} {al.hex()} {kk.hex()} {s.hex()} {s_array.hex()}")
+    return "\n".join(lines)
 
 
 def exponential_params(**overrides):
@@ -190,6 +219,27 @@ class TestArrayBranchPoints:
         s = maximize_surplus(Detection("exponential", 1.0), 1e30,
                              VerificationCost("linear_quadratic"), 1.0)
         assert s == pytest.approx(math.log(1e30) / 1e30, rel=1e-12)
+
+    def test_surplus_sample_is_bitwise_frozen(self):
+        text = _surplus_sample_text()
+        efforts = [float.fromhex(line.split()[3]) for line in text.splitlines()]
+        assert sum(0.0 < s < 1.0 for s in efforts) > len(efforts) // 4
+        assert hashlib.sha256(text.encode()).hexdigest() == SURPLUS_SAMPLE_DIGEST
+
+    @pytest.mark.parametrize("det_kind", ["exponential", "inverse_linear"])
+    @pytest.mark.parametrize("a", [2.0 ** 21, 1e100, 1e300])
+    @pytest.mark.parametrize("ka", [float(np.nextafter(1.0, 2.0)), 1.5, 2.5])
+    def test_huge_alpha_root_just_above_zero_is_interior(self, det_kind, a, ka):
+        # h'(0) = k a - 1 is positive, barely so at nextafter(1), and the root lies
+        # within rounding of 0, yet a positive slope at 0 still means a positive effort
+        k = ka / a
+        assert abs(k * a - ka) <= EPS * ka
+        detection, vcost = Detection(det_kind, 1.0), VerificationCost("linear_quadratic")
+        s = maximize_surplus(detection, a, vcost, k)
+        assert 0.0 < s < 1.0
+        assert maximize_surplus_array(detection, np.array([a]), vcost, np.array([k])).tolist() == [s]
+        slope = k * float(detection.slope(a, s))
+        assert abs(slope - 1.0 - s) <= 16 * EPS * (1.0 + a * s) * (slope + 1.0 + s)
 
     @pytest.mark.parametrize("det_kind,k,want", [
         # a = scale * alpha = 1, so h'(0) = k - 1: a non-positive slope at 0 gives 0
