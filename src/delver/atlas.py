@@ -225,7 +225,7 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     det, vcost = params.detection, params.verification_cost
     c_w = params.execution_cost.cost(beta)
     k_w, k_i = phi_coefficients(params, c_w)
-    c_v0 = float(vcost.slope(0.0))
+    c_v0 = vcost.slope(0.0)
     g_i = institution_value(params, params.p_w, c_w)
     tau = params.tau if tau is None else tau
     # -gain clamped at zero, as psi0's domain guarantees up to rounding, keeps psi0(t) = psi1(t)

@@ -23,6 +23,7 @@ from .model import Ability, ModelParams, check_kappa, point_params
 from .solver import OptimalAction, bisect_array, optimal_action
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
+_MAX_NODES = 1024  # leggauss builds a nodes x nodes matrix: 8 MiB here, 71 PiB at 1e8
 # point_params' values at hardness h, as (intercept, slope) in h
 _PROFILE = {"p_w": (1.0, -0.5), "p_a": (1.0, -0.7), "execution_scale": (0.0, 10.0),
             "verification_rate": (0.5, 1.0)}
@@ -37,7 +38,8 @@ class DifficultyProfile:
     verification rate 0.5 + h. difficulty pins a single hardness level in
     (0, 1], since at h = 0 there is no execution cost scale; None draws h
     uniformly on [0, 1], integrated with Gauss-Legendre quadrature on nodes
-    nodes per smooth segment, which never evaluates h = 0.
+    nodes per smooth segment, which never evaluates h = 0. nodes lies in
+    [1, _MAX_NODES].
     """
 
     difficulty: float | None = None
@@ -46,8 +48,8 @@ class DifficultyProfile:
     def __post_init__(self):
         if self.difficulty is not None and not 0.0 < self.difficulty <= 1.0:
             raise ValueError(f"difficulty must lie in (0, 1], got {self.difficulty}")
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
+        if not 1 <= self.nodes <= _MAX_NODES:
+            raise ValueError(f"nodes must lie in [1, {_MAX_NODES}], got {self.nodes}")
 
     def values_at(self, h) -> dict:
         """point_params' values at difficulty h, a float or an array of levels."""

@@ -84,9 +84,7 @@ class VerificationCost:
         return s + 0.5 * s * s
 
     def slope(self, s):
-        if self.kind == LINEAR:
-            return self.k if np.isscalar(s) else np.full_like(np.asarray(s, float), self.k)
-        return 1.0 + s
+        return self.k if self.kind == LINEAR else 1.0 + s
 
 
 @dataclass(frozen=True)

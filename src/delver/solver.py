@@ -25,17 +25,17 @@ import numpy as np
 
 from .model import (
     INVERSE_LINEAR, LINEAR, Ability, Action, Detection, ModelParams, VerificationCost,
-    check_overflow, coefficients, delegation_gain, detection_probability, phi_coefficients,
+    check_overflow, delegation_gain, detection_probability, institution_value, phi_coefficients,
     worker_increment,
 )
 
 _NEWTON_TOL = 2.0 ** -49  # 8 eps, the rounding allowance of the Newton stopping tests
 _NEWTON_MAX_ITER = 100
 # Above _HUGE_A = scale * alpha, the root of the surplus slope can lie many
-# decades below 1, and a Newton search bracket wider than _FAR in a * s is
-# far from it: a Newton step from its low end moves a * s by about 1
+# decades below 1, where midpoints of [0, 1] take dozens of steps to reach
+# it; the Newton search starts there from _huge_bracket, and from [0, 1]
+# at or below it
 _HUGE_A = 2.0 ** 20
-_FAR = 8.0
 _THRESHOLD_TOL = 1e-12
 
 
@@ -96,26 +96,22 @@ def _float_exp(x):
     return float(np.exp(x))  # np.exp, not math.exp: the array form's bits
 
 
-def _split(far: bool, lo: float, hi: float) -> float:
-    """The Newton search's next point in (lo, hi) when it refuses a Newton step.
+def _huge_bracket(kind: str, a: float, k: float):
+    """(lo, hi, s): the Newton search's bracket and start point when a > _HUGE_A.
 
-    The midpoint, unless the bracket is far from the root (far) and hi >
-    4 lo: then the geometric mean, or hi**2 while lo is 0 (hi is at most 0.5
-    then), so that a root many decades below 1 is bracketed in a few steps.
-    The array form is _split_array.
+    At the root of h'(s) = k phi'(s) - 1 - s, k phi'(s) = 1 + s lies in (1, 2),
+    and phi' decreases, so the root lies between the efforts where k phi' is 2
+    and 1/2, each clamped to [0, 1]. The start is lo, or hi / 2 when lo is 0:
+    h'(0) can be within rounding of 0, and a search started there would return
+    0 for an interior root. k and a enter through separate logs or square
+    roots, so k a cannot overflow.
     """
-    if far:
-        if lo == 0.0:
-            return hi * hi
-        if hi > 4.0 * lo:
-            return math.sqrt(lo) * math.sqrt(hi)
-    return 0.5 * (lo + hi)
-
-
-def _split_array(far: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_split at every element."""
-    return np.where(far & (lo == 0.0), hi * hi,
-                    np.where(far & (hi > 4.0 * lo), np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi)))
+    if kind == INVERSE_LINEAR:  # k a / (1 + a s)^2 = c  =>  s = (sqrt(k a / c) - 1) / a
+        ends = ((math.sqrt(k) * math.sqrt(a) * math.sqrt(1.0 / c) - 1.0) / a for c in (2.0, 0.5))
+    else:  # k a e^{-a s} = c  =>  s = (ln k + ln a - ln c) / a
+        ends = ((math.log(k) + math.log(a) - math.log(c)) / a for c in (2.0, 0.5))
+    lo, hi = (min(1.0, max(0.0, end)) for end in ends)
+    return lo, hi, lo if lo > 0.0 else 0.5 * hi
 
 
 def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost,
@@ -128,13 +124,11 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
     to [0, 1]. Under linear_quadratic cost the surplus is strictly concave:
     its derivative h'(s) = k phi'(s) - 1 - s gives 0 when h'(0) <= 0 and 1
     when h'(1) >= 0, and otherwise a safeguarded Newton search finds its
-    root. The search starts at 0.5 and keeps the bracket from the sign of
-    h'. It takes the midpoint of the bracket instead of a Newton step that
-    leaves it. When a = scale * alpha is above 2**20 and the bracket is
-    wider than 8 in a * s, far from the root's scale, it also refuses a
-    Newton step longer than half the step before last, and splits the
-    bracket geometrically instead (_split). It stops when h' is zero to
-    rounding or the step is at most 8 eps * s.
+    root. The search starts at 0.5 in the bracket [0, 1], or, when a =
+    scale * alpha is above 2**20, in the bracket that _huge_bracket reads
+    off k phi' = 1 + s. It keeps the bracket from the sign of h' and takes
+    its midpoint instead of a Newton step that leaves it. It stops when h'
+    is zero to rounding or the step is at most 8 eps * s.
     """
     if phi_coefficient <= 0.0 or alpha <= 0.0:
         return 0.0
@@ -154,9 +148,7 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         return 0.0
     if _surplus_slopes(kind, a, k, 1.0, _float_exp)[0] >= 0.0:
         return 1.0
-    lo, hi, s = 0.0, 1.0, 0.5
-    huge = a > _HUGE_A
-    step = before = 1.0  # the last two step lengths, kept while huge
+    lo, hi, s = _huge_bracket(kind, a, k) if a > _HUGE_A else (0.0, 1.0, 0.5)
     for _ in range(_NEWTON_MAX_ITER):
         g, dg, done = _surplus_slopes(kind, a, k, s, _float_exp)
         if done:
@@ -166,12 +158,7 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         else:
             hi = s
         new = s - g / dg
-        if huge:
-            far = a * (hi - lo) > _FAR
-            if not lo < new < hi or far and 2.0 * abs(new - s) > before:
-                new = _split(far, lo, hi)
-            before, step = step, abs(new - s)
-        elif not lo < new < hi:
+        if not lo < new < hi:
             new = 0.5 * (lo + hi)
         if abs(new - s) <= _NEWTON_TOL * s:
             return new
@@ -211,9 +198,9 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
         top = up & (_surplus_slopes(kind, a, k, 1.0, np.exp)[0] >= 0.0)
         s = np.where(top, 1.0, np.where(up, 0.5, 0.0))
         lo, hi = np.zeros(len(a)), np.ones(len(a))
-        step, before = np.ones(len(a)), np.ones(len(a))
-        far_phase = bool((a > _HUGE_A).any())
         rest = np.flatnonzero(up & ~top)
+        for i in rest[a[rest] > _HUGE_A].tolist():
+            lo[i], hi[i], s[i] = _huge_bracket(kind, float(a[i]), float(k[i]))
         for _ in range(_NEWTON_MAX_ITER):
             if not len(rest):
                 break
@@ -225,16 +212,7 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
             hi[rest[~right]] = now[~right]
             new = now - g / dg
             low, high = lo[rest], hi[rest]
-            inside = (low < new) & (new < high)
-            if far_phase:
-                ar = a[rest]
-                far = (ar > _HUGE_A) & (ar * (high - low) > _FAR)
-                slow = far & (2.0 * np.abs(new - now) > before[rest])
-                new = np.where(inside & ~slow, new, _split_array(far, low, high))
-                before[rest] = step[rest]
-                step[rest] = np.abs(new - now)
-            else:
-                new = np.where(inside, new, 0.5 * (low + high))
+            new = np.where((low < new) & (new < high), new, 0.5 * (low + high))
             s[rest] = new
             rest = rest[~(np.abs(new - now) <= _NEWTON_TOL * now)]
     s_dagger[live] = s
@@ -369,7 +347,7 @@ def qualification_threshold(params: ModelParams, tau: float | None = None) -> Th
     lo, hi = _beta_search_interval(params)
 
     def excess(beta):
-        return coefficients(params, Ability(0.0, beta), 0.0).g_i - tau
+        return institution_value(params, params.p_w, params.execution_cost.cost(beta)) - tau
 
     if excess(lo) > 0.0:
         return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency")

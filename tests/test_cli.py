@@ -325,10 +325,13 @@ class TestExitCodes:
         (["solve", "--alpha", "0.5", "--beta", "1e-310", "INVERSE"], "beta=1e-310 is too small"),
         (["boundary", "--which", "psi_tau", "--beta-range", "1e-310:1e-310:1", "INVERSE"],
          "beta=1e-310 is too small"),
+        (["extend", "difficulty", "--alpha-range", "0.5:0.5:1", "--beta-range", "0.5:0.5:1",
+          "--nodes", "100000000", "--out", "grid.csv"], "nodes must lie in [1, 1024], got 100000000"),
     ], ids=["solve", "quality", "oracle", "difficulty", "atlas", "rework-kappa",
-            "solve-tiny-beta", "boundary-tiny-beta"])
+            "solve-tiny-beta", "boundary-tiny-beta", "difficulty-nodes"])
     def test_overflowing_input_is_rejected(self, capsys, tmp_path, monkeypatch, argv, message):
-        # each of these used to exit 0 with nan (or, for boundary, a fake root)
+        # each of these used to exit 0 with nan (or, for boundary, a fake root; for
+        # --nodes, a traceback from a 71 PiB allocation in leggauss)
         monkeypatch.chdir(tmp_path)
         config = REFERENCE_CONFIG
         if argv[-1] == "INVERSE":

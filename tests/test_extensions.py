@@ -67,6 +67,8 @@ class TestDifficultyProfile:
             DifficultyProfile(difficulty=1.5)
         with pytest.raises(ValueError):
             DifficultyProfile(nodes=0)
+        with pytest.raises(ValueError, match=r"^nodes must lie in \[1, 1024\], got 1025$"):
+            DifficultyProfile(nodes=1025)
 
     def test_quadrature_integrates_polynomials_exactly(self):
         hs, ws = unit_quadrature(8)
