@@ -164,24 +164,19 @@ def _label_indices(q, q0, tau):
     return gap, quality, compliance
 
 
-def evaluate_point(params: ModelParams, ability: Ability, tau: float | None = None,
-                   kappa: float = 1.0) -> tuple[OptimalAction, QualityReport]:
-    """Solve the worker problem once and report quality at the optimum.
-
-    kappa scales the cost of redoing the task after a detected AI error,
-    for the worker and the institution alike; the no-AI baseline has no
-    redo and does not depend on it.
-    """
+def evaluate_point(params: ModelParams, ability: Ability,
+                   tau: float | None = None) -> tuple[OptimalAction, QualityReport]:
+    """Solve the worker problem once and report quality at the optimum."""
     if tau is None:
         tau = params.tau
-    act = optimal_action(params, ability, kappa)
-    return act, score_action(params, ability, act, tau, kappa)
+    act = optimal_action(params, ability)
+    return act, score_action(params, ability, act, tau)
 
 
-def score_action(params: ModelParams, ability: Ability, act: OptimalAction, tau: float,
-                 kappa: float = 1.0) -> QualityReport:
+def score_action(params: ModelParams, ability: Ability, act: OptimalAction,
+                 tau: float) -> QualityReport:
     """The QualityReport of the solved action act against the no-AI baseline q0."""
-    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star), kappa)
+    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
     # institutional_utility has checked beta
     q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
     return QualityReport.from_values(q, q0, tau)
@@ -335,13 +330,13 @@ _COLUMN_OK = {"p_w": _in_unit_interval, "p_a": _in_unit_interval,
               "execution_scale": _finite_positive, "verification_rate": _finite_positive}
 
 
-def _checked_points(params: ModelParams, alpha, beta, columns: dict, kappa: float = 1.0):
+def _checked_points(params: ModelParams, alpha, beta, columns: dict):
     """(params, alpha, beta, C_w) ready for the array path, the columns folded into params.
 
     Every point is checked first, and the first invalid one raises what the
     scalar path raises there: it builds the Ability, then point_params from
-    the columns' values, then computes C_w and checks alpha, kappa and
-    kappa * C_w as optimal_action does.
+    the columns' values, then computes C_w and checks alpha and kappa * C_w
+    as optimal_action does.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -354,9 +349,7 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict, kappa: floa
         c_w = point.execution_cost.unchecked_cost(beta)
         # kappa * C_w < inf also tests C_w < inf, at kappa = 0 too (0 * inf is nan)
         bad = ~((alpha >= 0.0) & (params.detection.scale * alpha < math.inf) & (beta < math.inf)
-                & params.execution_cost.in_domain(beta) & (kappa * c_w < math.inf))
-    if not kappa >= 0.0:  # the scalar path fails at the first point: its error or kappa's
-        bad[:] = True
+                & params.execution_cost.in_domain(beta) & (params.kappa * c_w < math.inf))
     for name, column in columns.items():
         bad |= ~_COLUMN_OK[name](column)
     if bad.any():
@@ -364,15 +357,14 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict, kappa: floa
         a, b = float(alpha[k]), float(beta[k])
         Ability(a, b)
         scalar = point_params(params, **{name: float(c[k]) for name, c in columns.items()})
-        check_overflow(scalar.detection, a, scalar.execution_cost.cost(b), kappa)
+        check_overflow(scalar, a, scalar.execution_cost.cost(b))
     return point, alpha, beta, c_w
 
 
-def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray,
-           kappa: float = 1.0) -> ActionColumns:
+def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray) -> ActionColumns:
     """optimal_action's branches as array steps, at checked points with manual cost c_w."""
     det, vcost = params.detection, params.verification_cost
-    k_w = phi_coefficients(params, c_w, kappa)[0]
+    k_w = phi_coefficients(params, c_w)[0]
     s_dag = maximize_surplus_array(det, alpha, vcost, k_w)
     f_w = worker_increment(params, k_w, det.prob(alpha, s_dag), c_w, vcost.cost(s_dag))
     return ActionColumns(*choose_regime(f_w, s_dag), s_dag)
@@ -385,26 +377,25 @@ def solve_actions(params: ModelParams, alpha, beta, **columns) -> ActionColumns:
 
 
 def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
-                 kappa: float = 1.0, **columns) -> AtlasGrid:
+                 **columns) -> AtlasGrid:
     """evaluate_point at every (alpha[k], beta[k]), in one array pass.
 
     alpha and beta are matching 1-d arrays. Keyword columns p_w, p_a,
     execution_scale and verification_rate, matching arrays too, solve
-    point k under point_params(params, ...) with their k-th values; kappa
-    is evaluate_point's, one value for every point. Every point and column
-    entry is checked before any work. The columns run the model's formulas
+    point k under point_params(params, ...) with their k-th values. Every
+    point and column entry is checked before any work. The columns run the model's formulas
     and the solver's array branch points, so every entry equals
     evaluate_point at that point bitwise.
     """
     if tau is None:
         tau = params.tau
-    params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns, kappa)
-    return score_actions(params, alpha, beta, _solve(params, alpha, c_w, kappa), tau, kappa)
+    params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
+    return score_actions(params, alpha, beta, _solve(params, alpha, c_w), tau)
 
 
 def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
-                  tau: float, kappa: float = 1.0) -> AtlasGrid:
-    """score_action at every point: the solved actions' AtlasGrid under params and kappa.
+                  tau: float) -> AtlasGrid:
+    """score_action at every point: the solved actions' AtlasGrid under params.
 
     The points must have passed solve_actions' checks; the actions may have
     been solved under other parameters with the same cost functions, as a
@@ -417,7 +408,7 @@ def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
     d = d_star.astype(float)
     phi = params.detection.prob(alpha, s_star)
     q = institution_value(params, success_at(params, phi, d),
-                          cost_at(params, phi, c_w, vcost.cost(s_star), d, kappa))
+                          cost_at(params, phi, c_w, vcost.cost(s_star), d))
     q0 = institution_value(params, params.p_w, c_w)
     gap, quality_label, compliance_label = _label_indices(q, q0, tau)
     return AtlasGrid(alpha=alpha, beta=beta, d_star=d_star, s_star=s_star, regime=regime,

@@ -239,6 +239,8 @@ def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> Calibrate
         raise CalibrationError("t_w_max must exceed the mean worker time")
     if t_v_max < c_v:
         raise CalibrationError("t_v_max must be at least the implied verification cost")
+    if t_v_max <= 0.0:  # c_v = 0 passes the check above, and s_dagger = 0 / 0 is undefined
+        raise CalibrationError(f"t_v_max must be positive, got {t_v_max}")
     s_dagger = c_v / t_v_max
     beta = 1.0 - obs.c_w / t_w_max
     boundary = phi == 1.0

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def cmd_extend(args):
         # the scalar call raises the per-point path's error at the first row;
         # solve_points raises a later row's with the scalar message
         rework_quality(params, Ability(alpha[0].item(), beta[0].item()), rework)
-        grid = solve_points(params, alpha, beta, kappa=rework.kappa)
+        grid = solve_points(replace(params, kappa=rework.kappa), alpha, beta)
         name, value = "kappa", rework.kappa
     columns = atlas_columns(grid)
     columns.insert(2, (name, np.full(len(grid), value)))

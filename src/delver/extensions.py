@@ -11,7 +11,7 @@ AI error.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class DifficultyProfile:
     verification rate 0.5 + h. difficulty pins a single hardness level in
     (0, 1], since at h = 0 there is no execution cost scale; None draws h
     uniformly on [0, 1], integrated with Gauss-Legendre quadrature on nodes
-    nodes per smooth segment, which never evaluates h = 0. nodes lies in
-    [1, _MAX_NODES].
+    nodes per smooth segment, which never evaluates h = 0. nodes is an
+    integer in [1, _MAX_NODES].
     """
 
     difficulty: float | None = None
@@ -48,8 +48,8 @@ class DifficultyProfile:
     def __post_init__(self):
         if self.difficulty is not None and not 0.0 < self.difficulty <= 1.0:
             raise ValueError(f"difficulty must lie in (0, 1], got {self.difficulty}")
-        if not 1 <= self.nodes <= _MAX_NODES:
-            raise ValueError(f"nodes must lie in [1, {_MAX_NODES}], got {self.nodes}")
+        if not (isinstance(self.nodes, (int, np.integer)) and 1 <= self.nodes <= _MAX_NODES):
+            raise ValueError(f"nodes must be an integer in [1, {_MAX_NODES}], got {self.nodes}")
 
     def values_at(self, h) -> dict:
         """point_params' values at difficulty h, a float or an array of levels."""
@@ -175,4 +175,4 @@ def rework_quality(params: ModelParams, ability: Ability,
     sides: the worker's surplus from detection and the institution's
     discounted correction cost. The no-AI baseline is unchanged.
     """
-    return evaluate_point(params, ability, kappa=rework.kappa)
+    return evaluate_point(replace(params, kappa=rework.kappa), ability)

@@ -171,6 +171,7 @@ class ModelParams:
     tau:       qualification threshold on institutional utility
     p_a / c_a: AI success probability and execution cost
     p_w:       worker success probability
+    kappa:     redo discount: fixing a detected AI error costs kappa * C_w
     """
 
     b_w: float
@@ -185,6 +186,7 @@ class ModelParams:
     detection: Detection
     verification_cost: VerificationCost
     execution_cost: ExecutionCost
+    kappa: float = 1.0
 
     def __post_init__(self):
         for name in ("b_w", "l_w", "b_i", "l_i", "xi", "tau", "c_a"):
@@ -198,6 +200,7 @@ class ModelParams:
         for name, stakes in (("b_w + l_w", self.worker_stakes), ("b_i + l_i", self.institution_stakes)):
             if stakes == math.inf:
                 raise ValueError(f"{name} must be finite, got {stakes}")
+        check_kappa(self.kappa)
 
     @property
     def worker_stakes(self):
@@ -283,25 +286,24 @@ def point_params(params: ModelParams, p_w=None, p_a=None, execution_scale=None,
     return build(params, **changes)
 
 
-def check_kappa(kappa: float) -> None:
-    """Reject a redo-cost discount outside [0, inf): a negative kappa pays for a redo."""
-    if not 0.0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+def check_kappa(value: float) -> None:
+    """Reject a redo-cost discount kappa outside [0, inf): a negative one pays for a redo."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {value}")
 
 
-def check_overflow(detection: Detection, alpha: float, c_w: float, kappa: float = 1.0) -> None:
+def check_overflow(params: ModelParams, alpha: float, c_w: float) -> None:
     """Reject an alpha or a kappa so large that a product the formulas read overflows.
 
     Every formula reads alpha through detection.scale * alpha, and the redo
     cost as kappa * C_w. An infinite product turns phi, s_dagger or the
     cost of a corrected error into NaN (0 * inf), so the entry points check
-    both once, after C_w, and kappa's own domain before its product.
+    both once, after C_w.
     """
-    if not detection.scale * alpha < math.inf:
+    if not params.detection.scale * alpha < math.inf:
         raise ValueError(f"alpha={alpha} is too large: detection scale * alpha must be finite")
-    check_kappa(kappa)
-    if not kappa * c_w < math.inf:
-        raise ValueError(f"kappa={kappa} is too large: kappa * C_w must be finite")
+    if not params.kappa * c_w < math.inf:
+        raise ValueError(f"kappa={params.kappa} is too large: kappa * C_w must be finite")
 
 
 def detection_probability(detection: Detection, alpha: float, s: float):
@@ -323,13 +325,13 @@ def success_at(params: ModelParams, phi, d):
     return (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
 
 
-def cost_at(params: ModelParams, phi, c_w, c_v, d, kappa=1.0):
+def cost_at(params: ModelParams, phi, c_w, c_v, d):
     """Expected cost at detection probability phi, costs C_w and C_v, and level d.
 
-    kappa scales C_w in the redo term only: fixing a detected AI error
-    costs kappa * C_w. kappa = 1 is the base model, bitwise.
+    params.kappa scales C_w in the redo term only: fixing a detected AI
+    error costs kappa * C_w. kappa = 1 is the base model, bitwise.
     """
-    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (kappa * c_w))
+    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w))
 
 
 def worker_value(params: ModelParams, p, cost):
@@ -340,13 +342,13 @@ def institution_value(params: ModelParams, p, cost):
     return params.b_i * p - params.l_i * (1.0 - p) - params.xi * cost
 
 
-def phi_coefficients(params: ModelParams, c_w, kappa=1.0):
+def phi_coefficients(params: ModelParams, c_w):
     """(k_w, k_i): the coefficients on phi(s) in f_w and f_i, given C_w.
 
     The C_w in them is the redo cost after a detected error, scaled by
-    kappa as in cost_at.
+    params.kappa as in cost_at.
     """
-    one_minus_pa = 1.0 - params.p_a
+    one_minus_pa, kappa = 1.0 - params.p_a, params.kappa
     return (one_minus_pa * (params.worker_stakes * params.p_w - kappa * c_w),
             one_minus_pa * (params.institution_stakes * params.p_w - params.xi * kappa * c_w))
 
@@ -362,7 +364,7 @@ def institution_increment(params: ModelParams, k_i, phi, c_w, c_v):
             + params.xi * (c_w - params.c_a))
 
 
-def _checked_phi(params: ModelParams, ability: Ability, s: float, kappa=1.0):
+def _checked_phi(params: ModelParams, ability: Ability, s: float):
     """(phi(s), C_w) at ability, checked as every scalar entry point checks them.
 
     s is checked first, then beta through C_w, then the products that could
@@ -370,7 +372,7 @@ def _checked_phi(params: ModelParams, ability: Ability, s: float, kappa=1.0):
     """
     phi = detection_probability(params.detection, ability.alpha, s)
     c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params.detection, ability.alpha, c_w, kappa)
+    check_overflow(params, ability.alpha, c_w)
     return phi, c_w
 
 
@@ -391,12 +393,11 @@ def worker_utility(params: ModelParams, ability: Ability, action: Action) -> flo
                         cost_at(params, phi, c_w, params.verification_cost.cost(action.s), action.d))
 
 
-def institutional_utility(params: ModelParams, ability: Ability, action: Action,
-                          kappa=1.0) -> float:
-    phi, c_w = _checked_phi(params, ability, action.s, kappa)
+def institutional_utility(params: ModelParams, ability: Ability, action: Action) -> float:
+    phi, c_w = _checked_phi(params, ability, action.s)
     return institution_value(params, success_at(params, phi, action.d),
                              cost_at(params, phi, c_w, params.verification_cost.cost(action.s),
-                                     action.d, kappa))
+                                     action.d))
 
 
 def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficients:

@@ -37,6 +37,7 @@ _NEWTON_MAX_ITER = 100
 # at or below it
 _HUGE_A = 2.0 ** 20
 _THRESHOLD_TOL = 1e-12
+_ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 
 
 class Regime(str, enum.Enum):
@@ -225,18 +226,17 @@ def optimal_verification(params: ModelParams, ability: Ability) -> float:
     return maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
 
 
-def optimal_action(params: ModelParams, ability: Ability, kappa: float = 1.0) -> OptimalAction:
+def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
     """Worker-optimal (d, s) and its regime.
 
     The worker delegates exactly when the delegation increment at the best
     verification effort is non-negative (indifference resolves to
     delegation). Delegation with zero verification effort is pure
-    delegation; with positive effort, verified delegation. kappa scales
-    the cost of redoing the task after a detected AI error.
+    delegation; with positive effort, verified delegation.
     """
     c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params.detection, ability.alpha, c_w, kappa)
-    k_w = phi_coefficients(params, c_w, kappa)[0]
+    check_overflow(params, ability.alpha, c_w)
+    k_w = phi_coefficients(params, c_w)[0]
     s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
     phi = detection_probability(params.detection, ability.alpha, s_dag)
     f_w = worker_increment(params, k_w, phi, c_w, params.verification_cost.cost(s_dag))
@@ -367,14 +367,16 @@ def brute_force_action(params: ModelParams, ability: Ability,
     """
     if d_steps < 2 or s_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
+    if d_steps * s_steps > _ORACLE_CELLS:  # each of its arrays holds 8 bytes a cell
+        raise ValueError(f"grid has {d_steps * s_steps} cells, more than {_ORACLE_CELLS}")
     d = np.linspace(0.0, 1.0, d_steps)[:, None]
     s = np.linspace(0.0, 1.0, s_steps)[None, :]
     c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params.detection, ability.alpha, c_w)
+    check_overflow(params, ability.alpha, c_w)
     phi = params.detection.prob(ability.alpha, s)
     c_v = params.verification_cost.cost(s)
     p = (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
-    cost = (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * c_w)
+    cost = (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w))
     u = params.b_w * p - params.l_w * (1.0 - p) - cost
     flat = int(np.argmax(u))
     i, j = divmod(flat, s_steps)

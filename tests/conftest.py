@@ -12,6 +12,8 @@ from delver.model import INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY
 from delver.sampling import sample_params
 
 CLINICIAN_INSTITUTION = cal.InstitutionSpec(b_i=2787.6, l_i=1858.4, xi=0.5, tau=150.0)
+# redo discounts away from the base model's 1: free, cheaper and dearer redo
+KAPPAS = (0.0, 0.5, 2.5)
 
 
 @pytest.fixture(scope="session")

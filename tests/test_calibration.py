@@ -187,7 +187,10 @@ class TestInversion:
         ({"p_assisted": 0.9}, 118.1, "implied detection probability 1.881 exceeds 1"),
         ({"cost_assisted": 1.0}, 118.1, "implied verification cost is negative: -9.147"),
         ({}, 100.0, "t_v_max must be at least the implied verification cost"),
-    ], ids=["p_a-one", "p_w-zero", "phi-above-one", "negative-c_v", "t_v_max-below-c_v"])
+        # no detection and no assisted cost: c_v = 0, which t_v_max = 0 used to divide
+        ({"p_assisted": 14 / 38, "cost_assisted": 0.0}, 0.0, "^t_v_max must be positive, got 0.0$"),
+    ], ids=["p_a-one", "p_w-zero", "phi-above-one", "negative-c_v", "t_v_max-below-c_v",
+            "t_v_max-zero"])
     def test_uninvertible_observables_raise(self, changes, t_v_max, message):
         with pytest.raises(cal.CalibrationError, match=message):
             cal.infer_ability(replace_obs(**changes), t_v_max, 262.3)

@@ -326,12 +326,16 @@ class TestExitCodes:
         (["boundary", "--which", "psi_tau", "--beta-range", "1e-310:1e-310:1", "INVERSE"],
          "beta=1e-310 is too small"),
         (["extend", "difficulty", "--alpha-range", "0.5:0.5:1", "--beta-range", "0.5:0.5:1",
-          "--nodes", "100000000", "--out", "grid.csv"], "nodes must lie in [1, 1024], got 100000000"),
+          "--nodes", "100000000", "--out", "grid.csv"],
+         "nodes must be an integer in [1, 1024], got 100000000"),
+        (["oracle", "--alpha", "0.5", "--beta", "0.5", "--s-steps", "95326"],
+         "grid has 1048586 cells, more than 1048576"),
     ], ids=["solve", "quality", "oracle", "difficulty", "atlas", "rework-kappa",
-            "solve-tiny-beta", "boundary-tiny-beta", "difficulty-nodes"])
+            "solve-tiny-beta", "boundary-tiny-beta", "difficulty-nodes", "oracle-steps"])
     def test_overflowing_input_is_rejected(self, capsys, tmp_path, monkeypatch, argv, message):
         # each of these used to exit 0 with nan (or, for boundary, a fake root; for
-        # --nodes, a traceback from a 71 PiB allocation in leggauss)
+        # --nodes, a traceback from a 71 PiB allocation in leggauss); --s-steps had
+        # no bound, so 1e9 asked for 82 GiB an array
         monkeypatch.chdir(tmp_path)
         config = REFERENCE_CONFIG
         if argv[-1] == "INVERSE":
@@ -855,6 +859,17 @@ class TestCalibrateCommand:
         # the row is on line 6 of the file, after 4 comment lines and the header
         assert first == 5
         assert (code, out, err) == (1, "", "error: malformed rows: row 6: expected 7 fields\n")
+
+    def test_zero_verification_time_cap_fails_cleanly(self, capsys, tmp_path):
+        # assisted time equals worker time and no AI error is caught, so the
+        # implied verification cost is 0, as is --tvmax; this used to divide by 0
+        cases = tmp_path / "cases.csv"
+        cases.write_text(f"{','.join(cal.CASE_COLUMNS)}\n" + "".join(
+            f"c{k},{w},{a},{a},{t},{t},1\n"
+            for k, (w, a, t) in enumerate([(1, 1, 100), (0, 1, 120), (1, 0, 110), (0, 0, 90)])))
+        code, out, err = run(capsys, "calibrate", "--cases", str(cases),
+                             "--tvmax", "0", "--twmax", "200")
+        assert (code, out, err) == (1, "", "error: t_v_max must be positive, got 0.0\n")
 
 
 class TestBenchmarkSeams:

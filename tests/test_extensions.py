@@ -1,6 +1,7 @@
 """Difficulty, belief, and rework extensions: reductions and directional effects."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from delver.extensions import (
     Belief, DifficultyProfile, Rework,
     believed_action_quality, believed_points, expected_quality, rework_quality, unit_quadrature,
 )
-from delver.model import Ability, Action
+from delver.model import Ability, Action, ModelParams
 from delver.sampling import beta_span, sample_ability, sample_params
 
 from conftest import family_configs
@@ -49,7 +50,7 @@ def scalar_reports():
     for i, (_, params) in enumerate(sorted(family_configs().items())):
         rng = np.random.default_rng(1100 + i)
         for ability in [sample_ability(rng, params) for _ in range(3)]:
-            results.extend(dv.evaluate_point(params, ability, kappa=kappa)
+            results.extend(dv.evaluate_point(replace(params, kappa=kappa), ability)
                            for kappa in (1.0, 0.5, 0.0))
             results.extend(believed_action_quality(params, ability, Belief(p_hat))
                            for p_hat in (0.0, 0.5, 1.0))
@@ -67,8 +68,12 @@ class TestDifficultyProfile:
             DifficultyProfile(difficulty=1.5)
         with pytest.raises(ValueError):
             DifficultyProfile(nodes=0)
-        with pytest.raises(ValueError, match=r"^nodes must lie in \[1, 1024\], got 1025$"):
-            DifficultyProfile(nodes=1025)
+        # nodes = 2.5 used to pass, and numpy's leggauss then raised TypeError
+        for nodes in (1025, 2.5):
+            message = rf"^nodes must be an integer in \[1, 1024\], got {nodes}$"
+            with pytest.raises(ValueError, match=message):
+                DifficultyProfile(nodes=nodes)
+        assert DifficultyProfile(nodes=np.int64(8)) == DifficultyProfile(nodes=8)
 
     def test_quadrature_integrates_polynomials_exactly(self):
         hs, ws = unit_quadrature(8)
@@ -215,7 +220,7 @@ class TestRework:
         lo, hi = beta_span(params)
         alpha = np.concatenate([rng.uniform(0.0, 3.0, 60), [0.0, 3.0]])
         beta = np.concatenate([rng.uniform(lo, hi, 60), [lo, hi]])
-        grid = dv.solve_points(params, alpha, beta, kappa=kappa)
+        grid = dv.solve_points(replace(params, kappa=kappa), alpha, beta)
         for k, row in enumerate(grid):
             act, rep = rework_quality(params, Ability(alpha[k].item(), beta[k].item()),
                                       Rework(kappa))
@@ -228,13 +233,11 @@ class TestRework:
     @pytest.mark.parametrize("kappa", [-0.1, -3.0, float("nan"), float("inf")])
     def test_validation(self, reference, kappa):
         # evaluate_point once scored kappa = -3 as q = 8.40625, improved, and
-        # called nan too large
-        ability = Ability(0.5, 0.5)
+        # called nan too large; kappa is now a ModelParams field, checked once
+        assert reference.kappa == 1.0
         checks = [lambda: Rework(kappa),
-                  lambda: dv.evaluate_point(reference, ability, kappa=kappa),
-                  # C_w = 0 at beta = 1, where an infinite kappa * C_w is nan
-                  lambda: dv.solve_points(reference, [0.2, 0.5], [1.0, 0.5], kappa=kappa),
-                  lambda: dv.institutional_utility(reference, ability, Action(1.0, 0.5), kappa)]
+                  lambda: replace(reference, kappa=kappa),
+                  lambda: ModelParams(**{**reference.__dict__, "kappa": kappa})]
         for check in checks:
             with pytest.raises(ValueError) as info:
                 check()

@@ -1,6 +1,8 @@
 """Primitive quantities: detection families, utilities, affine coefficients."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from delver.model import (
 )
 from delver.sampling import sample_ability, sample_params
 from delver.solver import optimal_verification
+
+from conftest import KAPPAS
 
 
 class TestDetection:
@@ -151,15 +155,20 @@ class TestSurplusAndGain:
         assert abs(f_w - parts) <= 1e-12 * (1.0 + abs(f_w))
 
 
+def with_kappas(params):
+    """params as drawn, then at each of KAPPAS."""
+    return [params] + [replace(params, kappa=kappa) for kappa in KAPPAS]
+
+
 class TestAffinityProperties:
     def test_affinity_on_random_configurations(self):
         rng = np.random.default_rng(2024)
         ds = np.linspace(0.0, 1.0, 21)
         ss = np.linspace(0.0, 1.0, 21)
         for _ in range(100):
-            params = sample_params(rng)
-            ability = sample_ability(rng, params)
-            for s in ss:
+            draw = sample_params(rng)
+            ability = sample_ability(rng, draw)
+            for params, s in itertools.product(with_kappas(draw), ss):
                 coef = coefficients(params, ability, float(s))
                 for d in ds:
                     action = Action(float(d), float(s))
@@ -174,10 +183,12 @@ class TestAffinityProperties:
     def test_baseline_identity_is_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            params = sample_params(rng)
-            ability = sample_ability(rng, params)
-            g_i = coefficients(params, ability, 0.0).g_i
-            assert g_i == institutional_utility(params, ability, Action(0.0, 0.0))
+            draw = sample_params(rng)
+            ability = sample_ability(rng, draw)
+            for params in with_kappas(draw):
+                coef = coefficients(params, ability, 0.0)
+                assert coef.g_i == institutional_utility(params, ability, Action(0.0, 0.0))
+                assert coef.g_w == worker_utility(params, ability, Action(0.0, 0.0))
 
 
 class TestAssumptions:
@@ -282,17 +293,18 @@ class TestParamsValidation:
             cost.cost(1e-310)
 
     def test_overflowing_products_rejected(self, reference):
-        check_overflow(reference.detection, 1e307, 5.0, 1e307)
+        check_overflow(replace(reference, kappa=1e307), 1e307, 5.0)
         with pytest.raises(ValueError, match="alpha=1e\\+308 is too large"):
-            check_overflow(reference.detection, 1e308, 5.0)
+            check_overflow(reference, 1e308, 5.0)
         with pytest.raises(ValueError, match="kappa=1e\\+308 is too large"):
-            check_overflow(reference.detection, 0.5, 5.0, 1e308)
+            check_overflow(replace(reference, kappa=1e308), 0.5, 5.0)
         for alpha, kappa in ((1e308, 1.0), (0.5, 1e308)):
+            params = replace(reference, kappa=kappa)
             with pytest.raises(ValueError, match="too large"):
-                dv.optimal_action(reference, Ability(alpha, 0.5), kappa)
+                dv.optimal_action(params, Ability(alpha, 0.5))
             # institutional_utility used to return nan here
             with pytest.raises(ValueError, match="too large"):
-                institutional_utility(reference, Ability(alpha, 0.5), Action(1.0, 0.0), kappa)
+                institutional_utility(params, Ability(alpha, 0.5), Action(1.0, 0.0))
 
     @pytest.mark.parametrize("call", [
         lambda params, ability: task_success(params, ability, Action(1.0, 0.0)),

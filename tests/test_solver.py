@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from delver.solver import (
     optimal_verification, oracle_regime, qualification_threshold,
 )
 
-from conftest import run_isolated
+from conftest import KAPPAS, run_isolated
 
 EPS = np.finfo(float).eps
 
@@ -482,6 +483,9 @@ class TestOracle:
     def test_grid_validation(self, reference):
         with pytest.raises(ValueError):
             brute_force_action(reference, Ability(0.5, 0.5), d_steps=1)
+        # one cell over the cap; the cap is checked before any allocation
+        with pytest.raises(ValueError, match=r"^grid has 1048577 cells, more than 1048576$"):
+            brute_force_action(reference, Ability(0.5, 0.5), d_steps=17, s_steps=61681)
 
     def test_analytic_optimum_dominates_grid(self, reference):
         for point in [(0.1, 0.9), (0.1, 0.2), (0.9, 0.9), (0.4, 0.75)]:
@@ -490,6 +494,25 @@ class TestOracle:
             u_star = dv.worker_utility(reference, ability, Action(float(act.d_star), act.s_star))
             _, u_oracle = brute_force_action(reference, ability)
             assert u_star >= u_oracle - 1e-6 * (1.0 + abs(u_star))
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_analytic_optimum_matches_the_oracle_at_any_kappa(self, kappa):
+        # the oracle writes kappa * C_w into its own cost formula, sharing no code with the solver
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            params = replace(sample_params(rng), kappa=kappa)
+            ability = sample_ability(rng, params)
+            act = optimal_action(params, ability)
+            u_star = dv.worker_utility(params, ability, Action(float(act.d_star), act.s_star))
+            oracle_act, u_oracle = brute_force_action(params, ability)
+            tol = 1e-9 * (1.0 + abs(u_star))
+            assert u_oracle == pytest.approx(dv.worker_utility(params, ability, oracle_act), abs=tol)
+            # no cell beats the optimum, and the cell nearest it, half an s step
+            # (1 / 8000) away, trails it by at most the largest slope in s
+            k_w = dv.coefficients(params, ability, 0.0).k_w
+            slope = (abs(k_w) * float(params.detection.slope(ability.alpha, 0.0))
+                     + params.verification_cost.slope(1.0))
+            assert -tol <= u_star - u_oracle <= slope / 8000 + tol
 
     def test_oracle_argmax_locations(self, reference):
         act, _ = brute_force_action(reference, Ability(0.1, 0.2))

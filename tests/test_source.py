@@ -1,7 +1,9 @@
-"""Library source: every name a module imports is read in it.
+"""Library source: every name a module imports is read in it, and no
+function takes the redo discount kappa as a parameter.
 
-No linter ships with the project, so the check walks each module's syntax
-tree. __init__.py is exempt, because it imports to re-export.
+No linter ships with the project, so the checks walk each module's syntax
+tree. __init__.py is exempt, because it imports to re-export and defines
+no function.
 """
 
 import ast
@@ -42,3 +44,30 @@ def test_the_check_finds_unused_names():
 def test_module_reads_every_name_it_imports(module):
     assert MODULES  # the glob found the package
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def kappa_parameters(source: str) -> list[str]:
+    """The functions in source, lambdas included, that take a parameter named kappa.
+
+    kappa is a ModelParams field: a function reads it as params.kappa, and
+    a kappa parameter would be a second way in that can disagree with it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            if any(arg.arg == "kappa" for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)):
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_the_check_finds_kappa_parameters():
+    source = ("def f(params, kappa=1.0):\n    return params\n"
+              "def g(params, *, kappa):\n    return lambda kappa: kappa\n"
+              "def h(params):\n    return params.kappa\n")
+    assert kappa_parameters(source) == ["f", "g", "<lambda>"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_kappa(module):
+    assert kappa_parameters((SRC / module).read_text()) == []
