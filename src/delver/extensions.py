@@ -112,7 +112,9 @@ def _smooth_breakpoints(params, ability, profile):
     transitions; integrating across those kinks would wreck the quadrature
     order, so they become segment boundaries. Probing happens at cell
     midpoints because the cost maps may only be valid on the open interval.
-    Each kink is placed by 45 bisection steps at tol 0, all kinks at once.
+    Each kink is placed by 45 bisection steps at tol 0, all kinks at once,
+    in ceil(45 / depth) solves: bisect_array asks about depth steps per
+    solve, 10 for one kink down to 7 for five.
     """
     hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
     branch = _branch(params, ability, profile, hs)

@@ -12,6 +12,9 @@ The branch points (the closed form and its clamp, the Newton search, and
 the regime call) and the bisection also come in array forms for grid
 sweeps and fan searches. They follow the scalar branches element by
 element, so each element of their result equals the scalar result bitwise.
+The array bisection asks its predicate about the nested midpoints of
+several steps of every interval at once, up to _TREE_POINTS points per
+call, and walks them by bisect's rules.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ _NEWTON_MAX_ITER = 100
 _HUGE_A = 2.0 ** 20
 _THRESHOLD_TOL = 1e-12
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
+_TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
 
 
 class Regime(str, enum.Enum):
@@ -285,23 +289,56 @@ def bisect_array(pred, lo: np.ndarray, hi: np.ndarray, tol: float, steps: int | 
     """bisect on many intervals at once; returns new (lo, hi) arrays.
 
     pred(i, mid) gives, for each k, whether the predicate of interval i[k]
-    holds at mid[k]; it is asked only about intervals still narrowing. Each
-    interval stops by bisect's rules, steps included, so it takes exactly
-    the iterates bisect would.
+    holds at mid[k]. Each call asks about every interval still narrowing,
+    at all 2**depth - 1 nested midpoints of its next depth steps, built
+    level by level with bisect's own 0.5 * (lo + hi). depth is the largest
+    that keeps a call at or under _TREE_POINTS points, at least 1 and at
+    most the steps left. Each interval then walks its tree by bisect's
+    stop rules, steps included, so it takes exactly the iterates bisect
+    would and ends on bisect's bracket. Every point bisect would ask about
+    is among the points asked, and every point asked lies in the
+    interval's starting bracket.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     live = np.flatnonzero(hi - lo > tol)
-    for _ in itertools.count() if steps is None else range(steps):
-        if not len(live):
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        on = pred(live, mid)
-        # an interval stops when the end it would move already equals the midpoint
-        moves = np.where(on, mid != hi[live], mid != lo[live])
-        live, mid, on = live[moves], mid[moves], on[moves]
-        hi[live[on]] = mid[on]
-        lo[live[~on]] = mid[~on]
-        live = live[hi[live] - lo[live] > tol]
+    left = math.inf if steps is None else steps
+    while len(live) and left > 0:
+        n = len(live)
+        depth = min(left, max(1, (_TREE_POINTS // n + 1).bit_length() - 1))
+        # row k holds the ends and, between them, every nested midpoint of
+        # interval live[k]: the node at column j spanning width w has its
+        # midpoint at column j + w // 2, built from the node's own ends
+        width = 1 << depth
+        grid = np.empty((n, width + 1))
+        grid[:, 0], grid[:, width] = lo[live], hi[live]
+        for level in range(depth):
+            w = width >> level
+            grid[:, w // 2::w] = 0.5 * (grid[:, :-1:w] + grid[:, w::w])
+        on = pred(np.repeat(live, width - 1), grid[:, 1:-1].reshape(-1)).reshape(n, -1)
+        # the walk: from the midpoint column c of a node, whose half-width is
+        # the lowest set bit of c, pred holding steps to the midpoint of the
+        # left half and otherwise of the right; a half of width 1 has no
+        # midpoint column, and the floor puts the walk on its left end
+        low = np.arange(1, width) & -np.arange(1, width)
+        step = np.zeros((n, width + 1), dtype=np.int64)
+        step[:, 1:-1] = np.where(on, -low, low) // 2
+        step, grid = step.reshape(-1), grid.reshape(-1)
+        rows = np.arange(n)
+        base = rows * (width + 1)
+        at = base + width // 2
+        for _ in range(depth):
+            at += step[at]
+        # the bracket after each step taken, one column per step
+        widths = 1 << depth - np.arange(depth + 1)
+        path = (at - base)[:, None] // widths * widths + base[:, None]
+        a, b = grid[path], grid[path + widths]
+        # bisect stops at a bracket at most tol wide, and at one whose step
+        # would move neither end (the end it would move equals the midpoint)
+        go = (b[:, :-1] - a[:, :-1] > tol) & ((a[:, 1:] != a[:, :-1]) | (b[:, 1:] != b[:, :-1]))
+        taken = np.logical_and.accumulate(go, axis=1).sum(axis=1)
+        lo[live], hi[live] = a[rows, taken], b[rows, taken]
+        live = live[(taken == depth) & (hi[live] - lo[live] > tol)]
+        left -= depth
     return lo, hi
 
 

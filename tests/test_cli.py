@@ -263,6 +263,13 @@ class TestConfig:
         assert (code, err) == (0, "")
         assert "regime " in out
 
+    def test_params_to_dict_round_trips_or_refuses_kappa(self, reference):
+        assert params_from_dict(params_to_dict(replace(reference, kappa=1.0))) == reference
+        # kappa is not a config key: writing 0.5 used to drop it, and reading gave 1
+        with pytest.raises(ValueError, match=r"^kappa is not a config key, so params with kappa "
+                                             r"0\.5 cannot be written$"):
+            params_to_dict(replace(reference, kappa=0.5))
+
     def test_range_parsing(self):
         assert parse_range("0:1:11") == (0.0, 1.0, 11)
         with pytest.raises(dv.ConfigError):

@@ -8,10 +8,11 @@ import pytest
 
 import delver as dv
 from delver.extensions import (
-    Belief, DifficultyProfile, Rework,
+    _PROBE_LEVELS, Belief, DifficultyProfile, Rework, _branch, _smooth_breakpoints,
     believed_action_quality, believed_points, expected_quality, rework_quality, unit_quadrature,
 )
 from delver.model import Ability, Action, ModelParams
+from delver.solver import bisect
 from delver.sampling import beta_span, sample_ability, sample_params
 
 from conftest import family_configs
@@ -91,6 +92,24 @@ class TestDifficultyProfile:
     def test_reports_equal_the_per_level_integration(self):
         text = "\n".join(map(repr, difficulty_reports()))
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
+
+    def test_kinks_equal_a_scalar_bisection_per_kink(self, reference):
+        rng = np.random.default_rng(17)
+        profile, kinks = DifficultyProfile(), 0
+        for params in [reference] + [sample_params(rng) for _ in range(8)]:
+            for ability in [sample_ability(rng, params) for _ in range(3)]:
+                hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
+                branch = _branch(params, ability, profile, hs)
+                want = [0.0]
+                for k in np.flatnonzero(branch[:-1] != branch[1:]).tolist():
+                    lo, hi = bisect(lambda h: _branch(params, ability, profile, np.array([h]))[0]
+                                    != branch[k], hs[k], hs[k + 1], 0.0, steps=45)
+                    want.append(0.5 * (lo + hi))
+                want.append(1.0)
+                kinks += len(want) - 2
+                assert _smooth_breakpoints(params, ability, profile).tobytes() == \
+                    np.array(want).tobytes()
+        assert kinks >= 10
 
     @pytest.mark.parametrize("level", [0.0, -0.1, 1.1, float("nan")])
     def test_levels_outside_the_half_open_interval_are_rejected(self, level):

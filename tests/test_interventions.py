@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import delver as dv
+import delver.interventions as interventions
 from delver.interventions import (
     CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain,
     minimal_lever, worker_upskill,
@@ -14,6 +15,7 @@ from delver.interventions import (
 from delver.atlas import quality, sweep_grid
 from delver.model import Ability
 from delver.sampling import beta_span, sample_ability, sample_params
+from delver.solver import bisect, bisect_array
 
 from conftest import family_configs
 
@@ -262,6 +264,27 @@ class TestUpskill:
     def test_cost_term_rejects_non_finite_input(self, kind, coefficient, exponent, word):
         with pytest.raises(ValueError, match=f"cost {word} must be finite"):
             CostTerm(kind, coefficient, exponent)
+
+    def test_radii_equal_a_scalar_bisection_per_ray(self, monkeypatch, reference):
+        searches = []  # (pred, lo, hi, tol, radii) of each fan bisection
+
+        def recorded(pred, lo, hi, tol):
+            radii = bisect_array(pred, lo, hi, tol)[1]
+            searches.append((pred, lo, hi, tol, radii))
+            return lo, radii
+
+        monkeypatch.setattr(interventions, "bisect_array", recorded)
+        rng = np.random.default_rng(23)
+        for params in [reference] + [sample_params(rng) for _ in range(8)]:
+            ability = sample_ability(rng, params)
+            q_now = quality(params, ability).q
+            worker_upskill(params, ability, CostModel(), tau=q_now + 0.002 * (1.0 + abs(q_now)))
+        assert sum(len(search[1]) for search in searches) >= 100
+        for pred, lo, hi, tol, radii in searches:
+            for k in range(len(lo)):
+                want = bisect(lambda r: bool(pred(np.array([k]), np.array([r]))[0]),
+                              lo[k], hi[k], tol)[1]
+                assert np.float64(want).tobytes() == radii[k].tobytes()
 
     def test_plans_equal_the_per_direction_search(self):
         plans = upskill_plans()

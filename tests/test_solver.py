@@ -429,49 +429,69 @@ class TestBisectArray:
         (0.0, 10.0, 10.0, 1e-3),
     ]
 
-    def test_equals_bisect_element_by_element(self):
-        lo, hi, switch, tol = (np.array(column) for column in zip(*self.CASES))
-        expected, calls = [], []
-        for a, b, x0, t in self.CASES:
-            scalar_calls = []
-            expected.append(bisect(lambda x: scalar_calls.append(x) or x >= x0, a, b, t))
-            calls.append(scalar_calls)
-        for t in set(tol.tolist()):
-            # bisect_array takes one tol; run it on the cases sharing each tol
-            rows = np.flatnonzero(tol == t)
-            asked = {int(r): [] for r in rows}
+    @staticmethod
+    def compare(cases, tol, steps=None, exact=False):
+        """bisect_array on pred(x) = x >= switch against bisect case by case.
 
-            def pred(i, mid):
-                for k, m in zip(i.tolist(), mid.tolist()):
-                    asked[int(rows[k])].append(m)
-                    # fail instead of hanging if an interval never stops
-                    assert len(asked[int(rows[k])]) <= 2000
-                return mid >= switch[rows][i]
-
-            got_lo, got_hi = bisect_array(pred, lo[rows], hi[rows], t)
-            want = np.array([expected[r] for r in rows])
-            assert got_lo.tobytes() == want[:, 0].tobytes()
-            assert got_hi.tobytes() == want[:, 1].tobytes()
-            for r in rows.tolist():
-                assert asked[r] == calls[r]
-
-    @pytest.mark.parametrize("steps", [0, 1, 7, 45])
-    def test_steps_cap_equals_bisect(self, steps):
-        # at tol 0 only the cap and the no-float-between stop end a search
-        lo, hi, switch = (np.array(column) for column in zip(*[c[:3] for c in self.CASES]))
-        asked = [[] for _ in self.CASES]
+        The brackets must be bitwise bisect's. With exact, each interval is
+        asked about exactly bisect's points in bisect's order; otherwise
+        bisect's points must be among those asked, every point asked must
+        lie in the starting bracket, and no call may ask about more than
+        max(_TREE_POINTS, live intervals) points.
+        """
+        lo, hi, switch = (np.array(column, dtype=float) for column in zip(*cases))
+        asked, calls = [[] for _ in cases], []
 
         def pred(i, mid):
+            calls.append((len(mid), len(set(i.tolist()))))
+            # fail instead of hanging if the search never stops
+            assert len(calls) <= 2000
             for k, m in zip(i.tolist(), mid.tolist()):
                 asked[k].append(m)
             return mid >= switch[i]
 
-        got_lo, got_hi = bisect_array(pred, lo, hi, 0.0, steps=steps)
-        for k, (a, b, x0, _) in enumerate(self.CASES):
-            calls = []
-            want = bisect(lambda x: calls.append(x) or x >= x0, a, b, 0.0, steps=steps)
+        got_lo, got_hi = bisect_array(pred, lo, hi, tol, steps=steps)
+        for k, (a, b, x0) in enumerate(cases):
+            scalar = []
+            want = bisect(lambda x: scalar.append(x) or x >= x0, a, b, tol, steps=steps)
             assert np.array(want).tobytes() == np.array([got_lo[k], got_hi[k]]).tobytes()
-            assert asked[k] == calls
+            if exact:
+                assert asked[k] == scalar
+            else:
+                assert set(scalar) <= set(asked[k])
+                assert all(min(a, b) <= m <= max(a, b) for m in asked[k])
+        if not exact:
+            assert all(points <= max(solver._TREE_POINTS, live) for points, live in calls)
+
+    def check(self, monkeypatch, cases, tol, steps=None):
+        self.compare(cases, tol, steps)
+        # a budget of one point asks about one midpoint per interval and call: bisect's sequence
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_TREE_POINTS", 1)
+            self.compare(cases, tol, steps, exact=True)
+
+    def test_equals_bisect_element_by_element(self, monkeypatch):
+        for t in sorted({case[3] for case in self.CASES}):
+            # bisect_array takes one tol; run it on the cases sharing each tol
+            self.check(monkeypatch, [case[:3] for case in self.CASES if case[3] == t], t)
+
+    @pytest.mark.parametrize("steps", [0, 1, 7, 45])
+    def test_steps_cap_equals_bisect(self, monkeypatch, steps):
+        # at tol 0 only the cap and the no-float-between stop end a search
+        self.check(monkeypatch, [case[:3] for case in self.CASES], 0.0, steps)
+
+    def test_more_intervals_than_the_budget_ask_one_midpoint_each(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-1.0, 1.0, solver._TREE_POINTS + 100)
+        cases = list(zip(lo, lo + rng.uniform(0.0, 2.0, len(lo)), rng.uniform(-1.0, 3.0, len(lo))))
+        self.compare(cases, 1e-6)
+
+    def test_one_interval_takes_45_steps_in_few_calls(self):
+        calls = []
+        bisect_array(lambda i, mid: calls.append(len(mid)) or mid >= 0.3,
+                     np.array([0.0]), np.array([1.0]), 0.0, steps=45)
+        depth = int(math.log2(solver._TREE_POINTS + 1))
+        assert len(calls) == math.ceil(45 / depth)
 
     def test_inputs_are_not_modified(self):
         lo, hi = np.array([0.0, 1.0]), np.array([1.0, 3.0])

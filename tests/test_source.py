@@ -1,5 +1,6 @@
-"""Library source: every name a module imports is read in it, and no
-function takes the redo discount kappa as a parameter.
+"""Library source: every name a module imports is read in it, no function
+takes the redo discount kappa as a parameter, and bisect_array's point
+budget is not a parameter.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt, because it imports to re-export and defines
@@ -71,3 +72,19 @@ def test_the_check_finds_kappa_parameters():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_takes_kappa(module):
     assert kappa_parameters((SRC / module).read_text()) == []
+
+
+def parameters(source: str, name: str) -> list[str]:
+    """Every parameter of the function name in source, in order, * and ** ones included."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            a = node.args
+            return [arg.arg for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                    if arg is not None]
+    raise LookupError(name)
+
+
+def test_bisect_array_has_no_budget_parameter():
+    # the points asked per call are the module constant _TREE_POINTS, not a knob
+    assert parameters((SRC / "solver.py").read_text(), "bisect_array") == \
+        ["pred", "lo", "hi", "tol", "steps"]
