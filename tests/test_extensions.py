@@ -12,8 +12,8 @@ from delver.extensions import (
     believed_action_quality, believed_points, expected_quality, rework_quality, unit_quadrature,
 )
 from delver.model import Ability, Action, ModelParams
-from delver.solver import bisect
 from delver.sampling import beta_span, sample_ability, sample_params
+from delver.solver import bisect
 
 from conftest import family_configs
 

@@ -269,9 +269,9 @@ class TestUpskill:
         searches = []  # (pred, lo, hi, tol, radii) of each fan bisection
 
         def recorded(pred, lo, hi, tol):
-            radii = bisect_array(pred, lo, hi, tol)[1]
-            searches.append((pred, lo, hi, tol, radii))
-            return lo, radii
+            result = bisect_array(pred, lo, hi, tol)
+            searches.append((pred, lo, hi, tol, result[1]))
+            return result
 
         monkeypatch.setattr(interventions, "bisect_array", recorded)
         rng = np.random.default_rng(23)

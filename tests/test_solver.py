@@ -480,7 +480,7 @@ class TestBisectArray:
         # at tol 0 only the cap and the no-float-between stop end a search
         self.check(monkeypatch, [case[:3] for case in self.CASES], 0.0, steps)
 
-    def test_more_intervals_than_the_budget_ask_one_midpoint_each(self, monkeypatch):
+    def test_more_intervals_than_the_budget_equal_bisect(self):
         rng = np.random.default_rng(3)
         lo = rng.uniform(-1.0, 1.0, solver._TREE_POINTS + 100)
         cases = list(zip(lo, lo + rng.uniform(0.0, 2.0, len(lo)), rng.uniform(-1.0, 3.0, len(lo))))
