@@ -21,7 +21,7 @@ from delver.solver import (
     optimal_verification, oracle_regime, qualification_threshold,
 )
 
-from conftest import KAPPAS, run_isolated
+from conftest import KAPPAS, family_configs, run_isolated
 
 EPS = np.finfo(float).eps
 
@@ -51,6 +51,32 @@ def _surplus_sample_text():
             for al, kk, s_array in zip(alpha.tolist(), k.tolist(), got.tolist()):
                 s = maximize_surplus(detection, al, vcost, kk)
                 lines.append(f"{kind} {al.hex()} {kk.hex()} {s.hex()} {s_array.hex()}")
+    return "\n".join(lines)
+
+
+# SHA-256 of _oracle_text(), taken while brute_force_action still built its
+# utility grid from fresh temporaries, one per operation
+ORACLE_DIGEST = "7049307caae2ade01deec4ca939a237bfeb6143b38ebc9bbef599597fbc049e7"
+ORACLE_GRIDS = ((11, 2001), (11, 4001), (5, 101))
+
+
+def _oracle_text():
+    """The repr of brute_force_action's (action, u), one line per call.
+
+    Three sampled workers on each family_configs() draw, plus the reference
+    config at the README's oracle point (alpha 0.1, beta 0.2), at kappa 0,
+    0.5, 1 and 2.5 and at each grid of ORACLE_GRIDS: 300 calls.
+    """
+    rng = np.random.default_rng(59)
+    cases = [(triple, params, sample_ability(rng, params))
+             for triple, params in family_configs().items() for _ in range(3)]
+    cases.append((("reference",), dv.reference_params(), Ability(0.1, 0.2)))
+    lines = []
+    for triple, params, ability in cases:
+        for kappa in (0.0, 0.5, 1.0, 2.5):
+            for grid in ORACLE_GRIDS:
+                got = brute_force_action(replace(params, kappa=kappa), ability, *grid)
+                lines.append(f"{'/'.join(triple)} {kappa} {grid} {ability!r} {got!r}")
     return "\n".join(lines)
 
 
@@ -533,6 +559,11 @@ class TestOracle:
             slope = (abs(k_w) * float(params.detection.slope(ability.alpha, 0.0))
                      + params.verification_cost.slope(1.0))
             assert -tol <= u_star - u_oracle <= slope / 8000 + tol
+
+    def test_oracle_is_bitwise_frozen(self):
+        text = _oracle_text()
+        assert len(text.splitlines()) == 300
+        assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST
 
     def test_oracle_argmax_locations(self, reference):
         act, _ = brute_force_action(reference, Ability(0.1, 0.2))
