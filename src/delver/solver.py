@@ -412,13 +412,24 @@ def brute_force_action(params: ModelParams, ability: Ability,
     check_overflow(params, ability.alpha, c_w)
     phi = params.detection.prob(ability.alpha, s)
     c_v = params.verification_cost.cost(s)
-    p = (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
-    cost = (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w))
-    u = params.b_w * p - params.l_w * (1.0 - p) - cost
-    flat = int(np.argmax(u))
+    # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility b_w p - l_w (1 - p)
+    # - (1 - d) C_w - d (c_a + c_v + (1 - p_a) phi kappa C_w), filled into two grid buffers
+    # in place: each cell gets the operations of these formulas read left to right, at
+    # most with the operands of a + or * swapped, which is exact
+    p = d * (1.0 - params.p_a) * phi
+    p *= params.p_w
+    p += (1.0 - d) * params.p_w + d * params.p_a
+    u = np.subtract(1.0, p)
+    u *= params.l_w
+    p *= params.b_w
+    np.subtract(p, u, out=p)
+    np.multiply(d, params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w), out=u)
+    u += (1.0 - d) * c_w
+    p -= u  # the utility
+    flat = int(np.argmax(p))
     i, j = divmod(flat, s_steps)
     action = Action(float(d[i, 0]), float(s[0, j]))
-    return action, float(u[i, j])
+    return action, float(p[i, j])
 
 
 def oracle_regime(action: Action) -> Regime:

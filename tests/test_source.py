@@ -1,6 +1,6 @@
 """Library source: every name a module imports is read in it, no function
-takes the redo discount kappa as a parameter, and bisect_array's point
-budget is not a parameter.
+takes the redo discount kappa as a parameter, bisect_array's point budget
+is not a parameter, and the grid oracle shares no code with the solver.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt, because it imports to re-export and defines
@@ -88,3 +88,47 @@ def test_bisect_array_has_no_budget_parameter():
     # the points asked per call are the module constant _TREE_POINTS, not a knob
     assert parameters((SRC / "solver.py").read_text(), "bisect_array") == \
         ["pred", "lo", "hi", "tol", "steps"]
+
+
+def shared_reads(source: str, function: str) -> list[str]:
+    """The names that function's body reads from the rest of the library, in source order.
+
+    Those are the names its module imports from the package (from .model
+    import ..., from . import ...) and the functions and classes the module
+    defines, function itself excepted. Parameter annotations are not read.
+    """
+    tree = ast.parse(source)
+    shared, body = set(), None
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            shared.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name == function:
+                body = node.body
+            else:
+                shared.add(node.name)
+    if body is None:
+        raise LookupError(function)
+    found = sorted((n for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and n.id in shared),
+                   key=lambda n: (n.lineno, n.col_offset))
+    return list(dict.fromkeys(n.id for n in found))
+
+
+def test_the_check_finds_shared_names():
+    source = ("from .model import Action, check_overflow, success_at\nfrom . import model\n"
+              "def helper(x):\n    return x\n"
+              "def oracle(params: Action):\n    check_overflow(params)\n"
+              "    p = success_at(params, model.cost_at(params))\n"
+              "    return Action(helper(p), 0.0)\n")
+    assert shared_reads(source, "oracle") == ["check_overflow", "success_at", "model", "Action",
+                                              "helper"]
+
+
+def test_the_oracle_shares_no_code_with_the_solver():
+    # brute_force_action checks the solver, so it evaluates success and cost on
+    # its grid itself: of the library it may only check the input and build
+    # the action it returns
+    reads = shared_reads((SRC / "solver.py").read_text(), "brute_force_action")
+    assert "check_overflow" in reads  # the walk sees the body
+    assert [name for name in reads if name not in ("check_overflow", "Action")] == []
