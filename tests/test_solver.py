@@ -57,7 +57,6 @@ def _surplus_sample_text():
 # SHA-256 of _oracle_text(), taken while brute_force_action still built its
 # utility grid from fresh temporaries, one per operation
 ORACLE_DIGEST = "7049307caae2ade01deec4ca939a237bfeb6143b38ebc9bbef599597fbc049e7"
-ORACLE_GRIDS = ((11, 2001), (11, 4001), (5, 101))
 
 
 def _oracle_text():
@@ -65,7 +64,7 @@ def _oracle_text():
 
     Three sampled workers on each family_configs() draw, plus the reference
     config at the README's oracle point (alpha 0.1, beta 0.2), at kappa 0,
-    0.5, 1 and 2.5 and at each grid of ORACLE_GRIDS: 300 calls.
+    0.5, 1 and 2.5 and on 11 x 2001, 11 x 4001 and 5 x 101 grids: 300 calls.
     """
     rng = np.random.default_rng(59)
     cases = [(triple, params, sample_ability(rng, params))
@@ -74,7 +73,7 @@ def _oracle_text():
     lines = []
     for triple, params, ability in cases:
         for kappa in (0.0, 0.5, 1.0, 2.5):
-            for grid in ORACLE_GRIDS:
+            for grid in ((11, 2001), (11, 4001), (5, 101)):
                 got = brute_force_action(replace(params, kappa=kappa), ability, *grid)
                 lines.append(f"{'/'.join(triple)} {kappa} {grid} {ability!r} {got!r}")
     return "\n".join(lines)
