@@ -42,6 +42,10 @@ _HUGE_A = 2.0 ** 20
 _THRESHOLD_TOL = 1e-12
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
+# brute_force_action's two grid buffers, kept for the last grid shape: a fresh
+# pair per call made its page faults depend on whether the allocator had
+# returned the last pair's pages to the system, which depends on the heap
+_oracle_grids = (np.empty((0, 0)), np.empty((0, 0)))
 
 
 class Regime(str, enum.Enum):
@@ -413,13 +417,17 @@ def brute_force_action(params: ModelParams, ability: Ability,
     phi = params.detection.prob(ability.alpha, s)
     c_v = params.verification_cost.cost(s)
     # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility b_w p - l_w (1 - p)
-    # - (1 - d) C_w - d (c_a + c_v + (1 - p_a) phi kappa C_w), filled into two grid buffers
-    # in place: each cell gets the operations of these formulas read left to right, at
-    # most with the operands of a + or * swapped, which is exact
-    p = d * (1.0 - params.p_a) * phi
+    # - (1 - d) C_w - d (c_a + c_v + (1 - p_a) phi kappa C_w), filled into the two grid
+    # buffers in place: each cell gets the operations of these formulas read left to
+    # right, at most with the operands of a + or * swapped, which is exact
+    global _oracle_grids
+    if _oracle_grids[0].shape != (d_steps, s_steps):
+        _oracle_grids = (np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps)))
+    p, u = _oracle_grids
+    np.multiply(d * (1.0 - params.p_a), phi, out=p)
     p *= params.p_w
     p += (1.0 - d) * params.p_w + d * params.p_a
-    u = np.subtract(1.0, p)
+    np.subtract(1.0, p, out=u)
     u *= params.l_w
     p *= params.b_w
     np.subtract(p, u, out=p)

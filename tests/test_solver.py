@@ -524,6 +524,21 @@ class TestBisectArray:
         assert lo.tolist() == [0.0, 1.0] and hi.tolist() == [1.0, 3.0]
 
 
+# three sampled workers at kappa 0, 1 and 2.5, for comparing oracle calls in
+# this process with calls in a fresh one
+ORACLE_CASES = """
+from dataclasses import replace
+import numpy as np
+from delver.sampling import sample_ability, sample_params
+from delver.solver import brute_force_action
+rng = np.random.default_rng(67)
+cases = []
+for kappa in (0.0, 1.0, 2.5):
+    params = replace(sample_params(rng), kappa=kappa)
+    cases.append((params, sample_ability(rng, params)))
+"""
+
+
 class TestOracle:
     def test_grid_validation(self, reference):
         with pytest.raises(ValueError):
@@ -563,6 +578,22 @@ class TestOracle:
         text = _oracle_text()
         assert len(text.splitlines()) == 300
         assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST
+
+    def test_grid_shapes_do_not_leak_between_calls(self):
+        # the oracle keeps its grid buffers for the last shape: alternating
+        # shapes, and a buffer left holding NaN, give a fresh process's bits
+        fresh = {grid: run_isolated(ORACLE_CASES + f"""
+print([brute_force_action(params, ability, *{grid}) for params, ability in cases])
+""").strip() for grid in ((11, 2001), (5, 101))}
+        scope = {}
+        exec(ORACLE_CASES, scope)
+        for grid in ((11, 2001), (5, 101), (11, 2001)):
+            got = [brute_force_action(params, ability, *grid) for params, ability in scope["cases"]]
+            assert repr(got) == fresh[grid]
+            for buffer in solver._oracle_grids:
+                buffer.fill(np.nan)
+            got = [brute_force_action(params, ability, *grid) for params, ability in scope["cases"]]
+            assert repr(got) == fresh[grid]
 
     def test_oracle_argmax_locations(self, reference):
         act, _ = brute_force_action(reference, Ability(0.1, 0.2))
