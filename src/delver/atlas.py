@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,7 @@ UNCHANGED_RTOL = 1e-9
 _ALPHA_MAX = 10.0  # a boundary search's first upper bound, doubled up to 10 times
 _BRACKET_DOUBLINGS = 10
 _ALPHA_TOL = 1e-9
+_MARGIN = 2.0 ** -40  # _bisect_boundary's rounding allowance, relative to its end values
 _BETA_TOL = 1e-6
 _CSV_BLOCK_ROWS = 4096
 BOUNDARIES = ("psi0", "psi1", "psi", "psi_tau")  # the separatrices boundary_curve samples
@@ -85,6 +86,7 @@ class RootResult:
     value: float
     bracketed: bool
     side: str = ""
+    evaluations: int = field(default=0, repr=False, compare=False)  # calls of the sign function
 
 
 @dataclass(frozen=True)
@@ -187,19 +189,59 @@ def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> 
 
 
 def _bisect_boundary(fn) -> RootResult:
-    """Infimum of {alpha : fn(alpha) > 0} for non-decreasing fn, with flags."""
-    lo = 0.0
-    if fn(lo) > 0.0:
-        return RootResult(lo, False, "low")
+    """Infimum of {alpha : fn(alpha) > 0} for non-decreasing fn, with flags.
+
+    The root is bisect's on [0, hi], hi the first of 10, 20, ... where fn
+    is positive. Before it, Illinois steps (regula falsi that halves the
+    kept end's value after two steps on one side) narrow a sure bracket
+    (a, b): fn(a) < -m and fn(b) > m for the margin m = _MARGIN times the
+    larger |fn| at 0 and hi, so fn <= 0 up to a and > 0 from b on even if
+    each value is off by less than m / 2. They stop at the first value
+    within the margin (or NaN), after one probe on either side of it at
+    the tolerance. bisect then skips fn at midpoints outside (a, b), so it
+    takes the steps of plain bisection, and ends on its bracket, whenever
+    fn's rounding errors stay under the margin. An end value that is not
+    finite leaves (a, b) = (0, hi), which is plain bisection.
+    """
+    evaluations = 0
+
+    def sign(alpha):
+        nonlocal evaluations
+        evaluations += 1
+        return fn(alpha)
+
+    a, fa = 0.0, sign(0.0)
+    if fa > 0.0:
+        return RootResult(a, False, "low", evaluations)
     hi = _ALPHA_MAX
     doublings = 0
-    while fn(hi) <= 0.0:
+    while (fb := sign(hi)) <= 0.0:
         if doublings >= _BRACKET_DOUBLINGS:
-            return RootResult(hi, False, "high")
+            return RootResult(hi, False, "high", evaluations)
         hi *= 2.0
         doublings += 1
-    lo, hi = bisect(lambda alpha: fn(alpha) > 0.0, lo, hi, _ALPHA_TOL)
-    return RootResult(0.5 * (lo + hi), True)
+    b, margin, side = hi, _MARGIN * max(abs(fa), abs(fb)), 0
+    scaled = math.isfinite(fa) and math.isfinite(fb)  # else the margin has no scale
+    while scaled and b - a > _ALPHA_TOL:
+        x = a - fa * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = sign(x)
+        if fx < -margin:
+            a, fa, fb, side = x, fx, fb * 0.5 if side < 0 else fb, -1
+        elif fx > margin:
+            b, fb, fa, side = x, fx, fa * 0.5 if side > 0 else fa, 1
+        else:
+            for probe in (x - _ALPHA_TOL, x + _ALPHA_TOL):
+                if a < probe < b:
+                    fp = sign(probe)
+                    if fp < -margin:
+                        a = probe
+                    elif fp > margin:
+                        b = probe
+            break
+    lo, hi = bisect(lambda alpha: alpha >= b or alpha > a and sign(alpha) > 0.0, 0.0, hi, _ALPHA_TOL)
+    return RootResult(0.5 * (lo + hi), True, evaluations=evaluations)
 
 
 def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
@@ -213,7 +255,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     if which == "psi":
         base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t, tau)
         other = _boundary(params, "psi_prime", beta, t, tau)
-        return other if other.value >= base.value else base
+        both = base.evaluations + other.evaluations
+        return replace(other if other.value >= base.value else base, evaluations=both)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
         return None
     ability = Ability(0.0, beta)  # beta is checked before C_w, as at every entry point

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 import delver as dv
+import delver.atlas as atlas
 from delver.atlas import (
-    AtlasRow, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
+    AtlasRow, RootResult, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
     fmt, psi_tau, quality, separatrix_intersection, solve_actions, solve_points, sweep_grid,
     write_atlas_csv, write_csv,
 )
 from delver.model import INVERSE_EFFICIENCY, Ability, ExecutionCost, coefficients, point_params
-from delver.sampling import beta_span
-from delver.solver import REGIMES, Regime, manual_delegation_threshold, qualification_threshold
+from delver.sampling import beta_span, sample_params
+from delver.solver import (
+    REGIMES, Regime, bisect, manual_delegation_threshold, qualification_threshold,
+)
 
 from conftest import family_configs
 
@@ -177,6 +180,113 @@ class TestSeparatrices:
         psi(reference, 0.9)
         separatrix_intersection(reference)
         assert len(calls) == 6
+
+
+def plain_bisect_boundary(fn):
+    """atlas._bisect_boundary without its sure bracket: bisect calls fn at every midpoint.
+
+    evaluations counts fn's calls as RootResult.evaluations does.
+    """
+    calls = []
+
+    def sign(alpha):
+        calls.append(alpha)
+        return fn(alpha)
+
+    if sign(0.0) > 0.0:
+        return RootResult(0.0, False, "low", len(calls))
+    hi, doublings = 10.0, 0
+    while sign(hi) <= 0.0:
+        if doublings >= 10:
+            return RootResult(hi, False, "high", len(calls))
+        hi *= 2.0
+        doublings += 1
+    lo, hi = bisect(lambda alpha: sign(alpha) > 0.0, 0.0, hi, 1e-9)
+    return RootResult(0.5 * (lo + hi), True, evaluations=len(calls))
+
+
+def _boundary_cases(params):
+    """(which, beta, t, tau) for psi0, psi1, psi_prime and psi_tau at 21 betas across the span.
+
+    psi_tau's tau is the quality of a worker with alpha 1 at that beta, so
+    its root is bracketed near alpha 1.
+    """
+    t = manual_delegation_threshold(params).value
+    for beta in np.linspace(*beta_span(params), 21).tolist():
+        ability = Ability(1.0, beta)
+        coef = coefficients(params, ability, dv.optimal_verification(params, ability))
+        for which, tau in (("psi0", None), ("psi1", None), ("psi_prime", None),
+                           ("psi_tau", coef.g_i + coef.f_i)):
+            if atlas._boundary(params, which, beta, t, tau) is not None:
+                yield which, beta, t, tau
+
+
+def _large_stakes_params():
+    """sample_params draws with the institution's stakes b_i and l_i scaled by 1 to 1e5."""
+    rng = np.random.default_rng(83)
+    draws = []
+    for _ in range(16):
+        params = sample_params(rng)
+        scale = 10.0 ** rng.uniform(0.0, 5.0)
+        draws.append(replace(params, b_i=params.b_i * scale, l_i=params.l_i * scale))
+    return draws
+
+
+class TestSureBracket:
+    """_bisect_boundary ends on plain bisection's bracket with at most half its sign calls."""
+
+    @pytest.mark.parametrize("configs", [list(family_configs().values()), _large_stakes_params()],
+                             ids=["families", "large_stakes"])
+    def test_roots_equal_plain_bisection(self, configs, monkeypatch):
+        cases = [(params, *case) for params in configs for case in _boundary_cases(params)]
+        got = [atlas._boundary(*case) for case in cases]
+        monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
+        want = [atlas._boundary(*case) for case in cases]
+        assert len(cases) > 500
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert got == want
+        assert sum(r.evaluations for r in got) <= sum(r.evaluations for r in want) / 2
+
+    def test_tangential_root_stays_put(self, monkeypatch):
+        # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
+        # steps without the margin moved it to 0.23870327131589875
+        params = family_configs()[("inverse_linear", "linear_quadratic", "linear_in_efficiency")]
+        got = psi0(params, 1.0)
+        monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
+        assert got == psi0(params, 1.0) == RootResult(0.23870327073382214, True)
+
+    @pytest.mark.parametrize("fn, scaled", [
+        (lambda a: math.nan if 0.3 < a < 0.5 else a - 0.7, True),  # NaN inside the bracket
+        (lambda a: max(0.0, a - 0.3), True),  # exactly 0 on [0, 0.3)
+        (lambda a: math.copysign(1e-300, a - 2.0 ** -20), True),  # tiny values, a step
+        (lambda a: a ** 9 - 0.2, True),  # steep at hi, flat at the root
+        (lambda a: -1.0 if a < 4000.0 else 1.0, True),  # bracketed after 9 doublings
+        (lambda a: math.nan if a == 0.0 else a - 0.7, False),  # NaN at 0
+        (lambda a: -math.inf if a < 1e-3 else a - 0.7, False),  # -inf at 0
+        (lambda a: math.inf if a > 3.3 else -1.0, False),  # inf at hi
+        (lambda a: math.nan if a > 3.3 else a - 3.3, False),  # NaN at hi, taken as positive
+    ])
+    def test_edge_cases_equal_plain_bisection(self, fn, scaled):
+        got = atlas._bisect_boundary(fn)
+        want = plain_bisect_boundary(fn)
+        assert got == want and got.bracketed
+        assert got.value.hex() == want.value.hex()
+        if not scaled:  # an end value that is not finite: no sure bracket
+            assert got.evaluations == want.evaluations
+
+    def test_evaluations_count_every_sign_call(self, reference):
+        calls = []
+        res = atlas._bisect_boundary(lambda a: calls.append(a) or a - 0.3)
+        assert res.evaluations == len(calls) < 36
+        assert atlas._bisect_boundary(lambda a: 1.0).evaluations == 1  # the low check
+        capped = atlas._bisect_boundary(lambda a: -1.0)  # 0, 10 and 10 doublings
+        assert (capped.side, capped.evaluations) == ("high", 12)
+        # psi counts both of its searches, and the count is not in repr or ==
+        t = manual_delegation_threshold(reference).value
+        both = psi(reference, 0.9)
+        parts = [atlas._boundary(reference, which, 0.9, t, None) for which in ("psi0", "psi_prime")]
+        assert both.evaluations == sum(r.evaluations for r in parts) > 0
+        assert both == replace(both, evaluations=0) and "evaluations" not in repr(both)
 
 
 def _assert_rows_are_evaluate_point(grid, params, points, tau):
