@@ -191,17 +191,19 @@ def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> 
 def _bisect_boundary(fn) -> RootResult:
     """Infimum of {alpha : fn(alpha) > 0} for non-decreasing fn, with flags.
 
-    The root is bisect's on [0, hi], hi the first of 10, 20, ... where fn
-    is positive. Before it, Illinois steps (regula falsi that halves the
-    kept end's value after two steps on one side) narrow a sure bracket
-    (a, b): fn(a) < -m and fn(b) > m for the margin m = _MARGIN times the
-    larger |fn| at 0 and hi, so fn <= 0 up to a and > 0 from b on even if
-    each value is off by less than m / 2. They stop at the first value
-    within the margin (or NaN), after one probe on either side of it at
-    the tolerance. bisect then skips fn at midpoints outside (a, b), so it
-    takes the steps of plain bisection, and ends on its bracket, whenever
-    fn's rounding errors stay under the margin. An end value that is not
-    finite leaves (a, b) = (0, hi), which is plain bisection.
+    The root is bisect's on [0, hi], hi the first of 10, 20, 40, ... where
+    fn is positive. Before bisect, Illinois steps (regula falsi that halves
+    the kept end's value after two steps on one side) narrow a sure
+    bracket (a, b) from (0, hi): a moves only to points where fn < -m, b
+    only to points where fn > m, with the margin m = _MARGIN times the
+    larger |fn| at 0 and hi. So fn <= 0 up to a and fn > 0 from b on, even
+    if every value is off by less than m / 2. The steps stop at the first
+    value within the margin (or NaN), after one probe at the tolerance on
+    either side of it. bisect then calls fn only at midpoints inside
+    (a, b): it takes the steps of plain bisection, and ends on its
+    bracket, whenever fn's rounding errors stay under m / 2. An end value
+    that is not finite gives m no scale and leaves (a, b) = (0, hi), so
+    the search is plain bisection.
     """
     evaluations = 0
 
@@ -228,9 +230,13 @@ def _bisect_boundary(fn) -> RootResult:
             x = 0.5 * (a + b)
         fx = sign(x)
         if fx < -margin:
-            a, fa, fb, side = x, fx, fb * 0.5 if side < 0 else fb, -1
+            if side < 0:
+                fb *= 0.5
+            a, fa, side = x, fx, -1
         elif fx > margin:
-            b, fb, fa, side = x, fx, fa * 0.5 if side > 0 else fa, 1
+            if side > 0:
+                fa *= 0.5
+            b, fb, side = x, fx, 1
         else:
             for probe in (x - _ALPHA_TOL, x + _ALPHA_TOL):
                 if a < probe < b:

@@ -42,9 +42,9 @@ _HUGE_A = 2.0 ** 20
 _THRESHOLD_TOL = 1e-12
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
-# brute_force_action's two grid buffers, kept for the last grid shape: a fresh
-# pair per call made its page faults depend on whether the allocator had
-# returned the last pair's pages to the system, which depends on the heap
+# brute_force_action's two grid buffers, kept for the last grid shape so that
+# its cost does not depend on whether the allocator returns freed pages to
+# the system, which turns on allocations made elsewhere in the process
 _oracle_grids = (np.empty((0, 0)), np.empty((0, 0)))
 
 
@@ -404,7 +404,9 @@ def brute_force_action(params: ModelParams, ability: Ability,
 
     Evaluates success probability and cost directly on a (d, s) grid,
     independent of the affine decomposition, and returns the maximizing
-    cell with its utility. Used as an oracle in tests and the CLI.
+    cell with its utility. Used as an oracle in tests and the CLI. Calls
+    share the module's two grid buffers, so two threads must not call it
+    at once.
     """
     if d_steps < 2 or s_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
