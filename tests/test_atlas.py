@@ -12,9 +12,9 @@ import pytest
 import delver as dv
 import delver.atlas as atlas
 from delver.atlas import (
-    AtlasRow, RootResult, ComplianceLabel, QualityLabel, boundary_curve, psi, psi0, psi1, psi_prime,
-    fmt, psi_tau, quality, separatrix_intersection, solve_actions, solve_points, sweep_grid,
-    write_atlas_csv, write_csv,
+    AtlasRow, ComplianceLabel, QualityLabel, RootResult, boundary_curve, psi, psi0, psi1,
+    psi_prime, fmt, psi_tau, quality, separatrix_intersection, solve_actions, solve_points,
+    sweep_grid, write_atlas_csv, write_csv,
 )
 from delver.model import INVERSE_EFFICIENCY, Ability, ExecutionCost, coefficients, point_params
 from delver.sampling import beta_span, sample_params
@@ -209,7 +209,8 @@ def _boundary_cases(params):
     """(which, beta, t, tau) for psi0, psi1, psi_prime and psi_tau at 21 betas across the span.
 
     psi_tau's tau is the quality of a worker with alpha 1 at that beta, so
-    its root is bracketed near alpha 1.
+    its root is bracketed near alpha 1. psi0 and psi1 outside their beta
+    domains give None.
     """
     t = manual_delegation_threshold(params).value
     for beta in np.linspace(*beta_span(params), 21).tolist():
@@ -217,8 +218,7 @@ def _boundary_cases(params):
         coef = coefficients(params, ability, dv.optimal_verification(params, ability))
         for which, tau in (("psi0", None), ("psi1", None), ("psi_prime", None),
                            ("psi_tau", coef.g_i + coef.f_i)):
-            if atlas._boundary(params, which, beta, t, tau) is not None:
-                yield which, beta, t, tau
+            yield which, beta, t, tau
 
 
 def _large_stakes_params():
@@ -242,10 +242,11 @@ class TestSureBracket:
         got = [atlas._boundary(*case) for case in cases]
         monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
         want = [atlas._boundary(*case) for case in cases]
+        assert [repr(r) for r in got] == [repr(r) for r in want]  # repr round-trips floats
         assert all(r.bracketed for (_, which, *_), r in zip(cases, got) if which == "psi_tau")
-        assert [repr(r) for r in got] == [repr(r) for r in want]
-        assert got == want
-        assert sum(r.evaluations for r in got) <= sum(r.evaluations for r in want) / 2
+        roots = [(r, w) for r, w in zip(got, want) if r is not None]
+        assert len(roots) > 400
+        assert sum(r.evaluations for r, _ in roots) <= sum(w.evaluations for _, w in roots) / 2
 
     def test_tangential_root_stays_put(self, monkeypatch):
         # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
