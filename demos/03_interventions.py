@@ -7,6 +7,8 @@ transfer) are blunter: both can raise or lower quality depending on where
 the worker sits in ability space.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from delver import (
@@ -14,13 +16,14 @@ from delver import (
     minimal_lever, quality, reference_params, worker_upskill,
 )
 
-params = reference_params()
+# tau, the quality bar, is a field of the parameters: any finite value, set with replace
+params = replace(reference_params(), tau=6.4)
 tau = params.tau
 
 print("== worker-side upskilling ==")
 for ability in [Ability(0.05, 0.10), Ability(0.10, 0.40), Ability(0.30, 0.20)]:
     before = quality(params, ability).q
-    plan = worker_upskill(params, ability, CostModel(), tau=tau)
+    plan = worker_upskill(params, ability, CostModel())
     print(f"worker ({ability.alpha:.2f}, {ability.beta:.2f}): q={before:.3f} < tau={tau}")
     print(f"  cheapest fix: d_alpha={plan.d_alpha:.4f}, d_beta={plan.d_beta:.4f}, "
           f"cost={plan.cost:.4f}, reaching q={plan.achieved_q:.4f}")
@@ -28,14 +31,14 @@ for ability in [Ability(0.05, 0.10), Ability(0.10, 0.40), Ability(0.30, 0.20)]:
 # steeper verification-training costs push the plan toward execution training
 ability = Ability(0.05, 0.10)
 expensive_alpha = CostModel(h_alpha=CostTerm("linear", 4.0), h_beta=CostTerm("linear", 1.0))
-plan = worker_upskill(params, ability, expensive_alpha, tau=tau)
+plan = worker_upskill(params, ability, expensive_alpha)
 print(f"\nsame worker, alpha training 4x the price: "
       f"d_alpha={plan.d_alpha:.4f}, d_beta={plan.d_beta:.4f}")
 
 print("\n== single levers to reach tau ==")
 ability = Ability(0.05, 0.50)
 for lever in ("alpha", "beta", "p_a"):
-    target = minimal_lever(params, ability, lever, tau=tau)
+    target = minimal_lever(params, ability, lever)
     print(f"  raise {lever:5s} to {target.value:.4f}"
           + ("" if target.feasible else " (infeasible within caps)"))
 

@@ -166,26 +166,22 @@ def _label_indices(q, q0, tau):
     return gap, quality, compliance
 
 
-def evaluate_point(params: ModelParams, ability: Ability,
-                   tau: float | None = None) -> tuple[OptimalAction, QualityReport]:
+def evaluate_point(params: ModelParams, ability: Ability) -> tuple[OptimalAction, QualityReport]:
     """Solve the worker problem once and report quality at the optimum."""
-    if tau is None:
-        tau = params.tau
     act = optimal_action(params, ability)
-    return act, score_action(params, ability, act, tau)
+    return act, score_action(params, ability, act)
 
 
-def score_action(params: ModelParams, ability: Ability, act: OptimalAction,
-                 tau: float) -> QualityReport:
-    """The QualityReport of the solved action act against the no-AI baseline q0."""
+def score_action(params: ModelParams, ability: Ability, act: OptimalAction) -> QualityReport:
+    """The QualityReport of the solved action act: q against the baseline q0, both against tau."""
     q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
     # institutional_utility has checked beta
     q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
-    return QualityReport.from_values(q, q0, tau)
+    return QualityReport.from_values(q, q0, params.tau)
 
 
-def quality(params: ModelParams, ability: Ability, tau: float | None = None) -> QualityReport:
-    return evaluate_point(params, ability, tau)[1]
+def quality(params: ModelParams, ability: Ability) -> QualityReport:
+    return evaluate_point(params, ability)[1]
 
 
 def _bisect_boundary(fn) -> RootResult:
@@ -250,17 +246,17 @@ def _bisect_boundary(fn) -> RootResult:
     return RootResult(0.5 * (lo + hi), True, evaluations=evaluations)
 
 
-def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
-              tau: float | None) -> RootResult | None:
+def _boundary(params: ModelParams, which: str, beta: float, t: float | None) -> RootResult | None:
     """One separatrix at efficiency beta, or None outside its beta domain.
 
-    t is read by psi0, psi1 and psi, tau by psi_tau; psi0 exists for beta >= t
-    and psi1 for beta <= t, each up to 1e-9. The sign function evaluates the
-    model's formulas in the model's order from what depends on beta alone.
+    t is read by psi0, psi1 and psi, params.tau by psi_tau; psi0 exists for
+    beta >= t and psi1 for beta <= t, each up to 1e-9. The sign function
+    evaluates the model's formulas in the model's order from what depends
+    on beta alone.
     """
     if which == "psi":
-        base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t, tau)
-        other = _boundary(params, "psi_prime", beta, t, tau)
+        base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t)
+        other = _boundary(params, "psi_prime", beta, t)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
@@ -271,7 +267,7 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     k_w, k_i = phi_coefficients(params, c_w)
     c_v0 = vcost.slope(0.0)
     g_i = institution_value(params, params.p_w, c_w)
-    tau = params.tau if tau is None else tau
+    tau = params.tau
     # -gain clamped at zero, as psi0's domain guarantees up to rounding, keeps psi0(t) = psi1(t)
     rhs = max(0.0, -delegation_gain(params, ability)) if which == "psi0" else 0.0
 
@@ -291,7 +287,7 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
 
 def _domain_boundary(params: ModelParams, which: str, beta: float, side: str) -> RootResult:
     t = manual_delegation_threshold(params).value
-    res = _boundary(params, which, beta, t, None)
+    res = _boundary(params, which, beta, t)
     if res is None:
         raise ValueError(f"{which} needs beta {side} t={t:.6g}, got {beta}")
     return res
@@ -317,7 +313,7 @@ def psi1(params: ModelParams, beta: float) -> RootResult:
 
 def psi_prime(params: ModelParams, beta: float) -> RootResult:
     """Reliability at which delegation stops hurting the institution."""
-    return _boundary(params, "psi_prime", beta, None, None)
+    return _boundary(params, "psi_prime", beta, None)
 
 
 def psi(params: ModelParams, beta: float) -> RootResult:
@@ -327,12 +323,18 @@ def psi(params: ModelParams, beta: float) -> RootResult:
     threshold before taking the pointwise maximum with the institutional
     break-even boundary.
     """
-    return _boundary(params, "psi", beta, manual_delegation_threshold(params).value, None)
+    return _boundary(params, "psi", beta, manual_delegation_threshold(params).value)
 
 
 def psi_tau(params: ModelParams, beta: float, tau: float | None = None) -> RootResult:
-    """Reliability at which quality under delegation reaches tau."""
-    return _boundary(params, "psi_tau", beta, None, tau)
+    """Reliability at which quality under delegation reaches tau.
+
+    A tau given here replaces params.tau through replace, and so passes
+    ModelParams' checks.
+    """
+    if tau is not None:
+        params = replace(params, tau=tau)
+    return _boundary(params, "psi_tau", beta, None)
 
 
 def separatrix_intersection(params: ModelParams) -> tuple[float, float]:
@@ -348,22 +350,24 @@ def separatrix_intersection(params: ModelParams) -> tuple[float, float]:
         beta_hi = max(1.0, 2.0 * t)
 
     def diff(beta):
-        return (_boundary(params, "psi_prime", beta, t, None).value
-                - _boundary(params, "psi0", beta, t, None).value)
+        return (_boundary(params, "psi_prime", beta, t).value
+                - _boundary(params, "psi0", beta, t).value)
 
     lo = t + 1e-6  # past beta_hi when t is at the top of the domain
     if not lo < beta_hi or diff(lo) <= 0.0 or diff(beta_hi) >= 0.0:
         raise ValueError("boundaries do not cross in the searched beta interval")
     lo, hi = bisect(lambda beta: not diff(beta) > 0.0, lo, beta_hi, _BETA_TOL)
     beta_star = 0.5 * (lo + hi)
-    return _boundary(params, "psi0", beta_star, t, None).value, beta_star
+    return _boundary(params, "psi0", beta_star, t).value, beta_star
 
 
 def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     start, stop, count = bounds
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"range count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("range count must be >= 1")
-    return np.linspace(start, stop, int(count))
+    return np.linspace(start, stop, count)
 
 
 def _in_unit_interval(x):
@@ -425,8 +429,7 @@ def solve_actions(params: ModelParams, alpha, beta, **columns) -> ActionColumns:
     return _solve(params, alpha, c_w)
 
 
-def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
-                 **columns) -> AtlasGrid:
+def solve_points(params: ModelParams, alpha, beta, **columns) -> AtlasGrid:
     """evaluate_point at every (alpha[k], beta[k]), in one array pass.
 
     alpha and beta are matching 1-d arrays. Keyword columns p_w, p_a,
@@ -436,14 +439,11 @@ def solve_points(params: ModelParams, alpha, beta, tau: float | None = None,
     and the solver's array branch points, so every entry equals
     evaluate_point at that point bitwise.
     """
-    if tau is None:
-        tau = params.tau
     params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
-    return score_actions(params, alpha, beta, _solve(params, alpha, c_w), tau)
+    return score_actions(params, alpha, beta, _solve(params, alpha, c_w))
 
 
-def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
-                  tau: float) -> AtlasGrid:
+def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns) -> AtlasGrid:
     """score_action at every point: the solved actions' AtlasGrid under params.
 
     The points must have passed solve_actions' checks; the actions may have
@@ -459,7 +459,7 @@ def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns,
     q = institution_value(params, success_at(params, phi, d),
                           cost_at(params, phi, c_w, vcost.cost(s_star), d))
     q0 = institution_value(params, params.p_w, c_w)
-    gap, quality_label, compliance_label = _label_indices(q, q0, tau)
+    gap, quality_label, compliance_label = _label_indices(q, q0, params.tau)
     return AtlasGrid(alpha=alpha, beta=beta, d_star=d_star, s_star=s_star, regime=regime,
                      q=q, q0=q0, gap=gap, quality_label=quality_label,
                      compliance_label=compliance_label)
@@ -477,16 +477,15 @@ def grid_columns(alpha_range: tuple[float, float, int],
 
 
 def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
-               beta_range: tuple[float, float, int], tau: float | None = None) -> AtlasGrid:
+               beta_range: tuple[float, float, int]) -> AtlasGrid:
     """Evaluate the quality map on the grid_columns grid, in one array pass.
 
     An invalid grid fails at its first invalid row.
     """
-    return solve_points(params, *grid_columns(alpha_range, beta_range), tau)
+    return solve_points(params, *grid_columns(alpha_range, beta_range))
 
 
-def boundary_curve(params: ModelParams, which: str, betas,
-                   tau: float | None = None) -> list[tuple[float, float, bool]]:
+def boundary_curve(params: ModelParams, which: str, betas) -> list[tuple[float, float, bool]]:
     """(beta, alpha, bracketed) samples of one separatrix, restricted to its beta domain.
 
     which is psi0, psi1, psi or psi_tau. bracketed is RootResult.bracketed:
@@ -498,7 +497,7 @@ def boundary_curve(params: ModelParams, which: str, betas,
     out = []
     for beta in betas:
         beta = float(beta)
-        res = _boundary(params, which, beta, t, tau)
+        res = _boundary(params, which, beta, t)
         if res is not None:
             out.append((beta, res.value, res.bracketed))
     return out

@@ -313,9 +313,8 @@ def classify_calibrated(worker: CalibratedWorker,
         warnings.append(f"pre-AI worker utility is negative at this split: g_w={coef.g_w:.6g}")
     obs = worker.observables
     min_share = 1.0 - obs.p_w + obs.c_w / worker.stakes
-    action, report = evaluate_point(params, ability, institution.tau)
-    targets = {lever: minimal_lever(params, ability, lever, institution.tau)
-               for lever in _LEVERS}
+    action, report = evaluate_point(params, ability)
+    targets = {lever: minimal_lever(params, ability, lever) for lever in _LEVERS}
     return ClassificationResult(worker=worker, params=params, action=action, report=report,
                                 lever_targets=targets, warnings=warnings,
                                 min_viable_benefit_share=min_share)

@@ -77,6 +77,12 @@ def _ability(args):
     return Ability(args.alpha, args.beta)
 
 
+def _tau_params(args):
+    """The --config file's parameters, with tau set to --tau when it is given."""
+    params = load_params(args.config)
+    return params if args.tau is None else replace(params, tau=args.tau)
+
+
 def _grid(args):
     """The --alpha-range x --beta-range grid as grid_columns' alpha and beta columns."""
     return grid_columns(parse_range(args.alpha_range), parse_range(args.beta_range))
@@ -104,24 +110,22 @@ def cmd_solve(args):
 
 
 def cmd_quality(args):
-    params = load_params(args.config)
-    tau = args.tau if args.tau is not None else params.tau
-    act, rep = evaluate_point(params, _ability(args), tau)
+    params = _tau_params(args)
+    act, rep = evaluate_point(params, _ability(args))
     _emit(args, {"q": rep.q, "q0": rep.q0, "gap": rep.gap, "quality": rep.quality_label.value,
-                 "compliance": rep.compliance_label.value, "regime": act.regime.value, "tau": tau})
+                 "compliance": rep.compliance_label.value, "regime": act.regime.value,
+                 "tau": params.tau})
     return 0
 
 
 def cmd_atlas(args):
-    params = load_params(args.config)
-    grid = sweep_grid(params, parse_range(args.alpha), parse_range(args.beta), tau=args.tau)
+    grid = sweep_grid(_tau_params(args), parse_range(args.alpha), parse_range(args.beta))
     return _write_out(args.out, len(grid), lambda fh: write_atlas_csv(grid, fh))
 
 
 def cmd_boundary(args):
-    params = load_params(args.config)
     betas = np.linspace(*parse_range(args.beta_range))
-    points = boundary_curve(params, args.which, betas, tau=args.tau)
+    points = boundary_curve(_tau_params(args), args.which, betas)
     return _write_out(args.out, len(points), lambda fh: write_boundary_csv(points, fh))
 
 
@@ -145,9 +149,9 @@ def _parse_cost_term(text):
 
 
 def cmd_intervene_worker(args):
-    params = load_params(args.config)
+    params = _tau_params(args)
     model = CostModel(h_alpha=_parse_cost_term(args.h1), h_beta=_parse_cost_term(args.h2))
-    plan = worker_upskill(params, _ability(args), model, tau=args.tau)
+    plan = worker_upskill(params, _ability(args), model)
     _emit(args, _pick(plan, ("d_alpha", "d_beta", "cost", "achieved_q", "feasible")))
     return 0
 
@@ -190,8 +194,7 @@ def _write_columns(out, columns):
 
 
 def cmd_intervene_minimal(args):
-    params = load_params(args.config)
-    target = minimal_lever(params, _ability(args), args.lever, tau=args.tau)
+    target = minimal_lever(_tau_params(args), _ability(args), args.lever)
     _emit(args, _pick(target, ("lever", "value", "feasible")))
     return 0
 
@@ -319,33 +322,32 @@ def build_parser():
                        help="quality report for one worker")
     p.set_defaults(func=cmd_quality)
 
-    p = sub.add_parser("atlas", parents=[config], help="quality map on an ability grid, as CSV")
+    p = sub.add_parser("atlas", parents=[config, tau],
+                       help="quality map on an ability grid, as CSV")
     p.add_argument("--alpha", required=True, help="range start:end:count")
     p.add_argument("--beta", required=True, help="range start:end:count")
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_atlas)
 
-    p = sub.add_parser("boundary", parents=[config], help="one separatrix as (beta, alpha) CSV")
+    p = sub.add_parser("boundary", parents=[config, tau],
+                       help="one separatrix as (beta, alpha) CSV")
     p.add_argument("--which", required=True, choices=BOUNDARIES)
     p.add_argument("--beta-range", required=True)
-    p.add_argument("--tau", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_boundary)
 
-    p = sub.add_parser("oracle", parents=[point], help="brute-force grid maximizer")
+    p = sub.add_parser("oracle", parents=[point, as_json], help="brute-force grid maximizer")
     p.add_argument("--d-steps", type=int, default=11)
     p.add_argument("--s-steps", type=int, default=4001)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("intervene", help="worker upskilling and institutional levers")
     isub = p.add_subparsers(dest="mode", required=True)
 
-    p = isub.add_parser("worker", parents=[point, tau], help="minimum-cost upskilling to reach tau")
+    p = isub.add_parser("worker", parents=[point, tau, as_json],
+                        help="minimum-cost upskilling to reach tau")
     p.add_argument("--h1", default="linear:1", help="alpha cost: linear:C, power:C:RHO, off")
     p.add_argument("--h2", default="linear:1", help="beta cost: linear:C, power:C:RHO, off")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_intervene_worker)
 
     p = isub.add_parser("institution", parents=[config], help="AI upgrade or benefit transfer")
@@ -358,14 +360,12 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_intervene_institution)
 
-    p = isub.add_parser("minimal", parents=[point], help="smallest single lever reaching tau")
+    p = isub.add_parser("minimal", parents=[point, tau], help="smallest single lever reaching tau")
     p.add_argument("--lever", required=True, choices=["alpha", "beta", "p_a"])
-    p.add_argument("--tau", type=float, default=None)
     p.set_defaults(func=cmd_intervene_minimal)
 
-    p = sub.add_parser("extend", help="difficulty, belief, and rework extensions")
+    p = sub.add_parser("extend", parents=[config], help="difficulty, belief, and rework extensions")
     p.add_argument("kind", choices=["difficulty", "belief", "rework"])
-    p.add_argument("--config", required=True)
     p.add_argument("--alpha-range", required=True)
     p.add_argument("--beta-range", required=True)
     p.add_argument("--hhat", type=float, default=None, help="pin the difficulty level")
@@ -375,7 +375,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("calibrate", help="invert a case log into model parameters")
+    p = sub.add_parser("calibrate", parents=[as_json],
+                       help="invert a case log into model parameters")
     p.add_argument("--cases", required=True)
     p.add_argument("--tvmax", type=float, required=True)
     p.add_argument("--twmax", type=float, required=True)
@@ -383,7 +384,6 @@ def build_parser():
     p.add_argument("--b-i", type=float, default=None)
     p.add_argument("--l-i", type=float, default=None)
     p.add_argument("--xi", type=float, default=0.5)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("selfcheck", parents=[config], help="thresholds, assumptions, oracle spot checks")

@@ -155,7 +155,7 @@ def believed_action_quality(params: ModelParams, ability: Ability,
                             belief: Belief) -> tuple[OptimalAction, QualityReport]:
     """Action optimized under the believed AI ability, scored under the true one."""
     act = optimal_action(params.with_ai_success(belief.ai_success), ability)
-    return act, score_action(params, ability, act, params.tau)
+    return act, score_action(params, ability, act)
 
 
 def believed_points(params: ModelParams, alpha, beta, belief: Belief) -> AtlasGrid:
@@ -166,7 +166,7 @@ def believed_points(params: ModelParams, alpha, beta, belief: Belief) -> AtlasGr
     result bitwise, and an invalid point fails as solve_actions does.
     """
     act = solve_actions(params.with_ai_success(belief.ai_success), alpha, beta)
-    return score_actions(params, alpha, beta, act, params.tau)
+    return score_actions(params, alpha, beta, act)
 
 
 def rework_quality(params: ModelParams, ability: Ability,

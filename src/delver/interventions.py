@@ -53,10 +53,14 @@ class CostTerm:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Upskilling costs for the two abilities; None disables that direction."""
+    """Upskilling costs for the two abilities; None disables that direction, not both."""
 
     h_alpha: CostTerm | None = CostTerm()
     h_beta: CostTerm | None = CostTerm()
+
+    def __post_init__(self):
+        if self.h_alpha is None and self.h_beta is None:
+            raise ValueError("at least one cost term must be enabled")
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,8 @@ def _beta_cap(params: ModelParams) -> float:
     return _BETA_CAP if math.isinf(hi) else hi
 
 
-def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
-                   tau: float | None = None) -> UpskillPlan:
-    """Cheapest ability increment (d_alpha, d_beta) that lifts quality to tau.
+def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel) -> UpskillPlan:
+    """Cheapest ability increment (d_alpha, d_beta) that lifts quality to params.tau.
 
     Scans the constraint frontier along a fan of directions (every whole
     degree from the alpha axis to the beta axis, axes included), finds the
@@ -125,16 +128,13 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     bisected together; each direction takes the radii, and so gives the
     result, of a scan and bisection of its own.
     """
-    if tau is None:
-        tau = params.tau
+    tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
     beta_cap = _beta_cap(params)
-    q_now = quality(params, ability, tau).q
+    q_now = quality(params, ability).q
     if q_now >= tau - qtol:
         return UpskillPlan(0.0, 0.0, 0.0, q_now, True)
 
-    if cost_model.h_alpha is None and cost_model.h_beta is None:
-        raise ValueError("at least one cost term must be enabled")
     if cost_model.h_alpha is None:
         angles = [90]
     elif cost_model.h_beta is None:
@@ -160,7 +160,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
     def feasible(ray, r):
         # np.minimum guards a few ulps of overshoot when r reaches the cap
         trial = solve_points(params, np.minimum(_ALPHA_CAP, ability.alpha + r * ua[ray]),
-                             np.minimum(beta_cap, ability.beta + r * ub[ray]), tau)
+                             np.minimum(beta_cap, ability.beta + r * ub[ray]))
         return trial.q >= tau - qtol
 
     # first feasible scan index per ray (0 while none is found), by doubling blocks
@@ -194,7 +194,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel,
             cost += cost_model.h_beta(d_beta)
         steps.append((cost, d_alpha, d_beta))
     cost, d_alpha, d_beta = min(steps, key=lambda step: step[0])  # the first of equal costs
-    achieved = quality(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta), tau).q
+    achieved = quality(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta)).q
     return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
 
 
@@ -226,16 +226,14 @@ def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -
     return _lever_gain(params, ability, "incentive_transfer", d_b)
 
 
-def minimal_lever(params: ModelParams, ability: Ability, lever: str,
-                  tau: float | None = None) -> LeverTarget:
-    """Smallest value of one lever (alpha, beta, or p_a) with quality >= tau.
+def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTarget:
+    """Smallest value of one lever (alpha, beta, or p_a) with quality >= params.tau.
 
     The search scans 400 points up to the lever's cap: 10 for alpha, the
     top of the efficiency domain (or 10 if unbounded) for beta, and 1 for
     p_a. The value is found to 1e-9.
     """
-    if tau is None:
-        tau = params.tau
+    tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
     levers = {"alpha": (ability.alpha, _ALPHA_CAP), "beta": (ability.beta, _beta_cap(params)),
               "p_a": (params.p_a, 1.0)}  # lever: (current value, cap)
@@ -245,9 +243,9 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str,
 
     def reaches(x):
         if lever == "p_a":
-            return quality(params.with_ai_success(x), ability, tau).q >= tau - qtol
+            return quality(params.with_ai_success(x), ability).q >= tau - qtol
         moved = Ability(x, ability.beta) if lever == "alpha" else Ability(ability.alpha, x)
-        return quality(params, moved, tau).q >= tau - qtol
+        return quality(params, moved).q >= tau - qtol
 
     if reaches(current):
         return LeverTarget(lever, current, True)

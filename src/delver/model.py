@@ -168,7 +168,7 @@ class ModelParams:
     b_w / l_w: worker benefit from success and loss from failure
     b_i / l_i: institutional benefit and loss
     xi:        institutional discount on the worker's cost
-    tau:       qualification threshold on institutional utility
+    tau:       qualification threshold on institutional utility, any finite value
     p_a / c_a: AI success probability and execution cost
     p_w:       worker success probability
     kappa:     redo discount: fixing a detected AI error costs kappa * C_w
@@ -189,10 +189,12 @@ class ModelParams:
     kappa: float = 1.0
 
     def __post_init__(self):
-        for name in ("b_w", "l_w", "b_i", "l_i", "xi", "tau", "c_a"):
+        for name in ("b_w", "l_w", "b_i", "l_i", "xi", "c_a"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.tau):  # of any sign: every worker meets a tau below every q
+            raise ValueError(f"tau must be finite, got {self.tau}")
         for name in ("p_a", "p_w"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")

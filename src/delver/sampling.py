@@ -53,11 +53,7 @@ def sample_params(rng: np.random.Generator, execution_kind: str | None = None) -
 
 def sample_ability(rng: np.random.Generator, params: ModelParams) -> Ability:
     alpha = float(rng.uniform(0.0, 3.0))
-    if params.execution_cost.kind == LINEAR_IN_EFFICIENCY:
-        beta = float(rng.uniform(0.0, 1.0))
-    else:
-        beta = float(rng.uniform(0.2, 3.0))
-    return Ability(alpha, beta)
+    return Ability(alpha, float(rng.uniform(*beta_span(params))))
 
 
 def beta_span(params: ModelParams) -> tuple[float, float]:

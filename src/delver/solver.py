@@ -377,18 +377,16 @@ def manual_delegation_threshold(params: ModelParams) -> ThresholdResult:
     return ThresholdResult(0.5 * (lo + hi), True)
 
 
-def qualification_threshold(params: ModelParams, tau: float | None = None) -> ThresholdResult:
-    """Efficiency at which the no-AI baseline quality reaches tau.
+def qualification_threshold(params: ModelParams) -> ThresholdResult:
+    """Efficiency at which the no-AI baseline quality reaches params.tau.
 
     The baseline g_i is strictly increasing in beta. A tau outside its
     range returns the boundary, flagged.
     """
-    if tau is None:
-        tau = params.tau
     lo, hi = _beta_search_interval(params)
 
     def excess(beta):
-        return institution_value(params, params.p_w, params.execution_cost.cost(beta)) - tau
+        return institution_value(params, params.p_w, params.execution_cost.cost(beta)) - params.tau
 
     if excess(lo) > 0.0:
         return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency")
@@ -408,6 +406,9 @@ def brute_force_action(params: ModelParams, ability: Ability,
     share the module's two grid buffers, so two threads must not call it
     at once.
     """
+    for name, steps in (("d_steps", d_steps), ("s_steps", s_steps)):
+        if not isinstance(steps, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {steps!r}")
     if d_steps < 2 or s_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
     if d_steps * s_steps > _ORACLE_CELLS:  # each of its arrays holds 8 bytes a cell

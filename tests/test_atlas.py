@@ -142,6 +142,15 @@ class TestSeparatrices:
     def test_psi_tau_never_binding_is_flagged(self, reference):
         res = psi_tau(reference, 0.5, tau=-1e6)
         assert not res.bracketed and res.side == "low" and res.value == 0.0
+        assert psi_tau(replace(reference, tau=-1e6), 0.5) == res
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_psi_tau_rejects_a_tau_that_is_not_finite(self, reference, tau):
+        # the keyword passes ModelParams' checks: a NaN tau once gave the
+        # bracket cap 10 as a bracketed root
+        with pytest.raises(ValueError) as info:
+            psi_tau(reference, 0.5, tau=tau)
+        assert str(info.value) == f"tau must be finite, got {tau}"
 
     def test_intersection_location(self, reference):
         alpha, beta = separatrix_intersection(reference)
@@ -206,19 +215,19 @@ def plain_bisect_boundary(fn):
 
 
 def _boundary_cases(params):
-    """(which, beta, t, tau) for psi0, psi1, psi_prime and psi_tau at 21 betas across the span.
+    """_boundary's (params, which, beta, t) for psi0, psi1, psi_prime and psi_tau at 21 betas.
 
-    psi_tau's tau is the quality of a worker with alpha 1 at that beta, so
-    its root is bracketed near alpha 1. psi0 and psi1 outside their beta
-    domains give None.
+    The betas span beta_span(params). psi_tau's params have tau at the
+    quality of a worker with alpha 1 at that beta, so its root is bracketed
+    near alpha 1. psi0 and psi1 outside their beta domains give None.
     """
     t = manual_delegation_threshold(params).value
     for beta in np.linspace(*beta_span(params), 21).tolist():
         ability = Ability(1.0, beta)
         coef = coefficients(params, ability, dv.optimal_verification(params, ability))
-        for which, tau in (("psi0", None), ("psi1", None), ("psi_prime", None),
-                           ("psi_tau", coef.g_i + coef.f_i)):
-            yield which, beta, t, tau
+        for which in ("psi0", "psi1", "psi_prime"):
+            yield params, which, beta, t
+        yield replace(params, tau=coef.g_i + coef.f_i), "psi_tau", beta, t
 
 
 def _large_stakes_params():
@@ -238,7 +247,7 @@ class TestSureBracket:
     @pytest.mark.parametrize("configs", [list(family_configs().values()), _large_stakes_params()],
                              ids=["families", "large_stakes"])
     def test_roots_equal_plain_bisection(self, configs, monkeypatch):
-        cases = [(params, *case) for params in configs for case in _boundary_cases(params)]
+        cases = [case for params in configs for case in _boundary_cases(params)]
         got = [atlas._boundary(*case) for case in cases]
         monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
         want = [atlas._boundary(*case) for case in cases]
@@ -285,12 +294,12 @@ class TestSureBracket:
         # psi counts both of its searches, and the count is not in repr or ==
         t = manual_delegation_threshold(reference).value
         both = psi(reference, 0.9)
-        parts = [atlas._boundary(reference, which, 0.9, t, None) for which in ("psi0", "psi_prime")]
+        parts = [atlas._boundary(reference, which, 0.9, t) for which in ("psi0", "psi_prime")]
         assert both.evaluations == sum(r.evaluations for r in parts) > 0
         assert both == replace(both, evaluations=0) and "evaluations" not in repr(both)
 
 
-def _assert_rows_are_evaluate_point(grid, params, points, tau):
+def _assert_rows_are_evaluate_point(grid, params, points):
     """Every column of grid equals evaluate_point at points, bit for bit.
 
     params is one ModelParams for every point, or a list with one per point.
@@ -298,7 +307,7 @@ def _assert_rows_are_evaluate_point(grid, params, points, tau):
     expected = []
     per_point = params if isinstance(params, list) else [params] * len(points)
     for point, (alpha, beta) in zip(per_point, points):
-        act, rep = dv.evaluate_point(point, Ability(float(alpha), float(beta)), tau)
+        act, rep = dv.evaluate_point(point, Ability(float(alpha), float(beta)))
         expected.append(AtlasRow(
             alpha=float(alpha), beta=float(beta), d_star=act.d_star, s_star=act.s_star,
             regime=act.regime, q=rep.q, q0=rep.q0, gap=rep.gap,
@@ -323,6 +332,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="range count must be >= 1"):
             sweep_grid(reference, (0, 1, 0), (0, 1, 3))
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+    def test_range_count_that_is_not_an_integer_is_rejected(self, reference, count):
+        # int(2.5) would silently solve two alphas
+        with pytest.raises(ValueError) as info:
+            sweep_grid(reference, (0, 1, count), (0, 1, 2))
+        assert str(info.value) == f"range count must be an integer, got {count!r}"
+        assert len(sweep_grid(reference, (0, 1, np.int64(3)), (0, 1, 2))) == 6
+
     def test_manual_rows_have_zero_gap(self, reference):
         rows = sweep_grid(reference, (0, 1, 41), (0, 1, 41))
         manual = [r for r in rows if r.regime == Regime.MANUAL]
@@ -338,12 +355,14 @@ class TestSweep:
                                         for triple, params in sorted(family_configs().items())])
     @pytest.mark.parametrize("tau", [None, 0.0])
     def test_array_sweep_equals_scalar_evaluate_point(self, params, tau):
+        if tau is not None:
+            params = replace(params, tau=tau)
         alpha_range = (0.0, 3.0, 31)
         beta_range = (*beta_span(params), 23)
-        grid = sweep_grid(params, alpha_range, beta_range, tau=tau)
+        grid = sweep_grid(params, alpha_range, beta_range)
         points = [(alpha, beta) for beta in np.linspace(*beta_range)
                   for alpha in np.linspace(*alpha_range)]
-        _assert_rows_are_evaluate_point(grid, params, points, tau)
+        _assert_rows_are_evaluate_point(grid, params, points)
 
     @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
                                         for triple, params in sorted(family_configs().items())])
@@ -353,7 +372,7 @@ class TestSweep:
         alpha = np.concatenate([rng.uniform(0.0, 3.0, 150), [0.0, 0.0, 3.0, 1e-12]])
         beta = np.concatenate([rng.uniform(lo, hi, 150), [lo, hi, lo, hi]])
         _assert_rows_are_evaluate_point(solve_points(params, alpha, beta), params,
-                                        list(zip(alpha, beta)), None)
+                                        list(zip(alpha, beta)))
 
     @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
                                         for triple, params in sorted(family_configs().items())])
@@ -371,7 +390,7 @@ class TestSweep:
         per_point = [point_params(params, **{name: float(c[k]) for name, c in columns.items()})
                      for k in range(n + 2)]
         _assert_rows_are_evaluate_point(solve_points(params, alpha, beta, **columns), per_point,
-                                        list(zip(alpha, beta)), None)
+                                        list(zip(alpha, beta)))
         act = solve_actions(params, alpha, beta, **columns)
         for k, point in enumerate(per_point):
             want = dv.optimal_action(point, Ability(float(alpha[k]), float(beta[k])))
@@ -477,7 +496,8 @@ class TestSweep:
 
     def test_boundary_curve_keeps_the_bracketed_flag(self, reference):
         betas = [0.3, 0.9]
-        for beta, alpha, bracketed in boundary_curve(reference, "psi_tau", betas, tau=1000.0):
+        for beta, alpha, bracketed in boundary_curve(replace(reference, tau=1000.0), "psi_tau",
+                                                     betas):
             res = psi_tau(reference, beta, 1000.0)
             assert (alpha, bracketed) == (res.value, res.bracketed) == (10240.0, False)
         with pytest.raises(ValueError):

@@ -268,8 +268,8 @@ class TestClassification:
         res = clinician_classified
         stakes = res.worker.stakes
         other = replace(res.params, b_w=0.75 * stakes, l_w=0.25 * stakes)
-        act, report = dv.evaluate_point(other, Ability(res.worker.alpha, res.worker.beta),
-                                        CLINICIAN_INSTITUTION.tau)
+        act, report = dv.evaluate_point(other, Ability(res.worker.alpha, res.worker.beta))
+        assert other.tau == CLINICIAN_INSTITUTION.tau
         assert act.regime == res.action.regime
         assert report.q == pytest.approx(res.report.q, rel=1e-12)
         assert 0.0 < res.min_viable_benefit_share < 1.0

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ def upskill_plans():
         q_far = quality(params, Ability(ability.alpha + 0.6 * (10.0 - ability.alpha),
                                         ability.beta + 0.6 * (beta_cap - ability.beta))).q
         for k, tau in enumerate([params.tau, q_now + 0.002 * span, q_far, q_now + 100.0 * span]):
-            plans.append(worker_upskill(params, ability, COST_MODELS[(seed + k) % 4], tau=tau))
+            plans.append(worker_upskill(replace(params, tau=tau), ability,
+                                        COST_MODELS[(seed + k) % 4]))
     return plans
 
 
@@ -58,12 +60,14 @@ def _interventions_family_text():
     """
     lines = []
 
-    def record(name, fn, *args, **kwargs):
+    def record(name, fn, params, *args, **kwargs):
+        # a tau keyword is set as params.tau; the line shows it as the keyword
+        # argument the functions once took, so the digest stays as pinned
         try:
-            result = fn(*args, **kwargs)
+            result = fn(replace(params, **kwargs), *args)
         except ValueError as exc:
             result = f"ValueError: {exc}"
-        lines.append(f"{name} {args[1:]!r} {kwargs!r} {result!r}")
+        lines.append(f"{name} {args!r} {kwargs!r} {result!r}")
 
     models = [CostModel(), CostModel(h_beta=None), CostModel(h_alpha=None),
               CostModel(CostTerm("power", 2.0, 2.0), CostTerm("linear", 0.5))]
@@ -108,7 +112,7 @@ class TestLeversAreIdentitiesAtZero:
             incentive_transfer_gain(reference, Ability(0.4, 0.6), 15.0)
 
     def test_upskill_of_qualified_worker_is_zero_plan(self, reference):
-        plan = worker_upskill(reference, Ability(0.9, 0.9), CostModel(), tau=6.4)
+        plan = worker_upskill(reference, Ability(0.9, 0.9), CostModel())
         assert (plan.d_alpha, plan.d_beta, plan.cost) == (0.0, 0.0, 0.0)
         assert plan.feasible
 
@@ -179,75 +183,81 @@ class TestInterventionFamily:
 
 class TestMinimalLever:
     def test_already_qualified_returns_current_value(self, reference):
-        target = minimal_lever(reference, Ability(0.9, 0.9), "alpha", tau=6.4)
+        target = minimal_lever(reference, Ability(0.9, 0.9), "alpha")
         assert target.value == 0.9
         assert target.feasible
 
     def test_alpha_lever_matches_qualification_boundary(self, reference):
-        target = minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=6.4)
+        target = minimal_lever(reference, Ability(0.05, 0.5), "alpha")
         assert target.feasible
         assert target.value == pytest.approx(dv.psi_tau(reference, 0.5).value, abs=1e-3)
 
     def test_minimality_and_feasibility_at_the_target(self, reference):
-        target = minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=6.4)
-        q_at = lambda a: dv.quality(reference, Ability(a, 0.5), 6.4).q
+        target = minimal_lever(reference, Ability(0.05, 0.5), "alpha")
+        q_at = lambda a: dv.quality(reference, Ability(a, 0.5)).q
         assert q_at(target.value) >= 6.4 - 1e-8
         assert q_at(target.value - 1e-3) < 6.4
 
     def test_unreachable_tau_is_flagged(self, reference):
-        target = minimal_lever(reference, Ability(0.05, 0.5), "alpha", tau=1e5)
+        target = minimal_lever(replace(reference, tau=1e5), Ability(0.05, 0.5), "alpha")
         assert not target.feasible
 
     def test_unknown_lever_rejected(self, reference):
         with pytest.raises(ValueError):
-            minimal_lever(reference, Ability(0.1, 0.5), "gamma", tau=6.4)
+            minimal_lever(reference, Ability(0.1, 0.5), "gamma")
 
 
 class TestUpskill:
     def test_axis_searches_match_single_levers(self, reference):
         ability = Ability(0.05, 0.1)
-        alpha_only = worker_upskill(reference, ability, CostModel(h_beta=None), tau=6.4)
-        lever_a = minimal_lever(reference, ability, "alpha", tau=6.4)
+        alpha_only = worker_upskill(reference, ability, CostModel(h_beta=None))
+        lever_a = minimal_lever(reference, ability, "alpha")
         assert alpha_only.d_alpha == pytest.approx(lever_a.value - ability.alpha, abs=1e-3)
         assert alpha_only.d_beta == 0.0
 
-        beta_only = worker_upskill(reference, ability, CostModel(h_alpha=None), tau=6.4)
-        lever_b = minimal_lever(reference, ability, "beta", tau=6.4)
+        beta_only = worker_upskill(reference, ability, CostModel(h_alpha=None))
+        lever_b = minimal_lever(reference, ability, "beta")
         assert beta_only.d_beta == pytest.approx(lever_b.value - ability.beta, abs=1e-3)
         assert beta_only.d_alpha == 0.0
 
     def test_fan_never_costs_more_than_either_axis(self, reference):
         ability = Ability(0.05, 0.1)
-        fan = worker_upskill(reference, ability, CostModel(), tau=6.4)
-        alpha_only = worker_upskill(reference, ability, CostModel(h_beta=None), tau=6.4)
-        beta_only = worker_upskill(reference, ability, CostModel(h_alpha=None), tau=6.4)
+        fan = worker_upskill(reference, ability, CostModel())
+        alpha_only = worker_upskill(reference, ability, CostModel(h_beta=None))
+        beta_only = worker_upskill(reference, ability, CostModel(h_alpha=None))
         assert fan.feasible
         assert fan.cost <= alpha_only.cost + 1e-9
         assert fan.cost <= beta_only.cost + 1e-9
         assert fan.achieved_q >= 6.4 - 1e-8 * (1 + 6.4)
 
     def test_feasible_plan_reaches_tau(self, reference):
-        plan = worker_upskill(reference, Ability(0.02, 0.3), CostModel(), tau=7.0)
+        params = replace(reference, tau=7.0)
+        plan = worker_upskill(params, Ability(0.02, 0.3), CostModel())
         assert plan.feasible
-        reached = dv.quality(reference, Ability(0.02 + plan.d_alpha, 0.3 + plan.d_beta), 7.0).q
+        reached = dv.quality(params, Ability(0.02 + plan.d_alpha, 0.3 + plan.d_beta)).q
         assert reached >= 7.0 - 1e-6
 
     def test_unreachable_tau_gives_infeasible_plan(self, reference):
-        plan = worker_upskill(reference, Ability(0.05, 0.1), CostModel(), tau=1e5)
+        plan = worker_upskill(replace(reference, tau=1e5), Ability(0.05, 0.1), CostModel())
         assert not plan.feasible
         assert plan.cost == math.inf
 
     def test_power_costs_change_the_chosen_direction(self, reference):
         ability = Ability(0.05, 0.1)
         cheap_beta = CostModel(h_alpha=CostTerm("linear", 100.0), h_beta=CostTerm("linear", 0.01))
-        plan = worker_upskill(reference, ability, cheap_beta, tau=6.4)
+        plan = worker_upskill(reference, ability, cheap_beta)
         assert plan.feasible
         assert plan.d_beta > plan.d_alpha
 
-    def test_all_disabled_is_an_error(self, reference):
-        with pytest.raises(ValueError):
-            worker_upskill(reference, Ability(0.05, 0.1),
-                           CostModel(h_alpha=None, h_beta=None), tau=6.4)
+    @pytest.mark.parametrize("ability, met", [(Ability(0.9, 0.9), True),
+                                              (Ability(0.05, 0.1), False)], ids=["met", "unmet"])
+    def test_all_disabled_is_an_error_whatever_the_worker(self, reference, ability, met):
+        # the model is refused when it is built, so a worker who already meets
+        # tau, and needs no plan, gets the error too
+        assert (worker_upskill(reference, ability, CostModel(h_beta=None)).cost == 0.0) == met
+        with pytest.raises(ValueError) as info:
+            worker_upskill(reference, ability, CostModel(h_alpha=None, h_beta=None))
+        assert str(info.value) == "at least one cost term must be enabled"
 
     def test_cost_term_validation(self):
         with pytest.raises(ValueError):
@@ -278,7 +288,8 @@ class TestUpskill:
         for params in [reference] + [sample_params(rng) for _ in range(8)]:
             ability = sample_ability(rng, params)
             q_now = quality(params, ability).q
-            worker_upskill(params, ability, CostModel(), tau=q_now + 0.002 * (1.0 + abs(q_now)))
+            worker_upskill(replace(params, tau=q_now + 0.002 * (1.0 + abs(q_now))), ability,
+                           CostModel())
         assert sum(len(search[1]) for search in searches) >= 100
         for pred, lo, hi, tol, radii in searches:
             for k in range(len(lo)):
@@ -301,10 +312,10 @@ class TestCalibratedClinicianLevers:
         res = clinician_classified
         params = res.params
         ability = Ability(res.worker.alpha, res.worker.beta)
-        alpha_plan = worker_upskill(params, ability, CostModel(h_beta=None), tau=150.0)
+        alpha_plan = worker_upskill(params, ability, CostModel(h_beta=None))
         assert alpha_plan.d_alpha == pytest.approx(
             res.lever_targets["alpha"].value - res.worker.alpha, abs=1e-3)
-        beta_plan = worker_upskill(params, ability, CostModel(h_alpha=None), tau=150.0)
+        beta_plan = worker_upskill(params, ability, CostModel(h_alpha=None))
         assert beta_plan.d_beta == pytest.approx(
             res.lever_targets["beta"].value - res.worker.beta, abs=1e-3)
 
@@ -323,7 +334,7 @@ class TestCalibratedClinicianLevers:
         params = res.params
         target = res.lever_targets["alpha"]
         beta = res.worker.beta
-        q_at = lambda a: dv.quality(params, Ability(a, beta), 150.0).q
+        q_at = lambda a: dv.quality(params, Ability(a, beta)).q  # params.tau is 150
         assert target.feasible
         assert q_at(target.value) >= 150.0 - 1e-5
         assert q_at(target.value - 5e-3) < 150.0

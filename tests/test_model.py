@@ -1,14 +1,18 @@
 """Primitive quantities: detection families, utilities, affine coefficients."""
 
 import itertools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import delver as dv
+from delver.cli import main
+from delver.config import load_params
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
     check_assumptions, check_overflow, coefficients, delegation_gain, detection_probability,
@@ -19,6 +23,8 @@ from delver.sampling import sample_ability, sample_params
 from delver.solver import optimal_verification
 
 from conftest import KAPPAS
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
 
 class TestDetection:
@@ -279,6 +285,29 @@ class TestParamsValidation:
                       lambda: ExecutionCost("linear_in_efficiency", value)):
             with pytest.raises(ValueError, match="finite"):
                 build()
+
+    def test_tau_takes_any_finite_value(self, reference):
+        # a standard below every quality a worker can reach is still a standard
+        for tau in (-19.25, -1e308, 0.0, 1e308):
+            assert replace(reference, tau=tau).tau == tau
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as info:
+                replace(reference, tau=tau)
+            assert str(info.value) == f"tau must be finite, got {tau}"
+
+    def test_negative_tau_from_a_config_file_equals_the_tau_flag(self, tmp_path, capsys):
+        doc = json.loads(REFERENCE_CONFIG.read_text())
+        doc["task_profile"]["tau"] = -19.25
+        config = tmp_path / "negative_tau.json"
+        config.write_text(json.dumps(doc))
+        assert load_params(config).tau == -19.25
+        point = ["quality", "--alpha", "0.5", "--beta", "0.5", "--json"]
+        assert main([*point, "--config", str(config)]) == 0
+        from_file = capsys.readouterr().out
+        assert main([*point, "--config", str(REFERENCE_CONFIG), "--tau", "-19.25"]) == 0
+        assert capsys.readouterr().out == from_file
+        report = json.loads(from_file)
+        assert (report["tau"], report["compliance"]) == (-19.25, "neither")
 
     def test_overflowing_stakes_rejected(self, reference):
         ModelParams(**{**reference.__dict__, "b_w": 1e308, "b_i": 1e308})

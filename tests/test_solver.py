@@ -357,12 +357,13 @@ class TestThresholds:
 
     def test_qualification_threshold_domain_edges(self, reference):
         q0_at = lambda b: dv.coefficients(reference, Ability(0.0, b), 0.0).g_i
-        assert qualification_threshold(reference, tau=q0_at(0.0)).value == pytest.approx(0.0, abs=1e-9)
-        assert qualification_threshold(reference, tau=q0_at(1.0)).value == pytest.approx(1.0, abs=1e-9)
+        at_q0 = lambda b: replace(reference, tau=q0_at(b))
+        assert qualification_threshold(at_q0(0.0)).value == pytest.approx(0.0, abs=1e-9)
+        assert qualification_threshold(at_q0(1.0)).value == pytest.approx(1.0, abs=1e-9)
 
     def test_tau_outside_range_is_flagged(self, reference):
-        assert not qualification_threshold(reference, tau=1e6).bracketed
-        assert not qualification_threshold(reference, tau=-1e6).bracketed
+        assert not qualification_threshold(replace(reference, tau=1e6)).bracketed
+        assert not qualification_threshold(replace(reference, tau=-1e6)).bracketed
 
     def test_inverse_efficiency_threshold(self):
         params = exponential_params(execution_cost=ExecutionCost("inverse_efficiency", 2.0))
@@ -395,7 +396,7 @@ print(repr(res.value), res.bracketed)
 
     def test_qualification_threshold_terminates(self):
         out = run_isolated(LARGE_ROOT_PARAMS + """
-res = dv.qualification_threshold(params, tau=7.499875)
+res = dv.qualification_threshold(replace(params, tau=7.499875))
 print(repr(res.value), res.bracketed)
 """)
         value, bracketed = out.split()
@@ -546,6 +547,14 @@ class TestOracle:
         # one cell over the cap; the cap is checked before any allocation
         with pytest.raises(ValueError, match=r"^grid has 1048577 cells, more than 1048576$"):
             brute_force_action(reference, Ability(0.5, 0.5), d_steps=17, s_steps=61681)
+
+    @pytest.mark.parametrize("steps", [{"d_steps": 2.5}, {"s_steps": 101.0}, {"d_steps": "11"}])
+    def test_step_count_that_is_not_an_integer_is_rejected(self, reference, steps):
+        ((name, value),) = steps.items()
+        with pytest.raises(ValueError) as info:
+            brute_force_action(reference, Ability(0.5, 0.5), **steps)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+        brute_force_action(reference, Ability(0.5, 0.5), np.int64(11), np.int64(101))
 
     def test_analytic_optimum_dominates_grid(self, reference):
         for point in [(0.1, 0.9), (0.1, 0.2), (0.9, 0.9), (0.4, 0.75)]:

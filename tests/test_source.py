@@ -1,6 +1,7 @@
 """Library source: every name a module imports is read in it, no function
-takes the redo discount kappa as a parameter, bisect_array's point budget
-is not a parameter, and the grid oracle shares no code with the solver.
+takes the redo discount kappa as a parameter, no function but psi_tau takes
+the threshold tau beside params, bisect_array's point budget is not a
+parameter, and the grid oracle shares no code with the solver.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt, because it imports to re-export and defines
@@ -47,17 +48,18 @@ def test_module_reads_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def kappa_parameters(source: str) -> list[str]:
-    """The functions in source, lambdas included, that take a parameter named kappa.
+def functions_taking(source: str, *names: str) -> list[str]:
+    """The functions in source, lambdas included, that take a parameter of every one of names.
 
-    kappa is a ModelParams field: a function reads it as params.kappa, and
-    a kappa parameter would be a second way in that can disagree with it.
+    kappa and tau are ModelParams fields: a function reads them as
+    params.kappa and params.tau, and a parameter of the same name would be
+    a second way in that can disagree with the field and skip its checks.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
-            if any(arg.arg == "kappa" for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)):
+            if set(names) <= {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)}:
                 found.append(getattr(node, "name", "<lambda>"))
     return found
 
@@ -66,12 +68,33 @@ def test_the_check_finds_kappa_parameters():
     source = ("def f(params, kappa=1.0):\n    return params\n"
               "def g(params, *, kappa):\n    return lambda kappa: kappa\n"
               "def h(params):\n    return params.kappa\n")
-    assert kappa_parameters(source) == ["f", "g", "<lambda>"]
+    assert functions_taking(source, "kappa") == ["f", "g", "<lambda>"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_takes_kappa(module):
-    assert kappa_parameters((SRC / module).read_text()) == []
+    assert functions_taking((SRC / module).read_text(), "kappa") == []
+
+
+def test_the_check_finds_tau_beside_params():
+    source = ("def f(params, ability, tau=None):\n    return params\n"
+              "def g(params, *, tau):\n    return lambda params, tau: tau\n"
+              "def h(q, q0, tau):\n    return q >= tau\n"
+              "def k(params):\n    return params.tau\n")
+    assert functions_taking(source, "params", "tau") == ["f", "g", "<lambda>"]
+
+
+# psi_tau keeps a tau keyword for calls that vary tau alone at one params,
+# as the benchmark's boundary probes do; it sets the keyword through
+# replace(params, tau=tau), so ModelParams' checks still apply
+TAU_KEYWORD = {"atlas.py": ["psi_tau"]}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_but_psi_tau_takes_tau_beside_params(module):
+    # a function of values alone, such as QualityReport.from_values(q, q0, tau), may take tau
+    assert functions_taking((SRC / module).read_text(), "params", "tau") == \
+        TAU_KEYWORD.get(module, [])
 
 
 def parameters(source: str, name: str) -> list[str]:
