@@ -249,10 +249,9 @@ def _bisect_boundary(fn) -> RootResult:
 def _boundary(params: ModelParams, which: str, beta: float, t: float | None) -> RootResult | None:
     """One separatrix at efficiency beta, or None outside its beta domain.
 
-    t is read by psi0, psi1 and psi, params.tau by psi_tau; psi0 exists for
-    beta >= t and psi1 for beta <= t, each up to 1e-9. The sign function
-    evaluates the model's formulas in the model's order from what depends
-    on beta alone.
+    t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
+    for beta <= t, each up to 1e-9. The sign function evaluates the model's
+    formulas in the model's order from what depends on beta alone.
     """
     if which == "psi":
         base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t)
@@ -329,8 +328,7 @@ def psi(params: ModelParams, beta: float) -> RootResult:
 def psi_tau(params: ModelParams, beta: float, tau: float | None = None) -> RootResult:
     """Reliability at which quality under delegation reaches tau.
 
-    A tau given here replaces params.tau through replace, and so passes
-    ModelParams' checks.
+    A tau given here is set as replace(params, tau=tau), through ModelParams' checks.
     """
     if tau is not None:
         params = replace(params, tau=tau)
@@ -391,6 +389,9 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict):
     the columns' values, then computes C_w and checks alpha and kappa * C_w
     as optimal_action does.
     """
+    unknown = sorted(set(columns) - set(_COLUMN_OK))
+    if unknown:  # a stale tau keyword lands here: tau is ModelParams.tau
+        raise ValueError(f"unknown parameter columns {unknown}; expected {', '.join(_COLUMN_OK)}")
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     columns = {name: np.asarray(column, dtype=float) for name, column in columns.items()}

@@ -441,8 +441,15 @@ class TestSweep:
             assert str(info.value) == str(scalar.value)
 
     def test_unknown_or_mismatched_columns_are_rejected(self, reference):
-        with pytest.raises(TypeError, match="unexpected keyword argument 'p_x'"):
-            solve_points(reference, [0.5], [0.5], p_x=[0.5])
+        # tau is no column: it is ModelParams.tau, set with replace
+        for columns, unknown in (({"p_x": [0.5]}, "['p_x']"), ({"tau": 1.0}, "['tau']"),
+                                 ({"tau": [1.0], "p_w": [0.5], "kappa": [1.0]},
+                                  "['kappa', 'tau']")):
+            for solve in (solve_points, solve_actions):
+                with pytest.raises(ValueError) as info:
+                    solve(reference, [0.5], [0.5], **columns)
+                assert str(info.value) == (f"unknown parameter columns {unknown}; expected "
+                                           "p_w, p_a, execution_scale, verification_rate")
         with pytest.raises(ValueError, match="1-d arrays of one length"):
             solve_points(reference, [0.5, 0.6], [0.5, 0.6], p_w=[0.5])
 
