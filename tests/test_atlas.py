@@ -146,8 +146,8 @@ class TestSeparatrices:
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_psi_tau_rejects_a_tau_that_is_not_finite(self, reference, tau):
-        # the keyword passes ModelParams' checks: a NaN tau once gave the
-        # bracket cap 10 as a bracketed root
+        # the keyword goes through ModelParams' checks, so a NaN tau never
+        # reaches the search, where its cap would pass for a bracketed root
         with pytest.raises(ValueError) as info:
             psi_tau(reference, 0.5, tau=tau)
         assert str(info.value) == f"tau must be finite, got {tau}"
