@@ -2,16 +2,18 @@
 """The three model extensions, each compared against the base model.
 
 Heterogeneous difficulty integrates quality over a task-hardness
-distribution; miscalibrated beliefs make the worker optimize against the
-wrong AI quality; partial re-execution discounts the cost of redoing work
-after a detected error.
+distribution; a miscalibrated belief (the ModelParams field believed_p_a)
+makes the worker optimize against the wrong AI quality; partial
+re-execution discounts the cost of redoing work after a detected error.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from delver import (
-    Ability, Belief, DifficultyProfile, Rework, believed_action_quality,
-    expected_quality, optimal_action, quality, reference_params, rework_quality,
+    Ability, DifficultyProfile, Rework, evaluate_point, expected_quality, optimal_action,
+    quality, reference_params, rework_quality,
 )
 
 params = reference_params()
@@ -29,16 +31,17 @@ print(f"difficulty uniform on [0,1]: q={uniform.q:.6f}, q0={uniform.q0:.6f}, "
       f"label {uniform.quality_label.value}")
 
 print("\n== miscalibrated beliefs about the AI ==")
+# the worker plans with believed_p_a; quality is scored at the true p_a
 for p_hat in (0.65, 0.70, 0.80):
-    act, rep = believed_action_quality(params, ability, Belief(p_hat))
+    act, rep = evaluate_point(replace(params, believed_p_a=p_hat), ability)
     print(f"believed AI success {p_hat:.2f}: acts {act.regime.value} "
           f"(s={act.s_star:.3f}), true q={rep.q:.4f}")
 
 grid = [Ability(float(a), float(b))
         for a in np.linspace(0, 1, 51) for b in np.linspace(0, 1, 51)]
 base_pure = sum(optimal_action(params, ab).regime.value == "pure_delegation" for ab in grid)
-over_pure = sum(believed_action_quality(params, ab, Belief(0.7))[0].regime.value
-                == "pure_delegation" for ab in grid)
+over = replace(params, believed_p_a=0.7)
+over_pure = sum(optimal_action(over, ab).regime.value == "pure_delegation" for ab in grid)
 print(f"overconfidence (0.70 vs true 0.65) grows the pure-delegation region "
       f"from {base_pure} to {over_pure} of {len(grid)} cells")
 

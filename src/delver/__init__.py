@@ -19,10 +19,7 @@ from .calibration import (
     fixture_path, infer_ability, infer_stakes, ingest_and_clean, read_cases,
 )
 from .config import ConfigError, load_params, params_from_dict, params_to_dict
-from .extensions import (
-    Belief, DifficultyProfile, Rework,
-    believed_action_quality, believed_points, expected_quality, rework_quality,
-)
+from .extensions import DifficultyProfile, Rework, expected_quality, rework_quality
 from .interventions import (
     CostModel, CostTerm, LeverResult, LeverTarget, UpskillPlan,
     ai_upgrade_gain, incentive_transfer_gain, minimal_lever, worker_upskill,

@@ -167,17 +167,16 @@ def _label_indices(q, q0, tau):
 
 
 def evaluate_point(params: ModelParams, ability: Ability) -> tuple[OptimalAction, QualityReport]:
-    """Solve the worker problem once and report quality at the optimum."""
+    """Solve the worker problem once and report quality at the optimum.
+
+    The worker solves under params.worker_view(); q, the baseline q0 and
+    the labels against tau are scored under params.
+    """
     act = optimal_action(params, ability)
-    return act, score_action(params, ability, act)
-
-
-def score_action(params: ModelParams, ability: Ability, act: OptimalAction) -> QualityReport:
-    """The QualityReport of the solved action act: q against the baseline q0, both against tau."""
     q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
     # institutional_utility has checked beta
     q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
-    return QualityReport.from_values(q, q0, params.tau)
+    return act, QualityReport.from_values(q, q0, params.tau)
 
 
 def quality(params: ModelParams, ability: Ability) -> QualityReport:
@@ -251,7 +250,9 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None) -> 
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
     for beta <= t, each up to 1e-9. The sign function evaluates the model's
-    formulas in the model's order from what depends on beta alone.
+    formulas in the model's order from what depends on beta alone. The
+    worker's terms (k_w and psi0's delegation gain) are read under
+    params.worker_view(), the institution's under params.
     """
     if which == "psi":
         base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t)
@@ -263,12 +264,13 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None) -> 
     ability = Ability(0.0, beta)  # beta is checked before C_w, as at every entry point
     det, vcost = params.detection, params.verification_cost
     c_w = params.execution_cost.cost(beta)
-    k_w, k_i = phi_coefficients(params, c_w)
+    worker = params.worker_view()
+    k_w, k_i = phi_coefficients(worker, c_w)[0], phi_coefficients(params, c_w)[1]
     c_v0 = vcost.slope(0.0)
     g_i = institution_value(params, params.p_w, c_w)
     tau = params.tau
     # -gain clamped at zero, as psi0's domain guarantees up to rounding, keeps psi0(t) = psi1(t)
-    rhs = max(0.0, -delegation_gain(params, ability)) if which == "psi0" else 0.0
+    rhs = max(0.0, -delegation_gain(worker, ability)) if which == "psi0" else 0.0
 
     def sign(alpha):
         if which == "psi1":  # the marginal verification surplus at zero effort
@@ -361,7 +363,7 @@ def separatrix_intersection(params: ModelParams) -> tuple[float, float]:
 
 def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     start, stop, count = bounds
-    if not isinstance(count, (int, np.integer)):
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"range count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("range count must be >= 1")
@@ -417,6 +419,7 @@ def _checked_points(params: ModelParams, alpha, beta, columns: dict):
 
 def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray) -> ActionColumns:
     """optimal_action's branches as array steps, at checked points with manual cost c_w."""
+    params = params.worker_view()
     det, vcost = params.detection, params.verification_cost
     k_w = phi_coefficients(params, c_w)[0]
     s_dag = maximize_surplus_array(det, alpha, vcost, k_w)
@@ -441,19 +444,7 @@ def solve_points(params: ModelParams, alpha, beta, **columns) -> AtlasGrid:
     evaluate_point at that point bitwise.
     """
     params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
-    return score_actions(params, alpha, beta, _solve(params, alpha, c_w))
-
-
-def score_actions(params: ModelParams, alpha, beta, actions: ActionColumns) -> AtlasGrid:
-    """score_action at every point: the solved actions' AtlasGrid under params.
-
-    The points must have passed solve_actions' checks; the actions may have
-    been solved under other parameters with the same cost functions, as a
-    miscalibrated belief does.
-    """
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    c_w = params.execution_cost.unchecked_cost(beta)
-    d_star, s_star, regime, _ = actions
+    d_star, s_star, regime, _ = _solve(params, alpha, c_w)
     vcost = params.verification_cost
     d = d_star.astype(float)
     phi = params.detection.prob(alpha, s_star)

@@ -22,7 +22,7 @@ from .atlas import (
     solve_points, sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
-from .extensions import Belief, DifficultyProfile, Rework, believed_points, expected_quality, rework_quality
+from .extensions import DifficultyProfile, Rework, expected_quality, rework_quality
 from .interventions import (
     LEVER_MOVES, CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain, minimal_lever,
     worker_upskill,
@@ -219,8 +219,8 @@ def cmd_extend(args):
     if args.kind == "belief":
         if args.p_hat is None:
             raise ConfigError("extend belief needs --p-hat")
-        belief = Belief(args.p_hat)
-        grid = believed_points(params, *_grid(args), belief)
+        # replace checks the belief before _grid reads the ranges, so a bad --p-hat fails first
+        grid = solve_points(replace(params, believed_p_a=args.p_hat), *_grid(args))
         name, value = "p_hat", args.p_hat
     else:
         if args.kappa is None:

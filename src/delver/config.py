@@ -118,6 +118,9 @@ def params_to_dict(params: ModelParams) -> dict:
     if params.kappa != 1.0:  # kappa is not a config key, and reading the file back gives 1
         raise ValueError(f"kappa is not a config key, so params with kappa {params.kappa} "
                          "cannot be written")
+    if params.believed_p_a is not None:  # nor is a belief, and reading the file back gives None
+        raise ValueError("believed_p_a is not a config key, so params with believed_p_a "
+                         f"{params.believed_p_a} cannot be written")
     det, vc, ec = params.detection, params.verification_cost, params.execution_cost
     doc = {name: {key: getattr(params, key) for key in keys} for name, keys in _NUMBERS.items()}
     doc["functions"] = {"detection": {"family": det.kind, "scale": det.scale},

@@ -1,11 +1,10 @@
-"""Model extensions: heterogeneous difficulty, miscalibrated beliefs, partial redo.
+"""Model extensions: heterogeneous difficulty and partial redo.
 
-Each extension perturbs the base model independently. Difficulty makes
-success probabilities and costs depend on a task-hardness level h and
-integrates quality over its distribution; belief solves the worker problem
-under a wrong AI success probability but scores it under the true one;
-partial re-execution discounts the cost of redoing work after a detected
-AI error.
+Difficulty makes success probabilities and costs depend on a task-hardness
+level h and integrates quality over its distribution; partial re-execution
+discounts the cost of redoing work after a detected AI error. A
+miscalibrated belief about the AI is no extension here but the ModelParams
+field believed_p_a, which the worker's side of the base model reads.
 """
 
 from __future__ import annotations
@@ -15,12 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atlas import (
-    AtlasGrid, QualityReport, evaluate_point, score_action, score_actions, solve_actions,
-    solve_points,
-)
+from .atlas import QualityReport, evaluate_point, solve_actions, solve_points
 from .model import Ability, ModelParams, check_kappa, point_params
-from .solver import OptimalAction, bisect_array, optimal_action
+from .solver import OptimalAction, bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
 _MAX_NODES = 1024  # leggauss builds a nodes x nodes matrix: 8 MiB here, 71 PiB at 1e8
@@ -48,7 +44,8 @@ class DifficultyProfile:
     def __post_init__(self):
         if self.difficulty is not None and not 0.0 < self.difficulty <= 1.0:
             raise ValueError(f"difficulty must lie in (0, 1], got {self.difficulty}")
-        if not (isinstance(self.nodes, (int, np.integer)) and 1 <= self.nodes <= _MAX_NODES):
+        if (isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer))
+                or not 1 <= self.nodes <= _MAX_NODES):
             raise ValueError(f"nodes must be an integer in [1, {_MAX_NODES}], got {self.nodes}")
 
     def values_at(self, h) -> dict:
@@ -57,17 +54,6 @@ class DifficultyProfile:
 
     def params_at(self, base: ModelParams, h: float) -> ModelParams:
         return point_params(base, **self.values_at(h))
-
-
-@dataclass(frozen=True)
-class Belief:
-    """AI success probability the worker plans around, true or not."""
-
-    ai_success: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.ai_success <= 1.0:
-            raise ValueError("believed success probability must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -149,24 +135,6 @@ def expected_quality(params: ModelParams, ability: Ability,
     q = np.cumsum(np.concatenate(([0.0], weight * grid.q)))[-1]
     q0 = np.cumsum(np.concatenate(([0.0], weight * grid.q0)))[-1]
     return QualityReport.from_values(q, q0, params.tau)
-
-
-def believed_action_quality(params: ModelParams, ability: Ability,
-                            belief: Belief) -> tuple[OptimalAction, QualityReport]:
-    """Action optimized under the believed AI ability, scored under the true one."""
-    act = optimal_action(params.with_ai_success(belief.ai_success), ability)
-    return act, score_action(params, ability, act)
-
-
-def believed_points(params: ModelParams, alpha, beta, belief: Belief) -> AtlasGrid:
-    """believed_action_quality at every (alpha[k], beta[k]), in one array pass.
-
-    The actions are solve_actions' under the believed AI success probability,
-    scored by score_actions under params; every entry equals the scalar
-    result bitwise, and an invalid point fails as solve_actions does.
-    """
-    act = solve_actions(params.with_ai_success(belief.ai_success), alpha, beta)
-    return score_actions(params, alpha, beta, act)
 
 
 def rework_quality(params: ModelParams, ability: Ability,

@@ -11,7 +11,7 @@ bisecting, rather than assuming global monotonicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class CostModel:
     h_beta: CostTerm | None = CostTerm()
 
     def __post_init__(self):
+        for name in ("h_alpha", "h_beta"):
+            term = getattr(self, name)
+            if term is not None and not isinstance(term, CostTerm):
+                raise ValueError(f"{name} must be a CostTerm or None, got {term!r}")
         if self.h_alpha is None and self.h_beta is None:
             raise ValueError("at least one cost term must be enabled")
 
@@ -199,7 +203,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
 
 
 # LeverResult.lever -> the parameters after that lever moves by delta
-LEVER_MOVES = {"ai_capability": lambda params, delta: params.with_ai_success(params.p_a + delta),
+LEVER_MOVES = {"ai_capability": lambda params, delta: replace(params, p_a=params.p_a + delta),
                "incentive_transfer": lambda params, delta: params.with_benefit_transfer(delta)}
 
 
@@ -243,7 +247,7 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTar
 
     def reaches(x):
         if lever == "p_a":
-            return quality(params.with_ai_success(x), ability).q >= tau - qtol
+            return quality(replace(params, p_a=x), ability).q >= tau - qtol
         moved = Ability(x, ability.beta) if lever == "alpha" else Ability(ability.alpha, x)
         return quality(params, moved).q >= tau - qtol
 

@@ -172,6 +172,7 @@ class ModelParams:
     p_a / c_a: AI success probability and execution cost
     p_w:       worker success probability
     kappa:     redo discount: fixing a detected AI error costs kappa * C_w
+    believed_p_a: the AI success probability the worker plans with; None means p_a
     """
 
     b_w: float
@@ -187,6 +188,7 @@ class ModelParams:
     verification_cost: VerificationCost
     execution_cost: ExecutionCost
     kappa: float = 1.0
+    believed_p_a: float | None = None
 
     def __post_init__(self):
         for name in ("b_w", "l_w", "b_i", "l_i", "xi", "c_a"):
@@ -203,6 +205,8 @@ class ModelParams:
             if stakes == math.inf:
                 raise ValueError(f"{name} must be finite, got {stakes}")
         check_kappa(self.kappa)
+        if self.believed_p_a is not None and not 0.0 <= self.believed_p_a <= 1.0:
+            raise ValueError("believed success probability must lie in [0, 1]")
 
     @property
     def worker_stakes(self):
@@ -216,8 +220,16 @@ class ModelParams:
         """Institutional stakes exceed discounted worker stakes."""
         return self.institution_stakes > self.xi * self.worker_stakes
 
-    def with_ai_success(self, p_a):
-        return replace(self, p_a=p_a)
+    def worker_view(self):
+        """The params the worker plans with: p_a replaced by believed_p_a when one is set.
+
+        The worker's side reads it (the optimal action, the oracle, the
+        delegation threshold and the worker-side boundary signs); scoring
+        and the model primitives read the params as given.
+        """
+        if self.believed_p_a is None:
+            return self
+        return _replace_unchecked(self, p_a=self.believed_p_a)  # checked when self was built
 
     def with_benefit_transfer(self, d_b):
         """Shift d_b of success benefit from the institution to the worker."""

@@ -230,6 +230,7 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
 
 def optimal_verification(params: ModelParams, ability: Ability) -> float:
     """Optimal verification effort s_dagger, conditional on delegating."""
+    params = params.worker_view()
     k_w = phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
     return maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
 
@@ -240,8 +241,10 @@ def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
     The worker delegates exactly when the delegation increment at the best
     verification effort is non-negative (indifference resolves to
     delegation). Delegation with zero verification effort is pure
-    delegation; with positive effort, verified delegation.
+    delegation; with positive effort, verified delegation. The worker plans
+    under params.worker_view().
     """
+    params = params.worker_view()
     c_w = params.execution_cost.cost(ability.beta)
     check_overflow(params, ability.alpha, c_w)
     k_w = phi_coefficients(params, c_w)[0]
@@ -362,12 +365,13 @@ def manual_delegation_threshold(params: ModelParams) -> ThresholdResult:
 
     The delegation gain is strictly decreasing in beta, so a sign change is
     found by bisection; without one, the nearer domain boundary is returned
-    flagged.
+    flagged. The gain is the worker's, under params.worker_view().
     """
     lo, hi = _beta_search_interval(params)
+    worker = params.worker_view()
 
     def gain(beta):
-        return delegation_gain(params, Ability(0.0, beta))
+        return delegation_gain(worker, Ability(0.0, beta))
 
     if gain(hi) > 0.0:
         return ThresholdResult(hi, False, "delegation beats manual work at every efficiency")
@@ -404,10 +408,11 @@ def brute_force_action(params: ModelParams, ability: Ability,
     independent of the affine decomposition, and returns the maximizing
     cell with its utility. Used as an oracle in tests and the CLI. Calls
     share the module's two grid buffers, so two threads must not call it
-    at once.
+    at once. The worker plans under params.worker_view().
     """
+    params = params.worker_view()
     for name, steps in (("d_steps", d_steps), ("s_steps", s_steps)):
-        if not isinstance(steps, (int, np.integer)):
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {steps!r}")
     if d_steps < 2 or s_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")

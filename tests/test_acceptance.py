@@ -7,13 +7,14 @@ are produced. Tolerances are fixed here, not tuned elsewhere.
 import io
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import delver as dv
 from delver.atlas import psi, psi0, psi1, separatrix_intersection, sweep_grid, write_atlas_csv
-from delver.extensions import Belief, DifficultyProfile, Rework, believed_action_quality, expected_quality, rework_quality
+from delver.extensions import DifficultyProfile, Rework, expected_quality, rework_quality
 from delver.interventions import ai_upgrade_gain, incentive_transfer_gain
 from delver.model import Ability, Action, coefficients
 from delver.sampling import beta_span, sample_ability, sample_params
@@ -198,12 +199,12 @@ def test_criterion_8_extension_reductions(reference):
             for a in np.linspace(0.0, 1.0, 21) for b in np.linspace(0.0, 1.0, 21)]
     worst = 0.0
     pinned = DifficultyProfile(difficulty=0.5)
+    known = replace(reference, believed_p_a=reference.p_a)
     for ability in grid:
         base = dv.quality(reference, ability)
         scale = 1.0 + abs(base.q)
         worst = max(worst, abs(expected_quality(reference, ability, pinned).q - base.q) / scale)
-        worst = max(worst, abs(believed_action_quality(reference, ability,
-                                                       Belief(reference.p_a))[1].q - base.q) / scale)
+        worst = max(worst, abs(dv.quality(known, ability).q - base.q) / scale)
         worst = max(worst, abs(rework_quality(reference, ability, Rework(1.0))[1].q - base.q) / scale)
     assert report("8 extension reductions", worst <= 1e-9, f"worst relative error {worst:.2e}")
 
@@ -213,7 +214,8 @@ def test_criterion_9_extension_directional_claims(reference):
                for a in np.linspace(0.0, 1.0, 101) for b in np.linspace(0.0, 1.0, 101)]
     base_regimes = [optimal_action(reference, ab).regime for ab in grid101]
 
-    believed = [believed_action_quality(reference, ab, Belief(0.7))[0].regime for ab in grid101]
+    over = replace(reference, believed_p_a=0.7)
+    believed = [optimal_action(over, ab).regime for ab in grid101]
     base_pure = sum(r == dv.Regime.PURE_DELEGATION for r in base_regimes)
     believed_pure = sum(r == dv.Regime.PURE_DELEGATION for r in believed)
     ok_belief = believed_pure >= base_pure

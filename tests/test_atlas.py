@@ -158,7 +158,7 @@ class TestSeparatrices:
         assert beta == pytest.approx(0.82, abs=0.01)
 
     def test_intersection_with_t_at_the_top_of_the_domain_finds_no_crossing(self, reference):
-        params = reference.with_ai_success(0.9)
+        params = replace(reference, p_a=0.9)
         t = manual_delegation_threshold(params)
         assert (t.value, t.bracketed) == (1.0, False)
         with pytest.raises(ValueError) as info:
@@ -332,9 +332,9 @@ class TestSweep:
         with pytest.raises(ValueError, match="range count must be >= 1"):
             sweep_grid(reference, (0, 1, 0), (0, 1, 3))
 
-    @pytest.mark.parametrize("count", [2.5, 2.0, "3", None])
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", None, True])
     def test_range_count_that_is_not_an_integer_is_rejected(self, reference, count):
-        # int(2.5) would silently solve two alphas
+        # int(2.5) would silently solve two alphas, and True would solve two
         with pytest.raises(ValueError) as info:
             sweep_grid(reference, (0, 1, count), (0, 1, 2))
         assert str(info.value) == f"range count must be an integer, got {count!r}"

@@ -269,6 +269,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^kappa is not a config key, so params with kappa "
                                              r"0\.5 cannot be written$"):
             params_to_dict(replace(reference, kappa=0.5))
+        # nor is a belief about the AI: reading the file back would give None
+        assert params_to_dict(replace(reference, believed_p_a=None)) == params_to_dict(reference)
+        with pytest.raises(ValueError, match=r"^believed_p_a is not a config key, so params with "
+                                             r"believed_p_a 0\.8 cannot be written$"):
+            params_to_dict(replace(reference, believed_p_a=0.8))
 
     def test_range_parsing(self):
         assert parse_range("0:1:11") == (0.0, 1.0, 11)
@@ -596,12 +601,12 @@ class TestGridCommands:
             """The error of the per-point path: the belief, then each row in order."""
             try:
                 if lever == "p_hat":
-                    belief = dv.Belief(float(value))
+                    believed = replace(reference, believed_p_a=float(value))
                 for b in np.linspace(*parse_range(beta)):
                     for a in np.linspace(*parse_range(alpha)):
                         ability = dv.Ability(float(a), float(b))
                         if lever == "p_hat":
-                            dv.believed_action_quality(reference, ability, belief)
+                            dv.evaluate_point(believed, ability)
                         elif lever == "p_a":
                             dv.ai_upgrade_gain(reference, ability, float(value))
                         else:
@@ -709,10 +714,10 @@ class TestGridCommands:
         lines = out.splitlines()
         assert lines[0] == "alpha,beta,p_hat,d_star,s_star,regime,q,q0,gap,quality,compliance"
         assert len(lines) == 26
+        believed = replace(reference, believed_p_a=0.8)
         for line in lines[1:]:
             alpha, beta, p_hat, *fields = line.split(",")
-            act, rep = dv.believed_action_quality(reference, dv.Ability(float(alpha), float(beta)),
-                                                  dv.Belief(0.8))
+            act, rep = dv.evaluate_point(believed, dv.Ability(float(alpha), float(beta)))
             assert p_hat == "0.8"
             assert fields == [str(act.d_star), fmt(act.s_star), act.regime.value, fmt(rep.q),
                               fmt(rep.q0), fmt(rep.gap), rep.quality_label.value,

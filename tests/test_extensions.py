@@ -1,19 +1,22 @@
-"""Difficulty, belief, and rework extensions: reductions and directional effects."""
+"""Difficulty and rework extensions and the believed_p_a field: reductions,
+directional effects, and the belief's reach through the base model."""
 
 import hashlib
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import delver as dv
+from delver.atlas import BOUNDARIES, boundary_curve, solve_points
 from delver.extensions import (
-    _PROBE_LEVELS, Belief, DifficultyProfile, Rework, _branch, _smooth_breakpoints,
-    believed_action_quality, believed_points, expected_quality, rework_quality, unit_quadrature,
+    _PROBE_LEVELS, DifficultyProfile, Rework, _branch, _smooth_breakpoints, expected_quality,
+    rework_quality, unit_quadrature,
 )
 from delver.model import Ability, Action, ModelParams
 from delver.sampling import beta_span, sample_ability, sample_params
-from delver.solver import bisect
+from delver.solver import bisect, manual_delegation_threshold, qualification_threshold
 
 from conftest import family_configs
 
@@ -26,7 +29,7 @@ DIFFICULTY_PROFILES = [
     DifficultyProfile(nodes=16), DifficultyProfile(difficulty=0.3),
 ]
 # SHA-256 of scalar_reports(), taken at commit 6039a25, where belief was scored
-# through coefficients and institutional_utility
+# through coefficients and institutional_utility, and a wrapper set it
 SCALAR_REPORTS_DIGEST = "154c86ef63f3b23f744f12a620c397eb4b2ac350c7b12594778b515acac36d81"
 
 
@@ -46,14 +49,14 @@ def difficulty_reports():
 
 def scalar_reports():
     """144 results: 3 sampled workers per family triple, each from evaluate_point
-    at kappa 1, 0.5 and 0 and from believed_action_quality at p_hat 0, 0.5 and 1."""
+    at kappa 1, 0.5 and 0 and at believed_p_a 0, 0.5 and 1."""
     results = []
     for i, (_, params) in enumerate(sorted(family_configs().items())):
         rng = np.random.default_rng(1100 + i)
         for ability in [sample_ability(rng, params) for _ in range(3)]:
             results.extend(dv.evaluate_point(replace(params, kappa=kappa), ability)
                            for kappa in (1.0, 0.5, 0.0))
-            results.extend(believed_action_quality(params, ability, Belief(p_hat))
+            results.extend(dv.evaluate_point(replace(params, believed_p_a=p_hat), ability)
                            for p_hat in (0.0, 0.5, 1.0))
     return results
 
@@ -69,8 +72,9 @@ class TestDifficultyProfile:
             DifficultyProfile(difficulty=1.5)
         with pytest.raises(ValueError):
             DifficultyProfile(nodes=0)
-        # nodes = 2.5 used to pass, and numpy's leggauss then raised TypeError
-        for nodes in (1025, 2.5):
+        # nodes = 2.5 used to pass, and numpy's leggauss then raised TypeError;
+        # a bool is an int to isinstance, but no node count
+        for nodes in (1025, 2.5, True):
             message = rf"^nodes must be an integer in \[1, 1024\], got {nodes}$"
             with pytest.raises(ValueError, match=message):
                 DifficultyProfile(nodes=nodes)
@@ -147,28 +151,59 @@ class TestDifficultyProfile:
         assert rep.quality_label == dv.QualityLabel.UNCHANGED
 
 
-class TestBelief:
+def believing(params, p_hat):
+    return replace(params, believed_p_a=p_hat)
+
+
+FAMILY_PARAMS = [pytest.param(params, id="+".join(triple))
+                 for triple, params in sorted(family_configs().items())]
+BELIEFS = [0.0, 0.5, 1.0]
+
+
+def sample_points(params, seed=47, n=60):
+    """n random points and the corners of [0, 3] x the beta span, as alpha and beta columns."""
+    rng = np.random.default_rng(seed)
+    lo, hi = beta_span(params)
+    alpha = np.concatenate([rng.uniform(0.0, 3.0, n), [0.0, 3.0]])
+    beta = np.concatenate([rng.uniform(lo, hi, n), [lo, hi]])
+    return alpha, beta
+
+
+def grid_bits(grid):
+    """Every column of an AtlasGrid as bytes, so == compares bits, zero signs included."""
+    return [getattr(grid, f.name).tobytes() for f in fields(grid)]
+
+
+def curve_bits(points):
+    return [(beta.hex(), alpha.hex(), bracketed) for beta, alpha, bracketed in points]
+
+
+def threshold_bits(res):
+    return res.value.hex(), res.bracketed, res.note
+
+
+class TestBelievedSuccess:
     def test_correct_belief_changes_nothing(self, reference):
         rng = np.random.default_rng(13)
         for _ in range(30):
             ability = Ability(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-            act, rep = believed_action_quality(reference, ability, Belief(reference.p_a))
+            act, rep = dv.evaluate_point(believing(reference, reference.p_a), ability)
             base_act, base_rep = dv.evaluate_point(reference, ability)
             assert (act.d_star, act.s_star) == (base_act.d_star, base_act.s_star)
             assert rep.q == base_rep.q
 
     def test_zero_belief_means_manual(self, reference):
-        act, rep = believed_action_quality(reference, Ability(0.7, 0.3), Belief(0.0))
+        act, rep = dv.evaluate_point(believing(reference, 0.0), Ability(0.7, 0.3))
         assert act.regime == dv.Regime.MANUAL
         assert rep.q == rep.q0
 
     def test_overconfidence_expands_pure_delegation(self, reference):
         grid = [Ability(a, b) for a in np.linspace(0, 1, 41) for b in np.linspace(0, 1, 41)]
+        over = believing(reference, 0.7)
         base_pure = {i for i, ab in enumerate(grid)
                      if dv.optimal_action(reference, ab).regime == dv.Regime.PURE_DELEGATION}
         believed_pure = {i for i, ab in enumerate(grid)
-                         if believed_action_quality(reference, ab, Belief(0.7))[0].regime
-                         == dv.Regime.PURE_DELEGATION}
+                         if dv.optimal_action(over, ab).regime == dv.Regime.PURE_DELEGATION}
         assert base_pure <= believed_pure
         assert len(believed_pure) > len(base_pure)
 
@@ -177,34 +212,108 @@ class TestBelief:
         for _ in range(60):
             params = sample_params(rng)
             ability = sample_ability(rng, params)
-            belief = Belief(float(rng.uniform(0, 1)))
-            act, _ = believed_action_quality(params, ability, belief)
+            act = dv.optimal_action(believing(params, float(rng.uniform(0, 1))), ability)
             u_believed = dv.worker_utility(params, ability, Action(float(act.d_star), act.s_star))
             opt = dv.optimal_action(params, ability)
             u_opt = dv.worker_utility(params, ability, Action(float(opt.d_star), opt.s_star))
             assert u_believed <= u_opt + 1e-10 * (1.0 + abs(u_opt))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Belief(1.2)
+    @pytest.mark.parametrize("p_hat", [1.2, -0.1, math.nan, math.inf])
+    def test_validation(self, reference, p_hat):
+        with pytest.raises(ValueError) as info:
+            believing(reference, p_hat)
+        assert str(info.value) == "believed success probability must lie in [0, 1]"
 
-    @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
-                                        for triple, params in sorted(family_configs().items())])
-    @pytest.mark.parametrize("p_hat", [0.0, 0.5, 1.0])
+    def test_p_a_moves_leave_the_belief_where_it_is(self, reference):
+        # a p_a column and the p_a lever move the true p_a; the worker still plans with 0.8
+        ability = Ability(0.3, 0.6)
+        over = believing(reference, 0.8)
+        moved = replace(over, p_a=0.5)
+        grid = solve_points(over, [ability.alpha], [ability.beta], p_a=[0.5])
+        act, rep = dv.evaluate_point(moved, ability)
+        assert (grid.s_star[0], grid.q[0]) == (act.s_star, rep.q)
+        assert act == dv.optimal_action(over, ability)
+        assert rep.q == dv.institutional_utility(moved, ability,
+                                                 Action(float(act.d_star), act.s_star))
+
+    @pytest.mark.parametrize("params", FAMILY_PARAMS)
+    @pytest.mark.parametrize("p_hat", BELIEFS)
     def test_array_pass_equals_the_scalar_belief_bitwise(self, params, p_hat):
-        rng = np.random.default_rng(47)
-        lo, hi = beta_span(params)
-        alpha = np.concatenate([rng.uniform(0.0, 3.0, 60), [0.0, 3.0]])
-        beta = np.concatenate([rng.uniform(lo, hi, 60), [lo, hi]])
-        grid = believed_points(params, alpha, beta, Belief(p_hat))
+        alpha, beta = sample_points(params)
+        believed = believing(params, p_hat)
+        grid = solve_points(believed, alpha, beta)
         for k, row in enumerate(grid):
-            act, rep = believed_action_quality(params, Ability(alpha[k].item(), beta[k].item()),
-                                               Belief(p_hat))
+            ability = Ability(alpha[k].item(), beta[k].item())
+            act, rep = dv.evaluate_point(believed, ability)
             # hex compares the bits of the floats, the sign of a zero included
             assert ([row.d_star, row.s_star.hex(), row.regime, row.q.hex(), row.q0.hex(),
                      row.gap.hex(), row.quality_label, row.compliance_label]
                     == [act.d_star, act.s_star.hex(), act.regime, rep.q.hex(), rep.q0.hex(),
                         rep.gap.hex(), rep.quality_label, rep.compliance_label]), k
+            # q is scored at the true p_a, whatever the worker believes
+            q = dv.institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
+            assert rep.q.hex() == q.hex(), k
+
+
+class TestBelievedSuccessIdentities:
+    """A belief is read by the worker's side alone, and a known one is no belief."""
+
+    @pytest.mark.parametrize("params", FAMILY_PARAMS)
+    def test_a_known_belief_is_the_base_model_bitwise(self, params):
+        known = believing(params, params.p_a)
+        alpha, beta = sample_points(params, n=20)
+        assert grid_bits(solve_points(known, alpha, beta)) == \
+            grid_bits(solve_points(params, alpha, beta))
+        for a, b in zip(alpha.tolist(), beta.tolist()):
+            assert repr(dv.evaluate_point(known, Ability(a, b))) == \
+                repr(dv.evaluate_point(params, Ability(a, b)))
+        betas = np.linspace(*beta_span(params), 5)
+        for which in BOUNDARIES:
+            assert curve_bits(boundary_curve(known, which, betas)) == \
+                curve_bits(boundary_curve(params, which, betas)), which
+        for threshold in (manual_delegation_threshold, qualification_threshold):
+            assert threshold_bits(threshold(known)) == threshold_bits(threshold(params))
+
+    @pytest.mark.parametrize("params", FAMILY_PARAMS)
+    @pytest.mark.parametrize("p_hat", BELIEFS)
+    def test_the_worker_side_plans_at_the_believed_p_a_bitwise(self, params, p_hat):
+        believed, moved = believing(params, p_hat), replace(params, p_a=p_hat)
+        alpha, beta = sample_points(params, n=4)
+        for a, b in zip(alpha.tolist(), beta.tolist()):
+            ability = Ability(a, b)
+            assert repr(dv.optimal_action(believed, ability)) == \
+                repr(dv.optimal_action(moved, ability))
+            (oracle, u), (moved_oracle, moved_u) = (dv.brute_force_action(p, ability)
+                                                    for p in (believed, moved))
+            assert (oracle, u.hex()) == (moved_oracle, moved_u.hex())
+        assert threshold_bits(manual_delegation_threshold(believed)) == \
+            threshold_bits(manual_delegation_threshold(moved))
+        betas = np.linspace(*beta_span(params), 5)
+        for which in ("psi0", "psi1"):
+            assert curve_bits(boundary_curve(believed, which, betas)) == \
+                curve_bits(boundary_curve(moved, which, betas)), which
+
+    def test_psi_tau_under_a_belief_is_the_true_quality_crossing_tau(self):
+        # the worker verifies at the believed s_dagger, and the quality of that
+        # delegation, from the primitives at the true p_a, crosses tau at the root
+        checked = 0
+        for params in family_configs().values():
+            tol = 1e-9 * (1.0 + abs(params.tau))
+            for p_hat in BELIEFS:
+                believed = believing(params, p_hat)
+
+                def excess(alpha, beta):
+                    ability = Ability(alpha, beta)
+                    c = dv.coefficients(params, ability, dv.optimal_verification(believed, ability))
+                    return c.g_i + c.f_i - params.tau
+
+                for beta, alpha, bracketed in boundary_curve(believed, "psi_tau",
+                                                             np.linspace(*beta_span(params), 5)):
+                    if bracketed and alpha > 0.0:
+                        assert excess(max(0.0, alpha - 1e-6), beta) <= tol, (p_hat, beta)
+                        assert excess(alpha + 1e-6, beta) >= -tol, (p_hat, beta)
+                        checked += 1
+        assert checked >= 30
 
 
 class TestRework:

@@ -123,7 +123,7 @@ class TestAiCapabilityLever:
         # flips this manual worker into pure delegation at a quality loss
         ability = Ability(0.05, 0.75)
         base = dv.optimal_action(reference, ability)
-        bumped = dv.optimal_action(reference.with_ai_success(0.70), ability)
+        bumped = dv.optimal_action(replace(reference, p_a=0.70), ability)
         assert base.regime == dv.Regime.MANUAL
         assert bumped.regime == dv.Regime.PURE_DELEGATION
         res = ai_upgrade_gain(reference, ability, 0.05)
@@ -160,7 +160,7 @@ class TestLeverGrid:
         alpha_range, beta_range = (0.0, 3.0, 13), (*beta_span(params), 11)
         if lever == "p_a":
             delta = 0.5 * (1.0 - params.p_a)
-            scalar, moved = ai_upgrade_gain, params.with_ai_success(params.p_a + delta)
+            scalar, moved = ai_upgrade_gain, replace(params, p_a=params.p_a + delta)
         else:
             delta = 0.3 * params.b_i
             scalar, moved = incentive_transfer_gain, params.with_benefit_transfer(delta)
@@ -258,6 +258,15 @@ class TestUpskill:
         with pytest.raises(ValueError) as info:
             worker_upskill(reference, ability, CostModel(h_alpha=None, h_beta=None))
         assert str(info.value) == "at least one cost term must be enabled"
+
+    @pytest.mark.parametrize("h_alpha, h_beta, name, term", [
+        ("linear:1", None, "h_alpha", "'linear:1'"), (CostTerm(), 1.0, "h_beta", "1.0"),
+    ])
+    def test_cost_model_rejects_a_term_that_is_not_a_cost_term(self, h_alpha, h_beta, name, term):
+        # a string used to run the whole fan search, then fail calling it
+        with pytest.raises(ValueError) as info:
+            CostModel(h_alpha, h_beta)
+        assert str(info.value) == f"{name} must be a CostTerm or None, got {term}"
 
     def test_cost_term_validation(self):
         with pytest.raises(ValueError):

@@ -261,7 +261,7 @@ class TestAssumptions:
 class TestParamsValidation:
     def test_probabilities_validated(self, reference):
         with pytest.raises(ValueError):
-            reference.with_ai_success(1.2)
+            replace(reference, p_a=1.2)
 
     def test_negative_scalar_rejected(self):
         with pytest.raises(ValueError):

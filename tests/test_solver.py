@@ -548,7 +548,8 @@ class TestOracle:
         with pytest.raises(ValueError, match=r"^grid has 1048577 cells, more than 1048576$"):
             brute_force_action(reference, Ability(0.5, 0.5), d_steps=17, s_steps=61681)
 
-    @pytest.mark.parametrize("steps", [{"d_steps": 2.5}, {"s_steps": 101.0}, {"d_steps": "11"}])
+    @pytest.mark.parametrize("steps", [{"d_steps": 2.5}, {"s_steps": 101.0}, {"d_steps": "11"},
+                                       {"d_steps": True}])
     def test_step_count_that_is_not_an_integer_is_rejected(self, reference, steps):
         ((name, value),) = steps.items()
         with pytest.raises(ValueError) as info:

@@ -1,7 +1,8 @@
 """Library source: every name a module imports is read in it, no function
 takes the redo discount kappa as a parameter, no function but psi_tau takes
-the threshold tau beside params, bisect_array's point budget is not a
-parameter, and the grid oracle shares no code with the solver.
+the threshold tau beside params, no function takes a belief about the AI
+beside params, bisect_array's point budget is not a parameter, and the grid
+oracle shares no code with the solver.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt, because it imports to re-export and defines
@@ -51,9 +52,10 @@ def test_module_reads_every_name_it_imports(module):
 def functions_taking(source: str, *names: str) -> list[str]:
     """The functions in source, lambdas included, that take a parameter of every one of names.
 
-    kappa and tau are ModelParams fields: a function reads them as
-    params.kappa and params.tau, and a parameter of the same name would be
-    a second way in that can disagree with the field and skip its checks.
+    kappa, tau and believed_p_a are ModelParams fields: a function reads
+    them as params.kappa, params.tau and params.worker_view(), and a
+    parameter for one of them would be a second way in that can disagree
+    with the field and skip its checks.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -95,6 +97,26 @@ def test_no_function_but_psi_tau_takes_tau_beside_params(module):
     # a function of values alone, such as QualityReport.from_values(q, q0, tau), may take tau
     assert functions_taking((SRC / module).read_text(), "params", "tau") == \
         TAU_KEYWORD.get(module, [])
+
+
+# the names a belief about the AI's success probability went by as a parameter
+BELIEF_NAMES = ("belief", "p_hat", "believed_p_a")
+
+
+def test_the_check_finds_a_belief_beside_params():
+    source = ("def f(params, ability, belief):\n    return params\n"
+              "def g(params, *, p_hat=None):\n    return lambda params, believed_p_a: params\n"
+              "def h(p_hat):\n    return p_hat\n"
+              "def k(params):\n    return params.worker_view()\n")
+    assert [name for belief in BELIEF_NAMES
+            for name in functions_taking(source, "params", belief)] == ["f", "g", "<lambda>"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_belief_beside_params(module):
+    source = (SRC / module).read_text()
+    assert [name for belief in BELIEF_NAMES
+            for name in functions_taking(source, "params", belief)] == []
 
 
 def parameters(source: str, name: str) -> list[str]:
