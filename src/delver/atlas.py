@@ -32,6 +32,7 @@ _ALPHA_MAX = 10.0  # a boundary search's first upper bound, doubled up to 10 tim
 _BRACKET_DOUBLINGS = 10
 _ALPHA_TOL = 1e-9
 _MARGIN = 2.0 ** -40  # _bisect_boundary's rounding allowance, relative to its end values
+_STEP_SLACK = 8  # sign calls _bisect_boundary's steps may spend beyond plain bisection's
 _BETA_TOL = 1e-6
 _CSV_BLOCK_ROWS = 4096
 BOUNDARIES = ("psi0", "psi1", "psi", "psi_tau")  # the separatrices boundary_curve samples
@@ -183,7 +184,7 @@ def quality(params: ModelParams, ability: Ability) -> QualityReport:
     return evaluate_point(params, ability)[1]
 
 
-def _bisect_boundary(fn) -> RootResult:
+def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
     """Infimum of {alpha : fn(alpha) > 0} for non-decreasing fn, with flags.
 
     The root is bisect's on [0, hi], hi the first of 10, 20, 40, ... where
@@ -192,37 +193,56 @@ def _bisect_boundary(fn) -> RootResult:
     bracket (a, b) from (0, hi): a moves only to points where fn < -m, b
     only to points where fn > m, with the margin m = _MARGIN times the
     larger |fn| at 0 and hi. So fn <= 0 up to a and fn > 0 from b on, even
-    if every value is off by less than m / 2. The steps stop at the first
-    value within the margin (or NaN), after one probe at the tolerance on
-    either side of it. bisect then calls fn only at midpoints inside
-    (a, b): it takes the steps of plain bisection, and ends on its
-    bracket, whenever fn's rounding errors stay under m / 2. An end value
-    that is not finite gives m no scale and leaves (a, b) = (0, hi), so
-    the search is plain bisection.
+    if every value is off by less than m / 2. The first step is at guess
+    when it lies in (a, b). The steps stop at the first value within the
+    margin (or NaN), after one probe at the tolerance on either side of
+    it. bisect then calls fn only at midpoints inside (a, b), and at no
+    point twice: it takes the steps of plain bisection, and ends on its
+    bracket, whenever fn's rounding errors stay under m / 2.
+
+    The steps stay at most _STEP_SLACK sign calls ahead of the bisect
+    steps that (a, b) already decides, as ITP bounds regula falsi: at the
+    bound a step is bisect's next midpoint, which bisect calls anyway, and
+    the probes are skipped. So no root takes more than _STEP_SLACK calls
+    over plain bisection. There are no steps unless both end values lie
+    beyond the margin (so are finite): an end within it could never move,
+    and the search is plain bisection.
     """
-    evaluations = 0
+    seen = {}
 
     def sign(alpha):
-        nonlocal evaluations
-        evaluations += 1
-        return fn(alpha)
+        if alpha not in seen:
+            seen[alpha] = fn(alpha)
+        return seen[alpha]
 
     a, fa = 0.0, sign(0.0)
     if fa > 0.0:
-        return RootResult(a, False, "low", evaluations)
+        return RootResult(a, False, "low", len(seen))
     hi = _ALPHA_MAX
     doublings = 0
     while (fb := sign(hi)) <= 0.0:
         if doublings >= _BRACKET_DOUBLINGS:
-            return RootResult(hi, False, "high", evaluations)
+            return RootResult(hi, False, "high", len(seen))
         hi *= 2.0
         doublings += 1
     b, margin, side = hi, _MARGIN * max(abs(fa), abs(fb)), 0
-    scaled = math.isfinite(fa) and math.isfinite(fb)  # else the margin has no scale
-    while scaled and b - a > _ALPHA_TOL:
-        x = a - fa * (b - a) / (fb - fa)
-        if not a < x < b:
-            x = 0.5 * (a + b)
+    steps = fa < -margin and fb > margin
+    lo, up, decided, budget = 0.0, hi, 0, len(seen) + _STEP_SLACK
+    x = guess
+    while steps and b - a > _ALPHA_TOL:
+        # bisect's steps from [0, hi] while its midpoint lies outside (a, b) need no call
+        while up - lo > _ALPHA_TOL and not a < (mid := 0.5 * (lo + up)) < b:
+            if mid <= a:
+                lo = mid
+            else:
+                up = mid
+            decided += 1
+        if len(seen) >= budget + decided:
+            x = mid
+        elif x is None or not a < x < b:
+            x = a - fa * (b - a) / (fb - fa)
+            if not a < x < b:
+                x = 0.5 * (a + b)
         fx = sign(x)
         if fx < -margin:
             if side < 0:
@@ -233,30 +253,46 @@ def _bisect_boundary(fn) -> RootResult:
                 fa *= 0.5
             b, fb, side = x, fx, 1
         else:
-            for probe in (x - _ALPHA_TOL, x + _ALPHA_TOL):
-                if a < probe < b:
-                    fp = sign(probe)
-                    if fp < -margin:
-                        a = probe
-                    elif fp > margin:
-                        b = probe
+            if len(seen) + 2 <= budget + decided:
+                for probe in (x - _ALPHA_TOL, x + _ALPHA_TOL):
+                    if a < probe < b:
+                        fp = sign(probe)
+                        if fp < -margin:
+                            a = probe
+                        elif fp > margin:
+                            b = probe
             break
+        x = None
     lo, hi = bisect(lambda alpha: alpha >= b or alpha > a and sign(alpha) > 0.0, 0.0, hi, _ALPHA_TOL)
-    return RootResult(0.5 * (lo + hi), True, evaluations=evaluations)
+    return RootResult(0.5 * (lo + hi), True, evaluations=len(seen))
 
 
-def _boundary(params: ModelParams, which: str, beta: float, t: float | None) -> RootResult | None:
+def _warm_guess(roots: list, beta: float) -> float | None:
+    """A curve's root at beta, on the line through its last two (beta, root) pairs.
+
+    With one pair, or two at one beta, it is the last root; with none, None.
+    """
+    if len(roots) < 2 or roots[-1][0] == roots[-2][0]:
+        return roots[-1][1] if roots else None
+    (b0, r0), (b1, r1) = roots[-2:]
+    return r1 + (r1 - r0) * (beta - b1) / (b1 - b0)
+
+
+def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
+              history: dict | None = None) -> RootResult | None:
     """One separatrix at efficiency beta, or None outside its beta domain.
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
     for beta <= t, each up to 1e-9. The sign function evaluates the model's
     formulas in the model's order from what depends on beta alone. The
     worker's terms (k_w and psi0's delegation gain) are read under
-    params.worker_view(), the institution's under params.
+    params.worker_view(), the institution's under params. history, kept by
+    boundary_curve, holds each search's bracketed (beta, root) pairs so
+    far; its last two give the search's first guess.
     """
     if which == "psi":
-        base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t)
-        other = _boundary(params, "psi_prime", beta, t)
+        base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t, history)
+        other = _boundary(params, "psi_prime", beta, t, history)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
@@ -283,7 +319,11 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None) -> 
         f_i = institution_increment(params, k_i, phi, c_w, c_v)
         return f_i if which == "psi_prime" else g_i + f_i - tau
 
-    return _bisect_boundary(sign)
+    roots = [] if history is None else history.setdefault(which, [])
+    res = _bisect_boundary(sign, _warm_guess(roots, beta))
+    if res.bracketed:
+        roots.append((beta, res.value))
+    return res
 
 
 def _domain_boundary(params: ModelParams, which: str, beta: float, side: str) -> RootResult:
@@ -482,14 +522,17 @@ def boundary_curve(params: ModelParams, which: str, betas) -> list[tuple[float, 
 
     which is psi0, psi1, psi or psi_tau. bracketed is RootResult.bracketed:
     False when alpha is a search bound (0 or the doubled cap), not a root.
+    Each search (psi's two apart) takes its first step at the root that
+    its last two bracketed roots extrapolate to; the roots are bitwise
+    those of single calls.
     """
     if which not in BOUNDARIES:
         raise ValueError(f"unknown boundary {which!r}")
     t = manual_delegation_threshold(params).value
-    out = []
+    out, history = [], {}
     for beta in betas:
         beta = float(beta)
-        res = _boundary(params, which, beta, t)
+        res = _boundary(params, which, beta, t, history)
         if res is not None:
             out.append((beta, res.value, res.bracketed))
     return out

@@ -405,7 +405,7 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except (ConfigError, cal.CalibrationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and CalibrationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atlas import QualityReport, evaluate_point, solve_actions, solve_points
-from .model import Ability, ModelParams, check_kappa, point_params
+from .model import Ability, ModelParams, check_kappa, point_params, reject_bools
 from .solver import OptimalAction, bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
@@ -42,6 +42,7 @@ class DifficultyProfile:
     nodes: int = 64
 
     def __post_init__(self):
+        reject_bools(self, ("difficulty",))
         if self.difficulty is not None and not 0.0 < self.difficulty <= 1.0:
             raise ValueError(f"difficulty must lie in (0, 1], got {self.difficulty}")
         if (isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer))
@@ -66,6 +67,7 @@ class Rework:
     kappa: float
 
     def __post_init__(self):
+        reject_bools(self, ("kappa",))
         check_kappa(self.kappa)
 
 

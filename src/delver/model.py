@@ -133,6 +133,14 @@ class ExecutionCost:
         return self.scale / beta
 
 
+def reject_bools(obj, names) -> None:
+    """Reject a bool in the named number fields of obj, as a config file's reader does."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name!r} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Ability:
     """Worker ability pair: verification reliability and execution efficiency."""
@@ -141,6 +149,7 @@ class Ability:
     beta: float
 
     def __post_init__(self):
+        reject_bools(self, ("alpha", "beta"))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.beta < math.inf:
@@ -191,6 +200,8 @@ class ModelParams:
     believed_p_a: float | None = None
 
     def __post_init__(self):
+        reject_bools(self, ("b_w", "l_w", "b_i", "l_i", "xi", "tau", "p_a", "c_a", "p_w", "kappa",
+                            "believed_p_a"))
         for name in ("b_w", "l_w", "b_i", "l_i", "xi", "c_a"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

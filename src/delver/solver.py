@@ -44,8 +44,10 @@ _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 1
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
 # brute_force_action's two grid buffers, kept for the last grid shape so that
 # its cost does not depend on whether the allocator returns freed pages to
-# the system, which turns on allocations made elsewhere in the process
+# the system, which turns on allocations made elsewhere in the process; and
+# its d and s axes for that shape, read-only
 _oracle_grids = (np.empty((0, 0)), np.empty((0, 0)))
+_oracle_axes = (np.empty((0, 1)), np.empty((1, 0)))
 
 
 class Regime(str, enum.Enum):
@@ -407,8 +409,8 @@ def brute_force_action(params: ModelParams, ability: Ability,
     Evaluates success probability and cost directly on a (d, s) grid,
     independent of the affine decomposition, and returns the maximizing
     cell with its utility. Used as an oracle in tests and the CLI. Calls
-    share the module's two grid buffers, so two threads must not call it
-    at once. The worker plans under params.worker_view().
+    share the module's two grid buffers and its axes, so two threads must
+    not call it at once. The worker plans under params.worker_view().
     """
     params = params.worker_view()
     for name, steps in (("d_steps", d_steps), ("s_steps", s_steps)):
@@ -418,8 +420,15 @@ def brute_force_action(params: ModelParams, ability: Ability,
         raise ValueError("grid needs at least 2 steps per axis")
     if d_steps * s_steps > _ORACLE_CELLS:  # each of its arrays holds 8 bytes a cell
         raise ValueError(f"grid has {d_steps * s_steps} cells, more than {_ORACLE_CELLS}")
-    d = np.linspace(0.0, 1.0, d_steps)[:, None]
-    s = np.linspace(0.0, 1.0, s_steps)[None, :]
+    global _oracle_grids, _oracle_axes
+    if _oracle_grids[0].shape != (d_steps, s_steps):
+        _oracle_grids = (np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps)))
+        _oracle_axes = (np.linspace(0.0, 1.0, d_steps)[:, None],
+                        np.linspace(0.0, 1.0, s_steps)[None, :])
+        for axis in _oracle_axes:
+            axis.flags.writeable = False
+    p, u = _oracle_grids
+    d, s = _oracle_axes
     c_w = params.execution_cost.cost(ability.beta)
     check_overflow(params, ability.alpha, c_w)
     phi = params.detection.prob(ability.alpha, s)
@@ -428,10 +437,6 @@ def brute_force_action(params: ModelParams, ability: Ability,
     # - (1 - d) C_w - d (c_a + c_v + (1 - p_a) phi kappa C_w), filled into the two grid
     # buffers in place: each cell gets the operations of these formulas read left to
     # right, at most with the operands of a + or * swapped, which is exact
-    global _oracle_grids
-    if _oracle_grids[0].shape != (d_steps, s_steps):
-        _oracle_grids = (np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps)))
-    p, u = _oracle_grids
     np.multiply(d * (1.0 - params.p_a), phi, out=p)
     p *= params.p_w
     p += (1.0 - d) * params.p_w + d * params.p_a

@@ -191,10 +191,10 @@ class TestSeparatrices:
         assert len(calls) == 6
 
 
-def plain_bisect_boundary(fn):
+def plain_bisect_boundary(fn, guess=None):
     """atlas._bisect_boundary without its sure bracket: bisect calls fn at every midpoint.
 
-    evaluations counts fn's calls as RootResult.evaluations does.
+    evaluations counts fn's calls as RootResult.evaluations does. A guess is ignored.
     """
     calls = []
 
@@ -241,6 +241,40 @@ def _large_stakes_params():
     return draws
 
 
+def _curve_cases(params):
+    """boundary_curve's (params, which, betas) for each boundary, at 21 betas.
+
+    psi0, psi1 and psi span beta_span(params). psi_tau's tau is the quality
+    of a worker with alpha 1 at the middle beta, and its betas span a fifth
+    of the span around that beta, so its roots are bracketed near alpha 1.
+    """
+    lo, hi = beta_span(params)
+    for which in ("psi0", "psi1", "psi"):
+        yield params, which, np.linspace(lo, hi, 21)
+    mid, half = 0.5 * (lo + hi), 0.1 * (hi - lo)
+    ability = Ability(1.0, mid)
+    coef = coefficients(params, ability, dv.optimal_verification(params, ability))
+    yield (replace(params, tau=coef.g_i + coef.f_i), "psi_tau",
+           np.linspace(mid - half, mid + half, 21))
+
+
+def _curve_searches(cases, monkeypatch, search):
+    """boundary_curve over cases with search(fn, guess) in place of _bisect_boundary.
+
+    Returns the curves and the (guess, RootResult) of every search, in order.
+    """
+    searches = []
+
+    def recorded(fn, guess=None):
+        searches.append((guess, search(fn, guess)))
+        return searches[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(atlas, "_bisect_boundary", recorded)
+        curves = [boundary_curve(*case) for case in cases]
+    return curves, searches
+
+
 class TestSureBracket:
     """_bisect_boundary ends on plain bisection's bracket with at most half its sign calls."""
 
@@ -257,6 +291,41 @@ class TestSureBracket:
         assert len(roots) > 400
         assert sum(r.evaluations for r, _ in roots) <= sum(w.evaluations for _, w in roots) / 2
 
+    @pytest.mark.parametrize("configs", [list(family_configs().values()), _large_stakes_params()],
+                             ids=["families", "large_stakes"])
+    def test_warm_started_curves_equal_plain_bisection(self, configs, monkeypatch):
+        cases = [case for params in configs for case in _curve_cases(params)]
+        search = atlas._bisect_boundary
+        curves, warm = _curve_searches(cases, monkeypatch, search)
+        want_curves, want = _curve_searches(cases, monkeypatch, plain_bisect_boundary)
+        _, cold = _curve_searches(cases, monkeypatch, lambda fn, guess: search(fn))
+        assert repr(curves) == repr(want_curves)
+        reprs = [[repr(r) for _, r in searches] for searches in (warm, want, cold)]
+        assert reprs[0] == reprs[1] == reprs[2]
+        assert sum(guess is not None for guess, _ in warm) > 300
+        roots = [(r.evaluations, c.evaluations, w.evaluations)
+                 for (_, r), (_, c), (_, w) in zip(warm, cold, want) if w.bracketed]
+        assert len(roots) > 400
+        # no root takes more sign calls than plain bisection, and the guesses save calls
+        assert all(r <= w for r, _, w in roots)
+        assert sum(r for r, _, _ in roots) < sum(c for _, c, _ in roots) <= sum(
+            w for _, _, w in roots) / 2
+
+    def test_each_search_starts_from_its_own_curve(self, reference, monkeypatch):
+        # psi runs psi0, then psi_prime, at each beta above t; each extrapolates its own roots
+        betas = np.linspace(manual_delegation_threshold(reference).value, 1.0, 9).tolist()
+        _, searches = _curve_searches([(reference, "psi", betas)], monkeypatch,
+                                      atlas._bisect_boundary)
+        for own in (searches[0::2], searches[1::2]):
+            roots = [(beta, r.value) for beta, (_, r) in zip(betas, own) if r.bracketed]
+            assert len(roots) >= 8
+            assert [guess for guess, _ in own] == [
+                atlas._warm_guess([(b, v) for b, v in roots if b < beta], beta) for beta in betas]
+        assert atlas._warm_guess([], 0.5) is None
+        assert atlas._warm_guess([(0.25, 0.5)], 0.75) == 0.5
+        assert atlas._warm_guess([(0.25, 0.5), (0.5, 1.0)], 0.75) == 1.5
+        assert atlas._warm_guess([(0.25, 0.5), (0.25, 1.0)], 0.75) == 1.0  # a repeated beta
+
     def test_tangential_root_stays_put(self, monkeypatch):
         # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
         # steps without the margin moved it to 0.23870327131589875
@@ -265,23 +334,31 @@ class TestSureBracket:
         monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
         assert got == psi0(params, 1.0) == RootResult(0.23870327073382214, True)
 
-    @pytest.mark.parametrize("fn, scaled", [
+    @pytest.mark.parametrize("fn, steps", [
         (lambda a: math.nan if 0.3 < a < 0.5 else a - 0.7, True),  # NaN inside the bracket
-        (lambda a: max(0.0, a - 0.3), True),  # exactly 0 on [0, 0.3)
         (lambda a: math.copysign(1e-300, a - 2.0 ** -20), True),  # tiny values, a step
         (lambda a: a ** 9 - 0.2, True),  # steep at hi, flat at the root
         (lambda a: -1.0 if a < 4000.0 else 1.0, True),  # bracketed after 9 doublings
+        # constant below the root: regula falsi creeps up from 0, took 157 calls
+        (lambda a: -8.6e-11 if a < 0.0459 else a - 0.0459, True),
+        # exactly 0 at 0, so a could never move: took 39 calls, one point twice
+        (lambda a: max(0.0, a - 0.3), False),
+        (lambda a: max(0.0, a - 0.0211) * 20, False),
         (lambda a: math.nan if a == 0.0 else a - 0.7, False),  # NaN at 0
         (lambda a: -math.inf if a < 1e-3 else a - 0.7, False),  # -inf at 0
         (lambda a: math.inf if a > 3.3 else -1.0, False),  # inf at hi
         (lambda a: math.nan if a > 3.3 else a - 3.3, False),  # NaN at hi, taken as positive
     ])
-    def test_edge_cases_equal_plain_bisection(self, fn, scaled):
-        got = atlas._bisect_boundary(fn)
+    def test_edge_cases_equal_plain_bisection(self, fn, steps):
+        calls = []
+        got = atlas._bisect_boundary(lambda a: calls.append(a) or fn(a))
         want = plain_bisect_boundary(fn)
         assert got == want and got.bracketed
         assert got.value.hex() == want.value.hex()
-        if not scaled:  # an end value that is not finite: no sure bracket
+        assert len(set(calls)) == len(calls) == got.evaluations  # no point is called twice
+        if steps:  # the steps stay within a fixed number of calls of bisection's
+            assert got.evaluations <= want.evaluations + atlas._STEP_SLACK
+        else:  # an end value within the margin, or not finite: plain bisection
             assert got.evaluations == want.evaluations
 
     def test_evaluations_count_every_sign_call(self, reference):

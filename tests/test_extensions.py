@@ -80,6 +80,15 @@ class TestDifficultyProfile:
                 DifficultyProfile(nodes=nodes)
         assert DifficultyProfile(nodes=np.int64(8)) == DifficultyProfile(nodes=8)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_difficulty_is_no_bool(self, value):
+        # DifficultyProfile(difficulty=True) used to pin hardness 1
+        with pytest.raises(ValueError) as info:
+            DifficultyProfile(difficulty=value)
+        assert str(info.value) == f"'difficulty' must be a number, got {value}"
+        with pytest.raises(ValueError, match=rf"^'kappa' must be a number, got {value}$"):
+            Rework(value)
+
     def test_quadrature_integrates_polynomials_exactly(self):
         hs, ws = unit_quadrature(8)
         assert float(np.sum(ws)) == pytest.approx(1.0, rel=1e-14)

@@ -286,6 +286,24 @@ class TestParamsValidation:
             with pytest.raises(ValueError, match="finite"):
                 build()
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_ability_rejects_a_bool(self, value):
+        # a bool is a number to the range checks: Ability(True, 0.5) had alpha 1
+        for args, name in (((value, 0.5), "alpha"), ((0.5, value), "beta")):
+            with pytest.raises(ValueError) as info:
+                Ability(*args)
+            assert str(info.value) == f"{name!r} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("name", ["b_w", "l_w", "b_i", "l_i", "xi", "tau", "p_a", "c_a", "p_w",
+                                      "kappa", "believed_p_a"])
+    def test_params_reject_a_bool_with_the_config_readers_message(self, reference, name):
+        # believed_p_a = True used to plan with p_a = 1; the message is params_from_dict's,
+        # as tests/test_cli.py's bool-number case pins it
+        for value in (True, False):
+            with pytest.raises(ValueError) as info:
+                replace(reference, **{name: value})
+            assert str(info.value) == f"{name!r} must be a number, got {value}"
+
     def test_tau_takes_any_finite_value(self, reference):
         # a standard below every quality a worker can reach is still a standard
         for tau in (-19.25, -1e308, 0.0, 1e308):

@@ -605,6 +605,19 @@ print([brute_force_action(params, ability, *{grid}) for params, ability in cases
             got = [brute_force_action(params, ability, *grid) for params, ability in scope["cases"]]
             assert repr(got) == fresh[grid]
 
+    def test_axes_are_built_once_per_grid_shape(self, reference):
+        # the d and s axes are kept beside the buffers, read-only, and follow a shape change
+        ability = Ability(0.4, 0.6)
+        for grid in ((5, 101), (11, 2001)):
+            brute_force_action(reference, ability, *grid)
+            d, s = solver._oracle_axes
+            brute_force_action(reference, ability, *grid)
+            assert solver._oracle_axes[0] is d and solver._oracle_axes[1] is s
+            assert d.ravel().tolist() == np.linspace(0.0, 1.0, grid[0]).tolist()
+            assert s.ravel().tolist() == np.linspace(0.0, 1.0, grid[1]).tolist()
+            assert (d.shape, s.shape) == ((grid[0], 1), (1, grid[1]))
+            assert not d.flags.writeable and not s.flags.writeable
+
     def test_oracle_argmax_locations(self, reference):
         act, _ = brute_force_action(reference, Ability(0.1, 0.2))
         assert (act.d, act.s) == (1.0, 0.0)
