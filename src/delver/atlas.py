@@ -211,9 +211,10 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
     seen = {}
 
     def sign(alpha):
-        if alpha not in seen:
-            seen[alpha] = fn(alpha)
-        return seen[alpha]
+        value = seen.get(alpha)
+        if value is None:
+            value = seen[alpha] = fn(alpha)
+        return value
 
     a, fa = 0.0, sign(0.0)
     if fa > 0.0:
@@ -227,17 +228,20 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
         doublings += 1
     b, margin, side = hi, _MARGIN * max(abs(fa), abs(fb)), 0
     steps = fa < -margin and fb > margin
-    lo, up, decided, budget = 0.0, hi, 0, len(seen) + _STEP_SLACK
+    # bisect's bracket after the bisect steps that (a, b) decides, and the sign calls
+    # allowed so far: _STEP_SLACK more than the ends, plus one per decided bisect step
+    lo, up, limit = 0.0, hi, len(seen) + _STEP_SLACK
     x = guess
     while steps and b - a > _ALPHA_TOL:
-        # bisect's steps from [0, hi] while its midpoint lies outside (a, b) need no call
-        while up - lo > _ALPHA_TOL and not a < (mid := 0.5 * (lo + up)) < b:
+        # a bisect step whose midpoint lies outside (a, b) needs no call; such steps are
+        # counted only once the calls come within 3 (a step and two probes) of the limit
+        while len(seen) + 3 > limit and not a < (mid := 0.5 * (lo + up)) < b:
             if mid <= a:
                 lo = mid
             else:
                 up = mid
-            decided += 1
-        if len(seen) >= budget + decided:
+            limit += 1
+        if len(seen) >= limit:
             x = mid
         elif x is None or not a < x < b:
             x = a - fa * (b - a) / (fb - fa)
@@ -253,7 +257,7 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
                 fa *= 0.5
             b, fb, side = x, fx, 1
         else:
-            if len(seen) + 2 <= budget + decided:
+            if len(seen) + 2 <= limit:
                 for probe in (x - _ALPHA_TOL, x + _ALPHA_TOL):
                     if a < probe < b:
                         fp = sign(probe)

@@ -133,11 +133,14 @@ class ExecutionCost:
         return self.scale / beta
 
 
+_BOOLS = frozenset({bool, np.bool_})  # neither type can be subclassed
+
+
 def reject_bools(obj, names) -> None:
     """Reject a bool in the named number fields of obj, as a config file's reader does."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, (bool, np.bool_)):
+        if type(value) in _BOOLS:
             raise ValueError(f"{name!r} must be a number, got {value!r}")
 
 
@@ -149,7 +152,8 @@ class Ability:
     beta: float
 
     def __post_init__(self):
-        reject_bools(self, ("alpha", "beta"))
+        if type(self.alpha) in _BOOLS or type(self.beta) in _BOOLS:  # an Ability is built per step
+            reject_bools(self, ("alpha", "beta"))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 <= self.beta < math.inf:
