@@ -152,7 +152,8 @@ class Ability:
     beta: float
 
     def __post_init__(self):
-        if type(self.alpha) in _BOOLS or type(self.beta) in _BOOLS:  # an Ability is built per step
+        # two type lookups first, as an Ability is built for every boundary root search
+        if type(self.alpha) in _BOOLS or type(self.beta) in _BOOLS:
             reject_bools(self, ("alpha", "beta"))
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
