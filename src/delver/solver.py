@@ -422,11 +422,11 @@ def brute_force_action(params: ModelParams, ability: Ability,
         raise ValueError(f"grid has {d_steps * s_steps} cells, more than {_ORACLE_CELLS}")
     global _oracle_grids, _oracle_axes
     if _oracle_grids[0].shape != (d_steps, s_steps):
-        _oracle_grids = (np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps)))
-        _oracle_axes = (np.linspace(0.0, 1.0, d_steps)[:, None],
-                        np.linspace(0.0, 1.0, s_steps)[None, :])
-        for axis in _oracle_axes:
+        axes = (np.linspace(0.0, 1.0, d_steps)[:, None], np.linspace(0.0, 1.0, s_steps)[None, :])
+        for axis in axes:
             axis.flags.writeable = False
+        _oracle_grids = (np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps)))
+        _oracle_axes = axes  # after the buffers, so that the two always match
     p, u = _oracle_grids
     d, s = _oracle_axes
     c_w = params.execution_cost.cost(ability.beta)
