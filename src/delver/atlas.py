@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ _MARGIN = 2.0 ** -40  # _bisect_boundary's rounding allowance, relative to its e
 _STEP_SLACK = 8  # sign calls _bisect_boundary's steps may spend beyond plain bisection's
 _BETA_TOL = 1e-6
 _CSV_BLOCK_ROWS = 4096
+_CSV_DISTINCT_ROWS = 64  # shorter blocks are formatted row by row: np.unique costs ~9 us a call
 BOUNDARIES = ("psi0", "psi1", "psi", "psi_tau")  # the separatrices boundary_curve samples
 
 
@@ -82,12 +84,17 @@ class QualityReport:
 
 @dataclass(frozen=True)
 class RootResult:
-    """A boundary location in alpha, flagged when no sign change was found."""
+    """A boundary location in alpha, flagged when no sign change was found.
+
+    lo and hi are the search's final bracket, both the value at a search bound.
+    """
 
     value: float
     bracketed: bool
     side: str = ""
     evaluations: int = field(default=0, repr=False, compare=False)  # calls of the sign function
+    lo: float = field(default=math.nan, repr=False, compare=False)
+    hi: float = field(default=math.nan, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -218,12 +225,12 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
 
     a, fa = 0.0, sign(0.0)
     if fa > 0.0:
-        return RootResult(a, False, "low", len(seen))
+        return RootResult(a, False, "low", len(seen), a, a)
     hi = _ALPHA_MAX
     doublings = 0
     while (fb := sign(hi)) <= 0.0:
         if doublings >= _BRACKET_DOUBLINGS:
-            return RootResult(hi, False, "high", len(seen))
+            return RootResult(hi, False, "high", len(seen), hi, hi)
         hi *= 2.0
         doublings += 1
     b, margin, side = hi, _MARGIN * max(abs(fa), abs(fb)), 0
@@ -268,7 +275,7 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
             break
         x = None
     lo, hi = bisect(lambda alpha: alpha >= b or alpha > a and sign(alpha) > 0.0, 0.0, hi, _ALPHA_TOL)
-    return RootResult(0.5 * (lo + hi), True, evaluations=len(seen))
+    return RootResult(0.5 * (lo + hi), True, "", len(seen), lo, hi)
 
 
 def _warm_guess(roots: list, beta: float) -> float | None:
@@ -295,7 +302,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     far; its last two give the search's first guess.
     """
     if which == "psi":
-        base = RootResult(0.0, True) if beta < t else _boundary(params, "psi0", beta, t, history)
+        base = (RootResult(0.0, True, "", 0, 0.0, 0.0) if beta < t
+                else _boundary(params, "psi0", beta, t, history))
         other = _boundary(params, "psi_prime", beta, t, history)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
@@ -554,17 +562,47 @@ _LABEL_VALUES = {name: np.array([m.value for m in members], dtype=object)
                                        ("compliance_label", COMPLIANCE_LABELS))}
 
 
+def _csv_strings(column: np.ndarray) -> list:
+    """The CSV strings of a block of one column: floats as fmt writes them, the rest with str.
+
+    A numeric column formats each distinct value once and expands the
+    strings by np.unique's inverse index. Floats are keyed by their bits,
+    so -0.0 keeps its sign and every NaN still prints nan.
+    """
+    kind = column.dtype.kind
+    if kind not in "biuf":
+        values = column.tolist()  # a str is its own str
+        return values if set(map(type, values)) == {str} else list(map(str, values))
+    if kind == "f":
+        bits, inverse = np.unique(column.astype(float, copy=False).view(np.int64),
+                                  return_inverse=True)
+        text = list(map(float.__format__, bits.view(float).tolist(), repeat(".9g")))
+    else:
+        values, inverse = np.unique(column, return_inverse=True)
+        text = list(map(str, values.tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
 def write_csv(fileobj, columns):
     """Write columns, a list of (name, 1-d array) of one length, as CSV.
 
-    Float columns are written as fmt writes them, others with str. Each row
-    is formatted by one format string, a bounded block of rows at a time.
+    Float columns are written as fmt writes them, others with str, a
+    bounded block of rows at a time. A block is written column by column
+    through _csv_strings, or, below _CSV_DISTINCT_ROWS rows, by one format
+    string per row.
     """
+    first, n = columns[0][0], len(columns[0][1])
+    for name, column in columns:
+        if len(column) != n:
+            raise ValueError(f"CSV column {name!r} has {len(column)} rows, {first!r} has {n}")
     fileobj.write(",".join(name for name, _ in columns) + "\n")
     row = ",".join("%.9g" if column.dtype.kind == "f" else "%s" for _, column in columns) + "\n"
-    for start in range(0, len(columns[0][1]), _CSV_BLOCK_ROWS):
-        block = [column[start:start + _CSV_BLOCK_ROWS].tolist() for _, column in columns]
-        fileobj.write("".join(map(row.__mod__, zip(*block))))
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        block = [column[start:start + _CSV_BLOCK_ROWS] for _, column in columns]
+        if len(block[0]) < _CSV_DISTINCT_ROWS:
+            fileobj.write("".join(map(row.__mod__, zip(*(column.tolist() for column in block)))))
+        else:
+            fileobj.write("\n".join(map(",".join, zip(*map(_csv_strings, block)))) + "\n")
 
 
 def atlas_columns(grid: AtlasGrid) -> list:

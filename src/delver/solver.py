@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,11 +77,18 @@ class OptimalAction:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A root in beta, or the nearest domain boundary when no sign change exists."""
+    """A root in beta, or the nearest domain boundary when no sign change exists.
+
+    lo and hi are the search's final bracket, both the value when it is a
+    domain boundary; evaluations counts the calls of the searched function.
+    """
 
     value: float
     bracketed: bool
     note: str = ""
+    lo: float = field(default=math.nan, repr=False, compare=False)
+    hi: float = field(default=math.nan, repr=False, compare=False)
+    evaluations: int = field(default=0, repr=False, compare=False)
 
 
 def _surplus_slopes(kind: str, a, k, s, exp):
@@ -371,16 +378,21 @@ def manual_delegation_threshold(params: ModelParams) -> ThresholdResult:
     """
     lo, hi = _beta_search_interval(params)
     worker = params.worker_view()
+    calls = 0
 
     def gain(beta):
+        nonlocal calls
+        calls += 1
         return delegation_gain(worker, Ability(0.0, beta))
 
     if gain(hi) > 0.0:
-        return ThresholdResult(hi, False, "delegation beats manual work at every efficiency")
+        return ThresholdResult(hi, False, "delegation beats manual work at every efficiency",
+                               hi, hi, calls)
     if gain(lo) < 0.0:
-        return ThresholdResult(lo, False, "always manual-or-verified: delegation gain negative everywhere")
+        return ThresholdResult(lo, False, "always manual-or-verified: "
+                               "delegation gain negative everywhere", lo, lo, calls)
     lo, hi = bisect(lambda beta: not gain(beta) > 0.0, lo, hi, _THRESHOLD_TOL)
-    return ThresholdResult(0.5 * (lo + hi), True)
+    return ThresholdResult(0.5 * (lo + hi), True, "", lo, hi, calls)
 
 
 def qualification_threshold(params: ModelParams) -> ThresholdResult:
@@ -390,16 +402,20 @@ def qualification_threshold(params: ModelParams) -> ThresholdResult:
     range returns the boundary, flagged.
     """
     lo, hi = _beta_search_interval(params)
+    calls = 0
 
     def excess(beta):
+        nonlocal calls
+        calls += 1
         return institution_value(params, params.p_w, params.execution_cost.cost(beta)) - params.tau
 
     if excess(lo) > 0.0:
-        return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency")
+        return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency",
+                               lo, lo, calls)
     if excess(hi) < 0.0:
-        return ThresholdResult(hi, False, "baseline below tau at every efficiency")
+        return ThresholdResult(hi, False, "baseline below tau at every efficiency", hi, hi, calls)
     lo, hi = bisect(lambda beta: excess(beta) > 0.0, lo, hi, _THRESHOLD_TOL)
-    return ThresholdResult(0.5 * (lo + hi), True)
+    return ThresholdResult(0.5 * (lo + hi), True, "", lo, hi, calls)
 
 
 def brute_force_action(params: ModelParams, ability: Ability,

@@ -375,6 +375,35 @@ class TestSureBracket:
         assert both.evaluations == sum(r.evaluations for r in parts) > 0
         assert both == replace(both, evaluations=0) and "evaluations" not in repr(both)
 
+    @pytest.mark.parametrize("params", [*family_configs().values(), *_large_stakes_params()])
+    def test_final_brackets_hold_the_roots(self, params):
+        # a bracketed root or threshold lies in its final bracket [lo, hi], at most the
+        # tolerance wide; a search bound or a domain boundary is its own bracket
+        def check(res, tol):
+            if res.bracketed:
+                assert res.lo <= res.value <= res.hi and res.hi - res.lo <= tol
+            else:
+                assert res.lo == res.hi == res.value
+
+        t = manual_delegation_threshold(params)
+        check(t, dv.solver._THRESHOLD_TOL)
+        bracketed = 0
+        for case in _boundary_cases(params):
+            res = atlas._boundary(*case)
+            if res is not None:
+                check(res, atlas._ALPHA_TOL)
+                bracketed += res.bracketed
+            if case[1] == "psi_tau":
+                check(qualification_threshold(case[0]), dv.solver._THRESHOLD_TOL)
+        for beta in np.linspace(*beta_span(params), 21).tolist():
+            res = atlas._boundary(params, "psi", beta, t.value)
+            check(res, atlas._ALPHA_TOL)
+        assert bracketed > 0
+        # the bracket is in neither repr nor ==
+        moved = replace(res, lo=-1.0, hi=2.0)
+        assert moved == res and repr(moved) == repr(res)
+        assert replace(t, lo=-1.0, hi=2.0, evaluations=0) == t
+
 
 def _assert_rows_are_evaluate_point(grid, params, points):
     """Every column of grid equals evaluate_point at points, bit for bit.
@@ -399,6 +428,43 @@ def _assert_rows_are_evaluate_point(grid, params, points):
             assert np.array(got).tobytes() == np.array(want).tobytes(), f.name
         else:
             assert got == want, f.name
+
+
+def _per_cell_csv(columns):
+    """write_csv's text built one cell at a time: fmt for floats, str for the rest."""
+    lines = [",".join(name for name, _ in columns)]
+    for row in zip(*(column.tolist() for _, column in columns)):
+        lines.append(",".join(fmt(x) if column.dtype.kind == "f" else str(x)
+                              for x, (_, column) in zip(row, columns)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _csv_cases():
+    """Tables that exercise write_csv's blocks, by name."""
+    rows, floor = atlas._CSV_BLOCK_ROWS, atlas._CSV_DISTINCT_ROWS
+    k = np.arange(rows + 3)
+    # repeated values on both sides of the first block's last row; the 3-row last block
+    # is below the row floor
+    edge = np.where(k >= rows - 5, 1.0 / 3.0, 0.1 * (k % 7))
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000123], dtype=np.int64).view(float)
+    signed = np.resize(np.concatenate([[0.0, -0.0], nans, [1.5]]), floor)
+    table = np.array([(b, b * b, b > 0.5) for b in np.linspace(0.0, 1.0, floor + 1)])
+    labels = np.array(["improved", "", "a b"], dtype=object)
+    cases = {
+        "block_edge": [("x", edge), ("i", (k >= rows - 5) * 7 + k % 3), ("label", labels[k % 3])],
+        "signed_zeros_and_nans": [("x", signed), ("neg", -signed)],
+        # write_boundary_csv's columns: strided views of one table
+        "strided": [("beta", table[:, 0]), ("alpha", table[:, 1]),
+                    ("bracketed", table[:, 2].astype(np.int64))],
+        "bool_and_int64": [("b", k[:floor] % 3 == 0),
+                           ("i", np.resize(np.array([0, -7, 2**62, -2**63]), floor))],
+        "empty": [("x", np.zeros(0)), ("i", np.zeros(0, dtype=np.int64)), ("label", labels[:0])],
+    }
+    # one block on each side of the row floor, alone and after a full block
+    for n in (floor - 1, floor, rows + floor - 1, rows + floor):
+        cases[f"rows_{n}"] = [("x", 0.5 * (k[:n] % 5) - 1.0), ("f", np.sqrt(k[:n] % 11)),
+                              ("i", k[:n] % 4), ("label", labels[k[:n] % 3])]
+    return cases
 
 
 class TestSweep:
@@ -560,13 +626,35 @@ class TestSweep:
         floats = np.array([-0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 0.1, 123456789.5])
         ints = np.array([0, 1, -7, 2**62, 3, 4, 5, 6])
         labels = np.array(["improved", "loss", "", "a b", "x", "y", "z", "w"], dtype=object)
+        columns = [("f", floats), ("i", ints), ("label", labels)]
         buf = io.StringIO()
-        write_csv(buf, [("f", floats), ("i", ints), ("label", labels)])
-        assert buf.getvalue().splitlines() == ["f,i,label"] + [
-            f"{fmt(f)},{i},{label}" for f, i, label in zip(floats.tolist(), ints.tolist(), labels)]
+        write_csv(buf, columns)
+        assert buf.getvalue() == _per_cell_csv(columns)
         assert buf.getvalue().splitlines()[1:7] == [
             "-0,0,improved", "nan,1,loss", "inf,-7,", f"-inf,{2**62},a b", "1e-300,3,x",
             "4.94065646e-324,4,y"]
+
+    @pytest.mark.parametrize("case", sorted(_csv_cases()))
+    def test_write_csv_blocks_match_the_per_cell_reference(self, case):
+        columns = _csv_cases()[case]
+        buf = io.StringIO()
+        write_csv(buf, columns)
+        assert buf.getvalue() == _per_cell_csv(columns)
+
+    def test_write_csv_keeps_signed_zeros_and_prints_every_nan_as_nan(self):
+        buf = io.StringIO()
+        write_csv(buf, _csv_cases()["signed_zeros_and_nans"])
+        assert buf.getvalue().splitlines()[:6] == [
+            "x,neg", "0,-0", "-0,0", "nan,nan", "nan,nan", "1.5,-1.5"]
+        buf = io.StringIO()
+        write_csv(buf, _csv_cases()["empty"])
+        assert buf.getvalue() == "x,i,label\n"
+
+    def test_write_csv_rejects_columns_of_different_lengths(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="CSV column 'short' has 2 rows, 'x' has 3"):
+            write_csv(buf, [("x", np.zeros(3)), ("i", np.arange(3)), ("short", np.zeros(2))])
+        assert buf.getvalue() == ""
 
     def test_boundary_curve_restricts_domains(self, reference):
         betas = np.linspace(0.0, 1.0, 21)

@@ -373,6 +373,30 @@ class TestThresholds:
         assert res.value == pytest.approx(2.0 / 1.4, abs=1e-8)
 
 
+    @pytest.mark.parametrize("threshold, counted, tau", [
+        (manual_delegation_threshold, "delegation_gain", None),
+        (qualification_threshold, "institution_value", None),
+        (qualification_threshold, "institution_value", 1e6),  # flagged at the top
+        (qualification_threshold, "institution_value", -1e6),  # flagged at the bottom
+    ])
+    def test_thresholds_report_their_bracket_and_calls(self, reference, monkeypatch,
+                                                       threshold, counted, tau):
+        params = reference if tau is None else replace(reference, tau=tau)
+        calls = []
+        fn = getattr(solver, counted)
+        monkeypatch.setattr(solver, counted, lambda *args: calls.append(args) or fn(*args))
+        res = threshold(params)
+        assert res.evaluations == len(calls) > 0
+        if res.bracketed:
+            assert res.lo <= res.value <= res.hi and res.hi - res.lo <= solver._THRESHOLD_TOL
+        else:
+            assert res.lo == res.hi == res.value and res.evaluations <= 2
+        assert "lo=" not in repr(res) and res == replace(res, lo=0.0, hi=0.0, evaluations=0)
+
+    def test_prohibitive_ai_cost_brackets_nothing(self):
+        res = manual_delegation_threshold(exponential_params(c_a=20.0))
+        assert (res.value, res.lo, res.hi, res.evaluations) == (0.0, 0.0, 0.0, 2)
+
 # inverse-efficiency execution cost 5 / beta on the reference profile: the
 # roots below lie above 8192, where one ulp of beta exceeds the 1e-12 tolerance
 LARGE_ROOT_PARAMS = """
