@@ -646,9 +646,6 @@ class TestSweep:
         write_csv(buf, _csv_cases()["signed_zeros_and_nans"])
         assert buf.getvalue().splitlines()[:6] == [
             "x,neg", "0,-0", "-0,0", "nan,nan", "nan,nan", "1.5,-1.5"]
-        buf = io.StringIO()
-        write_csv(buf, _csv_cases()["empty"])
-        assert buf.getvalue() == "x,i,label\n"
 
     def test_write_csv_rejects_columns_of_different_lengths(self):
         buf = io.StringIO()
