@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .atlas import QualityReport, evaluate_point, solve_actions, solve_points
-from .model import Ability, ModelParams, check_kappa, point_params, reject_bools
+from .model import Ability, ModelParams, check_kappa, reject_bools
 from .solver import OptimalAction, bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
@@ -52,9 +52,6 @@ class DifficultyProfile:
     def values_at(self, h) -> dict:
         """point_params' values at difficulty h, a float or an array of levels."""
         return {name: intercept + slope * h for name, (intercept, slope) in _PROFILE.items()}
-
-    def params_at(self, base: ModelParams, h: float) -> ModelParams:
-        return point_params(base, **self.values_at(h))
 
 
 @dataclass(frozen=True)

@@ -95,22 +95,6 @@ class LeverTarget:
     feasible: bool
 
 
-def _first_feasible_radius(predicate, r_max: float):
-    """Smallest r in (0, r_max] with predicate(r), scanning then bisecting to 1e-9.
-
-    The scan tolerates quality that is flat or dips along the ray (regime
-    flips); bisection runs on the predicate inside the first bracket where
-    it switches on.
-    """
-    lo = 0.0
-    for i in range(1, _LEVER_SCAN + 1):
-        r = r_max * i / _LEVER_SCAN
-        if predicate(r):
-            return bisect(predicate, lo, r, _LEVER_TOL)[1]
-        lo = r
-    return None
-
-
 def _beta_cap(params: ModelParams) -> float:
     hi = params.execution_cost.beta_domain()[1]
     return _BETA_CAP if math.isinf(hi) else hi
@@ -161,11 +145,14 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
             rays.append((ua, ub, r_max))
     ua, ub, r_max = np.array(rays, dtype=float).reshape(-1, 3).T
 
+    def point(ray, r):
+        # the abilities at radius r along the ray; np.minimum guards a few ulps
+        # of overshoot when r reaches the cap
+        return (np.minimum(_ALPHA_CAP, ability.alpha + r * ua[ray]),
+                np.minimum(beta_cap, ability.beta + r * ub[ray]))
+
     def feasible(ray, r):
-        # np.minimum guards a few ulps of overshoot when r reaches the cap
-        trial = solve_points(params, np.minimum(_ALPHA_CAP, ability.alpha + r * ua[ray]),
-                             np.minimum(beta_cap, ability.beta + r * ub[ray]))
-        return trial.q >= tau - qtol
+        return solve_points(params, *point(ray, r)).q >= tau - qtol
 
     # first feasible scan index per ray (0 while none is found), by doubling blocks
     first = np.zeros(len(r_max), dtype=np.int64)
@@ -188,18 +175,17 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     hi = r_max[found] * first[found] / _UPSKILL_SCAN
     radii = bisect_array(lambda k, mid: feasible(found[k], mid), lo, hi, _UPSKILL_TOL)[1]
 
-    steps = []  # (cost, d_alpha, d_beta) per found direction, in angle order
+    steps = []  # (cost, ray, r) per found direction, in angle order
     for ray, r in zip(found.tolist(), radii.tolist()):
-        d_alpha, d_beta = r * float(ua[ray]), r * float(ub[ray])
         cost = 0.0
         if cost_model.h_alpha is not None:
-            cost += cost_model.h_alpha(d_alpha)
+            cost += cost_model.h_alpha(r * float(ua[ray]))
         if cost_model.h_beta is not None:
-            cost += cost_model.h_beta(d_beta)
-        steps.append((cost, d_alpha, d_beta))
-    cost, d_alpha, d_beta = min(steps, key=lambda step: step[0])  # the first of equal costs
-    achieved = quality(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta)).q
-    return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
+            cost += cost_model.h_beta(r * float(ub[ray]))
+        steps.append((cost, ray, r))
+    cost, ray, r = min(steps, key=lambda step: step[0])  # the first of equal costs
+    achieved = quality(params, Ability(*map(float, point(ray, r)))).q
+    return UpskillPlan(r * float(ua[ray]), r * float(ub[ray]), cost, achieved, True)
 
 
 # LeverResult.lever -> the parameters after that lever moves by delta
@@ -239,24 +225,30 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTar
     """
     tau = params.tau
     qtol = 1e-9 * (1.0 + abs(tau))
-    levers = {"alpha": (ability.alpha, _ALPHA_CAP), "beta": (ability.beta, _beta_cap(params)),
-              "p_a": (params.p_a, 1.0)}  # lever: (current value, cap)
+    # lever: (current value, cap, the (params, ability) with the lever at x)
+    levers = {"alpha": (ability.alpha, _ALPHA_CAP, lambda x: (params, Ability(x, ability.beta))),
+              "beta": (ability.beta, _beta_cap(params),
+                       lambda x: (params, Ability(ability.alpha, x))),
+              "p_a": (params.p_a, 1.0, lambda x: (replace(params, p_a=x), ability))}
     if lever not in levers:
         raise ValueError(f"unknown lever {lever!r}; expected alpha, beta, or p_a")
-    current, hi = levers[lever]
+    current, hi, at = levers[lever]
 
     def reaches(x):
-        if lever == "p_a":
-            return quality(replace(params, p_a=x), ability).q >= tau - qtol
-        moved = Ability(x, ability.beta) if lever == "alpha" else Ability(ability.alpha, x)
-        return quality(params, moved).q >= tau - qtol
+        return quality(*at(x)).q >= tau - qtol
 
     if reaches(current):
         return LeverTarget(lever, current, True)
     span = hi - current
     if span <= 0:
         return LeverTarget(lever, current, False)
-    r = _first_feasible_radius(lambda r: reaches(min(hi, current + r)), span)
-    if r is None:
-        return LeverTarget(lever, hi, False)
-    return LeverTarget(lever, min(hi, current + r), True)
+    # the scan tolerates quality that is flat or dips along the lever (regime
+    # flips); bisection runs inside the first bracket where reaches switches on
+    lo = 0.0
+    for i in range(1, _LEVER_SCAN + 1):
+        r = span * i / _LEVER_SCAN
+        if reaches(min(hi, current + r)):
+            r = bisect(lambda r: reaches(min(hi, current + r)), lo, r, _LEVER_TOL)[1]
+            return LeverTarget(lever, min(hi, current + r), True)
+        lo = r
+    return LeverTarget(lever, hi, False)

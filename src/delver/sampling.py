@@ -16,6 +16,10 @@ from .model import (
     Ability, Detection, ExecutionCost, ModelParams, VerificationCost,
 )
 
+# efficiency interval per execution cost family that sample_params' viability
+# slack covers, and that sample_ability draws beta from
+_BETA_SPAN = {LINEAR_IN_EFFICIENCY: (0.0, 1.0), INVERSE_EFFICIENCY: (0.2, 3.0)}
+
 
 def sample_params(rng: np.random.Generator, execution_kind: str | None = None) -> ModelParams:
     if execution_kind is None:
@@ -31,11 +35,9 @@ def sample_params(rng: np.random.Generator, execution_kind: str | None = None) -
     p_a = float(rng.uniform(0.2, 0.9))
     p_w = float(rng.uniform(0.3, 0.95))
     l_w = float(rng.uniform(0.0, 4.0))
-    # worst-case manual cost over the abilities sample_ability can draw
-    if execution_kind == LINEAR_IN_EFFICIENCY:
-        c_w_max = execution.scale
-    else:
-        c_w_max = execution.scale / 0.2
+    # worst-case manual cost over the abilities sample_ability can draw: C_w
+    # falls as beta rises, so it is the cost at the low end of the span
+    c_w_max = execution.cost(_BETA_SPAN[execution_kind][0])
     # keep g_w = (b_w + l_w) p_w - l_w - c_w >= 0 with slack everywhere
     b_w = ((l_w + c_w_max) / p_w - l_w) * float(rng.uniform(1.05, 2.5))
     stakes = b_w + l_w
@@ -58,6 +60,4 @@ def sample_ability(rng: np.random.Generator, params: ModelParams) -> Ability:
 
 def beta_span(params: ModelParams) -> tuple[float, float]:
     """Efficiency interval compatible with sample_params' viability slack."""
-    if params.execution_cost.kind == LINEAR_IN_EFFICIENCY:
-        return 0.0, 1.0
-    return 0.2, 3.0
+    return _BETA_SPAN[params.execution_cost.kind]

@@ -791,6 +791,14 @@ class TestInterveneAndOracle:
                            "--alpha", "0.05", "--beta", "0.1", "--h1", "off")
         assert "d_beta 0.620000244\n" in out
 
+    def test_plan_ending_on_the_beta_cap_is_feasible(self, capsys):
+        # the plan's radius takes beta one ulp past its cap of 1
+        code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
+                             "--alpha", "1.6625022172705624", "--beta", "0.1760475257314348",
+                             "--tau", "9.547390386200268")
+        assert (code, err) == (0, "")
+        assert "feasible 1\n" in out
+
     @pytest.mark.parametrize("costs, message", [
         (["--h1", "off", "--h2", "off"], "at least one cost term must be enabled"),
         (["--h1", "quad:1"], "cost term must be linear:C, power:C:RHO, or off; got 'quad:1'"),

@@ -14,7 +14,7 @@ from delver.extensions import (
     _PROBE_LEVELS, DifficultyProfile, Rework, _branch, _smooth_breakpoints, expected_quality,
     rework_quality, unit_quadrature,
 )
-from delver.model import Ability, Action, ModelParams
+from delver.model import Ability, Action, ModelParams, point_params
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import bisect, manual_delegation_threshold, qualification_threshold
 
@@ -132,7 +132,7 @@ class TestDifficultyProfile:
     def test_zero_difficulty_has_no_execution_scale(self, reference):
         # why h = 0 is rejected: the execution cost scale 10 h is zero there
         with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
-            DifficultyProfile().params_at(reference, 0.0)
+            point_params(reference, **DifficultyProfile().values_at(0.0))
         assert DifficultyProfile(difficulty=1.0).difficulty == 1.0
 
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):

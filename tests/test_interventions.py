@@ -13,7 +13,7 @@ from delver.interventions import (
     CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain,
     minimal_lever, worker_upskill,
 )
-from delver.atlas import quality, sweep_grid
+from delver.atlas import quality, solve_points, sweep_grid
 from delver.model import Ability
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import bisect, bisect_array
@@ -284,6 +284,20 @@ class TestUpskill:
         with pytest.raises(ValueError, match=f"cost {word} must be finite"):
             CostTerm(kind, coefficient, exponent)
 
+    @pytest.mark.parametrize("model", [CostModel(), CostModel(h_alpha=None)],
+                             ids=["fan", "beta-only"])
+    def test_plan_ending_on_the_beta_cap_is_scored_at_the_cap(self, reference, model):
+        # the plan's radius takes beta one ulp past its cap of 1, outside the
+        # efficiency domain: the plan is scored at the cap, where it was found
+        alpha, beta, tau = 1.6625022172705624, 0.1760475257314348, 9.547390386200268
+        params = replace(reference, tau=tau)
+        plan = worker_upskill(params, Ability(alpha, beta), model)
+        assert plan.feasible
+        assert beta + plan.d_beta > 1.0
+        assert plan.achieved_q >= tau - 1e-9 * (1.0 + abs(tau))
+        capped = Ability(min(10.0, alpha + plan.d_alpha), min(1.0, beta + plan.d_beta))
+        assert plan.achieved_q == quality(params, capped).q
+
     def test_radii_equal_a_scalar_bisection_per_ray(self, monkeypatch, reference):
         searches = []  # (pred, lo, hi, tol, radii) of each fan bisection
 
@@ -312,6 +326,45 @@ class TestUpskill:
         assert any(p.feasible and p.cost > 0.0 for p in plans)
         text = "\n".join(map(repr, plans))
         assert hashlib.sha256(text.encode()).hexdigest() == UPSKILL_PLANS_DIGEST
+
+
+class TestCaps:
+    def test_searches_ask_only_about_points_inside_the_caps(self, monkeypatch):
+        asked = {"worker_upskill": [], "minimal_lever": []}  # search: [(params, alphas, betas)]
+        search = None
+
+        def record_quality(params, ability):
+            asked[search].append((params, np.array([ability.alpha]), np.array([ability.beta])))
+            return quality(params, ability)
+
+        def record_points(params, alpha, beta, **columns):
+            asked[search].append((params, np.asarray(alpha), np.asarray(beta)))
+            return solve_points(params, alpha, beta, **columns)
+
+        monkeypatch.setattr(interventions, "quality", record_quality)
+        monkeypatch.setattr(interventions, "solve_points", record_points)
+        for k, params in enumerate(family_configs().values()):
+            beta_cap = min(params.execution_cost.beta_domain()[1], 10.0)
+            ability = sample_ability(np.random.default_rng(1300 + k), params)
+            # targets at the alpha cap, the beta cap, both, and the p_a cap
+            taus = [quality(params, at).q for at in (Ability(10.0, ability.beta),
+                                                      Ability(ability.alpha, beta_cap),
+                                                      Ability(10.0, beta_cap))]
+            taus.append(quality(replace(params, p_a=1.0), ability).q)
+            for tau in taus:
+                target = replace(params, tau=tau)
+                search = "worker_upskill"
+                for model in (CostModel(), CostModel(h_beta=None), CostModel(h_alpha=None)):
+                    worker_upskill(target, ability, model)
+                search = "minimal_lever"
+                for lever in ("alpha", "beta", "p_a"):
+                    minimal_lever(target, ability, lever)
+        for points in asked.values():
+            assert sum(len(alpha) for _, alpha, _ in points) >= 1000
+            for params, alpha, beta in points:
+                assert alpha.max() <= 10.0
+                assert beta.max() <= min(params.execution_cost.beta_domain()[1], 10.0)
+                assert params.execution_cost.in_domain(beta).all()
 
 
 class TestCalibratedClinicianLevers:
