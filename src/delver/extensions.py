@@ -10,6 +10,7 @@ field believed_p_a, which the worker's side of the base model reads.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,9 @@ from .model import Ability, ModelParams, check_kappa, reject_bools
 from .solver import OptimalAction, bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
-_MAX_NODES = 1024  # leggauss builds a nodes x nodes matrix: 8 MiB here, 71 PiB at 1e8
+# Newton's method on the Legendre recurrence takes O(nodes^2) time: about
+# 35 ms at 1024 nodes in a fresh process, and years at 1e8
+_MAX_NODES = 1024
 # point_params' values at hardness h, as (intercept, slope) in h
 _PROFILE = {"p_w": (1.0, -0.5), "p_a": (1.0, -0.7), "execution_scale": (0.0, 10.0),
             "verification_rate": (0.5, 1.0)}
@@ -68,10 +71,47 @@ class Rework:
         check_kappa(self.kappa)
 
 
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes on [-1, 1] in ascending order, and their weights.
+
+    Newton's method on the roots of P_n in [0, 1), all at once, from the
+    starts cos(pi (k - 1/4) / (n + 1/2)), k = 1, 2, ...: each step evaluates
+    P_n by the three-term recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1)
+    P_(k-2), and P_n' from P_n and P_(n-1). From these starts every root's
+    step falls to 1e-15 or less by the 4th step (the 5th for 6 of the node
+    counts up to 1024), where the search stops; 10 steps is the cap. The
+    weights are 2 / ((1 - x)(1 + x) P_n'(x)^2), with the last step's P_n',
+    and the negative half mirrors the positive one exactly. Unlike numpy's
+    leggauss, which takes the nodes as eigenvalues of a nodes x nodes
+    matrix, it makes no LAPACK call, so it starts no BLAS thread.
+    """
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))
+    # odd n: the middle root is 0, where P_n(0) = 0 exactly, so no step moves it
+    x[n // 2:] = 0.0
+    for _ in range(10):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
+
+
 @functools.lru_cache(maxsize=32)
 def unit_quadrature(nodes: int):
-    """Gauss-Legendre nodes and weights on [0, 1], cached per node count and read-only."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes and weights on [0, 1], cached per node count and read-only.
+
+    The nodes come from Newton's method on the Legendre recurrence
+    (_gauss_legendre). A node count of another integer type, such as
+    np.int64(8), shares the arrays of the int.
+    """
+    if type(nodes) is not int:
+        return unit_quadrature(operator.index(nodes))
+    x, w = _gauss_legendre(nodes)
     h, w = 0.5 * (x + 1.0), 0.5 * w
     h.flags.writeable = w.flags.writeable = False
     return h, w

@@ -759,6 +759,28 @@ class TestGridCommands:
         assert (code, out, err) == (1, "", f"error: {info.value}\n")
         assert not path.exists()
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
+    def test_difficulty_after_a_fork_starts_no_thread(self):
+        # OpenBLAS stops its threads at a fork and starts one again at the next
+        # LAPACK call, which then spins on another core; numpy's leggauss made
+        # that call in the first integrated extend difficulty
+        code = f"""
+import contextlib, io, os
+from delver.cli import main
+pid = os.fork()
+if pid == 0:
+    os._exit(0)
+os.waitpid(pid, 0)
+before = len(os.listdir("/proc/self/task"))
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(["extend", "difficulty", "--config", {REFERENCE_CONFIG!r},
+                   "--alpha-range", "0.5:0.5:1", "--beta-range", "0.5:0.5:1"])
+print(status, before, len(os.listdir("/proc/self/task")))
+"""
+        status, before, after = map(int, run_isolated(code).split())
+        assert status == 0
+        assert after <= before
+
 
 class TestInterveneAndOracle:
     @pytest.mark.parametrize("costs", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import delver as dv
+from delver import extensions
 from delver.atlas import BOUNDARIES, boundary_curve, solve_points
 from delver.extensions import (
     _PROBE_LEVELS, DifficultyProfile, Rework, _branch, _smooth_breakpoints, expected_quality,
@@ -21,9 +22,12 @@ from delver.solver import bisect, manual_delegation_threshold, qualification_thr
 from conftest import family_configs
 
 # SHA-256 of the reprs of difficulty_reports(), taken at commit 6039a25 with
-# these profiles; the fourth had custom (intercept, slope) pairs until the
-# profile shape became fixed
-DIFFICULTY_REPORTS_DIGEST = "5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc"
+# these profiles (the fourth had custom (intercept, slope) pairs until the
+# profile shape became fixed) as 5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc,
+# and re-pinned when unit_quadrature's nodes moved from numpy's leggauss to
+# a Newton search: 71 of the 120 reprs moved, each within
+# test_reports_agree_with_leggauss_nodes' tolerance
+DIFFICULTY_REPORTS_DIGEST = "5c4a5513c8a91400513f3c2f295cb689794e4b30bb23f55eaad60ce260ab146a"
 DIFFICULTY_PROFILES = [
     DifficultyProfile(), DifficultyProfile(nodes=1), DifficultyProfile(nodes=8),
     DifficultyProfile(nodes=16), DifficultyProfile(difficulty=0.3),
@@ -89,14 +93,28 @@ class TestDifficultyProfile:
         with pytest.raises(ValueError, match=rf"^'kappa' must be a number, got {value}$"):
             Rework(value)
 
-    def test_quadrature_integrates_polynomials_exactly(self):
-        hs, ws = unit_quadrature(8)
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 255, 1024])
+    def test_quadrature_integrates_polynomials_exactly(self, n):
+        hs, ws = unit_quadrature(n)
         assert float(np.sum(ws)) == pytest.approx(1.0, rel=1e-14)
-        assert float(np.sum(ws * hs ** 5)) == pytest.approx(1.0 / 6.0, rel=1e-12)
+        # n nodes integrate degree 2n - 1 exactly
+        assert float(np.sum(ws * hs ** (2 * n - 1))) == pytest.approx(1.0 / (2 * n), rel=1e-13)
+        assert ws.tobytes() == ws[::-1].tobytes()
+        if n % 2:
+            assert hs[n // 2] == 0.5
+        # numpy's eigenvalue-based leggauss as the reference for the nodes
+        x, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(hs - 0.5 * (x + 1.0))) <= 2.2e-16
+
+    def test_one_node_is_the_midpoint(self):
+        hs, ws = unit_quadrature(1)
+        assert (hs.tolist(), ws.tolist()) == ([0.5], [1.0])
 
     def test_cached_quadrature_is_read_only(self):
         hs, ws = unit_quadrature(8)
         assert unit_quadrature(8)[0] is hs
+        # DifficultyProfile takes a numpy integer node count
+        assert unit_quadrature(np.int64(8))[0] is hs and unit_quadrature(np.int64(8))[1] is ws
         for array in (hs, ws):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -105,6 +123,24 @@ class TestDifficultyProfile:
     def test_reports_equal_the_per_level_integration(self):
         text = "\n".join(map(repr, difficulty_reports()))
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
+
+    def test_reports_agree_with_leggauss_nodes(self, monkeypatch):
+        # the digest above was re-pinned when the nodes moved from numpy's
+        # leggauss to the Newton search; the reports under leggauss's nodes
+        # and weights differ from it in the last digits only
+        reports = difficulty_reports()
+
+        def leggauss_quadrature(nodes):
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            return 0.5 * (x + 1.0), 0.5 * w
+
+        monkeypatch.setattr(extensions, "unit_quadrature", leggauss_quadrature)
+        for new, old in zip(reports, difficulty_reports(), strict=True):
+            assert (new.quality_label, new.compliance_label) == \
+                (old.quality_label, old.compliance_label)
+            for name in ("q", "q0", "gap"):
+                value = getattr(old, name)
+                assert abs(getattr(new, name) - value) <= 1e-13 * abs(value)
 
     def test_kinks_equal_a_scalar_bisection_per_kink(self, reference):
         rng = np.random.default_rng(17)

@@ -1,12 +1,13 @@
 """Library source: every name a module imports is read in it, no function
 takes the redo discount kappa as a parameter, no function but psi_tau takes
 the threshold tau beside params, no function takes a belief about the AI
-beside params, bisect_array's point budget is not a parameter, and the grid
-oracle shares no code with the solver.
+beside params, bisect_array's point budget is not a parameter, the grid
+oracle shares no code with the solver, and no module reaches numpy.linalg
+or numpy.polynomial.
 
 No linter ships with the project, so the checks walk each module's syntax
-tree. __init__.py is exempt, because it imports to re-export and defines
-no function.
+tree. __init__.py is exempt from all but the last, because it imports to
+re-export and defines no function.
 """
 
 import ast
@@ -177,3 +178,51 @@ def test_the_oracle_shares_no_code_with_the_solver():
     reads = shared_reads((SRC / "solver.py").read_text(), "brute_force_action")
     assert "check_overflow" in reads  # the walk sees the body
     assert [name for name in reads if name not in ("check_overflow", "Action")] == []
+
+
+# numpy.linalg calls LAPACK, and numpy.polynomial calls numpy.linalg (leggauss
+# takes its nodes from eigvalsh). After a fork, OpenBLAS starts a thread again
+# at the first such call, which then spins on another core.
+LAPACK_PATHS = ("numpy.linalg", "numpy.polynomial")
+
+
+def lapack_uses(source: str) -> list[tuple[int, str]]:
+    """The uses of LAPACK_PATHS in source, as (line, path), in line order.
+
+    A use is an import of either module, of a module under it or of a name
+    from it, or a read of either as an attribute of a name bound to numpy,
+    such as np.linalg.
+    """
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.partition(".")[0]: alias.name
+             for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    numpy_names = {name for name, module in bound.items() if "numpy" in (name, module)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in numpy_names):
+            names = [f"numpy.{node.attr}"]
+        else:
+            continue
+        found += [(node.lineno, path) for name in names for path in LAPACK_PATHS
+                  if name == path or name.startswith(path + ".")]
+    return sorted(found)
+
+
+def test_the_check_finds_lapack_uses():
+    source = ("import numpy as xp\nimport numpy.linalg\nfrom numpy.polynomial import legendre\n"
+              "from numpy import linalg as la, sqrt\nimport scipy.linalg\n"
+              "def f(x):\n    return xp.polynomial.legendre.leggauss(x), xp.sqrt(x), x.linalg\n"
+              "def g(x):\n    return numpy.linalg.eigvalsh(x)\n")
+    assert lapack_uses(source) == [(2, "numpy.linalg"), (3, "numpy.polynomial"),
+                                   (4, "numpy.linalg"), (7, "numpy.polynomial"),
+                                   (9, "numpy.linalg")]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_module_reaches_no_lapack(module):
+    assert lapack_uses((SRC / module).read_text()) == []
