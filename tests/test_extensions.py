@@ -21,12 +21,13 @@ from delver.solver import bisect, manual_delegation_threshold, qualification_thr
 
 from conftest import family_configs
 
-# SHA-256 of the reprs of difficulty_reports(), taken at commit 6039a25 with
-# these profiles (the fourth had custom (intercept, slope) pairs until the
-# profile shape became fixed) as 5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc,
-# and re-pinned when unit_quadrature's nodes moved from numpy's leggauss to
-# a Newton search: 71 of the 120 reprs moved, each within
-# test_reports_agree_with_leggauss_nodes' tolerance
+# SHA-256 of the reprs of difficulty_reports() with these profiles. Taken at
+# commit 6039a25 (the fourth profile had custom (intercept, slope) pairs until
+# the profile shape became fixed) as
+# 5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc, and
+# re-pinned when unit_quadrature's nodes moved from numpy's leggauss to a
+# Newton search: 71 of the 120 reprs moved, each within the tolerance of
+# test_reports_agree_with_leggauss_nodes
 DIFFICULTY_REPORTS_DIGEST = "5c4a5513c8a91400513f3c2f295cb689794e4b30bb23f55eaad60ce260ab146a"
 DIFFICULTY_PROFILES = [
     DifficultyProfile(), DifficultyProfile(nodes=1), DifficultyProfile(nodes=8),
@@ -125,9 +126,9 @@ class TestDifficultyProfile:
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
 
     def test_reports_agree_with_leggauss_nodes(self, monkeypatch):
-        # the digest above was re-pinned when the nodes moved from numpy's
-        # leggauss to the Newton search; the reports under leggauss's nodes
-        # and weights differ from it in the last digits only
+        # DIFFICULTY_REPORTS_DIGEST was re-pinned when the nodes moved from
+        # numpy's leggauss to the Newton search; the reports on leggauss's
+        # nodes and weights differ from the pinned ones in the last digits only
         reports = difficulty_reports()
 
         def leggauss_quadrature(nodes):
