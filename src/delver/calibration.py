@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import ClassVar
@@ -73,7 +73,10 @@ class Observables:
     c_wa: float
     pr_unchanged: float
     cost_assisted: float
-    decomposition_ok: bool
+
+    @property
+    def decomposition_ok(self):  # the assisted cost net of kept AI output is non-negative
+        return self.cost_assisted >= 0.0
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ class ClassificationResult:
     action: OptimalAction
     report: QualityReport
     lever_targets: dict[str, LeverTarget]
-    warnings: list[str] = field(default_factory=list)
-    min_viable_benefit_share: float = 0.0
+    warnings: list[str]
+    min_viable_benefit_share: float
 
 
 def fixture_path() -> Path:
@@ -209,8 +212,7 @@ def estimate_observables(records: list[CaseRecord]) -> Observables:
     cost_assisted = c_wa - pr_unchanged * c_w
     return Observables(n=n, p_w=p_w, p_a=p_a, p_assisted=p_assisted,
                        c_w=c_w, c_wa=c_wa, pr_unchanged=pr_unchanged,
-                       cost_assisted=cost_assisted,
-                       decomposition_ok=cost_assisted >= 0.0)
+                       cost_assisted=cost_assisted)
 
 
 def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> CalibratedWorker:

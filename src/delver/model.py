@@ -132,6 +132,12 @@ class ExecutionCost:
             return self.scale * (1.0 - beta)
         return self.scale / beta
 
+    def efficiency_at(self, c_w):
+        """The beta where C_w is c_w, unchecked; under inverse_efficiency, inf for c_w <= 0."""
+        if self.kind == LINEAR_IN_EFFICIENCY:
+            return 1.0 - c_w / self.scale
+        return self.scale / c_w if c_w > 0.0 else math.inf
+
 
 _BOOLS = frozenset({bool, np.bool_})  # neither type can be subclassed
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ _NEWTON_MAX_ITER = 100
 # it; the Newton search starts there from _huge_bracket, and from [0, 1]
 # at or below it
 _HUGE_A = 2.0 ** 20
-_THRESHOLD_TOL = 1e-12
+_BETA_TOP = 2.0 ** 40  # thresholds search the beta domain, or [1e-12, _BETA_TOP] if unbounded
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
 # brute_force_action's two grid buffers, kept for the last grid shape so that
@@ -77,18 +77,11 @@ class OptimalAction:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A root in beta, or the nearest domain boundary when no sign change exists.
-
-    lo and hi are the search's final bracket, both the value when it is a
-    domain boundary; evaluations counts the calls of the searched function.
-    """
+    """A root in beta, or an end of the search interval, flagged, when no sign change exists."""
 
     value: float
     bracketed: bool
     note: str = ""
-    lo: float = field(default=math.nan, repr=False, compare=False)
-    hi: float = field(default=math.nan, repr=False, compare=False)
-    evaluations: int = field(default=0, repr=False, compare=False)
 
 
 def _surplus_slopes(kind: str, a, k, s, exp):
@@ -358,64 +351,62 @@ def bisect_array(pred, lo: np.ndarray, hi: np.ndarray, tol: float, steps: int | 
     return lo, hi
 
 
-def _beta_search_interval(params: ModelParams):
+def _efficiency_threshold(params: ModelParams, value, rising: bool, c_w: float | None,
+                          notes: tuple[str, str]) -> ThresholdResult:
+    """The beta where value, monotone in beta, changes sign: where C_w(beta) is c_w.
+
+    value is read at the end of the search interval where it is lowest, then
+    at the other. If it is positive at the first, or negative at the other,
+    that end is returned flagged, with notes[0] or notes[1]. Otherwise the
+    root is C_w's inverse at c_w, clamped to the interval; a c_w of None
+    means value is 0 at every beta, and returns the first end with notes[0].
+    """
     lo, hi = params.execution_cost.beta_domain()
     if math.isinf(hi):
-        hi = 1.0
-        # expand until the execution cost is negligible relative to its scale
-        while params.execution_cost.cost(hi) > 1e-12 * params.execution_cost.scale and hi < 1e12:
-            hi *= 2.0
-        lo = 1e-12
-    return lo, hi
+        lo, hi = 1e-12, _BETA_TOP
+    first, last = (lo, hi) if rising else (hi, lo)
+    if value(first) > 0.0:
+        return ThresholdResult(first, False, notes[0])
+    if value(last) < 0.0:
+        return ThresholdResult(last, False, notes[1])
+    if c_w is None:
+        return ThresholdResult(first, False, notes[0])
+    return ThresholdResult(min(hi, max(lo, params.execution_cost.efficiency_at(c_w))), True)
 
 
 def manual_delegation_threshold(params: ModelParams) -> ThresholdResult:
     """Efficiency level at which pure delegation and manual work break even.
 
-    The delegation gain is strictly decreasing in beta, so a sign change is
-    found by bisection; without one, the nearer domain boundary is returned
-    flagged. The gain is the worker's, under params.worker_view().
+    The delegation gain C_w(beta) - c_a - (b_w + l_w)(p_w - p_a) is strictly
+    decreasing in beta, and zero where C_w is minus the gain at C_w = 0;
+    without a sign change, the nearer domain boundary is returned flagged.
+    The gain is the worker's, under params.worker_view().
     """
-    lo, hi = _beta_search_interval(params)
     worker = params.worker_view()
-    calls = 0
-
-    def gain(beta):
-        nonlocal calls
-        calls += 1
-        return delegation_gain(worker, Ability(0.0, beta))
-
-    if gain(hi) > 0.0:
-        return ThresholdResult(hi, False, "delegation beats manual work at every efficiency",
-                               hi, hi, calls)
-    if gain(lo) < 0.0:
-        return ThresholdResult(lo, False, "always manual-or-verified: "
-                               "delegation gain negative everywhere", lo, lo, calls)
-    lo, hi = bisect(lambda beta: not gain(beta) > 0.0, lo, hi, _THRESHOLD_TOL)
-    return ThresholdResult(0.5 * (lo + hi), True, "", lo, hi, calls)
+    # the gain is the delegation increment at s = 0, where k_w phi and C_v are 0
+    return _efficiency_threshold(
+        params, lambda beta: delegation_gain(worker, Ability(0.0, beta)), False,
+        -worker_increment(worker, 0.0, 0.0, 0.0, 0.0),
+        ("delegation beats manual work at every efficiency",
+         "always manual-or-verified: delegation gain negative everywhere"))
 
 
 def qualification_threshold(params: ModelParams) -> ThresholdResult:
     """Efficiency at which the no-AI baseline quality reaches params.tau.
 
-    The baseline g_i is strictly increasing in beta. A tau outside its
-    range returns the boundary, flagged.
+    The baseline g_i(C_w(beta)) = g_i(0) - xi C_w(beta) is increasing in beta
+    and reaches tau where C_w is (g_i(0) - tau) / xi. A tau outside its range
+    returns the boundary, flagged, and so does a baseline flat at tau (xi = 0),
+    at the lowest efficiency.
     """
-    lo, hi = _beta_search_interval(params)
-    calls = 0
+    def excess(c_w):
+        return institution_value(params, params.p_w, c_w) - params.tau
 
-    def excess(beta):
-        nonlocal calls
-        calls += 1
-        return institution_value(params, params.p_w, params.execution_cost.cost(beta)) - params.tau
-
-    if excess(lo) > 0.0:
-        return ThresholdResult(lo, False, "baseline already above tau at the lowest efficiency",
-                               lo, lo, calls)
-    if excess(hi) < 0.0:
-        return ThresholdResult(hi, False, "baseline below tau at every efficiency", hi, hi, calls)
-    lo, hi = bisect(lambda beta: excess(beta) > 0.0, lo, hi, _THRESHOLD_TOL)
-    return ThresholdResult(0.5 * (lo + hi), True, "", lo, hi, calls)
+    return _efficiency_threshold(
+        params, lambda beta: excess(params.execution_cost.cost(beta)), True,
+        excess(0.0) / params.xi if params.xi > 0.0 else None,
+        ("baseline already above tau at the lowest efficiency",
+         "baseline below tau at every efficiency"))
 
 
 def brute_force_action(params: ModelParams, ability: Ability,

@@ -231,7 +231,7 @@ class TestInversion:
             n=200, p_w=params.p_w, p_a=params.p_a, p_assisted=p_assisted,
             c_w=params.execution_cost.cost(ability.beta),
             c_wa=cost_assisted + pr_unchanged * params.execution_cost.cost(ability.beta),
-            pr_unchanged=pr_unchanged, cost_assisted=cost_assisted, decomposition_ok=True)
+            pr_unchanged=pr_unchanged, cost_assisted=cost_assisted)
         recovered = cal.infer_ability(obs, t_v_max, t_w_max)
         assert recovered.alpha == pytest.approx(ability.alpha, rel=1e-6)
         assert recovered.beta == pytest.approx(ability.beta, rel=1e-6)
@@ -303,6 +303,6 @@ class TestClassification:
 def replace_obs(**changes):
     base = dict(n=38, p_w=17 / 38, p_a=14 / 38, p_assisted=15 / 38,
                 c_w=172.5, c_wa=203.05, pr_unchanged=0.5,
-                cost_assisted=116.8, decomposition_ok=True)
+                cost_assisted=116.8)
     base.update(changes)
     return cal.Observables(**base)

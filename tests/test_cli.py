@@ -962,6 +962,21 @@ class TestSelfcheck:
         code, out, err = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG, "--samples", "-3")
         assert (code, out, err) == (1, "", "error: --samples must be >= 0, got -3\n")
 
+    @pytest.mark.parametrize("family, t_tau", [("linear_in_efficiency", "0"),
+                                               ("inverse_efficiency", "1e-12")])
+    def test_baseline_flat_at_tau_prints_the_bottom_as_a_boundary(self, capsys, tmp_path,
+                                                                  family, t_tau):
+        # xi = 0 makes the baseline 7.5 at every efficiency, equal to tau: every
+        # efficiency qualifies, and neither the top of the search nor a near-top
+        # point may pass for a root
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited_config({
+            ("task_profile", "xi"): 0, ("task_profile", "tau"): 7.5,
+            ("functions", "execution_cost"): {"family": family, "scale": 5}})))
+        code, out, _ = run(capsys, "selfcheck", "--config", str(config), "--samples", "0")
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert lines["t_tau"] == f"{t_tau} (boundary)"
+
     def test_threshold_above_8192_finishes(self, tmp_path):
         # p_a close to p_w puts the manual-delegation threshold near 1.19e4,
         # where one ulp of beta is wider than the bisection tolerance

@@ -93,6 +93,26 @@ class TestCostFamilies:
         linear = ExecutionCost("linear_in_efficiency", 5.0)
         assert linear.cost(0.2) > linear.cost(0.8)
 
+    def test_unknown_families_are_rejected(self):
+        with pytest.raises(ValueError) as info:
+            VerificationCost("cubic")
+        assert str(info.value) == "unknown verification cost family: 'cubic'"
+        with pytest.raises(ValueError) as info:
+            ExecutionCost("logarithmic", 1.0)
+        assert str(info.value) == "unknown execution cost family: 'logarithmic'"
+
+    @pytest.mark.parametrize("kind", ["linear_in_efficiency", "inverse_efficiency"])
+    def test_efficiency_at_inverts_the_cost(self, kind):
+        cost = ExecutionCost(kind, 5.0)
+        for beta in (0.1, 0.35, 0.9):
+            assert cost.efficiency_at(cost.cost(beta)) == pytest.approx(beta, rel=1e-15)
+        # outside the domain the inverse is unchecked; under inverse_efficiency a
+        # cost at or below zero lies beyond every finite efficiency
+        linear = kind == "linear_in_efficiency"
+        assert cost.efficiency_at(6.0) == pytest.approx(-0.2 if linear else 5.0 / 6.0, rel=1e-15)
+        assert [cost.efficiency_at(c_w) for c_w in (0.0, -1.0)] == \
+            ([1.0, 1.2] if linear else [math.inf, math.inf])
+
 
 class TestPrimitives:
     def test_success_without_delegation_is_worker_rate(self, reference):
@@ -241,6 +261,15 @@ class TestAssumptions:
         report = check_assumptions(params, [Ability(0.5, 0.5)])
         assert not report.dominance_ok
         assert any("dominance" in v for v in report.violations)
+
+    def test_falling_detection_is_flagged(self, reference, monkeypatch):
+        # an effort that drops from 1 to 0 at alpha = 0.5 makes phi(s_dagger) fall there
+        monkeypatch.setattr(dv.solver, "optimal_verification",
+                            lambda params, ability: 1.0 if ability.alpha < 0.5 else 0.0)
+        report = check_assumptions(reference, [Ability(0.5, 0.5)])
+        assert not report.detection_monotone_ok and report.dominance_ok and report.viability_ok
+        assert report.violations == ["detection not monotone at Ability(alpha=0.5, beta=0.5): "
+                                     "d phi/d alpha=-2.5e+04"]
 
     def test_negative_phi_coefficient_is_flagged_not_fatal(self):
         params = ModelParams(

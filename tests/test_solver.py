@@ -3,7 +3,8 @@
 import hashlib
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,6 +333,27 @@ class TestOptimalAction:
             assert u_opt >= u_manual - 1e-12 * (1.0 + abs(u_manual))
 
 
+def exact_delegation_break_even(params):
+    """The C_w at which the worker's delegation gain is zero, as a Fraction."""
+    w = params.worker_view()
+    return Fraction(w.c_a) + (Fraction(w.b_w) + Fraction(w.l_w)) * (Fraction(w.p_w) - Fraction(w.p_a))
+
+
+def exact_qualification_break_even(params):
+    """The C_w at which the no-AI institutional baseline equals tau, as a Fraction."""
+    p_w = Fraction(params.p_w)
+    g0 = Fraction(params.b_i) * p_w - Fraction(params.l_i) * (1 - p_w)
+    return (g0 - Fraction(params.tau)) / Fraction(params.xi)
+
+
+def exact_beta(params, c_w):
+    """The beta at which the execution cost equals the Fraction c_w, as a Fraction."""
+    scale = Fraction(params.execution_cost.scale)
+    if params.execution_cost.kind == LINEAR_IN_EFFICIENCY:
+        return 1 - c_w / scale
+    return scale / c_w
+
+
 class TestThresholds:
     def test_reference_manual_delegation_threshold(self, reference):
         res = manual_delegation_threshold(reference)
@@ -373,32 +395,68 @@ class TestThresholds:
         assert res.value == pytest.approx(2.0 / 1.4, abs=1e-8)
 
 
-    @pytest.mark.parametrize("threshold, counted, tau", [
-        (manual_delegation_threshold, "delegation_gain", None),
-        (qualification_threshold, "institution_value", None),
-        (qualification_threshold, "institution_value", 1e6),  # flagged at the top
-        (qualification_threshold, "institution_value", -1e6),  # flagged at the bottom
+    @pytest.mark.parametrize("kind", [LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY])
+    @pytest.mark.parametrize("threshold, changes", [
+        (manual_delegation_threshold, {}),
+        (manual_delegation_threshold, {"p_a": 1.0}),  # flagged at the top
+        (manual_delegation_threshold, {"c_a": 1e15}),  # flagged at the bottom
+        (qualification_threshold, {}),
+        (qualification_threshold, {"tau": 1e6}),  # flagged at the top
+        (qualification_threshold, {"tau": -1e15}),  # flagged at the bottom
     ])
-    def test_thresholds_report_their_bracket_and_calls(self, reference, monkeypatch,
-                                                       threshold, counted, tau):
-        params = reference if tau is None else replace(reference, tau=tau)
+    def test_thresholds_read_the_model_at_most_twice(self, reference, monkeypatch, kind,
+                                                     threshold, changes):
+        # the gain or excess is read at the two ends of the interval, each
+        # through C_w(beta) once, and the root is C_w's inverse: no bisection
+        params = replace(reference, execution_cost=ExecutionCost(kind, 5.0), **changes)
         calls = []
-        fn = getattr(solver, counted)
-        monkeypatch.setattr(solver, counted, lambda *args: calls.append(args) or fn(*args))
+        cost = ExecutionCost.cost
+        monkeypatch.setattr(ExecutionCost, "cost",
+                            lambda self, beta: calls.append(beta) or cost(self, beta))
+        monkeypatch.setattr(solver, "bisect", None)
         res = threshold(params)
-        assert res.evaluations == len(calls) > 0
-        if res.bracketed:
-            assert res.lo <= res.value <= res.hi and res.hi - res.lo <= solver._THRESHOLD_TOL
-        else:
-            assert res.lo == res.hi == res.value and res.evaluations <= 2
-        assert "lo=" not in repr(res) and res == replace(res, lo=0.0, hi=0.0, evaluations=0)
+        assert 0 < len(calls) <= 2 and res.bracketed == (not changes)
+        assert [f.name for f in fields(res)] == ["value", "bracketed", "note"]
 
-    def test_prohibitive_ai_cost_brackets_nothing(self):
-        res = manual_delegation_threshold(exponential_params(c_a=20.0))
-        assert (res.value, res.lo, res.hi, res.evaluations) == (0.0, 0.0, 0.0, 2)
+    @pytest.mark.parametrize("threshold, break_even", [
+        (manual_delegation_threshold, exact_delegation_break_even),
+        (qualification_threshold, exact_qualification_break_even),
+    ])
+    def test_thresholds_are_exact_to_rounding(self, threshold, break_even):
+        # against the root of the model's expression in exact rational
+        # arithmetic from the float inputs
+        rng = np.random.default_rng(7)
+        bracketed = 0
+        for _ in range(400):
+            params = sample_params(rng)
+            res = threshold(params)
+            if res.bracketed:
+                bracketed += 1
+                root = exact_beta(params, break_even(params))
+                assert abs(Fraction(res.value) - root) <= Fraction(1e-13) * abs(root)
+        assert bracketed > 50
+
+    @pytest.mark.parametrize("kind", [LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY])
+    def test_baseline_flat_at_tau_is_flagged_at_the_bottom(self, reference, kind):
+        # with xi = 0 the baseline does not move with beta; at tau, every
+        # efficiency qualifies, and the lowest one is returned, flagged
+        params = replace(reference, xi=0.0, tau=7.5, execution_cost=ExecutionCost(kind, 5.0))
+        assert dv.coefficients(params, Ability(0.0, 0.5), 0.0).g_i == 7.5
+        res = qualification_threshold(params)
+        lo = 0.0 if kind == LINEAR_IN_EFFICIENCY else 1e-12
+        assert res == dv.ThresholdResult(lo, False,
+                                         "baseline already above tau at the lowest efficiency")
+
+    def test_zero_break_even_cost_reaches_the_top(self, reference):
+        # c_a + (b_w + l_w)(p_w - p_a) = 1e4 - 1e4 = 0: scale / C_w has no finite
+        # root, and the gain at 2^40 rounds to 0, so the top is the break-even
+        params = replace(reference, b_w=1.5e4, l_w=5e3, p_w=0.25, p_a=0.75, c_a=1e4,
+                         execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 1.0))
+        assert manual_delegation_threshold(params) == dv.ThresholdResult(2.0 ** 40, True)
+
 
 # inverse-efficiency execution cost 5 / beta on the reference profile: the
-# roots below lie above 8192, where one ulp of beta exceeds the 1e-12 tolerance
+# roots below lie above 8192, where one ulp of beta exceeds 1e-12
 LARGE_ROOT_PARAMS = """
 from dataclasses import replace
 import delver as dv

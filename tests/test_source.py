@@ -1,4 +1,5 @@
-"""Library source: every name a module imports is read in it, no function
+"""Library source: every name a module imports is read in it, every
+module-level constant is read somewhere in the package, no function
 takes the redo discount kappa as a parameter, no function but psi_tau takes
 the threshold tau beside params, no function takes a belief about the AI
 beside params, bisect_array's point budget is not a parameter, the grid
@@ -6,11 +7,12 @@ oracle shares no code with the solver, and no module reaches numpy.linalg
 or numpy.polynomial.
 
 No linter ships with the project, so the checks walk each module's syntax
-tree. __init__.py is exempt from all but the last, because it imports to
-re-export and defines no function.
+tree. __init__.py is exempt from all but the constant check and the last,
+because it imports to re-export and defines no function.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,48 @@ def test_the_check_finds_unused_names():
 def test_module_reads_every_name_it_imports(module):
     assert MODULES  # the glob found the package
     assert unused_imports((SRC / module).read_text()) == []
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*\Z")
+
+
+def unread_constants(sources: dict[str, str]) -> tuple[int, list[str]]:
+    """(count, unread): the module-level constants of sources, and those no source reads.
+
+    sources maps a module name to its text. A constant is a name in capitals
+    bound by an assignment at module level; a read is a load of the name, or
+    of an attribute of that name, such as model.LINEAR, in any module.
+    unread lists them as module:name, in module and line order.
+    """
+    constants, reads = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                       else node.targets if isinstance(node, ast.Assign) else [])
+            constants += [(module, n.id) for target in targets for n in ast.walk(target)
+                          if isinstance(n, ast.Name) and CONSTANT.match(n.id)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.add(n.attr)
+    constants = list(dict.fromkeys(constants))
+    return len(constants), [f"{m}:{name}" for m, name in constants if name not in reads]
+
+
+def test_the_check_finds_unread_constants():
+    sources = {"a.py": "TOL = 1e-12\n_STEP, _CAP = 2, 3\nLEVELS: tuple = ()\nlower = 1\n"
+                       "def f(x, TOL=TOL):\n    _CAP = 4\n    return x\n",
+               "b.py": "from . import a\nfrom .a import LEVELS\ndef g():\n    return a._STEP\n"}
+    assert unread_constants(sources) == (4, ["a.py:_CAP", "a.py:LEVELS"])
+
+
+def test_package_reads_every_constant():
+    count, unread = unread_constants({path.name: path.read_text()
+                                      for path in sorted(SRC.glob("*.py"))})
+    assert count > 40  # the walk sees the constants
+    assert unread == []
 
 
 def functions_taking(source: str, *names: str) -> list[str]:
