@@ -979,7 +979,7 @@ class TestSelfcheck:
 
     def test_threshold_above_8192_finishes(self, tmp_path):
         # p_a close to p_w puts the manual-delegation threshold near 1.19e4,
-        # where one ulp of beta is wider than the bisection tolerance
+        # where one ulp of beta is wider than 1e-12
         doc = json.loads(Path(REFERENCE_CONFIG).read_text())
         doc["functions"]["execution_cost"] = {"family": "inverse_efficiency", "scale": 5}
         doc["ai"]["p_a"] = 0.74997
