@@ -1,9 +1,9 @@
 """Quality regimes and the separatrices that bound them in ability space.
 
-Quality is institutional utility evaluated at the worker's privately
-optimal action. The boundaries psi0 (manual vs verified delegation),
-psi1 (pure vs verified delegation), psi (quality improvement), and
-psi_tau (qualification) are found by bisection in alpha, relying on the
+Quality is institutional utility at the worker's privately optimal
+action. psi1 (pure vs verified delegation) is in closed form; psi0
+(manual vs verified delegation), psi (quality improvement), and psi_tau
+(qualification) are found by bisection in alpha, relying on the
 monotonicity of the underlying quantities. Grid sweeps solve the whole
 map in one array pass and hold it as columns for CSV emission.
 """
@@ -294,12 +294,11 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     """One separatrix at efficiency beta, or None outside its beta domain.
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
-    for beta <= t, each up to 1e-9. The sign function evaluates the model's
-    formulas in the model's order from what depends on beta alone. The
-    worker's terms (k_w and psi0's delegation gain) are read under
-    params.worker_view(), the institution's under params. history, kept by
-    boundary_curve, holds each search's bracketed (beta, root) pairs so
-    far; its last two give the search's first guess.
+    for beta <= t, each up to 1e-9. psi1 is closed form; the other sign
+    functions evaluate the model's formulas in the model's order from what
+    depends on beta alone, the worker's terms (k_w, psi0's gain) under
+    params.worker_view(). history, kept by boundary_curve, holds each
+    search's bracketed (beta, root) pairs; its last two give its first guess.
     """
     if which == "psi":
         base = (RootResult(0.0, True, "", 0, 0.0, 0.0) if beta < t
@@ -314,15 +313,16 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     c_w = params.execution_cost.cost(beta)
     worker = params.worker_view()
     k_w, k_i = phi_coefficients(worker, c_w)[0], phi_coefficients(params, c_w)[1]
-    c_v0 = vcost.slope(0.0)
+    if which == "psi1":  # k_w phi'(0) = k_w scale alpha meets C_v'(0), in both families
+        root = vcost.slope(0.0) / slope if (slope := k_w * det.scale) > 0.0 else math.inf
+        value = min(root, cap := _ALPHA_MAX * 2.0 ** _BRACKET_DOUBLINGS)  # the searches' cap
+        return RootResult(value, root <= cap, "" if root <= cap else "high", 0, value, value)
     g_i = institution_value(params, params.p_w, c_w)
     tau = params.tau
     # -gain clamped at zero, as psi0's domain guarantees up to rounding, keeps psi0(t) = psi1(t)
     rhs = max(0.0, -delegation_gain(worker, ability)) if which == "psi0" else 0.0
 
     def sign(alpha):
-        if which == "psi1":  # the marginal verification surplus at zero effort
-            return k_w * float(det.slope(alpha, 0.0)) - c_v0
         s = maximize_surplus(det, alpha, vcost, k_w)
         phi = float(det.prob(alpha, s))
         c_v = vcost.cost(s)

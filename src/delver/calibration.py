@@ -308,7 +308,7 @@ def classify_calibrated(worker: CalibratedWorker,
     params = assemble_params(worker, institution)
     ability = Ability(worker.alpha, worker.beta)
     warnings = []
-    if not params.dominance_holds():
+    if not params.misalignment > 0.0:
         warnings.append("institutional dominance violated for this parameterization")
     coef = coefficients(params, ability, 0.0)
     if coef.g_w < 0:

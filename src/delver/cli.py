@@ -277,7 +277,7 @@ def cmd_selfcheck(args):
     report = check_assumptions(params, [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)])
     _emit(args, {"t": fmt(t.value) + ("" if t.bracketed else " (boundary)"),
                  "t_tau": fmt(t_tau.value) + ("" if t_tau.bracketed else " (boundary)"),
-                 "dominance": params.dominance_holds(), "assumptions_ok": report.all_ok})
+                 "dominance": params.misalignment > 0.0, "assumptions_ok": report.all_ok})
     for issue in report.violations:
         print(f"violation {issue}")
     rng = np.random.default_rng(args.seed)

@@ -145,14 +145,15 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
             rays.append((ua, ub, r_max))
     ua, ub, r_max = np.array(rays, dtype=float).reshape(-1, 3).T
 
-    def point(ray, r):
-        # the abilities at radius r along the ray; np.minimum guards a few ulps
-        # of overshoot when r reaches the cap
-        return (np.minimum(_ALPHA_CAP, ability.alpha + r * ua[ray]),
-                np.minimum(beta_cap, ability.beta + r * ub[ray]))
+    def increments(ray, r):
+        # (d_alpha, d_beta) at radius r along the ray; np.minimum guards a few ulps
+        # of overshoot when r reaches a cap, so the ability plus them stays inside it
+        return (np.minimum(r * ua[ray], _ALPHA_CAP - ability.alpha),
+                np.minimum(r * ub[ray], beta_cap - ability.beta))
 
     def feasible(ray, r):
-        return solve_points(params, *point(ray, r)).q >= tau - qtol
+        d_alpha, d_beta = increments(ray, r)
+        return solve_points(params, ability.alpha + d_alpha, ability.beta + d_beta).q >= tau - qtol
 
     # first feasible scan index per ray (0 while none is found), by doubling blocks
     first = np.zeros(len(r_max), dtype=np.int64)
@@ -175,17 +176,17 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     hi = r_max[found] * first[found] / _UPSKILL_SCAN
     radii = bisect_array(lambda k, mid: feasible(found[k], mid), lo, hi, _UPSKILL_TOL)[1]
 
-    steps = []  # (cost, ray, r) per found direction, in angle order
-    for ray, r in zip(found.tolist(), radii.tolist()):
+    steps = []  # (cost, d_alpha, d_beta) per found direction, in angle order
+    for d_alpha, d_beta in np.column_stack(increments(found, radii)).tolist():
         cost = 0.0
         if cost_model.h_alpha is not None:
-            cost += cost_model.h_alpha(r * float(ua[ray]))
+            cost += cost_model.h_alpha(d_alpha)
         if cost_model.h_beta is not None:
-            cost += cost_model.h_beta(r * float(ub[ray]))
-        steps.append((cost, ray, r))
-    cost, ray, r = min(steps, key=lambda step: step[0])  # the first of equal costs
-    achieved = quality(params, Ability(*map(float, point(ray, r)))).q
-    return UpskillPlan(r * float(ua[ray]), r * float(ub[ray]), cost, achieved, True)
+            cost += cost_model.h_beta(d_beta)
+        steps.append((cost, d_alpha, d_beta))
+    cost, d_alpha, d_beta = min(steps, key=lambda step: step[0])  # the first of equal costs
+    achieved = quality(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta)).q
+    return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
 
 
 # LeverResult.lever -> the parameters after that lever moves by delta

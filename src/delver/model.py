@@ -238,9 +238,10 @@ class ModelParams:
     def institution_stakes(self):
         return self.b_i + self.l_i
 
-    def dominance_holds(self):
-        """Institutional stakes exceed discounted worker stakes."""
-        return self.institution_stakes > self.xi * self.worker_stakes
+    @property
+    def misalignment(self):
+        """S_i - xi S_w, with S = b + l: institutional dominance is misalignment > 0."""
+        return self.institution_stakes - self.xi * self.worker_stakes
 
     def worker_view(self):
         """The params the worker plans with: p_a replaced by believed_p_a when one is set.
@@ -489,7 +490,7 @@ def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability]) -> A
     from .solver import optimal_verification
 
     violations = []
-    dominance_ok = params.dominance_holds()
+    dominance_ok = params.misalignment > 0.0
     if not dominance_ok:
         violations.append(
             f"dominance violated: b_i+l_i={params.institution_stakes} "

@@ -358,8 +358,9 @@ def _efficiency_threshold(params: ModelParams, value, rising: bool, c_w: float |
     value is read at the end of the search interval where it is lowest, then
     at the other. If it is positive at the first, or negative at the other,
     that end is returned flagged, with notes[0] or notes[1]. Otherwise the
-    root is C_w's inverse at c_w, clamped to the interval; a c_w of None
-    means value is 0 at every beta, and returns the first end with notes[0].
+    root is C_w's inverse at c_w, clamped to the interval, or the top end
+    with its check's note if the inverse is inf; a c_w of None means value
+    is 0 at every beta, and returns the first end with notes[0].
     """
     lo, hi = params.execution_cost.beta_domain()
     if math.isinf(hi):
@@ -371,7 +372,9 @@ def _efficiency_threshold(params: ModelParams, value, rising: bool, c_w: float |
         return ThresholdResult(last, False, notes[1])
     if c_w is None:
         return ThresholdResult(first, False, notes[0])
-    return ThresholdResult(min(hi, max(lo, params.execution_cost.efficiency_at(c_w))), True)
+    if (root := params.execution_cost.efficiency_at(c_w)) == math.inf:
+        return ThresholdResult(hi, False, notes[rising])
+    return ThresholdResult(min(hi, max(lo, root)), True)
 
 
 def manual_delegation_threshold(params: ModelParams) -> ThresholdResult:

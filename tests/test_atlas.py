@@ -16,7 +16,10 @@ from delver.atlas import (
     psi_prime, fmt, psi_tau, quality, separatrix_intersection, solve_actions, solve_points,
     sweep_grid, write_atlas_csv, write_csv,
 )
-from delver.model import INVERSE_EFFICIENCY, Ability, ExecutionCost, coefficients, point_params
+from delver.model import (
+    INVERSE_EFFICIENCY, LINEAR, LINEAR_IN_EFFICIENCY, Ability, ExecutionCost, VerificationCost,
+    coefficients, phi_coefficients, point_params,
+)
 from delver.sampling import beta_span, sample_params
 from delver.solver import (
     REGIMES, Regime, bisect, manual_delegation_threshold, qualification_threshold,
@@ -27,10 +30,12 @@ from conftest import family_configs
 
 # SHA-256 of _boundary_family_text(), frozen before the separatrices shared one search and
 # re-pinned when s_dagger under linear_quadratic cost moved from golden-section search
-# to Newton's method (roots moved by at most 7.1e-8 relative; see CHANGES.md), and
-# when the thresholds moved from bisection to the inverse of C_w (thresholds moved by
-# at most 1.83e-12 relative, with every flag, note and error kept)
-BOUNDARY_DIGEST = "7f847fbdab880b012a9531975f7bc2579c00d34abbfd8cd1f4987551a1a52f0b"
+# to Newton's method (roots moved by at most 7.1e-8 relative; see CHANGES.md), when
+# the thresholds moved from bisection to the inverse of C_w (thresholds moved by at
+# most 1.83e-12 relative, with every flag, note and error kept), and when psi1 moved
+# from bisection to its closed form (62 psi1 records moved, by at most 2.9e-10, with
+# every flag and side kept; see TestPsi1ClosedForm)
+BOUNDARY_DIGEST = "a16d9d070d48a6363137937050073b282ee61370f5e41f81db0c907d8292bef4"
 
 
 def _boundary_family_text():
@@ -79,6 +84,27 @@ def psi0_closed(beta):
 
 def psi1_closed(beta):
     return 20.0 / (77.0 + 70.0 * beta)
+
+
+def psi1_formula(params, beta):
+    """psi1 as C_v'(0) / (k_w scale), with k_w the worker's at C_w(beta)."""
+    k_w = phi_coefficients(params.worker_view(), params.execution_cost.cost(beta))[0]
+    return params.verification_cost.slope(0.0) / (k_w * params.detection.scale)
+
+
+def psi1_sign(params, beta):
+    """psi1's sign function when it was searched: k_w phi'(alpha, 0) - C_v'(0), linear in alpha."""
+    k_w = phi_coefficients(params.worker_view(), params.execution_cost.cost(beta))[0]
+    c_v0 = params.verification_cost.slope(0.0)
+    return lambda alpha: k_w * float(params.detection.slope(alpha, 0.0)) - c_v0
+
+
+def _psi1_configs():
+    """family_configs() and 300 sample_params draws (rng seed 5), each with 21 betas across
+    beta_span."""
+    rng = np.random.default_rng(5)
+    for params in [*family_configs().values(), *(sample_params(rng) for _ in range(300))]:
+        yield params, np.linspace(*beta_span(params), 21).tolist()
 
 
 class TestQuality:
@@ -231,17 +257,18 @@ def plain_bisect_boundary(fn, guess=None):
 
 
 def _boundary_cases(params):
-    """_boundary's (params, which, beta, t) for psi0, psi1, psi_prime and psi_tau at 21 betas.
+    """_boundary's (params, which, beta, t) for psi0, psi_prime and psi_tau at 21 betas.
 
     The betas span beta_span(params). psi_tau's params have tau at the
     quality of a worker with alpha 1 at that beta, so its root is bracketed
-    near alpha 1. psi0 and psi1 outside their beta domains give None.
+    near alpha 1. psi0 outside its beta domain gives None. psi1, in closed
+    form, makes no search.
     """
     t = manual_delegation_threshold(params).value
     for beta in np.linspace(*beta_span(params), 21).tolist():
         ability = Ability(1.0, beta)
         coef = coefficients(params, ability, dv.optimal_verification(params, ability))
-        for which in ("psi0", "psi1", "psi_prime"):
+        for which in ("psi0", "psi_prime"):
             yield params, which, beta, t
         yield replace(params, tau=coef.g_i + coef.f_i), "psi_tau", beta, t
 
@@ -258,20 +285,47 @@ def _large_stakes_params():
 
 
 def _curve_cases(params):
-    """boundary_curve's (params, which, betas) for each boundary, at 21 betas.
+    """boundary_curve's (params, which, betas) for each searched boundary, at 21 betas.
 
-    psi0, psi1 and psi span beta_span(params). psi_tau's tau is the quality
-    of a worker with alpha 1 at the middle beta, and its betas span a fifth
-    of the span around that beta, so its roots are bracketed near alpha 1.
+    psi0 and psi span beta_span(params). psi_tau's tau is the quality of a
+    worker with alpha 1 at the middle beta, and its betas span a fifth of
+    the span around that beta, so its roots are bracketed near alpha 1.
     """
     lo, hi = beta_span(params)
-    for which in ("psi0", "psi1", "psi"):
+    for which in ("psi0", "psi"):
         yield params, which, np.linspace(lo, hi, 21)
     mid, half = 0.5 * (lo + hi), 0.1 * (hi - lo)
     ability = Ability(1.0, mid)
     coef = coefficients(params, ability, dv.optimal_verification(params, ability))
     yield (replace(params, tau=coef.g_i + coef.f_i), "psi_tau",
            np.linspace(mid - half, mid + half, 21))
+
+
+def _linear_cases(params):
+    """(beta, psi1_sign) at the 21 betas across beta_span(params) in psi1's domain.
+
+    psi1 is in closed form, so these stand in for its searches: they keep
+    the boundary search covered on a near-linear sign function.
+    """
+    t = manual_delegation_threshold(params).value
+    return [(beta, psi1_sign(params, beta))
+            for beta in np.linspace(*beta_span(params), 21).tolist() if beta <= t + 1e-9]
+
+
+def _linear_curve_searches(configs, search):
+    """The (guess, RootResult) of search(fn, guess) over each config's _linear_cases.
+
+    Each config's searches are one curve, warm-started as boundary_curve does.
+    """
+    searches = []
+    for params in configs:
+        roots = []
+        for beta, fn in _linear_cases(params):
+            guess = atlas._warm_guess(roots, beta)
+            searches.append((guess, search(fn, guess)))
+            if searches[-1][1].bracketed:
+                roots.append((beta, searches[-1][1].value))
+    return searches
 
 
 def _curve_searches(cases, monkeypatch, search):
@@ -298,9 +352,12 @@ class TestSureBracket:
                              ids=["families", "large_stakes"])
     def test_roots_equal_plain_bisection(self, configs, monkeypatch):
         cases = [case for params in configs for case in _boundary_cases(params)]
+        linear = [fn for params in configs for _, fn in _linear_cases(params)]
         got = [atlas._boundary(*case) for case in cases]
+        got += [atlas._bisect_boundary(fn) for fn in linear]
         monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
         want = [atlas._boundary(*case) for case in cases]
+        want += [plain_bisect_boundary(fn) for fn in linear]
         assert [repr(r) for r in got] == [repr(r) for r in want]  # repr round-trips floats
         assert all(r.bracketed for (_, which, *_), r in zip(cases, got) if which == "psi_tau")
         roots = [(r, w) for r, w in zip(got, want) if r is not None]
@@ -316,6 +373,9 @@ class TestSureBracket:
         want_curves, want = _curve_searches(cases, monkeypatch, plain_bisect_boundary)
         _, cold = _curve_searches(cases, monkeypatch, lambda fn, guess: search(fn))
         assert repr(curves) == repr(want_curves)
+        warm += _linear_curve_searches(configs, search)
+        want += _linear_curve_searches(configs, plain_bisect_boundary)
+        cold += _linear_curve_searches(configs, lambda fn, guess: search(fn))
         reprs = [[repr(r) for _, r in searches] for searches in (warm, want, cold)]
         assert reprs[0] == reprs[1] == reprs[2]
         assert sum(guess is not None for guess, _ in warm) > 300
@@ -355,6 +415,7 @@ class TestSureBracket:
         (lambda a: math.copysign(1e-300, a - 2.0 ** -20), True),  # tiny values, a step
         (lambda a: a ** 9 - 0.2, True),  # steep at hi, flat at the root
         (lambda a: -1.0 if a < 4000.0 else 1.0, True),  # bracketed after 9 doublings
+        (lambda a: 0.37 * a - 0.2, True),  # linear: regula falsi is nearly exact
         # constant below the root: regula falsi creeps up from 0, took 157 calls
         (lambda a: -8.6e-11 if a < 0.0459 else a - 0.0459, True),
         # exactly 0 at 0, so a could never move: took 39 calls, one point twice
@@ -415,6 +476,64 @@ class TestSureBracket:
         # the bracket is in neither repr nor ==
         moved = replace(res, lo=-1.0, hi=2.0)
         assert moved == res and repr(moved) == repr(res)
+
+
+class TestPsi1ClosedForm:
+    """psi1 solves k_w scale alpha = C_v'(0) in closed form, with no search."""
+
+    def test_psi1_is_the_formula_bitwise(self):
+        checked = 0
+        for params in family_configs().values():
+            t = manual_delegation_threshold(params).value
+            betas = [b for b in np.linspace(*beta_span(params), 21).tolist() if b <= t + 1e-9]
+            for beta in betas:
+                root, res = psi1_formula(params, beta), psi1(params, beta)
+                assert res.value.hex() == root.hex() and res.bracketed and res.side == ""
+                assert (res.evaluations, res.lo, res.hi) == (0, root, root)
+                checked += 1
+            assert boundary_curve(params, "psi1", betas) == [
+                (beta, psi1_formula(params, beta), True) for beta in betas]
+        assert checked > 50
+
+    def test_psi1_makes_no_sign_call(self, reference, monkeypatch):
+        def refused(fn, guess=None):
+            raise AssertionError("psi1 called the boundary search")
+
+        monkeypatch.setattr(atlas, "_bisect_boundary", refused)
+        assert psi1(reference, 0.5).evaluations == 0
+        assert len(boundary_curve(reference, "psi1", np.linspace(0.0, 1.0, 21))) == 15
+        with pytest.raises(AssertionError):  # the other boundaries still search
+            psi0(reference, 0.9)
+
+    def test_psi1_is_plain_bisection_to_its_tolerance(self):
+        # the closed form against plain bisection of psi1's old sign function
+        roots = 0
+        for params, betas in _psi1_configs():
+            t = manual_delegation_threshold(params).value
+            for beta in betas:
+                res = atlas._boundary(params, "psi1", beta, t)
+                if res is None:
+                    assert beta > t + 1e-9
+                    continue
+                want = plain_bisect_boundary(psi1_sign(params, beta))
+                assert (res.bracketed, res.side) == (want.bracketed, want.side)
+                assert abs(res.value - want.value) <= 1e-9
+                roots += res.bracketed
+        assert roots > 3000
+
+    @pytest.mark.parametrize("changes, bracketed", [
+        ({"p_a": 1.0}, False),  # k_w = 0
+        ({"execution_cost": ExecutionCost(LINEAR_IN_EFFICIENCY, 1e3)}, False),  # k_w < 0
+        ({"verification_cost": VerificationCost(LINEAR, 1e6)}, False),  # root past the cap
+        ({"verification_cost": VerificationCost(LINEAR, 3.8e4)}, True),  # root below the cap
+    ], ids=["k_w_zero", "k_w_negative", "past_the_cap", "below_the_cap"])
+    def test_psi1_past_the_cap_is_flagged_as_the_search_flagged_it(self, reference, changes,
+                                                                    bracketed):
+        params = replace(reference, **changes)
+        res, want = psi1(params, 0.0), plain_bisect_boundary(psi1_sign(params, 0.0))
+        assert (res.bracketed, res.side) == (want.bracketed, want.side)
+        assert res.bracketed == bracketed and abs(res.value - want.value) <= 1e-9
+        assert res.lo == res.hi == res.value and (bracketed or res.value == 10240.0)
 
 
 def _assert_rows_are_evaluate_point(grid, params, points):

@@ -21,6 +21,7 @@ from delver.atlas import fmt
 from delver import cli
 from delver.cli import main
 from delver.config import load_params, params_from_dict, params_to_dict, parse_range
+from delver.model import phi_coefficients
 from delver.sampling import beta_span
 
 from conftest import family_configs, run_isolated
@@ -670,14 +671,21 @@ class TestGridCommands:
                              "--alpha-range", "x", "--beta-range", "0:1:2")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_boundary_stdout(self, capsys):
+    def test_boundary_stdout(self, capsys, monkeypatch):
+        # psi1 is C_v'(0) / (k_w scale), written with no call of the boundary search
+        def refused(fn, guess=None):
+            raise AssertionError("psi1 called the boundary search")
+
+        monkeypatch.setattr(dv.atlas, "_bisect_boundary", refused)
         code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG,
                            "--which", "psi1", "--beta-range", "0:0.7:8")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "beta,alpha,bracketed"
-        assert len(lines) == 9
-        assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"0", "1"}
+        params, rows = load_params(REFERENCE_CONFIG), ["beta,alpha,bracketed"]
+        for beta in np.linspace(0.0, 0.7, 8).tolist():
+            k_w = phi_coefficients(params, params.execution_cost.cost(beta))[0]
+            root = params.verification_cost.slope(0.0) / (k_w * params.detection.scale)
+            rows.append(f"{fmt(beta)},{fmt(root)},1")
+        assert out == "".join(row + "\n" for row in rows)
 
     def test_bracket_cap_is_flagged_not_a_root(self, capsys):
         code, out, _ = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", "psi_tau",

@@ -288,15 +288,17 @@ class TestUpskill:
                              ids=["fan", "beta-only"])
     def test_plan_ending_on_the_beta_cap_is_scored_at_the_cap(self, reference, model):
         # the plan's radius takes beta one ulp past its cap of 1, outside the
-        # efficiency domain: the plan is scored at the cap, where it was found
+        # efficiency domain: the reported increment stops at the cap, where the
+        # plan was found, is scored and is costed
         alpha, beta, tau = 1.6625022172705624, 0.1760475257314348, 9.547390386200268
         params = replace(reference, tau=tau)
         plan = worker_upskill(params, Ability(alpha, beta), model)
         assert plan.feasible
-        assert beta + plan.d_beta > 1.0
+        assert beta + plan.d_beta == 1.0 and plan.d_beta == 1.0 - beta
         assert plan.achieved_q >= tau - 1e-9 * (1.0 + abs(tau))
-        capped = Ability(min(10.0, alpha + plan.d_alpha), min(1.0, beta + plan.d_beta))
-        assert plan.achieved_q == quality(params, capped).q
+        assert plan.achieved_q == quality(params, Ability(alpha + plan.d_alpha, beta + plan.d_beta)).q
+        terms = [(model.h_alpha, plan.d_alpha), (model.h_beta, plan.d_beta)]
+        assert plan.cost == sum(h(d) for h, d in terms if h is not None)
 
     def test_radii_equal_a_scalar_bisection_per_ray(self, monkeypatch, reference):
         searches = []  # (pred, lo, hi, tol, radii) of each fan bisection

@@ -262,6 +262,18 @@ class TestAssumptions:
         assert not report.dominance_ok
         assert any("dominance" in v for v in report.violations)
 
+    def test_dominance_is_positive_misalignment(self, reference):
+        # m = S_i - xi S_w, with S = b + l; the reference's is 26 - 0.3 * 14
+        assert reference.misalignment == 26.0 - 0.3 * 14.0 > 0.0
+        rng = np.random.default_rng(11)
+        draws = [sample_params(rng) for _ in range(50)]
+        weak = [replace(params, b_i=0.0, l_i=0.0) for params in draws[:10]]  # m = -xi S_w
+        for params in [reference, *draws, *weak]:
+            m = params.misalignment
+            assert m == params.institution_stakes - params.xi * params.worker_stakes
+            assert (m > 0.0) == check_assumptions(params, []).dominance_ok
+        assert any(params.misalignment < 0.0 for params in weak)
+
     def test_falling_detection_is_flagged(self, reference, monkeypatch):
         # an effort that drops from 1 to 0 at alpha = 0.5 makes phi(s_dagger) fall there
         monkeypatch.setattr(dv.solver, "optimal_verification",

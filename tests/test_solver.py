@@ -448,11 +448,22 @@ class TestThresholds:
                                          "baseline already above tau at the lowest efficiency")
 
     def test_zero_break_even_cost_reaches_the_top(self, reference):
-        # c_a + (b_w + l_w)(p_w - p_a) = 1e4 - 1e4 = 0: scale / C_w has no finite
-        # root, and the gain at 2^40 rounds to 0, so the top is the break-even
+        # c_a + (b_w + l_w)(p_w - p_a) = 1e4 - 1e4 = 0: the gain scale / beta is
+        # positive at every efficiency, though at 2^40 it rounds to 0, and the
+        # cap used to be reported as a bracketed root
         params = replace(reference, b_w=1.5e4, l_w=5e3, p_w=0.25, p_a=0.75, c_a=1e4,
                          execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 1.0))
-        assert manual_delegation_threshold(params) == dv.ThresholdResult(2.0 ** 40, True)
+        assert manual_delegation_threshold(params) == dv.ThresholdResult(
+            2.0 ** 40, False, "delegation beats manual work at every efficiency")
+
+    def test_tau_at_the_zero_cost_baseline_is_flagged_at_the_top(self, reference):
+        # tau = g_i(0) = 12500: the baseline g_i(0) - xi / beta is below tau at
+        # every efficiency, and reaches it only in the limit
+        params = replace(reference, b_i=2e4, l_i=1e4, tau=12500.0,
+                         execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 1.0))
+        assert dv.coefficients(params, Ability(0.0, 1.0), 0.0).g_i == 12500.0 - params.xi
+        assert qualification_threshold(params) == dv.ThresholdResult(
+            2.0 ** 40, False, "baseline below tau at every efficiency")
 
 
 # inverse-efficiency execution cost 5 / beta on the reference profile: the
