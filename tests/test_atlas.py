@@ -99,14 +99,6 @@ def psi1_sign(params, beta):
     return lambda alpha: k_w * float(params.detection.slope(alpha, 0.0)) - c_v0
 
 
-def _psi1_configs():
-    """family_configs() and 300 sample_params draws (rng seed 5), each with 21 betas across
-    beta_span."""
-    rng = np.random.default_rng(5)
-    for params in [*family_configs().values(), *(sample_params(rng) for _ in range(300))]:
-        yield params, np.linspace(*beta_span(params), 21).tolist()
-
-
 class TestQuality:
     def test_manual_region_keeps_baseline(self, reference):
         rep = quality(reference, Ability(0.1, 0.9))
@@ -415,9 +407,9 @@ class TestSureBracket:
         (lambda a: math.copysign(1e-300, a - 2.0 ** -20), True),  # tiny values, a step
         (lambda a: a ** 9 - 0.2, True),  # steep at hi, flat at the root
         (lambda a: -1.0 if a < 4000.0 else 1.0, True),  # bracketed after 9 doublings
-        (lambda a: 0.37 * a - 0.2, True),  # linear: regula falsi is nearly exact
         # constant below the root: regula falsi creeps up from 0, took 157 calls
         (lambda a: -8.6e-11 if a < 0.0459 else a - 0.0459, True),
+        (lambda a: 0.37 * a - 0.2, True),  # linear: regula falsi is nearly exact
         # exactly 0 at 0, so a could never move: took 39 calls, one point twice
         (lambda a: max(0.0, a - 0.3), False),
         (lambda a: max(0.0, a - 0.0211) * 20, False),
@@ -506,11 +498,13 @@ class TestPsi1ClosedForm:
             psi0(reference, 0.9)
 
     def test_psi1_is_plain_bisection_to_its_tolerance(self):
-        # the closed form against plain bisection of psi1's old sign function
+        # the closed form against plain bisection of psi1's old sign function, over
+        # family_configs() and 300 sampled configs, at 21 betas across each span
+        rng = np.random.default_rng(5)
         roots = 0
-        for params, betas in _psi1_configs():
+        for params in [*family_configs().values(), *(sample_params(rng) for _ in range(300))]:
             t = manual_delegation_threshold(params).value
-            for beta in betas:
+            for beta in np.linspace(*beta_span(params), 21).tolist():
                 res = atlas._boundary(params, "psi1", beta, t)
                 if res is None:
                     assert beta > t + 1e-9
