@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
@@ -16,20 +17,41 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import calibration as cal
 from .atlas import (
     BOUNDARIES, atlas_columns, boundary_curve, evaluate_point, fmt, grid_columns,
     solve_points, sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
-from .extensions import DifficultyProfile, Rework, expected_quality, rework_quality
-from .interventions import (
-    LEVER_MOVES, CostModel, CostTerm, ai_upgrade_gain, incentive_transfer_gain, minimal_lever,
-    worker_upskill,
-)
 from .model import Ability, check_assumptions, worker_utility, Action
 from .sampling import sample_ability
 from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
+
+# Names from the modules that only some commands use, by module: `cal` is
+# calibration itself. They are bound here on first use, by _load before such
+# a command runs or by __getattr__ on access from outside, and a name already
+# bound (as a wrapper set with setattr, say) stays bound.
+_LAZY = {
+    "calibration": ("cal",),
+    "extensions": ("DifficultyProfile", "Rework", "expected_quality", "rework_quality"),
+    "interventions": ("LEVER_MOVES", "CostModel", "CostTerm", "ai_upgrade_gain",
+                      "incentive_transfer_gain", "minimal_lever", "worker_upskill"),
+}
+
+
+def __getattr__(name):
+    module = next((module for module, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
+
+def _load(module):
+    """Bind the names this module takes from `module` that are not bound yet."""
+    source = importlib.import_module(f"{__package__}.{module}")
+    for name in _LAZY[module]:
+        if name not in globals():
+            globals()[name] = source if name == "cal" else getattr(source, name)
 
 
 def _jsonable(value):
@@ -149,6 +171,7 @@ def _parse_cost_term(text):
 
 
 def cmd_intervene_worker(args):
+    _load("interventions")
     params = _tau_params(args)
     model = CostModel(h_alpha=_parse_cost_term(args.h1), h_beta=_parse_cost_term(args.h2))
     plan = worker_upskill(params, _ability(args), model)
@@ -157,6 +180,7 @@ def cmd_intervene_worker(args):
 
 
 def cmd_intervene_institution(args):
+    _load("interventions")
     params = load_params(args.config)
     lever = ai_upgrade_gain if args.lever == "p_a" else incentive_transfer_gain
     given = [x is not None for x in (args.alpha, args.beta, args.alpha_range, args.beta_range)]
@@ -194,6 +218,7 @@ def _write_columns(out, columns):
 
 
 def cmd_intervene_minimal(args):
+    _load("interventions")
     target = minimal_lever(_tau_params(args), _ability(args), args.lever)
     _emit(args, _pick(target, ("lever", "value", "feasible")))
     return 0
@@ -201,6 +226,7 @@ def cmd_intervene_minimal(args):
 
 def cmd_extend(args):
     """The extension's grid as CSV; every row is computed before --out is opened."""
+    _load("extensions")
     params = load_params(args.config)
     if args.kind == "difficulty":
         profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
@@ -238,6 +264,7 @@ def cmd_extend(args):
 
 
 def cmd_calibrate(args):
+    _load("calibration")
     worker, cleaning, _ = cal.calibrate_file(args.cases, args.tvmax, args.twmax)
     payload = {
         "cleaning": _pick(cleaning, ("n_input", "n_time_dropped", "n_override_dropped",

@@ -151,7 +151,7 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
             s0 = (math.sqrt(arg) - 1.0) / a if arg > 0 else 0.0
         else:  # exponential: k_w * a e^{-a s} = k  =>  s0 = ln(a k_w / k) / a
             arg = a * phi_coefficient / vcost.k
-            s0 = math.log(arg) / a if arg > 1.0 else 0.0
+            s0 = float(np.log(arg)) / a if arg > 1.0 else 0.0  # np.log: the array form's bits
         return min(1.0, max(0.0, s0))
 
     kind, k = detection.kind, phi_coefficient
@@ -196,9 +196,8 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
                 pos = arg > 0
                 s0[pos] = (np.sqrt(arg[pos]) - 1.0) / a[pos]
             else:
-                # math.log as in the scalar branch: np.log can differ from it by an ulp
                 big = arg > 1.0
-                s0[big] = np.array([math.log(x) for x in arg[big].tolist()]) / a[big]
+                s0[big] = np.log(arg[big]) / a[big]
         s_dagger[live] = np.minimum(1.0, np.maximum(0.0, s0))
         return s_dagger
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -931,6 +932,92 @@ class TestBenchmarkSeams:
         for name in layers:
             assert callable(getattr(cli, name)), name
         assert cli.cal is cal
+
+
+# what `import delver.cli` loads of the package; calibration, extensions and
+# interventions load in the commands that call them
+STARTUP_MODULES = ["delver", "delver.atlas", "delver.cli", "delver.config", "delver.model",
+                   "delver.sampling", "delver.solver"]
+# the names `import delver` offered when it imported every module, by module
+PACKAGE_NAMES = {
+    "atlas": ["AtlasGrid", "AtlasRow", "ComplianceLabel", "QualityLabel", "QualityReport",
+              "RootResult", "boundary_curve", "evaluate_point", "psi", "psi0", "psi1",
+              "psi_prime", "psi_tau", "quality", "separatrix_intersection", "solve_points",
+              "sweep_grid", "write_atlas_csv"],
+    "calibration": ["CalibratedWorker", "CalibrationError", "CaseRecord", "ClassificationResult",
+                    "CleaningReport", "InstitutionSpec", "Observables", "calibrate_file",
+                    "classify_calibrated", "clean_cases", "estimate_observables", "fixture_path",
+                    "infer_ability", "infer_stakes", "ingest_and_clean", "read_cases"],
+    "config": ["ConfigError", "load_params", "params_from_dict", "params_to_dict"],
+    "extensions": ["DifficultyProfile", "Rework", "expected_quality", "rework_quality"],
+    "interventions": ["CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",
+                      "ai_upgrade_gain", "incentive_transfer_gain", "minimal_lever",
+                      "worker_upskill"],
+    "model": ["Ability", "Action", "AssumptionReport", "Coefficients", "Detection",
+              "ExecutionCost", "ModelParams", "VerificationCost", "check_assumptions",
+              "coefficients", "delegation_gain", "detection_probability",
+              "institutional_utility", "reference_params", "task_success", "total_cost",
+              "verification_surplus", "worker_utility"],
+    "solver": ["OptimalAction", "Regime", "ThresholdResult", "brute_force_action",
+               "manual_delegation_threshold", "optimal_action", "optimal_verification",
+               "qualification_threshold"],
+}
+
+
+class TestStartup:
+    def test_commands_load_only_the_modules_they_call(self):
+        runs = [["boundary", "--config", REFERENCE_CONFIG, "--which", "psi0", "--beta-range", "0:1:5"],
+                ["selfcheck", "--config", REFERENCE_CONFIG, "--samples", "2"],
+                ["calibrate", *FIXTURE_CASES]]
+        out = run_isolated(
+            "import contextlib, io, json, sys\n"
+            "import delver.cli as cli\n"
+            "def loaded():\n"
+            "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'delver')))\n"
+            "loaded()\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    loaded()\n")
+        after_import, *after_runs = map(json.loads, out.splitlines())
+        assert after_import == after_runs[0] == after_runs[1] == STARTUP_MODULES
+        assert after_runs[2] == sorted(STARTUP_MODULES + ["delver.calibration", "delver.interventions"])
+
+    def test_package_offers_the_same_names(self):
+        modules = {module: importlib.import_module(f"delver.{module}") for module in PACKAGE_NAMES}
+        for module, names in PACKAGE_NAMES.items():
+            for name in names:
+                assert getattr(dv, name) is getattr(modules[module], name), name
+        assert sorted(dv.__all__) == sorted([*modules, *(n for ns in PACKAGE_NAMES.values() for n in ns)])
+        assert set(dv.__all__) <= set(dir(dv))
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            dv.missing
+
+    def test_import_star_loads_the_lazy_names(self):
+        out = run_isolated(
+            "import sys\n"
+            "import delver\n"
+            "print('delver.calibration' in sys.modules)\n"
+            "from delver import *\n"
+            "print(CalibrationError is sys.modules['delver.calibration'].CalibrationError)\n")
+        assert out == "False\nTrue\n"
+
+    def test_a_name_set_before_first_use_stays_bound(self):
+        # the benchmark's traced pass sets timed wrappers on delver.cli this way
+        argv = ["intervene", "worker", "--config", REFERENCE_CONFIG, "--alpha", "0.05", "--beta", "0.1"]
+        out = run_isolated(
+            "import contextlib, io\n"
+            "import delver.cli as cli\n"
+            "from delver.interventions import worker_upskill\n"
+            "calls = []\n"
+            "def spy(*args, **kwargs):\n"
+            "    calls.append(args)\n"
+            "    return worker_upskill(*args, **kwargs)\n"
+            "setattr(cli, 'worker_upskill', spy)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(len(calls), cli.worker_upskill is spy, cli.minimal_lever.__module__)\n")
+        assert out == "1 True delver.interventions\n"
 
 
 class TestSelfcheck:

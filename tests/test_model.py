@@ -22,7 +22,7 @@ from delver.model import (
 from delver.sampling import sample_ability, sample_params
 from delver.solver import optimal_verification
 
-from conftest import KAPPAS
+from conftest import KAPPAS, family_configs
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 
@@ -215,6 +215,30 @@ class TestAffinityProperties:
                 coef = coefficients(params, ability, 0.0)
                 assert coef.g_i == institutional_utility(params, ability, Action(0.0, 0.0))
                 assert coef.g_w == worker_utility(params, ability, Action(0.0, 0.0))
+
+
+class TestMisalignmentIdentity:
+    """f_i = xi f_w + m dP, with m = S_i - xi S_w and dP = P(d=1, s) - P(d=0, s=0).
+
+    The institution's gain from delegating is the worker's, scaled by xi,
+    plus the misalignment times the change in task success. It holds
+    without a belief about the AI, to the rounding of its three terms.
+    """
+
+    def test_identity_on_families_and_draws(self):
+        rng = np.random.default_rng(28)
+        configs = [*family_configs().values(), *(sample_params(rng) for _ in range(22))]
+        for params in configs:
+            assert params.believed_p_a is None
+            m = params.misalignment
+            for _ in range(120):
+                ability = sample_ability(rng, params)
+                s = float(rng.uniform(0.0, 1.0))
+                coef = coefficients(params, ability, s)
+                d_p = (task_success(params, ability, Action(1.0, s))
+                       - task_success(params, ability, Action(0.0, 0.0)))
+                scale = abs(coef.f_i) + params.xi * abs(coef.f_w) + abs(m * d_p)
+                assert abs(coef.f_i - (params.xi * coef.f_w + m * d_p)) <= 1e-12 * scale
 
 
 class TestAssumptions:

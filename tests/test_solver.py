@@ -154,7 +154,8 @@ class TestArrayBranchPoints:
         # zero and negative coefficients, zero reliability, and magnitudes that
         # put the closed form below 0, inside (0, 1) and above 1; the last block
         # puts the exponential closed form's log argument in (1, 1.1), where
-        # np.log differs from the scalar path's math.log in about 1.6% of cases;
+        # np.log differs from math.log in about 1.6% of cases, so both forms
+        # must take the log from np.log;
         # the huge values overflow a * k and the slopes, which must stay silent
         alpha = np.concatenate([[0.0, 0.0, 1.0, 1e-9, 50.0, 1e300, 1e200, 1e15, 1.0],
                                 rng.uniform(0.0, 3.0, 300), np.ones(400)])
