@@ -39,11 +39,11 @@ _LAZY = {
 
 
 def __getattr__(name):
-    module = next((module for module, names in _LAZY.items() if name in names), None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load(module):
