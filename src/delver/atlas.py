@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Ability, Action, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
-    institution_value, institutional_utility, phi_coefficients, point_params, success_at,
-    worker_increment,
+    Ability, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
+    institution_value, phi_coefficients, point_params, success_at, worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -52,6 +51,26 @@ class ComplianceLabel(str, enum.Enum):
     NEITHER = "neither"
 
 
+QUALITY_LABELS = tuple(QualityLabel)  # improved, unchanged, degraded
+COMPLIANCE_LABELS = tuple(ComplianceLabel)  # gain, loss, neither
+
+
+def _label_indices(q, q0, tau):
+    """(gap, quality, compliance): quality q against the baseline q0, and both against tau.
+
+    Takes floats or arrays. The gap q - q0 improves quality above
+    UNCHANGED_RTOL * (1 + |q0|) and degrades it below minus that; a NaN gap
+    leaves it unchanged. Compliance is gained when q reaches tau and q0 does
+    not, and lost the other way round. The labels index QUALITY_LABELS and
+    COMPLIANCE_LABELS.
+    """
+    tol = UNCHANGED_RTOL * (1.0 + abs(q0))
+    gap = q - q0
+    quality = 1 - (gap > tol) + (gap < -tol)
+    compliance = 2 - 2 * ((q >= tau) & (q0 < tau)) - ((q < tau) & (q0 >= tau))
+    return gap, quality, compliance
+
+
 @dataclass(frozen=True)
 class QualityReport:
     """Quality with AI, the no-AI baseline, and the labels of their comparison."""
@@ -65,21 +84,8 @@ class QualityReport:
     @classmethod
     def from_values(cls, q: float, q0: float, tau: float) -> QualityReport:
         """The report comparing quality q with the baseline q0, and both with tau."""
-        tol = UNCHANGED_RTOL * (1.0 + abs(q0))
-        gap = q - q0
-        if gap > tol:
-            quality = QualityLabel.IMPROVED
-        elif gap < -tol:
-            quality = QualityLabel.DEGRADED
-        else:
-            quality = QualityLabel.UNCHANGED
-        if q >= tau and q0 < tau:
-            compliance = ComplianceLabel.GAIN
-        elif q < tau and q0 >= tau:
-            compliance = ComplianceLabel.LOSS
-        else:
-            compliance = ComplianceLabel.NEITHER
-        return cls(q=q, q0=q0, gap=gap, quality_label=quality, compliance_label=compliance)
+        gap, quality, compliance = _label_indices(q, q0, tau)
+        return cls(q, q0, gap, QUALITY_LABELS[quality], COMPLIANCE_LABELS[compliance])
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,6 @@ class AtlasRow:
     gap: float
     quality_label: QualityLabel
     compliance_label: ComplianceLabel
-
-
-QUALITY_LABELS = tuple(QualityLabel)
-COMPLIANCE_LABELS = tuple(ComplianceLabel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,25 +155,14 @@ class ActionColumns(NamedTuple):
     s_dagger: np.ndarray
 
 
-_IMPROVED = QUALITY_LABELS.index(QualityLabel.IMPROVED)
-_UNCHANGED = QUALITY_LABELS.index(QualityLabel.UNCHANGED)
-_DEGRADED = QUALITY_LABELS.index(QualityLabel.DEGRADED)
-_GAIN = COMPLIANCE_LABELS.index(ComplianceLabel.GAIN)
-_LOSS = COMPLIANCE_LABELS.index(ComplianceLabel.LOSS)
-_NEITHER = COMPLIANCE_LABELS.index(ComplianceLabel.NEITHER)
+def _scores(params: ModelParams, phi, c_w, s, d):
+    """(q, q0): quality at the action (d, s), given phi(s) and C_w, and the no-AI baseline.
 
-
-def _label_indices(q, q0, tau):
-    """QualityReport.from_values at every element: (gap, quality, compliance) columns.
-
-    The labels are indices into QUALITY_LABELS and COMPLIANCE_LABELS.
+    Takes floats or arrays and checks nothing.
     """
-    tol = UNCHANGED_RTOL * (1.0 + np.abs(q0))
-    gap = q - q0
-    quality = np.where(gap > tol, _IMPROVED, np.where(gap < -tol, _DEGRADED, _UNCHANGED))
-    compliance = np.where((q >= tau) & (q0 < tau), _GAIN,
-                          np.where((q < tau) & (q0 >= tau), _LOSS, _NEITHER))
-    return gap, quality, compliance
+    cost = cost_at(params, phi, c_w, params.verification_cost.cost(s), d)
+    return (institution_value(params, success_at(params, phi, d), cost),
+            institution_value(params, params.p_w, c_w))
 
 
 def evaluate_point(params: ModelParams, ability: Ability) -> tuple[OptimalAction, QualityReport]:
@@ -181,10 +172,11 @@ def evaluate_point(params: ModelParams, ability: Ability) -> tuple[OptimalAction
     the labels against tau are scored under params.
     """
     act = optimal_action(params, ability)
-    q = institutional_utility(params, ability, Action(float(act.d_star), act.s_star))
-    # institutional_utility has checked beta
-    q0 = institution_value(params, params.p_w, params.execution_cost.unchecked_cost(ability.beta))
-    return act, QualityReport.from_values(q, q0, params.tau)
+    # optimal_action has checked beta, alpha and the products; its worker view differs in p_a only
+    phi = float(params.detection.prob(ability.alpha, act.s_star))
+    c_w = params.execution_cost.unchecked_cost(ability.beta)
+    return act, QualityReport.from_values(*_scores(params, phi, c_w, act.s_star, act.d_star),
+                                          params.tau)
 
 
 def quality(params: ModelParams, ability: Ability) -> QualityReport:
@@ -497,12 +489,7 @@ def solve_points(params: ModelParams, alpha, beta, **columns) -> AtlasGrid:
     """
     params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
     d_star, s_star, regime, _ = _solve(params, alpha, c_w)
-    vcost = params.verification_cost
-    d = d_star.astype(float)
-    phi = params.detection.prob(alpha, s_star)
-    q = institution_value(params, success_at(params, phi, d),
-                          cost_at(params, phi, c_w, vcost.cost(s_star), d))
-    q0 = institution_value(params, params.p_w, c_w)
+    q, q0 = _scores(params, params.detection.prob(alpha, s_star), c_w, s_star, d_star)
     gap, quality_label, compliance_label = _label_indices(q, q0, params.tau)
     return AtlasGrid(alpha=alpha, beta=beta, d_star=d_star, s_star=s_star, regime=regime,
                      q=q, q0=q0, gap=gap, quality_label=quality_label,

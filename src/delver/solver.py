@@ -198,7 +198,7 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
             else:
                 big = arg > 1.0
                 s0[big] = np.log(arg[big]) / a[big]
-        s_dagger[live] = np.minimum(1.0, np.maximum(0.0, s0))
+        s_dagger[live] = np.minimum(1.0, np.maximum(s0, 0.0))  # +0.0 for -0.0, as max(0.0, s0)
         return s_dagger
 
     kind = detection.kind
@@ -239,11 +239,10 @@ def optimal_verification(params: ModelParams, ability: Ability) -> float:
 def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
     """Worker-optimal (d, s) and its regime.
 
-    The worker delegates exactly when the delegation increment at the best
-    verification effort is non-negative (indifference resolves to
-    delegation). Delegation with zero verification effort is pure
-    delegation; with positive effort, verified delegation. The worker plans
-    under params.worker_view().
+    choose_regime makes the call from the delegation increment at the best
+    verification effort: the worker delegates when it is non-negative
+    (indifference resolves to delegation). The worker plans under
+    params.worker_view().
     """
     params = params.worker_view()
     c_w = params.execution_cost.cost(ability.beta)
@@ -252,22 +251,20 @@ def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
     s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
     phi = detection_probability(params.detection, ability.alpha, s_dag)
     f_w = worker_increment(params, k_w, phi, c_w, params.verification_cost.cost(s_dag))
-    if f_w < 0.0:
-        return OptimalAction(0, 0.0, Regime.MANUAL, s_dag, f_w)
-    if s_dag == 0.0:
-        return OptimalAction(1, 0.0, Regime.PURE_DELEGATION, s_dag, f_w)
-    return OptimalAction(1, s_dag, Regime.VERIFIED_DELEGATION, s_dag, f_w)
+    d_star, s_star, regime = choose_regime(float(f_w), s_dag)  # ints, for numpy inputs too
+    return OptimalAction(d_star, s_star, REGIMES[regime], s_dag, f_w)
 
 
-def choose_regime(f_w: np.ndarray, s_dagger: np.ndarray):
-    """optimal_action's regime call at every element: (d_star, s_star, regime).
+def choose_regime(f_w, s_dagger):
+    """The regime call from f_w, the delegation increment at s_dagger: (d_star, s_star, regime).
 
-    regime holds indices into REGIMES.
+    Takes floats or arrays. The worker delegates unless f_w < 0, and
+    delegation is verified when s_dagger is not 0. regime indexes REGIMES.
+    s_dagger lies in [0, 1], so s_dagger * verified is s_dagger or +0.0.
     """
-    delegate = ~(f_w < 0.0)
-    verified = delegate & (s_dagger != 0.0)
-    d_star = delegate.astype(np.int64)
-    return d_star, np.where(verified, s_dagger, 0.0), d_star + verified
+    d_star = 1 - (f_w < 0.0)
+    verified = d_star * (s_dagger != 0.0)
+    return d_star, s_dagger * verified, d_star + verified
 
 
 def bisect(pred, lo: float, hi: float, tol: float, steps: int | None = None):

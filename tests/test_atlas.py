@@ -12,13 +12,13 @@ import pytest
 import delver as dv
 import delver.atlas as atlas
 from delver.atlas import (
-    AtlasRow, ComplianceLabel, QualityLabel, RootResult, boundary_curve, psi, psi0, psi1,
-    psi_prime, fmt, psi_tau, quality, separatrix_intersection, solve_actions, solve_points,
-    sweep_grid, write_atlas_csv, write_csv,
+    COMPLIANCE_LABELS, QUALITY_LABELS, AtlasRow, ComplianceLabel, QualityLabel, QualityReport,
+    RootResult, boundary_curve, grid_columns, psi, psi0, psi1, psi_prime, fmt, psi_tau, quality,
+    separatrix_intersection, solve_actions, solve_points, sweep_grid, write_atlas_csv, write_csv,
 )
 from delver.model import (
     INVERSE_EFFICIENCY, LINEAR, LINEAR_IN_EFFICIENCY, Ability, ExecutionCost, VerificationCost,
-    coefficients, phi_coefficients, point_params,
+    coefficients, phi_coefficients, point_params, success_at,
 )
 from delver.sampling import beta_span, sample_params
 from delver.solver import (
@@ -121,6 +121,111 @@ class TestQuality:
             act, rep = dv.evaluate_point(reference, ability)
             f_i = coefficients(reference, ability, act.s_star).f_i
             assert abs(rep.gap - f_i * act.d_star) <= 1e-10 * (1.0 + abs(rep.q))
+
+
+class TestLabelTies:
+    """Each tie of the one quality and compliance rule, for a float and for an array.
+
+    At q0 = 0 the unchanged band is exactly +-1e-9, so gap = +-tol is exact.
+    """
+
+    Q, C = QualityLabel, ComplianceLabel
+    CASES = [  # (q, q0, tau, quality label, compliance label)
+        (1e-9, 0.0, 5.0, Q.UNCHANGED, C.NEITHER),  # gap = +tol
+        (-1e-9, 0.0, 5.0, Q.UNCHANGED, C.NEITHER),  # gap = -tol
+        (math.nextafter(1e-9, 1.0), 0.0, 5.0, Q.IMPROVED, C.NEITHER),  # one ulp past +tol
+        (math.nextafter(-1e-9, -1.0), 0.0, 5.0, Q.DEGRADED, C.NEITHER),  # one ulp past -tol
+        (1.0, 0.5, 1.0, Q.IMPROVED, C.GAIN),  # q = tau, q0 < tau
+        (0.5, 1.0, 1.0, Q.DEGRADED, C.LOSS),  # q0 = tau, q < tau
+        (1.0, 1.0, 1.0, Q.UNCHANGED, C.NEITHER),  # both at tau
+        (math.nan, 1.0, 1.0, Q.UNCHANGED, C.NEITHER),  # NaN q, q0 at tau
+        (math.nan, 0.5, 1.0, Q.UNCHANGED, C.NEITHER),  # NaN q, q0 below tau
+    ]
+
+    @pytest.mark.parametrize("q,q0,tau,quality_label,compliance_label", CASES)
+    def test_float_ties(self, q, q0, tau, quality_label, compliance_label):
+        rep = QualityReport.from_values(q, q0, tau)
+        assert (rep.quality_label, rep.compliance_label) == (quality_label, compliance_label)
+        assert rep.gap == q - q0 or math.isnan(q)
+
+    def test_array_ties(self):
+        q, q0, tau = (np.array(column) for column in list(zip(*self.CASES))[:3])
+        gap, quality_index, compliance_index = atlas._label_indices(q, q0, tau)
+        assert [QUALITY_LABELS[i] for i in quality_index] == [case[3] for case in self.CASES]
+        assert [COMPLIANCE_LABELS[i] for i in compliance_index] == [case[4] for case in self.CASES]
+        assert np.array_equal(gap, q - q0, equal_nan=True)
+
+
+# the grid of each configuration below: 81 alphas in [0, 4] x 41 betas across beta_span
+_DRAW_ALPHAS = (0.0, 4.0, 81)
+_DRAW_BETAS = 41
+# the reference grid: 161 x 81 = 13,041 points
+_REFERENCE_GRID = ((0.0, 4.0, 161), (0.0, 1.0, 81))
+
+
+def _draws():
+    """family_configs() and 24 sample_params draws (seed 29): each under dominance, no belief."""
+    rng = np.random.default_rng(29)
+    return [*family_configs().values(), *(sample_params(rng) for _ in range(24))]
+
+
+def _sweep(params, alpha_range, beta_range):
+    """(grid, degraded mask, task success) of solve_points on the grid_columns grid."""
+    grid = solve_points(params, *grid_columns(alpha_range, beta_range))
+    success = success_at(params, params.detection.prob(grid.alpha, grid.s_star), grid.d_star)
+    return grid, grid.quality_label == QUALITY_LABELS.index(QualityLabel.DEGRADED), success
+
+
+def _aligned(params):
+    """params with the worker's stakes scaled by xi: b_i = xi b_w and l_i = xi l_w."""
+    return replace(params, b_i=params.xi * params.b_w, l_i=params.xi * params.l_w)
+
+
+class TestWhyQualityDegrades:
+    """f_i = xi f_w + m dP, with m = ModelParams.misalignment, and the facts that follow.
+
+    (A) aligned stakes degrade no point; (B) under dominance and without a
+    belief, a degraded worker delegates at a task success below p_w, so no
+    point is degraded when p_a >= p_w; (C) a belief degrades points even at
+    aligned stakes. The labels are solve_points', with their own tolerance.
+    """
+
+    def test_aligned_stakes_degrade_no_point(self):
+        unaligned = 0
+        for params in _draws():
+            beta_range = (*beta_span(params), _DRAW_BETAS)
+            assert not _sweep(_aligned(params), _DRAW_ALPHAS, beta_range)[1].any()
+            unaligned += int(_sweep(params, _DRAW_ALPHAS, beta_range)[1].sum())
+        assert unaligned > 0  # the same grids see degradation when the stakes differ
+
+    def test_degraded_workers_delegate_below_the_manual_success(self):
+        seen = 0
+        for params in _draws():
+            assert params.misalignment > 0.0 and params.believed_p_a is None
+            beta_range = (*beta_span(params), _DRAW_BETAS)
+            grid, degraded, success = _sweep(params, _DRAW_ALPHAS, beta_range)
+            seen += int(degraded.sum())
+            assert (grid.d_star[degraded] == 1).all()
+            assert (success[degraded] < params.p_w).all()
+            if params.p_a >= params.p_w:
+                assert not degraded.any()
+            for p_a in (params.p_w, 0.5 * (1.0 + params.p_w)):
+                assert not _sweep(replace(params, p_a=p_a), _DRAW_ALPHAS, beta_range)[1].any()
+        assert seen > 0
+
+    def test_reference_degradation_stops_at_the_manual_success(self, reference):
+        grid, degraded, success = _sweep(reference, *_REFERENCE_GRID)
+        assert len(grid) == 13041 and int(degraded.sum()) == 939
+        assert round(float(success[degraded].max()), 5) == 0.74627 < reference.p_w
+        for p_a in (0.8, 0.9):
+            assert not _sweep(replace(reference, p_a=p_a), *_REFERENCE_GRID)[1].any()
+
+    def test_a_belief_degrades_aligned_stakes(self, reference):
+        # the stated counterexample to (A): over-trust is a second channel
+        aligned = _aligned(reference)
+        believed = _sweep(replace(aligned, believed_p_a=0.75), *_REFERENCE_GRID)[1]
+        assert int(believed.sum()) == 519
+        assert not _sweep(replace(aligned, believed_p_a=0.5), *_REFERENCE_GRID)[1].any()
 
 
 class TestSeparatrices:

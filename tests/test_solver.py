@@ -156,10 +156,13 @@ class TestArrayBranchPoints:
         # puts the exponential closed form's log argument in (1, 1.1), where
         # np.log differs from math.log in about 1.6% of cases, so both forms
         # must take the log from np.log;
-        # the huge values overflow a * k and the slopes, which must stay silent
-        alpha = np.concatenate([[0.0, 0.0, 1.0, 1e-9, 50.0, 1e300, 1e200, 1e15, 1.0],
+        # the huge values overflow a * k and the slopes, which must stay silent;
+        # at alpha 6e307 the inverse-linear closed form underflows to -0.0, which
+        # the clamp makes +0.0
+        alpha = np.concatenate([[0.0, 0.0, 1.0, 1e-9, 50.0, 1e300, 1e200, 1e15, 1.0, 6e307],
                                 rng.uniform(0.0, 3.0, 300), np.ones(400)])
-        k = np.concatenate([[1.0, -1.0, 0.0, 1.0, 1e-9, 1.0, 1e200, 1.0, 1e300],
+        k = np.concatenate([[1.0, -1.0, 0.0, 1.0, 1e-9, 1.0, 1e200, 1.0, 1e300,
+                             6.862745098039213e-309],
                             rng.uniform(-0.5, 30.0, 300), rng.uniform(1.0, 1.1, 400) * 0.7 / 1.7])
         got = maximize_surplus_array(detection, alpha, vcost, k)
         want = [maximize_surplus(detection, a, vcost, kk) for a, kk in zip(alpha.tolist(), k.tolist())]
@@ -303,6 +306,20 @@ class TestArrayBranchPoints:
         assert [REGIMES[r] for r in regime] == [
             Regime.MANUAL, Regime.PURE_DELEGATION, Regime.PURE_DELEGATION,
             Regime.PURE_DELEGATION, Regime.VERIFIED_DELEGATION, Regime.MANUAL]
+
+    def test_choose_regime_takes_floats(self):
+        # the one regime rule: each float pair takes its array element's branch, a NaN
+        # f_w delegating as indifference does, and a float f_w gives int indices
+        f_w = [-1.0, -0.0, 0.0, 2.0, 2.0, -3.0, math.nan, math.nan]
+        s_dag = [0.5, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.75]
+        columns = choose_regime(np.array(f_w), np.array(s_dag))
+        for k, point in enumerate(zip(f_w, s_dag)):
+            d_star, s_star, regime = choose_regime(*point)
+            assert type(d_star) is int and type(regime) is int
+            assert (d_star, s_star, regime) == tuple(column[k] for column in columns)
+            assert math.copysign(1.0, s_star) == 1.0
+        assert [REGIMES[r] for r in columns[2][-2:]] == [Regime.PURE_DELEGATION,
+                                                          Regime.VERIFIED_DELEGATION]
 
 
 class TestOptimalAction:

@@ -3,7 +3,8 @@ module-level constant is read somewhere in the package, no function
 takes the redo discount kappa as a parameter, no function but psi_tau takes
 the threshold tau beside params, no function takes a belief about the AI
 beside params, bisect_array's point budget is not a parameter, the grid
-oracle shares no code with the solver, and no module reaches numpy.linalg
+oracle shares no code with the solver, no module names a regime or label
+member outside the oracle's mapping, and no module reaches numpy.linalg
 or numpy.polynomial.
 
 No linter ships with the project, so the checks walk each module's syntax
@@ -223,6 +224,56 @@ def test_the_oracle_shares_no_code_with_the_solver():
     reads = shared_reads((SRC / "solver.py").read_text(), "brute_force_action")
     assert "check_overflow" in reads  # the walk sees the body
     assert [name for name in reads if name not in ("check_overflow", "Action")] == []
+
+
+# choose_regime states the regime rule and _label_indices the quality and compliance
+# rule, each once for a float and an array, by index; a member such as Regime.MANUAL
+# read anywhere else would be a second copy of a rule that can disagree with it
+RULE_ENUMS = ("Regime", "QualityLabel", "ComplianceLabel")
+# oracle_regime maps the grid oracle's action to a regime for the tests, apart from the rule
+MEMBER_READS = {"solver.py": ("oracle_regime",)}
+
+
+def enum_member_reads(source: str, allowed: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+    """The reads of a RULE_ENUMS member in source, such as Regime.MANUAL, as (line, name).
+
+    A read is an attribute of a name or of an attribute called Regime,
+    QualityLabel or ComplianceLabel. The enum class bodies and the functions
+    named in allowed are skipped.
+    """
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in (*RULE_ENUMS, *allowed):
+            return
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name in RULE_ENUMS:
+                found.append((node.lineno, node.col_offset, f"{name}.{node.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return [(line, name) for line, _, name in sorted(found)]
+
+
+def test_the_check_finds_enum_member_reads():
+    source = ("class Regime(str, enum.Enum):\n    MANUAL = 'manual'\n"
+              "def oracle_regime(a):\n    return Regime.MANUAL\n"
+              "def rule(x):\n    return solver.Regime.MANUAL if x else QualityLabel.DEGRADED.value\n"
+              "def f(x):\n    return tuple(Regime), ComplianceLabel(x), REGIMES[x]\n")
+    assert enum_member_reads(source, ("oracle_regime",)) == [(6, "Regime.MANUAL"),
+                                                              (6, "QualityLabel.DEGRADED")]
+    assert enum_member_reads(source)[0] == (4, "Regime.MANUAL")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_restates_the_regime_or_label_rules(module):
+    source = (SRC / module).read_text()
+    if module in MEMBER_READS:  # the walk sees the allowed function's reads
+        assert enum_member_reads(source)
+    assert enum_member_reads(source, MEMBER_READS.get(module, ())) == []
 
 
 # numpy.linalg calls LAPACK, and numpy.polynomial calls numpy.linalg (leggauss
