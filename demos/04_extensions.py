@@ -4,7 +4,8 @@
 Heterogeneous difficulty integrates quality over a task-hardness
 distribution; a miscalibrated belief (the ModelParams field believed_p_a)
 makes the worker optimize against the wrong AI quality; partial
-re-execution discounts the cost of redoing work after a detected error.
+re-execution (the ModelParams field kappa) discounts the cost of redoing
+work after a detected error.
 """
 
 from dataclasses import replace
@@ -12,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from delver import (
-    Ability, DifficultyProfile, Rework, evaluate_point, expected_quality, optimal_action,
-    quality, reference_params, rework_quality,
+    Ability, DifficultyProfile, evaluate_point, expected_quality, optimal_action, quality,
+    reference_params,
 )
 
 params = reference_params()
@@ -47,7 +48,7 @@ print(f"overconfidence (0.70 vs true 0.65) grows the pure-delegation region "
 
 print("\n== partial re-execution ==")
 for kappa in (1.0, 0.8, 0.0):
-    act, rep = rework_quality(params, ability, Rework(kappa))
+    act, rep = evaluate_point(replace(params, kappa=kappa), ability)
     print(f"redo discount kappa={kappa:.1f}: regime {act.regime.value}, "
           f"effort {act.s_star:.4f}, q={rep.q:.4f}")
 print("cheaper correction makes verification more attractive, raising effort;")

@@ -32,7 +32,7 @@ from .solver import brute_force_action, manual_delegation_threshold, qualificati
 # bound (as a wrapper set with setattr, say) stays bound.
 _LAZY = {
     "calibration": ("cal",),
-    "extensions": ("DifficultyProfile", "Rework", "expected_quality", "rework_quality"),
+    "extensions": ("DifficultyProfile", "expected_quality"),
     "interventions": ("LEVER_MOVES", "CostModel", "CostTerm", "ai_upgrade_gain",
                       "incentive_transfer_gain", "minimal_lever", "worker_upskill"),
 }
@@ -189,6 +189,8 @@ def cmd_intervene_institution(args):
     if given != [True, True, False, False]:
         raise ConfigError("need --alpha and --beta, or --alpha-range and --beta-range"
                           + (", not both" if any(given[:2]) and any(given[2:]) else ""))
+    if args.out is not None:
+        raise ConfigError("--out needs --alpha-range and --beta-range; one point prints to stdout")
     res = lever(params, _ability(args), args.delta)
     _emit(args, {name: getattr(res, name) for name in ("lever", "delta", "gain", "new_q")})
     return 0
@@ -224,42 +226,42 @@ def cmd_intervene_minimal(args):
     return 0
 
 
-def cmd_extend(args):
-    """The extension's grid as CSV; every row is computed before --out is opened."""
+def cmd_extend_difficulty(args):
+    """The difficulty grid as CSV; every row is computed before --out is opened."""
     _load("extensions")
     params = load_params(args.config)
-    if args.kind == "difficulty":
-        profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
-        alpha, beta = _grid(args)
-        reports = [expected_quality(params, Ability(a, b), profile)
-                   for a, b in zip(alpha.tolist(), beta.tolist())]
-        values = zip(*((r.q, r.q0, r.gap, r.quality_label.value, r.compliance_label.value)
-                       for r in reports))
-        n = len(reports)
-        return _write_columns(args.out, [
-            ("alpha", alpha), ("beta", beta),
-            ("difficulty", np.full(n, "" if args.hhat is None else args.hhat)),
-            ("nodes", np.full(n, args.nodes)),
-            *zip(("q", "q0", "gap", "quality", "compliance"), map(np.array, values))])
+    profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
+    alpha, beta = _grid(args)
+    reports = [expected_quality(params, Ability(a, b), profile)
+               for a, b in zip(alpha.tolist(), beta.tolist())]
+    values = zip(*((r.q, r.q0, r.gap, r.quality_label.value, r.compliance_label.value)
+                   for r in reports))
+    n = len(reports)
+    return _write_columns(args.out, [
+        ("alpha", alpha), ("beta", beta),
+        ("difficulty", np.full(n, "" if args.hhat is None else args.hhat)),
+        ("nodes", np.full(n, args.nodes)),
+        *zip(("q", "q0", "gap", "quality", "compliance"), map(np.array, values))])
 
-    if args.kind == "belief":
-        if args.p_hat is None:
-            raise ConfigError("extend belief needs --p-hat")
-        # replace checks the belief before _grid reads the ranges, so a bad --p-hat fails first
-        grid = solve_points(replace(params, believed_p_a=args.p_hat), *_grid(args))
-        name, value = "p_hat", args.p_hat
-    else:
-        if args.kappa is None:
-            raise ConfigError("extend rework needs --kappa")
-        rework = Rework(args.kappa)
-        alpha, beta = _grid(args)
-        # the scalar call raises the per-point path's error at the first row;
-        # solve_points raises a later row's with the scalar message
-        rework_quality(params, Ability(alpha[0].item(), beta[0].item()), rework)
-        grid = solve_points(replace(params, kappa=rework.kappa), alpha, beta)
-        name, value = "kappa", rework.kappa
+
+# The benchmark seam: CLI_LAYERS in bench/tracing.py wraps this name, timing extend
+# belief's and rework's first-row solve as the extensions.rework_quality span
+rework_quality = evaluate_point
+
+
+def cmd_extend_field(args):
+    """The atlas grid with the ModelParams field args.field set, its value the third column."""
+    params = load_params(args.config)
+    value = getattr(args, args.option)
+    if value is None:
+        raise ConfigError(f"extend {args.kind} needs --{args.option.replace('_', '-')}")
+    # replace checks the value before _grid reads the ranges, so a bad one fails first
+    params = replace(params, **{args.field: value})
+    alpha, beta = _grid(args)
+    rework_quality(params, Ability(alpha[0].item(), beta[0].item()))  # the benchmark seam
+    grid = solve_points(params, alpha, beta)
     columns = atlas_columns(grid)
-    columns.insert(2, (name, np.full(len(grid), value)))
+    columns.insert(2, (args.option, np.full(len(grid), value)))
     return _write_columns(args.out, columns)
 
 
@@ -391,16 +393,25 @@ def build_parser():
     p.add_argument("--lever", required=True, choices=["alpha", "beta", "p_a"])
     p.set_defaults(func=cmd_intervene_minimal)
 
-    p = sub.add_parser("extend", parents=[config], help="difficulty, belief, and rework extensions")
-    p.add_argument("kind", choices=["difficulty", "belief", "rework"])
-    p.add_argument("--alpha-range", required=True)
-    p.add_argument("--beta-range", required=True)
+    extend = argparse.ArgumentParser(add_help=False, parents=[config])
+    extend.add_argument("--alpha-range", required=True)
+    extend.add_argument("--beta-range", required=True)
+    extend.add_argument("--out", default=None)
+    p = sub.add_parser("extend", help="difficulty, belief, and rework extensions")
+    esub = p.add_subparsers(dest="kind", required=True)
+
+    p = esub.add_parser("difficulty", parents=[extend], help="quality over task difficulty")
     p.add_argument("--hhat", type=float, default=None, help="pin the difficulty level")
     p.add_argument("--nodes", type=int, default=64)
+    p.set_defaults(func=cmd_extend_difficulty)
+
+    p = esub.add_parser("belief", parents=[extend], help="the worker plans with a believed p_a")
     p.add_argument("--p-hat", type=float, default=None, help="believed AI success probability")
+    p.set_defaults(func=cmd_extend_field, field="believed_p_a", option="p_hat")
+
+    p = esub.add_parser("rework", parents=[extend], help="a detected AI error costs kappa * C_w")
     p.add_argument("--kappa", type=float, default=None, help="re-execution discount")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_extend)
+    p.set_defaults(func=cmd_extend_field, field="kappa", option="kappa")
 
     p = sub.add_parser("calibrate", parents=[as_json],
                        help="invert a case log into model parameters")

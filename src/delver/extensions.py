@@ -1,23 +1,24 @@
-"""Model extensions: heterogeneous difficulty and partial redo.
+"""Model extension: heterogeneous task difficulty.
 
 Difficulty makes success probabilities and costs depend on a task-hardness
-level h and integrates quality over its distribution; partial re-execution
-discounts the cost of redoing work after a detected AI error. A
-miscalibrated belief about the AI is no extension here but the ModelParams
-field believed_p_a, which the worker's side of the base model reads.
+level h and integrates quality over its distribution. The other two
+extensions are fields of the base model's parameters, not code here:
+partial re-execution is ModelParams.kappa, which discounts the cost of
+redoing work after a detected AI error, and a miscalibrated belief about
+the AI is ModelParams.believed_p_a, which the worker's side reads.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import QualityReport, evaluate_point, solve_actions, solve_points
-from .model import Ability, ModelParams, check_kappa, reject_bools
-from .solver import OptimalAction, bisect_array
+from .atlas import QualityReport, solve_actions, solve_points
+from .model import Ability, ModelParams, reject_bools
+from .solver import bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
 # Newton's method on the Legendre recurrence takes O(nodes^2) time: about
@@ -55,20 +56,6 @@ class DifficultyProfile:
     def values_at(self, h) -> dict:
         """point_params' values at difficulty h, a float or an array of levels."""
         return {name: intercept + slope * h for name, (intercept, slope) in _PROFILE.items()}
-
-
-@dataclass(frozen=True)
-class Rework:
-    """Discount on the cost of redoing a task after a detected AI error.
-
-    kappa = 1 recovers the base model; kappa = 0 makes correction free.
-    """
-
-    kappa: float
-
-    def __post_init__(self):
-        reject_bools(self, ("kappa",))
-        check_kappa(self.kappa)
 
 
 def _gauss_legendre(n: int):
@@ -175,13 +162,3 @@ def expected_quality(params: ModelParams, ability: Ability,
     q0 = np.cumsum(np.concatenate(([0.0], weight * grid.q0)))[-1]
     return QualityReport.from_values(q, q0, params.tau)
 
-
-def rework_quality(params: ModelParams, ability: Ability,
-                   rework: Rework) -> tuple[OptimalAction, QualityReport]:
-    """Optimal action and quality when detected errors cost kappa * C_w to fix.
-
-    This is the base model with the redo cost scaled by kappa, on both
-    sides: the worker's surplus from detection and the institution's
-    discounted correction cost. The no-AI baseline is unchanged.
-    """
-    return evaluate_point(replace(params, kappa=rework.kappa), ability)

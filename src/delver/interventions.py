@@ -27,6 +27,11 @@ _UPSKILL_SCAN = 200  # scan radii per direction of worker_upskill's fan
 _LEVER_SCAN = 400  # scan points of minimal_lever
 
 
+def _reaches(q, tau):
+    """Whether quality q, a float or an array, reaches tau: q >= tau - 1e-9 (1 + |tau|)."""
+    return q >= tau - 1e-9 * (1.0 + abs(tau))
+
+
 @dataclass(frozen=True)
 class CostTerm:
     """Cost of one ability increment: coefficient * x, or coefficient * x**exponent."""
@@ -101,7 +106,7 @@ def _beta_cap(params: ModelParams) -> float:
 
 
 def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel) -> UpskillPlan:
-    """Cheapest ability increment (d_alpha, d_beta) that lifts quality to params.tau.
+    """Cheapest ability increment (d_alpha, d_beta) at which quality reaches params.tau.
 
     Scans the constraint frontier along a fan of directions (every whole
     degree from the alpha axis to the beta axis, axes included), finds the
@@ -116,11 +121,9 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     bisected together; each direction takes the radii, and so gives the
     result, of a scan and bisection of its own.
     """
-    tau = params.tau
-    qtol = 1e-9 * (1.0 + abs(tau))
     beta_cap = _beta_cap(params)
     q_now = quality(params, ability).q
-    if q_now >= tau - qtol:
+    if _reaches(q_now, params.tau):
         return UpskillPlan(0.0, 0.0, 0.0, q_now, True)
 
     if cost_model.h_alpha is None:
@@ -153,7 +156,8 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
 
     def feasible(ray, r):
         d_alpha, d_beta = increments(ray, r)
-        return solve_points(params, ability.alpha + d_alpha, ability.beta + d_beta).q >= tau - qtol
+        return _reaches(solve_points(params, ability.alpha + d_alpha, ability.beta + d_beta).q,
+                        params.tau)
 
     # first feasible scan index per ray (0 while none is found), by doubling blocks
     first = np.zeros(len(r_max), dtype=np.int64)
@@ -218,14 +222,12 @@ def incentive_transfer_gain(params: ModelParams, ability: Ability, d_b: float) -
 
 
 def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTarget:
-    """Smallest value of one lever (alpha, beta, or p_a) with quality >= params.tau.
+    """Smallest value of one lever (alpha, beta, or p_a) at which quality reaches params.tau.
 
     The search scans 400 points up to the lever's cap: 10 for alpha, the
     top of the efficiency domain (or 10 if unbounded) for beta, and 1 for
     p_a. The value is found to 1e-9.
     """
-    tau = params.tau
-    qtol = 1e-9 * (1.0 + abs(tau))
     # lever: (current value, cap, the (params, ability) with the lever at x)
     levers = {"alpha": (ability.alpha, _ALPHA_CAP, lambda x: (params, Ability(x, ability.beta))),
               "beta": (ability.beta, _beta_cap(params),
@@ -236,7 +238,7 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTar
     current, hi, at = levers[lever]
 
     def reaches(x):
-        return quality(*at(x)).q >= tau - qtol
+        return _reaches(quality(*at(x)).q, params.tau)
 
     if reaches(current):
         return LeverTarget(lever, current, True)

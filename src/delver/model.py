@@ -213,7 +213,8 @@ class ModelParams:
     def __post_init__(self):
         reject_bools(self, ("b_w", "l_w", "b_i", "l_i", "xi", "tau", "p_a", "c_a", "p_w", "kappa",
                             "believed_p_a"))
-        for name in ("b_w", "l_w", "b_i", "l_i", "xi", "c_a"):
+        # a negative kappa would pay for a redo
+        for name in ("b_w", "l_w", "b_i", "l_i", "xi", "c_a", "kappa"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -226,7 +227,6 @@ class ModelParams:
         for name, stakes in (("b_w + l_w", self.worker_stakes), ("b_i + l_i", self.institution_stakes)):
             if stakes == math.inf:
                 raise ValueError(f"{name} must be finite, got {stakes}")
-        check_kappa(self.kappa)
         if self.believed_p_a is not None and not 0.0 <= self.believed_p_a <= 1.0:
             raise ValueError("believed success probability must lie in [0, 1]")
 
@@ -321,12 +321,6 @@ def point_params(params: ModelParams, p_w=None, p_a=None, execution_scale=None,
     if verification_rate is not None:
         changes["verification_cost"] = build(VerificationCost(LINEAR), k=verification_rate)
     return build(params, **changes)
-
-
-def check_kappa(value: float) -> None:
-    """Reject a redo-cost discount kappa outside [0, inf): a negative one pays for a redo."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"kappa must be finite and >= 0, got {value}")
 
 
 def check_overflow(params: ModelParams, alpha: float, c_w: float) -> None:

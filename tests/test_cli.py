@@ -645,10 +645,10 @@ class TestGridCommands:
         def per_point_error():
             """The error of the per-point path: the kappa, then each row in order."""
             try:
-                rework = dv.Rework(float(kappa))
+                rework = replace(reference, kappa=float(kappa))
                 for b in np.linspace(*parse_range(beta)):
                     for a in np.linspace(*parse_range(alpha)):
-                        dv.rework_quality(reference, dv.Ability(float(a), float(b)), rework)
+                        dv.evaluate_point(rework, dv.Ability(float(a), float(b)))
             except ValueError as exc:
                 return str(exc)
             return None
@@ -714,6 +714,22 @@ class TestGridCommands:
         code, out, err = run(capsys, "extend", "rework", "--config", REFERENCE_CONFIG,
                              "--alpha-range", "0:1:3", "--beta-range", "0:1:3")
         assert (code, out, err) == (1, "", "error: extend rework needs --kappa\n")
+
+    @pytest.mark.parametrize("kind, option", [
+        ("difficulty", "--p-hat"), ("difficulty", "--kappa"),
+        ("belief", "--hhat"), ("belief", "--nodes"), ("belief", "--kappa"),
+        ("rework", "--hhat"), ("rework", "--nodes"), ("rework", "--p-hat")])
+    def test_extend_kind_refuses_another_kinds_option(self, capsys, tmp_path, kind, option):
+        # while the three kinds shared one parser, each of these was parsed and ignored
+        values = {"--hhat": "0.2", "--nodes": "3", "--p-hat": "0.7", "--kappa": "5"}
+        needed = {"belief": ["--p-hat", "0.7"], "rework": ["--kappa", "0.8"]}.get(kind, [])
+        path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "extend", kind, "--config", REFERENCE_CONFIG, *needed,
+                             option, values[option], "--alpha-range", "0:1:3",
+                             "--beta-range", "0:1:3", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {option} {values[option]}\n")
+        assert not path.exists()
 
     def test_extend_belief_grid(self, capsys, reference):
         code, out, err = run(capsys, "extend", "belief", "--config", REFERENCE_CONFIG,
@@ -863,6 +879,16 @@ class TestInterveneAndOracle:
         assert err.startswith("error: need --alpha and --beta") and err.endswith(message)
         assert len(err.strip().splitlines()) == 1
 
+    def test_institution_point_refuses_out(self, capsys, tmp_path):
+        # --out with one point used to print the point's result, write no file and exit 0
+        path = tmp_path / "gains.csv"
+        code, out, err = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
+                             "--lever", "p_a", "--delta", "0.05", "--alpha", "1", "--beta", "0.5",
+                             "--out", str(path))
+        assert (code, out, err) == (1, "", "error: --out needs --alpha-range and --beta-range; "
+                                           "one point prints to stdout\n")
+        assert not path.exists()
+
     def test_minimal_lever_command(self, capsys):
         code, out, _ = run(capsys, "intervene", "minimal", "--config", REFERENCE_CONFIG,
                            "--alpha", "0.05", "--beta", "0.5", "--lever", "alpha")
@@ -949,7 +975,7 @@ PACKAGE_NAMES = {
                     "classify_calibrated", "clean_cases", "estimate_observables", "fixture_path",
                     "infer_ability", "infer_stakes", "ingest_and_clean", "read_cases"],
     "config": ["ConfigError", "load_params", "params_from_dict", "params_to_dict"],
-    "extensions": ["DifficultyProfile", "Rework", "expected_quality", "rework_quality"],
+    "extensions": ["DifficultyProfile", "expected_quality"],
     "interventions": ["CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",
                       "ai_upgrade_gain", "incentive_transfer_gain", "minimal_lever",
                       "worker_upskill"],
@@ -966,9 +992,14 @@ PACKAGE_NAMES = {
 
 class TestStartup:
     def test_commands_load_only_the_modules_they_call(self):
+        ranges = ["--config", REFERENCE_CONFIG, "--alpha-range", "0:1:2", "--beta-range", "0:1:2"]
+        # extend belief and rework set a ModelParams field; difficulty calls extensions
         runs = [["boundary", "--config", REFERENCE_CONFIG, "--which", "psi0", "--beta-range", "0:1:5"],
                 ["selfcheck", "--config", REFERENCE_CONFIG, "--samples", "2"],
-                ["calibrate", *FIXTURE_CASES]]
+                ["extend", "belief", "--p-hat", "0.8", *ranges],
+                ["extend", "rework", "--kappa", "0.8", *ranges],
+                ["calibrate", *FIXTURE_CASES],
+                ["extend", "difficulty", "--hhat", "0.5", *ranges]]
         out = run_isolated(
             "import contextlib, io, json, sys\n"
             "import delver.cli as cli\n"
@@ -980,8 +1011,10 @@ class TestStartup:
             "        assert cli.main(argv) == 0, argv\n"
             "    loaded()\n")
         after_import, *after_runs = map(json.loads, out.splitlines())
-        assert after_import == after_runs[0] == after_runs[1] == STARTUP_MODULES
-        assert after_runs[2] == sorted(STARTUP_MODULES + ["delver.calibration", "delver.interventions"])
+        assert all(loaded == STARTUP_MODULES for loaded in [after_import, *after_runs[:4]])
+        assert after_runs[4] == sorted(STARTUP_MODULES + ["delver.calibration", "delver.interventions"])
+        assert after_runs[5] == sorted(STARTUP_MODULES + ["delver.calibration", "delver.extensions",
+                                                          "delver.interventions"])
 
     def test_package_offers_the_same_names(self):
         modules = {module: importlib.import_module(f"delver.{module}") for module in PACKAGE_NAMES}

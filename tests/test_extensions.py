@@ -1,5 +1,5 @@
-"""Difficulty and rework extensions and the believed_p_a field: reductions,
-directional effects, and the belief's reach through the base model."""
+"""The difficulty extension and the kappa (rework) and believed_p_a fields:
+reductions, directional effects, and the belief's reach through the base model."""
 
 import hashlib
 import math
@@ -12,8 +12,8 @@ import delver as dv
 from delver import extensions
 from delver.atlas import BOUNDARIES, boundary_curve, solve_points
 from delver.extensions import (
-    _PROBE_LEVELS, DifficultyProfile, Rework, _branch, _smooth_breakpoints, expected_quality,
-    rework_quality, unit_quadrature,
+    _PROBE_LEVELS, DifficultyProfile, _branch, _smooth_breakpoints, expected_quality,
+    unit_quadrature,
 )
 from delver.model import Ability, Action, ModelParams, point_params
 from delver.sampling import beta_span, sample_ability, sample_params
@@ -86,13 +86,13 @@ class TestDifficultyProfile:
         assert DifficultyProfile(nodes=np.int64(8)) == DifficultyProfile(nodes=8)
 
     @pytest.mark.parametrize("value", [True, False])
-    def test_difficulty_is_no_bool(self, value):
+    def test_difficulty_is_no_bool(self, reference, value):
         # DifficultyProfile(difficulty=True) used to pin hardness 1
         with pytest.raises(ValueError) as info:
             DifficultyProfile(difficulty=value)
         assert str(info.value) == f"'difficulty' must be a number, got {value}"
         with pytest.raises(ValueError, match=rf"^'kappa' must be a number, got {value}$"):
-            Rework(value)
+            replace(reference, kappa=value)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 255, 1024])
     def test_quadrature_integrates_polynomials_exactly(self, n):
@@ -369,20 +369,22 @@ class TestRework:
         for params in [reference] + [sample_params(rng) for _ in range(5)]:
             for _ in range(40):
                 ability = sample_ability(rng, params)
-                assert rework_quality(params, ability, Rework(1.0)) == dv.evaluate_point(params, ability)
+                assert (dv.evaluate_point(replace(params, kappa=1.0), ability)
+                        == dv.evaluate_point(params, ability))
 
     def test_free_correction_raises_verification_effort(self, reference):
         for alpha in (0.5, 0.8, 1.2):
             for beta in (0.3, 0.6, 0.9):
                 ability = Ability(alpha, beta)
                 base = dv.optimal_action(reference, ability)
-                free, _ = rework_quality(reference, ability, Rework(0.0))
+                free = dv.optimal_action(replace(reference, kappa=0.0), ability)
                 if base.regime == dv.Regime.VERIFIED_DELEGATION:
                     assert free.s_dagger >= base.s_dagger - 1e-9
 
     def test_mild_discount_barely_moves_the_regime_map(self, reference):
         grid = [Ability(a, b) for a in np.linspace(0, 1, 41) for b in np.linspace(0, 1, 41)]
-        same = sum(rework_quality(reference, ab, Rework(0.8))[0].regime
+        discounted = replace(reference, kappa=0.8)
+        same = sum(dv.optimal_action(discounted, ab).regime
                    == dv.optimal_action(reference, ab).regime for ab in grid)
         assert same / len(grid) >= 0.95
 
@@ -394,10 +396,10 @@ class TestRework:
         lo, hi = beta_span(params)
         alpha = np.concatenate([rng.uniform(0.0, 3.0, 60), [0.0, 3.0]])
         beta = np.concatenate([rng.uniform(lo, hi, 60), [lo, hi]])
-        grid = dv.solve_points(replace(params, kappa=kappa), alpha, beta)
+        rework = replace(params, kappa=kappa)
+        grid = dv.solve_points(rework, alpha, beta)
         for k, row in enumerate(grid):
-            act, rep = rework_quality(params, Ability(alpha[k].item(), beta[k].item()),
-                                      Rework(kappa))
+            act, rep = dv.evaluate_point(rework, Ability(alpha[k].item(), beta[k].item()))
             # hex compares the bits of the floats, the sign of a zero included
             assert ([row.d_star, row.s_star.hex(), row.regime, row.q.hex(), row.q0.hex(),
                      row.gap.hex(), row.quality_label, row.compliance_label]
@@ -409,8 +411,7 @@ class TestRework:
         # evaluate_point once scored kappa = -3 as q = 8.40625, improved, and
         # called nan too large; kappa is now a ModelParams field, checked once
         assert reference.kappa == 1.0
-        checks = [lambda: Rework(kappa),
-                  lambda: replace(reference, kappa=kappa),
+        checks = [lambda: replace(reference, kappa=kappa),
                   lambda: ModelParams(**{**reference.__dict__, "kappa": kappa})]
         for check in checks:
             with pytest.raises(ValueError) as info:

@@ -1,6 +1,7 @@
 """Library source: every name a module imports is read in it, every
 module-level constant is read somewhere in the package, no function
-takes the redo discount kappa as a parameter, no function but psi_tau takes
+takes the redo discount kappa as a parameter and no class but ModelParams
+declares it as a field, no function but psi_tau takes
 the threshold tau beside params, no function takes a belief about the AI
 beside params, bisect_array's point budget is not a parameter, the grid
 oracle shares no code with the solver, no module names a regime or label
@@ -123,6 +124,40 @@ def test_the_check_finds_kappa_parameters():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_takes_kappa(module):
     assert functions_taking((SRC / module).read_text(), "kappa") == []
+
+
+def classes_declaring(source: str, name: str) -> list[str]:
+    """The classes in source whose body binds name, annotated or not, as a field is declared.
+
+    A name bound inside a method is no field and is not counted.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            targets = [target for stmt in node.body
+                       for target in ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                                      else stmt.targets if isinstance(stmt, ast.Assign) else [])]
+            if any(isinstance(n, ast.Name) and n.id == name
+                   for target in targets for n in ast.walk(target)):
+                found.append(node.name)
+    return found
+
+
+def test_the_check_finds_kappa_fields():
+    source = ("@dataclass(frozen=True)\nclass Rework:\n    kappa: float\n"
+              "class Plain:\n    kappa = 1.0\n"
+              "class Reader:\n    def f(self, params):\n        kappa = params.kappa\n"
+              "        return kappa\n"
+              "class ModelParams:\n    tau: float\n    kappa: float = 1.0\n")
+    assert classes_declaring(source, "kappa") == ["Rework", "Plain", "ModelParams"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_class_but_model_params_declares_kappa(module):
+    # kappa is set in one place, ModelParams.kappa; a record of its own (the Rework
+    # class once was one) would be a second way in, with checks of its own
+    assert classes_declaring((SRC / module).read_text(), "kappa") == \
+        (["ModelParams"] if module == "model.py" else [])
 
 
 def test_the_check_finds_tau_beside_params():
