@@ -25,9 +25,11 @@ print(f"base model at (0.6, 0.5): q={base.q:.4f}, q0={base.q0:.4f}, "
 
 print("\n== heterogeneous task difficulty ==")
 # pinning difficulty at its midpoint reproduces the base configuration
-pinned = expected_quality(params, ability, DifficultyProfile(difficulty=0.5))
+# expected_quality solves arrays of points; here the one point (0.6, 0.5)
+alpha, beta = [ability.alpha], [ability.beta]
+[pinned] = expected_quality(params, alpha, beta, DifficultyProfile(difficulty=0.5))
 print(f"difficulty pinned at 0.5: q={pinned.q:.6f} (base {base.q:.6f})")
-uniform = expected_quality(params, ability, DifficultyProfile(nodes=64))
+[uniform] = expected_quality(params, alpha, beta, DifficultyProfile(nodes=64))
 print(f"difficulty uniform on [0,1]: q={uniform.q:.6f}, q0={uniform.q0:.6f}, "
       f"label {uniform.quality_label.value}")
 

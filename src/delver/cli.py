@@ -161,12 +161,13 @@ def cmd_oracle(args):
 def _parse_cost_term(text):
     if text == "off":
         return None
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "linear" and len(parts) == 2:
-        return CostTerm("linear", float(parts[1]))
-    if kind == "power" and len(parts) == 3:
-        return CostTerm("power", float(parts[1]), float(parts[2]))
+    kind, *numbers = text.split(":")
+    try:
+        numbers = [float(number) for number in numbers]
+    except ValueError:
+        numbers = None
+    if numbers is not None and (kind, len(numbers)) in (("linear", 1), ("power", 2)):
+        return CostTerm(kind, *numbers)
     raise ConfigError(f"cost term must be linear:C, power:C:RHO, or off; got {text!r}")
 
 
@@ -232,15 +233,12 @@ def cmd_extend_difficulty(args):
     params = load_params(args.config)
     profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
     alpha, beta = _grid(args)
-    reports = [expected_quality(params, Ability(a, b), profile)
-               for a, b in zip(alpha.tolist(), beta.tolist())]
     values = zip(*((r.q, r.q0, r.gap, r.quality_label.value, r.compliance_label.value)
-                   for r in reports))
-    n = len(reports)
+                   for r in expected_quality(params, alpha, beta, profile)))
     return _write_columns(args.out, [
         ("alpha", alpha), ("beta", beta),
-        ("difficulty", np.full(n, "" if args.hhat is None else args.hhat)),
-        ("nodes", np.full(n, args.nodes)),
+        ("difficulty", np.full(len(alpha), "" if args.hhat is None else args.hhat)),
+        ("nodes", np.full(len(alpha), args.nodes)),
         *zip(("q", "q0", "gap", "quality", "compliance"), map(np.array, values))])
 
 
@@ -298,8 +296,9 @@ def cmd_calibrate(args):
 
 
 def cmd_selfcheck(args):
-    if args.samples < 0:
-        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+    for option in ("samples", "seed"):
+        if getattr(args, option) < 0:
+            raise ConfigError(f"--{option} must be >= 0, got {getattr(args, option)}")
     params = load_params(args.config)
     t = manual_delegation_threshold(params)
     t_tau = qualification_threshold(params)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import QualityReport, solve_actions, solve_points
-from .model import Ability, ModelParams, reject_bools
+from .model import ModelParams, reject_bools
 from .solver import bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
+_BLOCK_POINTS = 512  # points per batched pass: 131,584 probe rows
 # Newton's method on the Legendre recurrence takes O(nodes^2) time: about
 # 35 ms at 1024 nodes in a fresh process, and years at 1e8
 _MAX_NODES = 1024
@@ -104,61 +105,60 @@ def unit_quadrature(nodes: int):
     return h, w
 
 
-def _at_levels(solve, params: ModelParams, ability: Ability, profile: DifficultyProfile, h):
-    """solve (solve_actions or solve_points) for the worker at each difficulty level in h."""
-    n = len(h)
-    return solve(params, np.full(n, ability.alpha), np.full(n, ability.beta),
-                 **profile.values_at(h))
-
-
-def _branch(params, ability, profile, h) -> np.ndarray:
-    """The optimal action's branch at each level in h: regime, and s_dagger at 0, inside or at 1."""
-    act = _at_levels(solve_actions, params, ability, profile, h)
+def _branch(params, alpha, beta, profile, h) -> np.ndarray:
+    """The optimal action's branch at each point and level: regime, and s_dagger's clamp."""
+    act = solve_actions(params, alpha, beta, **profile.values_at(h))
     return 3 * act.regime + np.where(act.s_dagger <= 0.0, 0, np.where(act.s_dagger >= 1.0, 2, 1))
 
 
-def _smooth_breakpoints(params, ability, profile):
-    """Difficulty levels where the optimal action changes branch, with 0 and 1.
+def expected_quality(params: ModelParams, alpha, beta,
+                     profile: DifficultyProfile) -> list[QualityReport]:
+    """Quality and baseline integrated over the task-difficulty distribution, one report per point.
 
-    Quality is smooth in h only between regime switches and effort-clamp
-    transitions; integrating across those kinks would wreck the quadrature
-    order, so they become segment boundaries. Probing happens at cell
-    midpoints because the cost maps may only be valid on the open interval.
-    Each kink is placed by 45 bisection steps at tol 0, all kinks at once,
-    in ceil(45 / depth) solves: bisect_array asks about depth steps per
-    solve, 10 for one kink down to 7 for five.
+    alpha and beta are matching 1-d arrays, as solve_points takes. A pinned
+    difficulty is one solve_points call. Otherwise the worker re-solves the
+    optimal action at every level, and quality is smooth in h only between
+    the kinks where the action changes branch (regime or effort clamp), so
+    each segment between them gets profile.nodes Gauss-Legendre nodes; labels
+    are assigned to the integrated values. The points go in blocks of
+    _BLOCK_POINTS, in order, and each block makes three passes: the probe
+    levels (cell midpoints, since the cost maps may only be valid on the open
+    interval) of every point in one solve_actions call; every kink in one
+    bisect_array call of 45 steps at tol 0; and every node in one solve_points
+    call. Each point's weighted values are then summed in segment order as a
+    running sum, so a report is bitwise the same whatever shares its block.
     """
-    hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
-    branch = _branch(params, ability, profile, hs)
-    kinks = np.flatnonzero(branch[:-1] != branch[1:])
-    lo, hi = bisect_array(lambda k, h: _branch(params, ability, profile, h) != branch[kinks[k]],
-                          hs[kinks], hs[kinks + 1], 0.0, steps=45)
-    return np.concatenate(([0.0], 0.5 * (lo + hi), [1.0]))
-
-
-def expected_quality(params: ModelParams, ability: Ability,
-                     profile: DifficultyProfile) -> QualityReport:
-    """Quality and baseline integrated over the task-difficulty distribution.
-
-    The worker re-solves the optimal action at every difficulty level.
-    Integration is Gauss-Legendre with profile.nodes nodes on each smooth
-    segment between detected action-branch switches; labels are assigned
-    to the integrated values. All nodes of all segments are solved in one
-    solve_points call, and the weighted values are summed node by node in
-    segment order, as a running sum.
-    """
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if alpha.ndim != 1 or beta.shape != alpha.shape:
+        raise ValueError("alpha and beta must be 1-d arrays of one length")
     if profile.difficulty is not None:
-        grid = _at_levels(solve_points, params, ability, profile, np.array([profile.difficulty]))
-        return QualityReport.from_values(float(grid.q[0]), float(grid.q0[0]), params.tau)
+        grid = solve_points(params, alpha, beta,
+                            **profile.values_at(np.full(len(alpha), profile.difficulty)))
+        return [QualityReport.from_values(q, q0, params.tau)
+                for q, q0 in zip(grid.q.tolist(), grid.q0.tolist())]
+    if len(alpha) > _BLOCK_POINTS:
+        return [report for k in range(0, len(alpha), _BLOCK_POINTS) for report in expected_quality(
+            params, alpha[k:k + _BLOCK_POINTS], beta[k:k + _BLOCK_POINTS], profile)]
+    n, hs = len(alpha), (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
+    branch = _branch(params, alpha.repeat(_PROBE_LEVELS), beta.repeat(_PROBE_LEVELS), profile,
+                     np.tile(hs, n)).reshape(n, _PROBE_LEVELS)
+    # every kink's point and probe cell, point by point and in h order
+    point, cell = np.nonzero(branch[:, :-1] != branch[:, 1:])
+    lo, hi = bisect_array(lambda k, h: _branch(params, alpha[point[k]], beta[point[k]], profile, h)
+                          != branch[point[k], cell[k]], hs[cell], hs[cell + 1], 0.0, steps=45)
+    # each point's cuts 0, kinks, 1 in turn; the step back from one point's 1
+    # to the next's 0 is the only negative width, so counting them gives the point
+    cuts = np.insert(0.5 * (lo + hi), np.searchsorted(point, np.arange(2 * n) / 2),
+                     np.tile([0.0, 1.0], n))
+    width = np.diff(cuts)
+    keep = width > 0.0
+    at = np.cumsum(width < 0.0)[keep].repeat(profile.nodes)
     base_h, base_w = unit_quadrature(profile.nodes)
-    cuts = _smooth_breakpoints(params, ability, profile)
-    lo, width = cuts[:-1], np.diff(cuts)
-    lo, width = lo[width > 0.0, None], width[width > 0.0, None]
-    grid = _at_levels(solve_points, params, ability, profile, (lo + width * base_h).ravel())
-    weight = (width * base_w).ravel()
-    # np.cumsum adds left to right, as the running sum does; numpy's sum
-    # adds pairwise and would change the last bits
-    q = np.cumsum(np.concatenate(([0.0], weight * grid.q)))[-1]
-    q0 = np.cumsum(np.concatenate(([0.0], weight * grid.q0)))[-1]
-    return QualityReport.from_values(q, q0, params.tau)
-
+    grid = solve_points(params, alpha[at], beta[at], **profile.values_at(
+        (cuts[:-1][keep, None] + width[keep, None] * base_h).ravel()))
+    weighted = (width[keep, None] * base_w).ravel() * np.stack((grid.q, grid.q0))
+    # np.cumsum adds left to right from 0.0, as the running sum does; numpy's
+    # sum adds pairwise and would change the last bits
+    sums = [np.cumsum(np.concatenate((np.zeros((2, 1)), part), axis=1), axis=1)[:, -1]
+            for part in np.split(weighted, np.cumsum(np.bincount(at, minlength=n)), axis=1)[:-1]]
+    return [QualityReport.from_values(q, q0, params.tau) for q, q0 in sums]

@@ -201,10 +201,12 @@ def test_criterion_8_extension_reductions(reference):
     pinned = DifficultyProfile(difficulty=0.5)
     known = replace(reference, believed_p_a=reference.p_a)
     full_redo = replace(reference, kappa=1.0)
-    for ability in grid:
+    integrated = expected_quality(reference, [ability.alpha for ability in grid],
+                                  [ability.beta for ability in grid], pinned)
+    for ability, ext in zip(grid, integrated, strict=True):
         base = dv.quality(reference, ability)
         scale = 1.0 + abs(base.q)
-        worst = max(worst, abs(expected_quality(reference, ability, pinned).q - base.q) / scale)
+        worst = max(worst, abs(ext.q - base.q) / scale)
         worst = max(worst, abs(dv.quality(known, ability).q - base.q) / scale)
         worst = max(worst, abs(dv.quality(full_redo, ability).q - base.q) / scale)
     assert report("8 extension reductions", worst <= 1e-9, f"worst relative error {worst:.2e}")

@@ -769,20 +769,41 @@ class TestGridCommands:
         profile = dv.DifficultyProfile(difficulty=0.5)
         rows = [(a, b) for b in np.linspace(0, 1, 3) for a in np.linspace(0, 1, 3)]
         for line, (a, b) in zip(lines[1:], rows):
-            rep = dv.expected_quality(reference, dv.Ability(float(a), float(b)), profile)
+            [rep] = dv.expected_quality(reference, [a], [b], profile)
             assert line == ",".join([fmt(float(a)), fmt(float(b)), "0.5", "64", fmt(rep.q),
                                      fmt(rep.q0), fmt(rep.gap), rep.quality_label.value,
                                      rep.compliance_label.value])
 
     def test_invalid_difficulty_point_leaves_no_file(self, capsys, tmp_path, reference):
+        # the rows before (0, 1.5) are valid; pinned or integrated, the grid
+        # fails with that point's one-point message
         path = tmp_path / "difficulty.csv"
-        with pytest.raises(ValueError) as info:
-            dv.expected_quality(reference, dv.Ability(0.5, 1.5), dv.DifficultyProfile(0.5))
-        code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
-                             "--hhat", "0.5", "--alpha-range", "0:1:3",
-                             "--beta-range", "0:1.5:4", "--out", str(path))
-        assert (code, out, err) == (1, "", f"error: {info.value}\n")
-        assert not path.exists()
+        for hhat in (["--hhat", "0.5"], []):
+            with pytest.raises(ValueError) as info:
+                dv.expected_quality(reference, [0.0], [1.5],
+                                    dv.DifficultyProfile(0.5 if hhat else None))
+            code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                                 *hhat, "--alpha-range", "0:1:3",
+                                 "--beta-range", "0:1.5:4", "--out", str(path))
+            assert (code, out, err) == (1, "", f"error: {info.value}\n")
+            assert not path.exists()
+
+    def test_difficulty_grid_is_one_expected_quality_call(self, capsys, tmp_path, monkeypatch):
+        # bench/tracing.py wraps cli.expected_quality and times each call as
+        # one extend difficulty command's integration, whatever its grid size
+        calls, plain = [], cli.expected_quality
+
+        def counting(params, alpha, beta, profile):
+            calls.append(len(alpha))
+            return plain(params, alpha, beta, profile)
+
+        monkeypatch.setattr(cli, "expected_quality", counting)
+        for ranges in (["0:1:3", "0.2:0.8:3"], ["0.5:0.5:1", "0.5:0.5:1"]):
+            code, _, _ = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                             "--alpha-range", ranges[0], "--beta-range", ranges[1],
+                             "--out", str(tmp_path / "difficulty.csv"))
+            assert code == 0
+        assert calls == [9, 1]
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
     def test_difficulty_after_a_fork_starts_no_thread(self):
@@ -849,7 +870,10 @@ class TestInterveneAndOracle:
     @pytest.mark.parametrize("costs, message", [
         (["--h1", "off", "--h2", "off"], "at least one cost term must be enabled"),
         (["--h1", "quad:1"], "cost term must be linear:C, power:C:RHO, or off; got 'quad:1'"),
-    ], ids=["both-off", "unknown-kind"])
+        (["--h1", "linear:abc"],
+         "cost term must be linear:C, power:C:RHO, or off; got 'linear:abc'"),
+        (["--h2", "power:2:x"], "cost term must be linear:C, power:C:RHO, or off; got 'power:2:x'"),
+    ], ids=["both-off", "unknown-kind", "non-numeric-coefficient", "non-numeric-exponent"])
     def test_bad_cost_model_is_one_error_line(self, capsys, costs, message):
         code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
                              "--alpha", "0.05", "--beta", "0.1", *costs)
@@ -1089,6 +1113,11 @@ class TestSelfcheck:
     def test_negative_samples_is_rejected(self, capsys):
         code, out, err = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG, "--samples", "-3")
         assert (code, out, err) == (1, "", "error: --samples must be >= 0, got -3\n")
+
+    def test_negative_seed_is_rejected_before_any_output(self, capsys):
+        # the seed used to be refused by numpy after the threshold lines
+        code, out, err = run(capsys, "selfcheck", "--config", REFERENCE_CONFIG, "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: --seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("family, t_tau", [("linear_in_efficiency", "0"),
                                                ("inverse_efficiency", "1e-12")])

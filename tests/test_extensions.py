@@ -12,12 +12,13 @@ import delver as dv
 from delver import extensions
 from delver.atlas import BOUNDARIES, boundary_curve, solve_points
 from delver.extensions import (
-    _PROBE_LEVELS, DifficultyProfile, _branch, _smooth_breakpoints, expected_quality,
-    unit_quadrature,
+    _PROBE_LEVELS, DifficultyProfile, _branch, expected_quality, unit_quadrature,
 )
 from delver.model import Ability, Action, ModelParams, point_params
 from delver.sampling import beta_span, sample_ability, sample_params
-from delver.solver import bisect, manual_delegation_threshold, qualification_threshold
+from delver.solver import (
+    bisect, bisect_array, manual_delegation_threshold, qualification_threshold,
+)
 
 from conftest import family_configs
 
@@ -38,17 +39,22 @@ DIFFICULTY_PROFILES = [
 SCALAR_REPORTS_DIGEST = "154c86ef63f3b23f744f12a620c397eb4b2ac350c7b12594778b515acac36d81"
 
 
+def columns(abilities):
+    """The alpha and beta columns of a list of Abilities."""
+    return np.array([a.alpha for a in abilities]), np.array([a.beta for a in abilities])
+
+
 def difficulty_reports():
-    """120 reports: 3 sampled workers per family triple under each profile.
+    """120 reports: 3 sampled workers per family triple under each profile, one call each.
 
     Between them the integrated profiles place 0 to 5 kinks per worker.
     """
     reports = []
     for i, (_, params) in enumerate(sorted(family_configs().items())):
         rng = np.random.default_rng(700 + i)
-        abilities = [sample_ability(rng, params) for _ in range(3)]
+        alpha, beta = columns([sample_ability(rng, params) for _ in range(3)])
         for profile in DIFFICULTY_PROFILES:
-            reports.extend(expected_quality(params, ability, profile) for ability in abilities)
+            reports.extend(expected_quality(params, alpha, beta, profile))
     return reports
 
 
@@ -143,23 +149,74 @@ class TestDifficultyProfile:
                 value = getattr(old, name)
                 assert abs(getattr(new, name) - value) <= 1e-13 * abs(value)
 
-    def test_kinks_equal_a_scalar_bisection_per_kink(self, reference):
+    def test_kinks_equal_a_scalar_bisection_per_kink(self, reference, monkeypatch):
+        # the one bisect_array call of a grid places each point's kinks, in
+        # order, on the brackets a scalar bisect of each kink ends on; and each
+        # report is the per-point loop over those kinks: one solve_points call
+        # per segment, then a running sum over its nodes
+        brackets = []
+
+        def recording(*args, **kwargs):
+            brackets.append(bisect_array(*args, **kwargs))
+            return brackets[-1]
+
+        monkeypatch.setattr(extensions, "bisect_array", recording)
         rng = np.random.default_rng(17)
         profile, kinks = DifficultyProfile(), 0
+        hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
+        base_h, base_w = unit_quadrature(profile.nodes)
         for params in [reference] + [sample_params(rng) for _ in range(8)]:
-            for ability in [sample_ability(rng, params) for _ in range(3)]:
-                hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
-                branch = _branch(params, ability, profile, hs)
-                want = [0.0]
+            abilities = [sample_ability(rng, params) for _ in range(3)]
+            reports = expected_quality(params, *columns(abilities), profile)
+            want = []
+            for ability, report in zip(abilities, reports, strict=True):
+                def point(h):
+                    return np.full(len(h), ability.alpha), np.full(len(h), ability.beta)
+                branch = _branch(params, *point(hs), profile, hs)
+                cuts = [0.0]
                 for k in np.flatnonzero(branch[:-1] != branch[1:]).tolist():
-                    lo, hi = bisect(lambda h: _branch(params, ability, profile, np.array([h]))[0]
-                                    != branch[k], hs[k], hs[k + 1], 0.0, steps=45)
-                    want.append(0.5 * (lo + hi))
-                want.append(1.0)
-                kinks += len(want) - 2
-                assert _smooth_breakpoints(params, ability, profile).tobytes() == \
-                    np.array(want).tobytes()
-        assert kinks >= 10
+                    lo, hi = bisect(lambda h: _branch(params, *point([h]), profile,
+                                                      np.array([h]))[0] != branch[k],
+                                    hs[k], hs[k + 1], 0.0, steps=45)
+                    want.append((lo, hi))
+                    cuts.append(0.5 * (lo + hi))
+                q = q0 = 0.0
+                for start, end in zip(cuts, cuts[1:] + [1.0]):
+                    if end > start:
+                        grid = solve_points(params, *point(base_h), **profile.values_at(
+                            start + (end - start) * base_h))
+                        for w, node_q, node_q0 in zip((end - start) * base_w, grid.q, grid.q0):
+                            q, q0 = q + w * node_q, q0 + w * node_q0
+                assert repr((report.q, report.q0)) == repr((q, q0))
+            want = np.array(want, dtype=float).reshape(-1, 2)
+            lo, hi = brackets.pop()
+            assert (lo.tobytes(), hi.tobytes()) == (want[:, 0].tobytes(), want[:, 1].tobytes())
+            kinks += len(want)
+        assert (brackets, kinks >= 10) == ([], True)
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_equal_one_point_calls(self, monkeypatch, block):
+        # a grid split into blocks of 2 or 3 points, against each point alone,
+        # over every family triple and some sampled configs
+        rng = np.random.default_rng(23)
+        cases = [(params, columns([sample_ability(rng, params) for _ in range(4)]))
+                 for _, params in sorted(family_configs().items())]
+        cases += [(params, columns([sample_ability(rng, params) for _ in range(7)]))
+                  for params in [sample_params(rng) for _ in range(3)]]
+        monkeypatch.setattr(extensions, "_BLOCK_POINTS", block)
+        for profile in (DifficultyProfile(nodes=8), DifficultyProfile(), DifficultyProfile(0.7)):
+            for params, (alpha, beta) in cases:
+                alone = [expected_quality(params, alpha[k:k + 1], beta[k:k + 1], profile)
+                         for k in range(len(alpha))]
+                assert list(map(repr, expected_quality(params, alpha, beta, profile))) == \
+                    [repr(report) for [report] in alone]
+
+    def test_points_are_matching_1d_arrays(self, reference):
+        for alpha, beta in ((0.5, 0.5), ([0.5], [0.5, 0.6]), ([[0.5]], [[0.5]])):
+            with pytest.raises(ValueError,
+                               match="^alpha and beta must be 1-d arrays of one length$"):
+                expected_quality(reference, alpha, beta, DifficultyProfile())
+        assert expected_quality(reference, [], [], DifficultyProfile()) == []
 
     @pytest.mark.parametrize("level", [0.0, -0.1, 1.1, float("nan")])
     def test_levels_outside_the_half_open_interval_are_rejected(self, level):
@@ -175,24 +232,23 @@ class TestDifficultyProfile:
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):
         profile = DifficultyProfile(difficulty=0.5)
         rng = np.random.default_rng(9)
-        for _ in range(40):
-            ability = Ability(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+        abilities = [Ability(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))) for _ in range(40)]
+        reports = expected_quality(reference, *columns(abilities), profile)
+        for ability, ext in zip(abilities, reports, strict=True):
             base = dv.quality(reference, ability)
-            ext = expected_quality(reference, ability, profile)
             assert ext.q == pytest.approx(base.q, rel=1e-9, abs=1e-9)
             assert ext.q0 == pytest.approx(base.q0, rel=1e-9, abs=1e-9)
             assert ext.quality_label == base.quality_label
 
     def test_quadrature_converges(self, reference):
-        ability = Ability(0.6, 0.5)
-        coarse = expected_quality(reference, ability, DifficultyProfile(nodes=32))
-        fine = expected_quality(reference, ability, DifficultyProfile(nodes=64))
+        [coarse] = expected_quality(reference, [0.6], [0.5], DifficultyProfile(nodes=32))
+        [fine] = expected_quality(reference, [0.6], [0.5], DifficultyProfile(nodes=64))
         assert coarse.q == pytest.approx(fine.q, rel=1e-6)
         assert coarse.q0 == pytest.approx(fine.q0, rel=1e-6)
 
     def test_manual_at_every_difficulty_means_zero_gap(self, reference):
         # alpha = 0 and full efficiency keep every difficulty level manual
-        rep = expected_quality(reference, Ability(0.0, 1.0), DifficultyProfile(nodes=32))
+        [rep] = expected_quality(reference, [0.0], [1.0], DifficultyProfile(nodes=32))
         assert rep.gap == pytest.approx(0.0, abs=1e-12)
         assert rep.quality_label == dv.QualityLabel.UNCHANGED
 
