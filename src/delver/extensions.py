@@ -21,7 +21,7 @@ from .model import ModelParams, reject_bools
 from .solver import bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
-_BLOCK_POINTS = 512  # points per batched pass: 131,584 probe rows
+_BLOCK_POINTS = 512  # points per batched pass up to 64 nodes: 131,584 probe rows
 # Newton's method on the Legendre recurrence takes O(nodes^2) time: about
 # 35 ms at 1024 nodes in a fresh process, and years at 1e8
 _MAX_NODES = 1024
@@ -121,7 +121,8 @@ def expected_quality(params: ModelParams, alpha, beta,
     the kinks where the action changes branch (regime or effort clamp), so
     each segment between them gets profile.nodes Gauss-Legendre nodes; labels
     are assigned to the integrated values. The points go in blocks of
-    _BLOCK_POINTS, in order, and each block makes three passes: the probe
+    _BLOCK_POINTS up to 64 nodes, and of _BLOCK_POINTS * 257 / (4 nodes)
+    above, in order, and each block makes three passes: the probe
     levels (cell midpoints, since the cost maps may only be valid on the open
     interval) of every point in one solve_actions call; every kink in one
     bisect_array call of 45 steps at tol 0; and every node in one solve_points
@@ -136,9 +137,12 @@ def expected_quality(params: ModelParams, alpha, beta,
                             **profile.values_at(np.full(len(alpha), profile.difficulty)))
         return [QualityReport.from_values(q, q0, params.tau)
                 for q, q0 in zip(grid.q.tolist(), grid.q0.tolist())]
-    if len(alpha) > _BLOCK_POINTS:
-        return [report for k in range(0, len(alpha), _BLOCK_POINTS) for report in expected_quality(
-            params, alpha[k:k + _BLOCK_POINTS], beta[k:k + _BLOCK_POINTS], profile)]
+    # above 64 nodes a block holds fewer points, so that a node pass of four
+    # segments per point stays within the block's probe rows
+    block = _BLOCK_POINTS * _PROBE_LEVELS // max(_PROBE_LEVELS, 4 * profile.nodes)
+    if len(alpha) > block:
+        return [report for k in range(0, len(alpha), block) for report in expected_quality(
+            params, alpha[k:k + block], beta[k:k + block], profile)]
     n, hs = len(alpha), (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
     branch = _branch(params, alpha.repeat(_PROBE_LEVELS), beta.repeat(_PROBE_LEVELS), profile,
                      np.tile(hs, n)).reshape(n, _PROBE_LEVELS)

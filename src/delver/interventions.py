@@ -27,11 +27,6 @@ _UPSKILL_SCAN = 200  # scan radii per direction of worker_upskill's fan
 _LEVER_SCAN = 400  # scan points of minimal_lever
 
 
-def _reaches(q, tau):
-    """Whether quality q, a float or an array, reaches tau: q >= tau - 1e-9 (1 + |tau|)."""
-    return q >= tau - 1e-9 * (1.0 + abs(tau))
-
-
 @dataclass(frozen=True)
 class CostTerm:
     """Cost of one ability increment: coefficient * x, or coefficient * x**exponent."""
@@ -123,7 +118,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     """
     beta_cap = _beta_cap(params)
     q_now = quality(params, ability).q
-    if _reaches(q_now, params.tau):
+    if q_now >= params.tau:
         return UpskillPlan(0.0, 0.0, 0.0, q_now, True)
 
     if cost_model.h_alpha is None:
@@ -156,8 +151,7 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
 
     def feasible(ray, r):
         d_alpha, d_beta = increments(ray, r)
-        return _reaches(solve_points(params, ability.alpha + d_alpha, ability.beta + d_beta).q,
-                        params.tau)
+        return solve_points(params, ability.alpha + d_alpha, ability.beta + d_beta).q >= params.tau
 
     # first feasible scan index per ray (0 while none is found), by doubling blocks
     first = np.zeros(len(r_max), dtype=np.int64)
@@ -182,12 +176,8 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
 
     steps = []  # (cost, d_alpha, d_beta) per found direction, in angle order
     for d_alpha, d_beta in np.column_stack(increments(found, radii)).tolist():
-        cost = 0.0
-        if cost_model.h_alpha is not None:
-            cost += cost_model.h_alpha(d_alpha)
-        if cost_model.h_beta is not None:
-            cost += cost_model.h_beta(d_beta)
-        steps.append((cost, d_alpha, d_beta))
+        terms = ((cost_model.h_alpha, d_alpha), (cost_model.h_beta, d_beta))
+        steps.append((sum(h(d) for h, d in terms if h is not None), d_alpha, d_beta))
     cost, d_alpha, d_beta = min(steps, key=lambda step: step[0])  # the first of equal costs
     achieved = quality(params, Ability(ability.alpha + d_alpha, ability.beta + d_beta)).q
     return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
@@ -238,7 +228,7 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTar
     current, hi, at = levers[lever]
 
     def reaches(x):
-        return _reaches(quality(*at(x)).q, params.tau)
+        return quality(*at(x)).q >= params.tau
 
     if reaches(current):
         return LeverTarget(lever, current, True)

@@ -211,6 +211,24 @@ class TestDifficultyProfile:
                 assert list(map(repr, expected_quality(params, alpha, beta, profile))) == \
                     [repr(report) for [report] in alone]
 
+    def test_node_passes_stay_within_a_block_of_probe_rows(self, reference, monkeypatch):
+        # a 31 x 31 grid: at 64 nodes it takes two blocks of up to 512 points;
+        # at 1024 nodes a 512-point block's node pass would be 1,350,656 rows
+        rows = []  # the rows of each solve_points call
+
+        def recorded(params, alpha, beta, **columns):
+            rows.append(len(alpha))
+            return solve_points(params, alpha, beta, **columns)
+
+        monkeypatch.setattr(extensions, "solve_points", recorded)
+        alpha, beta = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, 4.0, 31),
+                                                            np.linspace(0.05, 0.95, 31)))
+        assert len(expected_quality(reference, alpha, beta, DifficultyProfile())) == 961
+        assert len(rows) == 2
+        rows.clear()
+        assert len(expected_quality(reference, alpha, beta, DifficultyProfile(nodes=1024))) == 961
+        assert max(rows) <= 512 * _PROBE_LEVELS
+
     def test_points_are_matching_1d_arrays(self, reference):
         for alpha, beta in ((0.5, 0.5), ([0.5], [0.5, 0.6]), ([[0.5]], [[0.5]])):
             with pytest.raises(ValueError,
