@@ -121,13 +121,14 @@ def expected_quality(params: ModelParams, alpha, beta,
     the kinks where the action changes branch (regime or effort clamp), so
     each segment between them gets profile.nodes Gauss-Legendre nodes; labels
     are assigned to the integrated values. The points go in blocks of
-    _BLOCK_POINTS up to 64 nodes, and of _BLOCK_POINTS * 257 / (4 nodes)
-    above, in order, and each block makes three passes: the probe
-    levels (cell midpoints, since the cost maps may only be valid on the open
-    interval) of every point in one solve_actions call; every kink in one
-    bisect_array call of 45 steps at tol 0; and every node in one solve_points
-    call. Each point's weighted values are then summed in segment order as a
-    running sum, so a report is bitwise the same whatever shares its block.
+    _BLOCK_POINTS up to 64 nodes, and of _BLOCK_POINTS * 257 / (4 nodes) above,
+    in order, and each block makes three passes: the probe levels (cell
+    midpoints, since the cost maps may only be valid on the open interval) of
+    every point in one solve_actions call; every kink in one bisect_array call
+    of 45 steps at tol 0; and the nodes in solve_points calls of at most
+    _BLOCK_POINTS * 257 rows. Each point's weighted values are then summed in
+    segment order as a running sum, so a report is bitwise the same whatever
+    shares its block.
     """
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
     if alpha.ndim != 1 or beta.shape != alpha.shape:
@@ -137,8 +138,8 @@ def expected_quality(params: ModelParams, alpha, beta,
                             **profile.values_at(np.full(len(alpha), profile.difficulty)))
         return [QualityReport.from_values(q, q0, params.tau)
                 for q, q0 in zip(grid.q.tolist(), grid.q0.tolist())]
-    # above 64 nodes a block holds fewer points, so that a node pass of four
-    # segments per point stays within the block's probe rows
+    # above 64 nodes a block holds fewer points, so that a node pass of about four
+    # segments per point takes one solve_points call, and memory stays as at 64 nodes
     block = _BLOCK_POINTS * _PROBE_LEVELS // max(_PROBE_LEVELS, 4 * profile.nodes)
     if len(alpha) > block:
         return [report for k in range(0, len(alpha), block) for report in expected_quality(
@@ -158,9 +159,14 @@ def expected_quality(params: ModelParams, alpha, beta,
     keep = width > 0.0
     at = np.cumsum(width < 0.0)[keep].repeat(profile.nodes)
     base_h, base_w = unit_quadrature(profile.nodes)
-    grid = solve_points(params, alpha[at], beta[at], **profile.values_at(
-        (cuts[:-1][keep, None] + width[keep, None] * base_h).ravel()))
-    weighted = (width[keep, None] * base_w).ravel() * np.stack((grid.q, grid.q0))
+    h = (cuts[:-1][keep, None] + width[keep, None] * base_h).ravel()
+    # the nodes in slices of a block's probe rows, whatever the kinks (one empty slice
+    # for no points); the generator frees each slice's solve before the next
+    rows = _BLOCK_POINTS * _PROBE_LEVELS
+    grids = (solve_points(params, alpha[at[k:k + rows]], beta[at[k:k + rows]],
+                          **profile.values_at(h[k:k + rows])) for k in range(0, max(len(h), 1), rows))
+    values = np.concatenate([np.stack((grid.q, grid.q0)) for grid in grids], axis=1)
+    weighted = (width[keep, None] * base_w).ravel() * values
     # np.cumsum adds left to right from 0.0, as the running sum does; numpy's
     # sum adds pairwise and would change the last bits
     sums = [np.cumsum(np.concatenate((np.zeros((2, 1)), part), axis=1), axis=1)[:, -1]

@@ -108,7 +108,8 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     minimal feasible radius per direction, and keeps the cost-minimal
     candidate. Directions whose cost term is disabled are skipped. Alpha
     is capped at 10, and beta at the top of its domain, or 10 if that is
-    unbounded; radii are found to 1e-6.
+    unbounded; an ability already past its cap does not move along it (nor
+    back to the cap). Radii are found to 1e-6.
 
     All directions are searched together on the array path. The 200 scan
     radii r_max * i / 200 of the directions not yet found are solved in
@@ -121,33 +122,19 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     if q_now >= params.tau:
         return UpskillPlan(0.0, 0.0, 0.0, q_now, True)
 
-    if cost_model.h_alpha is None:
-        angles = [90]
-    elif cost_model.h_beta is None:
-        angles = [0]
-    else:
-        angles = range(91)
-    rays = []  # (ua, ub, r_max) of the directions with room to move, in angle order
-    for angle in angles:
-        theta = math.radians(angle)
-        ua, ub = math.cos(theta), math.sin(theta)
-        if angle == 90:  # cos(pi / 2) is 6e-17, not 0
-            ua, ub = 0.0, 1.0
-        limits = []
-        if ua > 0:
-            limits.append((_ALPHA_CAP - ability.alpha) / ua)
-        if ub > 0:
-            limits.append((beta_cap - ability.beta) / ub)
-        r_max = min(limits)
-        if r_max > 0:
-            rays.append((ua, ub, r_max))
-    ua, ub, r_max = np.array(rays, dtype=float).reshape(-1, 3).T
+    angles = np.arange(0 if cost_model.h_alpha is not None else 90,
+                       91 if cost_model.h_beta is not None else 1)
+    units = np.column_stack((np.cos(np.radians(angles)), np.sin(np.radians(angles))))
+    units[angles == 90] = (0.0, 1.0)  # cos(pi / 2) is 6e-17, not 0
+    room = np.maximum((_ALPHA_CAP - ability.alpha, beta_cap - ability.beta), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_max = np.where(units > 0, room / units, np.inf).min(axis=1)
+    (ua, ub), r_max = units[r_max > 0].T, r_max[r_max > 0]  # the directions with room
 
     def increments(ray, r):
         # (d_alpha, d_beta) at radius r along the ray; np.minimum guards a few ulps
         # of overshoot when r reaches a cap, so the ability plus them stays inside it
-        return (np.minimum(r * ua[ray], _ALPHA_CAP - ability.alpha),
-                np.minimum(r * ub[ray], beta_cap - ability.beta))
+        return np.minimum(r * ua[ray], room[0]), np.minimum(r * ub[ray], room[1])
 
     def feasible(ray, r):
         d_alpha, d_beta = increments(ray, r)
@@ -183,13 +170,21 @@ def worker_upskill(params: ModelParams, ability: Ability, cost_model: CostModel)
     return UpskillPlan(d_alpha, d_beta, cost, achieved, True)
 
 
-# LeverResult.lever -> the parameters after that lever moves by delta
-LEVER_MOVES = {"ai_capability": lambda params, delta: replace(params, p_a=params.p_a + delta),
-               "incentive_transfer": lambda params, delta: params.with_benefit_transfer(delta)}
+def _upgrade_ai(params: ModelParams, d_p: float) -> ModelParams:
+    """Raise AI success probability by d_p, which must lie in [0, 1 - p_a]."""
+    if not 0.0 <= d_p <= 1.0 - params.p_a:
+        raise ValueError("d_p must lie in [0, 1 - p_a]")
+    return replace(params, p_a=params.p_a + d_p)
+
+
+# LeverResult.lever -> the parameters after that lever moves by delta; each move
+# checks its own delta, as with_benefit_transfer does the transfer
+LEVER_MOVES = {"ai_capability": _upgrade_ai,
+               "incentive_transfer": ModelParams.with_benefit_transfer}
 
 
 def _lever_gain(params: ModelParams, ability: Ability, lever: str, delta: float):
-    """Quality change when the lever moves by delta; base quality comes first."""
+    """Quality change when the lever moves by delta; the point is checked before the delta."""
     base = quality(params, ability).q
     new_q = quality(LEVER_MOVES[lever](params, delta), ability).q
     return LeverResult(lever, delta, new_q - base, new_q)
@@ -197,8 +192,6 @@ def _lever_gain(params: ModelParams, ability: Ability, lever: str, delta: float)
 
 def ai_upgrade_gain(params: ModelParams, ability: Ability, d_p: float) -> LeverResult:
     """Quality change from raising AI success probability by d_p."""
-    if not 0.0 <= d_p <= 1.0 - params.p_a:
-        raise ValueError("d_p must lie in [0, 1 - p_a]")
     return _lever_gain(params, ability, "ai_capability", d_p)
 
 

@@ -632,6 +632,18 @@ class TestGridCommands:
         assert (code, out, err) == (1, "", f"error: {expected}\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("lever, delta", [("p_a", "0.9"), ("p_a", "-0.01"),
+                                              ("b_transfer", "100")])
+    @pytest.mark.parametrize("where", [("--alpha", "0.5", "--beta", "1.5"),
+                                       ("--alpha-range", "0:1:2", "--beta-range", "1.5:1.5:1")],
+                             ids=["point", "grid"])
+    def test_invalid_first_point_fails_before_an_invalid_delta(self, capsys, lever, delta, where):
+        # each lever's move checks its own delta, after the first point's quality
+        code, out, err = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
+                             "--lever", lever, f"--delta={delta}", *where)
+        assert (code, out) == (1, "")
+        assert err == "error: beta=1.5 outside [0, 1] for linear_in_efficiency\n"
+
     @pytest.mark.parametrize("kappa, alpha, beta", [
         # an invalid later point alone
         ("0.8", "1:-1:3", "0:1:3"),

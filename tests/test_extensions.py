@@ -211,9 +211,12 @@ class TestDifficultyProfile:
                 assert list(map(repr, expected_quality(params, alpha, beta, profile))) == \
                     [repr(report) for [report] in alone]
 
-    def test_node_passes_stay_within_a_block_of_probe_rows(self, reference, monkeypatch):
+    @pytest.mark.parametrize("inputs", ["reference-grid", "many-kinks"])
+    def test_node_passes_stay_within_a_block_of_probe_rows(self, reference, monkeypatch, inputs):
         # a 31 x 31 grid: at 64 nodes it takes two blocks of up to 512 points;
-        # at 1024 nodes a 512-point block's node pass would be 1,350,656 rows
+        # at 1024 nodes a 512-point block's node pass would be 1,350,656 rows.
+        # The 32 draws have more than four segments a point: a node pass in one
+        # call was 139,264 rows on them, however the block was derived
         rows = []  # the rows of each solve_points call
 
         def recorded(params, alpha, beta, **columns):
@@ -221,12 +224,22 @@ class TestDifficultyProfile:
             return solve_points(params, alpha, beta, **columns)
 
         monkeypatch.setattr(extensions, "solve_points", recorded)
-        alpha, beta = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, 4.0, 31),
-                                                            np.linspace(0.05, 0.95, 31)))
-        assert len(expected_quality(reference, alpha, beta, DifficultyProfile())) == 961
-        assert len(rows) == 2
+        if inputs == "reference-grid":
+            params = reference
+            alpha, beta = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, 4.0, 31),
+                                                                np.linspace(0.05, 0.95, 31)))
+            assert len(expected_quality(params, alpha, beta, DifficultyProfile())) == 961
+            assert len(rows) == 2
+        else:
+            rng = np.random.default_rng(5)
+            for triple, params in family_configs().items():
+                draws = [sample_ability(rng, params) for _ in range(32)]
+                if triple == ("inverse_linear", "linear_quadratic", "inverse_efficiency"):
+                    break
+            alpha, beta = columns(draws)
         rows.clear()
-        assert len(expected_quality(reference, alpha, beta, DifficultyProfile(nodes=1024))) == 961
+        reports = expected_quality(params, alpha, beta, DifficultyProfile(nodes=1024))
+        assert len(reports) == len(alpha)
         assert max(rows) <= 512 * _PROBE_LEVELS
 
     def test_points_are_matching_1d_arrays(self, reference):

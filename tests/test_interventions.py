@@ -114,6 +114,25 @@ class TestLeversAreIdentitiesAtZero:
         with pytest.raises(ValueError):
             incentive_transfer_gain(reference, Ability(0.4, 0.6), 15.0)
 
+    @pytest.mark.parametrize("lever, delta, message", [
+        ("ai_capability", -0.01, "d_p must lie in [0, 1 - p_a]"),
+        ("ai_capability", 0.4, "d_p must lie in [0, 1 - p_a]"),
+        ("incentive_transfer", -0.01, "transfer must lie in [0, b_i]"),
+        ("incentive_transfer", 15.0, "transfer must lie in [0, b_i]"),
+    ])
+    def test_each_lever_move_checks_its_own_delta(self, reference, lever, delta, message):
+        # the moves are the whole rule of each lever, for callers of LEVER_MOVES too
+        with pytest.raises(ValueError) as info:
+            interventions.LEVER_MOVES[lever](reference, delta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("gain, delta", [(ai_upgrade_gain, 0.9), (ai_upgrade_gain, -0.01),
+                                             (incentive_transfer_gain, 100.0)])
+    def test_an_invalid_point_is_reported_before_an_invalid_delta(self, reference, gain, delta):
+        with pytest.raises(ValueError) as info:
+            gain(reference, Ability(0.5, 1.5), delta)
+        assert str(info.value) == "beta=1.5 outside [0, 1] for linear_in_efficiency"
+
     def test_upskill_of_qualified_worker_is_zero_plan(self, reference):
         plan = worker_upskill(reference, Ability(0.9, 0.9), CostModel())
         assert (plan.d_alpha, plan.d_beta, plan.cost) == (0.0, 0.0, 0.0)
@@ -233,12 +252,20 @@ class TestUpskill:
         assert fan.cost <= beta_only.cost + 1e-9
         assert fan.achieved_q >= 6.4
 
-    def test_feasible_plan_reaches_tau(self, reference):
-        params = replace(reference, tau=7.0)
-        plan = worker_upskill(params, Ability(0.02, 0.3), CostModel())
+    @pytest.mark.parametrize("alpha, tau", [(0.02, 7.0), (12.0, 10.5)],
+                             ids=["inside-the-caps", "past-the-alpha-cap"])
+    def test_feasible_plan_reaches_tau(self, reference, alpha, tau):
+        # a worker past the alpha cap of 10 has no room along alpha, so the plan
+        # moves along beta alone; it does not take alpha back down to the cap
+        params = replace(reference, tau=tau)
+        plan = worker_upskill(params, Ability(alpha, 0.3), CostModel())
         assert plan.feasible
-        reached = dv.quality(params, Ability(0.02 + plan.d_alpha, 0.3 + plan.d_beta)).q
-        assert reached >= 7.0
+        assert plan.d_alpha >= 0.0 and plan.d_beta >= 0.0
+        assert plan.cost == plan.d_alpha + plan.d_beta
+        assert alpha <= 10.0 or plan.d_alpha == 0.0
+        reached = dv.quality(params, Ability(alpha + plan.d_alpha, 0.3 + plan.d_beta)).q
+        assert reached >= tau
+        assert plan.achieved_q == reached
 
     def test_unreachable_tau_gives_infeasible_plan(self, reference):
         plan = worker_upskill(replace(reference, tau=1e5), Ability(0.05, 0.1), CostModel())
