@@ -283,10 +283,11 @@ def _warm_guess(roots: list, beta: float) -> float | None:
 
 def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
               history: dict | None = None) -> RootResult | None:
-    """One separatrix at efficiency beta, or None outside its beta domain.
+    """One separatrix at efficiency beta, or None on the side of t where it does not exist.
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
-    for beta <= t, each up to 1e-9. psi1 is closed form; the other sign
+    for beta <= t, each up to 1e-9. A beta outside the efficiency domain
+    raises first, for every separatrix. psi1 is closed form; the other sign
     functions evaluate the model's formulas in the model's order from what
     depends on beta alone, the worker's terms (k_w, psi0's gain) under
     params.worker_view(). history, kept by boundary_curve, holds each
@@ -298,11 +299,11 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
         other = _boundary(params, "psi_prime", beta, t, history)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
+    ability = Ability(0.0, beta)  # beta is checked before C_w, as at every entry point
+    c_w = params.execution_cost.cost(beta)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
         return None
-    ability = Ability(0.0, beta)  # beta is checked before C_w, as at every entry point
     det, vcost = params.detection, params.verification_cost
-    c_w = params.execution_cost.cost(beta)
     worker = params.worker_view()
     k_w, k_i = phi_coefficients(worker, c_w)[0], phi_coefficients(params, c_w)[1]
     if which == "psi1":  # k_w phi'(0) = k_w scale alpha meets C_v'(0), in both families
@@ -519,8 +520,10 @@ def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
 def boundary_curve(params: ModelParams, which: str, betas) -> list[tuple[float, float, bool]]:
     """(beta, alpha, bracketed) samples of one separatrix, restricted to its beta domain.
 
-    which is psi0, psi1, psi or psi_tau. bracketed is RootResult.bracketed:
-    False when alpha is a search bound (0 or the doubled cap), not a root.
+    which is psi0, psi1, psi or psi_tau. A beta outside the efficiency domain
+    raises; psi0 and psi1 skip the betas on the other side of t. bracketed is
+    RootResult.bracketed: False when alpha is a search bound (0 or the doubled
+    cap), not a root.
     Each search (psi's two apart) takes its first step at the root that
     its last two bracketed roots extrapolate to; the roots are bitwise
     those of single calls.

@@ -12,6 +12,7 @@ import functools
 import importlib
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -433,6 +434,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes only -N and -N.N for values; -1e6, -1:1:3 and the like join their option
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-[0-9.]", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -39,7 +39,7 @@ _NEWTON_MAX_ITER = 100
 # it; the Newton search starts there from _huge_bracket, and from [0, 1]
 # at or below it
 _HUGE_A = 2.0 ** 20
-_BETA_TOP = 2.0 ** 40  # thresholds search the beta domain, or [1e-12, _BETA_TOP] if unbounded
+_BETA_TOP = 2.0 ** 40  # thresholds read values at the beta domain's ends; at 1e-12 and this if unbounded
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
 # brute_force_action's two grid buffers, kept for the last grid shape so that
@@ -181,52 +181,41 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
                            phi_coefficient: np.ndarray) -> np.ndarray:
     """maximize_surplus at every element of the alpha and phi_coefficient arrays.
 
-    A linear vcost may hold an array of rates, one per element.
+    A linear vcost may hold an array of rates, one per element. The formulas run on
+    every element and masks pick the results, so each takes the scalar form's iterates.
     """
-    s_dagger = np.zeros(np.shape(alpha))
     live = ~((phi_coefficient <= 0.0) | (alpha <= 0.0))
-    a, k = detection.scale * alpha[live], phi_coefficient[live]
-    if vcost.kind == LINEAR:
-        s0 = np.zeros(len(a))
-        # a * k can overflow to inf, and a subnormal a sends s0 to +-inf before
-        # the clamp, silently as floats do
-        with np.errstate(over="ignore"):
-            arg = a * k / (vcost.k[live] if isinstance(vcost.k, np.ndarray) else vcost.k)
-            if detection.kind == INVERSE_LINEAR:
-                pos = arg > 0
-                s0[pos] = (np.sqrt(arg[pos]) - 1.0) / a[pos]
+    a, k, kind = detection.scale * alpha, phi_coefficient, detection.kind
+    # overflow and inf - inf stay silent, as in the scalar form's floats, and so
+    # do the masked-out elements' divisions by a = 0, or by dg = 0 at k <= 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if vcost.kind == LINEAR:
+            arg = a * k / vcost.k
+            if kind == INVERSE_LINEAR:
+                s0 = np.where(live & (arg > 0), (np.sqrt(arg) - 1.0) / a, 0.0)
             else:
-                big = arg > 1.0
-                s0[big] = np.log(arg[big]) / a[big]
-        s_dagger[live] = np.minimum(1.0, np.maximum(s0, 0.0))  # +0.0 for -0.0, as max(0.0, s0)
-        return s_dagger
+                s0 = np.where(live & (arg > 1.0), np.log(arg) / a, 0.0)
+            return np.minimum(1.0, np.maximum(s0, 0.0))  # +0.0 for -0.0, as max(0.0, s0)
 
-    kind = detection.kind
-    # overflow and inf - inf stay silent, as in the scalar form's floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = ~(_surplus_slopes(kind, a, k, 0.0, np.exp)[0] <= 0.0)
+        up = live & ~(_surplus_slopes(kind, a, k, 0.0, np.exp)[0] <= 0.0)
         top = up & (_surplus_slopes(kind, a, k, 1.0, np.exp)[0] >= 0.0)
-        s = np.where(top, 1.0, np.where(up, 0.5, 0.0))
-        lo, hi = np.zeros(len(a)), np.ones(len(a))
-        rest = np.flatnonzero(up & ~top)
-        for i in rest[a[rest] > _HUGE_A].tolist():
+        go = up & ~top
+        s = np.where(top, 1.0, np.where(go, 0.5, 0.0))
+        lo, hi = np.zeros(np.shape(a)), np.ones(np.shape(a))
+        for i in np.flatnonzero(go & (a > _HUGE_A)).tolist():
             lo[i], hi[i], s[i] = _huge_bracket(kind, float(a[i]), float(k[i]))
         for _ in range(_NEWTON_MAX_ITER):
-            if not len(rest):
+            if not go.any():
                 break
-            g, dg, done = _surplus_slopes(kind, a[rest], k[rest], s[rest], np.exp)
-            rest, g, dg = rest[~done], g[~done], dg[~done]
-            now = s[rest]
-            right = g > 0.0
-            lo[rest[right]] = now[right]
-            hi[rest[~right]] = now[~right]
-            new = now - g / dg
-            low, high = lo[rest], hi[rest]
-            new = np.where((low < new) & (new < high), new, 0.5 * (low + high))
-            s[rest] = new
-            rest = rest[~(np.abs(new - now) <= _NEWTON_TOL * now)]
-    s_dagger[live] = s
-    return s_dagger
+            g, dg, done = _surplus_slopes(kind, a, k, s, np.exp)
+            go &= ~done
+            right = go & (g > 0.0)
+            lo, hi = np.where(right, s, lo), np.where(go & ~right, s, hi)
+            new = s - g / dg
+            new = np.where(go, np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi)), s)
+            go &= ~(np.abs(new - s) <= _NEWTON_TOL * s)
+            s = new
+    return s
 
 
 def optimal_verification(params: ModelParams, ability: Ability) -> float:

@@ -34,8 +34,10 @@ from conftest import family_configs
 # the thresholds moved from bisection to the inverse of C_w (thresholds moved by at
 # most 1.83e-12 relative, with every flag, note and error kept), and when psi1 moved
 # from bisection to its closed form (62 psi1 records moved, by at most 2.9e-10, with
-# every flag and side kept; see TestPsi1ClosedForm)
-BOUNDARY_DIGEST = "a16d9d070d48a6363137937050073b282ee61370f5e41f81db0c907d8292bef4"
+# every flag and side kept; see TestPsi1ClosedForm), and when psi0 and psi1 began to
+# check beta before the side of t (32 error and empty-curve records became the beta's
+# own error, with no value moved; see test_negative_beta_fails_the_ability_check_first)
+BOUNDARY_DIGEST = "7c202da89ce85c415b7316597ec3a6dc94e641cd9c0dce431e3ef8179e7fef7e"
 
 
 def _boundary_family_text():
@@ -308,7 +310,7 @@ class TestSeparatrices:
         text = _boundary_family_text()
         assert hashlib.sha256(text.encode()).hexdigest() == BOUNDARY_DIGEST
 
-    @pytest.mark.parametrize("fn", [psi1, psi, psi_prime, psi_tau])
+    @pytest.mark.parametrize("fn", [psi0, psi1, psi, psi_prime, psi_tau])
     def test_negative_beta_fails_the_ability_check_first(self, reference, fn):
         with pytest.raises(ValueError) as info:
             fn(reference, -1.0)

@@ -313,6 +313,37 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (["quality", "--config", REFERENCE_CONFIG, "--alpha", "0.5", "--beta", "0.5",
+          "--tau", "-1e6"], 0, ""),
+        (["calibrate", *FIXTURE_CASES, "--tau", "-1e3"], 0, ""),
+        (["intervene", "minimal", "--config", REFERENCE_CONFIG, "--alpha", "0.05", "--beta", "0.5",
+          "--lever", "p_a", "--tau", "-2.5e-1"], 0, ""),
+        (["solve", "--config", REFERENCE_CONFIG, "--beta", "0.5", "--alpha", "-1e-3"], 1,
+         "error: alpha must be finite and >= 0, got -0.001\n"),
+        (["boundary", "--config", REFERENCE_CONFIG, "--which", "psi", "--beta-range", "-1:1:3"], 1,
+         "error: beta must be finite and >= 0, got -1.0\n"),
+    ], ids=["quality-tau", "calibrate-tau", "minimal-tau", "solve-alpha", "boundary-range"])
+    def test_negative_value_in_any_notation_is_read_as_a_value(self, capsys, argv, code, err):
+        # argparse reads only -N and -N.N as negative numbers, so each of these was
+        # a usage error (exit 2) spaced, while the same value after "=" worked
+        spaced = run(capsys, *argv)
+        assert spaced == run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+        assert (spaced[0], spaced[2]) == (code, err)
+
+    @pytest.mark.parametrize("which, betas, message", [
+        ("psi1", "0:2:5", "beta=1.5 outside [0, 1] for linear_in_efficiency"),
+        ("psi0", "-1:1:5", "beta must be finite and >= 0, got -1.0"),
+    ], ids=["psi1-above", "psi0-below"])
+    def test_boundary_beta_outside_the_domain_fails(self, capsys, tmp_path, which, betas, message):
+        # psi0 and psi1 skipped such betas, as they skip betas on the other side of
+        # t, and exited 0: psi1 on 0:2:5 wrote the 2 rows below t = 0.72
+        curve = tmp_path / "curve.csv"
+        code, out, err = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", which,
+                             f"--beta-range={betas}", "--out", str(curve))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not curve.exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--alpha", "nan", "--beta", "0.5"],
         ["quality", "--alpha", "inf", "--beta", "0.5"],

@@ -28,8 +28,10 @@ from conftest import family_configs
 # 5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc, and
 # re-pinned when unit_quadrature's nodes moved from numpy's leggauss to a
 # Newton search: 71 of the 120 reprs moved, each within the tolerance of
-# test_reports_agree_with_leggauss_nodes
-DIFFICULTY_REPORTS_DIGEST = "5c4a5513c8a91400513f3c2f295cb689794e4b30bb23f55eaad60ce260ab146a"
+# test_reports_agree_with_leggauss_nodes; and re-pinned when the integrated
+# reports began to hold Python floats, whose reprs are the old ones without
+# their 288 np.float64(...) wrappers (test_report_fields_are_python_floats)
+DIFFICULTY_REPORTS_DIGEST = "0fcb1e42fc585c5ffe1a2b18dc4e9829be3b4c218f9b7faf77a6446f747118df"
 DIFFICULTY_PROFILES = [
     DifficultyProfile(), DifficultyProfile(nodes=1), DifficultyProfile(nodes=8),
     DifficultyProfile(nodes=16), DifficultyProfile(difficulty=0.3),
@@ -131,6 +133,12 @@ class TestDifficultyProfile:
         text = "\n".join(map(repr, difficulty_reports()))
         assert hashlib.sha256(text.encode()).hexdigest() == DIFFICULTY_REPORTS_DIGEST
 
+    def test_report_fields_are_python_floats(self):
+        # the integrated reports held np.float64 sums, printed as np.float64(...)
+        # under numpy 2, while the pinned ones held floats
+        for report in difficulty_reports():
+            assert {type(getattr(report, name)) for name in ("q", "q0", "gap")} == {float}
+
     def test_reports_agree_with_leggauss_nodes(self, monkeypatch):
         # DIFFICULTY_REPORTS_DIGEST was re-pinned when the nodes moved from
         # numpy's leggauss to the Newton search; the reports on leggauss's
@@ -187,7 +195,7 @@ class TestDifficultyProfile:
                             start + (end - start) * base_h))
                         for w, node_q, node_q0 in zip((end - start) * base_w, grid.q, grid.q0):
                             q, q0 = q + w * node_q, q0 + w * node_q0
-                assert repr((report.q, report.q0)) == repr((q, q0))
+                assert (report.q.hex(), report.q0.hex()) == (float.hex(q), float.hex(q0))
             want = np.array(want, dtype=float).reshape(-1, 2)
             lo, hi = brackets.pop()
             assert (lo.tobytes(), hi.tobytes()) == (want[:, 0].tobytes(), want[:, 1].tobytes())
