@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import (
     Ability, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
-    institution_value, phi_coefficients, point_params, success_at, worker_increment,
+    institution_value, phi_coefficients, success_at, worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -415,51 +415,31 @@ def linspace_range(bounds: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _in_unit_interval(x):
-    return (0.0 <= x) & (x <= 1.0)
-
-
-def _finite_positive(x):
-    return (0.0 < x) & (x < math.inf)
-
-
-# the values point_params' validating constructors accept, per column
-_COLUMN_OK = {"p_w": _in_unit_interval, "p_a": _in_unit_interval,
-              "execution_scale": _finite_positive, "verification_rate": _finite_positive}
-
-
-def _checked_points(params: ModelParams, alpha, beta, columns: dict):
-    """(params, alpha, beta, C_w) ready for the array path, the columns folded into params.
+def checked_points(params: ModelParams, alpha, beta):
+    """(alpha, beta, C_w) as float arrays, ready for the array path.
 
     Every point is checked first, and the first invalid one raises what the
-    scalar path raises there: it builds the Ability, then point_params from
-    the columns' values, then computes C_w and checks alpha and kappa * C_w
-    as optimal_action does.
+    scalar path raises there: it builds the Ability, then computes C_w and
+    checks alpha and kappa * C_w as optimal_action does. The replay reads
+    params as scalars, so params with array fields (only
+    DifficultyProfile.params_at builds them) need points already checked.
     """
-    unknown = sorted(set(columns) - set(_COLUMN_OK))
-    if unknown:  # a stale tau keyword lands here: tau is ModelParams.tau
-        raise ValueError(f"unknown parameter columns {unknown}; expected {', '.join(_COLUMN_OK)}")
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    columns = {name: np.asarray(column, dtype=float) for name, column in columns.items()}
-    if alpha.ndim != 1 or any(c.shape != alpha.shape for c in (beta, *columns.values())):
-        raise ValueError("alpha, beta and the parameter columns must be 1-d arrays of one length")
-    point = point_params(params, check=False, **columns) if columns else params
+    if alpha.ndim != 1 or beta.shape != alpha.shape:
+        raise ValueError("alpha and beta must be 1-d arrays of one length")
     # the products may overflow, or be inf * 0, here; those points fail the check
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c_w = point.execution_cost.unchecked_cost(beta)
+        c_w = params.execution_cost.unchecked_cost(beta)
         # kappa * C_w < inf also tests C_w < inf, at kappa = 0 too (0 * inf is nan)
         bad = ~((alpha >= 0.0) & (params.detection.scale * alpha < math.inf) & (beta < math.inf)
                 & params.execution_cost.in_domain(beta) & (params.kappa * c_w < math.inf))
-    for name, column in columns.items():
-        bad |= ~_COLUMN_OK[name](column)
     if bad.any():
         k = int(np.argmax(bad))
         a, b = float(alpha[k]), float(beta[k])
         Ability(a, b)
-        scalar = point_params(params, **{name: float(c[k]) for name, c in columns.items()})
-        check_overflow(scalar, a, scalar.execution_cost.cost(b))
-    return point, alpha, beta, c_w
+        check_overflow(params, a, params.execution_cost.cost(b))
+    return alpha, beta, c_w
 
 
 def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray) -> ActionColumns:
@@ -472,23 +452,24 @@ def _solve(params: ModelParams, alpha: np.ndarray, c_w: np.ndarray) -> ActionCol
     return ActionColumns(*choose_regime(f_w, s_dag), s_dag)
 
 
-def solve_actions(params: ModelParams, alpha, beta, **columns) -> ActionColumns:
+def solve_actions(params: ModelParams, alpha, beta) -> ActionColumns:
     """optimal_action at every point, in one array pass; the arguments are solve_points'."""
-    params, alpha, _, c_w = _checked_points(params, alpha, beta, columns)
+    alpha, _, c_w = checked_points(params, alpha, beta)
     return _solve(params, alpha, c_w)
 
 
-def solve_points(params: ModelParams, alpha, beta, **columns) -> AtlasGrid:
+def solve_points(params: ModelParams, alpha, beta) -> AtlasGrid:
     """evaluate_point at every (alpha[k], beta[k]), in one array pass.
 
-    alpha and beta are matching 1-d arrays. Keyword columns p_w, p_a,
-    execution_scale and verification_rate, matching arrays too, solve
-    point k under point_params(params, ...) with their k-th values. Every
-    point and column entry is checked before any work. The columns run the model's formulas
-    and the solver's array branch points, so every entry equals
-    evaluate_point at that point bitwise.
+    alpha and beta are matching 1-d arrays, and every point is checked
+    before any work. The arrays run the model's formulas and the solver's
+    array branch points, so every entry equals evaluate_point at that point
+    bitwise. The formulas read params' fields element by element, so
+    params may hold arrays with one entry per point; only
+    DifficultyProfile.params_at builds such params, and point k is then
+    solved at its k-th values.
     """
-    params, alpha, beta, c_w = _checked_points(params, alpha, beta, columns)
+    alpha, beta, c_w = checked_points(params, alpha, beta)
     d_star, s_star, regime, _ = _solve(params, alpha, c_w)
     q, q0 = _scores(params, params.detection.prob(alpha, s_star), c_w, s_star, d_star)
     gap, quality_label, compliance_label = _label_indices(q, q0, params.tau)

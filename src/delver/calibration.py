@@ -138,8 +138,8 @@ def _parse_time(raw, row_num, col, problems):
     except ValueError:
         problems.append(f"row {row_num}: {col} is not a number: {raw!r}")
         return 1.0
-    if value <= 0:
-        problems.append(f"row {row_num}: {col} must be positive, got {raw!r}")
+    if not 0.0 < value < math.inf:  # nan, inf and 1e400 too
+        problems.append(f"row {row_num}: {col} must be finite and positive, got {raw!r}")
         return 1.0
     return value
 

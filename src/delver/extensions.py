@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import QualityReport, solve_actions, solve_points
-from .model import ModelParams, reject_bools
+from .atlas import QualityReport, checked_points, solve_actions, solve_points
+from .model import LINEAR, ModelParams, VerificationCost, reject_bools, replace_unchecked
 from .solver import bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
@@ -25,9 +25,6 @@ _BLOCK_POINTS = 512  # points per batched pass up to 64 nodes: 131,584 probe row
 # Newton's method on the Legendre recurrence takes O(nodes^2) time: about
 # 35 ms at 1024 nodes in a fresh process, and years at 1e8
 _MAX_NODES = 1024
-# point_params' values at hardness h, as (intercept, slope) in h
-_PROFILE = {"p_w": (1.0, -0.5), "p_a": (1.0, -0.7), "execution_scale": (0.0, 10.0),
-            "verification_rate": (0.5, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -40,7 +37,8 @@ class DifficultyProfile:
     (0, 1], since at h = 0 there is no execution cost scale; None draws h
     uniformly on [0, 1], integrated with Gauss-Legendre quadrature on nodes
     nodes per smooth segment, which never evaluates h = 0. nodes is an
-    integer in [1, _MAX_NODES].
+    integer in [1, _MAX_NODES]. params_at is the only builder of params
+    with array fields.
     """
 
     difficulty: float | None = None
@@ -54,9 +52,16 @@ class DifficultyProfile:
                 or not 1 <= self.nodes <= _MAX_NODES):
             raise ValueError(f"nodes must be an integer in [1, {_MAX_NODES}], got {self.nodes}")
 
-    def values_at(self, h) -> dict:
-        """point_params' values at difficulty h, a float or an array of levels."""
-        return {name: intercept + slope * h for name, (intercept, slope) in _PROFILE.items()}
+    def params_at(self, params: ModelParams, h) -> ModelParams:
+        """params at difficulty h, a float or an array with one level per point.
+
+        The values are valid for every h in (0, 1], so they skip the
+        constructors' checks, which would reject arrays.
+        """
+        return replace_unchecked(
+            params, p_w=1.0 - 0.5 * h, p_a=1.0 - 0.7 * h,
+            execution_cost=replace_unchecked(params.execution_cost, scale=10.0 * h),
+            verification_cost=replace_unchecked(VerificationCost(LINEAR), k=0.5 + h))
 
 
 def _gauss_legendre(n: int):
@@ -107,7 +112,7 @@ def unit_quadrature(nodes: int):
 
 def _branch(params, alpha, beta, profile, h) -> np.ndarray:
     """The optimal action's branch at each point and level: regime, and s_dagger's clamp."""
-    act = solve_actions(params, alpha, beta, **profile.values_at(h))
+    act = solve_actions(profile.params_at(params, h), alpha, beta)
     return 3 * act.regime + np.where(act.s_dagger <= 0.0, 0, np.where(act.s_dagger >= 1.0, 2, 1))
 
 
@@ -130,14 +135,14 @@ def expected_quality(params: ModelParams, alpha, beta,
     segment order as a running sum, so a report is bitwise the same whatever
     shares its block.
     """
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    if alpha.ndim != 1 or beta.shape != alpha.shape:
-        raise ValueError("alpha and beta must be 1-d arrays of one length")
     if profile.difficulty is not None:
-        grid = solve_points(params, alpha, beta,
-                            **profile.values_at(np.full(len(alpha), profile.difficulty)))
+        grid = solve_points(profile.params_at(params, profile.difficulty), alpha, beta)
         return [QualityReport.from_values(q, q0, params.tau)
                 for q, q0 in zip(grid.q.tolist(), grid.q0.tolist())]
+    # C_w, and with it kappa * C_w, rises with h, and no check names h, so a grid
+    # that passes at h = 1 passes at every level below; the passes below then
+    # never reach the check's replay, which reads params as scalars
+    alpha, beta, _ = checked_points(profile.params_at(params, 1.0), alpha, beta)
     # above 64 nodes a block holds fewer points, so that a node pass of about four
     # segments per point takes one solve_points call, and memory stays as at 64 nodes
     block = _BLOCK_POINTS * _PROBE_LEVELS // max(_PROBE_LEVELS, 4 * profile.nodes)
@@ -163,8 +168,8 @@ def expected_quality(params: ModelParams, alpha, beta,
     # the nodes in slices of a block's probe rows, whatever the kinks (one empty slice
     # for no points); the generator frees each slice's solve before the next
     rows = _BLOCK_POINTS * _PROBE_LEVELS
-    grids = (solve_points(params, alpha[at[k:k + rows]], beta[at[k:k + rows]],
-                          **profile.values_at(h[k:k + rows])) for k in range(0, max(len(h), 1), rows))
+    grids = (solve_points(profile.params_at(params, h[k:k + rows]), alpha[at[k:k + rows]],
+                          beta[at[k:k + rows]]) for k in range(0, max(len(h), 1), rows))
     values = np.concatenate([np.stack((grid.q, grid.q0)) for grid in grids], axis=1)
     weighted = (width[keep, None] * base_w).ravel() * values
     # np.cumsum adds left to right from 0.0, as the running sum does; numpy's

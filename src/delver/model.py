@@ -252,7 +252,7 @@ class ModelParams:
         """
         if self.believed_p_a is None:
             return self
-        return _replace_unchecked(self, p_a=self.believed_p_a)  # checked when self was built
+        return replace_unchecked(self, p_a=self.believed_p_a)  # checked when self was built
 
     def with_benefit_transfer(self, d_b):
         """Shift d_b of success benefit from the institution to the worker."""
@@ -294,33 +294,11 @@ def reference_params() -> ModelParams:
     )
 
 
-def _replace_unchecked(obj, **changes):
+def replace_unchecked(obj, **changes):
     """A copy of a frozen dataclass with fields changed, skipping its validation."""
     new = object.__new__(type(obj))
     new.__dict__.update(vars(obj), **changes)
     return new
-
-
-def point_params(params: ModelParams, p_w=None, p_a=None, execution_scale=None,
-                 verification_rate=None, check: bool = True) -> ModelParams:
-    """params with new values for the fields that can vary from point to point.
-
-    These are p_w, p_a, the execution-cost scale and a verification rate,
-    which makes the verification cost linear at that rate; None keeps the
-    field. With check, the values are floats and pass through the
-    validating constructors, so a bad one raises what they raise, checked
-    in the order execution scale, verification rate, p_a, p_w. Without
-    check they may be arrays with one entry per point, which the caller has
-    checked; the *_at and *_value helpers and the cost families then read
-    them element by element.
-    """
-    build = replace if check else _replace_unchecked
-    changes = {name: value for name, value in (("p_w", p_w), ("p_a", p_a)) if value is not None}
-    if execution_scale is not None:
-        changes["execution_cost"] = build(params.execution_cost, scale=execution_scale)
-    if verification_rate is not None:
-        changes["verification_cost"] = build(VerificationCost(LINEAR), k=verification_rate)
-    return build(params, **changes)
 
 
 def check_overflow(params: ModelParams, alpha: float, c_w: float) -> None:

@@ -18,7 +18,7 @@ from delver.atlas import (
 )
 from delver.model import (
     INVERSE_EFFICIENCY, LINEAR, LINEAR_IN_EFFICIENCY, Ability, ExecutionCost, VerificationCost,
-    coefficients, phi_coefficients, point_params, success_at,
+    coefficients, phi_coefficients, replace_unchecked, success_at,
 )
 from delver.sampling import beta_span, sample_params
 from delver.solver import (
@@ -751,82 +751,58 @@ class TestSweep:
 
     @pytest.mark.parametrize("params", [pytest.param(params, id="+".join(triple))
                                         for triple, params in sorted(family_configs().items())])
-    @pytest.mark.parametrize("names", [("p_w",), ("p_a", "verification_rate"), ("execution_scale",),
-                                       ("p_w", "p_a", "execution_scale", "verification_rate")])
-    def test_parameter_columns_equal_the_scalar_path_under_point_params(self, params, names):
+    @pytest.mark.parametrize("names", [("p_w",), ("p_a", "verification_cost.k"),
+                                       ("execution_cost.scale",),
+                                       ("p_w", "p_a", "execution_cost.scale", "verification_cost.k")])
+    def test_array_fields_equal_the_scalar_path_per_point(self, params, names):
+        # params whose fields hold one value per point, as DifficultyProfile.params_at
+        # builds them; a verification_cost.k makes the verification cost linear
         rng = np.random.default_rng(31)
         lo, hi = beta_span(params)
         n = 60
         alpha = np.concatenate([rng.uniform(0.0, 3.0, n), [0.0, 3.0]])
         beta = np.concatenate([rng.uniform(lo, hi, n), [lo, hi]])
-        draws = {"p_w": (0.3, 1.0), "p_a": (0.0, 1.0), "execution_scale": (0.2, 8.0),
-                 "verification_rate": (0.1, 3.0)}
-        columns = {name: rng.uniform(*draws[name], n + 2) for name in names}
-        per_point = [point_params(params, **{name: float(c[k]) for name, c in columns.items()})
+        draws = {"p_w": (0.3, 1.0), "p_a": (0.0, 1.0), "execution_cost.scale": (0.2, 8.0),
+                 "verification_cost.k": (0.1, 3.0)}
+        values = {name: rng.uniform(*draws[name], n + 2) for name in names}
+
+        def at(build, values):
+            changes = {name: values[name] for name in ("p_w", "p_a") if name in values}
+            if "execution_cost.scale" in values:
+                changes["execution_cost"] = build(params.execution_cost,
+                                                  scale=values["execution_cost.scale"])
+            if "verification_cost.k" in values:
+                changes["verification_cost"] = build(VerificationCost(LINEAR),
+                                                     k=values["verification_cost.k"])
+            return build(params, **changes)
+
+        arrays = at(replace_unchecked, values)
+        per_point = [at(replace, {name: float(v[k]) for name, v in values.items()})
                      for k in range(n + 2)]
-        _assert_rows_are_evaluate_point(solve_points(params, alpha, beta, **columns), per_point,
+        _assert_rows_are_evaluate_point(solve_points(arrays, alpha, beta), per_point,
                                         list(zip(alpha, beta)))
-        act = solve_actions(params, alpha, beta, **columns)
+        act = solve_actions(arrays, alpha, beta)
         for k, point in enumerate(per_point):
             want = dv.optimal_action(point, Ability(float(alpha[k]), float(beta[k])))
             got = (int(act.d_star[k]), float(act.s_star[k]), REGIMES[act.regime[k]],
                    float(act.s_dagger[k]))
             assert repr(got) == repr((want.d_star, want.s_star, want.regime, want.s_dagger))
 
-    @pytest.mark.parametrize("alpha, beta, columns", [
-        ([0.2, 0.3, 0.4], [0.5, 0.5, 0.5], {"p_w": [0.5, 1.5, 0.5]}),
-        ([0.2, 0.3, 0.4], [0.5, 0.5, 0.5], {"p_a": [0.5, 0.5, 1.2]}),
-        ([0.2, 0.3], [0.5, 0.5], {"execution_scale": [1.0, 0.0]}),
-        ([0.2, 0.3], [0.5, 0.5], {"verification_rate": [1.0, math.inf]}),
-        ([0.2, 0.3], [0.5, 0.5], {"p_w": [math.nan, 0.5], "p_a": [-0.1, 0.5]}),
-        ([0.2, 0.3, 0.4], [0.5, 0.5, 0.5],
-         {"execution_scale": [1.0, 1.0, 0.0], "verification_rate": [1.0, 1.0, -1.0]}),
-        ([0.2, 0.3], [0.5, 0.5], {"verification_rate": [1.0, math.inf], "p_a": [0.5, 2.0]}),
-        ([0.2, 0.3], [1.5, 0.5], {"p_w": [0.5, 1.5]}),
-        ([0.2, 0.3], [1.5, 0.5], {"execution_scale": [-2.0, 1.0]}),
-        ([0.2, -1.0], [0.5, 0.5], {"p_a": [0.5, 7.0]}),
-        ([0.2, 1e308], [0.5, 0.5], {"p_w": [0.5, 0.5]}),
-    ], ids=["p_w", "p_a", "scale", "rate", "p_a-before-p_w", "scale-before-rate", "rate-before-p_a",
-            "beta-first", "column-before-beta", "ability-before-column", "alpha-overflow"])
-    def test_column_check_raises_the_scalar_path_error(self, reference, alpha, beta, columns):
-        expected = None
-        for k in range(len(alpha)):
-            try:
-                ability = Ability(alpha[k], beta[k])
-                point = point_params(reference, **{name: c[k] for name, c in columns.items()})
-                dv.evaluate_point(point, ability)
-            except ValueError as exc:
-                expected = str(exc)
-                break
-        assert expected is not None
-        for solve in (solve_points, solve_actions):
-            with pytest.raises(ValueError) as info:
-                solve(reference, alpha, beta, **columns)
-            assert str(info.value) == expected
-
     def test_infinite_manual_cost_is_rejected_as_the_scalar_path(self, reference):
         params = replace(reference, execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 5.0))
-        # scale / beta overflows at a subnormal beta, or under a huge scale column
-        for beta, columns in (([0.5, 1e-310], {}), ([0.5, 1e-9], {"execution_scale": [1.0, 1e300]})):
-            point = point_params(params, **{name: c[1] for name, c in columns.items()})
-            with pytest.raises(ValueError, match="cost must be finite") as scalar:
-                dv.evaluate_point(point, Ability(0.5, beta[1]))
-            with pytest.raises(ValueError) as info:
-                solve_points(params, [0.5, 0.5], beta, **columns)
-            assert str(info.value) == str(scalar.value)
+        # scale / beta overflows at a subnormal beta
+        with pytest.raises(ValueError, match="cost must be finite") as scalar:
+            dv.evaluate_point(params, Ability(0.5, 1e-310))
+        with pytest.raises(ValueError) as info:
+            solve_points(params, [0.5, 0.5], [0.5, 1e-310])
+        assert str(info.value) == str(scalar.value)
 
-    def test_unknown_or_mismatched_columns_are_rejected(self, reference):
-        # tau is no column: it is ModelParams.tau, set with replace
-        for columns, unknown in (({"p_x": [0.5]}, "['p_x']"), ({"tau": 1.0}, "['tau']"),
-                                 ({"tau": [1.0], "p_w": [0.5], "kappa": [1.0]},
-                                  "['kappa', 'tau']")):
-            for solve in (solve_points, solve_actions):
-                with pytest.raises(ValueError) as info:
-                    solve(reference, [0.5], [0.5], **columns)
-                assert str(info.value) == (f"unknown parameter columns {unknown}; expected "
-                                           "p_w, p_a, execution_scale, verification_rate")
-        with pytest.raises(ValueError, match="1-d arrays of one length"):
-            solve_points(reference, [0.5, 0.6], [0.5, 0.6], p_w=[0.5])
+    def test_mismatched_points_are_rejected(self, reference):
+        for solve in (solve_points, solve_actions):
+            for alpha, beta in (([0.5, 0.6], [0.5]), ([[0.5]], [[0.5]]), (0.5, 0.5)):
+                with pytest.raises(ValueError,
+                                   match="^alpha and beta must be 1-d arrays of one length$"):
+                    solve(reference, alpha, beta)
 
     def test_solve_points_fails_at_the_first_invalid_point(self, reference):
         with pytest.raises(ValueError, match="beta=1.5 outside"):

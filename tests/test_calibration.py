@@ -60,6 +60,20 @@ class TestCleaning:
         assert "row 3" in str(err.value)
         assert "row 4" in str(err.value)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("col", ["worker_time", "assisted_time"])
+    def test_non_finite_time_is_a_malformed_row(self, tmp_path, col, raw):
+        # float() reads all three; nan passed the old "> 0" test, and calibrate
+        # then printed "alpha": NaN, which is not JSON
+        times = {"worker_time": "100.0", "assisted_time": "120.0", col: raw}
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(cal.CASE_COLUMNS) + "\na,1,0,0,100.0,120.0,0\n"
+                        f"b,1,0,0,{times['worker_time']},{times['assisted_time']},0\n")
+        with pytest.raises(cal.CalibrationError) as err:
+            cal.read_cases(path)
+        assert str(err.value) == (f"malformed rows: row 3: {col} must be finite and positive, "
+                                  f"got '{raw}'")
+
     def test_wrong_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("case_id,worker_correct\nx,1\n")

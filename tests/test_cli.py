@@ -834,6 +834,18 @@ class TestGridCommands:
             assert (code, out, err) == (1, "", f"error: {info.value}\n")
             assert not path.exists()
 
+    def test_difficulty_overflow_at_high_hardness_leaves_no_file(self, capsys, tmp_path):
+        # C_w = 10 h / 5e-309 overflows above h of about 0.09; the integrated
+        # grid is checked at h = 1 and fails with the scalar message there
+        path = tmp_path / "difficulty.csv"
+        code, out, err = run(capsys, "extend", "difficulty",
+                             "--config", inverse_efficiency_config(tmp_path),
+                             "--alpha-range", "0.5:0.5:1", "--beta-range", "5e-309:5e-309:1",
+                             "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: beta=5e-309 is too small: the inverse_efficiency cost must be finite\n"
+        assert not path.exists()
+
     def test_difficulty_grid_is_one_expected_quality_call(self, capsys, tmp_path, monkeypatch):
         # bench/tracing.py wraps cli.expected_quality and times each call as
         # one extend difficulty command's integration, whatever its grid size

@@ -14,7 +14,7 @@ from delver.atlas import BOUNDARIES, boundary_curve, solve_points
 from delver.extensions import (
     _PROBE_LEVELS, DifficultyProfile, _branch, expected_quality, unit_quadrature,
 )
-from delver.model import Ability, Action, ModelParams, point_params
+from delver.model import INVERSE_EFFICIENCY, Ability, Action, ExecutionCost, ModelParams
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
     bisect, bisect_array, manual_delegation_threshold, qualification_threshold,
@@ -191,8 +191,8 @@ class TestDifficultyProfile:
                 q = q0 = 0.0
                 for start, end in zip(cuts, cuts[1:] + [1.0]):
                     if end > start:
-                        grid = solve_points(params, *point(base_h), **profile.values_at(
-                            start + (end - start) * base_h))
+                        grid = solve_points(profile.params_at(
+                            params, start + (end - start) * base_h), *point(base_h))
                         for w, node_q, node_q0 in zip((end - start) * base_w, grid.q, grid.q0):
                             q, q0 = q + w * node_q, q0 + w * node_q0
                 assert (report.q.hex(), report.q0.hex()) == (float.hex(q), float.hex(q0))
@@ -227,9 +227,9 @@ class TestDifficultyProfile:
         # call was 139,264 rows on them, however the block was derived
         rows = []  # the rows of each solve_points call
 
-        def recorded(params, alpha, beta, **columns):
+        def recorded(params, alpha, beta):
             rows.append(len(alpha))
-            return solve_points(params, alpha, beta, **columns)
+            return solve_points(params, alpha, beta)
 
         monkeypatch.setattr(extensions, "solve_points", recorded)
         if inputs == "reference-grid":
@@ -265,8 +265,23 @@ class TestDifficultyProfile:
     def test_zero_difficulty_has_no_execution_scale(self, reference):
         # why h = 0 is rejected: the execution cost scale 10 h is zero there
         with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
-            point_params(reference, **DifficultyProfile().values_at(0.0))
+            replace(DifficultyProfile().params_at(reference, 0.0).execution_cost)
         assert DifficultyProfile(difficulty=1.0).difficulty == 1.0
+
+    @pytest.mark.parametrize("kappa, beta", [(1.0, 5e-309), (1e299, 1e-300)],
+                             ids=["C_w", "kappa-C_w"])
+    def test_integrated_grid_fails_on_an_overflow_at_high_hardness(self, reference, kappa, beta):
+        # C_w = 10 h / beta rises with h: at beta 5e-309 it overflows above h of
+        # about 0.09 only. The grid is checked once, at h = 1, and fails with
+        # the scalar path's message there, before any probe pass
+        params = replace(reference, kappa=kappa,
+                         execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 5.0))
+        hardest = replace(params, execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 10.0))
+        with pytest.raises(ValueError, match="must be finite") as scalar:
+            dv.evaluate_point(hardest, Ability(0.5, beta))
+        with pytest.raises(ValueError) as info:
+            expected_quality(params, [0.5, 0.5, 0.5], [0.5, beta, 0.4], DifficultyProfile())
+        assert str(info.value) == str(scalar.value)
 
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):
         profile = DifficultyProfile(difficulty=0.5)
@@ -366,13 +381,13 @@ class TestBelievedSuccess:
         assert str(info.value) == "believed success probability must lie in [0, 1]"
 
     def test_p_a_moves_leave_the_belief_where_it_is(self, reference):
-        # a p_a column and the p_a lever move the true p_a; the worker still plans with 0.8
+        # a difficulty level and the p_a lever move the true p_a; the worker still plans with 0.8
         ability = Ability(0.3, 0.6)
         over = believing(reference, 0.8)
+        hard = DifficultyProfile().params_at(over, 0.5)
+        assert (hard.p_a, hard.worker_view().p_a) == (1.0 - 0.7 * 0.5, 0.8)
         moved = replace(over, p_a=0.5)
-        grid = solve_points(over, [ability.alpha], [ability.beta], p_a=[0.5])
         act, rep = dv.evaluate_point(moved, ability)
-        assert (grid.s_star[0], grid.q[0]) == (act.s_star, rep.q)
         assert act == dv.optimal_action(over, ability)
         assert rep.q == dv.institutional_utility(moved, ability,
                                                  Action(float(act.d_star), act.s_star))

@@ -369,9 +369,9 @@ class TestCaps:
             asked[search].append((params, np.array([ability.alpha]), np.array([ability.beta])))
             return quality(params, ability)
 
-        def record_points(params, alpha, beta, **columns):
+        def record_points(params, alpha, beta):
             asked[search].append((params, np.asarray(alpha), np.asarray(beta)))
-            return solve_points(params, alpha, beta, **columns)
+            return solve_points(params, alpha, beta)
 
         monkeypatch.setattr(interventions, "quality", record_quality)
         monkeypatch.setattr(interventions, "solve_points", record_points)

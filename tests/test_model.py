@@ -16,7 +16,7 @@ from delver.config import load_params
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
     check_assumptions, check_overflow, coefficients, delegation_gain, detection_probability,
-    institutional_utility, point_params, task_success, total_cost, verification_surplus,
+    institutional_utility, task_success, total_cost, verification_surplus,
     worker_utility,
 )
 from delver.sampling import sample_ability, sample_params
@@ -431,22 +431,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="^alpha=1e\\+308 is too large: detection scale "
                                              "\\* alpha must be finite$"):
             call(reference, Ability(1e308, 0.5))
-
-    def test_point_params_validates_in_constructor_order(self, reference):
-        point = point_params(reference, p_w=0.5, p_a=0.4, execution_scale=2.0,
-                             verification_rate=0.7)
-        assert (point.p_w, point.p_a) == (0.5, 0.4)
-        assert point.execution_cost == ExecutionCost("linear_in_efficiency", 2.0)
-        assert point.verification_cost == VerificationCost("linear", 0.7)
-        assert point_params(reference) == reference
-        bad = dict(p_w=2.0, p_a=2.0, execution_scale=0.0, verification_rate=0.0)
-        for message, fixed in (("execution cost scale", "execution_scale"),
-                               ("verification cost", "verification_rate"), ("p_a", "p_a"),
-                               ("p_w", None)):
-            with pytest.raises(ValueError, match=message):
-                point_params(reference, **bad)
-            if fixed:
-                bad[fixed] = 0.5
 
     def test_action_bounds(self):
         with pytest.raises(ValueError):

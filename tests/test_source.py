@@ -3,6 +3,7 @@ module-level constant is read somewhere in the package, no function
 takes the redo discount kappa as a parameter and no class but ModelParams
 declares it as a field, no function but psi_tau takes
 the threshold tau beside params, no function takes a belief about the AI
+or a per-point value (p_w, p_a, execution scale, verification rate)
 beside params, bisect_array's point budget is not a parameter, the grid
 oracle shares no code with the solver, no module names a regime or label
 member outside the oracle's mapping, and no module reaches numpy.linalg
@@ -199,6 +200,29 @@ def test_no_function_takes_a_belief_beside_params(module):
     source = (SRC / module).read_text()
     assert [name for belief in BELIEF_NAMES
             for name in functions_taking(source, "params", belief)] == []
+
+
+# the names the per-point values went by as parameters: p_w and p_a are ModelParams
+# fields, and the execution scale and verification rate are fields of its cost
+# families; DifficultyProfile.params_at sets all four, arrays included
+POINT_NAMES = ("p_w", "p_a", "execution_scale", "verification_rate")
+
+
+def test_the_check_finds_a_point_value_beside_params():
+    source = ("def f(params, p_w=None, check=True):\n    return params\n"
+              "def g(params, *, verification_rate):\n"
+              "    return lambda params, execution_scale: params\n"
+              "def h(p_a, q):\n    return p_a\n"
+              "def k(params, h):\n    return params.p_a\n")
+    assert [name for value in POINT_NAMES
+            for name in functions_taking(source, "params", value)] == ["f", "<lambda>", "g"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_point_value_beside_params(module):
+    source = (SRC / module).read_text()
+    assert [name for value in POINT_NAMES
+            for name in functions_taking(source, "params", value)] == []
 
 
 def parameters(source: str, name: str) -> list[str]:
