@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """The three model extensions, each compared against the base model.
 
-Heterogeneous difficulty integrates quality over a task-hardness
-distribution; a miscalibrated belief (the ModelParams field believed_p_a)
-makes the worker optimize against the wrong AI quality; partial
-re-execution (the ModelParams field kappa) discounts the cost of redoing
-work after a detected error.
+Heterogeneous difficulty solves the base model at a task-hardness level
+h (difficulty_params) and integrates quality over h uniform on [0, 1]; a
+miscalibrated belief (the ModelParams field believed_p_a) makes the worker
+optimize against the wrong AI quality; partial re-execution (the
+ModelParams field kappa) discounts the cost of redoing work after a
+detected error.
 """
 
 from dataclasses import replace
@@ -13,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from delver import (
-    Ability, DifficultyProfile, evaluate_point, expected_quality, optimal_action, quality,
-    reference_params,
+    Ability, difficulty_params, evaluate_point, expected_quality, optimal_action, quality,
+    reference_params, solve_points,
 )
 
 params = reference_params()
@@ -24,12 +25,12 @@ print(f"base model at (0.6, 0.5): q={base.q:.4f}, q0={base.q0:.4f}, "
       f"label {base.quality_label.value}")
 
 print("\n== heterogeneous task difficulty ==")
-# pinning difficulty at its midpoint reproduces the base configuration
-# expected_quality solves arrays of points; here the one point (0.6, 0.5)
+# the base model at the midpoint difficulty reproduces the base configuration;
+# solve_points and expected_quality solve arrays of points, here the one (0.6, 0.5)
 alpha, beta = [ability.alpha], [ability.beta]
-[pinned] = expected_quality(params, alpha, beta, DifficultyProfile(difficulty=0.5))
-print(f"difficulty pinned at 0.5: q={pinned.q:.6f} (base {base.q:.6f})")
-[uniform] = expected_quality(params, alpha, beta, DifficultyProfile(nodes=64))
+[pinned] = solve_points(difficulty_params(params, 0.5), alpha, beta).q.tolist()
+print(f"difficulty pinned at 0.5: q={pinned:.6f} (base {base.q:.6f})")
+[uniform] = expected_quality(params, alpha, beta, 64)
 print(f"difficulty uniform on [0,1]: q={uniform.q:.6f}, q0={uniform.q0:.6f}, "
       f"label {uniform.quality_label.value}")
 

@@ -37,7 +37,7 @@ _LAZY = {
         "calibrate_file", "classify_calibrated", "clean_cases", "estimate_observables",
         "fixture_path", "infer_ability", "infer_stakes", "ingest_and_clean", "read_cases",
     ),
-    "extensions": ("DifficultyProfile", "expected_quality"),
+    "extensions": ("difficulty_params", "expected_quality"),
     "interventions": (
         "CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",
         "ai_upgrade_gain", "incentive_transfer_gain", "minimal_lever", "worker_upskill",

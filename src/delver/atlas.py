@@ -422,7 +422,7 @@ def checked_points(params: ModelParams, alpha, beta):
     scalar path raises there: it builds the Ability, then computes C_w and
     checks alpha and kappa * C_w as optimal_action does. The replay reads
     params as scalars, so params with array fields (only
-    DifficultyProfile.params_at builds them) need points already checked.
+    extensions.difficulty_params builds them) need points already checked.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -466,7 +466,7 @@ def solve_points(params: ModelParams, alpha, beta) -> AtlasGrid:
     array branch points, so every entry equals evaluate_point at that point
     bitwise. The formulas read params' fields element by element, so
     params may hold arrays with one entry per point; only
-    DifficultyProfile.params_at builds such params, and point k is then
+    extensions.difficulty_params builds such params, and point k is then
     solved at its k-th values.
     """
     alpha, beta, c_w = checked_points(params, alpha, beta)

@@ -146,7 +146,7 @@ def _parse_time(raw, row_num, col, problems):
 
 def read_cases(path) -> list[CaseRecord]:
     """Parse a case CSV; '#' lines are comments. Malformed rows raise, by file line."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         numbered = [(num, line) for num, line in enumerate(fh, start=1) if not line.startswith("#")]
     reader = csv.reader(line for _, line in numbered)
     names = next(reader, None)

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .solver import brute_force_action, manual_delegation_threshold, qualificati
 # bound (as a wrapper set with setattr, say) stays bound.
 _LAZY = {
     "calibration": ("cal",),
-    "extensions": ("DifficultyProfile", "expected_quality"),
+    "extensions": ("check_nodes", "difficulty_params", "expected_quality"),
     "interventions": ("LEVER_MOVES", "CostModel", "CostTerm", "ai_upgrade_gain",
                       "incentive_transfer_gain", "minimal_lever", "worker_upskill"),
 }
@@ -56,8 +56,9 @@ def _load(module):
 
 
 def _jsonable(value):
+    """value for JSON: a float at 9 significant digits, or None where JSON has no inf or nan."""
     if isinstance(value, float):
-        return float(f"{value:.9g}")
+        return float(f"{value:.9g}") if math.isfinite(value) else None
     return value
 
 
@@ -70,8 +71,8 @@ def _text(value):
 def _emit(args, payload, json_only=()):
     """Print payload as one sorted JSON line under --json, else as `key value` lines.
 
-    Floats are rounded to 9 significant digits either way; keys in json_only
-    are left out of the text form.
+    Floats are rounded to 9 significant digits either way, and a non-finite
+    one is null in JSON; keys in json_only are left out of the text form.
     """
     if getattr(args, "json", False):
         print(json.dumps({key: _jsonable(value) for key, value in payload.items()}, sort_keys=True))
@@ -177,7 +178,7 @@ def cmd_intervene_worker(args):
     params = _tau_params(args)
     model = CostModel(h_alpha=_parse_cost_term(args.h1), h_beta=_parse_cost_term(args.h2))
     plan = worker_upskill(params, _ability(args), model)
-    _emit(args, _pick(plan, ("d_alpha", "d_beta", "cost", "achieved_q", "feasible")))
+    _emit(args, asdict(plan))
     return 0
 
 
@@ -224,23 +225,31 @@ def _write_columns(out, columns):
 def cmd_intervene_minimal(args):
     _load("interventions")
     target = minimal_lever(_tau_params(args), _ability(args), args.lever)
-    _emit(args, _pick(target, ("lever", "value", "feasible")))
+    _emit(args, asdict(target))
     return 0
 
 
 def cmd_extend_difficulty(args):
-    """The difficulty grid as CSV; every row is computed before --out is opened."""
+    """The difficulty grid as CSV; every row is computed before --out is opened.
+
+    A pinned --hhat writes the quality columns of the base model's grid at that level.
+    """
     _load("extensions")
     params = load_params(args.config)
-    profile = DifficultyProfile(difficulty=args.hhat, nodes=args.nodes)
+    pinned = None if args.hhat is None else difficulty_params(params, args.hhat)
+    check_nodes(args.nodes)
     alpha, beta = _grid(args)
-    values = zip(*((r.q, r.q0, r.gap, r.quality_label.value, r.compliance_label.value)
-                   for r in expected_quality(params, alpha, beta, profile)))
+    if pinned is None:
+        values = map(np.array, zip(*(
+            (r.q, r.q0, r.gap, r.quality_label.value, r.compliance_label.value)
+            for r in expected_quality(params, alpha, beta, args.nodes))))
+    else:
+        values = (column for _, column in atlas_columns(solve_points(pinned, alpha, beta))[-5:])
     return _write_columns(args.out, [
         ("alpha", alpha), ("beta", beta),
         ("difficulty", np.full(len(alpha), "" if args.hhat is None else args.hhat)),
         ("nodes", np.full(len(alpha), args.nodes)),
-        *zip(("q", "q0", "gap", "quality", "compliance"), map(np.array, values))])
+        *zip(("q", "q0", "gap", "quality", "compliance"), values)])
 
 
 # The benchmark seam: CLI_LAYERS in bench/tracing.py wraps this name, timing extend

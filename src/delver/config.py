@@ -106,7 +106,7 @@ def load_params(path) -> ModelParams:
     def reject(token):
         raise ConfigError(f"non-finite number {token} in {path}")
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark, as editors write
         try:
             doc = json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:

@@ -1,7 +1,7 @@
 """Model extension: heterogeneous task difficulty.
 
-Difficulty makes success probabilities and costs depend on a task-hardness
-level h and integrates quality over its distribution. The other two
+A task-hardness level h is the base model under difficulty_params(params, h),
+and expected_quality integrates quality over h uniform on [0, 1]. The other two
 extensions are fields of the base model's parameters, not code here:
 partial re-execution is ModelParams.kappa, which discounts the cost of
 redoing work after a detected AI error, and a miscalibrated belief about
@@ -11,13 +11,11 @@ the AI is ModelParams.believed_p_a, which the worker's side reads.
 from __future__ import annotations
 
 import functools
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .atlas import QualityReport, checked_points, solve_actions, solve_points
-from .model import LINEAR, ModelParams, VerificationCost, reject_bools, replace_unchecked
+from .model import LINEAR, ModelParams, VerificationCost, replace_unchecked
 from .solver import bisect_array
 
 _PROBE_LEVELS = 257  # difficulty cells probed for action-branch switches
@@ -27,41 +25,33 @@ _BLOCK_POINTS = 512  # points per batched pass up to 64 nodes: 131,584 probe row
 _MAX_NODES = 1024
 
 
-@dataclass(frozen=True)
-class DifficultyProfile:
-    """Difficulty-dependent success probabilities and cost scales on h in [0, 1].
+def check_nodes(nodes) -> int:
+    """nodes as an int; a node count is an integer in [1, _MAX_NODES]."""
+    if (isinstance(nodes, bool) or not isinstance(nodes, (int, np.integer))
+            or not 1 <= nodes <= _MAX_NODES):
+        raise ValueError(f"nodes must be an integer in [1, {_MAX_NODES}], got {nodes}")
+    return int(nodes)
+
+
+def difficulty_params(params: ModelParams, h) -> ModelParams:
+    """params at task hardness h: a level in (0, 1], or an array with one level per point.
 
     At hardness h the worker succeeds with p_w = 1 - 0.5 h and the AI with
     p_a = 1 - 0.7 h; the execution cost scale is 10 h and the linear
-    verification rate 0.5 + h. difficulty pins a single hardness level in
-    (0, 1], since at h = 0 there is no execution cost scale; None draws h
-    uniformly on [0, 1], integrated with Gauss-Legendre quadrature on nodes
-    nodes per smooth segment, which never evaluates h = 0. nodes is an
-    integer in [1, _MAX_NODES]. params_at is the only builder of params
-    with array fields.
+    verification rate 0.5 + h. A level is checked (at h = 0 there is no
+    execution cost scale); an array, which only expected_quality's passes
+    build, is not, and skips the constructors' checks, which reject arrays.
+    Nothing else builds params with array fields.
     """
-
-    difficulty: float | None = None
-    nodes: int = 64
-
-    def __post_init__(self):
-        reject_bools(self, ("difficulty",))
-        if self.difficulty is not None and not 0.0 < self.difficulty <= 1.0:
-            raise ValueError(f"difficulty must lie in (0, 1], got {self.difficulty}")
-        if (isinstance(self.nodes, bool) or not isinstance(self.nodes, (int, np.integer))
-                or not 1 <= self.nodes <= _MAX_NODES):
-            raise ValueError(f"nodes must be an integer in [1, {_MAX_NODES}], got {self.nodes}")
-
-    def params_at(self, params: ModelParams, h) -> ModelParams:
-        """params at difficulty h, a float or an array with one level per point.
-
-        The values are valid for every h in (0, 1], so they skip the
-        constructors' checks, which would reject arrays.
-        """
-        return replace_unchecked(
-            params, p_w=1.0 - 0.5 * h, p_a=1.0 - 0.7 * h,
-            execution_cost=replace_unchecked(params.execution_cost, scale=10.0 * h),
-            verification_cost=replace_unchecked(VerificationCost(LINEAR), k=0.5 + h))
+    if not isinstance(h, np.ndarray):
+        if isinstance(h, (bool, np.bool_)):
+            raise ValueError(f"'difficulty' must be a number, got {h!r}")
+        if not 0.0 < h <= 1.0:
+            raise ValueError(f"difficulty must lie in (0, 1], got {h}")
+    return replace_unchecked(
+        params, p_w=1.0 - 0.5 * h, p_a=1.0 - 0.7 * h,
+        execution_cost=replace_unchecked(params.execution_cost, scale=10.0 * h),
+        verification_cost=replace_unchecked(VerificationCost(LINEAR), k=0.5 + h))
 
 
 def _gauss_legendre(n: int):
@@ -94,37 +84,36 @@ def _gauss_legendre(n: int):
     return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)  # typed, so True misses the rule cached for 1
 def unit_quadrature(nodes: int):
     """Gauss-Legendre nodes and weights on [0, 1], cached per node count and read-only.
 
     The nodes come from Newton's method on the Legendre recurrence
-    (_gauss_legendre). A node count of another integer type, such as
-    np.int64(8), shares the arrays of the int.
+    (_gauss_legendre). nodes passes check_nodes; a count of another integer
+    type, such as np.int64(8), shares the arrays of the int.
     """
     if type(nodes) is not int:
-        return unit_quadrature(operator.index(nodes))
-    x, w = _gauss_legendre(nodes)
+        return unit_quadrature(check_nodes(nodes))
+    x, w = _gauss_legendre(check_nodes(nodes))
     h, w = 0.5 * (x + 1.0), 0.5 * w
     h.flags.writeable = w.flags.writeable = False
     return h, w
 
 
-def _branch(params, alpha, beta, profile, h) -> np.ndarray:
+def _branch(params, alpha, beta, h) -> np.ndarray:
     """The optimal action's branch at each point and level: regime, and s_dagger's clamp."""
-    act = solve_actions(profile.params_at(params, h), alpha, beta)
+    act = solve_actions(difficulty_params(params, h), alpha, beta)
     return 3 * act.regime + np.where(act.s_dagger <= 0.0, 0, np.where(act.s_dagger >= 1.0, 2, 1))
 
 
-def expected_quality(params: ModelParams, alpha, beta,
-                     profile: DifficultyProfile) -> list[QualityReport]:
-    """Quality and baseline integrated over the task-difficulty distribution, one report per point.
+def expected_quality(params: ModelParams, alpha, beta, nodes: int) -> list[QualityReport]:
+    """Quality and baseline with hardness h uniform on [0, 1], one report per point.
 
-    alpha and beta are matching 1-d arrays, as solve_points takes. A pinned
-    difficulty is one solve_points call. Otherwise the worker re-solves the
-    optimal action at every level, and quality is smooth in h only between
-    the kinks where the action changes branch (regime or effort clamp), so
-    each segment between them gets profile.nodes Gauss-Legendre nodes; labels
+    alpha and beta are matching 1-d arrays, as solve_points takes; nodes
+    passes check_nodes. The worker re-solves the optimal action at every
+    level, and quality is smooth in h only between the kinks where the
+    action changes branch (regime or effort clamp), so each segment between
+    them gets nodes Gauss-Legendre nodes, which never evaluate h = 0; labels
     are assigned to the integrated values. The points go in blocks of
     _BLOCK_POINTS up to 64 nodes, and of _BLOCK_POINTS * 257 / (4 nodes) above,
     in order, and each block makes three passes: the probe levels (cell
@@ -135,26 +124,23 @@ def expected_quality(params: ModelParams, alpha, beta,
     segment order as a running sum, so a report is bitwise the same whatever
     shares its block.
     """
-    if profile.difficulty is not None:
-        grid = solve_points(profile.params_at(params, profile.difficulty), alpha, beta)
-        return [QualityReport.from_values(q, q0, params.tau)
-                for q, q0 in zip(grid.q.tolist(), grid.q0.tolist())]
+    nodes = check_nodes(nodes)
     # C_w, and with it kappa * C_w, rises with h, and no check names h, so a grid
     # that passes at h = 1 passes at every level below; the passes below then
     # never reach the check's replay, which reads params as scalars
-    alpha, beta, _ = checked_points(profile.params_at(params, 1.0), alpha, beta)
+    alpha, beta, _ = checked_points(difficulty_params(params, 1.0), alpha, beta)
     # above 64 nodes a block holds fewer points, so that a node pass of about four
     # segments per point takes one solve_points call, and memory stays as at 64 nodes
-    block = _BLOCK_POINTS * _PROBE_LEVELS // max(_PROBE_LEVELS, 4 * profile.nodes)
+    block = _BLOCK_POINTS * _PROBE_LEVELS // max(_PROBE_LEVELS, 4 * nodes)
     if len(alpha) > block:
         return [report for k in range(0, len(alpha), block) for report in expected_quality(
-            params, alpha[k:k + block], beta[k:k + block], profile)]
+            params, alpha[k:k + block], beta[k:k + block], nodes)]
     n, hs = len(alpha), (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
-    branch = _branch(params, alpha.repeat(_PROBE_LEVELS), beta.repeat(_PROBE_LEVELS), profile,
+    branch = _branch(params, alpha.repeat(_PROBE_LEVELS), beta.repeat(_PROBE_LEVELS),
                      np.tile(hs, n)).reshape(n, _PROBE_LEVELS)
     # every kink's point and probe cell, point by point and in h order
     point, cell = np.nonzero(branch[:, :-1] != branch[:, 1:])
-    lo, hi = bisect_array(lambda k, h: _branch(params, alpha[point[k]], beta[point[k]], profile, h)
+    lo, hi = bisect_array(lambda k, h: _branch(params, alpha[point[k]], beta[point[k]], h)
                           != branch[point[k], cell[k]], hs[cell], hs[cell + 1], 0.0, steps=45)
     # each point's cuts 0, kinks, 1 in turn; the step back from one point's 1
     # to the next's 0 is the only negative width, so counting them gives the point
@@ -162,13 +148,13 @@ def expected_quality(params: ModelParams, alpha, beta,
                      np.tile([0.0, 1.0], n))
     width = np.diff(cuts)
     keep = width > 0.0
-    at = np.cumsum(width < 0.0)[keep].repeat(profile.nodes)
-    base_h, base_w = unit_quadrature(profile.nodes)
+    at = np.cumsum(width < 0.0)[keep].repeat(nodes)
+    base_h, base_w = unit_quadrature(nodes)
     h = (cuts[:-1][keep, None] + width[keep, None] * base_h).ravel()
     # the nodes in slices of a block's probe rows, whatever the kinks (one empty slice
     # for no points); the generator frees each slice's solve before the next
     rows = _BLOCK_POINTS * _PROBE_LEVELS
-    grids = (solve_points(profile.params_at(params, h[k:k + rows]), alpha[at[k:k + rows]],
+    grids = (solve_points(difficulty_params(params, h[k:k + rows]), alpha[at[k:k + rows]],
                           beta[at[k:k + rows]]) for k in range(0, max(len(h), 1), rows))
     values = np.concatenate([np.stack((grid.q, grid.q0)) for grid in grids], axis=1)
     weighted = (width[keep, None] * base_w).ravel() * values

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import delver as dv
-from delver.atlas import psi, psi0, psi1, separatrix_intersection, sweep_grid, write_atlas_csv
-from delver.extensions import DifficultyProfile, expected_quality
+from delver.atlas import (
+    psi, psi0, psi1, separatrix_intersection, solve_points, sweep_grid, write_atlas_csv,
+)
+from delver.extensions import difficulty_params
 from delver.interventions import ai_upgrade_gain, incentive_transfer_gain
 from delver.model import Ability, Action, coefficients
 from delver.sampling import beta_span, sample_ability, sample_params
@@ -198,12 +200,11 @@ def test_criterion_8_extension_reductions(reference):
     grid = [Ability(float(a), float(b))
             for a in np.linspace(0.0, 1.0, 21) for b in np.linspace(0.0, 1.0, 21)]
     worst = 0.0
-    pinned = DifficultyProfile(difficulty=0.5)
     known = replace(reference, believed_p_a=reference.p_a)
     full_redo = replace(reference, kappa=1.0)
-    integrated = expected_quality(reference, [ability.alpha for ability in grid],
-                                  [ability.beta for ability in grid], pinned)
-    for ability, ext in zip(grid, integrated, strict=True):
+    pinned = solve_points(difficulty_params(reference, 0.5), [ability.alpha for ability in grid],
+                          [ability.beta for ability in grid])
+    for ability, ext in zip(grid, pinned, strict=True):
         base = dv.quality(reference, ability)
         scale = 1.0 + abs(base.q)
         worst = max(worst, abs(ext.q - base.q) / scale)

@@ -755,7 +755,7 @@ class TestSweep:
                                        ("execution_cost.scale",),
                                        ("p_w", "p_a", "execution_cost.scale", "verification_cost.k")])
     def test_array_fields_equal_the_scalar_path_per_point(self, params, names):
-        # params whose fields hold one value per point, as DifficultyProfile.params_at
+        # params whose fields hold one value per point, as extensions.difficulty_params
         # builds them; a verification_cost.k makes the verification cost linear
         rng = np.random.default_rng(31)
         lo, hi = beta_span(params)

@@ -67,6 +67,11 @@ README_GOLDEN = {
 # --beta-range 0:1:5` on the reference config, taken at commit bb4a676
 BELIEF_GRID_DIGEST = "f11aacabdd66deade61a05484bac0ab4b6f89948708bee0446cc2f6a788c9086"
 
+# SHA-256 of the stdout of `extend difficulty --hhat 0.5 --alpha-range 0:2:7
+# --beta-range 0:1:6` on the reference config, taken at commit bf8103e, while a
+# pinned level was a branch of expected_quality
+PINNED_DIFFICULTY_DIGEST = "e21d6395c369b236c1d635bc8538276faf0a72ddc9c45219d5cb72fa10d7c4ba"
+
 # SHA-256 of the file that `intervene institution --lever b_transfer --delta 1
 # --alpha-range 0:1:21 --beta-range 0:1:21` writes on the reference config, taken
 # at commit e2968f8, while the grid was solved one point at a time
@@ -101,9 +106,11 @@ SINGLE_RESULT_GOLDEN = {
     "worker-infeasible": (["intervene", "worker", "--alpha", "0.05", "--beta", "0.1",
                            "--tau", "100"],
                           "227cb5e9d97caa58440211a139ba799fb5636a73226eb6e08a6b17275e0ea417"),
+    # re-pinned when JSON began to print a non-finite float as null, behind
+    # test_json_output_is_strict: "cost": Infinity became "cost": null
     "worker-infeasible-json": (["intervene", "worker", "--alpha", "0.05", "--beta", "0.1",
                                 "--tau", "100", "--json"],
-                               "2bc34d22f17cf1d9ae1fa61c4f6ae5276bf7257d4d19efa5d27e723d6ec680a9"),
+                               "79f9c72db7c162ac02bce62f78037b02c67eebb46ba9641a9f962cb8e435dbec"),
     "institution": (["intervene", "institution", "--lever", "b_transfer", "--delta", "0.1",
                      "--alpha", "0.5", "--beta", "0.5"],
                     "86788145c9e18ce2aabf2fcc6838d7aadbe43a2c0890c46abdfa2449e4824805"),
@@ -476,6 +483,50 @@ class TestSingleResultOutput:
         assert json.loads(as_json)["quality"] == "improved"
         assert as_text.splitlines()[:2] == ["q 7.67410517", "q0 6.75"]
 
+    def test_json_output_is_strict(self, capsys, tmp_path):
+        # JSON has no Infinity or NaN: an infeasible plan's cost and the alpha of a
+        # log where every AI error is caught were printed as Infinity; they are
+        # null, and feasible and boundary say why. The text forms keep inf
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        cases = tmp_path / "caught.csv"
+        cases.write_text(f"{','.join(cal.CASE_COLUMNS)}\n" + "".join(
+            f"{row}\n" for row in ["c0,1,0,1,100,110,0", "c1,1,1,1,100,105,1",
+                                   "c2,1,0,1,104,118,0", "c3,1,1,1,96,101,1"]))
+        caught = ["calibrate", "--cases", str(cases), "--tvmax", "60", "--twmax", "262.3"]
+        runs = {name: [*argv, *([] if argv[0] == "calibrate" else ["--config", REFERENCE_CONFIG])]
+                for name, (argv, _) in SINGLE_RESULT_GOLDEN.items()
+                if name.endswith("-json") or argv[0] == "calibrate"}
+        runs.update({"caught": caught, "caught-json": [*caught, "--json"]})
+        payloads = {}
+        for name, argv in runs.items():
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), name
+            payloads[name] = json.loads(out, parse_constant=refuse)
+        assert len(payloads) == 10
+        assert payloads["caught"] == payloads["caught-json"]
+        worker, plan = payloads["caught"]["worker"], payloads["worker-infeasible-json"]
+        assert (worker["alpha"], worker["boundary"]) == (None, True)
+        assert (plan["cost"], plan["feasible"]) == (None, False)
+        _, text, _ = run(capsys, *SINGLE_RESULT_GOLDEN["worker-infeasible"][0],
+                         "--config", REFERENCE_CONFIG)
+        assert "cost inf\n" in text
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # editors and spreadsheet exports may start a file with a UTF-8 BOM;
+        # load_params and calibrate failed on it
+        config, cases = tmp_path / "bom.json", tmp_path / "bom.csv"
+        config.write_bytes(b"\xef\xbb\xbf" + Path(REFERENCE_CONFIG).read_bytes())
+        cases.write_bytes(b"\xef\xbb\xbf" + cal.fixture_path().read_bytes())
+        quality = ["quality", "--alpha", "0.6", "--beta", "0.5", "--config"]
+        calibrate = ["calibrate", *FIXTURE_CASES[2:], "--tau", "150", "--cases"]
+        for argv, plain, marked in ((quality, REFERENCE_CONFIG, config),
+                                    (calibrate, str(cal.fixture_path()), cases)):
+            want = run(capsys, *argv, plain)
+            assert want[0] == 0 and want[1]
+            assert run(capsys, *argv, str(marked)) == want
+
 
 class TestGridCommands:
     def test_atlas_csv(self, capsys, tmp_path):
@@ -812,13 +863,37 @@ class TestGridCommands:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "alpha,beta,difficulty,nodes,q,q0,gap,quality,compliance"
         assert len(lines) == 10
-        profile = dv.DifficultyProfile(difficulty=0.5)
+        # a pinned level is the base model under difficulty_params
+        pinned = dv.difficulty_params(reference, 0.5)
         rows = [(a, b) for b in np.linspace(0, 1, 3) for a in np.linspace(0, 1, 3)]
         for line, (a, b) in zip(lines[1:], rows):
-            [rep] = dv.expected_quality(reference, [a], [b], profile)
+            _, rep = dv.evaluate_point(pinned, dv.Ability(float(a), float(b)))
             assert line == ",".join([fmt(float(a)), fmt(float(b)), "0.5", "64", fmt(rep.q),
                                      fmt(rep.q0), fmt(rep.gap), rep.quality_label.value,
                                      rep.compliance_label.value])
+
+    def test_extend_difficulty_pinned_bytes(self, capsys):
+        code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                             "--hhat", "0.5", "--alpha-range", "0:2:7", "--beta-range", "0:1:6")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIFFICULTY_DIGEST
+
+    @pytest.mark.parametrize("hhat", [[], ["--hhat", "0.5"]], ids=["integrated", "pinned"])
+    @pytest.mark.parametrize("nodes", ["0", "1025", "5000"])
+    def test_bad_nodes_fail_before_the_ranges(self, capsys, tmp_path, hhat, nodes):
+        # a pinned level uses no nodes, but --nodes is checked all the same,
+        # after --hhat and before the ranges
+        path = tmp_path / "difficulty.csv"
+        code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                             *hhat, "--nodes", nodes, "--alpha-range", "x",
+                             "--beta-range", "0:1:3", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: nodes must be an integer in [1, 1024], got {nodes}\n"
+        assert not path.exists()
+        code, _, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
+                           "--hhat", "2", "--nodes", nodes, "--alpha-range", "x",
+                           "--beta-range", "0:1:3")
+        assert (code, err) == (1, "error: difficulty must lie in (0, 1], got 2.0\n")
 
     def test_invalid_difficulty_point_leaves_no_file(self, capsys, tmp_path, reference):
         # the rows before (0, 1.5) are valid; pinned or integrated, the grid
@@ -826,8 +901,10 @@ class TestGridCommands:
         path = tmp_path / "difficulty.csv"
         for hhat in (["--hhat", "0.5"], []):
             with pytest.raises(ValueError) as info:
-                dv.expected_quality(reference, [0.0], [1.5],
-                                    dv.DifficultyProfile(0.5 if hhat else None))
+                if hhat:
+                    dv.solve_points(dv.difficulty_params(reference, 0.5), [0.0], [1.5])
+                else:
+                    dv.expected_quality(reference, [0.0], [1.5], 64)
             code, out, err = run(capsys, "extend", "difficulty", "--config", REFERENCE_CONFIG,
                                  *hhat, "--alpha-range", "0:1:3",
                                  "--beta-range", "0:1.5:4", "--out", str(path))
@@ -851,9 +928,9 @@ class TestGridCommands:
         # one extend difficulty command's integration, whatever its grid size
         calls, plain = [], cli.expected_quality
 
-        def counting(params, alpha, beta, profile):
+        def counting(params, alpha, beta, nodes):
             calls.append(len(alpha))
-            return plain(params, alpha, beta, profile)
+            return plain(params, alpha, beta, nodes)
 
         monkeypatch.setattr(cli, "expected_quality", counting)
         for ranges in (["0:1:3", "0.2:0.8:3"], ["0.5:0.5:1", "0.5:0.5:1"]):
@@ -1057,7 +1134,7 @@ PACKAGE_NAMES = {
                     "classify_calibrated", "clean_cases", "estimate_observables", "fixture_path",
                     "infer_ability", "infer_stakes", "ingest_and_clean", "read_cases"],
     "config": ["ConfigError", "load_params", "params_from_dict", "params_to_dict"],
-    "extensions": ["DifficultyProfile", "expected_quality"],
+    "extensions": ["difficulty_params", "expected_quality"],
     "interventions": ["CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",
                       "ai_upgrade_gain", "incentive_transfer_gain", "minimal_lever",
                       "worker_upskill"],

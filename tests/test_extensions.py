@@ -10,9 +10,9 @@ import pytest
 
 import delver as dv
 from delver import extensions
-from delver.atlas import BOUNDARIES, boundary_curve, solve_points
+from delver.atlas import BOUNDARIES, QualityReport, boundary_curve, solve_points
 from delver.extensions import (
-    _PROBE_LEVELS, DifficultyProfile, _branch, expected_quality, unit_quadrature,
+    _PROBE_LEVELS, _branch, check_nodes, difficulty_params, expected_quality, unit_quadrature,
 )
 from delver.model import INVERSE_EFFICIENCY, Ability, Action, ExecutionCost, ModelParams
 from delver.sampling import beta_span, sample_ability, sample_params
@@ -22,7 +22,9 @@ from delver.solver import (
 
 from conftest import family_configs
 
-# SHA-256 of the reprs of difficulty_reports() with these profiles. Taken at
+# SHA-256 of the reprs of difficulty_reports() at these node counts and this
+# pinned level (held as DifficultyProfile objects until a pinned level became
+# solve_points under difficulty_params, which kept every repr). Taken at
 # commit 6039a25 (the fourth profile had custom (intercept, slope) pairs until
 # the profile shape became fixed) as
 # 5086f26cb230c604e1d28fb1ac7ebe06052fb15c802fe4e67b73a851f0e6c0bc, and
@@ -32,10 +34,8 @@ from conftest import family_configs
 # reports began to hold Python floats, whose reprs are the old ones without
 # their 288 np.float64(...) wrappers (test_report_fields_are_python_floats)
 DIFFICULTY_REPORTS_DIGEST = "0fcb1e42fc585c5ffe1a2b18dc4e9829be3b4c218f9b7faf77a6446f747118df"
-DIFFICULTY_PROFILES = [
-    DifficultyProfile(), DifficultyProfile(nodes=1), DifficultyProfile(nodes=8),
-    DifficultyProfile(nodes=16), DifficultyProfile(difficulty=0.3),
-]
+DIFFICULTY_NODES = [64, 1, 8, 16]
+PINNED_LEVEL = 0.3
 # SHA-256 of scalar_reports(), taken at commit 6039a25, where belief was scored
 # through coefficients and institutional_utility, and a wrapper set it
 SCALAR_REPORTS_DIGEST = "154c86ef63f3b23f744f12a620c397eb4b2ac350c7b12594778b515acac36d81"
@@ -47,16 +47,20 @@ def columns(abilities):
 
 
 def difficulty_reports():
-    """120 reports: 3 sampled workers per family triple under each profile, one call each.
+    """120 reports: 3 sampled workers per family triple, one call at each node
+    count, then the pinned level's solve_points grid as reports.
 
-    Between them the integrated profiles place 0 to 5 kinks per worker.
+    Between them the node counts place 0 to 5 kinks per worker.
     """
     reports = []
     for i, (_, params) in enumerate(sorted(family_configs().items())):
         rng = np.random.default_rng(700 + i)
         alpha, beta = columns([sample_ability(rng, params) for _ in range(3)])
-        for profile in DIFFICULTY_PROFILES:
-            reports.extend(expected_quality(params, alpha, beta, profile))
+        for nodes in DIFFICULTY_NODES:
+            reports.extend(expected_quality(params, alpha, beta, nodes))
+        grid = solve_points(difficulty_params(params, PINNED_LEVEL), alpha, beta)
+        reports.extend(QualityReport.from_values(q, q0, params.tau)
+                       for q, q0 in zip(grid.q.tolist(), grid.q0.tolist()))
     return reports
 
 
@@ -79,25 +83,28 @@ def test_scalar_reports_are_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_REPORTS_DIGEST
 
 
-class TestDifficultyProfile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DifficultyProfile(difficulty=1.5)
-        with pytest.raises(ValueError):
-            DifficultyProfile(nodes=0)
+class TestDifficulty:
+    @pytest.mark.parametrize("nodes", [0, 1025, 2.5, True])
+    def test_node_rule(self, reference, nodes):
         # nodes = 2.5 used to pass, and numpy's leggauss then raised TypeError;
-        # a bool is an int to isinstance, but no node count
-        for nodes in (1025, 2.5, True):
-            message = rf"^nodes must be an integer in \[1, 1024\], got {nodes}$"
+        # a bool is an int to isinstance, but no node count. unit_quadrature(0)
+        # raised numpy's zero-size reduction error, and unit_quadrature(True)
+        # and unit_quadrature(1025) returned rules; every caller takes one rule
+        message = rf"^nodes must be an integer in \[1, 1024\], got {nodes}$"
+        for call in (check_nodes, unit_quadrature,
+                     lambda n: expected_quality(reference, [0.5], [0.5], n)):
             with pytest.raises(ValueError, match=message):
-                DifficultyProfile(nodes=nodes)
-        assert DifficultyProfile(nodes=np.int64(8)) == DifficultyProfile(nodes=8)
+                call(nodes)
+        # the nodes are checked before the points
+        with pytest.raises(ValueError, match=message):
+            expected_quality(reference, [-1.0], [0.5], nodes)
+        assert (check_nodes(np.int64(8)), type(check_nodes(np.int64(8)))) == (8, int)
 
     @pytest.mark.parametrize("value", [True, False])
     def test_difficulty_is_no_bool(self, reference, value):
-        # DifficultyProfile(difficulty=True) used to pin hardness 1
+        # a pinned difficulty of True used to pin hardness 1
         with pytest.raises(ValueError) as info:
-            DifficultyProfile(difficulty=value)
+            difficulty_params(reference, value)
         assert str(info.value) == f"'difficulty' must be a number, got {value}"
         with pytest.raises(ValueError, match=rf"^'kappa' must be a number, got {value}$"):
             replace(reference, kappa=value)
@@ -122,7 +129,7 @@ class TestDifficultyProfile:
     def test_cached_quadrature_is_read_only(self):
         hs, ws = unit_quadrature(8)
         assert unit_quadrature(8)[0] is hs
-        # DifficultyProfile takes a numpy integer node count
+        # expected_quality takes a numpy integer node count
         assert unit_quadrature(np.int64(8))[0] is hs and unit_quadrature(np.int64(8))[1] is ws
         for array in (hs, ws):
             assert not array.flags.writeable
@@ -170,20 +177,20 @@ class TestDifficultyProfile:
 
         monkeypatch.setattr(extensions, "bisect_array", recording)
         rng = np.random.default_rng(17)
-        profile, kinks = DifficultyProfile(), 0
+        nodes, kinks = 64, 0
         hs = (np.arange(_PROBE_LEVELS) + 0.5) / _PROBE_LEVELS
-        base_h, base_w = unit_quadrature(profile.nodes)
+        base_h, base_w = unit_quadrature(nodes)
         for params in [reference] + [sample_params(rng) for _ in range(8)]:
             abilities = [sample_ability(rng, params) for _ in range(3)]
-            reports = expected_quality(params, *columns(abilities), profile)
+            reports = expected_quality(params, *columns(abilities), nodes)
             want = []
             for ability, report in zip(abilities, reports, strict=True):
                 def point(h):
                     return np.full(len(h), ability.alpha), np.full(len(h), ability.beta)
-                branch = _branch(params, *point(hs), profile, hs)
+                branch = _branch(params, *point(hs), hs)
                 cuts = [0.0]
                 for k in np.flatnonzero(branch[:-1] != branch[1:]).tolist():
-                    lo, hi = bisect(lambda h: _branch(params, *point([h]), profile,
+                    lo, hi = bisect(lambda h: _branch(params, *point([h]),
                                                       np.array([h]))[0] != branch[k],
                                     hs[k], hs[k + 1], 0.0, steps=45)
                     want.append((lo, hi))
@@ -191,7 +198,7 @@ class TestDifficultyProfile:
                 q = q0 = 0.0
                 for start, end in zip(cuts, cuts[1:] + [1.0]):
                     if end > start:
-                        grid = solve_points(profile.params_at(
+                        grid = solve_points(difficulty_params(
                             params, start + (end - start) * base_h), *point(base_h))
                         for w, node_q, node_q0 in zip((end - start) * base_w, grid.q, grid.q0):
                             q, q0 = q + w * node_q, q0 + w * node_q0
@@ -212,11 +219,11 @@ class TestDifficultyProfile:
         cases += [(params, columns([sample_ability(rng, params) for _ in range(7)]))
                   for params in [sample_params(rng) for _ in range(3)]]
         monkeypatch.setattr(extensions, "_BLOCK_POINTS", block)
-        for profile in (DifficultyProfile(nodes=8), DifficultyProfile(), DifficultyProfile(0.7)):
+        for nodes in (8, 64):
             for params, (alpha, beta) in cases:
-                alone = [expected_quality(params, alpha[k:k + 1], beta[k:k + 1], profile)
+                alone = [expected_quality(params, alpha[k:k + 1], beta[k:k + 1], nodes)
                          for k in range(len(alpha))]
-                assert list(map(repr, expected_quality(params, alpha, beta, profile))) == \
+                assert list(map(repr, expected_quality(params, alpha, beta, nodes))) == \
                     [repr(report) for [report] in alone]
 
     @pytest.mark.parametrize("inputs", ["reference-grid", "many-kinks"])
@@ -236,7 +243,7 @@ class TestDifficultyProfile:
             params = reference
             alpha, beta = (axis.ravel() for axis in np.meshgrid(np.linspace(0.0, 4.0, 31),
                                                                 np.linspace(0.05, 0.95, 31)))
-            assert len(expected_quality(params, alpha, beta, DifficultyProfile())) == 961
+            assert len(expected_quality(params, alpha, beta, 64)) == 961
             assert len(rows) == 2
         else:
             rng = np.random.default_rng(5)
@@ -246,7 +253,7 @@ class TestDifficultyProfile:
                     break
             alpha, beta = columns(draws)
         rows.clear()
-        reports = expected_quality(params, alpha, beta, DifficultyProfile(nodes=1024))
+        reports = expected_quality(params, alpha, beta, 1024)
         assert len(reports) == len(alpha)
         assert max(rows) <= 512 * _PROBE_LEVELS
 
@@ -254,19 +261,31 @@ class TestDifficultyProfile:
         for alpha, beta in ((0.5, 0.5), ([0.5], [0.5, 0.6]), ([[0.5]], [[0.5]])):
             with pytest.raises(ValueError,
                                match="^alpha and beta must be 1-d arrays of one length$"):
-                expected_quality(reference, alpha, beta, DifficultyProfile())
-        assert expected_quality(reference, [], [], DifficultyProfile()) == []
+                expected_quality(reference, alpha, beta, 64)
+        assert expected_quality(reference, [], [], 64) == []
 
-    @pytest.mark.parametrize("level", [0.0, -0.1, 1.1, float("nan")])
-    def test_levels_outside_the_half_open_interval_are_rejected(self, level):
-        with pytest.raises(ValueError, match=r"^difficulty must lie in \(0, 1\], got "):
-            DifficultyProfile(difficulty=level)
+    @pytest.mark.parametrize("level", [0, 0.0, -0.1, 1.1, 1.5, float("nan")])
+    def test_levels_outside_the_half_open_interval_are_rejected(self, reference, level):
+        with pytest.raises(ValueError) as info:
+            difficulty_params(reference, level)
+        assert str(info.value) == f"difficulty must lie in (0, 1], got {level}"
 
     def test_zero_difficulty_has_no_execution_scale(self, reference):
-        # why h = 0 is rejected: the execution cost scale 10 h is zero there
+        # why h = 0 is rejected: the execution cost scale 10 h is zero there; an
+        # array is not checked, so a 0-d one reaches the scale
         with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
-            replace(DifficultyProfile().params_at(reference, 0.0).execution_cost)
-        assert DifficultyProfile(difficulty=1.0).difficulty == 1.0
+            replace(difficulty_params(reference, np.array(0.0)).execution_cost)
+        assert difficulty_params(reference, 1).execution_cost.scale == 10.0
+
+    def test_arrays_pass_unchecked(self, reference):
+        # only expected_quality's passes build arrays, from levels in (0, 1]
+        h = np.array([0.0, 0.5, 1.5])
+        params = difficulty_params(reference, h)
+        assert [params.p_w.tolist(), params.p_a.tolist(), params.execution_cost.scale.tolist(),
+                params.verification_cost.k.tolist()] == \
+            [(1.0 - 0.5 * h).tolist(), (1.0 - 0.7 * h).tolist(), (10.0 * h).tolist(),
+             (0.5 + h).tolist()]
+        assert params.execution_cost.kind == reference.execution_cost.kind
 
     @pytest.mark.parametrize("kappa, beta", [(1.0, 5e-309), (1e299, 1e-300)],
                              ids=["C_w", "kappa-C_w"])
@@ -280,29 +299,28 @@ class TestDifficultyProfile:
         with pytest.raises(ValueError, match="must be finite") as scalar:
             dv.evaluate_point(hardest, Ability(0.5, beta))
         with pytest.raises(ValueError) as info:
-            expected_quality(params, [0.5, 0.5, 0.5], [0.5, beta, 0.4], DifficultyProfile())
+            expected_quality(params, [0.5, 0.5, 0.5], [0.5, beta, 0.4], 64)
         assert str(info.value) == str(scalar.value)
 
     def test_pinned_middle_difficulty_reduces_to_base(self, reference):
-        profile = DifficultyProfile(difficulty=0.5)
         rng = np.random.default_rng(9)
         abilities = [Ability(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))) for _ in range(40)]
-        reports = expected_quality(reference, *columns(abilities), profile)
-        for ability, ext in zip(abilities, reports, strict=True):
+        grid = solve_points(difficulty_params(reference, 0.5), *columns(abilities))
+        for ability, ext in zip(abilities, grid, strict=True):
             base = dv.quality(reference, ability)
             assert ext.q == pytest.approx(base.q, rel=1e-9, abs=1e-9)
             assert ext.q0 == pytest.approx(base.q0, rel=1e-9, abs=1e-9)
             assert ext.quality_label == base.quality_label
 
     def test_quadrature_converges(self, reference):
-        [coarse] = expected_quality(reference, [0.6], [0.5], DifficultyProfile(nodes=32))
-        [fine] = expected_quality(reference, [0.6], [0.5], DifficultyProfile(nodes=64))
+        [coarse] = expected_quality(reference, [0.6], [0.5], 32)
+        [fine] = expected_quality(reference, [0.6], [0.5], 64)
         assert coarse.q == pytest.approx(fine.q, rel=1e-6)
         assert coarse.q0 == pytest.approx(fine.q0, rel=1e-6)
 
     def test_manual_at_every_difficulty_means_zero_gap(self, reference):
         # alpha = 0 and full efficiency keep every difficulty level manual
-        [rep] = expected_quality(reference, [0.0], [1.0], DifficultyProfile(nodes=32))
+        [rep] = expected_quality(reference, [0.0], [1.0], 32)
         assert rep.gap == pytest.approx(0.0, abs=1e-12)
         assert rep.quality_label == dv.QualityLabel.UNCHANGED
 
@@ -384,7 +402,7 @@ class TestBelievedSuccess:
         # a difficulty level and the p_a lever move the true p_a; the worker still plans with 0.8
         ability = Ability(0.3, 0.6)
         over = believing(reference, 0.8)
-        hard = DifficultyProfile().params_at(over, 0.5)
+        hard = difficulty_params(over, 0.5)
         assert (hard.p_a, hard.worker_view().p_a) == (1.0 - 0.7 * 0.5, 0.8)
         moved = replace(over, p_a=0.5)
         act, rep = dv.evaluate_point(moved, ability)

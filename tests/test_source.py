@@ -2,9 +2,9 @@
 module-level constant is read somewhere in the package, no function
 takes the redo discount kappa as a parameter and no class but ModelParams
 declares it as a field, no function but psi_tau takes
-the threshold tau beside params, no function takes a belief about the AI
-or a per-point value (p_w, p_a, execution scale, verification rate)
-beside params, bisect_array's point budget is not a parameter, the grid
+the threshold tau beside params, no function takes a belief about the AI,
+a per-point value (p_w, p_a, execution scale, verification rate) or a
+difficulty profile or level beside params, bisect_array's point budget is not a parameter, the grid
 oracle shares no code with the solver, no module names a regime or label
 member outside the oracle's mapping, and no module reaches numpy.linalg
 or numpy.polynomial.
@@ -204,7 +204,7 @@ def test_no_function_takes_a_belief_beside_params(module):
 
 # the names the per-point values went by as parameters: p_w and p_a are ModelParams
 # fields, and the execution scale and verification rate are fields of its cost
-# families; DifficultyProfile.params_at sets all four, arrays included
+# families; extensions.difficulty_params sets all four, arrays included
 POINT_NAMES = ("p_w", "p_a", "execution_scale", "verification_rate")
 
 
@@ -222,6 +222,27 @@ def test_the_check_finds_a_point_value_beside_params():
 def test_no_function_takes_a_point_value_beside_params(module):
     source = (SRC / module).read_text()
     assert [name for value in POINT_NAMES
+            for name in functions_taking(source, "params", value)] == []
+
+
+# the names a difficulty went by as a parameter: a pinned level h is the base
+# model under difficulty_params(params, h), and expected_quality takes nodes alone
+DIFFICULTY_NAMES = ("profile", "difficulty", "hhat")
+
+
+def test_the_check_finds_a_difficulty_beside_params():
+    source = ("def f(params, alpha, beta, profile):\n    return params\n"
+              "def g(params, *, difficulty=None):\n    return lambda params, hhat: params\n"
+              "def h(hhat):\n    return hhat\n"
+              "def k(params, h):\n    return params.p_a\n")
+    assert [name for value in DIFFICULTY_NAMES
+            for name in functions_taking(source, "params", value)] == ["f", "g", "<lambda>"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_difficulty_beside_params(module):
+    source = (SRC / module).read_text()
+    assert [name for value in DIFFICULTY_NAMES
             for name in functions_taking(source, "params", value)] == []
 
 
