@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Ability, ModelParams, check_overflow, cost_at, delegation_gain, institution_increment,
+    Ability, ModelParams, checked_cost, cost_at, delegation_gain, institution_increment,
     institution_value, phi_coefficients, success_at, worker_increment,
 )
 from .solver import (
@@ -286,8 +286,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     """One separatrix at efficiency beta, or None on the side of t where it does not exist.
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
-    for beta <= t, each up to 1e-9. A beta outside the efficiency domain
-    raises first, for every separatrix. psi1 is closed form; the other sign
+    for beta <= t, each up to 1e-9. checked_cost checks the point (0, beta)
+    first, for every separatrix. psi1 is closed form; the other sign
     functions evaluate the model's formulas in the model's order from what
     depends on beta alone, the worker's terms (k_w, psi0's gain) under
     params.worker_view(). history, kept by boundary_curve, holds each
@@ -299,8 +299,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
         other = _boundary(params, "psi_prime", beta, t, history)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
-    ability = Ability(0.0, beta)  # beta is checked before C_w, as at every entry point
-    c_w = params.execution_cost.cost(beta)
+    ability = Ability(0.0, beta)
+    c_w = checked_cost(params, ability)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
         return None
     det, vcost = params.detection, params.verification_cost
@@ -419,10 +419,10 @@ def checked_points(params: ModelParams, alpha, beta):
     """(alpha, beta, C_w) as float arrays, ready for the array path.
 
     Every point is checked first, and the first invalid one raises what the
-    scalar path raises there: it builds the Ability, then computes C_w and
-    checks alpha and kappa * C_w as optimal_action does. The replay reads
-    params as scalars, so params with array fields (only
-    extensions.difficulty_params builds them) need points already checked.
+    scalar path raises there: the replay builds its Ability and passes it to
+    checked_cost, as optimal_action does. The replay reads params as
+    scalars, so params with array fields (only extensions.difficulty_params
+    builds them) need points already checked.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -436,9 +436,7 @@ def checked_points(params: ModelParams, alpha, beta):
                 & params.execution_cost.in_domain(beta) & (params.kappa * c_w < math.inf))
     if bad.any():
         k = int(np.argmax(bad))
-        a, b = float(alpha[k]), float(beta[k])
-        Ability(a, b)
-        check_overflow(params, a, params.execution_cost.cost(b))
+        checked_cost(params, Ability(float(alpha[k]), float(beta[k])))
     return alpha, beta, c_w
 
 
@@ -501,7 +499,7 @@ def sweep_grid(params: ModelParams, alpha_range: tuple[float, float, int],
 def boundary_curve(params: ModelParams, which: str, betas) -> list[tuple[float, float, bool]]:
     """(beta, alpha, bracketed) samples of one separatrix, restricted to its beta domain.
 
-    which is psi0, psi1, psi or psi_tau. A beta outside the efficiency domain
+    which is psi0, psi1, psi or psi_tau. A beta that checked_cost rejects
     raises; psi0 and psi1 skip the betas on the other side of t. bracketed is
     RootResult.bracketed: False when alpha is a search bound (0 or the doubled
     cap), not a root.

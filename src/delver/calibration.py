@@ -222,8 +222,11 @@ def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> Calibrate
     C_v(s) = t_v_max * s and C_w(beta) = t_w_max * (1 - beta), so that
     effort and efficiency land in [0, 1]. A detection probability of one
     (assisted success at its theoretical maximum) is flagged as a boundary
-    rather than inverted.
+    rather than inverted. Non-finite time budgets are rejected first.
     """
+    for name, value in (("t_v_max", t_v_max), ("t_w_max", t_w_max)):
+        if not math.isfinite(value):
+            raise CalibrationError(f"{name} must be finite, got {value}")
     if obs.p_assisted < obs.p_a:
         raise CalibrationError(
             f"assisted success {obs.p_assisted:.4g} below AI success {obs.p_a:.4g}: "

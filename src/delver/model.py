@@ -301,24 +301,26 @@ def replace_unchecked(obj, **changes):
     return new
 
 
-def check_overflow(params: ModelParams, alpha: float, c_w: float) -> None:
-    """Reject an alpha or a kappa so large that a product the formulas read overflows.
+def checked_cost(params: ModelParams, ability: Ability) -> float:
+    """C_w at ability, once the point passes the check every scalar entry point makes.
 
-    Every formula reads alpha through detection.scale * alpha, and the redo
+    beta is checked through C_w, then the products that could overflow:
+    every formula reads alpha through detection.scale * alpha, and the redo
     cost as kappa * C_w. An infinite product turns phi, s_dagger or the
-    cost of a corrected error into NaN (0 * inf), so the entry points check
-    both once, after C_w.
+    cost of a corrected error into NaN (0 * inf), so either raises.
     """
-    if not params.detection.scale * alpha < math.inf:
-        raise ValueError(f"alpha={alpha} is too large: detection scale * alpha must be finite")
+    c_w = params.execution_cost.cost(ability.beta)
+    if not params.detection.scale * ability.alpha < math.inf:
+        raise ValueError(f"alpha={ability.alpha} is too large: detection scale * alpha must be finite")
     if not params.kappa * c_w < math.inf:
         raise ValueError(f"kappa={params.kappa} is too large: kappa * C_w must be finite")
+    return c_w
 
 
 def detection_probability(detection: Detection, alpha: float, s: float):
     """Probability of catching an AI error at effort s with reliability alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
     return float(detection.prob(alpha, s))
@@ -376,13 +378,9 @@ def institution_increment(params: ModelParams, k_i, phi, c_w, c_v):
 def _checked_phi(params: ModelParams, ability: Ability, s: float):
     """(phi(s), C_w) at ability, checked as every scalar entry point checks them.
 
-    s is checked first, then beta through C_w, then the products that could
-    overflow (check_overflow).
+    s is checked first, then the point through checked_cost.
     """
-    phi = detection_probability(params.detection, ability.alpha, s)
-    c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params, ability.alpha, c_w)
-    return phi, c_w
+    return detection_probability(params.detection, ability.alpha, s), checked_cost(params, ability)
 
 
 def task_success(params: ModelParams, ability: Ability, action: Action) -> float:

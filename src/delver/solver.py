@@ -28,8 +28,7 @@ import numpy as np
 
 from .model import (
     INVERSE_LINEAR, LINEAR, Ability, Action, Detection, ModelParams, VerificationCost,
-    check_overflow, delegation_gain, detection_probability, institution_value, phi_coefficients,
-    worker_increment,
+    checked_cost, delegation_gain, institution_value, phi_coefficients, worker_increment,
 )
 
 _NEWTON_TOL = 2.0 ** -49  # 8 eps, the rounding allowance of the Newton stopping tests
@@ -219,10 +218,8 @@ def maximize_surplus_array(detection: Detection, alpha: np.ndarray, vcost: Verif
 
 
 def optimal_verification(params: ModelParams, ability: Ability) -> float:
-    """Optimal verification effort s_dagger, conditional on delegating."""
-    params = params.worker_view()
-    k_w = phi_coefficients(params, params.execution_cost.cost(ability.beta))[0]
-    return maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
+    """Optimal verification effort s_dagger, conditional on delegating: optimal_action's."""
+    return optimal_action(params, ability).s_dagger
 
 
 def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
@@ -234,11 +231,10 @@ def optimal_action(params: ModelParams, ability: Ability) -> OptimalAction:
     params.worker_view().
     """
     params = params.worker_view()
-    c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params, ability.alpha, c_w)
+    c_w = checked_cost(params, ability)
     k_w = phi_coefficients(params, c_w)[0]
     s_dag = maximize_surplus(params.detection, ability.alpha, params.verification_cost, k_w)
-    phi = detection_probability(params.detection, ability.alpha, s_dag)
+    phi = float(params.detection.prob(ability.alpha, s_dag))  # the point and s_dag are checked
     f_w = worker_increment(params, k_w, phi, c_w, params.verification_cost.cost(s_dag))
     d_star, s_star, regime = choose_regime(float(f_w), s_dag)  # ints, for numpy inputs too
     return OptimalAction(d_star, s_star, REGIMES[regime], s_dag, f_w)
@@ -424,8 +420,7 @@ def brute_force_action(params: ModelParams, ability: Ability,
         _oracle_axes = axes  # after the buffers, so that the two always match
     p, u = _oracle_grids
     d, s = _oracle_axes
-    c_w = params.execution_cost.cost(ability.beta)
-    check_overflow(params, ability.alpha, c_w)
+    c_w = checked_cost(params, ability)
     phi = params.detection.prob(ability.alpha, s)
     c_v = params.verification_cost.cost(s)
     # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility b_w p - l_w (1 - p)

@@ -214,6 +214,16 @@ class TestInversion:
         with pytest.raises(cal.CalibrationError, match="observed effort is interior"):
             cal.infer_stakes(replace(clinician_worker, s_dagger=s_dagger))
 
+    @pytest.mark.parametrize("name", ["t_v_max", "t_w_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_budgets_raise(self, name, value):
+        # nan fails every later comparison, and gave a worker with alpha nan or beta nan
+        budgets = {"t_v_max": 118.1, "t_w_max": 262.3, name: value}
+        with pytest.raises(cal.CalibrationError, match=f"^{name} must be finite, got {value}$"):
+            cal.calibrate_file(cal.fixture_path(), **budgets)
+        with pytest.raises(cal.CalibrationError, match=f"^{name} must be finite, got {value}$"):
+            cal.infer_ability(replace_obs(p_w=0.0), **budgets)  # before the other checks
+
     def test_time_normalizers_must_cover_observations(self):
         with pytest.raises(cal.CalibrationError):
             cal.infer_ability(replace_obs(), 118.1, 100.0)

@@ -31,3 +31,13 @@ def test_demo_output_is_unchanged(tmp_path, demo):
                           cwd=tmp_path, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo]
+
+
+def test_readme_quick_start_runs(capsys):
+    # the python block under the README's "Library quick start" heading
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0] == "Regime.VERIFIED_DELEGATION"

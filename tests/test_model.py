@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from delver.cli import main
 from delver.config import load_params
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
-    check_assumptions, check_overflow, coefficients, delegation_gain, detection_probability,
+    check_assumptions, checked_cost, coefficients, delegation_gain, detection_probability,
     institutional_utility, task_success, total_cost, verification_surplus,
     worker_utility,
 )
@@ -62,8 +63,9 @@ class TestDetection:
 
     def test_domain_errors(self):
         family = Detection("exponential", 1.0)
-        with pytest.raises(ValueError):
-            detection_probability(family, -0.1, 0.5)
+        for alpha in (-0.1, math.nan, math.inf):  # Ability's rule: finite and >= 0
+            with pytest.raises(ValueError, match=f"^alpha must be finite and >= 0, got {alpha}$"):
+                detection_probability(family, alpha, 0.5)
         with pytest.raises(ValueError):
             detection_probability(family, 0.5, 1.5)
         with pytest.raises(ValueError):
@@ -323,6 +325,28 @@ class TestAssumptions:
         assert optimal_verification(params, ability) == 0.0
 
 
+def _overflowing_points():
+    """(params, ability) cases where detection.scale * alpha or kappa * C_w is inf.
+
+    Each config gives its point at the largest float alpha, and one at
+    alpha 0 with the largest float kappa, at beta 0 under
+    linear_in_efficiency (C_w is its scale) and where C_w is 4 under
+    inverse_efficiency. A linear_in_efficiency C_w is at most its scale,
+    so a scale at or below 1 has no kappa point.
+    """
+    cases = []
+    for name, params in [("reference", dv.reference_params()), *family_configs().items()]:
+        name = "-".join(name) if isinstance(name, tuple) else name
+        assert params.detection.scale * sys.float_info.max == math.inf  # every scale is above 1
+        cases.append(pytest.param(params, Ability(sys.float_info.max, 0.5), id=f"{name}-alpha"))
+        cost = params.execution_cost
+        beta = 0.0 if cost.kind == "linear_in_efficiency" else cost.scale / 4.0
+        if sys.float_info.max * cost.cost(beta) == math.inf:
+            cases.append(pytest.param(replace(params, kappa=sys.float_info.max), Ability(0.0, beta),
+                                      id=f"{name}-kappa"))
+    return cases
+
+
 class TestParamsValidation:
     def test_probabilities_validated(self, reference):
         with pytest.raises(ValueError):
@@ -405,11 +429,13 @@ class TestParamsValidation:
             cost.cost(1e-310)
 
     def test_overflowing_products_rejected(self, reference):
-        check_overflow(replace(reference, kappa=1e307), 1e307, 5.0)
+        assert checked_cost(replace(reference, kappa=1e307), Ability(1e307, 0.0)) == 5.0
         with pytest.raises(ValueError, match="alpha=1e\\+308 is too large"):
-            check_overflow(reference, 1e308, 5.0)
+            checked_cost(reference, Ability(1e308, 0.0))
         with pytest.raises(ValueError, match="kappa=1e\\+308 is too large"):
-            check_overflow(replace(reference, kappa=1e308), 0.5, 5.0)
+            checked_cost(replace(reference, kappa=1e308), Ability(0.5, 0.0))
+        with pytest.raises(ValueError, match="beta=1.5 outside"):  # beta first
+            checked_cost(replace(reference, kappa=1e308), Ability(1e308, 1.5))
         for alpha, kappa in ((1e308, 1.0), (0.5, 1e308)):
             params = replace(reference, kappa=kappa)
             with pytest.raises(ValueError, match="too large"):
@@ -417,6 +443,36 @@ class TestParamsValidation:
             # institutional_utility used to return nan here
             with pytest.raises(ValueError, match="too large"):
                 institutional_utility(params, Ability(alpha, 0.5), Action(1.0, 0.0))
+
+    @pytest.mark.parametrize("params, ability", _overflowing_points())
+    def test_every_scalar_entry_point_rejects_an_overflowing_point_alike(self, params, ability):
+        with pytest.raises(ValueError, match="is too large") as want:
+            dv.optimal_action(params, ability)
+        action = Action(1.0, 0.5)
+        calls = {
+            "optimal_verification": lambda: dv.optimal_verification(params, ability),
+            "evaluate_point": lambda: dv.evaluate_point(params, ability),
+            "task_success": lambda: task_success(params, ability, action),
+            "total_cost": lambda: total_cost(params, ability, action),
+            "worker_utility": lambda: worker_utility(params, ability, action),
+            "institutional_utility": lambda: institutional_utility(params, ability, action),
+            "coefficients": lambda: coefficients(params, ability, 0.5),
+            "verification_surplus": lambda: verification_surplus(params, ability, 0.5),
+            "brute_force_action": lambda: dv.brute_force_action(params, ability, 2, 3),
+            "solve_points": lambda: dv.solve_points(params, [ability.alpha], [ability.beta]),
+        }
+        if ability.alpha == 0.0:  # the separatrices search alpha from 0 at one beta
+            beta = ability.beta
+            calls.update({name: (lambda fn=fn: fn(params, beta)) for name, fn in (
+                ("psi0", dv.psi0), ("psi1", dv.psi1), ("psi_prime", dv.psi_prime),
+                ("psi", dv.psi), ("psi_tau", dv.psi_tau))})
+            calls.update({f"boundary_curve {which}": (lambda which=which:
+                                                      dv.boundary_curve(params, which, [beta]))
+                          for which in dv.atlas.BOUNDARIES})
+        for name, call in calls.items():
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value), name
 
     @pytest.mark.parametrize("call", [
         lambda params, ability: task_success(params, ability, Action(1.0, 0.0)),

@@ -288,12 +288,12 @@ def shared_reads(source: str, function: str) -> list[str]:
 
 
 def test_the_check_finds_shared_names():
-    source = ("from .model import Action, check_overflow, success_at\nfrom . import model\n"
+    source = ("from .model import Action, checked_cost, success_at\nfrom . import model\n"
               "def helper(x):\n    return x\n"
-              "def oracle(params: Action):\n    check_overflow(params)\n"
+              "def oracle(params: Action):\n    checked_cost(params)\n"
               "    p = success_at(params, model.cost_at(params))\n"
               "    return Action(helper(p), 0.0)\n")
-    assert shared_reads(source, "oracle") == ["check_overflow", "success_at", "model", "Action",
+    assert shared_reads(source, "oracle") == ["checked_cost", "success_at", "model", "Action",
                                               "helper"]
 
 
@@ -302,8 +302,8 @@ def test_the_oracle_shares_no_code_with_the_solver():
     # its grid itself: of the library it may only check the input and build
     # the action it returns
     reads = shared_reads((SRC / "solver.py").read_text(), "brute_force_action")
-    assert "check_overflow" in reads  # the walk sees the body
-    assert [name for name in reads if name not in ("check_overflow", "Action")] == []
+    assert "checked_cost" in reads  # the walk sees the body
+    assert [name for name in reads if name not in ("checked_cost", "Action")] == []
 
 
 # choose_regime states the regime rule and _label_indices the quality and compliance
