@@ -2,7 +2,8 @@
 
 Quality is institutional utility at the worker's privately optimal
 action. psi1 (pure vs verified delegation) is in closed form; psi0
-(manual vs verified delegation), psi (quality improvement), and psi_tau
+(manual vs verified delegation), psi_prime (institutional break-even),
+psi (quality improvement, the larger of psi0 and psi_prime) and psi_tau
 (qualification) are found by bisection in alpha, relying on the
 monotonicity of the underlying quantities. Grid sweeps solve the whole
 map in one array pass and hold it as columns for CSV emission.
@@ -194,10 +195,10 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
     larger |fn| at 0 and hi. So fn <= 0 up to a and fn > 0 from b on, even
     if every value is off by less than m / 2. The first step is at guess
     when it lies in (a, b). The steps stop at the first value within the
-    margin (or NaN), after one probe at the tolerance on either side of
-    it. bisect then calls fn only at midpoints inside (a, b), and at no
-    point twice: it takes the steps of plain bisection, and ends on its
-    bracket, whenever fn's rounding errors stay under m / 2.
+    margin, after one probe at the tolerance on either side of it. bisect
+    then calls fn only at midpoints inside (a, b), and at no point twice:
+    it takes the steps of plain bisection, and ends on its bracket,
+    whenever fn's rounding errors stay under m / 2.
 
     The steps stay at most _STEP_SLACK sign calls ahead of the bisect
     steps that (a, b) already decides, as ITP bounds regula falsi: at the
@@ -286,12 +287,12 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     """One separatrix at efficiency beta, or None on the side of t where it does not exist.
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
-    for beta <= t, each up to 1e-9. checked_cost checks the point (0, beta)
-    first, for every separatrix. psi1 is closed form; the other sign
-    functions evaluate the model's formulas in the model's order from what
-    depends on beta alone, the worker's terms (k_w, psi0's gain) under
-    params.worker_view(). history, kept by boundary_curve, holds each
-    search's bracketed (beta, root) pairs; its last two give its first guess.
+    for beta <= t, each up to 1e-9. checked_cost checks the point first, at
+    alpha 0 for psi1 (closed form: it reads no alpha) and at the cap for
+    the searches. Their sign functions evaluate the model's formulas in the
+    model's order from what depends on beta alone, the worker's terms (k_w,
+    psi0's gain) under params.worker_view(). history, kept by boundary_curve,
+    holds each search's bracketed (beta, root) pairs; its last two give its first guess.
     """
     if which == "psi":
         base = (RootResult(0.0, True, "", 0, 0.0, 0.0) if beta < t
@@ -299,7 +300,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
         other = _boundary(params, "psi_prime", beta, t, history)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
-    ability = Ability(0.0, beta)
+    cap = _ALPHA_MAX * 2.0 ** _BRACKET_DOUBLINGS  # the searches' cap
+    ability = Ability(0.0 if which == "psi1" else cap, beta)
     c_w = checked_cost(params, ability)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
         return None
@@ -308,7 +310,7 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     k_w, k_i = phi_coefficients(worker, c_w)[0], phi_coefficients(params, c_w)[1]
     if which == "psi1":  # k_w phi'(0) = k_w scale alpha meets C_v'(0), in both families
         root = vcost.slope(0.0) / slope if (slope := k_w * det.scale) > 0.0 else math.inf
-        value = min(root, cap := _ALPHA_MAX * 2.0 ** _BRACKET_DOUBLINGS)  # the searches' cap
+        value = min(root, cap)
         return RootResult(value, root <= cap, "" if root <= cap else "high", 0, value, value)
     g_i = institution_value(params, params.p_w, c_w)
     tau = params.tau

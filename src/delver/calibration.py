@@ -22,9 +22,9 @@ from .atlas import QualityReport, evaluate_point
 from .interventions import LeverTarget, minimal_lever
 from .model import (
     EXPONENTIAL, LINEAR, LINEAR_IN_EFFICIENCY,
-    Ability, Detection, ExecutionCost, ModelParams, VerificationCost, coefficients,
+    Ability, Detection, ExecutionCost, ModelParams, VerificationCost,
 )
-from .solver import OptimalAction
+from .solver import OptimalAction, check_assumptions
 
 CASE_COLUMNS = ["case_id", "worker_correct", "ai_correct", "assisted_correct",
                 "worker_time", "assisted_time", "output_unchanged"]
@@ -304,18 +304,13 @@ def classify_calibrated(worker: CalibratedWorker,
                         institution: InstitutionSpec) -> ClassificationResult:
     """Regime and quality of a calibrated worker, plus minimal lever targets.
 
-    Warnings record violated regularity conditions instead of aborting.
+    Warnings are check_assumptions' violations at the worker's point, never raised.
     The viable-share bound reports how much of the stakes must sit on the
     benefit side for the pre-AI worker utility to stay non-negative.
     """
     params = assemble_params(worker, institution)
     ability = Ability(worker.alpha, worker.beta)
-    warnings = []
-    if not params.misalignment > 0.0:
-        warnings.append("institutional dominance violated for this parameterization")
-    coef = coefficients(params, ability, 0.0)
-    if coef.g_w < 0:
-        warnings.append(f"pre-AI worker utility is negative at this split: g_w={coef.g_w:.6g}")
+    warnings = check_assumptions(params, [ability]).violations
     obs = worker.observables
     min_share = 1.0 - obs.p_w + obs.c_w / worker.stakes
     action, report = evaluate_point(params, ability)

@@ -23,9 +23,11 @@ from .atlas import (
     solve_points, sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
-from .model import Ability, check_assumptions, worker_utility, Action
+from .model import Ability, worker_utility, Action
 from .sampling import sample_ability
-from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
+from .solver import (
+    brute_force_action, check_assumptions, manual_delegation_threshold, qualification_threshold,
+)
 
 # Names from the modules that only some commands use, by module: `cal` is
 # calibration itself. They are bound here on first use, by _load before such
@@ -261,8 +263,6 @@ def cmd_extend_field(args):
     """The atlas grid with the ModelParams field args.field set, its value the third column."""
     params = load_params(args.config)
     value = getattr(args, args.option)
-    if value is None:
-        raise ConfigError(f"extend {args.kind} needs --{args.option.replace('_', '-')}")
     # replace checks the value before _grid reads the ranges, so a bad one fails first
     params = replace(params, **{args.field: value})
     alpha, beta = _grid(args)
@@ -315,7 +315,7 @@ def cmd_selfcheck(args):
     report = check_assumptions(params, [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)])
     _emit(args, {"t": fmt(t.value) + ("" if t.bracketed else " (boundary)"),
                  "t_tau": fmt(t_tau.value) + ("" if t_tau.bracketed else " (boundary)"),
-                 "dominance": params.misalignment > 0.0, "assumptions_ok": report.all_ok})
+                 "dominance": report.dominance_ok, "assumptions_ok": report.all_ok})
     for issue in report.violations:
         print(f"violation {issue}")
     rng = np.random.default_rng(args.seed)
@@ -415,11 +415,11 @@ def build_parser():
     p.set_defaults(func=cmd_extend_difficulty)
 
     p = esub.add_parser("belief", parents=[extend], help="the worker plans with a believed p_a")
-    p.add_argument("--p-hat", type=float, default=None, help="believed AI success probability")
+    p.add_argument("--p-hat", type=float, required=True, help="believed AI success probability")
     p.set_defaults(func=cmd_extend_field, field="believed_p_a", option="p_hat")
 
     p = esub.add_parser("rework", parents=[extend], help="a detected AI error costs kappa * C_w")
-    p.add_argument("--kappa", type=float, default=None, help="re-execution discount")
+    p.add_argument("--kappa", type=float, required=True, help="re-execution discount")
     p.set_defaults(func=cmd_extend_field, field="kappa", option="kappa")
 
     p = sub.add_parser("calibrate", parents=[as_json],

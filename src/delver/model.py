@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,6 @@ LINEAR = "linear"
 LINEAR_QUADRATIC = "linear_quadratic"
 LINEAR_IN_EFFICIENCY = "linear_in_efficiency"
 INVERSE_EFFICIENCY = "inverse_efficiency"
-_FD_STEP = 1e-5  # alpha step of check_assumptions' central differences
-_MONOTONE_TOL = 1e-9  # the most negative d phi / d alpha that check_assumptions allows
 
 
 @dataclass(frozen=True)
@@ -240,7 +238,7 @@ class ModelParams:
 
     @property
     def misalignment(self):
-        """S_i - xi S_w, with S = b + l: institutional dominance is misalignment > 0."""
+        """S_i - xi S_w, with S = b + l: check_assumptions' dominance holds when it is > 0."""
         return self.institution_stakes - self.xi * self.worker_stakes
 
     def worker_view(self):
@@ -267,7 +265,7 @@ class Coefficients(NamedTuple):
     f_w / f_i are evaluated at a particular s; g_w / g_i are the no-AI
     baselines (g_i equals the pre-AI quality Q0). k_w / k_i are the
     coefficients multiplying phi(s) inside f_w / f_i. A named tuple, not a
-    frozen dataclass, because the scalar solvers build one per call and a
+    frozen dataclass, because coefficients builds one per call and a
     frozen dataclass costs about twice as much to construct.
     """
 
@@ -434,60 +432,3 @@ def delegation_gain(params: ModelParams, ability: Ability) -> float:
     c_w = params.execution_cost.cost(ability.beta)
     return c_w - params.c_a - params.worker_stakes * (params.p_w - params.p_a)
 
-
-@dataclass
-class AssumptionReport:
-    """Outcome of the regularity checks behind the regime characterizations."""
-
-    dominance_ok: bool
-    viability_ok: bool
-    detection_monotone_ok: bool
-    violations: list
-
-    @property
-    def all_ok(self):
-        return self.dominance_ok and self.viability_ok and self.detection_monotone_ok
-
-
-def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability]) -> AssumptionReport:
-    """Check institutional dominance, worker viability, and detection monotonicity.
-
-    Detection monotonicity is checked by central differences in alpha (step
-    1e-5) of phi(s_dagger(alpha, beta)) at each grid ability, with s_dagger
-    re-solved at the shifted alphas; a slope below -1e-9 is a violation.
-    Violations are listed, never raised.
-    """
-    from .solver import optimal_verification
-
-    violations = []
-    dominance_ok = params.misalignment > 0.0
-    if not dominance_ok:
-        violations.append(
-            f"dominance violated: b_i+l_i={params.institution_stakes} "
-            f"<= xi*(b_w+l_w)={params.xi * params.worker_stakes}")
-
-    viability_ok = True
-    detection_ok = True
-    for ability in ability_grid:
-        coef = coefficients(params, ability, 0.0)
-        if coef.g_w < 0:
-            viability_ok = False
-            violations.append(f"negative pre-AI worker utility at {ability}: g_w={coef.g_w:.6g}")
-        if coef.k_w < 0:
-            viability_ok = False
-            violations.append(f"negative phi coefficient at {ability}: k_w={coef.k_w:.6g}")
-        a = ability.alpha
-        lo = max(a - _FD_STEP, 0.0)
-        hi = a + _FD_STEP
-        phis = []
-        for a_shift in (lo, hi):
-            shifted = Ability(a_shift, ability.beta)
-            s_dag = optimal_verification(params, shifted)
-            phis.append(detection_probability(params.detection, a_shift, s_dag))
-        deriv = (phis[1] - phis[0]) / (hi - lo)
-        if deriv < -_MONOTONE_TOL:
-            detection_ok = False
-            violations.append(f"detection not monotone at {ability}: d phi/d alpha={deriv:.3g}")
-
-    return AssumptionReport(dominance_ok=dominance_ok, viability_ok=viability_ok,
-                            detection_monotone_ok=detection_ok, violations=violations)

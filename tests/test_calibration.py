@@ -302,7 +302,8 @@ class TestClassification:
         # at these stakes the fixed 0.6 split leaves too little on the benefit side
         res = cal.classify_calibrated(replace(clinician_worker, stakes=1000.0),
                                       CLINICIAN_INSTITUTION)
-        assert res.warnings == ["pre-AI worker utility is negative at this split: g_w=-125.132"]
+        point = Ability(clinician_worker.alpha, clinician_worker.beta)
+        assert res.warnings == [f"negative pre-AI worker utility at {point}: g_w=-125.132"]
         assert res.min_viable_benefit_share == pytest.approx(0.7251316, abs=1e-6)
 
     def test_assembly_needs_stakes(self, clinician_worker):
@@ -313,7 +314,21 @@ class TestClassification:
         weak = replace(CLINICIAN_INSTITUTION, b_i=100.0, l_i=100.0)
         res = cal.classify_calibrated(clinician_worker, weak)
         assert not res.params.misalignment > 0.0
-        assert res.warnings[0] == "institutional dominance violated for this parameterization"
+        assert res.warnings == ["dominance violated: b_i+l_i=200.0 <= "
+                                f"xi*(b_w+l_w)={0.5 * res.params.worker_stakes}"]
+
+    @pytest.mark.parametrize("stakes, institution", [
+        (None, CLINICIAN_INSTITUTION),  # the bundled worker: no warning
+        (1000.0, CLINICIAN_INSTITUTION),  # g_w < 0
+        (100.0, CLINICIAN_INSTITUTION),  # g_w < 0 and k_w < 0
+        (None, replace(CLINICIAN_INSTITUTION, b_i=100.0, l_i=100.0)),  # no dominance
+    ], ids=["bundled", "low-stakes", "negative-k_w", "no-dominance"])
+    def test_warnings_are_the_assumption_violations(self, clinician_worker, stakes, institution):
+        worker = clinician_worker if stakes is None else replace(clinician_worker, stakes=stakes)
+        res = cal.classify_calibrated(worker, institution)
+        report = dv.check_assumptions(res.params, [Ability(worker.alpha, worker.beta)])
+        assert res.warnings == report.violations
+        assert bool(res.warnings) != report.all_ok
 
     def test_calibrate_file_runs_the_whole_chain(self):
         worker, cleaning, result = cal.calibrate_file(

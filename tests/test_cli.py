@@ -802,15 +802,19 @@ class TestGridCommands:
         assert len(lines) == 10
 
     def test_extend_belief_requires_p_hat(self, capsys):
-        code, _, err = run(capsys, "extend", "belief", "--config", REFERENCE_CONFIG,
-                           "--alpha-range", "0:1:3", "--beta-range", "0:1:3")
-        assert code == 1
-        assert "p-hat" in err
+        # a usage error, as every other missing required option is
+        code, out, err = run(capsys, "extend", "belief", "--config", REFERENCE_CONFIG,
+                             "--alpha-range", "0:1:3", "--beta-range", "0:1:3")
+        assert (code, out) == (2, "")
+        assert err.endswith("delver extend belief: error: the following arguments are "
+                            "required: --p-hat\n")
 
     def test_extend_rework_requires_kappa(self, capsys):
         code, out, err = run(capsys, "extend", "rework", "--config", REFERENCE_CONFIG,
                              "--alpha-range", "0:1:3", "--beta-range", "0:1:3")
-        assert (code, out, err) == (1, "", "error: extend rework needs --kappa\n")
+        assert (code, out) == (2, "")
+        assert err.endswith("delver extend rework: error: the following arguments are "
+                            "required: --kappa\n")
 
     @pytest.mark.parametrize("kind, option", [
         ("difficulty", "--p-hat"), ("difficulty", "--kappa"),
@@ -1138,14 +1142,13 @@ PACKAGE_NAMES = {
     "interventions": ["CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",
                       "ai_upgrade_gain", "incentive_transfer_gain", "minimal_lever",
                       "worker_upskill"],
-    "model": ["Ability", "Action", "AssumptionReport", "Coefficients", "Detection",
-              "ExecutionCost", "ModelParams", "VerificationCost", "check_assumptions",
-              "coefficients", "delegation_gain", "detection_probability",
+    "model": ["Ability", "Action", "Coefficients", "Detection", "ExecutionCost", "ModelParams",
+              "VerificationCost", "coefficients", "delegation_gain", "detection_probability",
               "institutional_utility", "reference_params", "task_success", "total_cost",
               "verification_surplus", "worker_utility"],
-    "solver": ["OptimalAction", "Regime", "ThresholdResult", "brute_force_action",
-               "manual_delegation_threshold", "optimal_action", "optimal_verification",
-               "qualification_threshold"],
+    "solver": ["AssumptionReport", "OptimalAction", "Regime", "ThresholdResult",
+               "brute_force_action", "check_assumptions", "manual_delegation_threshold",
+               "optimal_action", "optimal_verification", "qualification_threshold"],
 }
 
 

@@ -16,16 +16,17 @@ from delver.cli import main
 from delver.config import load_params
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
-    check_assumptions, checked_cost, coefficients, delegation_gain, detection_probability,
+    checked_cost, coefficients, delegation_gain, detection_probability,
     institutional_utility, task_success, total_cost, verification_surplus,
     worker_utility,
 )
 from delver.sampling import sample_ability, sample_params
-from delver.solver import optimal_verification
+from delver.solver import check_assumptions, optimal_verification
 
 from conftest import KAPPAS, family_configs
 
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+SEARCH_CAP = 10240.0  # the boundary searches' largest alpha, 10 * 2^10
 
 
 class TestDetection:
@@ -332,7 +333,9 @@ def _overflowing_points():
     alpha 0 with the largest float kappa, at beta 0 under
     linear_in_efficiency (C_w is its scale) and where C_w is 4 under
     inverse_efficiency. A linear_in_efficiency C_w is at most its scale,
-    so a scale at or below 1 has no kappa point.
+    so a scale at or below 1 has no kappa point. The last case has a
+    detection scale so large that scale * alpha overflows at the boundary
+    searches' cap, alpha 10240, though psi1, which reads no alpha, is finite.
     """
     cases = []
     for name, params in [("reference", dv.reference_params()), *family_configs().items()]:
@@ -344,6 +347,8 @@ def _overflowing_points():
         if sys.float_info.max * cost.cost(beta) == math.inf:
             cases.append(pytest.param(replace(params, kappa=sys.float_info.max), Ability(0.0, beta),
                                       id=f"{name}-kappa"))
+    huge = replace(dv.reference_params(), detection=Detection("inverse_linear", 1e308))
+    cases.append(pytest.param(huge, Ability(SEARCH_CAP, 0.5), id="huge-scale-search-cap"))
     return cases
 
 
@@ -461,14 +466,16 @@ class TestParamsValidation:
             "brute_force_action": lambda: dv.brute_force_action(params, ability, 2, 3),
             "solve_points": lambda: dv.solve_points(params, [ability.alpha], [ability.beta]),
         }
-        if ability.alpha == 0.0:  # the separatrices search alpha from 0 at one beta
+        if ability.alpha in (0.0, SEARCH_CAP):
+            # the separatrices check their beta at alpha 0 (psi1, which reads no
+            # alpha) or at the cap (the searches, which read alpha up to it)
             beta = ability.beta
-            calls.update({name: (lambda fn=fn: fn(params, beta)) for name, fn in (
-                ("psi0", dv.psi0), ("psi1", dv.psi1), ("psi_prime", dv.psi_prime),
-                ("psi", dv.psi), ("psi_tau", dv.psi_tau))})
+            names = [name for name in ("psi0", "psi1", "psi_prime", "psi", "psi_tau")
+                     if ability.alpha == 0.0 or name != "psi1"]
+            calls.update({name: (lambda fn=getattr(dv, name): fn(params, beta)) for name in names})
             calls.update({f"boundary_curve {which}": (lambda which=which:
                                                       dv.boundary_curve(params, which, [beta]))
-                          for which in dv.atlas.BOUNDARIES})
+                          for which in dv.atlas.BOUNDARIES if which in names})
         for name, call in calls.items():
             with pytest.raises(ValueError) as got:
                 call()

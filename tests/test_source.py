@@ -6,8 +6,8 @@ the threshold tau beside params, no function takes a belief about the AI,
 a per-point value (p_w, p_a, execution scale, verification rate) or a
 difficulty profile or level beside params, bisect_array's point budget is not a parameter, the grid
 oracle shares no code with the solver, no module names a regime or label
-member outside the oracle's mapping, and no module reaches numpy.linalg
-or numpy.polynomial.
+member outside the oracle's mapping, no module reaches numpy.linalg
+or numpy.polynomial, and model.py imports no other delver module.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt from all but the constant check and the last,
@@ -402,3 +402,44 @@ def test_the_check_finds_lapack_uses():
 @pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_module_reaches_no_lapack(module):
     assert lapack_uses((SRC / module).read_text()) == []
+
+
+def package_imports(source: str) -> list[tuple[int, str]]:
+    """The delver modules that source imports, as (line, module), in line order.
+
+    Relative imports are within the package; an absolute one counts when it
+    names delver or a module under it. Imports inside functions count too.
+    A name taken from the package itself (from delver import x) is listed as
+    delver.x.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "delver"):
+            names = [f"delver.{alias.name}" for alias in node.names]  # from . or from delver
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [f"delver.{node.module}"]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name == "delver" or name.startswith("delver.")]
+    return sorted(found)
+
+
+def test_the_check_finds_package_imports():
+    source = ("from __future__ import annotations\nimport math\nimport delver.solver\n"
+              "from . import atlas, config\nfrom .solver import bisect\nfrom delver import cli\n"
+              "from delveroid import x\nfrom delver.model import Ability\n"
+              "def f():\n    from .atlas import psi\n    import delver\n    return psi\n")
+    assert package_imports(source) == [
+        (3, "delver.solver"), (4, "delver.atlas"), (4, "delver.config"), (5, "delver.solver"),
+        (6, "delver.cli"), (8, "delver.model"), (10, "delver.atlas"), (11, "delver")]
+
+
+def test_model_imports_no_other_delver_module():
+    # every other module builds on the primitives in model.py, so an import from
+    # one of them is a cycle: a check that calls the solver belongs in solver.py
+    assert package_imports((SRC / "model.py").read_text()) == []
