@@ -34,7 +34,7 @@ _LAZY = {
         "CalibratedWorker", "CalibrationError", "CaseRecord", "ClassificationResult",
         "CleaningReport", "InstitutionSpec", "Observables",
         "calibrate_file", "classify_calibrated", "clean_cases", "estimate_observables",
-        "fixture_path", "infer_ability", "infer_stakes", "ingest_and_clean", "read_cases",
+        "fixture_path", "infer_ability", "ingest_and_clean", "read_cases",
     ),
     "extensions": ("difficulty_params", "expected_quality"),
     "interventions": (

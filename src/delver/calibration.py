@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import ClassVar
@@ -30,6 +30,7 @@ CASE_COLUMNS = ["case_id", "worker_correct", "ai_correct", "assisted_correct",
                 "worker_time", "assisted_time", "output_unchanged"]
 _TIME_WINDOW = (0.5, 2.0)  # worker times kept, as multiples of the mean
 _DETECTION_SCALE = 1.0
+_C_V_ROUNDING = 2.0 ** -49  # 8 eps of the terms c_v is the difference of: its rounding allowance
 _BENEFIT_SHARE = 0.6  # share of the identified stakes put on the success benefit
 _LEVERS = ("alpha", "beta", "p_a")  # the lever targets of a classification
 
@@ -73,10 +74,6 @@ class Observables:
     c_wa: float
     pr_unchanged: float
     cost_assisted: float
-
-    @property
-    def decomposition_ok(self):  # the assisted cost net of kept AI output is non-negative
-        return self.cost_assisted >= 0.0
 
 
 @dataclass(frozen=True)
@@ -216,13 +213,16 @@ def estimate_observables(records: list[CaseRecord]) -> Observables:
 
 
 def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> CalibratedWorker:
-    """Invert the observables into detection probability, effort, and abilities.
+    """Invert the observables into detection probability, effort, abilities and stakes.
 
     Uses exponential detection at scale 1 and linear time-denominated costs
     C_v(s) = t_v_max * s and C_w(beta) = t_w_max * (1 - beta), so that
     effort and efficiency land in [0, 1]. A detection probability of one
     (assisted success at its theoretical maximum) is flagged as a boundary
-    rather than inverted. Non-finite time budgets are rejected first.
+    rather than inverted. Non-finite time budgets are rejected first. An
+    implied verification cost within its rounding of t_v_max is full effort.
+    At an interior effort the marginal detection gain equals the marginal
+    verification cost, which pins down the stakes b_w + l_w.
     """
     for name, value in (("t_v_max", t_v_max), ("t_w_max", t_w_max)):
         if not math.isfinite(value):
@@ -242,11 +242,12 @@ def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> Calibrate
         raise CalibrationError(f"implied verification cost is negative: {c_v:.4g}")
     if t_w_max <= obs.c_w:
         raise CalibrationError("t_w_max must exceed the mean worker time")
-    if t_v_max < c_v:
+    slack = _C_V_ROUNDING * (obs.cost_assisted + (1.0 - obs.p_a) * phi * obs.c_w)
+    if t_v_max < c_v - slack:
         raise CalibrationError("t_v_max must be at least the implied verification cost")
     if t_v_max <= 0.0:  # c_v = 0 passes the check above, and s_dagger = 0 / 0 is undefined
         raise CalibrationError(f"t_v_max must be positive, got {t_v_max}")
-    s_dagger = c_v / t_v_max
+    s_dagger = c_v / t_v_max if c_v < t_v_max - slack else 1.0
     beta = 1.0 - obs.c_w / t_w_max
     boundary = phi == 1.0
     if boundary:
@@ -255,28 +256,15 @@ def infer_ability(obs: Observables, t_v_max: float, t_w_max: float) -> Calibrate
         alpha = 0.0
     else:
         alpha = -math.log(1.0 - phi) / (_DETECTION_SCALE * s_dagger)
-    worker = CalibratedWorker(
+    stakes = None
+    if not boundary and alpha > 0.0 and s_dagger < 1.0:
+        a = _DETECTION_SCALE
+        marginal = (1.0 - obs.p_a) * a * alpha * math.exp(-a * alpha * s_dagger)
+        stakes = (t_v_max + marginal * obs.c_w) / (marginal * obs.p_w)
+    return CalibratedWorker(
         phi_at_s_dagger=phi, c_v_at_s_dagger=c_v, t_v_max=t_v_max, t_w_max=t_w_max,
-        s_dagger=s_dagger, alpha=alpha, beta=beta, observables=obs, boundary=boundary)
-    if not boundary and alpha > 0.0 and 0.0 < s_dagger < 1.0:
-        worker = replace(worker, stakes=infer_stakes(worker))
-    return worker
-
-
-def infer_stakes(worker: CalibratedWorker) -> float:
-    """Total stakes b_w + l_w implied by optimality of the observed effort.
-
-    At an interior optimum the marginal detection gain equals the marginal
-    verification cost, which pins down the stakes given everything else.
-    """
-    if worker.boundary or worker.alpha <= 0.0:
-        raise CalibrationError("stakes undefined at zero reliability or boundary detection")
-    if not 0.0 < worker.s_dagger < 1.0:
-        raise CalibrationError("stakes undefined unless the observed effort is interior")
-    obs = worker.observables
-    a = _DETECTION_SCALE
-    marginal = (1.0 - obs.p_a) * a * worker.alpha * math.exp(-a * worker.alpha * worker.s_dagger)
-    return (worker.t_v_max + marginal * obs.c_w) / (marginal * obs.p_w)
+        s_dagger=s_dagger, alpha=alpha, beta=beta, observables=obs, boundary=boundary,
+        stakes=stakes)
 
 
 def assemble_params(worker: CalibratedWorker, institution: InstitutionSpec) -> ModelParams:

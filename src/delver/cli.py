@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on domain or configuration errors (one-line
 diagnostic on stderr), 2 on usage errors. Output is deterministic for
-identical inputs; floats are printed at 9 significant digits.
+identical inputs; floats are printed at 9 significant digits, except the
+model parameters (`solve --json`'s `config`, `calibrate`'s `params`), which
+are `params_to_dict` in full, so that they load back exactly.
 """
 
 from __future__ import annotations

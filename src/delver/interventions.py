@@ -88,7 +88,7 @@ class LeverResult:
 
 @dataclass(frozen=True)
 class LeverTarget:
-    """Smallest lever value reaching tau, or the cap when infeasible."""
+    """Smallest lever value reaching tau; when infeasible, the cap, or the current value past it."""
 
     lever: str
     value: float
@@ -209,7 +209,8 @@ def minimal_lever(params: ModelParams, ability: Ability, lever: str) -> LeverTar
 
     The search scans 400 points up to the lever's cap: 10 for alpha, the
     top of the efficiency domain (or 10 if unbounded) for beta, and 1 for
-    p_a. The value is found to 1e-9.
+    p_a. The value is found to 1e-9. A tau it cannot reach gives the cap
+    (or the current value, if that is already past it), flagged infeasible.
     """
     # lever: (current value, cap, the (params, ability) with the lever at x)
     levers = {"alpha": (ability.alpha, _ALPHA_CAP, lambda x: (params, Ability(x, ability.beta))),

@@ -3,6 +3,7 @@
 import math
 from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
 import delver as dv
@@ -123,7 +124,6 @@ class TestObservables:
         assert obs.c_w == pytest.approx(172.5, abs=1e-9)
         assert obs.cost_assisted == pytest.approx(116.8, abs=1e-9)
         assert obs.pr_unchanged == 0.5
-        assert obs.decomposition_ok
 
     def test_single_record(self):
         obs = cal.estimate_observables([make_record(0, worker=1, ai=1, assisted=1,
@@ -137,8 +137,23 @@ class TestObservables:
             cal.estimate_observables([])
 
     def test_negative_decomposition_is_flagged(self):
+        # the implied c_v is at most cost_assisted, so a negative one cannot be inverted
         obs = cal.estimate_observables([make_record(0, wt=200.0, at=50.0, unchanged=1)])
-        assert not obs.decomposition_ok
+        assert obs.cost_assisted < 0.0
+        with pytest.raises(cal.CalibrationError, match="implied verification cost is negative"):
+            cal.infer_ability(obs, 118.1, 262.3)
+
+
+# (stakes, p_a, p_w, alpha, beta) of each worker, and how many of them choose an
+# interior, a full (s_dagger = 1) and no (s_dagger = 0) verification effort
+ROUND_TRIP = {
+    "one": ([(2500.0, 0.4, 0.6, 0.35, 0.45)], {"interior": 1, "full": 0, "none": 0}),
+    "grid": ([(stakes, p_a, p_w, float(alpha), float(beta))
+              for stakes in (800.0, 2500.0, 9000.0)
+              for p_a, p_w in ((0.4, 0.6), (0.2, 0.9), (0.7, 0.5))
+              for alpha in np.linspace(0.05, 3.0, 12) for beta in np.linspace(0.05, 0.95, 7)],
+             {"interior": 244, "full": 328, "none": 184}),
+}
 
 
 class TestInversion:
@@ -188,8 +203,9 @@ class TestInversion:
         w = cal.infer_ability(obs, 118.1, 262.3)
         assert w.boundary
         assert w.phi_at_s_dagger == pytest.approx(1.0)
-        with pytest.raises(cal.CalibrationError):
-            cal.infer_stakes(w)
+        assert w.stakes is None
+        with pytest.raises(cal.CalibrationError, match="stakes not identified"):
+            cal.assemble_params(w, CLINICIAN_INSTITUTION)
 
     def test_assisted_below_ai_is_an_error(self):
         with pytest.raises(cal.CalibrationError):
@@ -211,8 +227,13 @@ class TestInversion:
 
     @pytest.mark.parametrize("s_dagger", [0.0, 1.0])
     def test_stakes_need_an_interior_effort(self, clinician_worker, s_dagger):
-        with pytest.raises(cal.CalibrationError, match="observed effort is interior"):
-            cal.infer_stakes(replace(clinician_worker, s_dagger=s_dagger))
+        # the bundled log with the assisted cost of an effort of exactly 0 or 1
+        w, obs = clinician_worker, clinician_worker.observables
+        caught = (1.0 - obs.p_a) * w.phi_at_s_dagger * obs.c_w
+        at_effort = replace(obs, cost_assisted=s_dagger * w.t_v_max + caught)
+        edge = cal.infer_ability(at_effort, w.t_v_max, w.t_w_max)
+        assert edge.s_dagger == s_dagger
+        assert edge.stakes is None
 
     @pytest.mark.parametrize("name", ["t_v_max", "t_w_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -229,38 +250,47 @@ class TestInversion:
             cal.infer_ability(replace_obs(), 118.1, 100.0)
 
     def test_stakes_homogeneity(self, clinician_worker):
+        # twice every time and both budgets: the same phi, effort and abilities
         w = clinician_worker
-        doubled = replace(w, t_v_max=2 * w.t_v_max,
-                          observables=replace(w.observables, c_w=2 * w.observables.c_w))
-        assert cal.infer_stakes(doubled) == pytest.approx(2.0 * w.stakes, rel=1e-12)
+        obs = w.observables
+        doubled = replace(obs, c_w=2 * obs.c_w, c_wa=2 * obs.c_wa,
+                          cost_assisted=2 * obs.cost_assisted)
+        again = cal.infer_ability(doubled, 2 * w.t_v_max, 2 * w.t_w_max)
+        assert again.stakes == pytest.approx(2.0 * w.stakes, rel=1e-12)
 
-    def test_round_trip_recovery(self):
-        t_v_max, t_w_max = 250.0, 300.0
-        stakes, share = 2500.0, 0.6
-        params = ModelParams(
-            b_w=share * stakes, l_w=(1 - share) * stakes,
-            b_i=1000.0, l_i=800.0, xi=0.4, tau=50.0,
-            p_a=0.4, c_a=0.0, p_w=0.6,
-            detection=Detection("exponential", 1.0),
-            verification_cost=VerificationCost("linear", t_v_max),
-            execution_cost=ExecutionCost("linear_in_efficiency", t_w_max),
-        )
-        ability = Ability(0.35, 0.45)
-        s_dag = optimal_verification(params, ability)
-        assert 0.0 < s_dag < 1.0
-        p_assisted = dv.task_success(params, ability, Action(1.0, s_dag))
-        cost_assisted = dv.total_cost(params, ability, Action(1.0, s_dag))
-        pr_unchanged = 0.37
-        obs = cal.Observables(
-            n=200, p_w=params.p_w, p_a=params.p_a, p_assisted=p_assisted,
-            c_w=params.execution_cost.cost(ability.beta),
-            c_wa=cost_assisted + pr_unchanged * params.execution_cost.cost(ability.beta),
-            pr_unchanged=pr_unchanged, cost_assisted=cost_assisted)
-        recovered = cal.infer_ability(obs, t_v_max, t_w_max)
-        assert recovered.alpha == pytest.approx(ability.alpha, rel=1e-6)
-        assert recovered.beta == pytest.approx(ability.beta, rel=1e-6)
-        assert recovered.s_dagger == pytest.approx(s_dag, rel=1e-6)
-        assert recovered.stakes == pytest.approx(stakes, rel=1e-6)
+    @pytest.mark.parametrize("workers, counts", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+    def test_round_trip_recovery(self, workers, counts):
+        # observables the model makes at each worker's own effort, inverted
+        t_v_max, t_w_max, share, pr_unchanged = 250.0, 300.0, 0.6, 0.37
+        seen = {"interior": 0, "full": 0, "none": 0}
+        for stakes, p_a, p_w, alpha, beta in workers:
+            params = ModelParams(
+                b_w=share * stakes, l_w=(1 - share) * stakes,
+                b_i=1000.0, l_i=800.0, xi=0.4, tau=50.0,
+                p_a=p_a, c_a=0.0, p_w=p_w,
+                detection=Detection("exponential", 1.0),
+                verification_cost=VerificationCost("linear", t_v_max),
+                execution_cost=ExecutionCost("linear_in_efficiency", t_w_max),
+            )
+            ability = Ability(alpha, beta)
+            s_dag = optimal_verification(params, ability)
+            action = Action(1.0, s_dag)
+            c_w = params.execution_cost.cost(beta)
+            cost_assisted = dv.total_cost(params, ability, action)
+            obs = cal.Observables(
+                n=200, p_w=p_w, p_a=p_a, p_assisted=dv.task_success(params, ability, action),
+                c_w=c_w, c_wa=cost_assisted + pr_unchanged * c_w,
+                pr_unchanged=pr_unchanged, cost_assisted=cost_assisted)
+            worker = (stakes, p_a, p_w, alpha, beta)
+            recovered = cal.infer_ability(obs, t_v_max, t_w_max)
+            if 0.0 < s_dag < 1.0:
+                seen["interior"] += 1
+                assert (recovered.alpha, recovered.beta, recovered.s_dagger, recovered.stakes) \
+                    == pytest.approx((alpha, beta, s_dag, stakes), rel=1e-9), worker
+            else:  # no first-order condition at an effort of 0 or 1
+                seen["full" if s_dag == 1.0 else "none"] += 1
+                assert recovered.stakes is None, worker
+        assert seen == counts
 
 
 class TestClassification:

@@ -1136,7 +1136,7 @@ PACKAGE_NAMES = {
     "calibration": ["CalibratedWorker", "CalibrationError", "CaseRecord", "ClassificationResult",
                     "CleaningReport", "InstitutionSpec", "Observables", "calibrate_file",
                     "classify_calibrated", "clean_cases", "estimate_observables", "fixture_path",
-                    "infer_ability", "infer_stakes", "ingest_and_clean", "read_cases"],
+                    "infer_ability", "ingest_and_clean", "read_cases"],
     "config": ["ConfigError", "load_params", "params_from_dict", "params_to_dict"],
     "extensions": ["difficulty_params", "expected_quality"],
     "interventions": ["CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",

@@ -1,12 +1,16 @@
 """The demos run end to end in a fresh interpreter and print the pinned output."""
 
+import functools
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import delver
 
 REPO = Path(__file__).resolve().parent.parent
 # SHA-256 of each demo's stdout, taken at commit 4ccb96f
@@ -41,3 +45,22 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[0] == "Regime.VERIFIED_DELEGATION"
+
+
+def _resolves(path):
+    try:
+        functools.reduce(getattr, path.split("."), delver)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_readme_entry_points_resolve():
+    # every name in the functions column of the README's "Main entry points"
+    # table, without its arguments, is an attribute path from delver
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("Main entry points, one per concern:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = [name.split("(", 1)[0] for row in table.splitlines()[2:]
+             for name in re.findall(r"`([^`]+)`", row.split("|")[2])]
+    assert "infer_ability" in names
+    assert [name for name in names if not _resolves(name)] == []
