@@ -18,15 +18,14 @@ from .atlas import (
 )
 from .config import ConfigError, load_params, params_from_dict, params_to_dict
 from .model import (
-    Ability, Action, Coefficients, Detection, ExecutionCost, ModelParams,
-    VerificationCost, coefficients, delegation_gain, detection_probability,
+    Ability, Action, AssumptionReport, Coefficients, Detection, ExecutionCost, ModelParams,
+    VerificationCost, check_assumptions, coefficients, delegation_gain, detection_probability,
     institutional_utility, reference_params, task_success, total_cost,
     verification_surplus, worker_utility,
 )
 from .solver import (
-    AssumptionReport, OptimalAction, Regime, ThresholdResult, brute_force_action,
-    check_assumptions, manual_delegation_threshold, optimal_action,
-    optimal_verification, qualification_threshold,
+    OptimalAction, Regime, ThresholdResult, brute_force_action,
+    manual_delegation_threshold, optimal_action, optimal_verification, qualification_threshold,
 )
 
 _LAZY = {

@@ -22,9 +22,9 @@ from .atlas import QualityReport, evaluate_point
 from .interventions import LeverTarget, minimal_lever
 from .model import (
     EXPONENTIAL, LINEAR, LINEAR_IN_EFFICIENCY,
-    Ability, Detection, ExecutionCost, ModelParams, VerificationCost,
+    Ability, Detection, ExecutionCost, ModelParams, VerificationCost, check_assumptions,
 )
-from .solver import OptimalAction, check_assumptions
+from .solver import OptimalAction
 
 CASE_COLUMNS = ["case_id", "worker_correct", "ai_correct", "assisted_correct",
                 "worker_time", "assisted_time", "output_unchanged"]

@@ -25,11 +25,9 @@ from .atlas import (
     solve_points, sweep_grid, write_atlas_csv, write_boundary_csv, write_csv,
 )
 from .config import ConfigError, load_params, params_to_dict, parse_range
-from .model import Ability, worker_utility, Action
+from .model import Ability, Action, check_assumptions, worker_utility
 from .sampling import sample_ability
-from .solver import (
-    brute_force_action, check_assumptions, manual_delegation_threshold, qualification_threshold,
-)
+from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
 
 # Names from the modules that only some commands use, by module: `cal` is
 # calibration itself. They are bound here on first use, by _load before such

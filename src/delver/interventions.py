@@ -44,6 +44,8 @@ class CostTerm:
             raise ValueError(f"cost exponent must be finite, got {self.exponent}")
         if self.kind == "power" and not self.exponent > 1.0:
             raise ValueError("power cost needs exponent > 1")
+        if self.kind == "linear" and self.exponent != 1.0:
+            raise ValueError(f"linear cost takes no exponent other than 1, got {self.exponent}")
 
     def __call__(self, x: float) -> float:
         if self.kind == "linear":

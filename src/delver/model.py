@@ -5,15 +5,16 @@ verification effort s. Utilities for the worker and the institution are
 both affine in d once s is fixed, which is what makes the rest of the
 library (closed-form optima, regime boundaries, calibration) tractable.
 This module holds the parameter containers, the function families for
-detection and costs, and the primitive quantities everything else is
-built from.
+detection and costs, the primitive quantities everything else is built
+from, and check_assumptions, the check of the regularity conditions that
+parameters can break.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -432,3 +433,52 @@ def delegation_gain(params: ModelParams, ability: Ability) -> float:
     c_w = params.execution_cost.cost(ability.beta)
     return c_w - params.c_a - params.worker_stakes * (params.p_w - params.p_a)
 
+
+@dataclass
+class AssumptionReport:
+    """Outcome of the regularity checks behind the regime characterizations."""
+
+    dominance_ok: bool
+    viability_ok: bool
+    violations: list
+
+    @property
+    def all_ok(self):
+        return self.dominance_ok and self.viability_ok
+
+
+def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability]) -> AssumptionReport:
+    """Check institutional dominance and worker viability.
+
+    The one statement of the regularity conditions behind the regime results
+    that parameters can break: dominance is misalignment > 0, viability g_w >= 0
+    and k_w >= 0 at each grid ability. Violations are listed, never raised.
+
+    The third condition, monotone detection (phi(s_dagger) non-decreasing in
+    alpha), is a theorem of the shipped families and is not checked. With
+    u = a s and a = scale * alpha, s_dagger maximizes k F(u) - C_v(u / a) over
+    u in [0, a], F increasing. C_v is convex and increasing, so the marginal
+    cost C_v'(u / a) / a falls as a rises, and the bound a rises with it; by
+    Topkis' theorem the maximizer u(a) is non-decreasing, and so is
+    phi = F(u). k <= 0 gives s_dagger = 0 at every alpha, and a belief or
+    kappa changes only k, which does not depend on alpha.
+    """
+    violations = []
+    dominance_ok = params.misalignment > 0.0
+    if not dominance_ok:
+        violations.append(
+            f"dominance violated: b_i+l_i={params.institution_stakes} "
+            f"<= xi*(b_w+l_w)={params.xi * params.worker_stakes}")
+
+    viability_ok = True
+    for ability in ability_grid:
+        coef = coefficients(params, ability, 0.0)
+        if coef.g_w < 0:
+            viability_ok = False
+            violations.append(f"negative pre-AI worker utility at {ability}: g_w={coef.g_w:.6g}")
+        if coef.k_w < 0:
+            viability_ok = False
+            violations.append(f"negative phi coefficient at {ability}: k_w={coef.k_w:.6g}")
+
+    return AssumptionReport(dominance_ok=dominance_ok, viability_ok=viability_ok,
+                            violations=violations)

@@ -1,4 +1,4 @@
-"""Worker-optimal actions: verification effort, regime, thresholds, oracle, assumptions.
+"""Worker-optimal actions: verification effort, regime, thresholds and oracle.
 
 The worker utility is affine in d, so the optimum is a corner in d and a
 one-dimensional concave maximization in s. The verification effort
@@ -23,14 +23,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .model import (
     INVERSE_LINEAR, LINEAR, Ability, Action, Detection, ModelParams, VerificationCost,
-    checked_cost, coefficients, delegation_gain, detection_probability, institution_value,
-    phi_coefficients, worker_increment,
+    checked_cost, delegation_gain, institution_value, phi_coefficients, worker_increment,
 )
 
 _NEWTON_TOL = 2.0 ** -49  # 8 eps, the rounding allowance of the Newton stopping tests
@@ -43,8 +41,6 @@ _HUGE_A = 2.0 ** 20
 _BETA_TOP = 2.0 ** 40  # thresholds read values at the beta domain's ends; at 1e-12 and this if unbounded
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
-_FD_STEP = 1e-5  # alpha step of check_assumptions' central differences
-_MONOTONE_TOL = 1e-9  # the most negative d phi / d alpha that check_assumptions allows
 # brute_force_action's two grid buffers, kept for the last grid shape so that
 # its cost does not depend on whether the allocator returns freed pages to
 # the system, which turns on allocations made elsewhere in the process; and
@@ -254,64 +250,6 @@ def choose_regime(f_w, s_dagger):
     d_star = 1 - (f_w < 0.0)
     verified = d_star * (s_dagger != 0.0)
     return d_star, s_dagger * verified, d_star + verified
-
-
-@dataclass
-class AssumptionReport:
-    """Outcome of the regularity checks behind the regime characterizations."""
-
-    dominance_ok: bool
-    viability_ok: bool
-    detection_monotone_ok: bool
-    violations: list
-
-    @property
-    def all_ok(self):
-        return self.dominance_ok and self.viability_ok and self.detection_monotone_ok
-
-
-def check_assumptions(params: ModelParams, ability_grid: Iterable[Ability]) -> AssumptionReport:
-    """Check institutional dominance, worker viability, and detection monotonicity.
-
-    The one statement of the regularity conditions behind the regime results:
-    dominance is misalignment > 0, viability g_w >= 0 and k_w >= 0 at each
-    grid ability. Detection monotonicity is checked by central differences in
-    alpha (step 1e-5) of phi(s_dagger(alpha, beta)) at each grid ability, with
-    s_dagger re-solved at the shifted alphas; a slope below -1e-9 is a
-    violation. Violations are listed, never raised.
-    """
-    violations = []
-    dominance_ok = params.misalignment > 0.0
-    if not dominance_ok:
-        violations.append(
-            f"dominance violated: b_i+l_i={params.institution_stakes} "
-            f"<= xi*(b_w+l_w)={params.xi * params.worker_stakes}")
-
-    viability_ok = True
-    detection_ok = True
-    for ability in ability_grid:
-        coef = coefficients(params, ability, 0.0)
-        if coef.g_w < 0:
-            viability_ok = False
-            violations.append(f"negative pre-AI worker utility at {ability}: g_w={coef.g_w:.6g}")
-        if coef.k_w < 0:
-            viability_ok = False
-            violations.append(f"negative phi coefficient at {ability}: k_w={coef.k_w:.6g}")
-        a = ability.alpha
-        lo = max(a - _FD_STEP, 0.0)
-        hi = a + _FD_STEP
-        phis = []
-        for a_shift in (lo, hi):
-            shifted = Ability(a_shift, ability.beta)
-            s_dag = optimal_verification(params, shifted)
-            phis.append(detection_probability(params.detection, a_shift, s_dag))
-        deriv = (phis[1] - phis[0]) / (hi - lo)
-        if deriv < -_MONOTONE_TOL:
-            detection_ok = False
-            violations.append(f"detection not monotone at {ability}: d phi/d alpha={deriv:.3g}")
-
-    return AssumptionReport(dominance_ok=dominance_ok, viability_ok=viability_ok,
-                            detection_monotone_ok=detection_ok, violations=violations)
 
 
 def bisect(pred, lo: float, hi: float, tol: float, steps: int | None = None):

@@ -1111,6 +1111,20 @@ class TestCalibrateCommand:
                              "--tvmax", "0", "--twmax", "200")
         assert (code, out, err) == (1, "", "error: t_v_max must be positive, got 0.0\n")
 
+    def test_huge_calibrated_alpha_reports(self, capsys, tmp_path):
+        # the log calibrates to alpha 2.3e11 and s_dagger 1.0e-11; check_assumptions
+        # used to probe alpha +- 1e-5, which rounds back to alpha there, and divided by 0
+        cases = tmp_path / "cases.csv"
+        cases.write_text(f"{','.join(cal.CASE_COLUMNS)}\n" + "".join(
+            f"c{k},{int(k < 40)},{int(k < 25)},{int(k < 43)},100,"
+            f"{'45.00000005' if k == 0 else '45'},0\n" for k in range(50)))
+        code, out, err = run(capsys, "calibrate", "--cases", str(cases),
+                             "--tvmax", "100", "--twmax", "300", "--json")
+        assert (code, err, len(out.splitlines())) == (0, "", 1)
+        worker = json.loads(out)["worker"]
+        assert worker["alpha"] == pytest.approx(2.3e11, rel=0.01)
+        assert worker["s_dagger"] == pytest.approx(1.0e-11, rel=0.01)
+
 
 class TestBenchmarkSeams:
     def test_traced_names_are_cli_attributes(self):
@@ -1118,8 +1132,14 @@ class TestBenchmarkSeams:
         # run_path executes bench/tracing.py from source and writes nothing under bench/
         layers = runpy.run_path(str(REPO / "bench" / "tracing.py"))["CLI_LAYERS"]
         assert layers
-        for name in layers:
-            assert callable(getattr(cli, name)), name
+        for name, (span, _, _) in layers.items():
+            fn = getattr(cli, name)
+            assert callable(fn), name
+            # a span is labelled with the module that defines the function; rework_quality
+            # is atlas.evaluate_point timed as the rework extension's first-row solve, and
+            # keeps its extensions. label until the benchmark renames that seam
+            module = "atlas" if name == "rework_quality" else span.split(".")[0]
+            assert fn.__module__ == f"delver.{module}", (name, span, fn.__module__)
         assert cli.cal is cal
 
 
@@ -1142,13 +1162,14 @@ PACKAGE_NAMES = {
     "interventions": ["CostModel", "CostTerm", "LeverResult", "LeverTarget", "UpskillPlan",
                       "ai_upgrade_gain", "incentive_transfer_gain", "minimal_lever",
                       "worker_upskill"],
-    "model": ["Ability", "Action", "Coefficients", "Detection", "ExecutionCost", "ModelParams",
-              "VerificationCost", "coefficients", "delegation_gain", "detection_probability",
-              "institutional_utility", "reference_params", "task_success", "total_cost",
-              "verification_surplus", "worker_utility"],
-    "solver": ["AssumptionReport", "OptimalAction", "Regime", "ThresholdResult",
-               "brute_force_action", "check_assumptions", "manual_delegation_threshold",
-               "optimal_action", "optimal_verification", "qualification_threshold"],
+    "model": ["Ability", "Action", "AssumptionReport", "Coefficients", "Detection",
+              "ExecutionCost", "ModelParams", "VerificationCost", "check_assumptions",
+              "coefficients", "delegation_gain", "detection_probability", "institutional_utility",
+              "reference_params", "task_success", "total_cost", "verification_surplus",
+              "worker_utility"],
+    "solver": ["OptimalAction", "Regime", "ThresholdResult", "brute_force_action",
+               "manual_delegation_threshold", "optimal_action", "optimal_verification",
+               "qualification_threshold"],
 }
 
 
@@ -1296,18 +1317,29 @@ def _extreme_argv(command, alpha, beta, tau):
     def point(x):
         return f"{x!r}:{x!r}:1"
 
+    at = [f"--alpha={alpha!r}", f"--beta={beta!r}"]
+    grid = [f"--alpha-range={point(alpha)}", f"--beta-range={point(beta)}"]
     return {
-        "solve": ["solve", f"--alpha={alpha!r}", f"--beta={beta!r}"],
-        "quality": ["quality", f"--alpha={alpha!r}", f"--beta={beta!r}", f"--tau={tau!r}"],
+        "solve": ["solve", *at],
+        "quality": ["quality", *at, f"--tau={tau!r}"],
         "atlas": ["atlas", f"--alpha={point(alpha)}", f"--beta={point(beta)}", f"--tau={tau!r}",
                   "--out", "atlas.csv"],
         "boundary": ["boundary", "--which", "psi_tau", f"--beta-range={point(beta)}",
                      f"--tau={tau!r}"],
-        "difficulty": ["extend", "difficulty", f"--alpha-range={point(alpha)}",
-                       f"--beta-range={point(beta)}"],
+        "difficulty": ["extend", "difficulty", *grid],
         # rework has no tau; the third draw is its kappa
-        "rework": ["extend", "rework", f"--kappa={tau!r}", f"--alpha-range={point(alpha)}",
-                   f"--beta-range={point(beta)}"],
+        "rework": ["extend", "rework", f"--kappa={tau!r}", *grid],
+        # belief has no tau either; its p-hat stays inside [0, 1], so that the point varies
+        "belief": ["extend", "belief", "--p-hat=0.9", *grid],
+        # an infeasible plan costs inf, which --json prints as null (README, "Command line")
+        "worker": ["intervene", "worker", *at, f"--tau={tau!r}", "--json"],
+        **{f"minimal-{lever}": ["intervene", "minimal", f"--lever={lever}", *at, f"--tau={tau!r}"]
+           for lever in ("alpha", "beta", "p_a")},
+        # the institution levers have no tau; the third draw is their delta
+        **{f"institution-{lever}": ["intervene", "institution", f"--lever={lever}",
+                                    f"--delta={tau!r}", *at] for lever in ("p_a", "b_transfer")},
+        "institution-grid": ["intervene", "institution", "--lever=p_a", f"--delta={tau!r}", *grid],
+        "oracle": ["oracle", *at, "--s-steps=11"],
     }[command]
 
 
@@ -1328,8 +1360,10 @@ def extreme_setup(tmp_path_factory):
 
 
 class TestExtremeInput:
-    @pytest.mark.parametrize("command", ["solve", "quality", "atlas", "boundary",
-                                         "difficulty", "rework"])
+    @pytest.mark.parametrize("command", ["solve", "quality", "atlas", "boundary", "difficulty",
+                                         "rework", "belief", "worker", "minimal-alpha",
+                                         "minimal-beta", "minimal-p_a", "institution-p_a",
+                                         "institution-b_transfer", "institution-grid", "oracle"])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(alpha=EXTREME_FLOATS, beta=EXTREME_FLOATS, tau=EXTREME_FLOATS,
            config=st.sampled_from([0, 1]))

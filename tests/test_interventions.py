@@ -303,6 +303,9 @@ class TestUpskill:
             CostTerm("power", 1.0, 1.0)
         with pytest.raises(ValueError):
             CostTerm("exp", 1.0)
+        # a linear term would otherwise accept an exponent and ignore it
+        with pytest.raises(ValueError, match="^linear cost takes no exponent other than 1, got 2.0$"):
+            CostTerm("linear", 2.0, 2.0)
         assert CostTerm("power", 2.0, 2.0)(3.0) == 18.0
 
     @pytest.mark.parametrize("kind, coefficient, exponent, word", [
