@@ -30,7 +30,7 @@ for ability in [Ability(0.05, 0.10), Ability(0.10, 0.40), Ability(0.30, 0.20)]:
 
 # steeper verification-training costs push the plan toward execution training
 ability = Ability(0.05, 0.10)
-expensive_alpha = CostModel(h_alpha=CostTerm("linear", 4.0), h_beta=CostTerm("linear", 1.0))
+expensive_alpha = CostModel(h_alpha=CostTerm(4.0), h_beta=CostTerm(1.0))
 plan = worker_upskill(params, ability, expensive_alpha)
 print(f"\nsame worker, alpha training 4x the price: "
       f"d_alpha={plan.d_alpha:.4f}, d_beta={plan.d_beta:.4f}")

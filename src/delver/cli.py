@@ -171,7 +171,7 @@ def _parse_cost_term(text):
     except ValueError:
         numbers = None
     if numbers is not None and (kind, len(numbers)) in (("linear", 1), ("power", 2)):
-        return CostTerm(kind, *numbers)
+        return CostTerm(*numbers)
     raise ConfigError(f"cost term must be linear:C, power:C:RHO, or off; got {text!r}")
 
 

@@ -38,13 +38,14 @@ def difficulty_params(params: ModelParams, h) -> ModelParams:
 
     At hardness h the worker succeeds with p_w = 1 - 0.5 h and the AI with
     p_a = 1 - 0.7 h; the execution cost scale is 10 h and the linear
-    verification rate 0.5 + h. A level is checked (at h = 0 there is no
-    execution cost scale); an array, which only expected_quality's passes
-    build, is not, and skips the constructors' checks, which reject arrays.
-    Nothing else builds params with array fields.
+    verification rate 0.5 + h. A level (a float, a numpy scalar or a 0-d
+    array) is checked (at h = 0 there is no execution cost scale); a 1-d
+    array, which only expected_quality's passes build, is not, and skips
+    the constructors' checks, which reject arrays. Nothing else builds
+    params with array fields.
     """
-    if not isinstance(h, np.ndarray):
-        if isinstance(h, (bool, np.bool_)):
+    if np.ndim(h) == 0:
+        if np.asarray(h).dtype == bool:
             raise ValueError(f"'difficulty' must be a number, got {h!r}")
         if not 0.0 < h <= 1.0:
             raise ValueError(f"difficulty must lie in (0, 1], got {h}")

@@ -29,27 +29,18 @@ _LEVER_SCAN = 400  # scan points of minimal_lever
 
 @dataclass(frozen=True)
 class CostTerm:
-    """Cost of one ability increment: coefficient * x, or coefficient * x**exponent."""
+    """Cost of one ability increment x: coefficient * x**exponent, with exponent >= 1."""
 
-    kind: str = "linear"
     coefficient: float = 1.0
     exponent: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "power"):
-            raise ValueError(f"unknown cost kind {self.kind!r}")
         if not 0.0 <= self.coefficient < math.inf:
             raise ValueError(f"cost coefficient must be finite and >= 0, got {self.coefficient}")
-        if not math.isfinite(self.exponent):
-            raise ValueError(f"cost exponent must be finite, got {self.exponent}")
-        if self.kind == "power" and not self.exponent > 1.0:
-            raise ValueError("power cost needs exponent > 1")
-        if self.kind == "linear" and self.exponent != 1.0:
-            raise ValueError(f"linear cost takes no exponent other than 1, got {self.exponent}")
+        if not 1.0 <= self.exponent < math.inf:
+            raise ValueError(f"cost exponent must be finite and >= 1, got {self.exponent}")
 
     def __call__(self, x: float) -> float:
-        if self.kind == "linear":
-            return self.coefficient * x
         return self.coefficient * x ** self.exponent
 
 

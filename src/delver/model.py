@@ -65,7 +65,7 @@ class VerificationCost:
     """Verification cost family C_v(s), zero at zero, increasing, convex.
 
     kind "linear": C_v = k * s
-    kind "linear_quadratic": C_v = s + s^2 / 2  (k unused)
+    kind "linear_quadratic": C_v = s + s^2 / 2  (k has no role, and stays 1)
     """
 
     kind: str
@@ -76,6 +76,8 @@ class VerificationCost:
             raise ValueError(f"unknown verification cost family: {self.kind!r}")
         if self.kind == LINEAR and not 0.0 < self.k < math.inf:
             raise ValueError("linear verification cost needs a finite k > 0")
+        if self.kind == LINEAR_QUADRATIC and self.k != 1.0:
+            raise ValueError(f"linear_quadratic verification cost takes no k, got {self.k}")
 
     def cost(self, s):
         if self.kind == LINEAR:

@@ -986,6 +986,13 @@ class TestInterveneAndOracle:
         assert code == 0
         assert "feasible 1" in out
 
+    def test_power_cost_of_exponent_one_is_the_linear_cost(self, capsys):
+        point = ["intervene", "worker", "--config", REFERENCE_CONFIG, "--alpha", "0.05",
+                 "--beta", "0.1"]
+        linear = run(capsys, *point, "--h1", "linear:4", "--h2", "linear:1")
+        power = run(capsys, *point, "--h1", "power:4:1", "--h2", "power:1:1")
+        assert power == linear and linear[0] == 0
+
     def test_alpha_cost_off_gives_the_beta_only_plan(self, capsys, reference):
         code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
                              "--alpha", "0.05", "--beta", "0.1", "--h1", "off", "--json")
@@ -1012,7 +1019,9 @@ class TestInterveneAndOracle:
         (["--h1", "linear:abc"],
          "cost term must be linear:C, power:C:RHO, or off; got 'linear:abc'"),
         (["--h2", "power:2:x"], "cost term must be linear:C, power:C:RHO, or off; got 'power:2:x'"),
-    ], ids=["both-off", "unknown-kind", "non-numeric-coefficient", "non-numeric-exponent"])
+        (["--h2", "power:2:0.5"], "cost exponent must be finite and >= 1, got 0.5"),
+    ], ids=["both-off", "unknown-kind", "non-numeric-coefficient", "non-numeric-exponent",
+            "exponent-below-one"])
     def test_bad_cost_model_is_one_error_line(self, capsys, costs, message):
         code, out, err = run(capsys, "intervene", "worker", "--config", REFERENCE_CONFIG,
                              "--alpha", "0.05", "--beta", "0.1", *costs)

@@ -270,11 +270,22 @@ class TestDifficulty:
             difficulty_params(reference, level)
         assert str(info.value) == f"difficulty must lie in (0, 1], got {level}"
 
+    @pytest.mark.parametrize("level", [np.array(2.0), np.float64(2.0), np.array(0.0),
+                                       np.array(math.nan), np.float32(-0.5)],
+                             ids=["0d-2", "float64-2", "0d-0", "0d-nan", "float32-minus-half"])
+    def test_numpy_scalar_levels_are_checked(self, reference, level):
+        # a 0-d array of 2 used to pass unchecked, to p_w = 0 and p_a = -0.4
+        with pytest.raises(ValueError) as info:
+            difficulty_params(reference, level)
+        assert str(info.value) == f"difficulty must lie in (0, 1], got {level}"
+        with pytest.raises(ValueError, match=r"^'difficulty' must be a number, got array\(True\)$"):
+            difficulty_params(reference, np.array(True))
+
     def test_zero_difficulty_has_no_execution_scale(self, reference):
-        # why h = 0 is rejected: the execution cost scale 10 h is zero there; an
-        # array is not checked, so a 0-d one reaches the scale
+        # why h = 0 is rejected: the execution cost scale 10 h is zero there; a
+        # 1-d array is not checked, so one holding 0 reaches the scale
         with pytest.raises(ValueError, match="execution cost scale must be finite and positive"):
-            replace(difficulty_params(reference, np.array(0.0)).execution_cost)
+            replace(difficulty_params(reference, np.array([0.0])).execution_cost)
         assert difficulty_params(reference, 1).execution_cost.scale == 10.0
 
     def test_arrays_pass_unchecked(self, reference):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import delver as dv
 from delver.atlas import solve_actions
 from delver.cli import main
-from delver.config import load_params
+from delver.config import load_params, params_from_dict, params_to_dict
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
     check_assumptions, checked_cost, coefficients, delegation_gain, detection_probability,
@@ -83,6 +83,15 @@ class TestCostFamilies:
         vc = VerificationCost("linear_quadratic")
         assert vc.cost(1.0) == pytest.approx(1.5)
         assert vc.slope(0.0) == 1.0
+
+    @pytest.mark.parametrize("k", [5.0, -3.0, math.nan, math.inf])
+    def test_linear_quadratic_takes_no_k(self, k, reference):
+        # the family never reads k, and a config round trip used to turn it into 1
+        with pytest.raises(ValueError,
+                           match=f"^linear_quadratic verification cost takes no k, got {k}$"):
+            VerificationCost("linear_quadratic", k)
+        params = replace(reference, verification_cost=VerificationCost("linear_quadratic"))
+        assert params_from_dict(params_to_dict(params)) == params
 
     def test_execution_cost_domain_is_an_error_not_a_clamp(self):
         linear = ExecutionCost("linear_in_efficiency", 5.0)
