@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    Ability, ModelParams, checked_cost, cost_at, delegation_gain, institution_increment,
-    institution_value, phi_coefficients, success_at, worker_increment,
+    Ability, ModelParams, checked_cost, delegation_gain, institution_increment, institution_value,
+    outcome_at, phi_coefficients, worker_increment,
 )
 from .solver import (
     REGIMES, OptimalAction, Regime, bisect, choose_regime, manual_delegation_threshold,
@@ -161,8 +161,7 @@ def _scores(params: ModelParams, phi, c_w, s, d):
 
     Takes floats or arrays and checks nothing.
     """
-    cost = cost_at(params, phi, c_w, params.verification_cost.cost(s), d)
-    return (institution_value(params, success_at(params, phi, d), cost),
+    return (institution_value(params, *outcome_at(params, phi, c_w, s, d)),
             institution_value(params, params.p_w, c_w))
 
 

@@ -43,6 +43,7 @@ class Detection:
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, INVERSE_LINEAR):
             raise ValueError(f"unknown detection family: {self.kind!r}")
+        reject_bools(self, ("scale",))
         if not 0.0 < self.scale < math.inf:
             raise ValueError("detection scale must be finite and positive")
 
@@ -74,6 +75,7 @@ class VerificationCost:
     def __post_init__(self):
         if self.kind not in (LINEAR, LINEAR_QUADRATIC):
             raise ValueError(f"unknown verification cost family: {self.kind!r}")
+        reject_bools(self, ("k",))
         if self.kind == LINEAR and not 0.0 < self.k < math.inf:
             raise ValueError("linear verification cost needs a finite k > 0")
         if self.kind == LINEAR_QUADRATIC and self.k != 1.0:
@@ -104,6 +106,7 @@ class ExecutionCost:
     def __post_init__(self):
         if self.kind not in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
             raise ValueError(f"unknown execution cost family: {self.kind!r}")
+        reject_bools(self, ("scale",))
         if not 0.0 < self.scale < math.inf:
             raise ValueError("execution cost scale must be finite and positive")
 
@@ -327,23 +330,18 @@ def detection_probability(detection: Detection, alpha: float, s: float):
     return float(detection.prob(alpha, s))
 
 
-def success_at(params: ModelParams, phi, d):
-    """Success probability at detection probability phi and delegation level d.
+def outcome_at(params: ModelParams, phi, c_w, s, d):
+    """(success probability, expected cost) of the action (d, s), given phi(s) and C_w.
 
     This and the other *_at / *_value helpers take floats or arrays and
     check nothing: the scalar functions below validate their inputs first,
-    and grid sweeps validate the whole grid once.
+    and grid sweeps validate the whole grid once. params.kappa scales C_w in
+    the redo term only: fixing a detected AI error costs kappa * C_w, and
+    kappa = 1 is the base model, bitwise.
     """
-    return (1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w
-
-
-def cost_at(params: ModelParams, phi, c_w, c_v, d):
-    """Expected cost at detection probability phi, costs C_w and C_v, and level d.
-
-    params.kappa scales C_w in the redo term only: fixing a detected AI
-    error costs kappa * C_w. kappa = 1 is the base model, bitwise.
-    """
-    return (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w))
+    c_v = params.verification_cost.cost(s)
+    return ((1.0 - d) * params.p_w + d * params.p_a + d * (1.0 - params.p_a) * phi * params.p_w,
+            (1.0 - d) * c_w + d * (params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w)))
 
 
 def worker_value(params: ModelParams, p, cost):
@@ -358,7 +356,7 @@ def phi_coefficients(params: ModelParams, c_w):
     """(k_w, k_i): the coefficients on phi(s) in f_w and f_i, given C_w.
 
     The C_w in them is the redo cost after a detected error, scaled by
-    params.kappa as in cost_at.
+    params.kappa as in outcome_at.
     """
     one_minus_pa, kappa = 1.0 - params.p_a, params.kappa
     return (one_minus_pa * (params.worker_stakes * params.p_w - kappa * c_w),
@@ -384,28 +382,27 @@ def _checked_phi(params: ModelParams, ability: Ability, s: float):
     return detection_probability(params.detection, ability.alpha, s), checked_cost(params, ability)
 
 
+def _checked_outcome(params: ModelParams, ability: Ability, action: Action):
+    """outcome_at at the action, once the point passes the scalar check."""
+    return outcome_at(params, *_checked_phi(params, ability, action.s), action.s, action.d)
+
+
 def task_success(params: ModelParams, ability: Ability, action: Action) -> float:
     """Success probability from direct work, direct AI, and corrected AI errors."""
-    return success_at(params, _checked_phi(params, ability, action.s)[0], action.d)
+    return _checked_outcome(params, ability, action)[0]
 
 
 def total_cost(params: ModelParams, ability: Ability, action: Action) -> float:
     """Expected cost: manual execution, AI run, verification, and redo after detection."""
-    phi, c_w = _checked_phi(params, ability, action.s)
-    return cost_at(params, phi, c_w, params.verification_cost.cost(action.s), action.d)
+    return _checked_outcome(params, ability, action)[1]
 
 
 def worker_utility(params: ModelParams, ability: Ability, action: Action) -> float:
-    phi, c_w = _checked_phi(params, ability, action.s)
-    return worker_value(params, success_at(params, phi, action.d),
-                        cost_at(params, phi, c_w, params.verification_cost.cost(action.s), action.d))
+    return worker_value(params, *_checked_outcome(params, ability, action))
 
 
 def institutional_utility(params: ModelParams, ability: Ability, action: Action) -> float:
-    phi, c_w = _checked_phi(params, ability, action.s)
-    return institution_value(params, success_at(params, phi, action.d),
-                             cost_at(params, phi, c_w, params.verification_cost.cost(action.s),
-                                     action.d))
+    return institution_value(params, *_checked_outcome(params, ability, action))
 
 
 def coefficients(params: ModelParams, ability: Ability, s: float) -> Coefficients:

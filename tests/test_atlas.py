@@ -18,7 +18,7 @@ from delver.atlas import (
 )
 from delver.model import (
     INVERSE_EFFICIENCY, LINEAR, LINEAR_IN_EFFICIENCY, Ability, ExecutionCost, VerificationCost,
-    coefficients, phi_coefficients, replace_unchecked, success_at,
+    coefficients, outcome_at, phi_coefficients, replace_unchecked,
 )
 from delver.sampling import beta_span, sample_params
 from delver.solver import (
@@ -174,7 +174,9 @@ def _draws():
 def _sweep(params, alpha_range, beta_range):
     """(grid, degraded mask, task success) of solve_points on the grid_columns grid."""
     grid = solve_points(params, *grid_columns(alpha_range, beta_range))
-    success = success_at(params, params.detection.prob(grid.alpha, grid.s_star), grid.d_star)
+    phi = params.detection.prob(grid.alpha, grid.s_star)
+    c_w = params.execution_cost.unchecked_cost(grid.beta)
+    success = outcome_at(params, phi, c_w, grid.s_star, grid.d_star)[0]
     return grid, grid.quality_label == QUALITY_LABELS.index(QualityLabel.DEGRADED), success
 
 

@@ -1151,6 +1151,27 @@ class TestBenchmarkSeams:
             assert fn.__module__ == f"delver.{module}", (name, span, fn.__module__)
         assert cli.cal is cal
 
+    def test_deferred_names_resolve_before_any_command(self):
+        # the traced pass reads these names before any command has bound them, which
+        # only a fresh interpreter shows: in process, earlier commands bind them first
+        out = run_isolated(
+            "import sys\n"
+            "import delver.cli as cli\n"
+            "print(sorted(n for ns in cli._LAZY.values() for n in ns if n in vars(cli)))\n"
+            "for module, names in cli._LAZY.items():\n"
+            "    for name in names:\n"
+            "        value = getattr(cli, name)\n"
+            "        source = sys.modules[f'delver.{module}']\n"
+            "        print(name, value is (source if name == 'cal' else getattr(source, name)))\n"
+            "try:\n"
+            "    cli.missing\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+        bound, *resolved, missing = out.splitlines()
+        assert bound == "[]"
+        assert resolved == [f"{name} True" for names in cli._LAZY.values() for name in names]
+        assert missing == "module 'delver.cli' has no attribute 'missing'"
+
 
 # what `import delver.cli` loads of the package; calibration, extensions and
 # interventions load in the commands that call them

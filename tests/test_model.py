@@ -18,8 +18,8 @@ from delver.config import load_params, params_from_dict, params_to_dict
 from delver.model import (
     Ability, Action, Detection, ExecutionCost, ModelParams, VerificationCost,
     check_assumptions, checked_cost, coefficients, delegation_gain, detection_probability,
-    institutional_utility, task_success, total_cost, verification_surplus,
-    worker_utility,
+    institution_value, institutional_utility, outcome_at, task_success, total_cost,
+    verification_surplus, worker_utility, worker_value,
 )
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import optimal_verification
@@ -163,6 +163,30 @@ class TestPrimitives:
         brute = worker_utility(reference, ability, Action(1.0, 0.0)) - worker_utility(
             reference, ability, Action(0.0, 0.0))
         assert coef.f_w == pytest.approx(brute, rel=1e-12)
+
+
+class TestOutcome:
+    def test_arrays_equal_the_scalar_entry_points_bitwise(self):
+        # outcome_at is the one statement of success and expected cost, for floats and
+        # arrays; kappa != 1 scales the redo term, and a belief must not reach it
+        rng = np.random.default_rng(43)
+        draws = [*family_configs().values(), *(sample_params(rng) for _ in range(12))]
+        for params in [variant for base in draws
+                       for variant in (base, replace(base, kappa=2.5), replace(base, believed_p_a=0.9))]:
+            abilities = [sample_ability(rng, params) for _ in range(40)]
+            alpha = np.array([ability.alpha for ability in abilities])
+            beta = np.array([ability.beta for ability in abilities])
+            d = np.concatenate([[0.0, 1.0, 0.0, 1.0], rng.uniform(0.0, 1.0, 36)])
+            s = np.concatenate([[0.0, 0.0, 1.0, 1.0], rng.uniform(0.0, 1.0, 36)])
+            success, cost = outcome_at(params, params.detection.prob(alpha, s),
+                                       params.execution_cost.unchecked_cost(beta), s, d)
+            got = [success, cost, worker_value(params, success, cost),
+                   institution_value(params, success, cost)]
+            actions = [Action(*pair) for pair in zip(d.tolist(), s.tolist())]
+            want = [[f(params, ability, action) for ability, action in zip(abilities, actions)]
+                    for f in (task_success, total_cost, worker_utility, institutional_utility)]
+            for column, values in zip(got, want):
+                assert column.tobytes() == np.array(values).tobytes()
 
 
 class TestSurplusAndGain:
@@ -421,6 +445,18 @@ class TestParamsValidation:
         for args, name in (((value, 0.5), "alpha"), ((0.5, value), "beta")):
             with pytest.raises(ValueError) as info:
                 Ability(*args)
+            assert str(info.value) == f"{name!r} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_families_reject_a_bool_with_the_config_readers_message(self, value):
+        # Detection("exponential", True) had scale 1, and params_to_dict wrote "scale": true,
+        # which params_from_dict refuses
+        for build, name in ((lambda: Detection("exponential", value), "scale"),
+                            (lambda: VerificationCost("linear", value), "k"),
+                            (lambda: VerificationCost("linear_quadratic", value), "k"),
+                            (lambda: ExecutionCost("linear_in_efficiency", value), "scale")):
+            with pytest.raises(ValueError) as info:
+                build()
             assert str(info.value) == f"{name!r} must be a number, got {value!r}"
 
     @pytest.mark.parametrize("name", ["b_w", "l_w", "b_i", "l_i", "xi", "tau", "p_a", "c_a", "p_w",

@@ -218,6 +218,26 @@ class TestArrayBranchPoints:
             maximize_surplus_array(det, alpha, vcost, k)
             assert len(calls) < solver._NEWTON_MAX_ITER + 2
 
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_a_search_stopped_by_its_cap_equals_the_array_form(self, monkeypatch, cap):
+        # both forms return the last iterate when the cap stops a search; scale * alpha
+        # reaches 2e9, above 2**20, where the search starts in _huge_bracket's bracket
+        rng = np.random.default_rng(47)
+        vcost = VerificationCost("linear_quadratic")
+        alpha = 10.0 ** rng.uniform(-3.0, 9.0, 2000)
+        k = 10.0 ** rng.uniform(-2.0, 3.0, 2000)
+        for kind in ("exponential", "inverse_linear"):
+            detection = Detection(kind, 2.0)
+            uncapped = maximize_surplus_array(detection, alpha, vcost, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_NEWTON_MAX_ITER", cap)
+                got = maximize_surplus_array(detection, alpha, vcost, k)
+                want = np.array([maximize_surplus(detection, a, vcost, kk)
+                                 for a, kk in zip(alpha.tolist(), k.tolist())])
+            assert got.tobytes() == want.tobytes()
+            assert ((0.0 <= want) & (want <= 1.0)).all()
+            assert (want != uncapped).any()  # the cap stopped some searches
+
     @pytest.mark.parametrize("det_kind", ["exponential", "inverse_linear"])
     def test_newton_search_reaches_the_root_at_huge_alpha(self, monkeypatch, det_kind):
         # the root sits near ln(k a) / a (exponential) or sqrt(k / a) (inverse_linear),

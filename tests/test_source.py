@@ -288,12 +288,12 @@ def shared_reads(source: str, function: str) -> list[str]:
 
 
 def test_the_check_finds_shared_names():
-    source = ("from .model import Action, checked_cost, success_at\nfrom . import model\n"
+    source = ("from .model import Action, checked_cost, outcome_at\nfrom . import model\n"
               "def helper(x):\n    return x\n"
               "def oracle(params: Action):\n    checked_cost(params)\n"
-              "    p = success_at(params, model.cost_at(params))\n"
+              "    p = outcome_at(params, model.worker_value(params))\n"
               "    return Action(helper(p), 0.0)\n")
-    assert shared_reads(source, "oracle") == ["checked_cost", "success_at", "model", "Action",
+    assert shared_reads(source, "oracle") == ["checked_cost", "outcome_at", "model", "Action",
                                               "helper"]
 
 
