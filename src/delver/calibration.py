@@ -146,7 +146,15 @@ def read_cases(path) -> list[CaseRecord]:
     with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         numbered = [(num, line) for num, line in enumerate(fh, start=1) if not line.startswith("#")]
     reader = csv.reader(line for _, line in numbered)
-    names = next(reader, None)
+
+    def parsed():  # reader's rows; a csv fault, as a field over csv's size limit, raises by line
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise CalibrationError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from None
+
+    rows = parsed()
+    names = next(rows, None)
     if names is None or set(names) != set(CASE_COLUMNS):
         raise CalibrationError(f"expected columns {CASE_COLUMNS}, got {names}")
     for name in names:
@@ -155,7 +163,7 @@ def read_cases(path) -> list[CaseRecord]:
     problems: list[str] = []
     records = []
     start = reader.line_num  # lines read before the next row, which starts on the line after
-    for fields in reader:
+    for fields in rows:
         row_num, start = numbered[start][0], reader.line_num
         if not fields:  # a blank line
             continue

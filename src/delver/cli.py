@@ -457,7 +457,8 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError and CalibrationError among them
+    # ConfigError and CalibrationError among them; MemoryError: a grid too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

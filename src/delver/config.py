@@ -8,12 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
-from .model import (
-    EXPONENTIAL, INVERSE_EFFICIENCY, INVERSE_LINEAR, LINEAR,
-    LINEAR_IN_EFFICIENCY, LINEAR_QUADRATIC,
-    Detection, ExecutionCost, ModelParams, VerificationCost,
-)
+from .model import Detection, ExecutionCost, ModelParams, VerificationCost
 
 
 class ConfigError(ValueError):
@@ -25,6 +22,14 @@ _NUMBERS = {
     "task_profile": ("b_w", "l_w", "b_i", "l_i", "xi", "tau"),
     "ai": ("p_a", "c_a"),
     "worker": ("p_w",),
+}
+
+# Each function section, a ModelParams field: its class, and each family's number keys
+_FUNCTIONS = {
+    "detection": (Detection, {"exponential": ("scale",), "inverse_linear": ("scale",)}),
+    "verification_cost": (VerificationCost, {"linear": ("k",), "linear_quadratic": ()}),
+    "execution_cost": (ExecutionCost, {"linear_in_efficiency": ("scale",),
+                                       "inverse_efficiency": ("scale",)}),
 }
 
 
@@ -71,33 +76,22 @@ def params_from_dict(doc: dict) -> ModelParams:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     sections = {name: _section(doc, name, set(keys)) for name, keys in _NUMBERS.items()}
-    functions = _section(doc, "functions", {"detection", "verification_cost", "execution_cost"})
-
-    det = _section(functions, "detection", {"family", "scale"})
-    if det["family"] not in (EXPONENTIAL, INVERSE_LINEAR):
-        raise ConfigError(f"unknown detection family {det['family']!r}")
-    detection = _build(Detection, det["family"], _number(det, "scale"))
-
-    vc = functions["verification_cost"]
-    if not isinstance(vc, dict) or "family" not in vc:
-        raise ConfigError("verification_cost must be an object with a family")
-    if vc["family"] == LINEAR:
-        vc = _section(functions, "verification_cost", {"family", "k"})
-        verification = _build(VerificationCost, LINEAR, _number(vc, "k"))
-    elif vc["family"] == LINEAR_QUADRATIC:
-        vc = _section(functions, "verification_cost", {"family"})
-        verification = VerificationCost(LINEAR_QUADRATIC)
-    else:
-        raise ConfigError(f"unknown verification cost family {vc['family']!r}")
-
-    ec = _section(functions, "execution_cost", {"family", "scale"})
-    if ec["family"] not in (LINEAR_IN_EFFICIENCY, INVERSE_EFFICIENCY):
-        raise ConfigError(f"unknown execution cost family {ec['family']!r}")
-    execution = _build(ExecutionCost, ec["family"], _number(ec, "scale"))
+    functions = _section(doc, "functions", set(_FUNCTIONS))
+    built = {}
+    for name, (cls, families) in _FUNCTIONS.items():
+        function = functions[name]
+        if not isinstance(function, dict):
+            raise ConfigError(f"section {name!r} must be an object")
+        if "family" not in function:
+            raise ConfigError(f"missing keys in {name!r}: ['family']")
+        family = function["family"]
+        if not isinstance(family, str) or family not in families:  # a list is unhashable
+            raise ConfigError(f"unknown {name.replace('_', ' ')} family {family!r}")
+        _section(functions, name, {"family", *families[family]})
+        built[name] = _build(cls, family, **{key: _number(function, key) for key in families[family]})
 
     numbers = {key: _number(sections[name], key) for name, keys in _NUMBERS.items() for key in keys}
-    return _build(ModelParams, **numbers, detection=detection, verification_cost=verification,
-                  execution_cost=execution)
+    return _build(ModelParams, **numbers, **built)
 
 
 def load_params(path) -> ModelParams:
@@ -109,25 +103,23 @@ def load_params(path) -> ModelParams:
     with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark, as editors write
         try:
             doc = json.load(fh, parse_constant=reject)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_dict(doc)
 
 
 def params_to_dict(params: ModelParams) -> dict:
-    if params.kappa != 1.0:  # kappa is not a config key, and reading the file back gives 1
-        raise ValueError(f"kappa is not a config key, so params with kappa {params.kappa} "
-                         "cannot be written")
-    if params.believed_p_a is not None:  # nor is a belief, and reading the file back gives None
-        raise ValueError("believed_p_a is not a config key, so params with believed_p_a "
-                         f"{params.believed_p_a} cannot be written")
-    det, vc, ec = params.detection, params.verification_cost, params.execution_cost
+    keyed = {key for keys in _NUMBERS.values() for key in keys} | set(_FUNCTIONS)
+    for field in fields(ModelParams):  # reading the file back gives a keyless field its default
+        if field.name not in keyed and (value := getattr(params, field.name)) != field.default:
+            raise ValueError(f"{field.name} is not a config key, so params with {field.name} "
+                             f"{value} cannot be written")
     doc = {name: {key: getattr(params, key) for key in keys} for name, keys in _NUMBERS.items()}
-    doc["functions"] = {"detection": {"family": det.kind, "scale": det.scale},
-                        "verification_cost": {"family": vc.kind},
-                        "execution_cost": {"family": ec.kind, "scale": ec.scale}}
-    if vc.kind == LINEAR:  # linear_quadratic has no parameter
-        doc["functions"]["verification_cost"]["k"] = vc.k
+    doc["functions"] = {}
+    for name, (_, families) in _FUNCTIONS.items():
+        function = getattr(params, name)
+        doc["functions"][name] = {"family": function.kind,
+                                  **{key: getattr(function, key) for key in families[function.kind]}}
     return doc
 
 

@@ -41,7 +41,10 @@ class CostTerm:
             raise ValueError(f"cost exponent must be finite and >= 1, got {self.exponent}")
 
     def __call__(self, x: float) -> float:
-        return self.coefficient * x ** self.exponent
+        try:
+            return self.coefficient * x ** self.exponent
+        except OverflowError:  # float ** raises where float * gives inf; 0 * inf would be nan
+            return math.inf if self.coefficient else 0.0
 
 
 @dataclass(frozen=True)

@@ -503,6 +503,20 @@ class TestSureBracket:
         assert atlas._warm_guess([(0.25, 0.5), (0.5, 1.0)], 0.75) == 1.5
         assert atlas._warm_guess([(0.25, 0.5), (0.25, 1.0)], 0.75) == 1.0  # a repeated beta
 
+    def test_step_onto_the_bracket_end_takes_the_midpoint(self):
+        # fn sits just past the margin below 0 on [4000, 5119.9999995), so regula falsi
+        # rounds to the end a itself, 10 times on this root, and the midpoint is taken;
+        # without it the search took 62 sign calls
+        def fn(a):
+            if a < 4000.0:
+                return -1e8
+            return -1.5 * 2.0 ** -40 * 1e8 if a < 5119.9999995 else 1e8
+
+        got = atlas._bisect_boundary(fn, 5119.999999)
+        want = plain_bisect_boundary(fn)
+        assert got.value.hex() == want.value.hex() == (5119.999999500287).hex()
+        assert (got.evaluations, want.evaluations) == (24, 54)
+
     def test_tangential_root_stays_put(self, monkeypatch):
         # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
         # steps without the margin moved it to 0.23870327131589875

@@ -105,6 +105,15 @@ class TestCleaning:
         assert str(err.value) == ("malformed rows: row 6: expected 7 fields; "
                                   "row 7: assisted_time is not a number: 'x'")
 
+    def test_field_over_the_csv_limit_is_named_by_file_line(self, tmp_path):
+        # csv.reader refuses a field over 131072 characters with its own csv.Error
+        path = tmp_path / "big.csv"
+        path.write_text("# a comment\n" + ",".join(cal.CASE_COLUMNS) + "\na,1,0,0,100.0,120.0,0\n"
+                        + "b" * 200_000 + ",1,0,0,100.0,120.0,0\n")
+        with pytest.raises(cal.CalibrationError) as err:
+            cal.read_cases(path)
+        assert str(err.value) == "line 4: field larger than field limit (131072)"
+
     def test_empty_log_cleans_to_an_all_zero_report(self):
         assert cal.clean_cases([]) == ([], cal.CleaningReport(0, 0, 0, 0))
         assert cal.CleaningReport(0, 0, 0, 0).override_fraction == 0.0

@@ -146,10 +146,13 @@ DROP = object()  # remove the key instead of setting it
 
 # A malformed config, as changes to the reference config (key path -> new value;
 # the empty path replaces the root), and the message it fails with. The messages
-# are those of commit bfc6fef. A config with two faults reports the one checked
-# first: top-level keys, then each section's keys, then the detection, verification
-# cost and execution cost functions in turn (keys before family, but verification
-# cost's family before its keys), then the numbers in ModelParams order.
+# are those of commit bfc6fef, except verification-without-family,
+# verification-not-object and execution-family-before-keys, which follow the one
+# check order of the function sections. A config with two faults reports the one
+# checked first: top-level keys, then each section's keys, then the detection,
+# verification cost and execution cost functions in turn (each an object, then a
+# known family, then exactly that family's keys), then the numbers in ModelParams
+# order.
 CONFIG_REJECTIONS = {
     "root-array": ({(): []}, "config root must be an object"),
     "extra-section": ({("extra",): 1}, "unknown top-level keys: ['extra']"),
@@ -170,12 +173,14 @@ CONFIG_REJECTIONS = {
                                 "missing keys in 'detection': ['scale']"),
     "detection-not-object": ({("functions", "detection"): "exponential"},
                              "section 'detection' must be an object"),
+    "detection-family-list": ({("functions", "detection", "family"): ["exponential"]},
+                              "unknown detection family ['exponential']"),
     "unknown-verification": ({("functions", "verification_cost", "family"): "cubic"},
                              "unknown verification cost family 'cubic'"),
     "verification-without-family": ({("functions", "verification_cost"): {"k": 1}},
-                                    "verification_cost must be an object with a family"),
+                                    "missing keys in 'verification_cost': ['family']"),
     "verification-not-object": ({("functions", "verification_cost"): "linear"},
-                                "verification_cost must be an object with a family"),
+                                "section 'verification_cost' must be an object"),
     "linear-without-k": ({("functions", "verification_cost"): {"family": "linear"}},
                          "missing keys in 'verification_cost': ['k']"),
     "quadratic-with-k": ({("functions", "verification_cost"): {"family": "linear_quadratic", "k": 2}},
@@ -207,9 +212,9 @@ CONFIG_REJECTIONS = {
                                       "detection scale must be finite and positive"),
     "execution-before-p_a": ({("functions", "execution_cost", "scale"): -2, ("ai", "p_a"): 2},
                              "execution cost scale must be finite and positive"),
-    "keys-before-family": ({("functions", "execution_cost", "family"): "quadratic",
-                            ("functions", "execution_cost", "rho"): 2},
-                           "unknown keys in 'execution_cost': ['rho']"),
+    "execution-family-before-keys": ({("functions", "execution_cost", "family"): "quadratic",
+                                      ("functions", "execution_cost", "rho"): 2},
+                                     "unknown execution cost family 'quadratic'"),
     "family-before-keys": ({("functions", "verification_cost"): {"family": "cubic", "rho": 2}},
                            "unknown verification cost family 'cubic'"),
 }
@@ -258,6 +263,18 @@ class TestConfig:
         assert (code, out) == (1, "")
         assert err == (f"error: invalid JSON in {config}: Expecting property name enclosed in "
                        "double quotes: line 1 column 2 (char 1)\n")
+
+    def test_deeply_nested_json_is_one_error_line(self, capsys, tmp_path):
+        # json.load raises RecursionError, not JSONDecodeError, past its nesting depth
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 3000 + "]" * 3000)
+        with pytest.raises(dv.ConfigError) as err:
+            load_params(config)
+        assert str(err.value).startswith(f"invalid JSON in {config}: maximum recursion depth")
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid JSON in {config}: ") and err.count("\n") == 1
 
     def test_non_numeric_range_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", "psi_tau",
@@ -314,6 +331,20 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "--alpha", "0:1:1000000000000000", "--beta", "0:1:1"],
+        ["boundary", "--which", "psi1", "--beta-range", "0:1:1000000000000000"],
+        ["extend", "rework", "--kappa", "0.5", "--alpha-range", "0:1:1000000000000000",
+         "--beta-range", "0:1:1"],
+    ], ids=["atlas", "boundary", "rework"])
+    def test_grid_too_large_to_allocate_is_one_error_line(self, capsys, tmp_path, argv):
+        # 10**15 float64s are 7.11 PiB, so numpy's allocation fails at once
+        out_file = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--config", REFERENCE_CONFIG, "--out", str(out_file))
+        assert (code, out) == (1, "") and not out_file.exists()
+        assert err == ("error: Unable to allocate 7.11 PiB for an array with shape "
+                       "(1000000000000000,) and data type float64\n")
 
     def test_missing_file_is_an_error(self, capsys):
         code, _, err = run(capsys, "solve", "--config", "nope.json", "--alpha", "1", "--beta", "1")
@@ -1027,6 +1058,17 @@ class TestInterveneAndOracle:
                              "--alpha", "0.05", "--beta", "0.1", *costs)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_overflowing_cost_term_gives_an_inf_cost(self, capsys):
+        # 4.07 ** 1000 overflows a float: the plan costs inf, or the cheapest finite direction
+        point = ["intervene", "worker", "--config", REFERENCE_CONFIG, "--alpha", "0",
+                 "--beta", "0", "--tau", "9.5", "--h1", "power:1:1000"]
+        code, out, err = run(capsys, *point, "--h2", "off")
+        assert (code, err) == (0, "") and "\ncost inf\n" in out
+        code, out, err = run(capsys, *point, "--h2", "off", "--json")
+        assert (code, err) == (0, "") and json.loads(out)["cost"] is None
+        code, out, err = run(capsys, *point, "--h2", "linear:1", "--json")
+        assert (code, err) == (0, "") and math.isfinite(json.loads(out)["cost"])
+
     def test_institution_point_lever(self, capsys):
         code, out, _ = run(capsys, "intervene", "institution", "--config", REFERENCE_CONFIG,
                            "--lever", "p_a", "--delta", "0.05",
@@ -1108,6 +1150,13 @@ class TestCalibrateCommand:
         # the row is on line 6 of the file, after 4 comment lines and the header
         assert first == 5
         assert (code, out, err) == (1, "", "error: malformed rows: row 6: expected 7 fields\n")
+
+    def test_field_over_the_csv_limit_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "cases.csv"
+        bad.write_text(",".join(cal.CASE_COLUMNS) + "\n" + "x" * 200_000 + ",1,0,0,100.0,120.0,0\n")
+        code, out, err = run(capsys, "calibrate", "--cases", str(bad),
+                             "--tvmax", "118.1", "--twmax", "262.3")
+        assert (code, out, err) == (1, "", "error: line 2: field larger than field limit (131072)\n")
 
     def test_zero_verification_time_cap_fails_cleanly(self, capsys, tmp_path):
         # assisted time equals worker time and no AI error is caught, so the

@@ -310,6 +310,12 @@ class TestUpskill:
         assert CostTerm(2.0, 2.0)(3.0) == 18.0
         assert CostTerm(2.0, 1.0) == CostTerm(2.0)
 
+    def test_overflowing_cost_is_inf(self):
+        # float * gives inf where float ** raises OverflowError; a zero coefficient costs 0
+        assert CostTerm(1e308)(10.0) == math.inf
+        assert CostTerm(1.0, 1000.0)(10.0) == math.inf
+        assert CostTerm(0.0, 1000.0)(10.0) == 0.0
+
     def test_unit_exponent_is_bitwise_the_linear_cost(self):
         rng = np.random.default_rng(41)
         xs = [0.0, -0.0, 5e-324, 2.2e-308, 1.0, *rng.uniform(0.0, 10.0, 500).tolist(),
