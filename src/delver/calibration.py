@@ -144,7 +144,10 @@ def _parse_time(raw, row_num, col, problems):
 def read_cases(path) -> list[CaseRecord]:
     """Parse a case CSV; '#' lines are comments. Malformed rows raise, by file line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        numbered = [(num, line) for num, line in enumerate(fh, start=1) if not line.startswith("#")]
+        try:
+            numbered = [(num, line) for num, line in enumerate(fh, start=1) if not line.startswith("#")]
+        except UnicodeDecodeError as exc:  # decoded in chunks, so no line is known
+            raise CalibrationError(f"cannot decode {path}: {exc}") from None
     reader = csv.reader(line for _, line in numbered)
 
     def parsed():  # reader's rows; a csv fault, as a field over csv's size limit, raises by line

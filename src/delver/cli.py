@@ -30,9 +30,9 @@ from .sampling import sample_ability
 from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
 
 # Names from the modules that only some commands use, by module: `cal` is
-# calibration itself. They are bound here on first use, by _load before such
-# a command runs or by __getattr__ on access from outside, and a name already
-# bound (as a wrapper set with setattr, say) stays bound.
+# calibration itself. They are bound here on first use, by main before a
+# command whose parser names the module, or by __getattr__ on access from
+# outside; a name already bound (as a wrapper set with setattr, say) stays bound.
 _LAZY = {
     "calibration": ("cal",),
     "extensions": ("check_nodes", "difficulty_params", "expected_quality"),
@@ -103,12 +103,6 @@ def _ability(args):
     return Ability(args.alpha, args.beta)
 
 
-def _tau_params(args):
-    """The --config file's parameters, with tau set to --tau when it is given."""
-    params = load_params(args.config)
-    return params if args.tau is None else replace(params, tau=args.tau)
-
-
 def _grid(args):
     """The --alpha-range x --beta-range grid as grid_columns' alpha and beta columns."""
     return grid_columns(parse_range(args.alpha_range), parse_range(args.beta_range))
@@ -121,7 +115,7 @@ def _solve_payload(params, ability):
 
 
 def cmd_solve(args):
-    params = load_params(args.config)
+    params = args.params
     ability = _ability(args)
     act, rep, u_w = _solve_payload(params, ability)
     payload = {"regime": act.regime.value, "d_star": act.d_star, "s_star": act.s_star,
@@ -136,28 +130,26 @@ def cmd_solve(args):
 
 
 def cmd_quality(args):
-    params = _tau_params(args)
-    act, rep = evaluate_point(params, _ability(args))
+    act, rep = evaluate_point(args.params, _ability(args))
     _emit(args, {"q": rep.q, "q0": rep.q0, "gap": rep.gap, "quality": rep.quality_label.value,
                  "compliance": rep.compliance_label.value, "regime": act.regime.value,
-                 "tau": params.tau})
+                 "tau": args.params.tau})
     return 0
 
 
 def cmd_atlas(args):
-    grid = sweep_grid(_tau_params(args), parse_range(args.alpha), parse_range(args.beta))
+    grid = sweep_grid(args.params, parse_range(args.alpha), parse_range(args.beta))
     return _write_out(args.out, len(grid), lambda fh: write_atlas_csv(grid, fh))
 
 
 def cmd_boundary(args):
     betas = np.linspace(*parse_range(args.beta_range))
-    points = boundary_curve(_tau_params(args), args.which, betas)
+    points = boundary_curve(args.params, args.which, betas)
     return _write_out(args.out, len(points), lambda fh: write_boundary_csv(points, fh))
 
 
 def cmd_oracle(args):
-    params = load_params(args.config)
-    action, u = brute_force_action(params, _ability(args), args.d_steps, args.s_steps)
+    action, u = brute_force_action(args.params, _ability(args), args.d_steps, args.s_steps)
     _emit(args, {"d": action.d, "s": action.s, "u_w": u})
     return 0
 
@@ -176,17 +168,14 @@ def _parse_cost_term(text):
 
 
 def cmd_intervene_worker(args):
-    _load("interventions")
-    params = _tau_params(args)
     model = CostModel(h_alpha=_parse_cost_term(args.h1), h_beta=_parse_cost_term(args.h2))
-    plan = worker_upskill(params, _ability(args), model)
+    plan = worker_upskill(args.params, _ability(args), model)
     _emit(args, asdict(plan))
     return 0
 
 
 def cmd_intervene_institution(args):
-    _load("interventions")
-    params = load_params(args.config)
+    params = args.params
     lever = ai_upgrade_gain if args.lever == "p_a" else incentive_transfer_gain
     given = [x is not None for x in (args.alpha, args.beta, args.alpha_range, args.beta_range)]
     if given == [False, False, True, True]:
@@ -225,8 +214,7 @@ def _write_columns(out, columns):
 
 
 def cmd_intervene_minimal(args):
-    _load("interventions")
-    target = minimal_lever(_tau_params(args), _ability(args), args.lever)
+    target = minimal_lever(args.params, _ability(args), args.lever)
     _emit(args, asdict(target))
     return 0
 
@@ -236,8 +224,7 @@ def cmd_extend_difficulty(args):
 
     A pinned --hhat writes the quality columns of the base model's grid at that level.
     """
-    _load("extensions")
-    params = load_params(args.config)
+    params = args.params
     pinned = None if args.hhat is None else difficulty_params(params, args.hhat)
     check_nodes(args.nodes)
     alpha, beta = _grid(args)
@@ -261,10 +248,9 @@ rework_quality = evaluate_point
 
 def cmd_extend_field(args):
     """The atlas grid with the ModelParams field args.field set, its value the third column."""
-    params = load_params(args.config)
     value = getattr(args, args.option)
     # replace checks the value before _grid reads the ranges, so a bad one fails first
-    params = replace(params, **{args.field: value})
+    params = replace(args.params, **{args.field: value})
     alpha, beta = _grid(args)
     rework_quality(params, Ability(alpha[0].item(), beta[0].item()))  # the benchmark seam
     grid = solve_points(params, alpha, beta)
@@ -274,7 +260,6 @@ def cmd_extend_field(args):
 
 
 def cmd_calibrate(args):
-    _load("calibration")
     worker, cleaning, _ = cal.calibrate_file(args.cases, args.tvmax, args.twmax)
     payload = {
         "cleaning": _pick(cleaning, ("n_input", "n_time_dropped", "n_override_dropped",
@@ -309,7 +294,7 @@ def cmd_selfcheck(args):
     for option in ("samples", "seed"):
         if getattr(args, option) < 0:
             raise ConfigError(f"--{option} must be >= 0, got {getattr(args, option)}")
-    params = load_params(args.config)
+    params = args.params
     t = manual_delegation_threshold(params)
     t_tau = qualification_threshold(params)
     report = check_assumptions(params, [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)])
@@ -386,7 +371,7 @@ def build_parser():
                         help="minimum-cost upskilling to reach tau")
     p.add_argument("--h1", default="linear:1", help="alpha cost: linear:C, power:C:RHO, off")
     p.add_argument("--h2", default="linear:1", help="beta cost: linear:C, power:C:RHO, off")
-    p.set_defaults(func=cmd_intervene_worker)
+    p.set_defaults(func=cmd_intervene_worker, module="interventions")
 
     p = isub.add_parser("institution", parents=[config], help="AI upgrade or benefit transfer")
     p.add_argument("--lever", required=True, choices=["p_a", "b_transfer"])
@@ -396,11 +381,11 @@ def build_parser():
     p.add_argument("--alpha-range", default=None)
     p.add_argument("--beta-range", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_intervene_institution)
+    p.set_defaults(func=cmd_intervene_institution, module="interventions")
 
     p = isub.add_parser("minimal", parents=[point, tau], help="smallest single lever reaching tau")
     p.add_argument("--lever", required=True, choices=["alpha", "beta", "p_a"])
-    p.set_defaults(func=cmd_intervene_minimal)
+    p.set_defaults(func=cmd_intervene_minimal, module="interventions")
 
     extend = argparse.ArgumentParser(add_help=False, parents=[config])
     extend.add_argument("--alpha-range", required=True)
@@ -412,7 +397,7 @@ def build_parser():
     p = esub.add_parser("difficulty", parents=[extend], help="quality over task difficulty")
     p.add_argument("--hhat", type=float, default=None, help="pin the difficulty level")
     p.add_argument("--nodes", type=int, default=64)
-    p.set_defaults(func=cmd_extend_difficulty)
+    p.set_defaults(func=cmd_extend_difficulty, module="extensions")
 
     p = esub.add_parser("belief", parents=[extend], help="the worker plans with a believed p_a")
     p.add_argument("--p-hat", type=float, required=True, help="believed AI success probability")
@@ -431,7 +416,7 @@ def build_parser():
     p.add_argument("--b-i", type=float, default=None)
     p.add_argument("--l-i", type=float, default=None)
     p.add_argument("--xi", type=float, default=0.5)
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, module="calibration")
 
     p = sub.add_parser("selfcheck", parents=[config], help="thresholds, assumptions, oracle spot checks")
     p.add_argument("--seed", type=int, default=0)
@@ -456,6 +441,11 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        if "module" in args:
+            _load(args.module)
+        if "config" in args:  # calibrate's --tau is the institution's, with no --config
+            params = load_params(args.config)
+            args.params = params if getattr(args, "tau", None) is None else replace(params, tau=args.tau)
         return args.func(args)
     # ConfigError and CalibrationError among them; MemoryError: a grid too large to allocate
     except (ValueError, OSError, MemoryError) as exc:

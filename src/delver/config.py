@@ -103,7 +103,8 @@ def load_params(path) -> ModelParams:
     with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark, as editors write
         try:
             doc = json.load(fh, parse_constant=reject)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+        # RecursionError: deep nesting; UnicodeDecodeError: a byte that is not UTF-8
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return params_from_dict(doc)
 

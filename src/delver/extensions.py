@@ -159,8 +159,8 @@ def expected_quality(params: ModelParams, alpha, beta, nodes: int) -> list[Quali
                           beta[at[k:k + rows]]) for k in range(0, max(len(h), 1), rows))
     values = np.concatenate([np.stack((grid.q, grid.q0)) for grid in grids], axis=1)
     weighted = (width[keep, None] * base_w).ravel() * values
-    # np.cumsum adds left to right from 0.0, as the running sum does; numpy's
+    # np.add.at adds in index order from 0.0, as the running sum does; numpy's
     # sum adds pairwise and would change the last bits; tolist gives Python floats
-    sums = [np.cumsum(np.concatenate((np.zeros((2, 1)), part), axis=1), axis=1)[:, -1].tolist()
-            for part in np.split(weighted, np.cumsum(np.bincount(at, minlength=n)), axis=1)[:-1]]
-    return [QualityReport.from_values(q, q0, params.tau) for q, q0 in sums]
+    sums = np.zeros((2, n))
+    np.add.at(sums, (slice(None), at), weighted)
+    return [QualityReport.from_values(q, q0, params.tau) for q, q0 in sums.T.tolist()]

@@ -276,6 +276,15 @@ class TestConfig:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: invalid JSON in {config}: ") and err.count("\n") == 1
 
+    def test_undecodable_config_names_its_file(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff{}")
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid JSON in {config}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
     def test_non_numeric_range_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", "psi_tau",
                              "--beta-range", "0:1:x")
@@ -345,6 +354,18 @@ class TestExitCodes:
         assert (code, out) == (1, "") and not out_file.exists()
         assert err == ("error: Unable to allocate 7.11 PiB for an array with shape "
                        "(1000000000000000,) and data type float64\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--which", "psi0", "--beta-range", "0:1"],
+        ["selfcheck", "--samples", "-1"],
+    ], ids=["boundary-range", "selfcheck-samples"])
+    def test_bad_config_is_reported_before_the_commands_own_options(self, capsys, tmp_path, argv):
+        # main loads every command's --config before the command reads its own options
+        config = tmp_path / "broken.json"
+        config.write_text("{")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid JSON in {config}: ") and err.count("\n") == 1
 
     def test_missing_file_is_an_error(self, capsys):
         code, _, err = run(capsys, "solve", "--config", "nope.json", "--alpha", "1", "--beta", "1")
@@ -1157,6 +1178,16 @@ class TestCalibrateCommand:
         code, out, err = run(capsys, "calibrate", "--cases", str(bad),
                              "--tvmax", "118.1", "--twmax", "262.3")
         assert (code, out, err) == (1, "", "error: line 2: field larger than field limit (131072)\n")
+
+    def test_undecodable_log_names_its_file(self, capsys, tmp_path):
+        # the text layer decodes in chunks, so the error names the file, not a line
+        bad = tmp_path / "cases.csv"
+        bad.write_bytes((",".join(cal.CASE_COLUMNS) + "\n").encode() + b"c0,1,0,0,100.0,\xff,0\n")
+        code, out, err = run(capsys, "calibrate", "--cases", str(bad),
+                             "--tvmax", "118.1", "--twmax", "262.3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot decode {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     def test_zero_verification_time_cap_fails_cleanly(self, capsys, tmp_path):
         # assisted time equals worker time and no AI error is caught, so the

@@ -7,7 +7,8 @@ a per-point value (p_w, p_a, execution scale, verification rate) or a
 difficulty profile or level beside params, bisect_array's point budget is not a parameter, the grid
 oracle shares no code with the solver, no module names a regime or label
 member outside the oracle's mapping, no module reaches numpy.linalg
-or numpy.polynomial, and model.py imports no other delver module.
+or numpy.polynomial, model.py imports no other delver module, and in
+cli.py only main calls load_params and only main and __getattr__ call _load.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt from all but the constant check and the last,
@@ -443,3 +444,34 @@ def test_model_imports_no_other_delver_module():
     # every other module builds on the primitives in model.py, so an import from
     # one of them is a cycle: a check that calls the solver belongs in solver.py
     assert package_imports((SRC / "model.py").read_text()) == []
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The module-level functions of source that call name, in source order.
+
+    A call is to the bare name or to an attribute of that name (config.name);
+    a call in a nested function or lambda counts for the function around it.
+    """
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and name in (getattr(call.func, "id", None),
+                                                           getattr(call.func, "attr", None))
+                    for call in ast.walk(node))]
+
+
+def test_the_check_finds_callers():
+    source = ("from .config import load_params\n"
+              "def main(args):\n    args.params = load_params(args.config)\n"
+              "def cmd_a(args):\n    return lambda: config.load_params(args.config)\n"
+              "def cmd_b(args):\n    def inner():\n        return load_params\n    return inner\n"
+              "class C:\n    def f(self):\n        return load_params(self)\n"
+              "params = load_params('x.json')\n")
+    assert callers(source, "load_params") == ["main", "cmd_a"]
+
+
+def test_only_main_loads_a_commands_inputs():
+    # main loads every command's --config (with its --tau) and its deferred module
+    # before the command runs; a command that loaded either itself would be a
+    # second load stage, with its own order of errors
+    source = (SRC / "cli.py").read_text()
+    assert callers(source, "load_params") == ["main"]
+    assert callers(source, "_load") == ["__getattr__", "main"]
