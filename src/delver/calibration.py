@@ -12,6 +12,7 @@ probed with the intervention levers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -122,62 +123,54 @@ def fixture_path() -> Path:
     return Path(resources.files("delver").joinpath("data/clinician_cases.csv"))
 
 
-def _parse_indicator(raw, row_num, col, problems):
-    if raw in ("0", "1"):
-        return int(raw)
-    problems.append(f"row {row_num}: {col} must be 0 or 1, got {raw!r}")
-    return 0
-
-
-def _parse_time(raw, row_num, col, problems):
+def _parse_field(col, raw):
+    """The value of a column's field, or the text of its problem."""
+    if not col.endswith("_time"):
+        return int(raw) if raw in ("0", "1") else f"{col} must be 0 or 1, got {raw!r}"
     try:
         value = float(raw)
     except ValueError:
-        problems.append(f"row {row_num}: {col} is not a number: {raw!r}")
-        return 1.0
+        return f"{col} is not a number: {raw!r}"
     if not 0.0 < value < math.inf:  # nan, inf and 1e400 too
-        problems.append(f"row {row_num}: {col} must be finite and positive, got {raw!r}")
-        return 1.0
+        return f"{col} must be finite and positive, got {raw!r}"
     return value
 
 
 def read_cases(path) -> list[CaseRecord]:
-    """Parse a case CSV; '#' lines are comments. Malformed rows raise, by file line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        try:
-            numbered = [(num, line) for num, line in enumerate(fh, start=1) if not line.startswith("#")]
-        except UnicodeDecodeError as exc:  # decoded in chunks, so no line is known
+    """Parse a case CSV, one row per line; '#' lines are comments. Malformed rows raise, by line."""
+    with open(path, "rb") as fh:  # one decode, then a byte-order mark is dropped, so that
+        try:  # a decode error's position is the byte's offset in the file
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
             raise CalibrationError(f"cannot decode {path}: {exc}") from None
-    reader = csv.reader(line for _, line in numbered)
 
-    def parsed():  # reader's rows; a csv fault, as a field over csv's size limit, raises by line
-        try:
-            yield from reader
-        except csv.Error as exc:
-            raise CalibrationError(f"line {numbered[reader.line_num - 1][0]}: {exc}") from None
+    def parsed():  # (line number, fields) of each line that is not a comment, one at a time
+        for num, line in enumerate(io.StringIO(text, newline=""), start=1):  # splits as a file does
+            if not line.startswith("#"):
+                try:
+                    yield num, next(csv.reader([line]))
+                except csv.Error as exc:  # as a field over csv's size limit
+                    raise CalibrationError(f"line {num}: {exc}") from None
 
     rows = parsed()
-    names = next(rows, None)
+    _, names = next(rows, (None, None))
     if names is None or set(names) != set(CASE_COLUMNS):
         raise CalibrationError(f"expected columns {CASE_COLUMNS}, got {names}")
     for name in names:
         if names.count(name) > 1:
             raise CalibrationError(f"column {name!r} appears more than once in the header")
-    problems: list[str] = []
-    records = []
-    start = reader.line_num  # lines read before the next row, which starts on the line after
-    for fields in rows:
-        row_num, start = numbered[start][0], reader.line_num
+    problems, records = [], []
+    for num, fields in rows:
         if not fields:  # a blank line
             continue
         if len(fields) != len(names):
-            problems.append(f"row {row_num}: expected {len(names)} fields")
+            problems.append(f"row {num}: expected {len(names)} fields")
             continue
         row = dict(zip(names, fields))
         # the columns in CaseRecord's order, so that problems are listed in it
-        records.append(CaseRecord(row["case_id"], *[
-            (_parse_time if col.endswith("_time") else _parse_indicator)(row[col], row_num, col, problems)
-            for col in CASE_COLUMNS[1:]]))
+        values = [_parse_field(col, row[col]) for col in CASE_COLUMNS[1:]]
+        problems += [f"row {num}: {value}" for value in values if isinstance(value, str)]
+        records.append(CaseRecord(row["case_id"], *values))
     if problems:
         raise CalibrationError("malformed rows: " + "; ".join(problems))
     return records

@@ -87,8 +87,10 @@ class TestCleaning:
         with pytest.raises(cal.CalibrationError, match="column 'ai_correct' appears more than once"):
             cal.read_cases(path)
 
-    @pytest.mark.parametrize("row", ["b,1,0,0,100.0,120.0,0,999", "b,1,0,0,100.0"],
-                             ids=["extra", "missing"])
+    # a row is one line, so a quoted field that spans lines ends its row on its first line
+    @pytest.mark.parametrize("row", ["b,1,0,0,100.0,120.0,0,999", "b,1,0,0,100.0",
+                                     '"b\nb",1,0,0,100.0,120.0,0'],
+                             ids=["extra", "missing", "quoted-newline"])
     def test_row_with_the_wrong_field_count_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(cal.CASE_COLUMNS) + "\na,1,0,0,100.0,120.0,0\n" + row + "\n")
@@ -113,6 +115,22 @@ class TestCleaning:
         with pytest.raises(cal.CalibrationError) as err:
             cal.read_cases(path)
         assert str(err.value) == "line 4: field larger than field limit (131072)"
+
+    def test_wrong_header_is_reported_before_a_later_csv_fault(self, tmp_path):
+        # the header is checked before any later line is parsed
+        path = tmp_path / "bad.csv"
+        path.write_text("case_id,worker_correct\n" + "b" * 200_000 + ",1\n")
+        with pytest.raises(cal.CalibrationError) as err:
+            cal.read_cases(path)
+        assert str(err.value) == (f"expected columns {cal.CASE_COLUMNS}, "
+                                  "got ['case_id', 'worker_correct']")
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_give_the_same_records(self, tmp_path, ending):
+        text = cal.fixture_path().read_text()
+        path = tmp_path / "cases.csv"
+        path.write_bytes(text.replace("\n", ending).encode())
+        assert cal.read_cases(path) == cal.read_cases(cal.fixture_path())
 
     def test_empty_log_cleans_to_an_all_zero_report(self):
         assert cal.clean_cases([]) == ([], cal.CleaningReport(0, 0, 0, 0))

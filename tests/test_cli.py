@@ -1189,6 +1189,34 @@ class TestCalibrateCommand:
         assert err.startswith(f"error: cannot decode {bad}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+    def test_undecodable_log_gives_the_byte_offset(self, capsys, tmp_path, bom):
+        # the file is decoded in one piece, so the position is the bad byte's offset in
+        # the file, past a 20,000-byte comment line and any byte-order mark
+        data = (bom + b"#" + b"x" * 19_998 + b"\n" + ",".join(cal.CASE_COLUMNS).encode()
+                + b"\nc0,1,0,0,100.0,\xff,0\n")
+        bad = tmp_path / "cases.csv"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "calibrate", "--cases", str(bad),
+                             "--tvmax", "118.1", "--twmax", "262.3")
+        offset = data.index(b"\xff")
+        assert offset == 20_109 + len(bom)
+        assert (code, out, err) == (1, "", f"error: cannot decode {bad}: 'utf-8' codec can't decode "
+                                    f"byte 0xff in position {offset}: invalid start byte\n")
+
+    @pytest.mark.parametrize("cases, fault", [("./logs", IsADirectoryError),
+                                              ("./missing.csv", FileNotFoundError)],
+                             ids=["directory", "missing"])
+    def test_unreadable_log_is_named_as_given(self, capsys, tmp_path, monkeypatch, cases, fault):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "logs").mkdir()
+        code, out, err = run(capsys, "calibrate", "--cases", cases,
+                             "--tvmax", "118.1", "--twmax", "262.3")
+        with pytest.raises(fault) as info:
+            open(cases, "rb")
+        assert str(info.value).endswith(f": '{cases}'")
+        assert (code, out, err) == (1, "", f"error: {info.value}\n")
+
     def test_zero_verification_time_cap_fails_cleanly(self, capsys, tmp_path):
         # assisted time equals worker time and no AI error is caught, so the
         # implied verification cost is 0, as is --tvmax; this used to divide by 0

@@ -47,6 +47,16 @@ def test_readme_quick_start_runs(capsys):
     assert len(lines) == 3 and lines[0] == "Regime.VERIFIED_DELEGATION"
 
 
+def test_readme_calibration_example_runs():
+    # the python block under the README's "Calibration data" heading
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Calibration data\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert (len(names["records"]), len(names["kept"])) == (41, 38)
+
+
 def _resolves(path):
     try:
         functools.reduce(getattr, path.split("."), delver)
