@@ -38,6 +38,8 @@ from conftest import family_configs
 # check beta before the side of t (32 error and empty-curve records became the beta's
 # own error, with no value moved; see test_negative_beta_fails_the_ability_check_first)
 BOUNDARY_DIGEST = "7c202da89ce85c415b7316597ec3a6dc94e641cd9c0dce431e3ef8179e7fef7e"
+# SHA-256 of _search_trace_text(), frozen before _bisect_boundary kept bisect's own bracket
+SEARCH_DIGEST = "f7e6a05321c101356e59055dc5c254fbd32dd542ffd47626974ee23f2a5660c4"
 
 
 def _boundary_family_text():
@@ -77,6 +79,41 @@ def _boundary_family_text():
             record("boundary_curve", boundary_curve, params, which, betas)
             for beta in invalid:
                 record("boundary_curve", boundary_curve, params, which, [beta])
+    return "\n".join(lines) + "\n"
+
+
+def _search_trace_text(monkeypatch):
+    """Every boundary search's sign-call arguments and RootResult fields, one search per line.
+
+    Per configuration (the reference, family_configs() and
+    _large_stakes_params(), each at kappa 1 and 2.5), at 21 betas across
+    beta_span: boundary_curve for psi0, psi and psi_tau (at the config's
+    tau and at the quality of alpha 1 at the middle beta), then psi_prime at
+    each beta alone. Floats are float.hex.
+    """
+    lines = []
+    search = atlas._bisect_boundary
+
+    def traced(fn, guess=None):
+        calls = []
+        res = search(lambda alpha: calls.append(alpha) or fn(alpha), guess)
+        lines.append(" ".join([*(a.hex() for a in calls), "|", res.value.hex(), str(res.bracketed),
+                               res.side, str(res.evaluations), res.lo.hex(), res.hi.hex()]))
+        return res
+
+    configs = [dv.reference_params(), *family_configs().values(), *_large_stakes_params()]
+    with monkeypatch.context() as patch:
+        patch.setattr(atlas, "_bisect_boundary", traced)
+        for params in (replace(p, kappa=kappa) for p in configs for kappa in (1.0, 2.5)):
+            lo, hi = beta_span(params)
+            betas = np.linspace(lo, hi, 21).tolist()
+            ability = Ability(1.0, 0.5 * (lo + hi))
+            coef = coefficients(params, ability, dv.optimal_verification(params, ability))
+            for which, curve_params in (("psi0", params), ("psi", params), ("psi_tau", params),
+                                        ("psi_tau", replace(params, tau=coef.g_i + coef.f_i))):
+                boundary_curve(curve_params, which, betas)
+            for beta in betas:
+                psi_prime(params, beta)
     return "\n".join(lines) + "\n"
 
 
@@ -502,6 +539,11 @@ class TestSureBracket:
         assert atlas._warm_guess([(0.25, 0.5)], 0.75) == 0.5
         assert atlas._warm_guess([(0.25, 0.5), (0.5, 1.0)], 0.75) == 1.5
         assert atlas._warm_guess([(0.25, 0.5), (0.25, 1.0)], 0.75) == 1.0  # a repeated beta
+
+    def test_search_calls_are_bitwise_frozen(self, monkeypatch):
+        text = _search_trace_text(monkeypatch)
+        assert text.count("\n") > 5000 and text.count(" True ") > 3000
+        assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_DIGEST
 
     def test_step_onto_the_bracket_end_takes_the_midpoint(self):
         # fn sits just past the margin below 0 on [4000, 5119.9999995), so regula falsi
