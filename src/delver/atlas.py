@@ -29,8 +29,8 @@ from .solver import (
 )
 
 UNCHANGED_RTOL = 1e-9
-_ALPHA_MAX = 10.0  # a boundary search's first upper bound, doubled up to 10 times
-_BRACKET_DOUBLINGS = 10
+_ALPHA_MAX = 10.0  # a boundary search's first upper bound, doubled up to _SEARCH_CAP
+_SEARCH_CAP = 10240.0  # a boundary search's last upper bound, _ALPHA_MAX * 2**10
 _ALPHA_TOL = 1e-9
 _MARGIN = 2.0 ** -40  # _bisect_boundary's rounding allowance, relative to its end values
 _STEP_SLACK = 8  # sign calls _bisect_boundary's steps may spend beyond plain bisection's
@@ -186,26 +186,28 @@ def quality(params: ModelParams, ability: Ability) -> QualityReport:
 def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
     """Infimum of {alpha : fn(alpha) > 0} for non-decreasing fn, with flags.
 
-    The root is bisect's on [0, hi], hi the first of 10, 20, 40, ... where
-    fn is positive. Before bisect, Illinois steps (regula falsi that halves
-    the kept end's value after two steps on one side) narrow a sure
-    bracket (a, b) from (0, hi): a moves only to points where fn < -m, b
-    only to points where fn > m, with the margin m = _MARGIN times the
-    larger |fn| at 0 and hi. So fn <= 0 up to a and fn > 0 from b on, even
-    if every value is off by less than m / 2. The first step is at guess
-    when it lies in (a, b). The steps stop at the first value within the
-    margin, after one probe at the tolerance on either side of it. bisect
-    then calls fn only at midpoints inside (a, b), and at no point twice:
-    it takes the steps of plain bisection, and ends on its bracket,
-    whenever fn's rounding errors stay under m / 2.
+    The root is bisect's on [0, hi], hi the first of 10, 20, 40, ...,
+    _SEARCH_CAP where fn is positive. Before bisect, Illinois steps (regula
+    falsi that halves the kept end's value after two steps on one side)
+    narrow a sure bracket (a, b) from (0, hi): a moves only to points where
+    fn < -m, b only to points where fn > m, with the margin m = _MARGIN
+    times the larger |fn| at 0 and hi. So fn <= 0 up to a and fn > 0 from b
+    on, even if every value is off by less than m / 2. The first step is at
+    guess when it lies in (a, b). The steps stop at the first value within
+    the margin, after one probe at the tolerance on either side of it.
+    Before each step, bisect's own bracket (lo, up) takes every bisect step
+    whose midpoint lies outside (a, b), which (a, b) settles with no call.
+    bisect then continues from (lo, up), calls fn only at midpoints inside
+    (a, b), and at no point twice: it takes the steps of plain bisection,
+    and ends on its bracket, whenever fn's rounding errors stay under m / 2.
 
-    The steps stay at most _STEP_SLACK sign calls ahead of the bisect
-    steps that (a, b) already decides, as ITP bounds regula falsi: at the
-    bound a step is bisect's next midpoint, which bisect calls anyway, and
-    the probes are skipped. So no root takes more than _STEP_SLACK calls
-    over plain bisection. There are no steps unless both end values lie
-    beyond the margin (so are finite): an end within it could never move,
-    and the search is plain bisection.
+    The steps' budget, as ITP bounds regula falsi, is _STEP_SLACK sign
+    calls beyond those at 0 and hi, plus one per settled bisect step. At
+    the budget a step is bisect's next midpoint, which bisect calls anyway,
+    and the probes are skipped. So no root takes more than _STEP_SLACK
+    calls over plain bisection. There are no steps unless both end values
+    lie beyond the margin (so are finite): an end within it could never
+    move, and the search is plain bisection.
     """
     seen = {}
 
@@ -219,26 +221,17 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
     if fa > 0.0:
         return RootResult(a, False, "low", len(seen), a, a)
     hi = _ALPHA_MAX
-    doublings = 0
     while (fb := sign(hi)) <= 0.0:
-        if doublings >= _BRACKET_DOUBLINGS:
+        if hi >= _SEARCH_CAP:
             return RootResult(hi, False, "high", len(seen), hi, hi)
         hi *= 2.0
-        doublings += 1
     b, margin, side = hi, _MARGIN * max(abs(fa), abs(fb)), 0
     steps = fa < -margin and fb > margin
-    # bisect's bracket after the bisect steps that (a, b) decides, and the sign calls
-    # allowed so far: _STEP_SLACK more than the ends, plus one per decided bisect step
     lo, up, limit = 0.0, hi, len(seen) + _STEP_SLACK
     x = guess
     while steps and b - a > _ALPHA_TOL:
-        # a bisect step whose midpoint lies outside (a, b) needs no call; such steps are
-        # counted only once the calls come within 3 (a step and two probes) of the limit
-        while len(seen) + 3 > limit and not a < (mid := 0.5 * (lo + up)) < b:
-            if mid <= a:
-                lo = mid
-            else:
-                up = mid
+        while not a < (mid := 0.5 * (lo + up)) < b:  # a bisect step that (a, b) settles
+            lo, up = (mid, up) if mid <= a else (lo, mid)
             limit += 1
         if len(seen) >= limit:
             x = mid
@@ -266,8 +259,8 @@ def _bisect_boundary(fn, guess: float | None = None) -> RootResult:
                             b = probe
             break
         x = None
-    lo, hi = bisect(lambda alpha: alpha >= b or alpha > a and sign(alpha) > 0.0, 0.0, hi, _ALPHA_TOL)
-    return RootResult(0.5 * (lo + hi), True, "", len(seen), lo, hi)
+    lo, up = bisect(lambda alpha: alpha >= b or alpha > a and sign(alpha) > 0.0, lo, up, _ALPHA_TOL)
+    return RootResult(0.5 * (lo + up), True, "", len(seen), lo, up)
 
 
 def _warm_guess(roots: list, beta: float) -> float | None:
@@ -287,8 +280,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
 
     t is read by psi0, psi1 and psi; psi0 exists for beta >= t and psi1
     for beta <= t, each up to 1e-9. checked_cost checks the point first, at
-    alpha 0 for psi1 (closed form: it reads no alpha) and at the cap for
-    the searches. Their sign functions evaluate the model's formulas in the
+    alpha 0 for psi1 (closed form: it reads no alpha) and at _SEARCH_CAP
+    for the searches. Their sign functions evaluate the model's formulas in the
     model's order from what depends on beta alone, the worker's terms (k_w,
     psi0's gain) under params.worker_view(). history, kept by boundary_curve,
     holds each search's bracketed (beta, root) pairs; its last two give its first guess.
@@ -299,8 +292,7 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
         other = _boundary(params, "psi_prime", beta, t, history)
         both = base.evaluations + other.evaluations
         return replace(other if other.value >= base.value else base, evaluations=both)
-    cap = _ALPHA_MAX * 2.0 ** _BRACKET_DOUBLINGS  # the searches' cap
-    ability = Ability(0.0 if which == "psi1" else cap, beta)
+    ability = Ability(0.0 if which == "psi1" else _SEARCH_CAP, beta)
     c_w = checked_cost(params, ability)
     if which == "psi0" and beta < t - 1e-9 or which == "psi1" and beta > t + 1e-9:
         return None
@@ -309,8 +301,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     k_w, k_i = phi_coefficients(worker, c_w)[0], phi_coefficients(params, c_w)[1]
     if which == "psi1":  # k_w phi'(0) = k_w scale alpha meets C_v'(0), in both families
         root = vcost.slope(0.0) / slope if (slope := k_w * det.scale) > 0.0 else math.inf
-        value = min(root, cap)
-        return RootResult(value, root <= cap, "" if root <= cap else "high", 0, value, value)
+        value = min(root, _SEARCH_CAP)
+        return RootResult(value, value == root, "" if value == root else "high", 0, value, value)
     g_i = institution_value(params, params.p_w, c_w)
     tau = params.tau
     # -gain clamped at zero, as psi0's domain guarantees up to rounding, keeps psi0(t) = psi1(t)

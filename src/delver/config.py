@@ -95,14 +95,23 @@ def params_from_dict(doc: dict) -> ModelParams:
 
 
 def load_params(path) -> ModelParams:
-    """Read a parameter file; the NaN and Infinity tokens that json accepts are rejected."""
+    """Read a parameter file; json's NaN and Infinity tokens and a key given twice are rejected."""
 
     def reject(token):
         raise ConfigError(f"non-finite number {token} in {path}")
 
-    with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark, as editors write
-        try:
-            doc = json.load(fh, parse_constant=reject)
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"key {key!r} appears more than once in {path}")
+            doc[key] = value
+        return doc
+
+    with open(path, "rb") as fh:  # one decode, then a byte-order mark (as editors write) is
+        try:  # dropped, so that a decode error's position is the byte's offset in the file
+            text = fh.read().decode("utf-8").removeprefix("\ufeff")
+            doc = json.loads(text, parse_constant=reject, object_pairs_hook=unique)
         # RecursionError: deep nesting; UnicodeDecodeError: a byte that is not UTF-8
         except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc

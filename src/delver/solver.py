@@ -144,12 +144,11 @@ def maximize_surplus(detection: Detection, alpha: float, vcost: VerificationCost
         return 0.0
     a = detection.scale * alpha
     if vcost.kind == LINEAR:
+        arg = a * phi_coefficient / vcost.k
         if detection.kind == INVERSE_LINEAR:
             # k_w * a / (1 + a s)^2 = k  =>  s0 = (sqrt(a k_w / k) - 1) / a
-            arg = a * phi_coefficient / vcost.k
             s0 = (math.sqrt(arg) - 1.0) / a if arg > 0 else 0.0
         else:  # exponential: k_w * a e^{-a s} = k  =>  s0 = ln(a k_w / k) / a
-            arg = a * phi_coefficient / vcost.k
             s0 = float(np.log(arg)) / a if arg > 1.0 else 0.0  # np.log: the array form's bits
         return min(1.0, max(0.0, s0))
 

@@ -285,6 +285,31 @@ class TestConfig:
         assert err == (f"error: invalid JSON in {config}: 'utf-8' codec can't decode byte 0xff "
                        "in position 0: invalid start byte\n")
 
+    def test_undecodable_config_gives_the_byte_offset_past_a_byte_order_mark(self, capsys, tmp_path):
+        # the file is decoded before the mark is dropped, so the position counts the mark;
+        # the utf-8-sig codec counted from after it and gave position 7
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf{" + b" " * 6 + b"\xff}")
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert (code, out) == (1, "")
+        assert err == (f"error: invalid JSON in {config}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 10: invalid start byte\n")
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"b_w": 8,', '"b_w": 8, "b_w": 80,', "b_w"),
+        ('"worker":', '"ai": {"p_a": 0.95, "c_a": 0},\n  "worker":', "ai"),
+    ], ids=["number", "section"])
+    def test_repeated_config_key_is_one_error_line(self, capsys, tmp_path, old, new, key):
+        # json keeps a repeated key's last value: b_w 80 gave q 7.88125 instead of
+        # 7.33866011, and the second ai section made the worker delegate, with q 12.7
+        config = tmp_path / "config.json"
+        config.write_text(Path(REFERENCE_CONFIG).read_text().replace(old, new, 1))
+        code, out, err = run(capsys, "quality", "--config", str(config),
+                             "--alpha", "0.5", "--beta", "0.5")
+        assert (code, out) == (1, "")
+        assert err == f"error: key '{key}' appears more than once in {config}\n"
+
     def test_non_numeric_range_is_one_error_line(self, capsys):
         code, out, err = run(capsys, "boundary", "--config", REFERENCE_CONFIG, "--which", "psi_tau",
                              "--beta-range", "0:1:x")
@@ -1180,7 +1205,7 @@ class TestCalibrateCommand:
         assert (code, out, err) == (1, "", "error: line 2: field larger than field limit (131072)\n")
 
     def test_undecodable_log_names_its_file(self, capsys, tmp_path):
-        # the text layer decodes in chunks, so the error names the file, not a line
+        # the log is decoded in one piece before any line is read, so the error names the file
         bad = tmp_path / "cases.csv"
         bad.write_bytes((",".join(cal.CASE_COLUMNS) + "\n").encode() + b"c0,1,0,0,100.0,\xff,0\n")
         code, out, err = run(capsys, "calibrate", "--cases", str(bad),
