@@ -18,11 +18,11 @@ from delver.atlas import (
 )
 from delver.model import (
     INVERSE_EFFICIENCY, LINEAR, LINEAR_IN_EFFICIENCY, Ability, ExecutionCost, VerificationCost,
-    coefficients, outcome_at, phi_coefficients, replace_unchecked,
+    coefficients, delegation_gain, outcome_at, phi_coefficients, replace_unchecked,
 )
 from delver.sampling import beta_span, sample_params
 from delver.solver import (
-    REGIMES, Regime, bisect, manual_delegation_threshold, qualification_threshold,
+    REGIMES, Regime, bisect, manual_delegation_threshold, maximize_surplus, qualification_threshold,
 )
 
 from conftest import family_configs
@@ -36,10 +36,14 @@ from conftest import family_configs
 # from bisection to its closed form (62 psi1 records moved, by at most 2.9e-10, with
 # every flag and side kept; see TestPsi1ClosedForm), and when psi0 and psi1 began to
 # check beta before the side of t (32 error and empty-curve records became the beta's
-# own error, with no value moved; see test_negative_beta_fails_the_ability_check_first)
-BOUNDARY_DIGEST = "7c202da89ce85c415b7316597ec3a6dc94e641cd9c0dce431e3ef8179e7fef7e"
-# SHA-256 of _search_trace_text(), frozen before _bisect_boundary kept bisect's own bracket
-SEARCH_DIGEST = "f7e6a05321c101356e59055dc5c254fbd32dd542ffd47626974ee23f2a5660c4"
+# own error, with no value moved; see test_negative_beta_fails_the_ability_check_first), and
+# when psi0 at a delegation gain of 0 or more became psi1's closed form (44 lines moved, each
+# a psi0 or psi root at such a beta, by at most 2.1e-8 relative; see CHANGES.md)
+BOUNDARY_DIGEST = "ef1a32bcbc46265f4d3e0386802b990713f4ba54203ca645deb8f595c72f31c4"
+# SHA-256 of _search_trace_text(), frozen before _bisect_boundary kept bisect's own bracket,
+# and re-pinned when psi0 at a delegation gain of 0 or more stopped searching: its 20
+# searches (36 sign calls each) left the text, and no other line changed
+SEARCH_DIGEST = "23820a754974800d0d9d5b2ee28cc0b8635aab996c0dcd3618d8e7f1f91aae2c"
 
 
 def _boundary_family_text():
@@ -129,6 +133,24 @@ def psi1_formula(params, beta):
     """psi1 as C_v'(0) / (k_w scale), with k_w the worker's at C_w(beta)."""
     k_w = phi_coefficients(params.worker_view(), params.execution_cost.cost(beta))[0]
     return params.verification_cost.slope(0.0) / (k_w * params.detection.scale)
+
+
+def psi0_sign(params, beta):
+    """psi0's sign function at beta, built as _boundary builds it: k_w phi - C_v at s_dagger, less rhs.
+
+    rhs is minus the worker's delegation gain, clamped at zero; at zero this
+    is the worker's maximized verification surplus.
+    """
+    worker, c_w = params.worker_view(), params.execution_cost.cost(beta)
+    k_w = phi_coefficients(worker, c_w)[0]
+    rhs = max(0.0, -delegation_gain(worker, Ability(0.0, beta)))
+    det, vcost = params.detection, params.verification_cost
+
+    def sign(alpha):
+        s = maximize_surplus(det, alpha, vcost, k_w)
+        return k_w * float(det.prob(alpha, s)) - vcost.cost(s) - rhs
+
+    return sign
 
 
 def psi1_sign(params, beta):
@@ -332,18 +354,50 @@ class TestSeparatrices:
         assert str(info.value) == "boundaries do not cross in the searched beta interval"
 
     def test_psi0_and_psi1_meet_at_the_threshold(self):
-        # the two boundaries meet at t, where the delegation gain is zero
+        # the two boundaries meet at t, where the delegation gain is zero: bitwise where
+        # the computed gain is >= 0, and to the search's tolerance where it rounds below 0
         rng = np.random.default_rng(3)
-        met = 0
+        met, bitwise = 0, 0
         for params in [*family_configs().values(), *(sample_params(rng) for _ in range(300))]:
             t = manual_delegation_threshold(params)
             if not t.bracketed:
                 continue
             manual, pure = psi0(params, t.value), psi1(params, t.value)
+            if delegation_gain(params.worker_view(), Ability(0.0, t.value)) >= 0.0:
+                assert manual.value.hex() == pure.value.hex() and manual == pure, params
+                bitwise += 1
             if manual.bracketed and pure.bracketed:
                 assert manual.value == pytest.approx(pure.value, rel=1e-7), params
                 met += 1
-        assert met > 100
+        assert met > 100 and 0 < bitwise < met
+
+    def test_psi0_is_psi1_where_the_gain_is_not_negative(self, reference):
+        # with the gain >= 0, psi0's sign function is the maximized surplus, which is
+        # positive exactly where s_dagger leaves 0: psi1's root. Checked at t, which is
+        # the top of the domain when delegation beats manual work at every efficiency;
+        # the two reference variants cap the root (k_w = 0, and a root past 10240)
+        rng = np.random.default_rng(7)
+        capped = [replace(reference, p_a=0.9, verification_cost=VerificationCost(LINEAR, 1e6)),
+                  replace(reference, p_a=1.0)]
+        checked = Counter()
+        for params in [*family_configs().values(), *(sample_params(rng) for _ in range(300)),
+                       *capped]:
+            t = manual_delegation_threshold(params)
+            if delegation_gain(params.worker_view(), Ability(0.0, t.value)) < 0.0:
+                continue
+            manual, pure = psi0(params, t.value), psi1(params, t.value)
+            assert [repr(getattr(manual, f.name)) for f in fields(RootResult)] == [
+                repr(getattr(pure, f.name)) for f in fields(RootResult)]  # repr round-trips
+            surplus = psi0_sign(params, t.value)
+            if manual.bracketed:
+                value = manual.value
+                assert surplus(value * (1.0 - 1e-9)) == 0.0 < surplus(value * (1.0 + 1e-6))
+            else:
+                assert (manual.value, manual.side, surplus(manual.value)) == (10240.0, "high", 0.0)
+            checked[manual.bracketed, t.bracketed] += 1
+        # bracketed roots at a bracketed t and at a flagged top, and the capped ones
+        assert checked[True, True] > 50 and checked[True, False] > 50
+        assert checked[False, False] == 2
 
     def test_boundary_family_is_bitwise_frozen(self):
         text = _boundary_family_text()
@@ -559,13 +613,17 @@ class TestSureBracket:
         assert got.value.hex() == want.value.hex() == (5119.999999500287).hex()
         assert (got.evaluations, want.evaluations) == (24, 54)
 
-    def test_tangential_root_stays_put(self, monkeypatch):
+    def test_tangential_root_stays_put(self):
         # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
-        # steps without the margin moved it to 0.23870327131589875
+        # steps without the margin moved it to 0.23870327131589875. psi0 no longer
+        # searches here (the gain at beta 1 is >= 0, so psi0 is psi1), so the
+        # search runs on psi0's sign function as _boundary built it
         params = family_configs()[("inverse_linear", "linear_quadratic", "linear_in_efficiency")]
-        got = psi0(params, 1.0)
-        monkeypatch.setattr(atlas, "_bisect_boundary", plain_bisect_boundary)
-        assert got == psi0(params, 1.0) == RootResult(0.23870327073382214, True)
+        fn = psi0_sign(params, 1.0)
+        got, want = atlas._bisect_boundary(fn), plain_bisect_boundary(fn)
+        assert got == want == RootResult(0.23870327073382214, True)
+        assert got.value.hex() == want.value.hex()
+        assert psi0(params, 1.0) == psi1(params, 1.0)
 
     @pytest.mark.parametrize("fn, steps", [
         (lambda a: math.nan if 0.3 < a < 0.5 else a - 0.7, True),  # NaN inside the bracket
