@@ -136,7 +136,7 @@ def psi1_formula(params, beta):
 
 
 def psi0_sign(params, beta):
-    """psi0's sign function at beta, built as _boundary builds it: k_w phi - C_v at s_dagger, less rhs.
+    """psi0's sign function at beta as _boundary builds it: k_w phi - C_v at s_dagger, less rhs.
 
     rhs is minus the worker's delegation gain, clamped at zero; at zero this
     is the worker's maximized verification surplus.
@@ -615,9 +615,9 @@ class TestSureBracket:
 
     def test_tangential_root_stays_put(self):
         # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
-        # steps without the margin moved it to 0.23870327131589875. psi0 no longer
-        # searches here (the gain at beta 1 is >= 0, so psi0 is psi1), so the
-        # search runs on psi0's sign function as _boundary built it
+        # steps without the margin moved it to 0.23870327131589875. psi0 makes no
+        # search here (the gain at beta 1 is >= 0, so psi0 is psi1), so the search
+        # runs on psi0's sign function as _boundary builds it
         params = family_configs()[("inverse_linear", "linear_quadratic", "linear_in_efficiency")]
         fn = psi0_sign(params, 1.0)
         got, want = atlas._bisect_boundary(fn), plain_bisect_boundary(fn)
