@@ -283,11 +283,12 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
     for beta <= t, each up to 1e-9. checked_cost checks the point first, at
     alpha 0 for psi1 (closed form: it reads no alpha) and at _SEARCH_CAP
     for psi0 and the searches. psi0 at a delegation gain of 0 or more is
-    psi1, with no search. The searches' sign functions evaluate the model's
-    formulas in the model's order from what depends on beta alone, the
-    worker's terms (k_w, psi0's gain) under params.worker_view(). history,
-    kept by boundary_curve, holds each boundary's bracketed (beta, root)
-    pairs; its last two give a search's first guess.
+    psi1, with no search; elsewhere its sign function is optimal_action's
+    f_w_at_s_dagger, bitwise, so its bracket straddles the solver's own
+    regime switch. The searches evaluate the model's formulas in the model's
+    order from what depends on beta alone, k_w under params.worker_view().
+    history, kept by boundary_curve, holds each boundary's bracketed
+    (beta, root) pairs; its last two give a search's first guess.
     """
     if which == "psi":
         base = (RootResult(0.0, True, "", 0, 0.0, 0.0) if beta < t
@@ -301,27 +302,24 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
         return None
     det, vcost = params.detection, params.verification_cost
     worker = params.worker_view()
-    k_w, k_i = phi_coefficients(worker, c_w)[0], phi_coefficients(params, c_w)[1]
-    # -gain clamped at zero, as psi0's domain guarantees up to rounding; at zero, psi0's sign
-    # function is the maximized surplus, positive exactly where s_dagger leaves 0: past psi1
-    rhs = max(0.0, -delegation_gain(worker, ability)) if which == "psi0" else 0.0
+    k_w = phi_coefficients(worker, c_w)[0]
     roots = [] if history is None else history.setdefault(which, [])
-    if which == "psi1" or which == "psi0" and rhs == 0.0:
+    if which == "psi1" or which == "psi0" and delegation_gain(worker, ability) >= 0.0:
         # k_w phi'(0) = k_w scale alpha meets C_v'(0), in both families
         root = vcost.slope(0.0) / slope if (slope := k_w * det.scale) > 0.0 else math.inf
         value = min(root, _SEARCH_CAP)
         res = RootResult(value, value == root, "" if value == root else "high", 0, value, value)
     else:
-        g_i, tau = institution_value(params, params.p_w, c_w), params.tau
+        k_i, g_i = phi_coefficients(params, c_w)[1], institution_value(params, params.p_w, c_w)
 
         def sign(alpha):
             s = maximize_surplus(det, alpha, vcost, k_w)
             phi = float(det.prob(alpha, s))
             c_v = vcost.cost(s)
             if which == "psi0":
-                return k_w * phi - c_v - rhs
+                return worker_increment(worker, k_w, phi, c_w, c_v)
             f_i = institution_increment(params, k_i, phi, c_w, c_v)
-            return f_i if which == "psi_prime" else g_i + f_i - tau
+            return f_i if which == "psi_prime" else g_i + f_i - params.tau
 
         res = _bisect_boundary(sign, _warm_guess(roots, beta))
     if res.bracketed:

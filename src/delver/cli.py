@@ -27,7 +27,9 @@ from .atlas import (
 from .config import ConfigError, load_params, params_to_dict, parse_range
 from .model import Ability, Action, check_assumptions, worker_utility
 from .sampling import sample_ability
-from .solver import brute_force_action, manual_delegation_threshold, qualification_threshold
+from .solver import (
+    brute_force_action, manual_delegation_threshold, optimal_action, qualification_threshold,
+)
 
 # Names from the modules that only some commands use, by module: `cal` is
 # calibration itself. They are bound here on first use, by main before a
@@ -109,15 +111,14 @@ def _grid(args):
 
 
 def _solve_payload(params, ability):
-    act, rep = evaluate_point(params, ability)
-    u_w = worker_utility(params, ability, Action(float(act.d_star), act.s_star))
-    return act, rep, u_w
+    act = optimal_action(params, ability)
+    return act, worker_utility(params, ability, Action(float(act.d_star), act.s_star))
 
 
 def cmd_solve(args):
     params = args.params
     ability = _ability(args)
-    act, rep, u_w = _solve_payload(params, ability)
+    act, u_w = _solve_payload(params, ability)
     payload = {"regime": act.regime.value, "d_star": act.d_star, "s_star": act.s_star,
                "s_dagger": act.s_dagger, "f_w_at_s_dagger": act.f_w_at_s_dagger, "u_w": u_w,
                "config": params_to_dict(params), "alpha": ability.alpha, "beta": ability.beta}
@@ -308,7 +309,7 @@ def cmd_selfcheck(args):
     failures = 0
     for _ in range(args.samples):
         ability = sample_ability(rng, params)
-        act, _, u_w = _solve_payload(params, ability)
+        act, u_w = _solve_payload(params, ability)
         _, oracle_u = brute_force_action(params, ability, d_steps=11, s_steps=2001)
         gap = oracle_u - u_w
         worst = max(worst, gap)

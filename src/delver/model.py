@@ -364,8 +364,8 @@ def phi_coefficients(params: ModelParams, c_w):
 
 
 def worker_increment(params: ModelParams, k_w, phi, c_w, c_v):
-    """f_w, the worker's utility gain from delegating, given k_w, phi(s), C_w and C_v(s)."""
-    return k_w * phi - c_v - params.worker_stakes * (params.p_w - params.p_a) + c_w - params.c_a
+    """f_w given k_w, phi(s), C_w and C_v(s): the verification surplus plus the delegation gain."""
+    return k_w * phi - c_v + (c_w - params.c_a - params.worker_stakes * (params.p_w - params.p_a))
 
 
 def institution_increment(params: ModelParams, k_i, phi, c_w, c_v):
@@ -427,10 +427,9 @@ def verification_surplus(params: ModelParams, ability: Ability, s: float) -> flo
 def delegation_gain(params: ModelParams, ability: Ability) -> float:
     """Utility change from switching manual work to unverified delegation.
 
-    Equals the delegation increment at s = 0 and depends on beta only.
+    The delegation increment at s = 0, bitwise; it depends on beta only.
     """
-    c_w = params.execution_cost.cost(ability.beta)
-    return c_w - params.c_a - params.worker_stakes * (params.p_w - params.p_a)
+    return worker_increment(params, 0.0, 0.0, params.execution_cost.cost(ability.beta), 0.0)
 
 
 @dataclass

@@ -19,10 +19,12 @@ from delver.atlas import (
 from delver.model import (
     INVERSE_EFFICIENCY, LINEAR, LINEAR_IN_EFFICIENCY, Ability, ExecutionCost, VerificationCost,
     coefficients, delegation_gain, outcome_at, phi_coefficients, replace_unchecked,
+    verification_surplus, worker_increment,
 )
 from delver.sampling import beta_span, sample_params
 from delver.solver import (
-    REGIMES, Regime, bisect, manual_delegation_threshold, maximize_surplus, qualification_threshold,
+    REGIMES, Regime, bisect, manual_delegation_threshold, maximize_surplus, optimal_action,
+    qualification_threshold,
 )
 
 from conftest import family_configs
@@ -136,21 +138,27 @@ def psi1_formula(params, beta):
 
 
 def psi0_sign(params, beta):
-    """psi0's sign function at beta as _boundary builds it: k_w phi - C_v at s_dagger, less rhs.
-
-    rhs is minus the worker's delegation gain, clamped at zero; at zero this
-    is the worker's maximized verification surplus.
-    """
+    """psi0's sign function at beta as _boundary builds it: the worker's f_w at s_dagger."""
     worker, c_w = params.worker_view(), params.execution_cost.cost(beta)
     k_w = phi_coefficients(worker, c_w)[0]
-    rhs = max(0.0, -delegation_gain(worker, Ability(0.0, beta)))
     det, vcost = params.detection, params.verification_cost
 
     def sign(alpha):
         s = maximize_surplus(det, alpha, vcost, k_w)
-        return k_w * float(det.prob(alpha, s)) - vcost.cost(s) - rhs
+        return worker_increment(worker, k_w, float(det.prob(alpha, s)), c_w, vcost.cost(s))
 
     return sign
+
+
+def surplus_sign(params, beta):
+    """The worker's maximized verification surplus at beta, k_w phi - C_v at s_dagger."""
+    worker = params.worker_view()
+
+    def surplus(alpha):
+        ability = Ability(alpha, beta)
+        return verification_surplus(worker, ability, optimal_action(params, ability).s_dagger)
+
+    return surplus
 
 
 def psi1_sign(params, beta):
@@ -355,7 +363,10 @@ class TestSeparatrices:
 
     def test_psi0_and_psi1_meet_at_the_threshold(self):
         # the two boundaries meet at t, where the delegation gain is zero: bitwise where
-        # the computed gain is >= 0, and to the search's tolerance where it rounds below 0
+        # the computed gain is >= 0, and to the search's tolerance where it rounds below 0.
+        # There psi0 is searched, and the search is for the regime call's own switch:
+        # optimal_action's f_w at s = 0 is that negative gain, bitwise (see
+        # test_psi0_brackets_the_regime_switch), so s_dagger must leave 0 first
         rng = np.random.default_rng(3)
         met, bitwise = 0, 0
         for params in [*family_configs().values(), *(sample_params(rng) for _ in range(300))]:
@@ -388,7 +399,7 @@ class TestSeparatrices:
             manual, pure = psi0(params, t.value), psi1(params, t.value)
             assert [repr(getattr(manual, f.name)) for f in fields(RootResult)] == [
                 repr(getattr(pure, f.name)) for f in fields(RootResult)]  # repr round-trips
-            surplus = psi0_sign(params, t.value)
+            surplus = surplus_sign(params, t.value)
             if manual.bracketed:
                 value = manual.value
                 assert surplus(value * (1.0 - 1e-9)) == 0.0 < surplus(value * (1.0 + 1e-6))
@@ -398,6 +409,56 @@ class TestSeparatrices:
         # bracketed roots at a bracketed t and at a flagged top, and the capped ones
         assert checked[True, True] > 50 and checked[True, False] > 50
         assert checked[False, False] == 2
+
+    def test_psi0_brackets_the_regime_switch(self, monkeypatch):
+        # psi0's sign function (as psi0_sign rebuilds it) is optimal_action's
+        # f_w_at_s_dagger, bitwise, so every
+        # searched root's final bracket has the manual regime at lo and delegation at hi;
+        # a closed-form psi0 sits where the worker delegates at every alpha. At s = 0
+        # the increment is delegation_gain, bitwise. Checked at t and 7 betas above it
+        rng = np.random.default_rng(7)
+        searches = []
+        search = atlas._bisect_boundary
+
+        def traced(fn, guess=None):
+            calls = []
+            searches.append(calls)
+            return search(lambda alpha: calls.append((alpha, fn(alpha))) or calls[-1][1], guess)
+
+        monkeypatch.setattr(atlas, "_bisect_boundary", traced)
+        checked, failures = Counter(), Counter()
+        for base in [*family_configs().values(), *(sample_params(rng) for _ in range(300))]:
+            for params in (replace(base, kappa=kappa) for kappa in (1.0, 2.5)):
+                t, top = manual_delegation_threshold(params).value, beta_span(params)[1]
+                worker = params.worker_view()
+                for beta in np.linspace(t, max(t, top), 8).tolist():
+                    del searches[:]
+                    res = psi0(params, beta)
+
+                    def f_w(alpha):
+                        act = optimal_action(params, Ability(alpha, beta))
+                        if act.s_dagger == 0.0:
+                            gain = delegation_gain(worker, Ability(alpha, beta))
+                            checked["gain"] += 1
+                            failures["gain"] += gain.hex() != act.f_w_at_s_dagger.hex()
+                        return act.f_w_at_s_dagger
+
+                    if not searches:
+                        checked["closed"] += 1
+                        failures["closed"] += not f_w(0.0) >= 0.0
+                    elif res.bracketed:
+                        checked["bracket"] += 1
+                        failures["bracket"] += not f_w(res.lo) <= 0.0 < f_w(res.hi)
+                    else:
+                        checked[res.side] += 1
+                    rebuilt = psi0_sign(params, beta)
+                    for alpha, value in (call for calls in searches for call in calls):
+                        checked["sign"] += 1
+                        bits = {value.hex(), rebuilt(alpha).hex(), f_w(alpha).hex()}
+                        failures["sign"] += len(bits) > 1
+        assert sum(failures.values()) == 0, failures
+        assert checked["closed"] > 1000 and checked["bracket"] > 2000, checked
+        assert checked["gain"] > 1000 and checked["sign"] > 30000, checked
 
     def test_boundary_family_is_bitwise_frozen(self):
         text = _boundary_family_text()
@@ -617,9 +678,10 @@ class TestSureBracket:
         # fn is within about 3e-16 of 0 across +-1e-9 of this root; Illinois
         # steps without the margin moved it to 0.23870327131589875. psi0 makes no
         # search here (the gain at beta 1 is >= 0, so psi0 is psi1), so the search
-        # runs on psi0's sign function as _boundary builds it
+        # runs on the worker's maximized verification surplus, psi0's sign function
+        # less that gain, which psi0 searched when the gain was clamped at 0
         params = family_configs()[("inverse_linear", "linear_quadratic", "linear_in_efficiency")]
-        fn = psi0_sign(params, 1.0)
+        fn = surplus_sign(params, 1.0)
         got, want = atlas._bisect_boundary(fn), plain_bisect_boundary(fn)
         assert got == want == RootResult(0.23870327073382214, True)
         assert got.value.hex() == want.value.hex()

@@ -32,13 +32,18 @@ from conftest import family_configs
 # Newton search: 71 of the 120 reprs moved, each within the tolerance of
 # test_reports_agree_with_leggauss_nodes; and re-pinned when the integrated
 # reports began to hold Python floats, whose reprs are the old ones without
-# their 288 np.float64(...) wrappers (test_report_fields_are_python_floats)
-DIFFICULTY_REPORTS_DIGEST = "0fcb1e42fc585c5ffe1a2b18dc4e9829be3b4c218f9b7faf77a6446f747118df"
+# their 288 np.float64(...) wrappers (test_report_fields_are_python_floats); and
+# re-pinned when f_w took the delegation gain as one bracketed sum, which moves the
+# regime switches the integration locates in their last bits: 3 reprs moved, q and q0
+# by at most 3.2e-16 relative (the gap by at most 1.8e-15), with no label changed
+DIFFICULTY_REPORTS_DIGEST = "fea9760463ecd4c0b57ef74c96cc29b5b000dbb9e60ac57a32492d6c1d135bbf"
 DIFFICULTY_NODES = [64, 1, 8, 16]
 PINNED_LEVEL = 0.3
 # SHA-256 of scalar_reports(), taken at commit 6039a25, where belief was scored
-# through coefficients and institutional_utility, and a wrapper set it
-SCALAR_REPORTS_DIGEST = "154c86ef63f3b23f744f12a620c397eb4b2ac350c7b12594778b515acac36d81"
+# through coefficients and institutional_utility, and a wrapper set it; re-pinned when
+# f_w took the delegation gain as one bracketed sum, delegation_gain's: 67 of the 144
+# reprs moved, in f_w_at_s_dagger's last bits only (at most 4.3e-16 relative)
+SCALAR_REPORTS_DIGEST = "c8beaef5e7538a9d43ff4ce8ca4e3ecfeb661909829583992f7cf7128673d390"
 
 
 def columns(abilities):

@@ -7,8 +7,10 @@ a per-point value (p_w, p_a, execution scale, verification rate) or a
 difficulty profile or level beside params, bisect_array's point budget is not a parameter, the grid
 oracle shares no code with the solver, no module names a regime or label
 member outside the oracle's mapping, no module reaches numpy.linalg
-or numpy.polynomial, model.py imports no other delver module, and in
-cli.py only main calls load_params and only main and __getattr__ call _load.
+or numpy.polynomial, model.py imports no other delver module, in
+cli.py only main calls load_params and only main and __getattr__ call _load,
+and the worker's stakes gap (b_w + l_w)(p_w - p_a) is written only in
+model.worker_increment.
 
 No linter ships with the project, so the checks walk each module's syntax
 tree. __init__.py is exempt from all but the constant check and the last,
@@ -475,3 +477,51 @@ def test_only_main_loads_a_commands_inputs():
     source = (SRC / "cli.py").read_text()
     assert callers(source, "load_params") == ["main"]
     assert callers(source, "_load") == ["__getattr__", "main"]
+
+
+def stakes_gap_products(source: str) -> list[tuple[int, str]]:
+    """The products worker_stakes * (p_w - p_a) in source, as (line, enclosing function).
+
+    Either factor may come first; each name is read bare or as an attribute
+    (params.worker_stakes, worker.p_w). A product outside any function is
+    listed under <module>, and one in a lambda under the function around it.
+    """
+    def named(node, name):
+        return getattr(node, "attr", getattr(node, "id", None)) == name
+
+    def is_gap(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and named(node.left, "p_w") and named(node.right, "p_a"))
+
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+                named(stakes, "worker_stakes") and is_gap(gap)
+                for stakes, gap in ((node.left, node.right), (node.right, node.left))):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_stakes_gap_products():
+    source = ("def f(params):\n    return params.worker_stakes * (params.p_w - params.p_a)\n"
+              "def g(w):\n    return (w.p_w - w.p_a) * w.worker_stakes + w.worker_stakes * w.p_w\n"
+              "def h(p_w, p_a, worker_stakes):\n    return lambda: worker_stakes * (p_w - p_a)\n"
+              "GAP = params.worker_stakes * (params.p_w - params.p_a)\n"
+              "FLIPPED = params.worker_stakes * (params.p_a - params.p_w)\n")
+    assert stakes_gap_products(source) == [(2, "f"), (4, "g"), (6, "h"), (7, "<module>")]
+
+
+def test_the_worker_stakes_gap_is_written_once():
+    # f_w and delegation_gain once summed the delegation gain in two operand orders, and
+    # psi0's sign function took a third; they disagreed in the last bits, and psi0's
+    # brackets missed the regime switch that optimal_action calls. Each reads it here now
+    found = [(module, owner) for module in ["__init__.py", *MODULES]
+             for _, owner in stakes_gap_products((SRC / module).read_text())]
+    assert found == [("model.py", "worker_increment")]
