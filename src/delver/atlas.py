@@ -310,7 +310,8 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
         value = min(root, _SEARCH_CAP)
         res = RootResult(value, value == root, "" if value == root else "high", 0, value, value)
     else:
-        k_i, g_i = phi_coefficients(params, c_w)[1], institution_value(params, params.p_w, c_w)
+        g_i, tau = institution_value(params, params.p_w, c_w), params.tau
+        k_i = phi_coefficients(params, c_w)[1]
 
         def sign(alpha):
             s = maximize_surplus(det, alpha, vcost, k_w)
@@ -319,7 +320,7 @@ def _boundary(params: ModelParams, which: str, beta: float, t: float | None,
             if which == "psi0":
                 return worker_increment(worker, k_w, phi, c_w, c_v)
             f_i = institution_increment(params, k_i, phi, c_w, c_v)
-            return f_i if which == "psi_prime" else g_i + f_i - params.tau
+            return f_i if which == "psi_prime" else g_i + f_i - tau
 
         res = _bisect_boundary(sign, _warm_guess(roots, beta))
     if res.bracketed:
