@@ -41,11 +41,7 @@ _HUGE_A = 2.0 ** 20
 _BETA_TOP = 2.0 ** 40  # thresholds read values at the beta domain's ends; at 1e-12 and this if unbounded
 _ORACLE_CELLS = 2 ** 20  # brute_force_action's largest grid, 24 x the default 11 x 4001
 _TREE_POINTS = 1024  # the most midpoints one bisect_array call asks its predicate about
-# brute_force_action's two grid buffers, kept for the last grid shape so that
-# its cost does not depend on whether the allocator returns freed pages to
-# the system, which turns on allocations made elsewhere in the process; and
-# its d and s axes for that shape, read-only
-_oracle_grids = (np.empty((0, 0)), np.empty((0, 0)))
+# brute_force_action's d and s axes for the last grid shape, read-only
 _oracle_axes = (np.empty((0, 1)), np.empty((1, 0)))
 
 
@@ -396,11 +392,16 @@ def brute_force_action(params: ModelParams, ability: Ability,
                        d_steps: int = 11, s_steps: int = 4001):
     """Exhaustive grid maximization of the worker utility.
 
-    Evaluates success probability and cost directly on a (d, s) grid,
-    independent of the affine decomposition, and returns the maximizing
-    cell with its utility. Used as an oracle in tests and the CLI. Calls
-    share the module's two grid buffers and its axes, so two threads must
-    not call it at once. The worker plans under params.worker_view().
+    Evaluates success probability and cost directly on a (d, s) grid, with
+    its own formula and none of the solver's code, and returns the first
+    maximizing cell in row-major order (np.argmax's) with its utility. It
+    evaluates the rows d = 0 and d = 1 in full. The utility is affine in d,
+    so it evaluates the rows between them only in the columns where a
+    rounding bound lets a cell reach the end rows' maximum: the cells it
+    skips cannot hold the grid's maximum, and the result is the full
+    grid's bitwise. Each call reads the module's kept axes once, so calls
+    on two grid shapes may run in two threads at once. The worker plans
+    under params.worker_view().
     """
     params = params.worker_view()
     for name, steps in (("d_steps", d_steps), ("s_steps", s_steps)):
@@ -408,38 +409,69 @@ def brute_force_action(params: ModelParams, ability: Ability,
             raise ValueError(f"{name} must be an integer, got {steps!r}")
     if d_steps < 2 or s_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
-    if d_steps * s_steps > _ORACLE_CELLS:  # each of its arrays holds 8 bytes a cell
-        raise ValueError(f"grid has {d_steps * s_steps} cells, more than {_ORACLE_CELLS}")
-    global _oracle_grids, _oracle_axes
-    if _oracle_grids[0].shape != (d_steps, s_steps):
+    cells = int(d_steps) * int(s_steps)  # as Python ints, which do not wrap
+    if cells > _ORACLE_CELLS:
+        raise ValueError(f"grid has {cells} cells, more than {_ORACLE_CELLS}")
+    global _oracle_axes
+    axes = _oracle_axes
+    if axes[0].size != d_steps or axes[1].size != s_steps:
         axes = (np.linspace(0.0, 1.0, d_steps)[:, None], np.linspace(0.0, 1.0, s_steps)[None, :])
         for axis in axes:
             axis.flags.writeable = False
-        _oracle_grids = (np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps)))
-        _oracle_axes = axes  # after the buffers, so that the two always match
-    p, u = _oracle_grids
-    d, s = _oracle_axes
+        _oracle_axes = axes
+    d, s = axes
     c_w = checked_cost(params, ability)
-    phi = params.detection.prob(ability.alpha, s)
-    c_v = params.verification_cost.cost(s)
-    # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility b_w p - l_w (1 - p)
-    # - (1 - d) C_w - d (c_a + c_v + (1 - p_a) phi kappa C_w), filled into the two grid
-    # buffers in place: each cell gets the operations of these formulas read left to
-    # right, at most with the operands of a + or * swapped, which is exact
-    np.multiply(d * (1.0 - params.p_a), phi, out=p)
-    p *= params.p_w
-    p += (1.0 - d) * params.p_w + d * params.p_a
-    np.subtract(1.0, p, out=u)
-    u *= params.l_w
-    p *= params.b_w
-    np.subtract(p, u, out=p)
-    np.multiply(d, params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w), out=u)
-    u += (1.0 - d) * c_w
-    p -= u  # the utility
-    flat = int(np.argmax(p))
-    i, j = divmod(flat, s_steps)
-    action = Action(float(d[i, 0]), float(s[0, j]))
-    return action, float(p[i, j])
+    phi = params.detection.prob(ability.alpha, s[0])
+    c_v = params.verification_cost.cost(s[0])
+    x = params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w)  # the delegated cost
+
+    def utility(d, phi, x):
+        # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility
+        # b_w p - l_w (1 - p) - (d x + (1 - d) C_w), at the rows d (a float or a
+        # column) and the columns phi and x; a cell's operations do not depend
+        # on which other cells are evaluated with it, so it gets the full grid's bits
+        p = d * (1.0 - params.p_a) * phi
+        p *= params.p_w
+        p += (1.0 - d) * params.p_w + d * params.p_a
+        u = 1.0 - p
+        u *= params.l_w
+        p *= params.b_w
+        p -= u
+        np.multiply(d, x, out=u)
+        u += (1.0 - d) * c_w
+        p -= u
+        return p
+
+    u0, u1 = utility(0.0, phi, x), utility(1.0, phi, x)
+    top = max(float(u0.max()), float(u1.max()))
+    span = params.b_w + params.l_w + c_w + float(np.abs(x).max())
+    if math.isfinite(4.0 * span) and math.isfinite(top):
+        # On the same float inputs, a cell is affine in d in exact arithmetic, so
+        # its exact value at any interior d is at most its exact value at d[1]
+        # or at d[-2], and the mix (1 - d) u0 + d u1 of the computed end rows is
+        # that value up to rounding. The rounding of one cell, of the end rows
+        # and of the mix is each about 32 * 2**-53 * span or less, which
+        # 2**-40 * span covers 256 times over: a column whose mixes at d[1] and
+        # d[-2] both fall below top - 2**-40 * span has no interior cell >= top,
+        # so none that can be the maximum.
+        floor = top - 2.0 ** -40 * span
+        d1, d2 = float(d[1, 0]), float(d[-2, 0])
+        near = ((1.0 - d1) * u0 + d1 * u1 >= floor) | ((1.0 - d2) * u0 + d2 * u1 >= floor)
+        cols = np.flatnonzero(near)
+    else:
+        cols = np.arange(s_steps)  # an overflow voids the bound: every row in full
+    band = utility(d[1:-1], phi[cols], x[cols]).ravel() if cols.size else np.empty(0)
+    # the evaluated cells in row-major order: row d = 0, the band, row d = 1
+    values = np.concatenate((u0, band, u1))
+    k = int(np.argmax(values))
+    if k < s_steps:
+        i, j = 0, k
+    elif k < s_steps + band.size:
+        row, col = divmod(k - s_steps, cols.size)
+        i, j = row + 1, int(cols[col])
+    else:
+        i, j = d_steps - 1, k - s_steps - band.size
+    return Action(float(d[i, 0]), float(s[0, j])), float(values[k])
 
 
 def oracle_regime(action: Action) -> Regime:

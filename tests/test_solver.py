@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -11,9 +13,10 @@ import pytest
 
 import delver as dv
 import delver.solver as solver
+from delver.atlas import psi0, psi1
 from delver.model import (
     INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY, Ability, Action, Detection, ExecutionCost,
-    ModelParams, VerificationCost, phi_coefficients,
+    ModelParams, VerificationCost, checked_cost, phi_coefficients,
 )
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
@@ -671,6 +674,44 @@ for kappa in (0.0, 1.0, 2.5):
 """
 
 
+# the grids of the exhaustive comparison: the default and selfcheck's, ORACLE_DIGEST's
+# smallest, the smallest d axis (no interior rows), and odd shapes on either axis
+REFERENCE_GRIDS = ((11, 2001), (11, 4001), (5, 101), (2, 7), (3, 3), (17, 61))
+
+
+def full_grid(params, ability, d_steps, s_steps):
+    """The d and s axes and the worker utility on every cell of the oracle's grid.
+
+    This is brute_force_action's body before it evaluated interior rows only
+    where a maximum can sit, on fresh buffers in place of its kept ones.
+    """
+    params = params.worker_view()
+    d = np.linspace(0.0, 1.0, d_steps)[:, None]
+    s = np.linspace(0.0, 1.0, s_steps)[None, :]
+    p, u = np.empty((d_steps, s_steps)), np.empty((d_steps, s_steps))
+    c_w = checked_cost(params, ability)
+    phi = params.detection.prob(ability.alpha, s)
+    c_v = params.verification_cost.cost(s)
+    np.multiply(d * (1.0 - params.p_a), phi, out=p)
+    p *= params.p_w
+    p += (1.0 - d) * params.p_w + d * params.p_a
+    np.subtract(1.0, p, out=u)
+    u *= params.l_w
+    p *= params.b_w
+    np.subtract(p, u, out=p)
+    np.multiply(d, params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w), out=u)
+    u += (1.0 - d) * c_w
+    p -= u  # the utility
+    return d, s, p
+
+
+def reference_oracle(params, ability, d_steps, s_steps):
+    """np.argmax's cell of full_grid and its utility: the oracle's result evaluated in full."""
+    d, s, u = full_grid(params, ability, d_steps, s_steps)
+    i, j = divmod(int(np.argmax(u)), s_steps)
+    return Action(float(d[i, 0]), float(s[0, j])), float(u[i, j])
+
+
 class TestOracle:
     def test_grid_validation(self, reference):
         with pytest.raises(ValueError):
@@ -678,6 +719,17 @@ class TestOracle:
         # one cell over the cap; the cap is checked before any allocation
         with pytest.raises(ValueError, match=r"^grid has 1048577 cells, more than 1048576$"):
             brute_force_action(reference, Ability(0.5, 0.5), d_steps=17, s_steps=61681)
+
+    @pytest.mark.parametrize("steps", [(np.int64(2 ** 32), np.int64(2 ** 32)),
+                                       (np.int64(3), np.int64(2 ** 62)),
+                                       (np.int32(2 ** 16), np.int32(2 ** 16)),
+                                       (np.int32(3), np.int32(2 ** 30))])
+    def test_numpy_integer_steps_meet_the_cell_cap(self, reference, steps):
+        # their product wraps in the numpy type (to 0 for 2**32 x 2**32 in int64
+        # and 2**16 x 2**16 in int32), so the cap compares the Python product
+        cells = int(steps[0]) * int(steps[1])
+        with pytest.raises(ValueError, match=rf"^grid has {cells} cells, more than 1048576$"):
+            brute_force_action(reference, Ability(0.5, 0.5), *steps)
 
     @pytest.mark.parametrize("steps", [{"d_steps": 2.5}, {"s_steps": 101.0}, {"d_steps": "11"},
                                        {"d_steps": True}])
@@ -721,20 +773,114 @@ class TestOracle:
         assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_DIGEST
 
     def test_grid_shapes_do_not_leak_between_calls(self):
-        # the oracle keeps its grid buffers for the last shape: alternating
-        # shapes, and a buffer left holding NaN, give a fresh process's bits
+        # the oracle keeps its axes for the last shape: alternating shapes, and
+        # a repeated call on kept axes, give a fresh process's bits
         fresh = {grid: run_isolated(ORACLE_CASES + f"""
 print([brute_force_action(params, ability, *{grid}) for params, ability in cases])
 """).strip() for grid in ((11, 2001), (5, 101))}
         scope = {}
         exec(ORACLE_CASES, scope)
         for grid in ((11, 2001), (5, 101), (11, 2001)):
-            got = [brute_force_action(params, ability, *grid) for params, ability in scope["cases"]]
-            assert repr(got) == fresh[grid]
-            for buffer in solver._oracle_grids:
-                buffer.fill(np.nan)
-            got = [brute_force_action(params, ability, *grid) for params, ability in scope["cases"]]
-            assert repr(got) == fresh[grid]
+            for _ in range(2):
+                got = [brute_force_action(p, ability, *grid) for p, ability in scope["cases"]]
+                assert repr(got) == fresh[grid]
+
+    def test_threads_on_two_grid_shapes_agree_with_one_thread(self):
+        # each call reads the kept axes once, so a call never pairs one shape's
+        # d axis with another's s axis while a second thread switches shapes
+        scope = {}
+        exec(ORACLE_CASES, scope)
+        params, ability = scope["cases"][1]
+        grids = ((5, 101), (11, 201), (3, 7))
+        expected = {grid: brute_force_action(params, ability, *grid) for grid in grids}
+        wrong, done = [], []
+
+        def work(offset):
+            for n in range(300):
+                grid = grids[(n + offset) % len(grids)]
+                if brute_force_action(params, ability, *grid) != expected[grid]:
+                    wrong.append(grid)
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []
+
+    def test_oracle_matches_the_full_grid_bitwise(self):
+        # the oracle evaluates interior d rows only in columns whose mix of the end
+        # rows comes within 2**-40 * S of their maximum; full_grid evaluates every
+        # cell. Sampled workers, plus psi0 and psi1 roots, where the d rows of a
+        # column nearly tie, over every family, four kappas and six grid shapes.
+        rng = np.random.default_rng(71)
+        configs = [*family_configs().values(), *(sample_params(rng) for _ in range(16))]
+        calls = ties = 0
+        for config in configs:
+            lo, hi = beta_span(config)
+            for kappa in (0.0, 0.5, 1.0, 2.5):
+                params = replace(config, kappa=kappa)
+                abilities = [sample_ability(rng, params) for _ in range(2)]
+                # at t, delegating without checking ties with manual work at s = 0
+                t = manual_delegation_threshold(params).value
+                for beta in [t, *rng.uniform(lo, hi, 2).tolist()]:
+                    root = (psi0 if beta > t else psi1)(params, beta)
+                    if root.bracketed:
+                        abilities.append(Ability(root.value, beta))
+                for ability in abilities:
+                    for grid in REFERENCE_GRIDS:
+                        got = brute_force_action(params, ability, *grid)
+                        assert repr(got) == repr(reference_oracle(params, ability, *grid))
+                        _, _, u = full_grid(params, ability, *grid)
+                        ties += bool(u[1:-1].max(initial=-np.inf) >= u[[0, -1]].max())
+                        calls += 1
+        assert calls > 2000
+        # an interior row reaches the end rows' maximum in some calls, so the
+        # interior band and the row-major tie order are exercised
+        assert ties > 0
+
+    def test_tall_grid_near_a_tie_matches_the_full_grid(self, reference):
+        # at alpha 0 the manual row is flat in s and the delegated row peaks at
+        # s = 0, above it by a gain g of 2**-36 to 2**-30; on 349,525 d rows the
+        # cells next to d = 1 lie within rounding of that peak, and some round
+        # above it, while the mix at d[1] lies about g below it: the bound must
+        # read the mix at d[-2] as well
+        stakes = reference.worker_stakes * (reference.p_w - reference.p_a)
+        for gain in np.geomspace(2.0 ** -36, 2.0 ** -30, 13).tolist():
+            beta = reference.execution_cost.efficiency_at(reference.c_a + stakes + gain)
+            ability = Ability(0.0, beta)
+            got = brute_force_action(reference, ability, 349525, 3)
+            assert repr(got) == repr(reference_oracle(reference, ability, 349525, 3))
+
+    @pytest.mark.parametrize("c_w, l_w, c_a, kind", [
+        (1e308, 6.0, 0.0, "finite"),      # every cell finite, but 4 * S overflows
+        (1.7e308, 1e308, 0.0, "inf"),     # cells at -inf beside finite ones
+        (1e308, 6.0, 1.7e308, "nan"),     # the delegated cost overflows: 0 * inf is NaN at d = 0
+    ])
+    def test_overflowing_scale_evaluates_every_row(self, reference, c_w, l_w, c_a, kind):
+        # under inverse_efficiency cost 1e300 / beta, C_w reaches 1e308 at a finite
+        # beta; with S = b_w + l_w + C_w + max|x| past a quarter of the largest
+        # float the bound is void, and the oracle evaluates every row as full_grid does
+        params = replace(reference, l_w=l_w, c_a=c_a,
+                         execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 1e300))
+        ability = Ability(0.5, 1e300 / c_w)
+        assert 1e307 < checked_cost(params, ability) < math.inf
+        for grid in ((11, 2001), (5, 101), (2, 7)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = brute_force_action(params, ability, *grid)
+                _, _, u = full_grid(params, ability, *grid)
+                expected = reference_oracle(params, ability, *grid)
+            assert repr(got) == repr(expected)
+            assert {"finite": np.isfinite(u).all(),
+                    "inf": np.isinf(u).any() and not np.isnan(u).any(),
+                    "nan": np.isnan(u).any()}[kind]
 
     def test_axes_are_built_once_per_grid_shape(self, reference):
         # the d and s axes are kept beside the buffers, read-only, and follow a shape change
