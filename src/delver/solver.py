@@ -399,9 +399,9 @@ def brute_force_action(params: ModelParams, ability: Ability,
     so it evaluates the rows between them only in the columns where a
     rounding bound lets a cell reach the end rows' maximum: the cells it
     skips cannot hold the grid's maximum, and the result is the full
-    grid's bitwise. Each call reads the module's kept axes once, so calls
-    on two grid shapes may run in two threads at once. The worker plans
-    under params.worker_view().
+    grid's bitwise. Used as an oracle in tests and the CLI. Each call reads
+    the module's kept axes once, so calls on two grid shapes may run in two
+    threads at once. The worker plans under params.worker_view().
     """
     params = params.worker_view()
     for name, steps in (("d_steps", d_steps), ("s_steps", s_steps)):

@@ -785,7 +785,7 @@ print([brute_force_action(params, ability, *{grid}) for params, ability in cases
                 got = [brute_force_action(p, ability, *grid) for p, ability in scope["cases"]]
                 assert repr(got) == fresh[grid]
 
-    def test_threads_on_two_grid_shapes_agree_with_one_thread(self):
+    def test_threads_switching_grid_shapes_agree_with_one_thread(self):
         # each call reads the kept axes once, so a call never pairs one shape's
         # d axis with another's s axis while a second thread switches shapes
         scope = {}
