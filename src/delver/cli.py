@@ -299,14 +299,8 @@ def cmd_selfcheck(args):
     t = manual_delegation_threshold(params)
     t_tau = qualification_threshold(params)
     report = check_assumptions(params, [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)])
-    _emit(args, {"t": fmt(t.value) + ("" if t.bracketed else " (boundary)"),
-                 "t_tau": fmt(t_tau.value) + ("" if t_tau.bracketed else " (boundary)"),
-                 "dominance": report.dominance_ok, "assumptions_ok": report.all_ok})
-    for issue in report.violations:
-        print(f"violation {issue}")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    failures = 0
+    worst, failures = 0.0, 0
     for _ in range(args.samples):
         ability = sample_ability(rng, params)
         act, u_w = _solve_payload(params, ability)
@@ -315,6 +309,12 @@ def cmd_selfcheck(args):
         worst = max(worst, gap)
         if gap > 1e-6 * (1.0 + abs(u_w)):
             failures += 1
+    # every check runs before the first line, so an error leaves stdout empty
+    _emit(args, {"t": fmt(t.value) + ("" if t.bracketed else " (boundary)"),
+                 "t_tau": fmt(t_tau.value) + ("" if t_tau.bracketed else " (boundary)"),
+                 "dominance": report.dominance_ok, "assumptions_ok": report.all_ok})
+    for issue in report.violations:
+        print(f"violation {issue}")
     _emit(args, {"oracle_spot_checks": args.samples, "oracle_max_shortfall": worst,
                  "oracle_failures": failures})
     return 1 if failures or not report.all_ok else 0

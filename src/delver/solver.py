@@ -399,8 +399,10 @@ def brute_force_action(params: ModelParams, ability: Ability,
     so it evaluates the rows between them only in the columns where a
     rounding bound lets a cell reach the end rows' maximum: the cells it
     skips cannot hold the grid's maximum, and the result is the full
-    grid's bitwise. Used as an oracle in tests and the CLI. Each call reads
-    the module's kept axes once, so calls on two grid shapes may run in two
+    grid's bitwise. The bound needs 4 * S finite, with S = b_w + l_w + C_w +
+    the largest delegated cost; past that it raises ValueError before any cell
+    is evaluated. Used as an oracle in tests and the CLI. Each call reads the
+    module's kept axes once, so calls on two grid shapes may run in two
     threads at once. The worker plans under params.worker_view().
     """
     params = params.worker_view()
@@ -423,7 +425,12 @@ def brute_force_action(params: ModelParams, ability: Ability,
     c_w = checked_cost(params, ability)
     phi = params.detection.prob(ability.alpha, s[0])
     c_v = params.verification_cost.cost(s[0])
-    x = params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w)  # the delegated cost
+    with np.errstate(over="ignore"):  # an infinite x fails the domain rule below
+        x = params.c_a + c_v + (1.0 - params.p_a) * phi * (params.kappa * c_w)  # the delegated cost
+    span = params.b_w + params.l_w + c_w + float(np.abs(x).max())
+    if not math.isfinite(4.0 * span):
+        raise ValueError(f"oracle scale S = b_w + l_w + C_w + max delegated cost is {span:.6g};"
+                         " 4 * S must be finite")
 
     def utility(d, phi, x):
         # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility
@@ -443,23 +450,16 @@ def brute_force_action(params: ModelParams, ability: Ability,
         return p
 
     u0, u1 = utility(0.0, phi, x), utility(1.0, phi, x)
-    top = max(float(u0.max()), float(u1.max()))
-    span = params.b_w + params.l_w + c_w + float(np.abs(x).max())
-    if math.isfinite(4.0 * span) and math.isfinite(top):
-        # On the same float inputs, a cell is affine in d in exact arithmetic, so
-        # its exact value at any interior d is at most its exact value at d[1]
-        # or at d[-2], and the mix (1 - d) u0 + d u1 of the computed end rows is
-        # that value up to rounding. The rounding of one cell, of the end rows
-        # and of the mix is each about 32 * 2**-53 * span or less, which
-        # 2**-40 * span covers 256 times over: a column whose mixes at d[1] and
-        # d[-2] both fall below top - 2**-40 * span has no interior cell >= top,
-        # so none that can be the maximum.
-        floor = top - 2.0 ** -40 * span
-        d1, d2 = float(d[1, 0]), float(d[-2, 0])
-        near = ((1.0 - d1) * u0 + d1 * u1 >= floor) | ((1.0 - d2) * u0 + d2 * u1 >= floor)
-        cols = np.flatnonzero(near)
-    else:
-        cols = np.arange(s_steps)  # an overflow voids the bound: every row in full
+    # On the same float inputs a cell is affine in d in exact arithmetic, so its
+    # exact value at an interior d is at most its exact value at d[1] or d[-2],
+    # and the mix (1 - d) u0 + d u1 of the computed end rows is that value up to
+    # rounding. Under the rule no cell, end row or mix overflows (each is under
+    # 2 * S in size), and each rounds by about 32 * 2**-53 * S or less, which 2**-40 * S
+    # covers 256 times over: a column whose mixes at d[1] and d[-2] both fall
+    # below M - 2**-40 * S, M the end rows' maximum, holds no interior cell >= M.
+    floor = max(float(u0.max()), float(u1.max())) - 2.0 ** -40 * span
+    d1, d2 = float(d[1, 0]), float(d[-2, 0])
+    cols = np.flatnonzero(((1.0 - d1) * u0 + d1 * u1 >= floor) | ((1.0 - d2) * u0 + d2 * u1 >= floor))
     band = utility(d[1:-1], phi[cols], x[cols]).ravel() if cols.size else np.empty(0)
     # the evaluated cells in row-major order: row d = 0, the band, row d = 1
     values = np.concatenate((u0, band, u1))
@@ -472,11 +472,3 @@ def brute_force_action(params: ModelParams, ability: Ability,
     else:
         i, j = d_steps - 1, k - s_steps - band.size
     return Action(float(d[i, 0]), float(s[0, j])), float(values[k])
-
-
-def oracle_regime(action: Action) -> Regime:
-    if action.d == 0.0:
-        return Regime.MANUAL
-    if action.s == 0.0:
-        return Regime.PURE_DELEGATION
-    return Regime.VERIFIED_DELEGATION

@@ -10,6 +10,7 @@ import delver as dv
 import delver.calibration as cal
 from delver.model import INVERSE_EFFICIENCY, LINEAR_IN_EFFICIENCY
 from delver.sampling import sample_params
+from delver.solver import Regime
 
 CLINICIAN_INSTITUTION = cal.InstitutionSpec(b_i=2787.6, l_i=1858.4, xi=0.5, tau=150.0)
 # redo discounts away from the base model's 1: free, cheaper and dearer redo
@@ -60,6 +61,15 @@ def ability_grid(params, n=7):
         betas = np.linspace(0.25, 2.5, n)
     alphas = np.linspace(0.0, 2.0, n)
     return [dv.Ability(float(a), float(b)) for a in alphas for b in betas]
+
+
+def oracle_regime(action):
+    """The regime of the grid oracle's action: manual at d = 0, else pure or verified by s."""
+    if action.d == 0.0:
+        return Regime.MANUAL
+    if action.s == 0.0:
+        return Regime.PURE_DELEGATION
+    return Regime.VERIFIED_DELEGATION
 
 
 def run_isolated(code: str, timeout: float = 60.0) -> str:

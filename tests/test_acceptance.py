@@ -22,8 +22,10 @@ from delver.model import Ability, Action, coefficients
 from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
     brute_force_action, manual_delegation_threshold, optimal_action,
-    optimal_verification, oracle_regime, qualification_threshold,
+    optimal_verification, qualification_threshold,
 )
+
+from conftest import oracle_regime
 
 
 def report(criterion, ok, detail):

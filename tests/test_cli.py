@@ -220,6 +220,11 @@ CONFIG_REJECTIONS = {
 }
 
 
+# the delegated cost c_a + ... overflows at beta 1e-8, where C_w = 1e308
+OVERFLOWING_DELEGATION = {("ai", "c_a"): 1.7e308, ("functions", "execution_cost"):
+                          {"family": "inverse_efficiency", "scale": 1e300}}
+
+
 def edited_config(changes):
     """The reference config document with changes applied in order."""
     doc = json.loads(Path(REFERENCE_CONFIG).read_text())
@@ -477,6 +482,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("changes, argv", [
+        (OVERFLOWING_DELEGATION, ["oracle", "--alpha", "0.5", "--beta", "1e-8"]),
+        (OVERFLOWING_DELEGATION, ["solve", "--verify", "--alpha", "0.5", "--beta", "1e-8"]),
+        ({("functions", "execution_cost"): {"family": "linear_in_efficiency", "scale": 1e308}},
+         ["selfcheck"]),
+    ], ids=["oracle", "solve-verify", "selfcheck"])
+    def test_oracle_past_its_scale_is_one_error_line(self, capsys, tmp_path, changes, argv):
+        # 4 * S overflows, S = b_w + l_w + C_w + max delegated cost: oracle and solve
+        # --verify printed u_w nan with two numpy warnings, and selfcheck printed its
+        # lines from an unbounded fallback; selfcheck's checks run before any output
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(edited_config(changes)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out, caught) == (1, "", [])
+        assert re.fullmatch(r"error: oracle scale S = .+; 4 \* S must be finite\n", err)
 
     @pytest.mark.parametrize("token, message", [
         ("NaN", "non-finite number NaN"), ("Infinity", "non-finite number Infinity"),

@@ -22,10 +22,10 @@ from delver.sampling import beta_span, sample_ability, sample_params
 from delver.solver import (
     REGIMES, Regime, bisect, bisect_array, brute_force_action, choose_regime,
     manual_delegation_threshold, maximize_surplus, maximize_surplus_array, optimal_action,
-    optimal_verification, oracle_regime, qualification_threshold,
+    optimal_verification, qualification_threshold,
 )
 
-from conftest import KAPPAS, family_configs, run_isolated
+from conftest import KAPPAS, family_configs, oracle_regime, run_isolated
 
 EPS = np.finfo(float).eps
 
@@ -859,31 +859,38 @@ print([brute_force_action(params, ability, *{grid}) for params, ability in cases
             got = brute_force_action(reference, ability, 349525, 3)
             assert repr(got) == repr(reference_oracle(reference, ability, 349525, 3))
 
-    @pytest.mark.parametrize("c_w, l_w, c_a, kind", [
-        (1e308, 6.0, 0.0, "finite"),      # every cell finite, but 4 * S overflows
-        (1.7e308, 1e308, 0.0, "inf"),     # cells at -inf beside finite ones
-        (1e308, 6.0, 1.7e308, "nan"),     # the delegated cost overflows: 0 * inf is NaN at d = 0
+    @pytest.mark.parametrize("c_w, l_w, c_a", [
+        (1e308, 6.0, 0.0),      # every cell finite, but 4 * S overflows
+        (1.7e308, 1e308, 0.0),  # cells at -inf beside finite ones
+        (1e308, 6.0, 1.7e308),  # the delegated cost overflows: 0 * inf is NaN at d = 0
+        (4e307, 6.0, 0.0),      # 4 * S just past the largest float
     ])
-    def test_overflowing_scale_evaluates_every_row(self, reference, c_w, l_w, c_a, kind):
+    def test_overflowing_scale_is_refused(self, reference, c_w, l_w, c_a):
         # under inverse_efficiency cost 1e300 / beta, C_w reaches 1e308 at a finite
-        # beta; with S = b_w + l_w + C_w + max|x| past a quarter of the largest
-        # float the bound is void, and the oracle evaluates every row as full_grid does
+        # beta; with S = b_w + l_w + C_w + max x past a quarter of the largest float
+        # the rounding bound is void, and the oracle refuses before any cell is
+        # evaluated, with no numpy warning (the suite makes each one an error)
         params = replace(reference, l_w=l_w, c_a=c_a,
                          execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 1e300))
         ability = Ability(0.5, 1e300 / c_w)
         assert 1e307 < checked_cost(params, ability) < math.inf
         for grid in ((11, 2001), (5, 101), (2, 7)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = brute_force_action(params, ability, *grid)
-                _, _, u = full_grid(params, ability, *grid)
-                expected = reference_oracle(params, ability, *grid)
-            assert repr(got) == repr(expected)
-            assert {"finite": np.isfinite(u).all(),
-                    "inf": np.isinf(u).any() and not np.isnan(u).any(),
-                    "nan": np.isnan(u).any()}[kind]
+            with pytest.raises(ValueError, match=r"^oracle scale S = b_w \+ l_w \+ C_w \+ max "
+                                                 r"delegated cost is \S+; 4 \* S must be finite$"):
+                brute_force_action(params, ability, *grid)
+
+    def test_scale_just_inside_the_rule_matches_the_full_grid(self, reference):
+        # C_w = 3e307 keeps 4 * S below the largest float: the oracle answers, as
+        # the full grid does, with no overflow
+        params = replace(reference, execution_cost=ExecutionCost(INVERSE_EFFICIENCY, 1e300))
+        ability = Ability(0.5, 1e300 / 3e307)
+        for grid in ((11, 2001), (5, 101), (2, 7)):
+            got = brute_force_action(params, ability, *grid)
+            assert math.isfinite(got[1])
+            assert repr(got) == repr(reference_oracle(params, ability, *grid))
 
     def test_axes_are_built_once_per_grid_shape(self, reference):
-        # the d and s axes are kept beside the buffers, read-only, and follow a shape change
+        # the d and s axes are kept at module level, read-only, and follow a shape change
         ability = Ability(0.4, 0.6)
         for grid in ((5, 101), (11, 2001)):
             brute_force_action(reference, ability, *grid)

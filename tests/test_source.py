@@ -313,21 +313,18 @@ def test_the_oracle_shares_no_code_with_the_solver():
 # rule, each once for a float and an array, by index; a member such as Regime.MANUAL
 # read anywhere else would be a second copy of a rule that can disagree with it
 RULE_ENUMS = ("Regime", "QualityLabel", "ComplianceLabel")
-# oracle_regime maps the grid oracle's action to a regime for the tests, apart from the rule
-MEMBER_READS = {"solver.py": ("oracle_regime",)}
 
 
-def enum_member_reads(source: str, allowed: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+def enum_member_reads(source: str) -> list[tuple[int, str]]:
     """The reads of a RULE_ENUMS member in source, such as Regime.MANUAL, as (line, name).
 
     A read is an attribute of a name or of an attribute called Regime,
-    QualityLabel or ComplianceLabel. The enum class bodies and the functions
-    named in allowed are skipped.
+    QualityLabel or ComplianceLabel. The enum class bodies are skipped.
     """
     found = []
 
     def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in (*RULE_ENUMS, *allowed):
+        if isinstance(node, ast.ClassDef) and node.name in RULE_ENUMS:
             return
         if isinstance(node, ast.Attribute):
             owner = node.value
@@ -343,20 +340,17 @@ def enum_member_reads(source: str, allowed: tuple[str, ...] = ()) -> list[tuple[
 
 def test_the_check_finds_enum_member_reads():
     source = ("class Regime(str, enum.Enum):\n    MANUAL = 'manual'\n"
-              "def oracle_regime(a):\n    return Regime.MANUAL\n"
+              "def helper(a):\n    return Regime.MANUAL\n"
               "def rule(x):\n    return solver.Regime.MANUAL if x else QualityLabel.DEGRADED.value\n"
               "def f(x):\n    return tuple(Regime), ComplianceLabel(x), REGIMES[x]\n")
-    assert enum_member_reads(source, ("oracle_regime",)) == [(6, "Regime.MANUAL"),
-                                                              (6, "QualityLabel.DEGRADED")]
-    assert enum_member_reads(source)[0] == (4, "Regime.MANUAL")
+    # the class body is skipped, and a read in any function is found, a helper's too
+    assert enum_member_reads(source) == [(4, "Regime.MANUAL"), (6, "Regime.MANUAL"),
+                                         (6, "QualityLabel.DEGRADED")]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_restates_the_regime_or_label_rules(module):
-    source = (SRC / module).read_text()
-    if module in MEMBER_READS:  # the walk sees the allowed function's reads
-        assert enum_member_reads(source)
-    assert enum_member_reads(source, MEMBER_READS.get(module, ())) == []
+    assert enum_member_reads((SRC / module).read_text()) == []
 
 
 # numpy.linalg calls LAPACK, and numpy.polynomial calls numpy.linalg (leggauss
