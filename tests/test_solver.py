@@ -867,7 +867,7 @@ print([brute_force_action(params, ability, *{grid}) for params, ability in cases
     ])
     def test_overflowing_scale_is_refused(self, reference, c_w, l_w, c_a):
         # under inverse_efficiency cost 1e300 / beta, C_w reaches 1e308 at a finite
-        # beta; with S = b_w + l_w + C_w + max x past a quarter of the largest float
+        # beta; with S = b_w + l_w + C_w + max|x| past a quarter of the largest float
         # the rounding bound is void, and the oracle refuses before any cell is
         # evaluated, with no numpy warning (the suite makes each one an error)
         params = replace(reference, l_w=l_w, c_a=c_a,
