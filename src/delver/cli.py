@@ -14,6 +14,7 @@ import functools
 import importlib
 import json
 import math
+import random
 import re
 import sys
 from dataclasses import asdict, replace
@@ -299,7 +300,7 @@ def cmd_selfcheck(args):
     t = manual_delegation_threshold(params)
     t_tau = qualification_threshold(params)
     report = check_assumptions(params, [Ability(a, b) for a in (0.2, 0.8) for b in (0.25, 0.75)])
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     worst, failures = 0.0, 0
     for _ in range(args.samples):
         ability = sample_ability(rng, params)

@@ -8,6 +8,8 @@ efficiency domain (checked at the costliest efficiency).
 
 from __future__ import annotations
 
+from typing import Protocol
+
 import numpy as np
 
 from .model import (
@@ -19,6 +21,12 @@ from .model import (
 # efficiency interval per execution cost family that sample_params' viability
 # slack covers, and that sample_ability draws beta from
 _BETA_SPAN = {LINEAR_IN_EFFICIENCY: (0.0, 1.0), INVERSE_EFFICIENCY: (0.2, 3.0)}
+
+
+class Uniform(Protocol):
+    """A generator with uniform(lo, hi), such as random.Random or np.random.Generator."""
+
+    def uniform(self, lo: float, hi: float, /) -> float: ...
 
 
 def sample_params(rng: np.random.Generator, execution_kind: str | None = None) -> ModelParams:
@@ -53,7 +61,11 @@ def sample_params(rng: np.random.Generator, execution_kind: str | None = None) -
                        execution_cost=execution)
 
 
-def sample_ability(rng: np.random.Generator, params: ModelParams) -> Ability:
+def sample_ability(rng: Uniform, params: ModelParams) -> Ability:
+    """A worker drawn uniformly: alpha on [0, 3], beta on beta_span(params).
+
+    rng is any generator with uniform(lo, hi); the two draws are its only calls.
+    """
     alpha = float(rng.uniform(0.0, 3.0))
     return Ability(alpha, float(rng.uniform(*beta_span(params))))
 

@@ -395,13 +395,14 @@ def brute_force_action(params: ModelParams, ability: Ability,
     Evaluates success probability and cost directly on a (d, s) grid, with
     its own formula and none of the solver's code, and returns the first
     maximizing cell in row-major order (np.argmax's) with its utility. It
-    evaluates the rows d = 0 and d = 1 in full. The utility is affine in d,
-    so it evaluates the rows between them only in the columns where a
-    rounding bound lets a cell reach the end rows' maximum: the cells it
-    skips cannot hold the grid's maximum, and the result is the full
-    grid's bitwise. The bound needs 4 * S finite, with S = b_w + l_w + C_w +
-    the largest delegated cost; past that it raises ValueError before any cell
-    is evaluated. Used as an oracle in tests and the CLI. Each call reads the
+    evaluates the row d = 1 in full, and the row d = 0 as one value, which
+    every cell of it has. The utility is affine in d, so it evaluates the
+    rows between them only in the columns where a rounding bound lets a
+    cell reach the end rows' maximum, and in none when the bound rules out
+    the column of row d = 1's maximum: the cells it skips cannot hold the
+    grid's maximum, and the result is the full grid's bitwise. The bound
+    needs 4 * S finite, with S = b_w + l_w + C_w + the largest delegated
+    cost; past that it raises ValueError before any cell is evaluated. Used as an oracle in tests and the CLI. Each call reads the
     module's kept axes once, so calls on two grid shapes may run in two
     threads at once. The worker plans under params.worker_view().
     """
@@ -435,21 +436,16 @@ def brute_force_action(params: ModelParams, ability: Ability,
     def utility(d, phi, x):
         # success p = (1 - d) p_w + d p_a + d (1 - p_a) phi p_w, and utility
         # b_w p - l_w (1 - p) - (d x + (1 - d) C_w), at the rows d (a float or a
-        # column) and the columns phi and x; a cell's operations do not depend
-        # on which other cells are evaluated with it, so it gets the full grid's bits
-        p = d * (1.0 - params.p_a) * phi
-        p *= params.p_w
-        p += (1.0 - d) * params.p_w + d * params.p_a
-        u = 1.0 - p
-        u *= params.l_w
-        p *= params.b_w
-        p -= u
-        np.multiply(d, x, out=u)
-        u += (1.0 - d) * c_w
-        p -= u
-        return p
+        # column) and the columns phi and x (floats or rows); a cell's operations
+        # do not depend on which other cells are evaluated with it, so it gets
+        # the full grid's bits
+        p = d * (1.0 - params.p_a) * phi * params.p_w + ((1.0 - d) * params.p_w + d * params.p_a)
+        return p * params.b_w - (1.0 - p) * params.l_w - (d * x + (1.0 - d) * c_w)
 
-    u0, u1 = utility(0.0, phi, x), utility(1.0, phi, x)
+    # row d = 0 multiplies its phi and x, finite and >= 0 under the rule, by 0.0,
+    # so every cell of it has cell (0, 0)'s value u0
+    u0, u1 = utility(0.0, float(phi[0]), float(x[0])), utility(1.0, phi, x)
+    top = float(u1.max())
     # On the same float inputs a cell is affine in d in exact arithmetic, so its
     # exact value at an interior d is at most its exact value at d[1] or d[-2],
     # and the mix (1 - d) u0 + d u1 of the computed end rows is that value up to
@@ -457,18 +453,28 @@ def brute_force_action(params: ModelParams, ability: Ability,
     # 2 * S in size), and each rounds by about 32 * 2**-53 * S or less, which 2**-40 * S
     # covers 256 times over: a column whose mixes at d[1] and d[-2] both fall
     # below M - 2**-40 * S, M the end rows' maximum, holds no interior cell >= M.
-    floor = max(float(u0.max()), float(u1.max())) - 2.0 ** -40 * span
+    # Each rounding is monotone, so a mix rises with u1: when neither mix
+    # reaches the floor at u1's largest value, no column's does.
+    floor = max(u0, top) - 2.0 ** -40 * span
     d1, d2 = float(d[1, 0]), float(d[-2, 0])
-    cols = np.flatnonzero(((1.0 - d1) * u0 + d1 * u1 >= floor) | ((1.0 - d2) * u0 + d2 * u1 >= floor))
-    band = utility(d[1:-1], phi[cols], x[cols]).ravel() if cols.size else np.empty(0)
-    # the evaluated cells in row-major order: row d = 0, the band, row d = 1
-    values = np.concatenate((u0, band, u1))
-    k = int(np.argmax(values))
-    if k < s_steps:
-        i, j = 0, k
-    elif k < s_steps + band.size:
-        row, col = divmod(k - s_steps, cols.size)
-        i, j = row + 1, int(cols[col])
+
+    def mix(w, u):
+        return (1.0 - w) * u0 + w * u
+
+    if mix(d1, top) >= floor or mix(d2, top) >= floor:
+        cols = np.flatnonzero((mix(d1, u1) >= floor) | (mix(d2, u1) >= floor))
+        band = utility(d[1:-1], phi[cols], x[cols]).ravel()
+        values = np.concatenate((band, u1))
     else:
-        i, j = d_steps - 1, k - s_steps - band.size
-    return Action(float(d[i, 0]), float(s[0, j])), float(values[k])
+        band, values = np.empty(0), u1
+    # the cells after row d = 0 in row-major order: the band, then row d = 1;
+    # row d = 0 comes first, so it holds np.argmax's first maximum when u0 is at least theirs
+    k = int(np.argmax(values))
+    if u0 >= values[k]:
+        i, j, u = 0, 0, u0
+    elif k < band.size:
+        row, col = divmod(k, cols.size)
+        i, j, u = row + 1, int(cols[col]), values[k]
+    else:
+        i, j, u = d_steps - 1, k - band.size, values[k]
+    return Action(float(d[i, 0]), float(s[0, j])), float(u)

@@ -1431,6 +1431,17 @@ class TestSelfcheck:
         assert float(lines["t_tau"]) == pytest.approx(4.0 / 15.0, abs=1e-9)
         assert lines["oracle_failures"] == "0"
 
+    def test_spot_checks_leave_numpy_random_unloaded(self):
+        # the workers come from random.Random: numpy.random's first use costs about
+        # 10 ms per process, and it loads secrets, hmac and OpenSSL's _hashlib
+        out = run_isolated(
+            "import contextlib, io, sys\n"
+            "from delver.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['selfcheck', '--config', {REFERENCE_CONFIG!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+        assert out == "False\n"
+
     def test_violations_are_listed_and_fail(self, capsys, tmp_path):
         # b_i = l_i = 1 breaks institutional dominance; the output is that of commit bfc6fef
         config = tmp_path / "config.json"
