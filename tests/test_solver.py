@@ -712,13 +712,6 @@ def reference_oracle(params, ability, d_steps, s_steps):
     return Action(float(d[i, 0]), float(s[0, j])), float(u[i, j])
 
 
-def assert_matches_full_grid(params, ability, grids=REFERENCE_GRIDS):
-    """brute_force_action's (action, u) has reference_oracle's repr on every grid."""
-    for grid in grids:
-        assert repr(brute_force_action(params, ability, *grid)) == \
-            repr(reference_oracle(params, ability, *grid)), grid
-
-
 class TestOracle:
     def test_grid_validation(self, reference):
         with pytest.raises(ValueError):
@@ -825,110 +818,58 @@ print([brute_force_action(params, ability, *{grid}) for params, ability in cases
     def test_oracle_matches_the_full_grid_bitwise(self):
         # the oracle evaluates interior d rows only in columns whose mix of the end
         # rows comes within 2**-40 * S of their maximum; full_grid evaluates every
-        # cell. Sampled workers, plus psi0 and psi1 roots, where the d rows of a
-        # column nearly tie, over every family, four kappas and six grid shapes.
+        # cell. Sampled workers, workers at alpha 0 (phi 0 at every s) and at
+        # beta's top (C_w 0 under linear_in_efficiency), plus psi0 and psi1 roots,
+        # where the d rows of a column nearly tie, over every family, four kappas
+        # (kappa 0 included) and six grid shapes (2 and 3 d rows included).
         rng = np.random.default_rng(71)
         configs = [*family_configs().values(), *(sample_params(rng) for _ in range(16))]
-        calls = ties = 0
+        calls = ties = above = 0
         for config in configs:
             lo, hi = beta_span(config)
             for kappa in (0.0, 0.5, 1.0, 2.5):
                 params = replace(config, kappa=kappa)
                 abilities = [sample_ability(rng, params) for _ in range(2)]
-                # at t, delegating without checking ties with manual work at s = 0
+                abilities += [Ability(0.0, lo), Ability(0.0, hi), Ability(0.5, hi)]
+                # at t, delegating without checking ties with manual work at s = 0,
+                # and both psi0 and psi1 are defined there
                 t = manual_delegation_threshold(params).value
                 for beta in [t, *rng.uniform(lo, hi, 2).tolist()]:
-                    root = (psi0 if beta > t else psi1)(params, beta)
-                    if root.bracketed:
-                        abilities.append(Ability(root.value, beta))
+                    for side in (psi0, psi1) if beta == t else (psi0 if beta > t else psi1,):
+                        if (root := side(params, beta)).bracketed:
+                            abilities.append(Ability(root.value, beta))
                 for ability in abilities:
                     for grid in REFERENCE_GRIDS:
                         got = brute_force_action(params, ability, *grid)
                         assert repr(got) == repr(reference_oracle(params, ability, *grid))
                         _, _, u = full_grid(params, ability, *grid)
-                        ties += bool(u[1:-1].max(initial=-np.inf) >= u[[0, -1]].max())
+                        interior, ends = u[1:-1].max(initial=-np.inf), u[[0, -1]].max()
+                        ties += bool(interior >= ends)
+                        above += bool(interior > ends)
                         calls += 1
-        assert calls > 2000
+        assert calls > 4000
         # an interior row reaches the end rows' maximum in some calls, so the
-        # interior band and the row-major tie order are exercised
-        assert ties > 0
+        # interior band and the row-major tie order are exercised, and rises
+        # above it in some, which the oracle answers only from its band
+        assert ties > 0 and above > 0
 
-    def test_zero_manual_cost_matches_the_full_grid(self):
-        # beta = 1 under linear_in_efficiency makes C_w = 0: row d = 0 and the
-        # redo term kappa C_w vanish
-        configs = [c for c in family_configs().values()
-                   if c.execution_cost.kind == LINEAR_IN_EFFICIENCY]
-        for config in configs:
-            for kappa in KAPPAS:
-                params = replace(config, kappa=kappa)
-                for alpha in (0.0, 0.3, 1.5):
-                    ability = Ability(alpha, 1.0)
-                    assert checked_cost(params, ability) == 0.0
-                    assert_matches_full_grid(params, ability)
-
-    def test_zero_reliability_matches_the_full_grid(self):
-        # alpha = 0 makes phi 0 at every s, so row d = 1 falls with C_v alone
-        for config in family_configs().values():
-            lo, hi = beta_span(config)
-            for beta in np.linspace(lo, hi, 4).tolist():
-                assert_matches_full_grid(config, Ability(0.0, beta))
-        # with a rate of 2**-1000, c_a + C_v(s) rounds to c_a, and row d = 1 is
-        # flat: its first cell wins where delegation does, and cell (0, 0) where it ties
-        params = exponential_params(c_a=0.25, verification_cost=VerificationCost("linear", 2.0 ** -1000))
-        for beta in (0.1, 0.9):
-            assert_matches_full_grid(params, Ability(0.0, beta))
-        assert brute_force_action(params, Ability(0.0, 0.1), 11, 2001)[0] == Action(1.0, 0.0)
-
-    def test_zero_kappa_matches_the_full_grid(self):
-        rng = np.random.default_rng(73)
-        for config in family_configs().values():
-            params = replace(config, kappa=0.0)
-            for _ in range(3):
-                assert_matches_full_grid(params, sample_ability(rng, params))
-
-    def test_manual_row_tied_with_the_delegated_maximum_gives_cell_0_0(self):
+    def test_ties_give_np_argmax_first_cell(self):
         # in dyadic numbers both end rows' best cells are exactly 1.0: the manual
-        # row 8 * 0.75 - 6 * 0.25 - 3.5, and the delegated row at s = 0,
-        # 8 * 0.5 - 6 * 0.5 - 0; np.argmax's first maximum is cell (0, 0)
+        # row 8 * 0.75 - 6 * 0.25 - 3.5, and the delegated row at alpha 0 and
+        # s = 0, 8 * 0.5 - 6 * 0.5 - 0; the first maximum is cell (0, 0)
         params = exponential_params(p_a=0.5, execution_cost=ExecutionCost(LINEAR_IN_EFFICIENCY, 7.0))
-        ability = Ability(0.0, 0.5)
+        tied = Ability(0.0, 0.5)
         for grid in ((2, 7), (2, 2001), (3, 3), (5, 101), (17, 61)):
-            assert brute_force_action(params, ability, *grid) == (Action(0.0, 0.0), 1.0)
-            assert_matches_full_grid(params, ability, (grid,))
-        # on 11 rows the cells at d = 0.1 round 1.3e-15 above 1.0, and win
-        assert_matches_full_grid(params, ability, ((11, 2001),))
-
-    @pytest.mark.parametrize("d_steps", [2, 3])
-    def test_fewest_d_rows_match_the_full_grid(self, d_steps):
-        # two rows leave no interior, and three put d[1] and d[-2] on one row
-        rng = np.random.default_rng(79)
-        for config in family_configs().values():
-            for kappa in KAPPAS:
-                params = replace(config, kappa=kappa)
-                t = manual_delegation_threshold(params).value
-                abilities = [sample_ability(rng, params), Ability(0.0, t)]
-                for ability in abilities:
-                    assert_matches_full_grid(params, ability, ((d_steps, 2001), (d_steps, 7)))
-
-    def test_psi0_root_at_t_evaluates_a_band_and_matches_the_full_grid(self):
-        # psi0 at beta = t is the reliability where manual work ties with
-        # delegation at s = 0, so column 0's mixes pass the pre-check; where an
-        # interior cell rounds above both end rows, the oracle can return it
-        # only by evaluating the band
-        calls = above = 0
-        for config in family_configs().values():
-            for kappa in KAPPAS:
-                params = replace(config, kappa=kappa)
-                t = manual_delegation_threshold(params).value
-                if t > beta_span(params)[1] or not (root := psi0(params, t)).bracketed:
-                    continue
-                ability = Ability(root.value, t)
-                for grid in REFERENCE_GRIDS:
-                    assert_matches_full_grid(params, ability, (grid,))
-                    _, _, u = full_grid(params, ability, *grid)
-                    above += bool(u[1:-1].max(initial=-np.inf) > u[[0, -1]].max())
-                    calls += 1
-        assert calls >= 60 and above > 0
+            assert brute_force_action(params, tied, *grid) == (Action(0.0, 0.0), 1.0)
+        # on 11 rows the cells at d = 0.1 round 1.3e-15 above 1.0, and win;
+        # with a rate of 2**-1000, c_a + C_v(s) rounds to c_a at alpha 0, so the
+        # delegated row is flat, and its first cell wins where delegation does
+        flat = replace(params, c_a=0.25, verification_cost=VerificationCost("linear", 2.0 ** -1000))
+        cases = [(params, tied), (flat, Ability(0.0, 0.1)), (flat, Ability(0.0, 0.9))]
+        for case in cases:
+            for grid in REFERENCE_GRIDS:
+                assert repr(brute_force_action(*case, *grid)) == repr(reference_oracle(*case, *grid))
+        assert brute_force_action(*cases[1], 11, 2001) == (Action(1.0, 0.0), 0.75)
 
     def test_tall_grid_near_a_tie_matches_the_full_grid(self, reference):
         # at alpha 0 the manual row is flat in s and the delegated row peaks at
